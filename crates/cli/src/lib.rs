@@ -40,8 +40,7 @@ use bfly_core::family::{
     count_ranked_recorded,
 };
 use bfly_core::peel::{
-    k_tip_recorded, k_wing_recorded, tip_numbers, tip_numbers_shared, tip_numbers_with_chunks,
-    wing_numbers_shared, wing_numbers_with_chunks,
+    k_tip_recorded, k_wing_recorded, tip_numbers, tip_numbers_with_chunks, wing_numbers_with_chunks,
 };
 use bfly_core::telemetry::{
     diff_reports_full, install_panic_hook, timed_phase, to_openmetrics, FlightRecorder, History,
@@ -49,8 +48,7 @@ use bfly_core::telemetry::{
     RunReport, SharedSink, StreamRecorder, WorkForecast, DEFAULT_FLIGHT_CAPACITY,
 };
 use bfly_core::{
-    count_auto_recorded, count_by_enumeration, count_parallel_recorded, count_parallel_shared,
-    count_priority_shared, count_ranked_shared, count_recorded,
+    count_auto_recorded, count_by_enumeration, count_parallel_recorded, count_recorded,
     count_segmented_checkpointed_recorded, count_sharded_recorded, count_via_spgemm,
     enumerate_butterflies, BflyError, CheckpointConfig, Invariant, ResourceBudget,
 };
@@ -60,6 +58,7 @@ use bfly_graph::{
     convert_to_bfly, is_bfly_file, read_bfly_file, write_bfly_file, BipartiteGraph, GraphStats,
     SegmentedGraph, Side, StandIn, TextFormat,
 };
+use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -1115,12 +1114,13 @@ fn sniff_format(path: &str) -> Result<Format, CliError> {
     if p.extension().and_then(|e| e.to_str()) == Some("mtx") {
         return Ok(Format::MatrixMarket);
     }
-    let head = std::fs::read_to_string(path)
-        .map_err(|e| err(format!("cannot read {path}: {e}")))?
-        .chars()
-        .take(64)
-        .collect::<String>();
-    if head.starts_with("%%MatrixMarket") {
+    // Only the head decides: read at most 64 bytes, so the parser that
+    // follows is the only full pass over the file.
+    let mut head = Vec::with_capacity(64);
+    std::fs::File::open(path)
+        .and_then(|f| f.take(64).read_to_end(&mut head))
+        .map_err(|e| err(format!("cannot read {path}: {e}")))?;
+    if head.starts_with(b"%%MatrixMarket") {
         Ok(Format::MatrixMarket)
     } else if p
         .file_name()
@@ -1695,22 +1695,10 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
             } else {
                 None
             };
-            let (xi, label) = if let Some(hub) = telem.live_hub() {
-                // Liveness mode records straight into the shared hub so
-                // the monitor sees counters advance *during* the run;
-                // parallel family counts take the shared-hub entry point
-                // (worker threads publish live instead of merging
-                // thread-local tallies at the end).
-                match &pool {
-                    Some(p) => p.install(|| run_count_live(&g, algorithm, parallel, &hub)),
-                    None => run_count_live(&g, algorithm, parallel, &hub),
-                }
-            } else {
-                with_recorder!(telem, |rec| match &pool {
-                    Some(p) => p.install(|| run_count(&g, algorithm, parallel, rec)),
-                    None => run_count(&g, algorithm, parallel, rec),
-                })
-            };
+            let (xi, label) = with_recorder!(telem, |rec| match &pool {
+                Some(p) => p.install(|| run_count(&g, algorithm, parallel, rec)),
+                None => run_count(&g, algorithm, parallel, rec),
+            });
             w(out, format!("butterflies = {xi}  [{label}]"))?;
             let mut meta = vec![
                 ("command".to_string(), Json::Str("count".to_string())),
@@ -1774,35 +1762,22 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
                 } else {
                     None
                 };
-                let (plan, side, numbers) = if let Some(hub) = telem.live_hub() {
-                    // Liveness mode: workers record support updates into
-                    // the shared hub as they peel, so the monitor sees
-                    // progress between buckets.
-                    let hub_ref: &MetricsHub = &hub;
-                    let mut rec = hub_ref;
-                    let (_profile, plan) = profile_and_peel_plan_recorded(&g, workers, &mut rec);
-                    telem.set_forecast(plan.forecast());
-                    let side = side.unwrap_or(plan.side);
-                    let numbers = timed_phase(&mut rec, "tip_decompose", |_| match &pool {
-                        Some(p) => p.install(|| tip_numbers_shared(&g, side, plan.chunks, hub_ref)),
-                        None => tip_numbers_shared(&g, side, plan.chunks, hub_ref),
-                    });
-                    (plan, side, numbers)
-                } else {
-                    with_recorder!(telem, |rec| {
-                        let (_profile, plan) = profile_and_peel_plan_recorded(&g, workers, rec);
-                        // The plan picks the cheaper side; an explicit --side
-                        // overrides it but keeps the parallel/chunks decision.
-                        let side = side.unwrap_or(plan.side);
-                        let numbers = timed_phase(rec, "tip_decompose", |rec| match &pool {
+                // The plan picks the cheaper side; an explicit --side
+                // overrides it but keeps the parallel/chunks decision.
+                let (_profile, plan) = with_recorder!(telem, |rec| profile_and_peel_plan_recorded(
+                    &g, workers, rec
+                ));
+                telem.set_forecast(plan.forecast());
+                let side = side.unwrap_or(plan.side);
+                let numbers =
+                    with_recorder!(telem, |rec| timed_phase(rec, "tip_decompose", |rec| {
+                        match &pool {
                             Some(p) => {
                                 p.install(|| tip_numbers_with_chunks(&g, side, plan.chunks, rec))
                             }
                             None => tip_numbers_with_chunks(&g, side, plan.chunks, rec),
-                        });
-                        (plan, side, numbers)
-                    })
-                };
+                        }
+                    }));
                 return emit_decomposition(
                     telem,
                     out,
@@ -1885,26 +1860,17 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
                 } else {
                     None
                 };
-                let (plan, numbers) = if let Some(hub) = telem.live_hub() {
-                    let hub_ref: &MetricsHub = &hub;
-                    let mut rec = hub_ref;
-                    let (_profile, plan) = profile_and_peel_plan_recorded(&g, workers, &mut rec);
-                    telem.set_forecast(plan.forecast());
-                    let numbers = timed_phase(&mut rec, "wing_decompose", |_| match &pool {
-                        Some(p) => p.install(|| wing_numbers_shared(&g, plan.chunks, hub_ref)),
-                        None => wing_numbers_shared(&g, plan.chunks, hub_ref),
-                    });
-                    (plan, numbers)
-                } else {
-                    with_recorder!(telem, |rec| {
-                        let (_profile, plan) = profile_and_peel_plan_recorded(&g, workers, rec);
-                        let numbers = timed_phase(rec, "wing_decompose", |rec| match &pool {
+                let (_profile, plan) = with_recorder!(telem, |rec| profile_and_peel_plan_recorded(
+                    &g, workers, rec
+                ));
+                telem.set_forecast(plan.forecast());
+                let numbers =
+                    with_recorder!(telem, |rec| timed_phase(rec, "wing_decompose", |rec| {
+                        match &pool {
                             Some(p) => p.install(|| wing_numbers_with_chunks(&g, plan.chunks, rec)),
                             None => wing_numbers_with_chunks(&g, plan.chunks, rec),
-                        });
-                        (plan, numbers)
-                    })
-                };
+                        }
+                    }));
                 return emit_decomposition(
                     telem, out, "wing", &file, &numbers, threads, plan, None,
                 );
@@ -2299,44 +2265,6 @@ fn run_count<R: Recorder>(
     }
 }
 
-/// [`run_count`] for liveness mode: everything records through the
-/// shared hub, and the parallel family members route through
-/// [`count_parallel_shared`] so worker threads publish counters live
-/// (the recorded variants merge thread-local tallies only at the end,
-/// which would leave the monitor blind until the join).
-fn run_count_live(
-    g: &BipartiteGraph,
-    algorithm: Algorithm,
-    parallel: bool,
-    hub: &MetricsHub,
-) -> (u64, String) {
-    match algorithm {
-        Algorithm::Auto if parallel => {
-            let inv = pick_auto(g);
-            (
-                count_parallel_shared(g, inv, hub),
-                format!("{inv} (auto, parallel)"),
-            )
-        }
-        Algorithm::Family(inv) if parallel => (
-            count_parallel_shared(g, inv, hub),
-            format!("{inv} (parallel)"),
-        ),
-        Algorithm::Priority if parallel => (
-            count_priority_shared(g, rayon::current_num_threads().max(1), hub),
-            "priority (parallel)".to_string(),
-        ),
-        Algorithm::Ranked if parallel => (
-            count_ranked_shared(g, rayon::current_num_threads().max(1), hub),
-            "ranked (parallel)".to_string(),
-        ),
-        other => {
-            let mut rec: &MetricsHub = hub;
-            run_count(g, other, parallel, &mut rec)
-        }
-    }
-}
-
 /// The budget-capped counting path: always adaptive, threaded through
 /// [`count_adaptive_budgeted_recorded`] so byte caps degrade the plan,
 /// work caps refuse it ([`ErrorClass::Budget`], exit 4), overflow maps
@@ -2412,7 +2340,7 @@ fn run_count_budgeted(
     };
     let label = format!(
         "{} (adaptive, budgeted{})",
-        plan.invariant,
+        plan_engine(&plan),
         if complete { "" } else { ", partial" }
     );
     writeln!(out, "butterflies = {xi}  [{label}]").map_err(|e| err(format!("write error: {e}")))?;
@@ -3847,6 +3775,64 @@ mod tests {
             .meta
             .iter()
             .any(|(n, v)| n == "complete" && matches!(v, Json::Bool(true))));
+
+        // The label names the engine that ran: on the skewed stand-in the
+        // budgeted plan runs the priority member, not its fallback
+        // invariant.
+        let skew = dir.join("skew.tsv");
+        let sp = skew.to_str().unwrap();
+        run(
+            parse(&sv(&[
+                "generate",
+                "--kind",
+                "standin",
+                "--name",
+                "occupations",
+                "--scale",
+                "0.1",
+                "--out",
+                sp,
+            ]))
+            .unwrap(),
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let mut sink = Vec::new();
+        run(
+            parse(&sv(&["count", sp, "--max-work", "100000000000"])).unwrap(),
+            &mut sink,
+        )
+        .unwrap();
+        let text = String::from_utf8(sink).unwrap();
+        assert!(text.contains("[priority (adaptive, budgeted)]"), "{text}");
+    }
+
+    #[test]
+    fn sniff_format_reads_only_the_head() {
+        let dir = std::env::temp_dir().join(format!("bfly-cli-sniff-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Invalid UTF-8 past byte 64 does not stop the sniff.
+        let mut bytes = b"% bip unweighted\n1 1\n".to_vec();
+        bytes.resize(64, b' ');
+        bytes.extend_from_slice(&[0xff, 0xfe, b'\n']);
+        let edges = dir.join("edges.tsv");
+        std::fs::write(&edges, &bytes).unwrap();
+        assert_eq!(
+            sniff_format(edges.to_str().unwrap()).unwrap(),
+            Format::EdgeList
+        );
+        // A MatrixMarket header wins regardless of the extension.
+        let mtx = dir.join("out.graph");
+        std::fs::write(
+            &mtx,
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n",
+        )
+        .unwrap();
+        assert_eq!(
+            sniff_format(mtx.to_str().unwrap()).unwrap(),
+            Format::MatrixMarket
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

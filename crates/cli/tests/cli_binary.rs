@@ -624,3 +624,87 @@ fn report_show_and_flame_roundtrip() {
     assert!(out.status.success());
     assert!(std::fs::read_to_string(&fpath).unwrap().contains("<html"));
 }
+
+/// Budgeted counts run the same kernels as unbudgeted ones, so a cap no
+/// run reaches must report exactly the kernel work of the plain
+/// `--adaptive` run — on the uniform CI graph with two threads (a fixed
+/// member in parallel) and on the skewed occupations stand-in (the
+/// priority plan, and the ranked plan with `--parallel`). The budgeted
+/// label names the member that ran.
+#[test]
+fn budgeted_counts_record_the_same_kernel_work_as_adaptive() {
+    let dir = tempdir();
+    let uniform = dir.join("work-uniform.tsv");
+    let skew = dir.join("work-skew.tsv");
+    for (path, args) in [
+        (
+            &uniform,
+            &[
+                "--kind", "uniform", "--m", "2000", "--n", "2000", "--edges", "20000", "--seed",
+                "42",
+            ][..],
+        ),
+        (
+            &skew,
+            &[
+                "--kind",
+                "standin",
+                "--name",
+                "occupations",
+                "--scale",
+                "0.1",
+            ][..],
+        ),
+    ] {
+        let out = bfly()
+            .arg("generate")
+            .args(args)
+            .args(["--out", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+    }
+    let kernel_work = |path: &std::path::Path, extra: &[&str], budget: &[&str], tag: &str| {
+        let report = dir.join(format!("work-{tag}.json"));
+        let out = bfly()
+            .arg("count")
+            .arg(path)
+            .args(extra)
+            .args(budget)
+            .args(["--report", report.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&report).unwrap();
+        let rep = bfly_core::telemetry::RunReport::parse(&text).unwrap();
+        let work: Vec<u64> = ["wedges_expanded", "spa_scatters", "accum_entries"]
+            .iter()
+            .map(|c| rep.counter(c).unwrap())
+            .collect();
+        (work, String::from_utf8(out.stdout).unwrap())
+    };
+    for (path, extra, engine) in [
+        (&uniform, &["--parallel", "--threads", "2"][..], "Inv. 5"),
+        (&skew, &[][..], "priority"),
+        (&skew, &["--parallel", "--threads", "2"][..], "ranked"),
+    ] {
+        let tag = format!("{engine}-{}", extra.len());
+        let (want, _) = kernel_work(path, extra, &["--adaptive"], &format!("{tag}-adaptive"));
+        let (got, stdout) = kernel_work(
+            path,
+            extra,
+            &["--max-work", "100000000000"],
+            &format!("{tag}-budgeted"),
+        );
+        assert!(want[0] > 0, "{engine}: the adaptive run expanded no wedges");
+        assert_eq!(got, want, "{engine} {extra:?}: budgeted kernel work");
+        assert!(
+            stdout.contains(&format!("[{engine} (adaptive, budgeted)]")),
+            "{stdout}"
+        );
+    }
+}

@@ -33,18 +33,19 @@
 //! tests pin this identity against the `wedges_expanded` counter.
 
 use crate::budget::{record_degraded, record_memory, Partial, ResourceBudget};
-use crate::error::BflyError;
-use crate::family::{
-    count_blocked_recorded, count_partitioned_checked_recorded,
-    count_partitioned_parallel_balanced_recorded, count_priority_checked_deadline,
-    count_priority_parallel_recorded, count_priority_recorded, count_ranked_checked_deadline,
-    count_ranked_parallel_recorded, count_ranked_recorded, count_recorded, priority_wedge_work,
-    Invariant, RANKED_BUCKET_WEDGES,
-};
+use crate::family::blocked::run_blocked;
+use crate::family::engine::{run_partitioned, FixedKernel};
+use crate::family::parallel::{balanced_ranges, drive_chunks};
+use crate::family::priority::run_priority;
+use crate::family::ranked::run_ranked;
+use crate::family::sharded::run_sharded;
+use crate::family::{priority_wedge_work, Invariant, RANKED_BUCKET_WEDGES};
 use bfly_graph::ordering::{degree_descending, relabel};
 use bfly_graph::{BipartiteGraph, Side};
-use bfly_sparse::{choose2, CheckedAccum};
-use bfly_telemetry::{timed_span, Counter, Json, NoopRecorder, Recorder, WorkForecast};
+use bfly_sparse::choose2;
+use bfly_telemetry::{
+    timed_phase, timed_span, Counter, Json, NoopRecorder, Recorder, WorkForecast,
+};
 use std::time::Instant;
 
 /// Structural profile of a bipartite graph — everything the cost model
@@ -189,7 +190,7 @@ pub enum ExecMode {
         block_size: usize,
     },
     /// Rayon-parallel with degree-balanced chunk boundaries
-    /// ([`crate::family::count_partitioned_parallel_balanced`]).
+    /// (the chunk driver over [`crate::family::balanced_chunk_bounds`]).
     Parallel {
         /// Number of work chunks (normally the worker count).
         chunks: usize,
@@ -634,65 +635,81 @@ pub fn execute_plan(g: &BipartiteGraph, plan: &Plan) -> u64 {
     execute_plan_recorded(g, plan, &mut NoopRecorder)
 }
 
-/// [`execute_plan`] reporting work counters through `rec`. Degree-ordered
-/// plans count an isomorphic renumbering of `g`; the total is unchanged
-/// (counting is permutation-invariant — pinned by the differential tests),
-/// so no inverse mapping is needed here. Per-vertex consumers go through
-/// [`butterflies_per_vertex_degree_ordered`], which does map back.
+/// [`execute_plan`] reporting work counters through `rec` — [`run_plan`]
+/// without a deadline. A total past `u64` panics naming
+/// [`try_count_adaptive`].
 pub fn execute_plan_recorded<R: Recorder>(g: &BipartiteGraph, plan: &Plan, rec: &mut R) -> u64 {
+    run_plan(g, plan, None, rec)
+        .unwrap_or_else(|e| panic!("{e}; call try_count_adaptive for a typed error"))
+        .value
+}
+
+/// The plan executor: every counting plan — fixed, priority or ranked
+/// member; flat, blocked, parallel or sharded mode — runs its member's
+/// one overflow-checked kernel with `deadline` polled at item or block
+/// boundaries. Returns the count with `complete = false` when the
+/// deadline cut the traversal short — the value is then the exact count
+/// over the items processed before the cut, a lower bound on the true
+/// total. The only error is a total past `u64`
+/// ([`BflyError::CountOverflow`](crate::error::BflyError::CountOverflow)).
+///
+/// Degree-ordered plans count an isomorphic renumbering of `g`; the
+/// total is unchanged (counting is permutation-invariant — pinned by the
+/// differential tests), so no inverse mapping is needed here. Per-vertex
+/// consumers go through [`butterflies_per_vertex_degree_ordered`], which
+/// does map back.
+pub fn run_plan<R: Recorder>(
+    g: &BipartiteGraph,
+    plan: &Plan,
+    deadline: Option<Instant>,
+    rec: &mut R,
+) -> crate::error::Result<Partial<u64>> {
+    let chunks = match plan.mode {
+        ExecMode::Parallel { chunks } => Some(chunks),
+        ExecMode::Sharded { shards } => Some(shards),
+        ExecMode::Flat | ExecMode::Blocked { .. } => None,
+    };
     // Global-order members ignore partition side, blocking, and degree
     // ordering — the global rank *is* their ordering heuristic. The
     // kernels emit their own count/count_parallel phases.
-    match (plan.member, plan.mode) {
-        (Member::Priority, ExecMode::Parallel { chunks }) => {
-            return count_priority_parallel_recorded(g, chunks, rec)
-        }
-        (Member::Priority, ExecMode::Sharded { shards }) => {
-            return count_priority_parallel_recorded(g, shards, rec)
-        }
-        (Member::Priority, _) => return count_priority_recorded(g, rec),
-        (Member::Ranked, ExecMode::Parallel { chunks }) => {
-            return count_ranked_parallel_recorded(g, chunks, rec)
-        }
-        (Member::Ranked, ExecMode::Sharded { shards }) => {
-            return count_ranked_parallel_recorded(g, shards, rec)
-        }
-        (Member::Ranked, _) => return count_ranked_recorded(g, rec),
-        (Member::Fixed(_), _) => {}
-    }
-    let side = plan.partition_side();
-    let ordered;
-    let g_exec: &BipartiteGraph = if plan.degree_ordered {
-        ordered = timed_span(rec, "degree_order", |_| {
-            relabel(g, side, &degree_descending(g, side))
-        });
-        &ordered
-    } else {
-        g
-    };
-    match plan.mode {
-        ExecMode::Flat => count_recorded(g_exec, plan.invariant, rec),
-        ExecMode::Blocked { block_size } => count_blocked_recorded(g_exec, side, block_size, rec),
-        ExecMode::Parallel { chunks } => {
-            let (part_adj, other_adj) = match side {
-                Side::V2 => (g_exec.biadjacency_t(), g_exec.biadjacency()),
-                Side::V1 => (g_exec.biadjacency(), g_exec.biadjacency_t()),
+    let (acc, complete) = match plan.member {
+        Member::Priority => run_priority(g, chunks, deadline, rec),
+        Member::Ranked => run_ranked(g, chunks, deadline, rec),
+        Member::Fixed(_) => {
+            let side = plan.partition_side();
+            let ordered;
+            let g_exec: &BipartiteGraph = if plan.degree_ordered {
+                ordered = timed_span(rec, "degree_order", |_| {
+                    relabel(g, side, &degree_descending(g, side))
+                });
+                &ordered
+            } else {
+                g
             };
-            bfly_telemetry::timed_phase(rec, "count_parallel", |rec| {
-                count_partitioned_parallel_balanced_recorded(
-                    part_adj,
-                    other_adj,
-                    plan.invariant.traversal(),
-                    plan.invariant.update_part(),
-                    chunks,
-                    rec,
-                )
-            })
+            let kernel = FixedKernel::of(g_exec, plan.invariant);
+            match plan.mode {
+                ExecMode::Flat => {
+                    timed_phase(rec, "count", |rec| run_partitioned(&kernel, deadline, rec))
+                }
+                ExecMode::Blocked { block_size } => {
+                    run_blocked(g_exec, side, block_size, deadline, rec)
+                }
+                ExecMode::Parallel { chunks } => timed_phase(rec, "count_parallel", |rec| {
+                    let ranges = balanced_ranges(&kernel.item_weights(), chunks);
+                    drive_chunks(&kernel, ranges, deadline, rec)
+                }),
+                ExecMode::Sharded { shards } => timed_phase(rec, "count", |rec| {
+                    run_sharded(&kernel, shards, deadline, rec)
+                }),
+            }
         }
-        ExecMode::Sharded { shards } => {
-            crate::family::count_sharded_recorded(g_exec, plan.invariant, shards, rec)
-        }
-    }
+    };
+    let value = crate::error::checked_total(acc, "count_adaptive")?;
+    Ok(if complete {
+        Partial::complete(value)
+    } else {
+        Partial::truncated(value)
+    })
 }
 
 /// Refine a parallel plan's chunk count from the *measured* wedge-weight
@@ -763,9 +780,10 @@ pub fn count_adaptive_parallel_recorded<R: Recorder>(
     (xi, plan)
 }
 
-/// Fallible [`count_adaptive`]: validates the graph and routes every
-/// accumulator through [`CheckedAccum`], so hostile input fails with a
-/// typed [`BflyError`] instead of panicking or silently wrapping.
+/// Fallible [`count_adaptive`]: validates the graph up front and reports
+/// a total past `u64` as a typed
+/// [`BflyError`](crate::error::BflyError), so hostile input fails
+/// without panicking.
 pub fn try_count_adaptive(g: &BipartiteGraph) -> crate::error::Result<(u64, Plan)> {
     try_count_adaptive_recorded(g, &mut NoopRecorder)
 }
@@ -777,12 +795,11 @@ pub fn try_count_adaptive_recorded<R: Recorder>(
 ) -> crate::error::Result<(u64, Plan)> {
     crate::error::validate_graph(g)?;
     let (_, plan) = profile_and_plan_recorded(g, false, 0, rec);
-    let r = execute_plan_checked_recorded(g, &plan, None, rec)?;
-    Ok((r.value, plan))
+    Ok((run_plan(g, &plan, None, rec)?.value, plan))
 }
 
-/// Fallible [`count_adaptive_parallel`], overflow-checked per chunk with
-/// the per-chunk partials merged exactly.
+/// Fallible [`count_adaptive_parallel`]: [`try_count_adaptive`] on the
+/// parallel plan.
 pub fn try_count_adaptive_parallel(g: &BipartiteGraph) -> crate::error::Result<(u64, Plan)> {
     try_count_adaptive_parallel_recorded(g, &mut NoopRecorder)
 }
@@ -796,8 +813,7 @@ pub fn try_count_adaptive_parallel_recorded<R: Recorder>(
     let workers = rayon::current_num_threads().max(1);
     let (_, mut plan) = profile_and_plan_recorded(g, true, workers, rec);
     tune_plan_chunks(g, &mut plan, rec);
-    let r = execute_plan_checked_recorded(g, &plan, None, rec)?;
-    Ok((r.value, plan))
+    Ok((run_plan(g, &plan, None, rec)?.value, plan))
 }
 
 /// Estimated bytes of one [`Spa`](bfly_sparse::Spa) accumulator over `n`
@@ -919,7 +935,8 @@ pub fn plan_scratch_bytes(profile: &GraphProfile, plan: &Plan) -> u64 {
 /// [`record_degraded`]`(rec, "bytes")`. A byte cap below even the sharded
 /// tier's floor and a wedge-work cap below `est_work` (already the
 /// minimum over both sides, so no cheaper shape exists) fail with
-/// [`BflyError::BudgetExceeded`] carrying the exact estimated bytes.
+/// [`BflyError::BudgetExceeded`](crate::error::BflyError::BudgetExceeded)
+/// carrying the exact estimated bytes.
 pub fn select_plan_budgeted<R: Recorder>(
     profile: &GraphProfile,
     parallel: bool,
@@ -989,7 +1006,8 @@ pub fn select_plan_budgeted<R: Recorder>(
 /// once, which is exactly what the tier cannot afford. The final
 /// [`ResourceBudget::check_bytes`] carries the exact estimated bytes of
 /// the smallest viable shape, so an impossible cap fails through the
-/// same [`BflyError::BudgetExceeded`] path as every other shape.
+/// same [`BflyError::BudgetExceeded`](crate::error::BflyError::BudgetExceeded)
+/// path as every other shape.
 fn select_sharded_plan(
     profile: &GraphProfile,
     budget: &ResourceBudget,
@@ -1036,115 +1054,6 @@ pub fn profile_and_plan_budgeted_recorded<R: Recorder>(
     })
 }
 
-/// Overflow-checked, deadline-aware [`execute_plan_recorded`]. Blocked
-/// plans run the flat checked kernel (blocking is a locality
-/// optimisation with no checked variant; the count is identical).
-/// Parallel plans poll the deadline inside each chunk. Returns the count
-/// with `complete = false` when the deadline cut the traversal short —
-/// the value is then the exact count over the vertices processed before
-/// the cut, a lower bound on the true total.
-pub fn execute_plan_checked_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    plan: &Plan,
-    deadline: Option<Instant>,
-    rec: &mut R,
-) -> crate::error::Result<Partial<u64>> {
-    if !matches!(plan.member, Member::Fixed(_)) {
-        let chunks = match plan.mode {
-            ExecMode::Parallel { chunks } => chunks,
-            ExecMode::Sharded { shards } => shards,
-            _ => 1,
-        };
-        let phase = if chunks > 1 {
-            "count_parallel"
-        } else {
-            "count"
-        };
-        let (acc, complete) = bfly_telemetry::timed_phase(rec, phase, |_| match plan.member {
-            Member::Priority => count_priority_checked_deadline(g, chunks, deadline),
-            Member::Ranked => count_ranked_checked_deadline(g, chunks, deadline),
-            Member::Fixed(_) => unreachable!(),
-        })?;
-        let value = acc.finish().map_err(|partial| BflyError::CountOverflow {
-            partial,
-            context: "count_adaptive",
-        })?;
-        return Ok(if complete {
-            Partial::complete(value)
-        } else {
-            Partial::truncated(value)
-        });
-    }
-    let side = plan.partition_side();
-    let ordered;
-    let g_exec: &BipartiteGraph = if plan.degree_ordered {
-        ordered = timed_span(rec, "degree_order", |_| {
-            relabel(g, side, &degree_descending(g, side))
-        });
-        &ordered
-    } else {
-        g
-    };
-    let (part_adj, other_adj) = match side {
-        Side::V2 => (g_exec.biadjacency_t(), g_exec.biadjacency()),
-        Side::V1 => (g_exec.biadjacency(), g_exec.biadjacency_t()),
-    };
-    let (acc, complete) = match plan.mode {
-        ExecMode::Parallel { chunks } => {
-            bfly_telemetry::timed_phase(rec, "count_parallel", |_| {
-                crate::family::count_partitioned_parallel_checked_deadline(
-                    part_adj,
-                    other_adj,
-                    plan.invariant.traversal(),
-                    plan.invariant.update_part(),
-                    chunks,
-                    deadline,
-                )
-            })?
-        }
-        ExecMode::Flat | ExecMode::Blocked { .. } => {
-            let mut acc = CheckedAccum::new();
-            let complete = bfly_telemetry::timed_phase(rec, "count", |rec| {
-                count_partitioned_checked_recorded(
-                    part_adj,
-                    other_adj,
-                    plan.invariant.traversal(),
-                    plan.invariant.update_part(),
-                    &mut acc,
-                    deadline,
-                    rec,
-                )
-            });
-            (acc, complete)
-        }
-        ExecMode::Sharded { shards } => {
-            let mut acc = CheckedAccum::new();
-            let complete = bfly_telemetry::timed_phase(rec, "count", |rec| {
-                crate::family::sharded::count_sharded_partitioned_checked_recorded(
-                    part_adj,
-                    other_adj,
-                    plan.invariant.traversal(),
-                    plan.invariant.update_part(),
-                    shards,
-                    deadline,
-                    &mut acc,
-                    rec,
-                )
-            });
-            (acc, complete)
-        }
-    };
-    let value = acc.finish().map_err(|partial| BflyError::CountOverflow {
-        partial,
-        context: "count_adaptive",
-    })?;
-    Ok(if complete {
-        Partial::complete(value)
-    } else {
-        Partial::truncated(value)
-    })
-}
-
 /// [`count_adaptive_budgeted_recorded`] without telemetry.
 pub fn count_adaptive_budgeted(
     g: &BipartiteGraph,
@@ -1180,7 +1089,7 @@ pub fn count_adaptive_budgeted_recorded<R: Recorder>(
         0
     };
     let (_, plan) = profile_and_plan_budgeted_recorded(g, parallel, workers, budget, rec)?;
-    let r = execute_plan_checked_recorded(g, &plan, budget.deadline, rec)?;
+    let r = run_plan(g, &plan, budget.deadline, rec)?;
     if !r.complete {
         record_degraded(rec, "deadline");
     }
@@ -1548,9 +1457,9 @@ mod tests {
         assert_eq!(par.member, Member::Ranked);
         assert!(matches!(par.mode, ExecMode::Parallel { chunks: 4 }));
         assert_eq!(execute_plan(&g, &par), want);
-        // Checked twins agree and report completion.
+        // The executor reports completion alongside the count.
         for plan in [&seq, &par] {
-            let r = execute_plan_checked_recorded(&g, plan, None, &mut NoopRecorder).unwrap();
+            let r = run_plan(&g, plan, None, &mut NoopRecorder).unwrap();
             assert!(r.complete);
             assert_eq!(r.value, want);
         }

@@ -52,6 +52,22 @@ pub enum BflyError {
     Report(ReportError),
 }
 
+/// Finish a checked total for a fallible entry point: a sum past `u64`
+/// becomes [`BflyError::CountOverflow`] carrying the exact total.
+pub(crate) fn checked_total(acc: bfly_sparse::CheckedAccum, context: &'static str) -> Result<u64> {
+    acc.finish()
+        .map_err(|partial| BflyError::CountOverflow { partial, context })
+}
+
+/// Finish a checked total for an infallible entry point, which promises
+/// a `u64`: past it, panic with the exact total and the `try_` twin that
+/// reports the overflow as a typed error instead.
+pub(crate) fn expect_total(acc: bfly_sparse::CheckedAccum, twin: &'static str) -> u64 {
+    acc.finish().unwrap_or_else(|exact| {
+        panic!("butterfly total {exact} exceeds u64; call {twin} for a typed error")
+    })
+}
+
 impl std::fmt::Display for BflyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

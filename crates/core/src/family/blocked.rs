@@ -16,9 +16,11 @@
 //! blocked algorithm is a re-association of the unblocked loop — identical
 //! totals, different locality.
 
+use super::engine::update_vertex;
 use bfly_graph::{BipartiteGraph, Side};
-use bfly_sparse::Spa;
+use bfly_sparse::{CheckedAccum, Spa};
 use bfly_telemetry::{Counter, NoopRecorder, Recorder};
+use std::time::Instant;
 
 /// Blocked counterpart of invariant 1 (`Side::V2`) / invariant 5
 /// (`Side::V1`): forward traversal in blocks of `block_size`, each block's
@@ -40,6 +42,22 @@ pub fn count_blocked_recorded<R: Recorder>(
     block_size: usize,
     rec: &mut R,
 ) -> u64 {
+    let (acc, _) = run_blocked(g, side, block_size, None, rec);
+    crate::error::expect_total(acc, "try_count")
+}
+
+/// The blocked loop, overflow-checked: both terms of every block run the
+/// engine's eq. 18 update restricted to a window of the partitioned side
+/// (`[0, start)` for the cross term, `[start, k)` for the interior), and
+/// `deadline` is polled at every block boundary. Returns the exact total
+/// over the blocks processed and whether all of them ran.
+pub(crate) fn run_blocked<R: Recorder>(
+    g: &BipartiteGraph,
+    side: Side,
+    block_size: usize,
+    deadline: Option<Instant>,
+    rec: &mut R,
+) -> (CheckedAccum, bool) {
     // A zero block size used to trip an unhelpful overflow panic deep in
     // the loop; clamp to the unblocked algorithm (b = 1) instead.
     let block_size = if block_size == 0 {
@@ -54,38 +72,29 @@ pub fn count_blocked_recorded<R: Recorder>(
     };
     let nverts = part_adj.nrows();
     let mut spa = Spa::<u64>::new(nverts);
-    let mut total = 0u64;
+    let mut acc = CheckedAccum::new();
+    let mut rows = other_adj;
     let mut start = 0usize;
     while start < nverts {
+        if start > 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+            return (acc, false);
+        }
         let end = (start + block_size).min(nverts);
+        let start32 = start as u32;
         // Phase 1 — cross term Ξ(A₀, A₁): butterflies with one wedge
         // point in the processed prefix and one in the exposed block.
-        let start32 = start as u32;
-        let mut cross_wedges = 0u64;
         if R::ENABLED {
             rec.span_enter("block_cross");
         }
+        let mut cross_wedges = 0u64;
         for k in start..end {
-            for &j in part_adj.row(k) {
-                let row = other_adj.row(j as usize);
-                let cut = row.partition_point(|&c| c < start32);
-                if R::ENABLED {
-                    cross_wedges += cut as u64;
-                }
-                for &c in &row[..cut] {
-                    spa.scatter(c, 1);
-                }
-            }
+            let Ok((wedges, touched)) =
+                update_vertex(part_adj.row(k), &mut rows, (0, start32), &mut spa, &mut acc);
+            cross_wedges += wedges;
             if R::ENABLED {
                 rec.incr(Counter::VerticesExposed, 1);
-                rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
+                rec.incr(Counter::AccumEntries, touched);
             }
-            let mut acc = 0u64;
-            for (_, cnt) in spa.entries() {
-                acc += bfly_sparse::choose2(cnt);
-            }
-            spa.clear();
-            total += acc;
         }
         if R::ENABLED {
             rec.incr(Counter::WedgesExpanded, cross_wedges);
@@ -98,27 +107,13 @@ pub fn count_blocked_recorded<R: Recorder>(
         // block slice).
         let mut interior_wedges = 0u64;
         for k in start..end {
-            let k32 = k as u32;
-            for &j in part_adj.row(k) {
-                let row = other_adj.row(j as usize);
-                let lo = row.partition_point(|&c| c < start32);
-                let hi = row.partition_point(|&c| c < k32);
-                if R::ENABLED {
-                    interior_wedges += (hi - lo) as u64;
-                }
-                for &c in &row[lo..hi] {
-                    spa.scatter(c, 1);
-                }
-            }
+            let window = (start32, k as u32);
+            let Ok((wedges, touched)) =
+                update_vertex(part_adj.row(k), &mut rows, window, &mut spa, &mut acc);
+            interior_wedges += wedges;
             if R::ENABLED {
-                rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
+                rec.incr(Counter::AccumEntries, touched);
             }
-            let mut acc = 0u64;
-            for (_, cnt) in spa.entries() {
-                acc += bfly_sparse::choose2(cnt);
-            }
-            spa.clear();
-            total += acc;
         }
         if R::ENABLED {
             rec.incr(Counter::WedgesExpanded, interior_wedges);
@@ -130,7 +125,7 @@ pub fn count_blocked_recorded<R: Recorder>(
         }
         start = end;
     }
-    total
+    (acc, true)
 }
 
 #[cfg(test)]

@@ -13,12 +13,23 @@
 //! already excludes the repeated-wedge paths, the subtraction term of
 //! eq. 18 never needs to be formed — the "careful implementation" remark
 //! closing §III-C.
+//!
+//! `update_vertex` is that update, written once. The flat loop here,
+//! the parallel chunks ([`super::parallel`]), the blocked loop, and the
+//! in-memory and out-of-core shard loops ([`super::sharded`]) all call
+//! it; the out-of-core loop streams the opposite rows through a
+//! `RowSource` instead of holding them.
 
+use super::parallel::{run_inline, Kernel};
+use super::Invariant;
+use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
 use bfly_telemetry::{Counter, NoopRecorder, Recorder};
+use std::convert::Infallible;
+use std::ops::Range;
 use std::time::Instant;
 
-/// How many exposed vertices the checked driver processes between
+/// How many items (exposed vertices, starts) a kernel processes between
 /// deadline polls. Phase-boundary granularity: coarse enough that the
 /// `Instant::now()` syscall is invisible, fine enough that a deadline
 /// stops a run within milliseconds on any realistic input.
@@ -42,165 +53,223 @@ pub enum PartFilter {
     After,
 }
 
-/// Per-vertex update of eq. 18: butterflies whose wedge-point pair is
-/// `{k, c}` with `c` restricted to one side of `k`. `part_adj.row(k)` must
-/// list the opposite-side neighbours of `k`; `other_adj.row(j)` the
-/// partitioned-side neighbours of `j`.
-#[inline]
-pub(crate) fn update_for_vertex(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    filter: PartFilter,
-    k: usize,
-    spa: &mut Spa<u64>,
-) -> u64 {
-    update_for_vertex_recorded(part_adj, other_adj, filter, k, spa, &mut NoopRecorder)
-}
-
-/// [`update_for_vertex`] with instrumentation: wedges expanded, SPA
-/// scatters, accumulator entries drained, and the exposed vertex itself.
-/// Every recording site is guarded by `R::ENABLED`, a constant after
-/// monomorphization, so the [`NoopRecorder`] instantiation is exactly the
-/// uninstrumented loop.
-#[inline]
-pub(crate) fn update_for_vertex_recorded<R: Recorder>(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    filter: PartFilter,
-    k: usize,
-    spa: &mut Spa<u64>,
-    rec: &mut R,
-) -> u64 {
-    let k32 = k as u32;
-    let mut wedges = 0u64;
-    for &j in part_adj.row(k) {
-        let row = other_adj.row(j as usize);
-        // Sorted rows let the A₀/A₂ restriction become a prefix/suffix.
-        let slice = match filter {
-            PartFilter::Before => {
-                let cut = row.partition_point(|&c| c < k32);
-                &row[..cut]
-            }
-            PartFilter::After => {
-                let cut = row.partition_point(|&c| c <= k32);
-                &row[cut..]
-            }
-        };
-        if R::ENABLED {
-            wedges += slice.len() as u64;
-        }
-        for &c in slice {
-            spa.scatter(c, 1);
+impl PartFilter {
+    /// The window `[lo, hi)` of partitioned-side ids the update of `k`
+    /// reads (`u32::MAX` = no upper limit).
+    #[inline]
+    pub(crate) fn window(self, k: usize) -> (u32, u32) {
+        match self {
+            PartFilter::Before => (0, k as u32),
+            PartFilter::After => (k as u32 + 1, u32::MAX),
         }
     }
-    if R::ENABLED {
-        rec.incr(Counter::VerticesExposed, 1);
-        // Each expanded wedge is exactly one scatter into the SPA.
-        rec.incr(Counter::WedgesExpanded, wedges);
-        rec.incr(Counter::SpaScatters, wedges);
-        rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
-        rec.hist_record("vertex_wedges", wedges);
-    }
-    let mut acc = 0u64;
-    for (_, cnt) in spa.entries() {
-        acc += choose2(cnt);
-    }
-    spa.clear();
-    acc
 }
 
-/// Overflow-checked [`update_for_vertex_recorded`]: identical wedge
-/// expansion, but the eq. 18 update `Σ_c C(cnt[c], 2)` accumulates into
-/// `acc` with [`CheckedAccum`] semantics — a sum that would wrap `u64`
-/// promotes to `u128` instead of silently truncating in release builds.
+/// Where the eq. 18 update reads opposite-side rows from: the resident
+/// pattern, or (out of core) a reader streaming them off disk.
+pub(crate) trait RowSource {
+    /// Why a row could not be read.
+    type Error;
+    /// Sorted partitioned-side neighbours of opposite-side vertex `j`.
+    fn row(&mut self, j: usize) -> Result<&[u32], Self::Error>;
+}
+
+impl RowSource for &Pattern {
+    type Error = Infallible;
+
+    #[inline]
+    fn row(&mut self, j: usize) -> Result<&[u32], Infallible> {
+        Ok(Pattern::row(self, j))
+    }
+}
+
+impl RowSource for bfly_graph::RowReader<'_> {
+    type Error = bfly_graph::io::IoError;
+
+    #[inline]
+    fn row(&mut self, j: usize) -> Result<&[u32], Self::Error> {
+        bfly_graph::RowReader::row(self, j)
+    }
+}
+
+/// The eq. 18 update of one exposed vertex — the only place a fixed
+/// member scatters its wedges. Walks every wedge `k – j – c` with
+/// `j ∈ nbrs = N(k)` and `c` in the window `[lo, hi)` of `rows.row(j)`
+/// (sorted rows make the window a slice), accumulates the
+/// multiplicities in `spa`, and drains `Σ_c C(cnt[c], 2)` into `acc`.
+/// Returns `(wedges expanded, accumulator entries drained)`.
 #[inline]
-pub(crate) fn update_for_vertex_checked_recorded<R: Recorder>(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    filter: PartFilter,
-    k: usize,
+pub(crate) fn update_vertex<S: RowSource>(
+    nbrs: &[u32],
+    rows: &mut S,
+    (lo, hi): (u32, u32),
     spa: &mut Spa<u64>,
     acc: &mut CheckedAccum,
-    rec: &mut R,
-) {
-    let k32 = k as u32;
+) -> Result<(u64, u64), S::Error> {
     let mut wedges = 0u64;
-    for &j in part_adj.row(k) {
-        let row = other_adj.row(j as usize);
-        let slice = match filter {
-            PartFilter::Before => {
-                let cut = row.partition_point(|&c| c < k32);
-                &row[..cut]
-            }
-            PartFilter::After => {
-                let cut = row.partition_point(|&c| c <= k32);
-                &row[cut..]
-            }
+    for &j in nbrs {
+        let row = rows.row(j as usize)?;
+        let start = if lo == 0 {
+            0
+        } else {
+            row.partition_point(|&c| c < lo)
         };
-        if R::ENABLED {
-            wedges += slice.len() as u64;
-        }
+        let end = if hi == u32::MAX {
+            row.len()
+        } else {
+            row.partition_point(|&c| c < hi)
+        };
+        let slice = &row[start..end];
+        wedges += slice.len() as u64;
         for &c in slice {
             spa.scatter(c, 1);
         }
     }
-    if R::ENABLED {
-        rec.incr(Counter::VerticesExposed, 1);
-        rec.incr(Counter::WedgesExpanded, wedges);
-        rec.incr(Counter::SpaScatters, wedges);
-        rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
-        rec.hist_record("vertex_wedges", wedges);
-    }
+    Ok((wedges, drain_pairs(spa, acc)))
+}
+
+/// Drain an accumulator of wedge multiplicities into `acc` as
+/// `Σ C(cnt, 2)` and clear it; returns the entries drained.
+#[inline]
+pub(crate) fn drain_pairs(spa: &mut Spa<u64>, acc: &mut CheckedAccum) -> u64 {
+    let touched = spa.touched_len() as u64;
     for (_, cnt) in spa.entries() {
         acc.add(choose2(cnt));
     }
     spa.clear();
+    touched
 }
 
-/// Overflow-checked, deadline-aware [`count_partitioned_recorded`].
-///
-/// Accumulates into the caller-supplied `acc` (which may be seeded, e.g.
-/// to continue a prior partial sum) and polls `deadline` every
-/// [`DEADLINE_STRIDE`] exposed vertices. Returns `true` if the traversal
-/// ran to completion, `false` if the deadline cut it short — in which
-/// case `acc` holds the exact partial total over the vertices processed
-/// so far. Overflow never aborts the traversal; callers inspect
-/// [`CheckedAccum::finish`] afterwards.
-pub fn count_partitioned_checked_recorded<R: Recorder>(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
+/// Record one exposed vertex's update: the vertex, its wedges (each one
+/// scatter), the entries drained, and the `vertex_wedges` sample.
+#[inline]
+pub(crate) fn record_update<R: Recorder>(rec: &mut R, wedges: u64, touched: u64) {
+    if R::ENABLED {
+        rec.incr(Counter::VerticesExposed, 1);
+        rec.incr(Counter::WedgesExpanded, wedges);
+        rec.incr(Counter::SpaScatters, wedges);
+        rec.incr(Counter::AccumEntries, touched);
+        rec.hist_record("vertex_wedges", wedges);
+    }
+}
+
+/// The fixed members' kernel: item `i` is the `i`-th exposed vertex in
+/// traversal order over the partitioned side.
+pub(crate) struct FixedKernel<'g> {
+    part_adj: &'g Pattern,
+    other_adj: &'g Pattern,
     traversal: Traversal,
     filter: PartFilter,
-    acc: &mut CheckedAccum,
+}
+
+impl<'g> FixedKernel<'g> {
+    /// The kernel over an explicit pattern pair: `part_adj.row(k)` lists
+    /// the opposite-side neighbours of partitioned vertex `k`, and
+    /// `other_adj` is its transpose.
+    pub(crate) fn new(
+        part_adj: &'g Pattern,
+        other_adj: &'g Pattern,
+        traversal: Traversal,
+        filter: PartFilter,
+    ) -> Self {
+        debug_assert_eq!(part_adj.nrows(), other_adj.ncols());
+        debug_assert_eq!(part_adj.ncols(), other_adj.nrows());
+        FixedKernel {
+            part_adj,
+            other_adj,
+            traversal,
+            filter,
+        }
+    }
+
+    /// The kernel of invariant `inv` on `g`: invariants 1–4 iterate the
+    /// CSC view (`Aᵀ`), 5–8 the CSR view.
+    pub(crate) fn of(g: &'g BipartiteGraph, inv: Invariant) -> Self {
+        let (part_adj, other_adj) = match inv.partitioned_side() {
+            Side::V2 => (g.biadjacency_t(), g.biadjacency()),
+            Side::V1 => (g.biadjacency(), g.biadjacency_t()),
+        };
+        FixedKernel::new(part_adj, other_adj, inv.traversal(), inv.update_part())
+    }
+
+    /// Number of partitioned vertices (= items).
+    pub(crate) fn len(&self) -> usize {
+        self.part_adj.nrows()
+    }
+
+    /// The direction items expose the partitioned side in.
+    pub(crate) fn traversal(&self) -> Traversal {
+        self.traversal
+    }
+
+    /// The pattern pair `(part_adj, other_adj)`.
+    pub(crate) fn patterns(&self) -> (&'g Pattern, &'g Pattern) {
+        (self.part_adj, self.other_adj)
+    }
+
+    /// Item range exposing the vertices `lo..hi` (traversal order).
+    pub(crate) fn items(&self, lo: usize, hi: usize) -> Range<usize> {
+        match self.traversal {
+            Traversal::Forward => lo..hi,
+            Traversal::Backward => self.len() - hi..self.len() - lo,
+        }
+    }
+
+    /// Per-item wedge work in item order (see
+    /// [`super::parallel::wedge_weights`]).
+    pub(crate) fn item_weights(&self) -> Vec<u64> {
+        let mut w = super::parallel::wedge_weights(self.part_adj, self.other_adj);
+        if self.traversal == Traversal::Backward {
+            w.reverse();
+        }
+        w
+    }
+}
+
+impl Kernel for FixedKernel<'_> {
+    type Scratch = Spa<u64>;
+
+    fn scratch(&self) -> Spa<u64> {
+        Spa::new(self.len())
+    }
+
+    #[inline]
+    fn item<R: Recorder>(
+        &self,
+        i: usize,
+        spa: &mut Spa<u64>,
+        acc: &mut CheckedAccum,
+        rec: &mut R,
+    ) -> u64 {
+        let k = match self.traversal {
+            Traversal::Forward => i,
+            Traversal::Backward => self.len() - 1 - i,
+        };
+        let mut rows = self.other_adj;
+        let Ok((wedges, touched)) = update_vertex(
+            self.part_adj.row(k),
+            &mut rows,
+            self.filter.window(k),
+            spa,
+            acc,
+        );
+        record_update(rec, wedges, touched);
+        wedges
+    }
+}
+
+/// Run one family member sequentially over its whole partitioned side
+/// inside a `count_partitioned` span, polling `deadline` every
+/// [`DEADLINE_STRIDE`] exposed vertices. Returns the exact accumulated
+/// total (over the processed prefix when cut) and whether the traversal
+/// completed.
+pub(crate) fn run_partitioned<R: Recorder>(
+    kernel: &FixedKernel<'_>,
     deadline: Option<Instant>,
     rec: &mut R,
-) -> bool {
-    debug_assert_eq!(part_adj.nrows(), other_adj.ncols());
-    debug_assert_eq!(part_adj.ncols(), other_adj.nrows());
-    let nverts = part_adj.nrows();
-    let mut spa = Spa::<u64>::new(nverts);
+) -> (CheckedAccum, bool) {
     bfly_telemetry::timed_span(rec, "count_partitioned", |rec| {
-        let run = |ks: &mut dyn Iterator<Item = usize>,
-                   spa: &mut Spa<u64>,
-                   acc: &mut CheckedAccum,
-                   rec: &mut R|
-         -> bool {
-            for (done, k) in ks.enumerate() {
-                if done % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            return false;
-                        }
-                    }
-                }
-                update_for_vertex_checked_recorded(part_adj, other_adj, filter, k, spa, acc, rec);
-            }
-            true
-        };
-        match traversal {
-            Traversal::Forward => run(&mut (0..nverts), &mut spa, acc, rec),
-            Traversal::Backward => run(&mut (0..nverts).rev(), &mut spa, acc, rec),
-        }
+        run_inline(kernel, std::iter::once(0..kernel.len()), deadline, rec)
     })
 }
 
@@ -229,52 +298,38 @@ pub fn count_partitioned_recorded<R: Recorder>(
     filter: PartFilter,
     rec: &mut R,
 ) -> u64 {
-    debug_assert_eq!(part_adj.nrows(), other_adj.ncols());
-    debug_assert_eq!(part_adj.ncols(), other_adj.nrows());
-    let nverts = part_adj.nrows();
-    let mut spa = Spa::<u64>::new(nverts);
-    bfly_telemetry::timed_span(rec, "count_partitioned", |rec| {
-        let mut total = 0u64;
-        match traversal {
-            Traversal::Forward => {
-                for k in 0..nverts {
-                    total +=
-                        update_for_vertex_recorded(part_adj, other_adj, filter, k, &mut spa, rec);
-                }
-            }
-            Traversal::Backward => {
-                for k in (0..nverts).rev() {
-                    total +=
-                        update_for_vertex_recorded(part_adj, other_adj, filter, k, &mut spa, rec);
-                }
-            }
-        }
-        total
-    })
+    let kernel = FixedKernel::new(part_adj, other_adj, traversal, filter);
+    let (acc, _) = run_partitioned(&kernel, None, rec);
+    crate::error::expect_total(acc, "try_count")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bfly_graph::BipartiteGraph;
 
     fn k23() -> BipartiteGraph {
         BipartiteGraph::complete(2, 3)
+    }
+
+    fn update(at: &Pattern, a: &Pattern, filter: PartFilter, k: usize) -> u64 {
+        let mut spa = Spa::<u64>::new(at.nrows());
+        let mut acc = CheckedAccum::new();
+        let mut rows = a;
+        let Ok(_) = update_vertex(at.row(k), &mut rows, filter.window(k), &mut spa, &mut acc);
+        acc.finish().unwrap()
     }
 
     #[test]
     fn before_and_after_partition_the_pairs() {
         // K_{2,3}: 3 butterflies (V2 wedge-point pairs: C(3,2)).
         let g = k23();
-        let at = g.biadjacency_t();
-        let a = g.biadjacency();
-        let mut spa = Spa::<u64>::new(g.nv2());
+        let (at, a) = (g.biadjacency_t(), g.biadjacency());
         // Vertex 1 of V2: pairs {1,0} before, {1,2} after → 1 butterfly each.
-        assert_eq!(update_for_vertex(at, a, PartFilter::Before, 1, &mut spa), 1);
-        assert_eq!(update_for_vertex(at, a, PartFilter::After, 1, &mut spa), 1);
+        assert_eq!(update(at, a, PartFilter::Before, 1), 1);
+        assert_eq!(update(at, a, PartFilter::After, 1), 1);
         // Vertex 0: nothing before, pairs {0,1},{0,2} after.
-        assert_eq!(update_for_vertex(at, a, PartFilter::Before, 0, &mut spa), 0);
-        assert_eq!(update_for_vertex(at, a, PartFilter::After, 0, &mut spa), 2);
+        assert_eq!(update(at, a, PartFilter::Before, 0), 0);
+        assert_eq!(update(at, a, PartFilter::After, 0), 2);
     }
 
     #[test]
@@ -307,47 +362,16 @@ mod tests {
     }
 
     #[test]
-    fn checked_path_matches_unchecked() {
-        let g = BipartiteGraph::complete(4, 5);
-        let (a, at) = (g.biadjacency(), g.biadjacency_t());
-        for traversal in [Traversal::Forward, Traversal::Backward] {
-            for filter in [PartFilter::Before, PartFilter::After] {
-                let want = count_partitioned(at, a, traversal, filter);
-                let mut acc = CheckedAccum::new();
-                let complete = count_partitioned_checked_recorded(
-                    at,
-                    a,
-                    traversal,
-                    filter,
-                    &mut acc,
-                    None,
-                    &mut NoopRecorder,
-                );
-                assert!(complete);
-                assert_eq!(acc.finish(), Ok(want));
-            }
-        }
-    }
-
-    #[test]
-    fn checked_path_reports_seeded_overflow_exactly() {
+    fn seeded_overflow_promotes_exactly() {
         // Graph-realisable u64 overflow needs > 2^32 vertices; seeding the
         // accumulator near the ceiling exercises the same promotion path.
         let g = k23();
-        let (a, at) = (g.biadjacency(), g.biadjacency_t());
-        let true_count = count_partitioned(at, a, Traversal::Forward, PartFilter::After);
-        let base = u64::MAX - 1;
-        let mut acc = CheckedAccum::with_base(base);
-        let complete = count_partitioned_checked_recorded(
-            at,
-            a,
-            Traversal::Forward,
-            PartFilter::After,
-            &mut acc,
-            None,
-            &mut NoopRecorder,
-        );
+        let kernel = FixedKernel::of(&g, Invariant::Inv2);
+        let (mut acc, complete) = run_partitioned(&kernel, None, &mut NoopRecorder);
         assert!(complete);
+        let true_count = acc.finish().unwrap();
+        let base = u64::MAX - 1;
+        acc.merge(CheckedAccum::with_base(base));
         assert_eq!(
             acc.finish(),
             Err(base as u128 + true_count as u128),
@@ -356,21 +380,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "try_count")]
+    fn infallible_wrappers_name_the_try_twin_past_u64() {
+        let mut acc = CheckedAccum::with_base(u64::MAX);
+        acc.add(1);
+        crate::error::expect_total(acc, "try_count");
+    }
+
+    #[test]
     fn elapsed_deadline_stops_between_vertices() {
         // An already-expired deadline still counts: the poll fires every
         // DEADLINE_STRIDE vertices, so tiny graphs complete regardless.
         let g = BipartiteGraph::complete(3, 3);
-        let (a, at) = (g.biadjacency(), g.biadjacency_t());
-        let mut acc = CheckedAccum::new();
-        let complete = count_partitioned_checked_recorded(
-            at,
-            a,
-            Traversal::Forward,
-            PartFilter::After,
-            &mut acc,
-            Some(Instant::now() - std::time::Duration::from_secs(1)),
-            &mut NoopRecorder,
-        );
+        let kernel = FixedKernel::of(&g, Invariant::Inv2);
+        let expired = Some(Instant::now() - std::time::Duration::from_secs(1));
+        let (acc, complete) = run_partitioned(&kernel, expired, &mut NoopRecorder);
         assert!(complete, "3 vertices < DEADLINE_STRIDE, no poll fires");
         assert_eq!(acc.finish(), Ok(9));
     }

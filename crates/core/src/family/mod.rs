@@ -46,28 +46,22 @@ pub mod verify;
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_telemetry::{timed_phase, NoopRecorder, Recorder};
 pub use blocked::{count_blocked, count_blocked_recorded};
-pub use engine::{
-    count_partitioned, count_partitioned_checked_recorded, count_partitioned_recorded, PartFilter,
-    Traversal,
-};
+pub use engine::{count_partitioned, count_partitioned_recorded, PartFilter, Traversal};
+use engine::{run_partitioned, FixedKernel};
 pub use literal::count_literal;
 pub use parallel::{
-    balanced_chunk_bounds, count_parallel, count_parallel_recorded, count_parallel_shared,
-    count_parallel_with_threads, count_parallel_with_threads_recorded, count_partitioned_parallel,
-    count_partitioned_parallel_balanced, count_partitioned_parallel_balanced_recorded,
-    count_partitioned_parallel_recorded, count_partitioned_parallel_shared,
-    try_count_partitioned_parallel, tuned_chunk_count, tuned_chunk_count_from_latency,
-    wedge_weights, weight_p90,
+    balanced_chunk_bounds, count_parallel, count_parallel_recorded, count_parallel_with_threads,
+    tuned_chunk_count, wedge_weights, weight_p90,
 };
 pub use priority::{
     butterflies_per_vertex_priority, count_priority, count_priority_parallel,
-    count_priority_parallel_recorded, count_priority_recorded, count_priority_shared,
-    edge_supports_priority, priority_start_weights, priority_wedge_work, priority_wedge_work_with,
-    try_count_priority, try_count_priority_parallel, PriorityRanks,
+    count_priority_parallel_recorded, count_priority_recorded, edge_supports_priority,
+    priority_start_weights, priority_wedge_work, priority_wedge_work_with, try_count_priority,
+    PriorityRanks,
 };
 pub use ranked::{
     count_ranked, count_ranked_parallel, count_ranked_parallel_recorded, count_ranked_recorded,
-    count_ranked_shared, try_count_ranked, try_count_ranked_parallel, RANKED_BUCKET_WEDGES,
+    try_count_ranked, RANKED_BUCKET_WEDGES,
 };
 pub use sharded::{
     count_segmented, count_segmented_budgeted_recorded, count_segmented_checkpointed_recorded,
@@ -75,10 +69,6 @@ pub use sharded::{
     segmented_wedge_weights, try_count_sharded,
 };
 pub use verify::{invariant_specified_value, verify_loop_invariant};
-
-pub(crate) use parallel::count_partitioned_parallel_checked_deadline;
-pub(crate) use priority::count_priority_checked_deadline;
-pub(crate) use ranked::count_ranked_checked_deadline;
 
 /// One of the paper's eight loop invariants (equivalently, the derived
 /// algorithm that maintains it).
@@ -182,22 +172,18 @@ pub fn count(g: &BipartiteGraph, inv: Invariant) -> u64 {
 }
 
 /// [`count`] reporting work counters and a `"count"` phase through `rec`.
+/// Overflow-checked like every counting path: a total past `u64` panics
+/// naming [`try_count`].
 pub fn count_recorded<R: Recorder>(g: &BipartiteGraph, inv: Invariant, rec: &mut R) -> u64 {
-    let (part_adj, other_adj) = match inv.partitioned_side() {
-        // Partitioning V2 exposes columns of A: iterate rows of Aᵀ.
-        Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-        // Partitioning V1 exposes rows of A.
-        Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-    };
-    timed_phase(rec, "count", |rec| {
-        count_partitioned_recorded(part_adj, other_adj, inv.traversal(), inv.update_part(), rec)
-    })
+    let kernel = FixedKernel::of(g, inv);
+    let (acc, _) = timed_phase(rec, "count", |rec| run_partitioned(&kernel, None, rec));
+    crate::error::expect_total(acc, "try_count")
 }
 
 /// Fallible [`count`]: validates the graph's structural invariants up
-/// front and runs the overflow-checked engine, so hostile or hand-built
-/// inputs fail with a typed [`BflyError`](crate::error::BflyError)
-/// instead of panicking (or silently wrapping in release) mid-kernel.
+/// front and reports a total past `u64` as a typed
+/// [`BflyError`](crate::error::BflyError), so hostile or hand-built
+/// inputs fail without panicking mid-kernel.
 pub fn try_count(g: &BipartiteGraph, inv: Invariant) -> crate::error::Result<u64> {
     try_count_recorded(g, inv, &mut NoopRecorder)
 }
@@ -209,27 +195,9 @@ pub fn try_count_recorded<R: Recorder>(
     rec: &mut R,
 ) -> crate::error::Result<u64> {
     crate::error::validate_graph(g)?;
-    let (part_adj, other_adj) = match inv.partitioned_side() {
-        Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-        Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-    };
-    let mut acc = bfly_sparse::CheckedAccum::new();
-    timed_phase(rec, "count", |rec| {
-        count_partitioned_checked_recorded(
-            part_adj,
-            other_adj,
-            inv.traversal(),
-            inv.update_part(),
-            &mut acc,
-            None,
-            rec,
-        )
-    });
-    acc.finish()
-        .map_err(|partial| crate::error::BflyError::CountOverflow {
-            partial,
-            context: "count_partitioned",
-        })
+    let kernel = FixedKernel::of(g, inv);
+    let (acc, _) = timed_phase(rec, "count", |rec| run_partitioned(&kernel, None, rec));
+    crate::error::checked_total(acc, "count_partitioned")
 }
 
 /// Pick the family member the paper's §V guidance prescribes — partition

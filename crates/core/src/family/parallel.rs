@@ -1,180 +1,218 @@
-//! Parallel members of the family (the paper's Fig. 11 measurements).
+//! Parallel members of the family (the paper's Fig. 11 measurements),
+//! and the one chunk driver every parallel counting path runs through.
 //!
 //! Each loop iteration of a derived algorithm touches a disjoint slice of
 //! the output (one exposed vertex's butterfly contribution), so the loop
-//! parallelises directly: rayon distributes the partitioned vertices, each
-//! worker owns a private sparse accumulator (`map_init`, so an SPA is
-//! allocated once per worker rather than once per vertex), and the
-//! contributions reduce by summation. The paper used 6 OpenMP threads;
-//! [`count_parallel_with_threads`] pins the pool size to reproduce that
-//! configuration exactly.
+//! parallelises directly: the items are cut into contiguous chunks, each
+//! worker owns private scratch (an SPA, allocated once per worker rather
+//! than once per chunk), and the per-chunk [`CheckedAccum`] partials merge
+//! in chunk order — bitwise-identical totals at any thread count. The
+//! paper used 6 OpenMP threads; [`count_parallel_with_threads`] pins the
+//! pool size to reproduce that configuration exactly.
+//!
+//! Every member (fixed, priority, ranked) implements `Kernel` once.
+//! Sequential runs call it inline on the caller's recorder
+//! (`run_inline`); parallel runs go through `drive_chunks`, which
+//! forks the recorder per chunk ([`Recorder::fork`]) and joins it back on
+//! track `i + 1`.
 
-use super::engine::{
-    update_for_vertex, update_for_vertex_checked_recorded, update_for_vertex_recorded, PartFilter,
-    Traversal,
-};
+use super::engine::{FixedKernel, DEADLINE_STRIDE};
 use super::Invariant;
-use bfly_graph::{BipartiteGraph, Side};
-use bfly_sparse::{CheckedAccum, Pattern, Spa};
-use bfly_telemetry::{Counter, MetricsHub, NoopRecorder, Recorder, ThreadTrace};
+use bfly_graph::BipartiteGraph;
+use bfly_sparse::{CheckedAccum, Pattern};
+use bfly_telemetry::{timed_phase, Counter, NoopRecorder, Recorder};
 use rayon::prelude::*;
+use std::ops::Range;
+use std::time::Instant;
 
-/// Parallel counterpart of [`crate::family::count_partitioned`].
-pub fn count_partitioned_parallel(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    traversal: Traversal,
-    filter: PartFilter,
-) -> u64 {
-    let nverts = part_adj.nrows();
-    let order: Vec<usize> = match traversal {
-        // Work distribution makes traversal order immaterial for the total,
-        // but preserving it keeps per-invariant scheduling comparable to
-        // the sequential versions (chunks are handed out in this order).
-        Traversal::Forward => (0..nverts).collect(),
-        Traversal::Backward => (0..nverts).rev().collect(),
-    };
-    order
-        .into_par_iter()
-        .map_init(
-            || Spa::<u64>::new(nverts),
-            |spa, k| update_for_vertex(part_adj, other_adj, filter, k, spa),
-        )
-        .sum()
+/// One family member's overflow-checked kernel body, written once. Items
+/// are the member's index space in processing order (exposed vertices,
+/// starts); the sequential and the parallel paths run the same body.
+pub(crate) trait Kernel: Sync {
+    /// Per-worker scratch (accumulator, batch buffers), allocated once
+    /// per worker and reused across its chunks.
+    type Scratch;
+
+    /// Fresh scratch for one worker.
+    fn scratch(&self) -> Self::Scratch;
+
+    /// Process item `i` into `acc`; returns the wedges it expanded.
+    fn item<R: Recorder>(
+        &self,
+        i: usize,
+        scratch: &mut Self::Scratch,
+        acc: &mut CheckedAccum,
+        rec: &mut R,
+    ) -> u64;
+
+    /// Close a run of items — a chunk, or a stretch of a sequential
+    /// pass, complete or cut by the deadline — folding anything the
+    /// items buffered into `acc`.
+    #[inline]
+    fn flush<R: Recorder>(&self, scratch: &mut Self::Scratch, acc: &mut CheckedAccum, rec: &mut R) {
+        let _ = (scratch, acc, rec);
+    }
 }
 
-/// Instrumented [`count_partitioned_parallel`]. When the recorder is
-/// disabled this is exactly the uninstrumented dynamic-scheduling path;
-/// when enabled, the partitioned vertices are processed as one explicit
-/// chunk per worker, each worker recording its own event stream into a
-/// private [`ThreadTrace`] — a `chunk` span (with counter deltas) per
-/// worker plus the shared `vertex_wedges` histogram from the engine —
-/// merged after the join onto per-worker tracks, so chunk imbalance is
-/// visible span-by-span, not just as a gauge. Per-chunk wedge work is
-/// additionally recorded as the `par_chunk_wedges` series, per-chunk
-/// latency as the `chunk_us` histogram, and the `par_imbalance` gauge
-/// summarises (max over mean chunk wedges; 1.0 = perfectly balanced).
-pub fn count_partitioned_parallel_recorded<R: Recorder>(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    traversal: Traversal,
-    filter: PartFilter,
-    rec: &mut R,
-) -> u64 {
-    if !R::ENABLED {
-        return count_partitioned_parallel(part_adj, other_adj, traversal, filter);
+/// Deadline poll: reads the clock once every [`DEADLINE_STRIDE`] items,
+/// never inside an item.
+pub(crate) struct Poll {
+    deadline: Option<Instant>,
+    seen: usize,
+}
+
+impl Poll {
+    pub(crate) fn new(deadline: Option<Instant>) -> Self {
+        Poll { deadline, seen: 0 }
     }
-    let nverts = part_adj.nrows();
-    let order: Vec<usize> = match traversal {
-        Traversal::Forward => (0..nverts).collect(),
-        Traversal::Backward => (0..nverts).rev().collect(),
-    };
-    let nthreads = rayon::current_num_threads().max(1);
-    let chunk_len = order.len().div_ceil(nthreads).max(1);
-    let chunks: Vec<Vec<usize>> = order.chunks(chunk_len).map(|c| c.to_vec()).collect();
-    let per_chunk: Vec<(u64, ThreadTrace)> = chunks
+
+    /// Count one item; `true` once the deadline has passed.
+    #[inline]
+    pub(crate) fn expired(&mut self) -> bool {
+        self.seen += 1;
+        self.seen.is_multiple_of(DEADLINE_STRIDE)
+            && self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+}
+
+/// Run `items` of `kernel` into `acc`, then flush. Returns whether every
+/// item ran before the deadline, and the wedges expanded.
+pub(crate) fn run_range<K: Kernel, R: Recorder>(
+    kernel: &K,
+    items: Range<usize>,
+    scratch: &mut K::Scratch,
+    acc: &mut CheckedAccum,
+    poll: &mut Poll,
+    rec: &mut R,
+) -> (bool, u64) {
+    let mut wedges = 0u64;
+    let mut complete = true;
+    for i in items {
+        if poll.expired() {
+            complete = false;
+            break;
+        }
+        wedges += kernel.item(i, scratch, acc, rec);
+    }
+    kernel.flush(scratch, acc, rec);
+    (complete, wedges)
+}
+
+/// The sequential path: run `ranges` in order on the caller's recorder,
+/// with one scratch and one deadline poll across all of them. Returns the
+/// exact total (over the processed prefix when cut) and whether the run
+/// completed.
+pub(crate) fn run_inline<K: Kernel, R: Recorder>(
+    kernel: &K,
+    ranges: impl IntoIterator<Item = Range<usize>>,
+    deadline: Option<Instant>,
+    rec: &mut R,
+) -> (CheckedAccum, bool) {
+    let mut scratch = kernel.scratch();
+    let mut acc = CheckedAccum::new();
+    let mut poll = Poll::new(deadline);
+    for items in ranges {
+        if !run_range(kernel, items, &mut scratch, &mut acc, &mut poll, rec).0 {
+            return (acc, false);
+        }
+    }
+    (acc, true)
+}
+
+/// Fork-join over `chunks`: each chunk runs `body` on its own recorder,
+/// forked from `rec` before the fork and joined back on track `i + 1`
+/// (track 0 is the caller's), with per-worker scratch from `init`. Every
+/// chunk records one `chunk` span and one `chunk_us` sample, and the run
+/// bumps `par_chunks` — the one place parallel code emits them. Outputs
+/// come back in chunk order.
+pub(crate) fn fork_join<C, S, T, R>(
+    chunks: Vec<C>,
+    init: impl Fn() -> S + Sync,
+    rec: &mut R,
+    body: impl Fn(&mut S, C, &mut R::Worker) -> T + Sync,
+) -> Vec<T>
+where
+    C: Send,
+    T: Send,
+    R: Recorder,
+{
+    let jobs: Vec<(C, R::Worker)> = chunks.into_iter().map(|c| (c, rec.fork())).collect();
+    let done: Vec<(T, R::Worker)> = jobs
         .into_par_iter()
-        .map(|chunk| {
-            let mut spa = Spa::<u64>::new(nverts);
-            let mut trace = ThreadTrace::new();
-            let t0 = std::time::Instant::now();
-            trace.span_enter("chunk");
-            let mut sum = 0u64;
-            for k in chunk {
-                sum += update_for_vertex_recorded(
-                    part_adj, other_adj, filter, k, &mut spa, &mut trace,
-                );
+        .map_init(init, |scratch, (chunk, mut worker)| {
+            let t0 = R::ENABLED.then(Instant::now);
+            if R::ENABLED {
+                worker.span_enter("chunk");
             }
-            trace.span_exit("chunk");
-            trace.hist_record("chunk_us", t0.elapsed().as_micros() as u64);
-            (sum, trace)
+            let out = body(scratch, chunk, &mut worker);
+            if let Some(t0) = t0 {
+                worker.span_exit("chunk");
+                worker.hist_record("chunk_us", t0.elapsed().as_micros() as u64);
+            }
+            (out, worker)
         })
         .collect();
-    rec.incr(Counter::ParChunks, per_chunk.len() as u64);
-    let nchunks = per_chunk.len();
-    let mut total = 0u64;
-    let mut max_wedges = 0u64;
-    let mut sum_wedges = 0u64;
-    for (i, (sub, trace)) in per_chunk.into_iter().enumerate() {
-        total += sub;
-        let w = trace.tally().get(Counter::WedgesExpanded);
-        rec.series_push("par_chunk_wedges", w as f64);
-        max_wedges = max_wedges.max(w);
-        sum_wedges += w;
-        // Track 0 is the caller's own span stream; workers start at 1.
-        rec.merge_thread(i as u32 + 1, trace);
+    if R::ENABLED {
+        rec.incr(Counter::ParChunks, done.len() as u64);
     }
-    if nchunks > 0 && sum_wedges > 0 {
-        let mean = sum_wedges as f64 / nchunks as f64;
+    done.into_iter()
+        .enumerate()
+        .map(|(i, (out, worker))| {
+            rec.join(i as u32 + 1, worker);
+            out
+        })
+        .collect()
+}
+
+/// The chunk driver behind every parallel count: [`fork_join`] over item
+/// ranges with the kernel's scratch allocated once per worker, each
+/// chunk polling the deadline on its own. Partials merge in chunk order,
+/// and the per-chunk wedge work lands in the `par_chunk_wedges` series
+/// and the `par_imbalance` gauge (max over mean; 1.0 = balanced).
+pub(crate) fn drive_chunks<K: Kernel, R: Recorder>(
+    kernel: &K,
+    chunks: Vec<Range<usize>>,
+    deadline: Option<Instant>,
+    rec: &mut R,
+) -> (CheckedAccum, bool) {
+    let done = fork_join(
+        chunks,
+        || kernel.scratch(),
+        rec,
+        |scratch, items, worker| {
+            let mut acc = CheckedAccum::new();
+            let mut poll = Poll::new(deadline);
+            let (complete, wedges) = run_range(kernel, items, scratch, &mut acc, &mut poll, worker);
+            (acc, complete, wedges)
+        },
+    );
+    let mut total = CheckedAccum::new();
+    let mut complete = true;
+    let (mut max_wedges, mut sum_wedges) = (0u64, 0u64);
+    for &(acc, chunk_complete, wedges) in &done {
+        total.merge(acc);
+        complete &= chunk_complete;
+        if R::ENABLED {
+            rec.series_push("par_chunk_wedges", wedges as f64);
+        }
+        max_wedges = max_wedges.max(wedges);
+        sum_wedges += wedges;
+    }
+    if R::ENABLED && sum_wedges > 0 {
+        let mean = sum_wedges as f64 / done.len() as f64;
         rec.gauge("par_imbalance", max_wedges as f64 / mean);
     }
-    total
+    (total, complete)
 }
 
-/// Shared-hub variant of [`count_partitioned_parallel_recorded`]: every
-/// rayon worker records straight into the concurrent [`MetricsHub`] as it
-/// goes instead of buffering a private [`ThreadTrace`] merged after the
-/// join. A mid-run observer (OpenMetrics scrape, NDJSON stream, another
-/// thread calling [`MetricsHub::snapshot`]) therefore sees counters and
-/// histograms advance while chunks are still in flight. Totals are
-/// bitwise-identical to the buffered path; per-chunk attribution
-/// (`par_chunk_wedges`, `par_imbalance`) is the buffered path's job —
-/// this one trades it for liveness, emitting per-worker `chunk` span
-/// aggregates and the `chunk_us` histogram.
-pub fn count_partitioned_parallel_shared(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    traversal: Traversal,
-    filter: PartFilter,
-    hub: &MetricsHub,
-) -> u64 {
-    let nverts = part_adj.nrows();
-    let order: Vec<usize> = match traversal {
-        Traversal::Forward => (0..nverts).collect(),
-        Traversal::Backward => (0..nverts).rev().collect(),
-    };
-    let nthreads = rayon::current_num_threads().max(1);
-    let chunk_len = order.len().div_ceil(nthreads).max(1);
-    let chunks: Vec<Vec<usize>> = order.chunks(chunk_len).map(|c| c.to_vec()).collect();
-    let nchunks = chunks.len();
-    let total: u64 = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            let mut spa = Spa::<u64>::new(nverts);
-            let mut rec: &MetricsHub = hub;
-            let t0 = std::time::Instant::now();
-            hub.enter_span("chunk");
-            let mut sum = 0u64;
-            for k in chunk {
-                sum +=
-                    update_for_vertex_recorded(part_adj, other_adj, filter, k, &mut spa, &mut rec);
-            }
-            hub.exit_span("chunk");
-            hub.record_hist("chunk_us", t0.elapsed().as_micros() as u64);
-            sum
-        })
-        .sum();
-    hub.incr(Counter::ParChunks, nchunks as u64);
-    total
-}
-
-/// [`count_parallel`] recording live into a shared [`MetricsHub`]; see
-/// [`count_partitioned_parallel_shared`] for the liveness contract.
-pub fn count_parallel_shared(g: &BipartiteGraph, inv: Invariant, hub: &MetricsHub) -> u64 {
-    let (part_adj, other_adj) = match inv.partitioned_side() {
-        Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-        Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-    };
-    let mut rec: &MetricsHub = hub;
-    bfly_telemetry::timed_phase(&mut rec, "count_parallel", |_| {
-        count_partitioned_parallel_shared(
-            part_adj,
-            other_adj,
-            inv.traversal(),
-            inv.update_part(),
-            hub,
-        )
-    })
+/// The non-empty ranges between [`balanced_chunk_bounds`]: `nchunks`
+/// contiguous item ranges of roughly equal weight.
+pub(crate) fn balanced_ranges(weights: &[u64], nchunks: usize) -> Vec<Range<usize>> {
+    balanced_chunk_bounds(weights, nchunks)
+        .windows(2)
+        .map(|w| w[0]..w[1])
+        .filter(|r| !r.is_empty())
+        .collect()
 }
 
 /// Exact wedge work each partitioned vertex will trigger: vertex `k`'s
@@ -268,268 +306,40 @@ pub fn tuned_chunk_count(weights: &[u64], workers: usize) -> usize {
         .min(weights.len().max(1))
 }
 
-/// Latency-feedback chunk sizing for repeated runs: scale the previous
-/// chunk count by how far the measured `chunk_us` p90 overshoots the
-/// target per-chunk latency (perf-history replays feed the prior run's
-/// histogram in). A p90 at twice the target doubles the chunks; an
-/// undershoot merges them, never below 1. Clamped to 64× the previous
-/// count to keep a corrupt history from exploding the chunk table.
-pub fn tuned_chunk_count_from_latency(prev_chunks: usize, p90_us: u64, target_us: u64) -> usize {
-    let prev = prev_chunks.max(1);
-    if p90_us == 0 || target_us == 0 {
-        return prev;
-    }
-    let scaled = (prev as u128 * p90_us as u128).div_ceil(target_us as u128);
-    scaled.clamp(1, prev as u128 * 64) as usize
-}
-
-/// [`count_partitioned_parallel`] with degree-balanced chunk boundaries:
-/// the partitioned vertices are split into `nchunks` contiguous ranges of
-/// roughly equal *wedge work* (per [`balanced_chunk_bounds`]) rather than
-/// equal length, fixing the chunk imbalance the `chunk_us` histogram
-/// exposes on skewed graphs.
-pub fn count_partitioned_parallel_balanced(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    traversal: Traversal,
-    filter: PartFilter,
-    nchunks: usize,
-) -> u64 {
-    count_partitioned_parallel_balanced_recorded(
-        part_adj,
-        other_adj,
-        traversal,
-        filter,
-        nchunks,
-        &mut NoopRecorder,
-    )
-}
-
-/// Instrumented [`count_partitioned_parallel_balanced`]. Emits the same
-/// stream as [`count_partitioned_parallel_recorded`] — per-worker
-/// [`ThreadTrace`]s with `chunk` spans, the `chunk_us` histogram, the
-/// `par_chunk_wedges` series, and the `par_imbalance` gauge — so balanced
-/// and equal-range runs diff directly in `bfly report diff`. Unlike the
-/// equal-range path, the balanced boundaries are also used when the
-/// recorder is disabled.
-pub fn count_partitioned_parallel_balanced_recorded<R: Recorder>(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    traversal: Traversal,
-    filter: PartFilter,
-    nchunks: usize,
-    rec: &mut R,
-) -> u64 {
-    let nverts = part_adj.nrows();
-    let order: Vec<usize> = match traversal {
-        Traversal::Forward => (0..nverts).collect(),
-        Traversal::Backward => (0..nverts).rev().collect(),
-    };
-    // Weights follow traversal order so boundaries balance the order
-    // actually processed (weights are direction-independent per vertex).
-    let weights_by_vertex = wedge_weights(part_adj, other_adj);
-    let weights: Vec<u64> = order.iter().map(|&k| weights_by_vertex[k]).collect();
-    let bounds = balanced_chunk_bounds(&weights, nchunks);
-    let chunks: Vec<&[usize]> = bounds
-        .windows(2)
-        .map(|w| &order[w[0]..w[1]])
-        .filter(|c| !c.is_empty())
-        .collect();
-    if !R::ENABLED {
-        return chunks
-            .into_par_iter()
-            .map(|chunk| {
-                let mut spa = Spa::<u64>::new(nverts);
-                chunk
-                    .iter()
-                    .map(|&k| update_for_vertex(part_adj, other_adj, filter, k, &mut spa))
-                    .sum::<u64>()
-            })
-            .sum();
-    }
-    let per_chunk: Vec<(u64, ThreadTrace)> = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            let mut spa = Spa::<u64>::new(nverts);
-            let mut trace = ThreadTrace::new();
-            let t0 = std::time::Instant::now();
-            trace.span_enter("chunk");
-            let mut sum = 0u64;
-            for &k in chunk {
-                sum += update_for_vertex_recorded(
-                    part_adj, other_adj, filter, k, &mut spa, &mut trace,
-                );
-            }
-            trace.span_exit("chunk");
-            trace.hist_record("chunk_us", t0.elapsed().as_micros() as u64);
-            (sum, trace)
-        })
-        .collect();
-    rec.incr(Counter::ParChunks, per_chunk.len() as u64);
-    let nchunks_run = per_chunk.len();
-    let mut total = 0u64;
-    let mut max_wedges = 0u64;
-    let mut sum_wedges = 0u64;
-    for (i, (sub, trace)) in per_chunk.into_iter().enumerate() {
-        total += sub;
-        let w = trace.tally().get(Counter::WedgesExpanded);
-        rec.series_push("par_chunk_wedges", w as f64);
-        max_wedges = max_wedges.max(w);
-        sum_wedges += w;
-        rec.merge_thread(i as u32 + 1, trace);
-    }
-    if nchunks_run > 0 && sum_wedges > 0 {
-        let mean = sum_wedges as f64 / nchunks_run as f64;
-        rec.gauge("par_imbalance", max_wedges as f64 / mean);
-    }
-    total
-}
-
-/// Overflow-checked [`count_partitioned_parallel_balanced`]: each chunk
-/// accumulates its eq. 18 updates into a private [`CheckedAccum`]
-/// (promoting to `u128` instead of wrapping), and the per-chunk partials
-/// merge exactly. Fails with
-/// [`BflyError::CountOverflow`](crate::error::BflyError) carrying the
-/// exact promoted total when the sum exceeds `u64`; shape-mismatched
-/// pattern pairs fail with `InvalidGraph` instead of the debug-only
-/// assertion the infallible path relies on.
-pub fn try_count_partitioned_parallel(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    traversal: Traversal,
-    filter: PartFilter,
-    nchunks: usize,
-) -> crate::error::Result<u64> {
-    let (acc, _complete) = count_partitioned_parallel_checked_deadline(
-        part_adj, other_adj, traversal, filter, nchunks, None,
-    )?;
-    acc.finish()
-        .map_err(|partial| crate::error::BflyError::CountOverflow {
-            partial,
-            context: "count_partitioned_parallel",
-        })
-}
-
-/// The deadline-aware engine behind [`try_count_partitioned_parallel`]
-/// and the budgeted adaptive count: each chunk polls the deadline every
-/// [`super::engine::DEADLINE_STRIDE`] of its own vertices (never inside a
-/// wedge expansion) and stops early when it has passed. Returns the
-/// merged accumulator and whether **every** chunk ran to completion; a
-/// truncated accumulator holds the exact sum over the vertices processed
-/// before the cut.
-pub(crate) fn count_partitioned_parallel_checked_deadline(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    traversal: Traversal,
-    filter: PartFilter,
-    nchunks: usize,
-    deadline: Option<std::time::Instant>,
-) -> crate::error::Result<(CheckedAccum, bool)> {
-    if part_adj.nrows() != other_adj.ncols() || part_adj.ncols() != other_adj.nrows() {
-        return Err(crate::error::BflyError::InvalidGraph {
-            reason: format!(
-                "pattern pair does not transpose: {}x{} vs {}x{}",
-                part_adj.nrows(),
-                part_adj.ncols(),
-                other_adj.nrows(),
-                other_adj.ncols()
-            ),
-        });
-    }
-    let nverts = part_adj.nrows();
-    let order: Vec<usize> = match traversal {
-        Traversal::Forward => (0..nverts).collect(),
-        Traversal::Backward => (0..nverts).rev().collect(),
-    };
-    let weights_by_vertex = wedge_weights(part_adj, other_adj);
-    let weights: Vec<u64> = order.iter().map(|&k| weights_by_vertex[k]).collect();
-    let bounds = balanced_chunk_bounds(&weights, nchunks.max(1));
-    let chunks: Vec<&[usize]> = bounds
-        .windows(2)
-        .map(|w| &order[w[0]..w[1]])
-        .filter(|c| !c.is_empty())
-        .collect();
-    let partials: Vec<(CheckedAccum, bool)> = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            let mut spa = Spa::<u64>::new(nverts);
-            let mut acc = CheckedAccum::new();
-            for (done, &k) in chunk.iter().enumerate() {
-                if done % super::engine::DEADLINE_STRIDE == super::engine::DEADLINE_STRIDE - 1 {
-                    if let Some(d) = deadline {
-                        if std::time::Instant::now() >= d {
-                            return (acc, false);
-                        }
-                    }
-                }
-                update_for_vertex_checked_recorded(
-                    part_adj,
-                    other_adj,
-                    filter,
-                    k,
-                    &mut spa,
-                    &mut acc,
-                    &mut NoopRecorder,
-                );
-            }
-            (acc, true)
-        })
-        .collect();
-    let mut total = CheckedAccum::new();
-    let mut complete = true;
-    for (p, c) in partials {
-        total.merge(p);
-        complete &= c;
-    }
-    Ok((total, complete))
-}
-
 /// Count butterflies with the given invariant using rayon's current pool.
 pub fn count_parallel(g: &BipartiteGraph, inv: Invariant) -> u64 {
     count_parallel_recorded(g, inv, &mut NoopRecorder)
 }
 
-/// [`count_parallel`] reporting work counters through `rec`.
+/// [`count_parallel`] reporting work counters through `rec`: the
+/// partitioned vertices are cut into one equal-length chunk per worker
+/// (see `drive_chunks` for the per-chunk event stream), inside a
+/// `count_parallel` phase.
 pub fn count_parallel_recorded<R: Recorder>(
     g: &BipartiteGraph,
     inv: Invariant,
     rec: &mut R,
 ) -> u64 {
-    let (part_adj, other_adj) = match inv.partitioned_side() {
-        Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-        Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-    };
-    bfly_telemetry::timed_phase(rec, "count_parallel", |rec| {
-        count_partitioned_parallel_recorded(
-            part_adj,
-            other_adj,
-            inv.traversal(),
-            inv.update_part(),
-            rec,
-        )
-    })
+    let kernel = FixedKernel::of(g, inv);
+    let n = kernel.len();
+    let chunk_len = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
+    let chunks = (0..n)
+        .step_by(chunk_len)
+        .map(|lo| lo..(lo + chunk_len).min(n))
+        .collect();
+    let (acc, _) = timed_phase(rec, "count_parallel", |rec| {
+        drive_chunks(&kernel, chunks, None, rec)
+    });
+    crate::error::expect_total(acc, "try_count_adaptive_parallel")
 }
 
 /// Count with a dedicated pool of `nthreads` workers (Fig. 11 uses 6).
 pub fn count_parallel_with_threads(g: &BipartiteGraph, inv: Invariant, nthreads: usize) -> u64 {
-    count_parallel_with_threads_recorded(g, inv, nthreads, &mut NoopRecorder)
-}
-
-/// [`count_parallel_with_threads`] reporting work counters through `rec`.
-pub fn count_parallel_with_threads_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    inv: Invariant,
-    nthreads: usize,
-    rec: &mut R,
-) -> u64 {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(nthreads)
         .build()
         .expect("thread pool construction");
-    if R::ENABLED {
-        rec.gauge("threads", nthreads as f64);
-    }
-    pool.install(|| count_parallel_recorded(g, inv, rec))
+    pool.install(|| count_parallel(g, inv))
 }
 
 #[cfg(test)]
@@ -540,6 +350,12 @@ mod tests {
     use bfly_graph::generators::{chung_lu, uniform_exact};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The adaptive plan's parallel shape: `nchunks` wedge-balanced chunks.
+    fn balanced<R: Recorder>(kernel: &FixedKernel<'_>, nchunks: usize, rec: &mut R) -> u64 {
+        let chunks = balanced_ranges(&kernel.item_weights(), nchunks);
+        drive_chunks(kernel, chunks, None, rec).0.finish().unwrap()
+    }
 
     #[test]
     fn weight_p90_ignores_zeros_and_orders_correctly() {
@@ -583,31 +399,12 @@ mod tests {
         let want = count_via_spgemm(&g);
         let (part_adj, other_adj) = (g.biadjacency_t(), g.biadjacency());
         let weights = wedge_weights(part_adj, other_adj);
+        let kernel = FixedKernel::of(&g, Invariant::Inv1);
         for workers in [1, 2, 4] {
             let chunks = tuned_chunk_count(&weights, workers);
-            let inv = Invariant::Inv1;
-            let got = count_partitioned_parallel_balanced(
-                part_adj,
-                other_adj,
-                inv.traversal(),
-                inv.update_part(),
-                chunks,
-            );
+            let got = balanced(&kernel, chunks, &mut NoopRecorder);
             assert_eq!(got, want, "workers {workers} chunks {chunks}");
         }
-    }
-
-    #[test]
-    fn latency_feedback_scales_chunks_proportionally() {
-        // p90 at twice the target doubles the chunks.
-        assert_eq!(tuned_chunk_count_from_latency(8, 2000, 1000), 16);
-        // Undershoot merges, never below 1.
-        assert_eq!(tuned_chunk_count_from_latency(8, 100, 1000), 1);
-        // Missing measurements leave the count alone.
-        assert_eq!(tuned_chunk_count_from_latency(8, 0, 1000), 8);
-        assert_eq!(tuned_chunk_count_from_latency(8, 1000, 0), 8);
-        // A corrupt history cannot explode the chunk table.
-        assert_eq!(tuned_chunk_count_from_latency(2, u64::MAX, 1), 128);
     }
 
     #[test]
@@ -683,19 +480,10 @@ mod tests {
         ] {
             let want = count_via_spgemm(&g);
             for inv in Invariant::ALL {
-                let (part_adj, other_adj) = match inv.partitioned_side() {
-                    Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-                    Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-                };
+                let kernel = FixedKernel::of(&g, inv);
                 for nchunks in [1, 3, 8] {
                     assert_eq!(
-                        count_partitioned_parallel_balanced(
-                            part_adj,
-                            other_adj,
-                            inv.traversal(),
-                            inv.update_part(),
-                            nchunks,
-                        ),
+                        balanced(&kernel, nchunks, &mut NoopRecorder),
                         want,
                         "{inv} nchunks={nchunks}"
                     );
@@ -711,14 +499,7 @@ mod tests {
         let g = chung_lu(100, 40, 500, 0.9, 0.5, &mut rng);
         let want = count_via_spgemm(&g);
         let mut rec = InMemoryRecorder::new();
-        let got = count_partitioned_parallel_balanced_recorded(
-            g.biadjacency_t(),
-            g.biadjacency(),
-            Traversal::Forward,
-            PartFilter::After,
-            4,
-            &mut rec,
-        );
+        let got = balanced(&FixedKernel::of(&g, Invariant::Inv2), 4, &mut rec);
         assert_eq!(got, want);
         // Wedge-work conservation: chunking never changes total work.
         assert_eq!(rec.counter(Counter::WedgesExpanded), g.wedges_through_v1());

@@ -27,15 +27,12 @@
 //! `g_j`; the property suite pins the formula against the
 //! `wedges_expanded` counter and against the best fixed invariant.
 
-use super::engine::DEADLINE_STRIDE;
-use super::parallel::balanced_chunk_bounds;
+use super::engine::{drain_pairs, record_update};
+use super::parallel::{balanced_ranges, drive_chunks, run_inline, Kernel};
 use bfly_graph::ordering::global_degree_ranks;
 use bfly_graph::BipartiteGraph;
-use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
-use bfly_telemetry::{
-    timed_phase, timed_span, Counter, MetricsHub, NoopRecorder, Recorder, ThreadTrace,
-};
-use rayon::prelude::*;
+use bfly_sparse::{choose2, CheckedAccum, Spa};
+use bfly_telemetry::{timed_phase, timed_span, NoopRecorder, Recorder};
 use std::time::Instant;
 
 /// The global priority order: `rank_v1[u]` / `rank_v2[v]` is the position
@@ -128,137 +125,112 @@ pub fn priority_start_weights(g: &BipartiteGraph, ranks: &PriorityRanks) -> Vec<
     weights
 }
 
-/// Expand the priority wedges of one start vertex `u` and return the
-/// butterflies charged to it. `adj_start.row(u)` lists `u`'s
-/// opposite-side neighbours (wedge midpoints), `adj_mid.row(j)` the far
-/// endpoints. Records through the same counter vocabulary as the family
-/// engine (`vertices_exposed`, `wedges_expanded`, `spa_scatters`,
-/// `accum_entries`, `vertex_wedges`), every site guarded by
-/// `R::ENABLED`.
+/// Visit the priority wedges of start `s` (combined index: `s < nv1` is
+/// V1 vertex `s`, else V2 vertex `s − nv1`): calls `f(j, w)` for every
+/// wedge `u – j – w` whose strict minimum-rank vertex is the start `u`,
+/// with `j` and `w` as ids on their own sides. The one wedge enumeration
+/// behind the count, the ranked batches, and the attributions.
 #[inline]
-fn expand_start_recorded<R: Recorder>(
-    adj_start: &Pattern,
-    adj_mid: &Pattern,
-    rank_start: &[u32],
-    rank_mid: &[u32],
-    u: usize,
-    spa: &mut Spa<u64>,
-    rec: &mut R,
-) -> u64 {
+pub(crate) fn for_each_wedge(
+    g: &BipartiteGraph,
+    ranks: &PriorityRanks,
+    s: usize,
+    mut f: impl FnMut(u32, u32),
+) {
+    let (a, at) = (g.biadjacency(), g.biadjacency_t());
+    let (adj_start, adj_mid, rank_start, rank_mid, u) = if s < g.nv1() {
+        (a, at, &ranks.rank_v1, &ranks.rank_v2, s)
+    } else {
+        (at, a, &ranks.rank_v2, &ranks.rank_v1, s - g.nv1())
+    };
     let ru = rank_start[u];
-    let mut wedges = 0u64;
     for &j in adj_start.row(u) {
         if rank_mid[j as usize] <= ru {
             continue;
         }
         for &w in adj_mid.row(j as usize) {
             if w as usize != u && rank_start[w as usize] > ru {
-                if R::ENABLED {
-                    wedges += 1;
-                }
-                spa.scatter(w, 1);
+                f(j, w);
             }
         }
     }
-    if R::ENABLED {
-        rec.incr(Counter::VerticesExposed, 1);
-        rec.incr(Counter::WedgesExpanded, wedges);
-        rec.incr(Counter::SpaScatters, wedges);
-        rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
-        rec.hist_record("vertex_wedges", wedges);
-    }
-    let mut acc = 0u64;
-    for (_, cnt) in spa.entries() {
-        acc += choose2(cnt);
-    }
-    spa.clear();
-    acc
 }
 
-/// Overflow-checked [`expand_start_recorded`]: the `Σ C(cnt, 2)` update
-/// lands in a [`CheckedAccum`] (promoting to `u128` instead of wrapping).
+/// Scatter the priority wedges of start `s` into `spa` by far endpoint —
+/// the only place the priority member scatters. Returns the wedges.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn expand_start_checked_recorded<R: Recorder>(
-    adj_start: &Pattern,
-    adj_mid: &Pattern,
-    rank_start: &[u32],
-    rank_mid: &[u32],
-    u: usize,
-    spa: &mut Spa<u64>,
-    acc: &mut CheckedAccum,
-    rec: &mut R,
-) {
-    let ru = rank_start[u];
+fn scatter_start(g: &BipartiteGraph, ranks: &PriorityRanks, s: usize, spa: &mut Spa<u64>) -> u64 {
     let mut wedges = 0u64;
-    for &j in adj_start.row(u) {
-        if rank_mid[j as usize] <= ru {
-            continue;
-        }
-        for &w in adj_mid.row(j as usize) {
-            if w as usize != u && rank_start[w as usize] > ru {
-                if R::ENABLED {
-                    wedges += 1;
-                }
-                spa.scatter(w, 1);
-            }
-        }
-    }
-    if R::ENABLED {
-        rec.incr(Counter::VerticesExposed, 1);
-        rec.incr(Counter::WedgesExpanded, wedges);
-        rec.incr(Counter::SpaScatters, wedges);
-        rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
-        rec.hist_record("vertex_wedges", wedges);
-    }
-    for (_, cnt) in spa.entries() {
-        acc.add(choose2(cnt));
-    }
-    spa.clear();
+    for_each_wedge(g, ranks, s, |_, w| {
+        wedges += 1;
+        spa.scatter(w, 1);
+    });
+    wedges
 }
 
-/// Run one start from the combined index space (`s < nv1` → V1 start,
-/// else V2 start `s − nv1`).
-#[inline]
-pub(crate) fn run_start_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    ranks: &PriorityRanks,
-    s: usize,
-    spa: &mut Spa<u64>,
-    rec: &mut R,
-) -> u64 {
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
-    if s < g.nv1() {
-        expand_start_recorded(a, at, &ranks.rank_v1, &ranks.rank_v2, s, spa, rec)
-    } else {
-        expand_start_recorded(at, a, &ranks.rank_v2, &ranks.rank_v1, s - g.nv1(), spa, rec)
+/// The priority member's kernel: item `s` expands start `s` of the
+/// combined index space and drains its butterflies. Records the family
+/// engine's counter vocabulary (`vertices_exposed`, `wedges_expanded`,
+/// `spa_scatters`, `accum_entries`, `vertex_wedges`).
+struct PriorityKernel<'g> {
+    g: &'g BipartiteGraph,
+    ranks: &'g PriorityRanks,
+}
+
+impl Kernel for PriorityKernel<'_> {
+    type Scratch = Spa<u64>;
+
+    fn scratch(&self) -> Spa<u64> {
+        Spa::new(self.g.nv1().max(self.g.nv2()))
+    }
+
+    #[inline]
+    fn item<R: Recorder>(
+        &self,
+        s: usize,
+        spa: &mut Spa<u64>,
+        acc: &mut CheckedAccum,
+        rec: &mut R,
+    ) -> u64 {
+        let wedges = scatter_start(self.g, self.ranks, s, spa);
+        record_update(rec, wedges, drain_pairs(spa, acc));
+        wedges
     }
 }
 
-/// Checked twin of [`run_start_recorded`].
-#[inline]
-pub(crate) fn run_start_checked_recorded<R: Recorder>(
+/// The priority member, overflow-checked, polling `deadline` every
+/// [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) starts. The rank
+/// sort records as a `priority_rank` span. `chunks = None` runs the
+/// starts in order inside a `count` phase and `count_priority` span;
+/// `Some(n)` runs `n` contiguous ranges balanced by
+/// [`priority_start_weights`] through the chunk driver inside a
+/// `count_parallel` phase. Returns the exact total (over the processed
+/// starts when cut) and whether every start ran.
+pub(crate) fn run_priority<R: Recorder>(
     g: &BipartiteGraph,
-    ranks: &PriorityRanks,
-    s: usize,
-    spa: &mut Spa<u64>,
-    acc: &mut CheckedAccum,
+    chunks: Option<usize>,
+    deadline: Option<Instant>,
     rec: &mut R,
-) {
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
-    if s < g.nv1() {
-        expand_start_checked_recorded(a, at, &ranks.rank_v1, &ranks.rank_v2, s, spa, acc, rec)
-    } else {
-        expand_start_checked_recorded(
-            at,
-            a,
-            &ranks.rank_v2,
-            &ranks.rank_v1,
-            s - g.nv1(),
-            spa,
-            acc,
-            rec,
-        )
+) -> (CheckedAccum, bool) {
+    let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
+    let kernel = PriorityKernel { g, ranks: &ranks };
+    match chunks {
+        None => timed_phase(rec, "count", |rec| {
+            timed_span(rec, "count_priority", |rec| {
+                run_inline(
+                    &kernel,
+                    std::iter::once(0..g.nv1() + g.nv2()),
+                    deadline,
+                    rec,
+                )
+            })
+        }),
+        Some(n) => {
+            let ranges = balanced_ranges(&priority_start_weights(g, &ranks), n.max(1));
+            timed_phase(rec, "count_parallel", |rec| {
+                drive_chunks(&kernel, ranges, deadline, rec)
+            })
+        }
     }
 }
 
@@ -271,224 +243,37 @@ pub fn count_priority(g: &BipartiteGraph) -> u64 {
 /// [`count_priority`] reporting work counters, a `priority_rank` span for
 /// the ordering sort, and a `"count"` phase through `rec`.
 pub fn count_priority_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> u64 {
-    let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let nstarts = g.nv1() + g.nv2();
-    let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
-    timed_phase(rec, "count", |rec| {
-        timed_span(rec, "count_priority", |rec| {
-            let mut total = 0u64;
-            for s in 0..nstarts {
-                total += run_start_recorded(g, &ranks, s, &mut spa, rec);
-            }
-            total
-        })
-    })
+    let (acc, _) = run_priority(g, None, None, rec);
+    crate::error::expect_total(acc, "try_count_priority")
 }
 
 /// Deterministic parallel [`count_priority`]: the combined start space is
 /// cut into `nchunks` contiguous ranges balanced by
-/// [`priority_start_weights`], each chunk owns a private SPA, and the
+/// [`priority_start_weights`], each worker owns a private SPA, and the
 /// per-chunk partial sums merge in chunk order — so the total is bitwise
 /// identical at any thread count.
 pub fn count_priority_parallel(g: &BipartiteGraph, nchunks: usize) -> u64 {
     count_priority_parallel_recorded(g, nchunks, &mut NoopRecorder)
 }
 
-/// Instrumented [`count_priority_parallel`]: the same event stream as the
-/// family's balanced parallel path — per-worker [`ThreadTrace`]s with
-/// `chunk` spans, the `chunk_us` histogram, the `par_chunk_wedges`
-/// series, and the `par_imbalance` gauge — inside a `count_parallel`
-/// phase.
+/// Instrumented [`count_priority_parallel`]: the chunk driver's event
+/// stream (`chunk` spans, `chunk_us`, `par_chunk_wedges`,
+/// `par_imbalance`) inside a `count_parallel` phase.
 pub fn count_priority_parallel_recorded<R: Recorder>(
     g: &BipartiteGraph,
     nchunks: usize,
     rec: &mut R,
 ) -> u64 {
-    let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let weights = priority_start_weights(g, &ranks);
-    let bounds = balanced_chunk_bounds(&weights, nchunks.max(1));
-    let spa_len = g.nv1().max(g.nv2());
-    let chunks: Vec<std::ops::Range<usize>> = bounds
-        .windows(2)
-        .map(|w| w[0]..w[1])
-        .filter(|r| !r.is_empty())
-        .collect();
-    timed_phase(rec, "count_parallel", |rec| {
-        if !R::ENABLED {
-            return chunks
-                .into_par_iter()
-                .map(|range| {
-                    let mut spa = Spa::<u64>::new(spa_len);
-                    range
-                        .map(|s| run_start_recorded(g, &ranks, s, &mut spa, &mut NoopRecorder))
-                        .sum::<u64>()
-                })
-                .sum();
-        }
-        let per_chunk: Vec<(u64, ThreadTrace)> = chunks
-            .into_par_iter()
-            .map(|range| {
-                let mut spa = Spa::<u64>::new(spa_len);
-                let mut trace = ThreadTrace::new();
-                let t0 = Instant::now();
-                trace.span_enter("chunk");
-                let mut sum = 0u64;
-                for s in range {
-                    sum += run_start_recorded(g, &ranks, s, &mut spa, &mut trace);
-                }
-                trace.span_exit("chunk");
-                trace.hist_record("chunk_us", t0.elapsed().as_micros() as u64);
-                (sum, trace)
-            })
-            .collect();
-        rec.incr(Counter::ParChunks, per_chunk.len() as u64);
-        let nchunks_run = per_chunk.len();
-        let mut total = 0u64;
-        let mut max_wedges = 0u64;
-        let mut sum_wedges = 0u64;
-        for (i, (sub, trace)) in per_chunk.into_iter().enumerate() {
-            total += sub;
-            let w = trace.tally().get(Counter::WedgesExpanded);
-            rec.series_push("par_chunk_wedges", w as f64);
-            max_wedges = max_wedges.max(w);
-            sum_wedges += w;
-            rec.merge_thread(i as u32 + 1, trace);
-        }
-        if nchunks_run > 0 && sum_wedges > 0 {
-            let mean = sum_wedges as f64 / nchunks_run as f64;
-            rec.gauge("par_imbalance", max_wedges as f64 / mean);
-        }
-        total
-    })
+    let (acc, _) = run_priority(g, Some(nchunks), None, rec);
+    crate::error::expect_total(acc, "try_count_priority")
 }
 
-/// Shared-hub [`count_priority_parallel`]: workers record live into the
-/// concurrent [`MetricsHub`] as they go, so a mid-run observer sees
-/// `wedges_expanded` advance against the exact
-/// [`priority_wedge_work`] forecast. Totals are bitwise identical to the
-/// buffered path.
-pub fn count_priority_shared(g: &BipartiteGraph, nchunks: usize, hub: &MetricsHub) -> u64 {
-    let mut rec: &MetricsHub = hub;
-    let ranks = timed_span(&mut rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let weights = priority_start_weights(g, &ranks);
-    let bounds = balanced_chunk_bounds(&weights, nchunks.max(1));
-    let spa_len = g.nv1().max(g.nv2());
-    let chunks: Vec<std::ops::Range<usize>> = bounds
-        .windows(2)
-        .map(|w| w[0]..w[1])
-        .filter(|r| !r.is_empty())
-        .collect();
-    let nchunks_run = chunks.len();
-    timed_phase(&mut rec, "count_parallel", |_| {
-        let total: u64 = chunks
-            .into_par_iter()
-            .map(|range| {
-                let mut spa = Spa::<u64>::new(spa_len);
-                let mut rec: &MetricsHub = hub;
-                let t0 = Instant::now();
-                hub.enter_span("chunk");
-                let mut sum = 0u64;
-                for s in range {
-                    sum += run_start_recorded(g, &ranks, s, &mut spa, &mut rec);
-                }
-                hub.exit_span("chunk");
-                hub.record_hist("chunk_us", t0.elapsed().as_micros() as u64);
-                sum
-            })
-            .sum();
-        hub.incr(Counter::ParChunks, nchunks_run as u64);
-        total
-    })
-}
-
-/// Overflow-checked, deadline-aware priority count. `nchunks <= 1` runs
-/// the sequential loop polling the deadline every [`DEADLINE_STRIDE`]
-/// starts; larger `nchunks` runs balanced parallel chunks, each polling
-/// independently, with the per-chunk [`CheckedAccum`] partials merged in
-/// chunk order. Returns the accumulator and whether every start was
-/// processed; a truncated accumulator holds the exact sum over the
-/// starts processed before the cut.
-pub(crate) fn count_priority_checked_deadline(
-    g: &BipartiteGraph,
-    nchunks: usize,
-    deadline: Option<Instant>,
-) -> crate::error::Result<(CheckedAccum, bool)> {
-    let ranks = PriorityRanks::compute(g);
-    let nstarts = g.nv1() + g.nv2();
-    let spa_len = g.nv1().max(g.nv2());
-    if nchunks <= 1 {
-        let mut spa = Spa::<u64>::new(spa_len);
-        let mut acc = CheckedAccum::new();
-        for s in 0..nstarts {
-            if s % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Ok((acc, false));
-                    }
-                }
-            }
-            run_start_checked_recorded(g, &ranks, s, &mut spa, &mut acc, &mut NoopRecorder);
-        }
-        return Ok((acc, true));
-    }
-    let weights = priority_start_weights(g, &ranks);
-    let bounds = balanced_chunk_bounds(&weights, nchunks);
-    let chunks: Vec<std::ops::Range<usize>> = bounds
-        .windows(2)
-        .map(|w| w[0]..w[1])
-        .filter(|r| !r.is_empty())
-        .collect();
-    let partials: Vec<(CheckedAccum, bool)> = chunks
-        .into_par_iter()
-        .map(|range| {
-            let mut spa = Spa::<u64>::new(spa_len);
-            let mut acc = CheckedAccum::new();
-            for (done, s) in range.enumerate() {
-                if done % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            return (acc, false);
-                        }
-                    }
-                }
-                run_start_checked_recorded(g, &ranks, s, &mut spa, &mut acc, &mut NoopRecorder);
-            }
-            (acc, true)
-        })
-        .collect();
-    let mut total = CheckedAccum::new();
-    let mut complete = true;
-    for (p, c) in partials {
-        total.merge(p);
-        complete &= c;
-    }
-    Ok((total, complete))
-}
-
-/// Fallible [`count_priority`]: validates the graph up front and runs
-/// the overflow-checked kernel.
+/// Fallible [`count_priority`]: validates the graph up front and reports
+/// a total past `u64` as a typed error.
 pub fn try_count_priority(g: &BipartiteGraph) -> crate::error::Result<u64> {
     crate::error::validate_graph(g)?;
-    let (acc, _complete) = count_priority_checked_deadline(g, 1, None)?;
-    acc.finish()
-        .map_err(|partial| crate::error::BflyError::CountOverflow {
-            partial,
-            context: "count_priority",
-        })
-}
-
-/// Fallible deterministic-parallel [`count_priority_parallel`].
-pub fn try_count_priority_parallel(
-    g: &BipartiteGraph,
-    nchunks: usize,
-) -> crate::error::Result<u64> {
-    crate::error::validate_graph(g)?;
-    let (acc, _complete) = count_priority_checked_deadline(g, nchunks.max(2), None)?;
-    acc.finish()
-        .map_err(|partial| crate::error::BflyError::CountOverflow {
-            partial,
-            context: "count_priority_parallel",
-        })
+    let (acc, _) = run_priority(g, None, None, &mut NoopRecorder);
+    crate::error::checked_total(acc, "count_priority")
 }
 
 /// Per-vertex butterfly counts computed by the priority kernel, returned
@@ -502,73 +287,27 @@ pub fn try_count_priority_parallel(
 /// on both sides (pinned by the differential suites).
 pub fn butterflies_per_vertex_priority(g: &BipartiteGraph) -> (Vec<u64>, Vec<u64>) {
     let ranks = PriorityRanks::compute(g);
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
-    let mut b1 = vec![0u64; g.nv1()];
-    let mut b2 = vec![0u64; g.nv2()];
-    let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
-
-    // V1 starts: far endpoints in V1, centres in V2.
-    for u in 0..g.nv1() {
-        let ru = ranks.rank_v1[u];
-        for &j in a.row(u) {
-            if ranks.rank_v2[j as usize] <= ru {
-                continue;
-            }
-            for &w in at.row(j as usize) {
-                if w as usize != u && ranks.rank_v1[w as usize] > ru {
-                    spa.scatter(w, 1);
-                }
-            }
-        }
+    let nv1 = g.nv1();
+    // Combined index space: V1 vertices, then V2 vertices.
+    let mut b = vec![0u64; nv1 + g.nv2()];
+    let mut spa = Spa::<u64>::new(nv1.max(g.nv2()));
+    for s in 0..nv1 + g.nv2() {
+        // Far endpoints live on the start's side, centres on the other.
+        let (far, centre) = if s < nv1 { (0, nv1) } else { (nv1, 0) };
+        scatter_start(g, &ranks, s, &mut spa);
         for (w, cnt) in spa.entries() {
-            let b = choose2(cnt);
-            b1[u] += b;
-            b1[w as usize] += b;
+            let pairs = choose2(cnt);
+            b[s] += pairs;
+            b[far + w as usize] += pairs;
         }
         // Replay the wedges to credit the centres.
-        for &j in a.row(u) {
-            if ranks.rank_v2[j as usize] <= ru {
-                continue;
-            }
-            for &w in at.row(j as usize) {
-                if w as usize != u && ranks.rank_v1[w as usize] > ru {
-                    b2[j as usize] += spa.get(w) - 1;
-                }
-            }
-        }
+        for_each_wedge(g, &ranks, s, |j, w| {
+            b[centre + j as usize] += spa.get(w) - 1
+        });
         spa.clear();
     }
-    // V2 starts: far endpoints in V2, centres in V1.
-    for v in 0..g.nv2() {
-        let rv = ranks.rank_v2[v];
-        for &j in at.row(v) {
-            if ranks.rank_v1[j as usize] <= rv {
-                continue;
-            }
-            for &w in a.row(j as usize) {
-                if w as usize != v && ranks.rank_v2[w as usize] > rv {
-                    spa.scatter(w, 1);
-                }
-            }
-        }
-        for (w, cnt) in spa.entries() {
-            let b = choose2(cnt);
-            b2[v] += b;
-            b2[w as usize] += b;
-        }
-        for &j in at.row(v) {
-            if ranks.rank_v1[j as usize] <= rv {
-                continue;
-            }
-            for &w in a.row(j as usize) {
-                if w as usize != v && ranks.rank_v2[w as usize] > rv {
-                    b1[j as usize] += spa.get(w) - 1;
-                }
-            }
-        }
-        spa.clear();
-    }
-    (b1, b2)
+    let b2 = b.split_off(nv1);
+    (b, b2)
 }
 
 /// Per-edge butterfly supports computed by the priority kernel, in the
@@ -579,69 +318,34 @@ pub fn butterflies_per_vertex_priority(g: &BipartiteGraph) -> (Vec<u64>, Vec<u64
 /// it — every butterfly lands on all four of its edges exactly once.
 pub fn edge_supports_priority(g: &BipartiteGraph) -> Vec<u64> {
     let ranks = PriorityRanks::compute(g);
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
+    let a = g.biadjacency();
     let ptr = a.ptr();
+    let nv1 = g.nv1();
     let mut out = vec![0u64; g.nedges()];
-    let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
+    let mut spa = Spa::<u64>::new(nv1.max(g.nv2()));
     // Edge index of (u ∈ V1, v ∈ V2): CSR offset of u plus the position
     // of v in u's sorted row.
     let edge_index = |u: usize, v: u32| -> usize {
         let pos = a.row(u).binary_search(&v).expect("edge exists");
         ptr[u] + pos
     };
-
-    // V1 starts: wedge u – j – w has edges (u, j) and (w, j).
-    for u in 0..g.nv1() {
-        let ru = ranks.rank_v1[u];
-        for &j in a.row(u) {
-            if ranks.rank_v2[j as usize] <= ru {
-                continue;
-            }
-            for &w in at.row(j as usize) {
-                if w as usize != u && ranks.rank_v1[w as usize] > ru {
-                    spa.scatter(w, 1);
-                }
-            }
-        }
-        for &j in a.row(u) {
-            if ranks.rank_v2[j as usize] <= ru {
-                continue;
-            }
-            for &w in at.row(j as usize) {
-                if w as usize != u && ranks.rank_v1[w as usize] > ru {
-                    let closures = spa.get(w) - 1;
-                    out[edge_index(u, j)] += closures;
-                    out[edge_index(w as usize, j)] += closures;
-                }
-            }
-        }
-        spa.clear();
-    }
-    // V2 starts: wedge v – j – w has edges (j, v) and (j, w).
-    for v in 0..g.nv2() {
-        let rv = ranks.rank_v2[v];
-        for &j in at.row(v) {
-            if ranks.rank_v1[j as usize] <= rv {
-                continue;
-            }
-            for &w in a.row(j as usize) {
-                if w as usize != v && ranks.rank_v2[w as usize] > rv {
-                    spa.scatter(w, 1);
-                }
-            }
-        }
-        for &j in at.row(v) {
-            if ranks.rank_v1[j as usize] <= rv {
-                continue;
-            }
-            for &w in a.row(j as usize) {
-                if w as usize != v && ranks.rank_v2[w as usize] > rv {
-                    let closures = spa.get(w) - 1;
-                    out[edge_index(j as usize, v as u32)] += closures;
-                    out[edge_index(j as usize, w)] += closures;
-                }
-            }
-        }
+    for s in 0..nv1 + g.nv2() {
+        scatter_start(g, &ranks, s, &mut spa);
+        for_each_wedge(g, &ranks, s, |j, w| {
+            let closures = spa.get(w) - 1;
+            // A V1 start's wedge u – j – w has edges (u, j) and (w, j);
+            // a V2 start's wedge v – j – w has edges (j, v) and (j, w).
+            let (e1, e2) = if s < nv1 {
+                (edge_index(s, j), edge_index(w as usize, j))
+            } else {
+                (
+                    edge_index(j as usize, (s - nv1) as u32),
+                    edge_index(j as usize, w),
+                )
+            };
+            out[e1] += closures;
+            out[e2] += closures;
+        });
         spa.clear();
     }
     out
@@ -655,7 +359,7 @@ mod tests {
     use crate::vertex_counts::butterflies_per_vertex;
     use bfly_graph::generators::{chung_lu, uniform_exact};
     use bfly_graph::Side;
-    use bfly_telemetry::InMemoryRecorder;
+    use bfly_telemetry::{Counter, InMemoryRecorder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -703,7 +407,6 @@ mod tests {
                 assert_eq!(count_priority_parallel(&g, nchunks), want);
             }
             assert_eq!(try_count_priority(&g).unwrap(), want);
-            assert_eq!(try_count_priority_parallel(&g, 4).unwrap(), want);
         }
     }
 
@@ -720,20 +423,6 @@ mod tests {
         );
         assert!(rec.counter(Counter::ParChunks) >= 1);
         assert!(rec.spans().iter().any(|s| s.name == "priority_rank"));
-    }
-
-    #[test]
-    fn shared_hub_path_matches_and_is_live() {
-        let mut rng = StdRng::seed_from_u64(4003);
-        let g = uniform_exact(50, 50, 360, &mut rng);
-        let hub = MetricsHub::new();
-        let got = count_priority_shared(&g, 4, &hub);
-        assert_eq!(got, count_via_spgemm(&g));
-        let snap = hub.snapshot();
-        assert_eq!(
-            snap.counter(Counter::WedgesExpanded),
-            priority_wedge_work(&g)
-        );
     }
 
     #[test]
@@ -785,7 +474,7 @@ mod tests {
     fn seeded_overflow_promotes_exactly() {
         let g = BipartiteGraph::complete(3, 3);
         let want = count_priority(&g);
-        let (mut acc, complete) = count_priority_checked_deadline(&g, 1, None).unwrap();
+        let (mut acc, complete) = run_priority(&g, None, None, &mut NoopRecorder);
         assert!(complete);
         acc.merge(CheckedAccum::with_base(u64::MAX - 1));
         assert_eq!(

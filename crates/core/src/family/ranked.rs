@@ -13,7 +13,7 @@
 //! is what makes the parallel path deterministic for free — buckets are
 //! placed with [`balanced_chunk_bounds`] over the per-start wedge
 //! weights, processed independently, and the per-bucket partials merge
-//! in bucket order (via [`CheckedAccum::merge`] on the checked path) —
+//! in bucket order (via [`CheckedAccum::merge`]) —
 //! and it trades the priority kernel's per-start cache churn for
 //! streaming writes into a batch that fits in L2.
 //!
@@ -22,15 +22,12 @@
 //! [`priority_wedge_work`](super::priority::priority_wedge_work), so the
 //! adaptive forecast is exact for this member too.
 
-use super::engine::DEADLINE_STRIDE;
-use super::parallel::balanced_chunk_bounds;
-use super::priority::{priority_start_weights, PriorityRanks};
+use super::engine::drain_pairs;
+use super::parallel::{balanced_chunk_bounds, drive_chunks, run_inline, Kernel};
+use super::priority::{for_each_wedge, priority_start_weights, PriorityRanks};
 use bfly_graph::BipartiteGraph;
-use bfly_sparse::{choose2, CheckedAccum, Spa};
-use bfly_telemetry::{
-    timed_phase, timed_span, Counter, MetricsHub, NoopRecorder, Recorder, ThreadTrace,
-};
-use rayon::prelude::*;
+use bfly_sparse::{CheckedAccum, Spa};
+use bfly_telemetry::{timed_phase, timed_span, Counter, NoopRecorder, Recorder};
 use std::time::Instant;
 
 /// Target wedge work per bucket. Calibrated from the `vertex_wedges` /
@@ -68,76 +65,73 @@ fn bucket_bounds(weights_in_order: &[u64], min_buckets: usize) -> Vec<usize> {
     balanced_chunk_bounds(weights_in_order, nbuckets)
 }
 
-/// Materialise the priority wedges of one start into `batch`, recording
-/// `wedges_expanded` (+ `vertices_exposed`, `vertex_wedges`). Far
-/// endpoints only — the segment boundary is the caller's job.
-#[inline]
-fn materialise_start<R: Recorder>(
-    g: &BipartiteGraph,
-    ranks: &PriorityRanks,
-    s: usize,
-    batch: &mut Vec<u32>,
-    rec: &mut R,
-) {
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
-    let before = batch.len();
-    if s < g.nv1() {
-        let u = s;
-        let ru = ranks.rank_v1[u];
-        for &j in a.row(u) {
-            if ranks.rank_v2[j as usize] <= ru {
-                continue;
-            }
-            for &w in at.row(j as usize) {
-                if w as usize != u && ranks.rank_v1[w as usize] > ru {
-                    batch.push(w);
-                }
-            }
-        }
-    } else {
-        let v = s - g.nv1();
-        let rv = ranks.rank_v2[v];
-        for &j in at.row(v) {
-            if ranks.rank_v1[j as usize] <= rv {
-                continue;
-            }
-            for &w in a.row(j as usize) {
-                if w as usize != v && ranks.rank_v2[w as usize] > rv {
-                    batch.push(w);
-                }
-            }
+/// Per-worker scratch of the ranked kernel: the SPA the replay drains,
+/// the flat wedge batch (far endpoint per wedge), and the per-start
+/// segment ends within it.
+struct RankedScratch {
+    spa: Spa<u64>,
+    batch: Vec<u32>,
+    segs: Vec<usize>,
+}
+
+/// The ranked member's kernel: item `i` materialises the wedges of the
+/// `i`-th start in rank order into the batch (`wedges_expanded`,
+/// `vertices_exposed`, `vertex_wedges`); the flush replays the batch
+/// segment by segment (`spa_scatters`, `accum_entries`).
+struct RankedKernel<'g> {
+    g: &'g BipartiteGraph,
+    ranks: &'g PriorityRanks,
+    order: Vec<usize>,
+}
+
+impl Kernel for RankedKernel<'_> {
+    type Scratch = RankedScratch;
+
+    fn scratch(&self) -> RankedScratch {
+        RankedScratch {
+            spa: Spa::new(self.g.nv1().max(self.g.nv2())),
+            batch: Vec::new(),
+            segs: Vec::new(),
         }
     }
-    if R::ENABLED {
-        let wedges = (batch.len() - before) as u64;
-        rec.incr(Counter::VerticesExposed, 1);
-        rec.incr(Counter::WedgesExpanded, wedges);
-        rec.hist_record("vertex_wedges", wedges);
+
+    #[inline]
+    fn item<R: Recorder>(
+        &self,
+        i: usize,
+        scratch: &mut RankedScratch,
+        _acc: &mut CheckedAccum,
+        rec: &mut R,
+    ) -> u64 {
+        let before = scratch.batch.len();
+        for_each_wedge(self.g, self.ranks, self.order[i], |_, w| {
+            scratch.batch.push(w)
+        });
+        scratch.segs.push(scratch.batch.len());
+        let wedges = (scratch.batch.len() - before) as u64;
+        if R::ENABLED {
+            rec.incr(Counter::VerticesExposed, 1);
+            rec.incr(Counter::WedgesExpanded, wedges);
+            rec.hist_record("vertex_wedges", wedges);
+        }
+        wedges
+    }
+
+    fn flush<R: Recorder>(&self, scratch: &mut RankedScratch, acc: &mut CheckedAccum, rec: &mut R) {
+        let mut lo = 0usize;
+        for &hi in &scratch.segs {
+            replay_segment(&scratch.batch[lo..hi], &mut scratch.spa, acc, rec);
+            lo = hi;
+        }
+        scratch.batch.clear();
+        scratch.segs.clear();
     }
 }
 
-/// Replay one start's batch segment through the SPA and return its
-/// butterfly contribution.
+/// Replay one start's batch segment through the SPA into `acc` — the
+/// only place the ranked member scatters.
 #[inline]
-fn replay_segment<R: Recorder>(segment: &[u32], spa: &mut Spa<u64>, rec: &mut R) -> u64 {
-    for &w in segment {
-        spa.scatter(w, 1);
-    }
-    if R::ENABLED {
-        rec.incr(Counter::SpaScatters, segment.len() as u64);
-        rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
-    }
-    let mut acc = 0u64;
-    for (_, cnt) in spa.entries() {
-        acc += choose2(cnt);
-    }
-    spa.clear();
-    acc
-}
-
-/// Checked twin of [`replay_segment`].
-#[inline]
-fn replay_segment_checked<R: Recorder>(
+fn replay_segment<R: Recorder>(
     segment: &[u32],
     spa: &mut Spa<u64>,
     acc: &mut CheckedAccum,
@@ -146,40 +140,55 @@ fn replay_segment_checked<R: Recorder>(
     for &w in segment {
         spa.scatter(w, 1);
     }
+    let touched = drain_pairs(spa, acc);
     if R::ENABLED {
         rec.incr(Counter::SpaScatters, segment.len() as u64);
-        rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
+        rec.incr(Counter::AccumEntries, touched);
     }
-    for (_, cnt) in spa.entries() {
-        acc.add(choose2(cnt));
-    }
-    spa.clear();
 }
 
-/// Process one bucket of rank-ordered starts: materialise the flat wedge
-/// batch, then replay it segment by segment through `spa`.
-fn process_bucket<R: Recorder>(
+/// The ranked member, overflow-checked. Ranks record as a
+/// `priority_rank` span and the bucket count as the `ranked_buckets`
+/// gauge. `chunks = None` processes the buckets in rank order inside a
+/// `count` phase and `count_ranked` span; `Some(n)` makes at least `n`
+/// buckets and runs them as chunks through the driver inside a
+/// `count_parallel` phase. The deadline is polled every
+/// [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) starts during
+/// materialisation; a cut bucket still replays what it materialised, so
+/// the total is exact over the starts fully processed.
+pub(crate) fn run_ranked<R: Recorder>(
     g: &BipartiteGraph,
-    ranks: &PriorityRanks,
-    starts: &[usize],
-    spa: &mut Spa<u64>,
-    batch: &mut Vec<u32>,
-    segs: &mut Vec<usize>,
+    chunks: Option<usize>,
+    deadline: Option<Instant>,
     rec: &mut R,
-) -> u64 {
-    batch.clear();
-    segs.clear();
-    for &s in starts {
-        materialise_start(g, ranks, s, batch, rec);
-        segs.push(batch.len());
+) -> (CheckedAccum, bool) {
+    let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
+    let order = starts_by_rank(g, &ranks);
+    let weights_by_start = priority_start_weights(g, &ranks);
+    let weights: Vec<u64> = order.iter().map(|&s| weights_by_start[s]).collect();
+    let bounds = bucket_bounds(&weights, chunks.unwrap_or(1).max(1));
+    if R::ENABLED {
+        rec.gauge("ranked_buckets", (bounds.len() - 1) as f64);
     }
-    let mut total = 0u64;
-    let mut lo = 0usize;
-    for &hi in segs.iter() {
-        total += replay_segment(&batch[lo..hi], spa, rec);
-        lo = hi;
+    let buckets = bounds
+        .windows(2)
+        .map(|w| w[0]..w[1])
+        .filter(|b| !b.is_empty());
+    let kernel = RankedKernel {
+        g,
+        ranks: &ranks,
+        order,
+    };
+    match chunks {
+        None => timed_phase(rec, "count", |rec| {
+            timed_span(rec, "count_ranked", |rec| {
+                run_inline(&kernel, buckets, deadline, rec)
+            })
+        }),
+        Some(_) => timed_phase(rec, "count_parallel", |rec| {
+            drive_chunks(&kernel, buckets.collect(), deadline, rec)
+        }),
     }
-    total
 }
 
 /// Count the butterflies of `g` by ranked wedge aggregation
@@ -192,247 +201,35 @@ pub fn count_ranked(g: &BipartiteGraph) -> u64 {
 /// the ordering sort, a `ranked_buckets` gauge, and a `"count"` phase
 /// through `rec`.
 pub fn count_ranked_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> u64 {
-    let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let order = starts_by_rank(g, &ranks);
-    let weights_by_start = priority_start_weights(g, &ranks);
-    let weights: Vec<u64> = order.iter().map(|&s| weights_by_start[s]).collect();
-    let bounds = bucket_bounds(&weights, 1);
-    if R::ENABLED {
-        rec.gauge("ranked_buckets", (bounds.len() - 1) as f64);
-    }
-    let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
-    let mut batch = Vec::new();
-    let mut segs = Vec::new();
-    timed_phase(rec, "count", |rec| {
-        timed_span(rec, "count_ranked", |rec| {
-            let mut total = 0u64;
-            for w in bounds.windows(2) {
-                total += process_bucket(
-                    g,
-                    &ranks,
-                    &order[w[0]..w[1]],
-                    &mut spa,
-                    &mut batch,
-                    &mut segs,
-                    rec,
-                );
-            }
-            total
-        })
-    })
+    let (acc, _) = run_ranked(g, None, None, rec);
+    crate::error::expect_total(acc, "try_count_ranked")
 }
 
 /// Deterministic parallel [`count_ranked`]: buckets (at least `nchunks`
 /// of them, balanced by wedge weight) are processed concurrently, each
-/// with a private SPA and batch, and the per-bucket partial sums merge
-/// in bucket order — bitwise identical totals at any thread count.
+/// worker with a private SPA and batch, and the per-bucket partial sums
+/// merge in bucket order — bitwise identical totals at any thread count.
 pub fn count_ranked_parallel(g: &BipartiteGraph, nchunks: usize) -> u64 {
     count_ranked_parallel_recorded(g, nchunks, &mut NoopRecorder)
 }
 
-/// Instrumented [`count_ranked_parallel`]: the family's parallel event
-/// stream (per-worker [`ThreadTrace`]s with `chunk` spans, `chunk_us`
-/// histogram, `par_chunk_wedges` series, `par_imbalance` gauge) inside a
-/// `count_parallel` phase.
+/// Instrumented [`count_ranked_parallel`]: the chunk driver's event
+/// stream, one chunk per bucket, inside a `count_parallel` phase.
 pub fn count_ranked_parallel_recorded<R: Recorder>(
     g: &BipartiteGraph,
     nchunks: usize,
     rec: &mut R,
 ) -> u64 {
-    let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let order = starts_by_rank(g, &ranks);
-    let weights_by_start = priority_start_weights(g, &ranks);
-    let weights: Vec<u64> = order.iter().map(|&s| weights_by_start[s]).collect();
-    let bounds = bucket_bounds(&weights, nchunks.max(1));
-    if R::ENABLED {
-        rec.gauge("ranked_buckets", (bounds.len() - 1) as f64);
-    }
-    let spa_len = g.nv1().max(g.nv2());
-    let buckets: Vec<&[usize]> = bounds
-        .windows(2)
-        .map(|w| &order[w[0]..w[1]])
-        .filter(|b| !b.is_empty())
-        .collect();
-    timed_phase(rec, "count_parallel", |rec| {
-        if !R::ENABLED {
-            return buckets
-                .into_par_iter()
-                .map(|starts| {
-                    let mut spa = Spa::<u64>::new(spa_len);
-                    let mut batch = Vec::new();
-                    let mut segs = Vec::new();
-                    process_bucket(
-                        g,
-                        &ranks,
-                        starts,
-                        &mut spa,
-                        &mut batch,
-                        &mut segs,
-                        &mut NoopRecorder,
-                    )
-                })
-                .sum();
-        }
-        let per_bucket: Vec<(u64, ThreadTrace)> = buckets
-            .into_par_iter()
-            .map(|starts| {
-                let mut spa = Spa::<u64>::new(spa_len);
-                let mut batch = Vec::new();
-                let mut segs = Vec::new();
-                let mut trace = ThreadTrace::new();
-                let t0 = Instant::now();
-                trace.span_enter("chunk");
-                let sum = process_bucket(
-                    g, &ranks, starts, &mut spa, &mut batch, &mut segs, &mut trace,
-                );
-                trace.span_exit("chunk");
-                trace.hist_record("chunk_us", t0.elapsed().as_micros() as u64);
-                (sum, trace)
-            })
-            .collect();
-        rec.incr(Counter::ParChunks, per_bucket.len() as u64);
-        let nrun = per_bucket.len();
-        let mut total = 0u64;
-        let mut max_wedges = 0u64;
-        let mut sum_wedges = 0u64;
-        for (i, (sub, trace)) in per_bucket.into_iter().enumerate() {
-            total += sub;
-            let w = trace.tally().get(Counter::WedgesExpanded);
-            rec.series_push("par_chunk_wedges", w as f64);
-            max_wedges = max_wedges.max(w);
-            sum_wedges += w;
-            rec.merge_thread(i as u32 + 1, trace);
-        }
-        if nrun > 0 && sum_wedges > 0 {
-            let mean = sum_wedges as f64 / nrun as f64;
-            rec.gauge("par_imbalance", max_wedges as f64 / mean);
-        }
-        total
-    })
+    let (acc, _) = run_ranked(g, Some(nchunks), None, rec);
+    crate::error::expect_total(acc, "try_count_ranked")
 }
 
-/// Shared-hub [`count_ranked_parallel`]: workers record live into the
-/// concurrent [`MetricsHub`] (liveness over per-bucket attribution);
-/// totals are bitwise identical to the buffered path.
-pub fn count_ranked_shared(g: &BipartiteGraph, nchunks: usize, hub: &MetricsHub) -> u64 {
-    let mut rec: &MetricsHub = hub;
-    let ranks = timed_span(&mut rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let order = starts_by_rank(g, &ranks);
-    let weights_by_start = priority_start_weights(g, &ranks);
-    let weights: Vec<u64> = order.iter().map(|&s| weights_by_start[s]).collect();
-    let bounds = bucket_bounds(&weights, nchunks.max(1));
-    rec.gauge("ranked_buckets", (bounds.len() - 1) as f64);
-    let spa_len = g.nv1().max(g.nv2());
-    let buckets: Vec<&[usize]> = bounds
-        .windows(2)
-        .map(|w| &order[w[0]..w[1]])
-        .filter(|b| !b.is_empty())
-        .collect();
-    let nrun = buckets.len();
-    timed_phase(&mut rec, "count_parallel", |_| {
-        let total: u64 = buckets
-            .into_par_iter()
-            .map(|starts| {
-                let mut spa = Spa::<u64>::new(spa_len);
-                let mut batch = Vec::new();
-                let mut segs = Vec::new();
-                let mut rec: &MetricsHub = hub;
-                let t0 = Instant::now();
-                hub.enter_span("chunk");
-                let sum =
-                    process_bucket(g, &ranks, starts, &mut spa, &mut batch, &mut segs, &mut rec);
-                hub.exit_span("chunk");
-                hub.record_hist("chunk_us", t0.elapsed().as_micros() as u64);
-                sum
-            })
-            .sum();
-        hub.incr(Counter::ParChunks, nrun as u64);
-        total
-    })
-}
-
-/// Overflow-checked, deadline-aware ranked count. The deadline is polled
-/// every [`DEADLINE_STRIDE`] starts during materialisation; on expiry
-/// the bucket truncates its batch to the last completed segment, replays
-/// what was materialised, and reports incomplete — so a truncated
-/// accumulator still holds the exact sum over the starts fully
-/// processed. Bucket partials merge in order via [`CheckedAccum::merge`].
-pub(crate) fn count_ranked_checked_deadline(
-    g: &BipartiteGraph,
-    nchunks: usize,
-    deadline: Option<Instant>,
-) -> crate::error::Result<(CheckedAccum, bool)> {
-    let ranks = PriorityRanks::compute(g);
-    let order = starts_by_rank(g, &ranks);
-    let weights_by_start = priority_start_weights(g, &ranks);
-    let weights: Vec<u64> = order.iter().map(|&s| weights_by_start[s]).collect();
-    let bounds = bucket_bounds(&weights, nchunks.max(1));
-    let spa_len = g.nv1().max(g.nv2());
-    let buckets: Vec<&[usize]> = bounds
-        .windows(2)
-        .map(|w| &order[w[0]..w[1]])
-        .filter(|b| !b.is_empty())
-        .collect();
-    let run_bucket = |starts: &[usize]| -> (CheckedAccum, bool) {
-        let mut spa = Spa::<u64>::new(spa_len);
-        let mut acc = CheckedAccum::new();
-        let mut batch: Vec<u32> = Vec::new();
-        let mut segs: Vec<usize> = Vec::new();
-        let mut complete = true;
-        for (done, &s) in starts.iter().enumerate() {
-            if done % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            materialise_start(g, &ranks, s, &mut batch, &mut NoopRecorder);
-            segs.push(batch.len());
-        }
-        let mut lo = 0usize;
-        for &hi in &segs {
-            replay_segment_checked(&batch[lo..hi], &mut spa, &mut acc, &mut NoopRecorder);
-            lo = hi;
-        }
-        (acc, complete)
-    };
-    let partials: Vec<(CheckedAccum, bool)> = if nchunks <= 1 {
-        buckets.iter().map(|&b| run_bucket(b)).collect()
-    } else {
-        buckets.into_par_iter().map(run_bucket).collect()
-    };
-    let mut total = CheckedAccum::new();
-    let mut complete = true;
-    for (p, c) in partials {
-        total.merge(p);
-        complete &= c;
-    }
-    Ok((total, complete))
-}
-
-/// Fallible [`count_ranked`]: validates the graph up front and runs the
-/// overflow-checked kernel.
+/// Fallible [`count_ranked`]: validates the graph up front and reports a
+/// total past `u64` as a typed error.
 pub fn try_count_ranked(g: &BipartiteGraph) -> crate::error::Result<u64> {
     crate::error::validate_graph(g)?;
-    let (acc, _complete) = count_ranked_checked_deadline(g, 1, None)?;
-    acc.finish()
-        .map_err(|partial| crate::error::BflyError::CountOverflow {
-            partial,
-            context: "count_ranked",
-        })
-}
-
-/// Fallible deterministic-parallel [`count_ranked_parallel`].
-pub fn try_count_ranked_parallel(g: &BipartiteGraph, nchunks: usize) -> crate::error::Result<u64> {
-    crate::error::validate_graph(g)?;
-    let (acc, _complete) = count_ranked_checked_deadline(g, nchunks.max(2), None)?;
-    acc.finish()
-        .map_err(|partial| crate::error::BflyError::CountOverflow {
-            partial,
-            context: "count_ranked_parallel",
-        })
+    let (acc, _) = run_ranked(g, None, None, &mut NoopRecorder);
+    crate::error::checked_total(acc, "count_ranked")
 }
 
 #[cfg(test)]
@@ -489,7 +286,6 @@ mod tests {
                 );
             }
             assert_eq!(try_count_ranked(&g).unwrap(), want);
-            assert_eq!(try_count_ranked_parallel(&g, 3).unwrap(), want);
         }
     }
 
@@ -503,18 +299,6 @@ mod tests {
         // Heavy total splits into multiple buckets even with min 1.
         let heavy = vec![RANKED_BUCKET_WEDGES; 8];
         assert!(bucket_bounds(&heavy, 1).len() > 8);
-    }
-
-    #[test]
-    fn shared_hub_matches_buffered() {
-        let mut rng = StdRng::seed_from_u64(5002);
-        let g = uniform_exact(60, 40, 320, &mut rng);
-        let hub = MetricsHub::new();
-        assert_eq!(count_ranked_shared(&g, 4, &hub), count_via_spgemm(&g));
-        assert_eq!(
-            hub.snapshot().counter(Counter::WedgesExpanded),
-            priority_wedge_work(&g)
-        );
     }
 
     #[test]

@@ -14,15 +14,17 @@
 //! Two drivers share that algebra:
 //!
 //! * **In-memory** ([`count_sharded`]): the resident graph processed one
-//!   wedge-balanced shard at a time through the exact engine kernel —
-//!   one SPA for the whole run, one `CheckedAccum` per shard. The
-//!   global-order members (priority/ranked) shard through their
-//!   existing chunk-merge kernels, with chunks = shards.
+//!   wedge-balanced shard at a time through the engine's fixed-member
+//!   kernel — one SPA for the whole run, one `CheckedAccum` per shard.
+//!   The global-order members (priority/ranked) shard through the chunk
+//!   driver instead, with chunks = shards.
 //! * **Out-of-core** ([`count_segmented_budgeted_recorded`]): a
 //!   [`SegmentedGraph`] (the `.bfly` on-disk format) counted without
 //!   ever materializing the full graph. Each shard materializes only
 //!   its own partitioned-side rows ([`SegmentedGraph::segment`]);
-//!   opposite-side rows stream through a [`RowReader`]. Peak memory is
+//!   opposite-side rows stream through a
+//!   [`RowReader`](bfly_graph::RowReader) into the same
+//!   eq. 18 vertex update the in-memory kernel runs. Peak memory is
 //!   the reader's metadata plus one shard plus one SPA — the
 //!   `mem.peak_bytes` gauge proves it.
 //!
@@ -32,14 +34,9 @@
 //! `shards_planned` / `shard_bytes` gauges, a `shard_wedges` series (the
 //! per-shard forecast), and the `shards_processed` counter.
 
-use super::engine::{
-    update_for_vertex_checked_recorded, update_for_vertex_recorded, DEADLINE_STRIDE,
-};
-use super::parallel::{balanced_chunk_bounds, wedge_weights};
-use super::{
-    count_priority_checked_deadline, count_ranked_checked_deadline, Invariant, PartFilter,
-    Traversal,
-};
+use super::engine::{record_update, update_vertex, FixedKernel};
+use super::parallel::{balanced_chunk_bounds, run_range, wedge_weights, Kernel, Poll};
+use super::{Invariant, Traversal};
 use crate::adaptive::{plan_scratch_bytes, select_plan, ExecMode, GraphProfile, Member, Plan};
 use crate::budget::{record_degraded, record_memory, Partial, ResourceBudget};
 use crate::checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore};
@@ -73,163 +70,58 @@ pub fn count_sharded_recorded<R: Recorder>(
     nshards: usize,
     rec: &mut R,
 ) -> u64 {
-    let (part_adj, other_adj) = match inv.partitioned_side() {
-        Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-        Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-    };
-    let plan = shard_ranges(part_adj, other_adj, nshards, rec);
-    let mut spa = Spa::<u64>::new(part_adj.nrows());
-    let mut total = 0u64;
-    for &(lo, hi) in ordered(&plan.ranges, inv.traversal()) {
-        total += timed_span(rec, "shard", |rec| {
-            let mut sum = 0u64;
-            let mut each = |k: usize, spa: &mut Spa<u64>, rec: &mut R| {
-                sum +=
-                    update_for_vertex_recorded(part_adj, other_adj, inv.update_part(), k, spa, rec);
-            };
-            match inv.traversal() {
-                Traversal::Forward => (lo..hi).for_each(|k| each(k, &mut spa, rec)),
-                Traversal::Backward => (lo..hi).rev().for_each(|k| each(k, &mut spa, rec)),
-            }
-            sum
-        });
-        finish_shard(&plan, lo, hi, rec);
-    }
-    total
+    let (acc, _) = run_sharded(&FixedKernel::of(g, inv), nshards, None, rec);
+    crate::error::expect_total(acc, "try_count_sharded")
 }
 
-/// Fallible [`count_sharded`]: validates the graph and runs the
-/// overflow-checked kernel.
+/// Fallible [`count_sharded`]: validates the graph and reports a total
+/// past `u64` as a typed error.
 pub fn try_count_sharded(
     g: &BipartiteGraph,
     inv: Invariant,
     nshards: usize,
 ) -> crate::error::Result<u64> {
     crate::error::validate_graph(g)?;
-    let (acc, _complete) = count_sharded_member_checked_recorded(
-        g,
-        Member::Fixed(inv),
-        nshards,
-        None,
-        &mut NoopRecorder,
-    )?;
-    acc.finish().map_err(|partial| BflyError::CountOverflow {
-        partial,
-        context: "count_sharded",
-    })
-}
-
-/// Sharded execution of any plan member on a resident graph: fixed
-/// invariants run the checked engine kernel shard by shard; the
-/// global-order members shard through their existing chunk-merge
-/// kernels (each chunk is already an independently-counted, exactly
-/// merged unit — a shard by another name). Returns the merged
-/// accumulator and whether the traversal completed before `deadline`.
-pub(crate) fn count_sharded_member_checked_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    member: Member,
-    nshards: usize,
-    deadline: Option<Instant>,
-    rec: &mut R,
-) -> crate::error::Result<(CheckedAccum, bool)> {
-    match member {
-        Member::Priority => {
-            if R::ENABLED {
-                rec.gauge("shards_planned", nshards.max(1) as f64);
-            }
-            let r = count_priority_checked_deadline(g, nshards.max(1), deadline)?;
-            rec.incr(Counter::ShardsProcessed, nshards.max(1) as u64);
-            Ok(r)
-        }
-        Member::Ranked => {
-            if R::ENABLED {
-                rec.gauge("shards_planned", nshards.max(1) as f64);
-            }
-            let r = count_ranked_checked_deadline(g, nshards.max(1), deadline)?;
-            rec.incr(Counter::ShardsProcessed, nshards.max(1) as u64);
-            Ok(r)
-        }
-        Member::Fixed(inv) => {
-            let (part_adj, other_adj) = match inv.partitioned_side() {
-                Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-                Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-            };
-            let mut acc = CheckedAccum::new();
-            let complete = count_sharded_partitioned_checked_recorded(
-                part_adj,
-                other_adj,
-                inv.traversal(),
-                inv.update_part(),
-                nshards,
-                deadline,
-                &mut acc,
-                rec,
-            );
-            Ok((acc, complete))
-        }
-    }
+    let (acc, _) = run_sharded(&FixedKernel::of(g, inv), nshards, None, &mut NoopRecorder);
+    crate::error::checked_total(acc, "count_sharded")
 }
 
 /// The in-memory sharded engine: wedge-balanced shard bounds over the
-/// partitioned side, each shard counted into a private [`CheckedAccum`]
-/// through the exact per-vertex kernel, partials merged into `acc`.
-/// Polls `deadline` every [`DEADLINE_STRIDE`] exposed vertices; a cut
-/// leaves `acc` holding the exact partial over the processed prefix and
-/// returns `false`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn count_sharded_partitioned_checked_recorded<R: Recorder>(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    traversal: Traversal,
-    filter: PartFilter,
+/// partitioned side, visited in traversal order, each shard counted
+/// inside a `shard` span into a private [`CheckedAccum`] merged into the
+/// total. Polls `deadline` every
+/// [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) exposed vertices;
+/// a cut returns the exact partial over the processed prefix and
+/// `false`.
+pub(crate) fn run_sharded<R: Recorder>(
+    kernel: &FixedKernel<'_>,
     nshards: usize,
     deadline: Option<Instant>,
-    acc: &mut CheckedAccum,
     rec: &mut R,
-) -> bool {
+) -> (CheckedAccum, bool) {
+    let (part_adj, other_adj) = kernel.patterns();
     let plan = shard_ranges(part_adj, other_adj, nshards, rec);
-    let mut spa = Spa::<u64>::new(part_adj.nrows());
-    let mut done = 0usize;
-    for &(lo, hi) in ordered(&plan.ranges, traversal) {
+    let mut spa = kernel.scratch();
+    let mut total = CheckedAccum::new();
+    let mut poll = Poll::new(deadline);
+    let mut ranges: Vec<(usize, usize)> = plan.ranges.clone();
+    if kernel.traversal() == Traversal::Backward {
+        // Backward members expose the last shard first.
+        ranges.reverse();
+    }
+    for (lo, hi) in ranges {
         let mut shard_acc = CheckedAccum::new();
-        let complete = timed_span(rec, "shard", |rec| {
-            let mut run = |k: usize, spa: &mut Spa<u64>, sa: &mut CheckedAccum, rec: &mut R| {
-                done += 1;
-                if done.is_multiple_of(DEADLINE_STRIDE) {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            return false;
-                        }
-                    }
-                }
-                update_for_vertex_checked_recorded(part_adj, other_adj, filter, k, spa, sa, rec);
-                true
-            };
-            match traversal {
-                Traversal::Forward => {
-                    for k in lo..hi {
-                        if !run(k, &mut spa, &mut shard_acc, rec) {
-                            return false;
-                        }
-                    }
-                }
-                Traversal::Backward => {
-                    for k in (lo..hi).rev() {
-                        if !run(k, &mut spa, &mut shard_acc, rec) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            true
+        let (complete, _) = timed_span(rec, "shard", |rec| {
+            let items = kernel.items(lo, hi);
+            run_range(kernel, items, &mut spa, &mut shard_acc, &mut poll, rec)
         });
-        acc.merge(shard_acc);
+        total.merge(shard_acc);
         if !complete {
-            return false;
+            return (total, false);
         }
         finish_shard(&plan, lo, hi, rec);
     }
-    true
+    (total, true)
 }
 
 /// Planned shard layout of one run: the non-empty vertex ranges plus the
@@ -290,18 +182,6 @@ fn finish_shard<R: Recorder>(plan: &ShardLayout, lo: usize, hi: usize, rec: &mut
         if let Some(i) = plan.ranges.iter().position(|&r| r == (lo, hi)) {
             rec.series_push("shard_wedges", plan.wedges[i] as f64);
         }
-    }
-}
-
-/// Iterate shard ranges in traversal order (reversed for backward
-/// members, so the exposure order matches the unsharded run).
-fn ordered(
-    ranges: &[(usize, usize)],
-    traversal: Traversal,
-) -> Box<dyn Iterator<Item = &(usize, usize)> + '_> {
-    match traversal {
-        Traversal::Forward => Box::new(ranges.iter()),
-        Traversal::Backward => Box::new(ranges.iter().rev()),
     }
 }
 
@@ -546,7 +426,7 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
     let mut spa = Spa::<u64>::new(part_len);
     let mut total = CheckedAccum::new();
     let mut complete = true;
-    let mut exposed = 0usize;
+    let mut poll = Poll::new(budget.deadline);
     let mut shards_done = 0u64;
     let phase_result =
         bfly_telemetry::timed_phase(rec, "count", |rec| -> crate::error::Result<()> {
@@ -568,49 +448,20 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
                 let mut shard_acc = CheckedAccum::new();
                 let shard_complete =
                     timed_span(rec, "shard", |rec| -> crate::error::Result<bool> {
-                        // Inv1/Inv5 are forward traversals; the selector never
-                        // picks a backward member, but mirror it defensively.
+                        // Inv1/Inv5 are forward traversals; the selector
+                        // never picks a backward member.
                         for k in lo..hi {
-                            exposed += 1;
-                            if exposed.is_multiple_of(DEADLINE_STRIDE) {
-                                if let Some(d) = budget.deadline {
-                                    if Instant::now() >= d {
-                                        return Ok(false);
-                                    }
-                                }
+                            if poll.expired() {
+                                return Ok(false);
                             }
-                            let k32 = k as u32;
-                            let mut wedges = 0u64;
-                            for &j in seg.neighbors(k) {
-                                let row = reader.row(j as usize)?;
-                                let slice = match filter {
-                                    PartFilter::Before => {
-                                        let cut = row.partition_point(|&c| c < k32);
-                                        &row[..cut]
-                                    }
-                                    PartFilter::After => {
-                                        let cut = row.partition_point(|&c| c <= k32);
-                                        &row[cut..]
-                                    }
-                                };
-                                if R::ENABLED {
-                                    wedges += slice.len() as u64;
-                                }
-                                for &c in slice {
-                                    spa.scatter(c, 1);
-                                }
-                            }
-                            if R::ENABLED {
-                                rec.incr(Counter::VerticesExposed, 1);
-                                rec.incr(Counter::WedgesExpanded, wedges);
-                                rec.incr(Counter::SpaScatters, wedges);
-                                rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
-                                rec.hist_record("vertex_wedges", wedges);
-                            }
-                            for (_, cnt) in spa.entries() {
-                                shard_acc.add(choose2(cnt));
-                            }
-                            spa.clear();
+                            let (wedges, touched) = update_vertex(
+                                seg.neighbors(k),
+                                &mut reader,
+                                filter.window(k),
+                                &mut spa,
+                                &mut shard_acc,
+                            )?;
+                            record_update(rec, wedges, touched);
                         }
                         Ok(true)
                     })?;
@@ -653,10 +504,7 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
         record_degraded(rec, "deadline");
     }
     record_memory(rec);
-    let value = total.finish().map_err(|partial| BflyError::CountOverflow {
-        partial,
-        context: "count_segmented",
-    })?;
+    let value = crate::error::checked_total(total, "count_segmented")?;
     Ok(Partial {
         value: (value, plan),
         complete,
@@ -727,18 +575,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(79);
         let g = chung_lu(80, 60, 700, 1.0, 1.0, &mut rng);
         let want = count_brute_force(&g);
+        let base = select_plan(&GraphProfile::compute(&g), false, 0);
         for member in [Member::Priority, Member::Ranked] {
             for shards in [1, 2, 4] {
-                let (acc, complete) = count_sharded_member_checked_recorded(
-                    &g,
+                let plan = Plan {
                     member,
-                    shards,
-                    None,
-                    &mut NoopRecorder,
-                )
-                .unwrap();
-                assert!(complete);
-                assert_eq!(acc.finish(), Ok(want), "{member:?} x{shards}");
+                    mode: ExecMode::Sharded { shards },
+                    ..base.clone()
+                };
+                let r = crate::adaptive::run_plan(&g, &plan, None, &mut NoopRecorder).unwrap();
+                assert!(r.complete);
+                assert_eq!(r.value, want, "{member:?} x{shards}");
             }
         }
     }

@@ -14,11 +14,13 @@
 //! makes some intermediate state disagree — so the tests here check the
 //! derivation itself, not just the final totals.
 
-use super::engine::{update_for_vertex, Traversal};
+use super::engine::{FixedKernel, Traversal};
+use super::parallel::Kernel;
 use super::Invariant;
 use crate::partitioned::count_categories;
-use bfly_graph::{BipartiteGraph, Side};
-use bfly_sparse::Spa;
+use bfly_graph::BipartiteGraph;
+use bfly_sparse::CheckedAccum;
+use bfly_telemetry::NoopRecorder;
 
 /// The invariant's specified value when `processed` vertices of the
 /// partitioned side have been consumed by the given invariant's loop.
@@ -64,40 +66,39 @@ pub fn invariant_specified_value(g: &BipartiteGraph, inv: Invariant, processed: 
 /// iteration (and before the first). Returns the final count on success;
 /// returns `Err` with a diagnostic at the first violated state.
 pub fn verify_loop_invariant(g: &BipartiteGraph, inv: Invariant) -> Result<u64, String> {
-    let side = inv.partitioned_side();
-    let (part_adj, other_adj) = match side {
-        Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-        Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-    };
-    let n = part_adj.nrows();
-    let mut spa = Spa::<u64>::new(n);
-    let mut acc = 0u64;
+    let kernel = FixedKernel::of(g, inv);
+    let n = kernel.len();
+    let mut spa = kernel.scratch();
+    let mut acc = CheckedAccum::new();
 
     // P_pre ⇒ P_inv: zero vertices processed.
     let want0 = invariant_specified_value(g, inv, 0);
-    if acc != want0 {
+    if want0 != 0 {
         return Err(format!(
             "{inv}: invariant fails at initialisation (acc 0, specified {want0})"
         ));
     }
 
-    let order: Box<dyn Iterator<Item = usize>> = match inv.traversal() {
-        Traversal::Forward => Box::new(0..n),
-        Traversal::Backward => Box::new((0..n).rev()),
-    };
-    for (step, k) in order.enumerate() {
-        acc += update_for_vertex(part_adj, other_adj, inv.update_part(), k, &mut spa);
+    for step in 0..n {
+        // The engine's own kernel, one exposed vertex at a time.
+        kernel.item(step, &mut spa, &mut acc, &mut NoopRecorder);
         let processed = step + 1;
         let want = invariant_specified_value(g, inv, processed);
-        if acc != want {
+        if acc.value() != want as u128 {
+            let k = match inv.traversal() {
+                Traversal::Forward => step,
+                Traversal::Backward => n - 1 - step,
+            };
             return Err(format!(
                 "{inv}: invariant violated after processing {processed} vertices \
-                 (exposed vertex {k}): accumulated {acc}, specified {want}"
+                 (exposed vertex {k}): accumulated {}, specified {want}",
+                acc.value()
             ));
         }
     }
 
     // P_inv ∧ ¬guard ⇒ P_post: all processed ⇒ the invariant value is Ξ_G.
+    let acc = acc.value() as u64;
     let total = crate::spec::count_via_spgemm(g);
     if acc != total {
         return Err(format!(
@@ -110,7 +111,7 @@ pub fn verify_loop_invariant(g: &BipartiteGraph, inv: Invariant) -> Result<u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::engine::PartFilter;
+    use crate::family::engine::{update_vertex, PartFilter};
     use bfly_graph::generators::{chung_lu, uniform_exact};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -197,9 +198,12 @@ mod tests {
         // first iteration counts look-ahead pairs, the invariant-1 spec
         // says Ξ of an empty prefix pair set.
         let at = g.biadjacency_t();
-        let a = g.biadjacency();
-        let mut spa = Spa::<u64>::new(g.nv2());
-        let wrong_first = update_for_vertex(at, a, PartFilter::After, 0, &mut spa);
+        let mut a = g.biadjacency();
+        let mut spa = bfly_sparse::Spa::<u64>::new(g.nv2());
+        let mut acc = CheckedAccum::new();
+        let window = PartFilter::After.window(0);
+        let Ok(_) = update_vertex(at.row(0), &mut a, window, &mut spa, &mut acc);
+        let wrong_first = acc.finish().unwrap();
         let specified = invariant_specified_value(&g, Invariant::Inv1, 1);
         assert_ne!(
             wrong_first, specified,

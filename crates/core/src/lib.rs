@@ -74,9 +74,9 @@ pub mod wedges;
 pub use adaptive::{
     count_adaptive, count_adaptive_budgeted, count_adaptive_budgeted_recorded,
     count_adaptive_parallel, count_adaptive_parallel_recorded, count_adaptive_recorded,
-    graph_resident_bytes, plan_scratch_bytes, select_invariant, select_plan, select_plan_budgeted,
-    try_count_adaptive, try_count_adaptive_parallel, tune_plan_chunks, ExecMode, GraphProfile,
-    Member, Plan, PRIORITY_ADVANTAGE, PRIORITY_MIN_WORK,
+    graph_resident_bytes, plan_scratch_bytes, run_plan, select_invariant, select_plan,
+    select_plan_budgeted, try_count_adaptive, try_count_adaptive_parallel, tune_plan_chunks,
+    ExecMode, GraphProfile, Member, Plan, PRIORITY_ADVANTAGE, PRIORITY_MIN_WORK,
 };
 pub use budget::{record_memory, Partial, ResourceBudget};
 pub use checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore};
@@ -84,14 +84,12 @@ pub use enumerate::{count_by_enumeration, enumerate_butterflies, for_each_butter
 pub use error::{validate_graph, BflyError};
 pub use family::{
     count, count_auto, count_auto_recorded, count_parallel, count_parallel_recorded,
-    count_parallel_shared, count_parallel_with_threads, count_parallel_with_threads_recorded,
-    count_priority, count_priority_parallel, count_priority_shared, count_ranked,
-    count_ranked_parallel, count_ranked_shared, count_recorded, count_segmented,
-    count_segmented_budgeted_recorded, count_segmented_checkpointed_recorded,
-    count_segmented_sharded_recorded, count_sharded, count_sharded_recorded, priority_wedge_work,
-    segmented_profile, segmented_wedge_weights, try_count, try_count_priority,
-    try_count_priority_parallel, try_count_ranked, try_count_ranked_parallel, try_count_recorded,
-    try_count_sharded, tuned_chunk_count, tuned_chunk_count_from_latency, weight_p90, Invariant,
+    count_parallel_with_threads, count_priority, count_priority_parallel, count_ranked,
+    count_ranked_parallel, count_recorded, count_segmented, count_segmented_budgeted_recorded,
+    count_segmented_checkpointed_recorded, count_segmented_sharded_recorded, count_sharded,
+    count_sharded_recorded, priority_wedge_work, segmented_profile, segmented_wedge_weights,
+    try_count, try_count_priority, try_count_ranked, try_count_recorded, try_count_sharded,
+    tuned_chunk_count, weight_p90, Invariant,
 };
 pub use incremental::IncrementalCounter;
 pub use pair_matrix::PairMatrix;

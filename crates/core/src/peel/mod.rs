@@ -17,9 +17,9 @@ pub use bucket::{BucketQueue, StampSet};
 pub use decomposition::{TipDecomposition, WingDecomposition};
 pub use parallel::{
     tip_numbers_budgeted_recorded, tip_numbers_parallel, tip_numbers_parallel_recorded,
-    tip_numbers_shared, tip_numbers_with_chunks, try_tip_numbers, try_wing_numbers,
-    wing_numbers_budgeted_recorded, wing_numbers_parallel, wing_numbers_parallel_recorded,
-    wing_numbers_shared, wing_numbers_with_chunks, PAR_FRONTIER_MIN,
+    tip_numbers_with_chunks, try_tip_numbers, try_wing_numbers, wing_numbers_budgeted_recorded,
+    wing_numbers_parallel, wing_numbers_parallel_recorded, wing_numbers_with_chunks,
+    PAR_FRONTIER_MIN,
 };
 
 pub use tip::{

@@ -36,11 +36,11 @@
 use super::bucket::{BucketQueue, StampSet};
 use super::wing::edge_id;
 use crate::edge_support::{edge_supports, edge_supports_parallel};
+use crate::family::parallel::fork_join;
 use crate::vertex_counts::{butterflies_per_vertex, butterflies_per_vertex_parallel};
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::{choose2, Spa};
-use bfly_telemetry::{Counter, MetricsHub, NoopRecorder, Recorder, ThreadTrace};
-use rayon::prelude::*;
+use bfly_telemetry::{Counter, NoopRecorder, Recorder};
 
 /// Smallest frontier worth chunking across workers: below this the
 /// per-round join (and the thread handoff of the vendored rayon shim)
@@ -73,8 +73,9 @@ impl PeelScratch {
 /// Recorded per round: a `peel_round` span, [`Counter::PeelRounds`], the
 /// peeled-item counter given by `peeled`, the `bucket_size` and
 /// `support_updates` histograms, and [`Counter::SupportsRecomputed`]
-/// (touched delta entries). Parallel rounds additionally merge one
-/// `chunk` span per worker and bump [`Counter::ParChunks`].
+/// (touched delta entries). Parallel rounds run their chunks through the
+/// family's [`fork_join`] (one forked recorder, `chunk` span and
+/// `chunk_us` sample per chunk; [`Counter::ParChunks`]).
 ///
 /// An optional wall-clock deadline is polled at
 /// round boundaries (the engine's phase boundary — never inside a
@@ -146,40 +147,25 @@ where
                     parts.push((part, pool.pop().expect("pool sized to chunks")));
                 }
                 let (alive_ref, set_ref, kernel_ref) = (&alive, &frontier_set, &kernel);
-                type ChunkOut = ((Vec<u32>, Vec<u64>), Option<ThreadTrace>, PeelScratch);
-                let results: Vec<ChunkOut> = parts
-                    .into_par_iter()
-                    .map(|(part, mut scratch)| {
-                        let mut trace = R::ENABLED.then(ThreadTrace::new);
-                        let t0 = std::time::Instant::now();
-                        if let Some(t) = trace.as_mut() {
-                            t.span_enter("chunk");
-                        }
+                let results = fork_join(
+                    parts,
+                    || (),
+                    rec,
+                    |_, (part, mut scratch), _| {
                         for &v in part {
                             kernel_ref(v, alive_ref, set_ref, &mut scratch);
                         }
-                        if let Some(t) = trace.as_mut() {
-                            t.span_exit("chunk");
-                            t.hist_record("chunk_us", t0.elapsed().as_micros() as u64);
-                        }
-                        (scratch.delta.drain_sorted(), trace, scratch)
-                    })
-                    .collect();
-                if R::ENABLED {
-                    rec.incr(Counter::ParChunks, results.len() as u64);
-                }
+                        (scratch.delta.drain_sorted(), scratch)
+                    },
+                );
                 // Merge every chunk's deltas before applying any of them:
                 // a survivor's total decrement must be summed first, as
                 // clamped partial applications would not commute.
-                for (i, ((idx, vals), trace, scratch)) in results.into_iter().enumerate() {
+                for ((idx, vals), scratch) in results {
                     for (&w, &d) in idx.iter().zip(vals.iter()) {
                         main.delta.scatter(w, d);
                     }
                     pool.push(scratch);
-                    if let Some(t) = trace {
-                        // Track 0 is the caller's stream; workers from 1.
-                        rec.merge_thread(i as u32 + 1, t);
-                    }
                 }
             } else {
                 for &v in &frontier {
@@ -234,21 +220,6 @@ pub fn tip_numbers_with_chunks<R: Recorder>(
     tip_peel_run(g, side, chunks, init, None, rec).0
 }
 
-/// [`tip_numbers_with_chunks`] recording live into a shared
-/// [`MetricsHub`]: round counters, `peel_round` span aggregates, and the
-/// per-round histograms land in the hub as the peel progresses, so a
-/// concurrent scrape or stream sees the decomposition advance
-/// round-by-round instead of all at once after the merge.
-pub fn tip_numbers_shared(
-    g: &BipartiteGraph,
-    side: Side,
-    chunks: usize,
-    hub: &MetricsHub,
-) -> Vec<u64> {
-    let mut rec: &MetricsHub = hub;
-    tip_numbers_with_chunks(g, side, chunks, &mut rec)
-}
-
 /// Shared tip-peeling run: bucket engine over precomputed initial counts
 /// with an optional round-boundary deadline.
 fn tip_peel_run<R: Recorder>(
@@ -298,13 +269,6 @@ pub fn wing_numbers_with_chunks<R: Recorder>(
         edge_supports(g)
     };
     wing_peel_run(g, chunks, init, None, rec).0
-}
-
-/// [`wing_numbers_with_chunks`] recording live into a shared
-/// [`MetricsHub`]; same liveness contract as [`tip_numbers_shared`].
-pub fn wing_numbers_shared(g: &BipartiteGraph, chunks: usize, hub: &MetricsHub) -> Vec<u64> {
-    let mut rec: &MetricsHub = hub;
-    wing_numbers_with_chunks(g, chunks, &mut rec)
 }
 
 /// Shared wing-peeling run: bucket engine over precomputed initial

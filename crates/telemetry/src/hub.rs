@@ -26,7 +26,8 @@
 //! Because the hub records through `&self`, it implements
 //! [`Recorder`] **for `&MetricsHub`** — any instrumented API taking
 //! `&mut R` accepts `&mut &hub`, and many such borrows can live at
-//! once, one per worker.
+//! once: [`Recorder::fork`] hands every parallel worker the same hub, so
+//! workers publish live and the join has nothing left to fold.
 //!
 //! [`MetricsHub::snapshot`] returns a [`MetricsSnapshot`] — a coherent*
 //! copy of everything above. `MetricsSnapshot::delta_since` subtracts an
@@ -44,7 +45,7 @@ use std::time::Instant;
 use crate::hist::Histogram;
 use crate::json::Json;
 use crate::report::{PhaseRow, RunReport};
-use crate::{Counter, Recorder, ThreadTrace, WorkTally};
+use crate::{Counter, Recorder};
 
 /// Number of mutex shards for histogram/phase/series/span-agg state.
 const NSHARDS: usize = 8;
@@ -362,8 +363,9 @@ impl MetricsHub {
 /// The `Recorder` face of the hub: implemented on `&MetricsHub` (not
 /// `MetricsHub`) so instrumented APIs taking `&mut R` can be handed
 /// `&mut &hub` while other threads hold their own borrows.
-impl Recorder for &MetricsHub {
+impl<'a> Recorder for &'a MetricsHub {
     const ENABLED: bool = true;
+    type Worker = &'a MetricsHub;
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {
@@ -410,34 +412,12 @@ impl Recorder for &MetricsHub {
         self.record_hist(name, value);
     }
 
-    fn merge(&mut self, tally: &WorkTally) {
-        for c in Counter::ALL {
-            let n = tally.get(c);
-            if n != 0 {
-                MetricsHub::incr(self, c, n);
-            }
-        }
+    fn fork(&self) -> &'a MetricsHub {
+        self
     }
 
-    fn merge_thread(&mut self, _thread: u32, mut trace: ThreadTrace) {
-        trace.finish();
-        self.merge(trace.tally());
-        let mut shard = self.shard().lock().expect("hub shard poisoned");
-        for raw in trace.spans.drain(..) {
-            let dur = raw
-                .end
-                .checked_duration_since(raw.start)
-                .unwrap_or_default()
-                .as_micros() as u64;
-            shard.span(raw.name).absorb_one(dur);
-        }
-        for (name, h) in &trace.hists {
-            shard.hist(name).merge(h);
-        }
-        drop(shard);
-        self.spans_dropped
-            .fetch_add(trace.dropped, Ordering::Relaxed);
-    }
+    /// Workers published into the hub as they ran: nothing to fold.
+    fn join(&mut self, _track: u32, _worker: &'a MetricsHub) {}
 }
 
 /// Point-in-time copy of a [`MetricsHub`]'s state.
@@ -628,20 +608,26 @@ mod tests {
     }
 
     #[test]
-    fn merge_thread_folds_trace_into_aggregates() {
+    fn forked_workers_publish_live() {
         let hub = MetricsHub::new();
-        let mut t = ThreadTrace::new();
-        t.span_enter("chunk");
-        t.incr(Counter::WedgesExpanded, 11);
-        t.hist_record("chunk_us", 42);
-        t.span_exit("chunk");
         let mut rec = &hub;
-        rec.merge_thread(1, t);
+        let mut worker = rec.fork();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                worker.span_enter("chunk");
+                worker.incr(Counter::WedgesExpanded, 11);
+                worker.hist_record("chunk_us", 42);
+                worker.span_exit("chunk");
+            });
+        });
+        // Visible before the join: the worker wrote straight into the hub.
         let snap = hub.snapshot();
         assert_eq!(snap.counter(Counter::WedgesExpanded), 11);
         assert_eq!(snap.histogram("chunk_us").unwrap().max(), 42);
         let (_, agg) = snap.spans.iter().find(|(n, _)| n == "chunk").unwrap();
         assert_eq!(agg.count, 1);
+        rec.join(1, worker);
+        assert_eq!(hub.snapshot(), snap);
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //! (`--stats` / `--report` / `--trace`) and the bench binaries
 //! (`BENCH_*.json`) emit.
 //!
-//! Parallel code cannot share one `&mut Recorder` across workers; each
-//! worker records into its own [`ThreadTrace`] (counters + spans +
-//! histograms against the global monotonic clock) and the caller folds
-//! the traces in after the join ([`Recorder::merge_thread`]), giving
-//! every worker its own span track. Plain counter-only workers can
-//! still use [`WorkTally`] + [`Recorder::merge`].
+//! Parallel code cannot share one `&mut Recorder` across workers, so
+//! every recorder hands each worker one of its own
+//! ([`Recorder::fork`]) and takes it back after the join
+//! ([`Recorder::join`]). The buffering recorders fork a [`ThreadTrace`]
+//! (counters + spans + histograms against the global monotonic clock)
+//! and join it onto its own span track; `&MetricsHub` forks itself, so
+//! workers publish live; [`NoopRecorder`] forks itself and compiles
+//! away.
 //!
 //! Reports export further as Chrome Trace Event JSON
 //! ([`RunReport::to_chrome_trace`], for `chrome://tracing` / Perfetto)
@@ -181,9 +183,8 @@ impl Counter {
     }
 }
 
-/// Plain additive bundle of counters for code that cannot hold a
-/// `&mut Recorder` — per-thread workers fill one and the caller merges
-/// them after the join.
+/// Plain additive bundle of counters: the tally behind every buffering
+/// recorder and span delta, and itself a counters-only recorder.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkTally {
     counts: [u64; Counter::COUNT],
@@ -241,6 +242,10 @@ pub trait Recorder {
     /// compile out under that promise.
     const ENABLED: bool;
 
+    /// What [`Recorder::fork`] hands a parallel worker. Disabled
+    /// recorders must fork disabled workers.
+    type Worker: Recorder + Send;
+
     /// Add `n` to counter `c`.
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {
@@ -290,37 +295,34 @@ pub trait Recorder {
         let _ = (name, value);
     }
 
-    /// Fold a worker tally into the recorder.
-    #[inline]
-    fn merge(&mut self, tally: &WorkTally) {
-        let _ = tally;
-    }
+    /// Hand out the recorder one parallel worker records into. Called on
+    /// the caller's thread before the fork; the worker moves to its
+    /// thread and comes back through [`Recorder::join`].
+    fn fork(&self) -> Self::Worker;
 
-    /// Fold a worker's event stream in after its join: counters always,
-    /// spans/histograms if the recorder keeps them. `thread` is the
-    /// track id (0 is the caller's own track, so workers should be
-    /// numbered from 1).
-    #[inline]
-    fn merge_thread(&mut self, thread: u32, mut trace: ThreadTrace) {
-        let _ = thread;
-        trace.finish();
-        self.merge(trace.tally());
-    }
+    /// Take a worker back after its join: counters always, spans and
+    /// histograms if the recorder keeps them. `track` is the span track
+    /// (0 is the caller's own, so workers are numbered from 1).
+    fn join(&mut self, track: u32, worker: Self::Worker);
 }
 
 /// A tally is itself a counters-only recorder, so per-thread workers can
 /// run the same instrumented code paths and be merged afterwards.
 impl Recorder for WorkTally {
     const ENABLED: bool = true;
+    type Worker = WorkTally;
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {
         self.add(c, n);
     }
 
-    #[inline]
-    fn merge(&mut self, tally: &WorkTally) {
-        self.absorb(tally);
+    fn fork(&self) -> WorkTally {
+        WorkTally::new()
+    }
+
+    fn join(&mut self, _track: u32, worker: WorkTally) {
+        self.absorb(&worker);
     }
 }
 
@@ -331,12 +333,22 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {
     const ENABLED: bool = false;
+    type Worker = NoopRecorder;
+
+    #[inline]
+    fn fork(&self) -> NoopRecorder {
+        NoopRecorder
+    }
+
+    #[inline]
+    fn join(&mut self, _track: u32, _worker: NoopRecorder) {}
 }
 
 /// Forwarding impl so an `InMemoryRecorder` can be threaded through APIs
 /// that take the recorder by value (`&mut R` is itself a `Recorder`).
 impl<R: Recorder> Recorder for &mut R {
     const ENABLED: bool = R::ENABLED;
+    type Worker = R::Worker;
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {
@@ -379,19 +391,19 @@ impl<R: Recorder> Recorder for &mut R {
     }
 
     #[inline]
-    fn merge(&mut self, tally: &WorkTally) {
-        (**self).merge(tally);
+    fn fork(&self) -> R::Worker {
+        (**self).fork()
     }
 
     #[inline]
-    fn merge_thread(&mut self, thread: u32, trace: ThreadTrace) {
-        (**self).merge_thread(thread, trace);
+    fn join(&mut self, track: u32, worker: R::Worker) {
+        (**self).join(track, worker);
     }
 }
 
 /// Aggregating recorder backing `--stats` / `--report` / `--trace`.
 /// Spans recorded directly on it land on track 0 (the main thread);
-/// worker traces keep their own tracks via [`Recorder::merge_thread`].
+/// forked worker traces keep their own tracks via [`Recorder::join`].
 #[derive(Debug)]
 pub struct InMemoryRecorder {
     /// Timeline origin: all span timestamps are offsets from here.
@@ -537,6 +549,7 @@ impl InMemoryRecorder {
 
 impl Recorder for InMemoryRecorder {
     const ENABLED: bool = true;
+    type Worker = ThreadTrace;
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {
@@ -638,11 +651,11 @@ impl Recorder for InMemoryRecorder {
         }
     }
 
-    fn merge(&mut self, tally: &WorkTally) {
-        self.tally.absorb(tally);
+    fn fork(&self) -> ThreadTrace {
+        ThreadTrace::new()
     }
 
-    fn merge_thread(&mut self, thread: u32, mut trace: ThreadTrace) {
+    fn join(&mut self, track: u32, mut trace: ThreadTrace) {
         trace.finish();
         self.tally.absorb(trace.tally());
         for raw in trace.spans.drain(..) {
@@ -650,7 +663,7 @@ impl Recorder for InMemoryRecorder {
                 self.spans_dropped += 1;
                 continue;
             }
-            self.spans.push(raw.into_row(self.epoch, thread));
+            self.spans.push(raw.into_row(self.epoch, track));
         }
         for (name, h) in &trace.hists {
             if let Some((_, mine)) = self.hists.iter_mut().find(|(n, _)| n == name) {
@@ -732,10 +745,10 @@ mod tests {
         let mut r = InMemoryRecorder::new();
         r.incr(Counter::WedgesExpanded, 10);
         r.incr(Counter::WedgesExpanded, 5);
-        let mut t = WorkTally::new();
-        t.add(Counter::WedgesExpanded, 7);
-        t.add(Counter::SpaScatters, 3);
-        r.merge(&t);
+        let mut t = r.fork();
+        t.incr(Counter::WedgesExpanded, 7);
+        t.incr(Counter::SpaScatters, 3);
+        r.join(1, t);
         assert_eq!(r.counter(Counter::WedgesExpanded), 22);
         assert_eq!(r.counter(Counter::SpaScatters), 3);
     }
@@ -808,15 +821,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_thread_brings_counters_spans_hists() {
+    fn joined_worker_brings_counters_spans_hists() {
         let mut r = InMemoryRecorder::new();
-        let mut t = ThreadTrace::new();
+        let mut t = r.fork();
         t.span_enter("chunk");
         t.incr(Counter::WedgesExpanded, 11);
         t.hist_record("chunk_us", 42);
         t.span_exit("chunk");
         r.hist_record("chunk_us", 7);
-        r.merge_thread(3, t);
+        r.join(3, t);
         assert_eq!(r.counter(Counter::WedgesExpanded), 11);
         assert_eq!(r.spans().len(), 1);
         assert_eq!(r.spans()[0].thread, 3);
@@ -826,16 +839,22 @@ mod tests {
     }
 
     #[test]
-    fn default_merge_thread_keeps_counters() {
-        // A counters-only recorder (WorkTally) still absorbs worker
-        // counters through the default merge_thread, even with spans
-        // left open.
+    fn counter_only_recorders_fork_and_join_tallies() {
+        // A counters-only recorder (WorkTally) forks tallies and absorbs
+        // them back; a worker left with an open span still counts.
         let mut sink = WorkTally::new();
-        let mut t = ThreadTrace::new();
+        let mut t = sink.fork();
         t.span_enter("chunk");
         t.incr(Counter::SpaScatters, 9);
-        sink.merge_thread(1, t);
+        sink.join(1, t);
         assert_eq!(sink.get(Counter::SpaScatters), 9);
+        let mut trace = ThreadTrace::new();
+        let mut inner = trace.fork();
+        inner.span_enter("open");
+        inner.incr(Counter::WedgesExpanded, 4);
+        trace.join(1, inner);
+        assert_eq!(trace.tally().get(Counter::WedgesExpanded), 4);
+        assert_eq!(trace.span_count(), 1);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! spans straight into an `InMemoryRecorder`; parallel workers cannot
 //! share that `&mut` sink, so each fills a [`ThreadTrace`] — a
 //! self-contained recorder holding raw spans against the global
-//! monotonic clock — and the caller folds the traces in after the join
-//! ([`crate::Recorder::merge_thread`]), which is when raw `Instant`s are
-//! rebased onto the run's epoch and become [`SpanRow`]s.
+//! monotonic clock — forked from the caller's recorder and joined back
+//! after the worker finishes ([`crate::Recorder::join`]), which is when
+//! raw `Instant`s are rebased onto the run's epoch and become
+//! [`SpanRow`]s.
 
 use std::time::Instant;
 
@@ -157,6 +158,7 @@ impl ThreadTrace {
 
 impl Recorder for ThreadTrace {
     const ENABLED: bool = true;
+    type Worker = ThreadTrace;
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {
@@ -198,6 +200,31 @@ impl Recorder for ThreadTrace {
             h.record(value);
             self.hists.push((name, h));
         }
+    }
+
+    fn fork(&self) -> ThreadTrace {
+        ThreadTrace::new().with_span_cap(self.cap)
+    }
+
+    /// A trace has a single track, so a nested worker's spans land on it.
+    fn join(&mut self, _track: u32, mut worker: ThreadTrace) {
+        worker.finish();
+        self.tally.absorb(&worker.tally);
+        for raw in worker.spans {
+            if self.spans.len() >= self.cap {
+                self.dropped += 1;
+            } else {
+                self.spans.push(raw);
+            }
+        }
+        for (name, h) in &worker.hists {
+            if let Some((_, mine)) = self.hists.iter_mut().find(|(n, _)| n == name) {
+                mine.merge(h);
+            } else {
+                self.hists.push((name, h.clone()));
+            }
+        }
+        self.dropped += worker.dropped;
     }
 }
 

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use crate::flight::FlightRecorder;
 use crate::json::Json;
 use crate::report::RunReport;
-use crate::{Counter, InMemoryRecorder, Recorder, ThreadTrace, WorkTally};
+use crate::{Counter, InMemoryRecorder, Recorder, ThreadTrace};
 
 /// Line-oriented JSON event writer with a monotonically increasing
 /// `seq` field, so consumers can detect gaps/reordering.
@@ -305,6 +305,7 @@ impl StreamRecorder {
 
 impl Recorder for StreamRecorder {
     const ENABLED: bool = true;
+    type Worker = ThreadTrace;
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {
@@ -370,13 +371,13 @@ impl Recorder for StreamRecorder {
         self.inner.hist_record(name, value);
     }
 
-    fn merge(&mut self, tally: &WorkTally) {
-        self.inner.merge(tally);
+    fn fork(&self) -> ThreadTrace {
+        self.inner.fork()
     }
 
-    fn merge_thread(&mut self, thread: u32, trace: ThreadTrace) {
+    fn join(&mut self, track: u32, worker: ThreadTrace) {
         let before = self.inner.spans().len();
-        self.inner.merge_thread(thread, trace);
+        self.inner.join(track, worker);
         self.stream_new_spans(before);
     }
 }
@@ -470,11 +471,11 @@ mod tests {
         let buf = Buf::default();
         let mut rec =
             StreamRecorder::new().with_sink(NdjsonSink::from_writer(Box::new(buf.clone())));
-        let mut t = ThreadTrace::new();
+        let mut t = rec.fork();
         t.span_enter("chunk");
         t.incr(Counter::ParChunks, 1);
         t.span_exit("chunk");
-        rec.merge_thread(2, t);
+        rec.join(2, t);
         let events = lines(&buf);
         let span = events
             .iter()

@@ -1,21 +1,30 @@
-//! Stress: per-thread trace recording must not change what is counted.
+//! Stress: recording from parallel workers must not change what is
+//! counted.
 //!
-//! The parallel family records each chunk into its own
-//! [`bfly::core::telemetry::ThreadTrace`] and merges the streams at join
-//! time. These tests pin the contract that merging is lossless: for every
-//! invariant, thread count, and seed, the merged counter totals equal the
-//! sequential recorder's, the butterfly count is unchanged, and the
-//! per-thread span streams cover every chunk exactly once.
+//! Every parallel count forks the caller's recorder once per chunk
+//! (`Recorder::fork`) and joins it back after the chunk ran
+//! (`Recorder::join`): the buffering recorders fork a private trace
+//! merged onto the chunk's own span track, the live `&MetricsHub` forks
+//! itself so workers publish as they go, and `NoopRecorder` forks
+//! nothing at all. These tests pin the contract that this is lossless:
+//! for every member, recorder, thread count, and deadline, the counter
+//! totals equal the sequential recorder's, the butterfly count is
+//! unchanged, and the per-chunk span streams cover every chunk exactly
+//! once.
 
 use bfly::core::telemetry::{
     parse_exposition, to_openmetrics, validate_exposition, Counter, InMemoryRecorder, Json,
-    MetricsHub,
+    MetricsHub, NoopRecorder,
 };
-use bfly::core::{count_parallel_recorded, count_parallel_shared, count_recorded, Invariant};
+use bfly::core::{
+    count_parallel_recorded, count_recorded, count_via_spgemm, run_plan, select_plan, ExecMode,
+    GraphProfile, Invariant, Member, Plan,
+};
 use bfly::graph::generators::{chung_lu, uniform_exact};
 use bfly::graph::BipartiteGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::{Duration, Instant};
 
 fn graphs() -> Vec<BipartiteGraph> {
     let mut out = Vec::new();
@@ -73,6 +82,108 @@ fn merged_parallel_counters_equal_sequential_for_all_invariants() {
     }
 }
 
+/// Counter totals other than `par_chunks`, in [`Counter::ALL`] order.
+fn counters_of(get: impl Fn(Counter) -> u64) -> Vec<(Counter, u64)> {
+    Counter::ALL
+        .into_iter()
+        .filter(|&c| comparable(c))
+        .map(|c| (c, get(c)))
+        .collect()
+}
+
+/// Each chunk of a buffered run left exactly one `chunk` span and one
+/// `chunk_us` sample, on a track of its own numbered from 1.
+fn assert_one_span_per_chunk(rec: &InMemoryRecorder, what: &str) {
+    let nchunks = rec.counter(Counter::ParChunks);
+    let mut tracks: Vec<u32> = rec
+        .spans()
+        .iter()
+        .filter(|s| s.name == "chunk")
+        .map(|s| s.thread)
+        .collect();
+    assert_eq!(tracks.len() as u64, nchunks, "{what}: chunk spans");
+    tracks.sort_unstable();
+    tracks.dedup();
+    assert_eq!(tracks.len() as u64, nchunks, "{what}: one track per chunk");
+    assert!(
+        tracks.iter().all(|&t| t >= 1),
+        "{what}: worker tracks from 1"
+    );
+    let samples = rec.histogram("chunk_us").map_or(0, |h| h.count());
+    assert_eq!(samples, nchunks, "{what}: chunk_us samples");
+}
+
+/// The recorder contract as one table: every counting member (the eight
+/// fixed invariants, priority, ranked) × recorder (noop, buffered, live
+/// hub) × threads {1, 2, 4} × deadline {none, an hour out}, through the
+/// one plan executor. Counts equal the sequential run's, every counter
+/// but `par_chunks` is bitwise-equal to the sequential buffered run's,
+/// and on the buffered recorder every chunk has exactly one span and one
+/// latency sample on its own track.
+#[test]
+fn recorder_contract_table() {
+    let members = Invariant::ALL
+        .map(Member::Fixed)
+        .into_iter()
+        .chain([Member::Priority, Member::Ranked]);
+    let graphs = graphs();
+    let bases: Vec<Plan> = graphs
+        .iter()
+        .map(|g| select_plan(&GraphProfile::compute(g), false, 0))
+        .collect();
+    for member in members {
+        for (g, base) in graphs.iter().zip(&bases) {
+            let plan = |mode| Plan {
+                member,
+                invariant: match member {
+                    Member::Fixed(inv) => inv,
+                    _ => base.invariant,
+                },
+                degree_ordered: false,
+                mode,
+                ..base.clone()
+            };
+            let mut seq = InMemoryRecorder::new();
+            let want = run_plan(g, &plan(ExecMode::Flat), None, &mut seq).unwrap();
+            assert!(want.complete);
+            assert_eq!(want.value, count_via_spgemm(g), "{member:?}");
+            let want_counters = counters_of(|c| seq.counter(c));
+            for threads in [1usize, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let par = plan(ExecMode::Parallel { chunks: threads });
+                for deadline in [None, Some(Instant::now() + Duration::from_secs(3600))] {
+                    let what = format!("{member:?} x{threads} deadline {:?}", deadline.is_some());
+                    let r = pool.install(|| run_plan(g, &par, deadline, &mut NoopRecorder));
+                    let r = r.unwrap();
+                    assert!(r.complete, "{what}: noop");
+                    assert_eq!(r.value, want.value, "{what}: noop count");
+
+                    let mut rec = InMemoryRecorder::new();
+                    let r = pool
+                        .install(|| run_plan(g, &par, deadline, &mut rec))
+                        .unwrap();
+                    assert!(r.complete, "{what}: buffered");
+                    assert_eq!(r.value, want.value, "{what}: buffered count");
+                    assert_eq!(counters_of(|c| rec.counter(c)), want_counters, "{what}");
+                    assert_one_span_per_chunk(&rec, &what);
+
+                    let hub = MetricsHub::new();
+                    let r = pool
+                        .install(|| run_plan(g, &par, deadline, &mut &hub))
+                        .unwrap();
+                    assert!(r.complete, "{what}: hub");
+                    assert_eq!(r.value, want.value, "{what}: hub count");
+                    let snap = hub.snapshot();
+                    assert_eq!(counters_of(|c| snap.counter(c)), want_counters, "{what}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn every_chunk_leaves_exactly_one_span_and_latency_sample() {
     let mut rng = StdRng::seed_from_u64(31);
@@ -104,10 +215,10 @@ fn every_chunk_leaves_exactly_one_span_and_latency_sample() {
     }
 }
 
-/// The live-hub acceptance pin: workers recording straight into a shared
-/// [`MetricsHub`] (no per-thread buffering, no merge step) must land on
-/// counter totals bitwise-equal to the sequential recorder's, for every
-/// invariant and thread count.
+/// The live-hub acceptance pin: workers forked from a shared
+/// [`MetricsHub`] record straight into it (no per-thread buffering, no
+/// merge step) and must land on counter totals bitwise-equal to the
+/// sequential recorder's, for every invariant and thread count.
 #[test]
 fn shared_hub_counter_totals_equal_sequential_for_all_invariants() {
     for g in graphs() {
@@ -119,7 +230,7 @@ fn shared_hub_counter_totals_equal_sequential_for_all_invariants() {
                     .build()
                     .unwrap();
                 let hub = MetricsHub::new();
-                let par_xi = pool.install(|| count_parallel_shared(&g, inv, &hub));
+                let par_xi = pool.install(|| count_parallel_recorded(&g, inv, &mut &hub));
                 assert_eq!(par_xi, seq_xi, "{inv} with {threads} threads: count");
                 let snap = hub.snapshot();
                 for &(c, want) in seq_tally.iter().filter(|(c, _)| comparable(*c)) {
@@ -177,7 +288,7 @@ fn hub_snapshot_openmetrics_round_trip() {
         .num_threads(4)
         .build()
         .unwrap();
-    pool.install(|| count_parallel_shared(&g, Invariant::Inv2, &hub));
+    pool.install(|| count_parallel_recorded(&g, Invariant::Inv2, &mut &hub));
     let snap = hub.snapshot();
     let rep = snap.to_report(vec![(
         "command".to_string(),
