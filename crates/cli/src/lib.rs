@@ -2380,9 +2380,10 @@ fn run_count_budgeted(
 /// The out-of-core counting path: opens the `.bfly` file as a
 /// [`SegmentedGraph`] and streams wedge-balanced vertex-range shards
 /// through [`count_segmented_budgeted_recorded`] — the full graph is
-/// never resident; peak memory is the metadata, one shard, and one
-/// accumulator. Shard count comes from `--shards`, `--shard-bytes`, or
-/// the byte budget (in that precedence); budget refusals exit through
+/// never resident; peak memory is the metadata, one shard, one
+/// accumulator, and the pinned hub rows. Shard count comes from
+/// `--shards`, `--shard-bytes`, or the byte budget (in that
+/// precedence); budget refusals exit through
 /// [`ErrorClass::Budget`] and a deadline cut yields a flagged partial
 /// exactly like the in-memory budgeted path.
 #[allow(clippy::too_many_arguments)]

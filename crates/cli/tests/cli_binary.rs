@@ -708,3 +708,53 @@ fn budgeted_counts_record_the_same_kernel_work_as_adaptive() {
         );
     }
 }
+
+#[test]
+fn out_of_core_explain_prints_unmeasured_priority_work_as_null() {
+    // An out-of-core profile cannot measure the priority member's work;
+    // --explain must say so, not print the planner's u64::MAX sentinel.
+    let dir = tempdir();
+    let tsv = dir.join("explain-ooc.tsv");
+    let bfly_file = dir.join("explain-ooc.bfly");
+    for args in [
+        vec![
+            "generate",
+            "--kind",
+            "uniform",
+            "--m",
+            "500",
+            "--n",
+            "500",
+            "--edges",
+            "20000",
+            "--seed",
+            "7",
+            "--out",
+            tsv.to_str().unwrap(),
+        ],
+        vec![
+            "convert",
+            tsv.to_str().unwrap(),
+            "--out",
+            bfly_file.to_str().unwrap(),
+        ],
+    ] {
+        assert!(bfly().args(&args).output().unwrap().status.success());
+    }
+    // 128 KiB is below the graph's ~172 KiB resident footprint.
+    let out = bfly()
+        .arg("count")
+        .arg(&bfly_file)
+        .args(["--max-bytes", "131072", "--explain"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("(out-of-core, "), "{text}");
+    assert!(text.contains("\"wedges_priority\": null"), "{text}");
+    assert!(!text.contains(&u64::MAX.to_string()), "{text}");
+}

@@ -76,7 +76,9 @@ pub struct GraphProfile {
     /// `min(wedges_v1, wedges_v2)` in general — on near-uniform graphs it
     /// can exceed the best fixed side by up to ~30% — which is why
     /// [`select_plan`] gates the priority member on this measured value
-    /// rather than assuming an advantage.
+    /// rather than assuming an advantage. `u64::MAX` when it cannot be
+    /// measured (an out-of-core profile): the gate then never fires, and
+    /// [`GraphProfile::to_json`] renders it as `null`.
     pub wedges_priority: u64,
     /// Degree skew of V1: `max_deg_v1 / mean_deg_v1` (0 when edgeless).
     pub skew_v1: f64,
@@ -171,7 +173,13 @@ impl GraphProfile {
             ("max_deg_v2".into(), Json::UInt(self.max_deg_v2 as u64)),
             ("wedges_v1".into(), Json::UInt(self.wedges_v1)),
             ("wedges_v2".into(), Json::UInt(self.wedges_v2)),
-            ("wedges_priority".into(), Json::UInt(self.wedges_priority)),
+            (
+                "wedges_priority".into(),
+                match self.wedges_priority {
+                    u64::MAX => Json::Null,
+                    w => Json::UInt(w),
+                },
+            ),
             ("skew_v1".into(), Json::Float(self.skew_v1)),
             ("skew_v2".into(), Json::Float(self.skew_v2)),
             ("resident_bytes".into(), Json::UInt(self.resident_bytes)),
@@ -199,8 +207,8 @@ pub enum ExecMode {
     /// wedge-balanced contiguous shards of the partitioned side counted
     /// independently and merged exactly — the out-of-core tier, selected
     /// when the byte budget cannot hold the resident graph. On a `.bfly`
-    /// input only the metadata, one shard, and one accumulator are ever
-    /// resident.
+    /// input only the metadata, one shard, one accumulator, and the
+    /// pinned hub rows (inside the cap's slack) are ever resident.
     Sharded {
         /// Number of vertex-range shards.
         shards: usize,
@@ -873,7 +881,9 @@ pub fn plan_scratch_bytes(profile: &GraphProfile, plan: &Plan) -> u64 {
             // decoded partition rows, one decoded other-side row, one
             // accumulator over the partitioned side, and the shard
             // balancing arrays. Unlike the in-memory modes this *replaces*
-            // the resident graph rather than adding to it.
+            // the resident graph rather than adding to it. The row
+            // reader's pinned rows are not charged: the count sizes them
+            // to the slack this estimate leaves under the cap.
             let shards = shards.max(1) as u64;
             let nboth = (profile.nv1 + profile.nv2) as u64;
             let max_deg_other = match plan.partition_side() {

@@ -22,11 +22,13 @@
 //!   [`SegmentedGraph`] (the `.bfly` on-disk format) counted without
 //!   ever materializing the full graph. Each shard materializes only
 //!   its own partitioned-side rows ([`SegmentedGraph::segment`]);
-//!   opposite-side rows stream through a
+//!   opposite-side rows come from a
 //!   [`RowReader`](bfly_graph::RowReader) into the same
-//!   eq. 18 vertex update the in-memory kernel runs. Peak memory is
-//!   the reader's metadata plus one shard plus one SPA — the
-//!   `mem.peak_bytes` gauge proves it.
+//!   eq. 18 vertex update the in-memory kernel runs. The reader pins
+//!   the heaviest opposite rows, decoded once, in the byte slack the
+//!   plan leaves (at most [`STREAM_WINDOW_BYTES`]) and streams the
+//!   rest. Peak memory is the reader's metadata plus one shard plus one
+//!   SPA plus the pin — the `mem.peak_bytes` gauge proves it.
 //!
 //! Shards are sized by the same [`balanced_chunk_bounds`] wedge-weighted
 //! splitting the parallel kernels use, so skewed graphs get even shards
@@ -51,7 +53,8 @@ use std::time::Instant;
 /// walks). Bounds both the encoded bytes read and the decoded columns
 /// per window; budgeted execution shrinks the window further to the
 /// per-shard payload so scan transients stay within the shard terms of
-/// [`crate::adaptive::plan_scratch_bytes`].
+/// [`crate::adaptive::plan_scratch_bytes`]. Also the ceiling of the
+/// count's pinned opposite-side rows.
 pub(crate) const STREAM_WINDOW_BYTES: u64 = 256 << 10;
 
 /// Count butterflies with invariant `inv` over `nshards` wedge-balanced
@@ -300,7 +303,10 @@ pub fn count_segmented_sharded_recorded<R: Recorder>(
 ///
 /// Execution mirrors the engine kernel exactly — same counters, same
 /// `vertex_wedges` histogram — over [`GraphSegment`] rows with
-/// opposite-side rows streamed through a [`RowReader`]. The budget's
+/// opposite-side rows served by a [`RowReader`], whose pin takes the
+/// byte budget's slack (`max_bytes` − [`plan_scratch_bytes`], at most
+/// [`STREAM_WINDOW_BYTES`]; [`STREAM_WINDOW_BYTES`] with no cap) and
+/// never changes the plan. The budget's
 /// deadline is polled every [`DEADLINE_STRIDE`] vertices (a cut returns
 /// the exact processed-prefix count with `complete = false`), and
 /// measured allocation is re-checked at every shard boundary.
@@ -337,12 +343,27 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
     ckpt: Option<&CheckpointConfig>,
     rec: &mut R,
 ) -> crate::error::Result<Partial<(u64, Plan)>> {
+    run_segmented(sg, shards, shard_bytes, budget, ckpt, None, rec)
+}
+
+/// [`count_segmented_checkpointed_recorded`] with an explicit pin bound
+/// for the opposite-side [`RowReader`](bfly_graph::RowReader); `None`
+/// derives it from the budget's slack.
+pub(crate) fn run_segmented<R: Recorder>(
+    sg: &SegmentedGraph,
+    shards: Option<usize>,
+    shard_bytes: Option<u64>,
+    budget: &ResourceBudget,
+    ckpt: Option<&CheckpointConfig>,
+    pin_bytes: Option<u64>,
+    rec: &mut R,
+) -> crate::error::Result<Partial<(u64, Plan)>> {
     budget.record_limits(rec);
     // Snapshot the reader's retry counters up front so the delta covers
     // the wedge-weight scan as well as the shard loop.
     let (retries0, giveups0) = sg.retry_stats();
     budget.check_measured_bytes()?;
-    let (_profile, plan) = timed_span(rec, "select", |rec| {
+    let (profile, plan) = timed_span(rec, "select", |rec| {
         let profile = segmented_profile(sg);
         let mut plan = select_plan(&profile, false, 0);
         debug_assert!(matches!(plan.member, Member::Fixed(_)));
@@ -391,12 +412,23 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
     let scan_window = (sg.payload_bytes(side, 0, sg.side_len(side)) / nshards.max(1) as u64)
         .clamp(4096, STREAM_WINDOW_BYTES);
     let weights = wedge_weights_windowed(sg, side, scan_window)?;
-    let bounds = balanced_chunk_bounds(&weights, nshards);
-    let ranges: Vec<(usize, usize)> = bounds
-        .windows(2)
-        .filter(|w| w[1] > w[0])
-        .map(|w| (w[0], w[1]))
-        .collect();
+    let (ranges, shard_wedges): (Vec<(usize, usize)>, Vec<u64>) =
+        balanced_chunk_bounds(&weights, nshards)
+            .windows(2)
+            .filter(|w| w[1] > w[0])
+            .map(|w| ((w[0], w[1]), weights[w[0]..w[1]].iter().sum::<u64>()))
+            .unzip();
+    // The per-vertex weights are dead once the shards are priced; free
+    // them before the SPA and the pin take their place.
+    drop(weights);
+    // The pin lives in the slack the plan leaves under the cap, so it
+    // never changes the shard count or a refusal.
+    let pin_bytes = pin_bytes.unwrap_or(match budget.max_bytes {
+        Some(cap) => cap
+            .saturating_sub(plan_scratch_bytes(&profile, &plan))
+            .min(STREAM_WINDOW_BYTES),
+        None => STREAM_WINDOW_BYTES,
+    });
     if R::ENABLED {
         rec.gauge("shards_planned", ranges.len().max(1) as f64);
         let max_bytes = ranges
@@ -430,9 +462,8 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
     let mut shards_done = 0u64;
     let phase_result =
         bfly_telemetry::timed_phase(rec, "count", |rec| -> crate::error::Result<()> {
-            let mut reader = sg.row_reader(other_side);
-            'shards: for &(lo, hi) in &ranges {
-                let wedge_total: u64 = weights[lo..hi].iter().sum();
+            let mut reader = sg.row_reader(other_side, pin_bytes)?;
+            'shards: for (&(lo, hi), &wedge_total) in ranges.iter().zip(&shard_wedges) {
                 if let Some(store) = &store {
                     if let Some(saved) = store.load_shard(lo, hi)? {
                         total.merge(saved);
@@ -493,6 +524,11 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
                     )));
                 }
                 budget.check_measured_bytes()?;
+            }
+            if R::ENABLED {
+                rec.gauge("pinned_rows", reader.pinned_rows() as f64);
+                rec.gauge("pinned_bytes", reader.pinned_bytes() as f64);
+                rec.gauge("pinned_hits", reader.pinned_hits() as f64);
             }
             Ok(())
         });
@@ -615,6 +651,13 @@ mod tests {
             assert_eq!(p_seg.wedges_v1, p_mem.wedges_v1);
             assert_eq!(p_seg.wedges_v2, p_mem.wedges_v2);
             assert_eq!(p_seg.max_deg_v1, p_mem.max_deg_v1);
+            // The unmeasured priority work is the planner's sentinel, and
+            // renders as null.
+            assert_eq!(p_seg.wedges_priority, u64::MAX);
+            assert_eq!(
+                p_seg.to_json().get("wedges_priority"),
+                Some(&bfly_telemetry::Json::Null)
+            );
             let w_seg = segmented_wedge_weights(&sg, Side::V2).unwrap();
             let w_mem = wedge_weights(g.biadjacency_t(), g.biadjacency());
             assert_eq!(w_seg, w_mem);

@@ -441,6 +441,22 @@ impl std::io::Write for FaultyWriter {
     }
 }
 
+/// [`count_segmented_checkpointed_recorded`](crate::count_segmented_checkpointed_recorded)
+/// with an explicit pin bound for the opposite-side
+/// [`RowReader`](bfly_graph::RowReader) instead of the one taken from the
+/// budget's slack, so differential tests can cross pin bounds and prove
+/// the pin changes no count, counter, plan or refusal.
+pub fn count_segmented_pinned<R: bfly_telemetry::Recorder>(
+    sg: &bfly_graph::SegmentedGraph,
+    shards: Option<usize>,
+    budget: &crate::ResourceBudget,
+    ckpt: Option<&crate::CheckpointConfig>,
+    pin_bytes: u64,
+    rec: &mut R,
+) -> crate::error::Result<crate::Partial<(u64, crate::adaptive::Plan)>> {
+    crate::family::sharded::run_segmented(sg, shards, None, budget, ckpt, Some(pin_bytes), rec)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

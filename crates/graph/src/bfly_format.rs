@@ -126,10 +126,9 @@ fn encode_row(buf: &mut Vec<u8>, row: &[u32]) {
 }
 
 /// Decode one row of `deg` neighbours from `bytes` (which must be exactly
-/// the row's varint run). Validates strict monotonicity, column bounds,
-/// and that the run is fully consumed.
+/// the row's varint run), appending them to `out`. Validates strict
+/// monotonicity, column bounds, and that the run is fully consumed.
 fn decode_row(bytes: &[u8], deg: usize, ncols: usize, out: &mut Vec<u32>) -> Result<(), IoError> {
-    out.clear();
     let mut pos = 0usize;
     let mut prev: u64 = 0;
     for i in 0..deg {
@@ -407,13 +406,11 @@ fn decode_rows(
     ptr.clear();
     ptr.push(0);
     cols.clear();
-    let mut row = Vec::new();
     for u in lo..hi {
         let s = (idx[u] - base) as usize;
         let e = (idx[u + 1] - base) as usize;
-        decode_row(&payload[s..e], deg[u] as usize, ncols, &mut row)
+        decode_row(&payload[s..e], deg[u] as usize, ncols, cols)
             .map_err(|err| format_err(format!("row {u}: {err}")))?;
-        cols.extend_from_slice(&row);
         ptr.push(cols.len());
     }
     Ok(())
@@ -566,7 +563,7 @@ pub fn is_bfly_file(path: impl AsRef<Path>) -> bool {
 /// never has to fit in memory. Mirrors the [`BipartiteGraph`] metadata
 /// API (`nv1`/`nv2`/`nedges`/`deg_v1`/`deg_v2`); adjacency comes from
 /// [`SegmentedGraph::segment`] (a materialized vertex range) or
-/// [`SegmentedGraph::row_reader`] (single rows with a reusable buffer).
+/// [`SegmentedGraph::row_reader`] (single rows, the heaviest pinned).
 #[derive(Debug)]
 pub struct SegmentedGraph {
     file: File,
@@ -832,15 +829,51 @@ impl SegmentedGraph {
         })
     }
 
-    /// A reusable single-row decoder for `side`.
-    pub fn row_reader(&self, side: Side) -> RowReader<'_> {
-        RowReader {
+    /// A single-row decoder for `side` that pins the heaviest rows.
+    ///
+    /// Streaming a row costs one positioned read and a decode of all its
+    /// entries, so a row of degree `d` looked up by each of its `d`
+    /// neighbours decodes `d²` entries in total. The reader therefore
+    /// decodes the highest-degree rows of `side` once, up front, into one
+    /// CSR slab of at most `pin_bytes` ([`RowReader::pin_cost`] per row),
+    /// and serves them from memory. Rows of degree < 2 are never pinned,
+    /// and a row that alone exceeds `pin_bytes` is skipped. Every other
+    /// row is read and decoded on demand. `pin_bytes = 0` pins nothing.
+    ///
+    /// Pinned rows are read one at a time through the same positioned
+    /// read and decoder as streamed rows, so retries, fault injection and
+    /// every format check apply; a failure surfaces here.
+    pub fn row_reader(&self, side: Side, pin_bytes: u64) -> Result<RowReader<'_>, IoError> {
+        let mut reader = RowReader {
             graph: self,
             side,
             bytes: Vec::new(),
             vals: Vec::new(),
             last: usize::MAX,
-        }
+            pin: PinnedRows::default(),
+        };
+        reader.pin(pin_bytes)?;
+        Ok(reader)
+    }
+
+    /// Read row `u` of `side` and append its decoded neighbours to `out`,
+    /// with `bytes` as the payload buffer.
+    fn read_row(
+        &self,
+        side: Side,
+        u: usize,
+        bytes: &mut Vec<u8>,
+        out: &mut Vec<u32>,
+    ) -> Result<(), IoError> {
+        let idx = self.index(side);
+        let deg = self.degrees(side)[u] as usize;
+        let ncols = match side {
+            Side::V1 => self.nv2(),
+            Side::V2 => self.nv1(),
+        };
+        bytes.resize((idx[u + 1] - idx[u]) as usize, 0);
+        self.read_at(idx[u], bytes)?;
+        decode_row(bytes, deg, ncols, out).map_err(|err| format_err(format!("row {u}: {err}")))
     }
 
     /// Stream rows `lo..hi` of `side` in order with bounded memory,
@@ -912,8 +945,10 @@ impl SegmentedGraph {
     }
 }
 
-/// Decodes single rows of one side with a reusable buffer and a
-/// most-recent-row memo (consecutive lookups of the same row are free).
+/// Serves single rows of one side: pinned rows from a slab decoded once
+/// by [`SegmentedGraph::row_reader`], all others decoded on demand into
+/// a reusable buffer with a most-recent-row memo (consecutive lookups of
+/// the same row are free).
 #[derive(Debug)]
 pub struct RowReader<'g> {
     graph: &'g SegmentedGraph,
@@ -921,27 +956,129 @@ pub struct RowReader<'g> {
     bytes: Vec<u8>,
     vals: Vec<u32>,
     last: usize,
+    pin: PinnedRows,
+}
+
+/// The pinned rows of a [`RowReader`]: row `ids[i]` is
+/// `cols[starts[i]..starts[i] + deg]`, with `deg` from the resident
+/// degree array.
+#[derive(Debug, Default)]
+struct PinnedRows {
+    /// The threshold degree: lighter rows are never pinned and skip the
+    /// lookup.
+    min_deg: u32,
+    /// Pinned vertex ids, ascending.
+    ids: Vec<usize>,
+    starts: Vec<usize>,
+    cols: Vec<u32>,
+    /// Lookups served from the slab.
+    hits: u64,
 }
 
 impl RowReader<'_> {
-    /// Decode (or replay) the neighbour row of vertex `u`.
+    /// Bytes one pinned row of degree `deg` occupies: its decoded
+    /// columns plus its slab index entry (vertex id and offset).
+    pub const fn pin_cost(deg: u32) -> u64 {
+        4 * deg as u64 + 16
+    }
+
+    /// Pin the highest-degree rows (degree ≥ 2) whose [`Self::pin_cost`]
+    /// sums to at most `pin_bytes`. One histogram pass over the resident
+    /// degrees finds the threshold degree `t` and how many rows of degree
+    /// exactly `t` still fit; those are the lowest-id ones.
+    fn pin(&mut self, pin_bytes: u64) -> Result<(), IoError> {
+        let graph = self.graph;
+        let deg = graph.degrees(self.side);
+        // Largest degree whose row fits the bound on its own.
+        let fits = pin_bytes.saturating_sub(Self::pin_cost(0)) / 4;
+        let top = deg
+            .iter()
+            .copied()
+            .filter(|&d| u64::from(d) <= fits)
+            .max()
+            .unwrap_or(0);
+        if top < 2 {
+            return Ok(());
+        }
+        let mut hist = vec![0u32; top as usize + 1];
+        for &d in deg {
+            if (2..=top).contains(&d) {
+                hist[d as usize] = hist[d as usize].saturating_add(1);
+            }
+        }
+        // Walk degrees down from `top`, taking whole degree classes while
+        // they fit; the first class that does not fit is the threshold.
+        let (mut left, mut threshold, mut at_threshold) = (pin_bytes, 2u32, u64::MAX);
+        let (mut rows, mut nnz) = (0u64, 0u64);
+        for d in (2..=top).rev() {
+            let (count, cost) = (u64::from(hist[d as usize]), Self::pin_cost(d));
+            let take = count.min(left / cost);
+            rows += take;
+            nnz += take * u64::from(d);
+            left -= take * cost;
+            if take < count {
+                (threshold, at_threshold) = (d, take);
+                break;
+            }
+        }
+        drop(hist);
+        // Exact reservations: the histogram priced the slab.
+        let mut pin = PinnedRows {
+            min_deg: threshold,
+            ids: Vec::with_capacity(rows as usize),
+            starts: Vec::with_capacity(rows as usize),
+            cols: Vec::with_capacity(nnz as usize),
+            hits: 0,
+        };
+        for (u, &d) in deg.iter().enumerate() {
+            if d < threshold || d > top || (d == threshold && at_threshold == 0) {
+                continue;
+            }
+            if d == threshold {
+                at_threshold -= 1;
+            }
+            pin.ids.push(u);
+            pin.starts.push(pin.cols.len());
+            graph.read_row(self.side, u, &mut self.bytes, &mut pin.cols)?;
+        }
+        self.pin = pin;
+        Ok(())
+    }
+
+    /// The neighbour row of vertex `u`: pinned, replayed, or decoded.
     pub fn row(&mut self, u: usize) -> Result<&[u32], IoError> {
+        let deg = self.graph.degrees(self.side)[u];
+        if deg >= self.pin.min_deg {
+            if let Ok(i) = self.pin.ids.binary_search(&u) {
+                self.pin.hits += 1;
+                let start = self.pin.starts[i];
+                return Ok(&self.pin.cols[start..start + deg as usize]);
+            }
+        }
         if u == self.last {
             return Ok(&self.vals);
         }
-        let idx = self.graph.index(self.side);
-        let deg = self.graph.degrees(self.side)[u] as usize;
-        let ncols = match self.side {
-            Side::V1 => self.graph.nv2(),
-            Side::V2 => self.graph.nv1(),
-        };
-        let len = (idx[u + 1] - idx[u]) as usize;
-        self.bytes.resize(len, 0);
-        self.graph.read_at(idx[u], &mut self.bytes)?;
-        decode_row(&self.bytes, deg, ncols, &mut self.vals)
-            .map_err(|err| format_err(format!("row {u}: {err}")))?;
+        self.last = usize::MAX;
+        self.vals.clear();
+        self.graph
+            .read_row(self.side, u, &mut self.bytes, &mut self.vals)?;
         self.last = u;
         Ok(&self.vals)
+    }
+
+    /// Number of pinned rows.
+    pub fn pinned_rows(&self) -> usize {
+        self.pin.ids.len()
+    }
+
+    /// Bytes the pinned rows occupy (sum of their [`Self::pin_cost`]).
+    pub fn pinned_bytes(&self) -> u64 {
+        4 * self.pin.cols.len() as u64 + Self::pin_cost(0) * self.pin.ids.len() as u64
+    }
+
+    /// Lookups [`Self::row`] has served from the pinned rows.
+    pub fn pinned_hits(&self) -> u64 {
+        self.pin.hits
     }
 }
 
@@ -1654,10 +1791,11 @@ mod tests {
             assert_eq!(seg.neighbors_v2(v), g.neighbors_v2(v));
         }
         // Single-row reader with memoized repeats.
-        let mut rr = sg.row_reader(Side::V2);
+        let mut rr = sg.row_reader(Side::V2, 0).unwrap();
         for v in [0usize, 4, 4, 18, 2] {
             assert_eq!(rr.row(v).unwrap(), g.neighbors_v2(v));
         }
+        assert_eq!(rr.pinned_rows(), 0);
         // Streaming row visitor with a tiny window (forces many reads).
         let mut seen = 0usize;
         sg.for_each_row(Side::V1, 0, 23, 4, |u, row| {
@@ -1667,6 +1805,121 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, 23);
+    }
+
+    /// A skewed graph whose V2 side has a spread of degrees (hubs, ties,
+    /// and rows of degree < 2), written to `dir/g.bfly`.
+    fn pin_fixture(dir: &Path) -> (BipartiteGraph, PathBuf) {
+        let hubs =
+            crate::generators::chung_lu(60, 40, 300, 0.9, 0.9, &mut StdRng::seed_from_u64(3));
+        // V2 vertices 40 and 41 get degree 1, 42 and 43 degree 0.
+        let mut edges: Vec<(u32, u32)> = hubs.edges().collect();
+        edges.extend([(0, 40), (1, 41)]);
+        let g = BipartiteGraph::from_edges(60, 44, &edges).unwrap();
+        let path = dir.join("g.bfly");
+        write_bfly_file(&g, &path).unwrap();
+        (g, path)
+    }
+
+    #[test]
+    fn pinned_rows_equal_their_streamed_decode() {
+        let dir = tmp_dir("pin");
+        let (g, path) = pin_fixture(&dir);
+        let sg = SegmentedGraph::open(&path).unwrap();
+        let deg = sg.degrees(Side::V2).to_vec();
+        let mut streamed = sg.row_reader(Side::V2, 0).unwrap();
+        let mut all = sg.row_reader(Side::V2, u64::MAX).unwrap();
+        // Every row of degree >= 2 fits an unbounded pin; no lighter row.
+        let heavy: Vec<u32> = deg.iter().copied().filter(|&d| d >= 2).collect();
+        assert!(heavy.len() > 1 && heavy.len() < deg.len());
+        assert_eq!(all.pinned_rows(), heavy.len());
+        let want: u64 = heavy.iter().map(|&d| RowReader::pin_cost(d)).sum();
+        assert_eq!(all.pinned_bytes(), want);
+        let reads = sg.reads.load(Ordering::Relaxed);
+        for v in 0..sg.nv2() {
+            let row = all.row(v).unwrap().to_vec();
+            assert_eq!(row, g.neighbors_v2(v), "row {v}");
+            assert_eq!(row, streamed.row(v).unwrap(), "row {v}");
+        }
+        assert_eq!(all.pinned_hits(), heavy.len() as u64);
+        // Pinned lookups never touch the file: only the streamed reader
+        // and the unpinned light rows read.
+        let light = deg.iter().filter(|&&d| d < 2).count() as u64;
+        assert_eq!(
+            sg.reads.load(Ordering::Relaxed) - reads,
+            sg.nv2() as u64 + light
+        );
+
+        // A bound of exactly the heaviest row's cost pins that row alone
+        // (the lowest id among equally heavy rows).
+        let max = *deg.iter().max().unwrap();
+        let top = deg.iter().position(|&d| d == max).unwrap();
+        let mut one = sg.row_reader(Side::V2, RowReader::pin_cost(max)).unwrap();
+        assert_eq!(one.pinned_rows(), 1);
+        assert_eq!(one.pinned_bytes(), RowReader::pin_cost(max));
+        assert_eq!(one.row(top).unwrap(), g.neighbors_v2(top));
+        assert_eq!(one.pinned_hits(), 1);
+        // One byte short, the heaviest row cannot fit; lighter rows can.
+        let short = sg
+            .row_reader(Side::V2, RowReader::pin_cost(max) - 1)
+            .unwrap();
+        assert!(short.pinned_rows() >= 1 && !short.pin.ids.contains(&top));
+
+        // Pinned rows are the heaviest: every unpinned row of degree >= 2
+        // is no heavier than the lightest pinned one.
+        let half = sg.row_reader(Side::V2, want / 2).unwrap();
+        assert!(half.pinned_bytes() <= want / 2);
+        let pinned = &half.pin.ids;
+        let lightest = pinned.iter().map(|&u| deg[u]).min().unwrap();
+        for (u, &d) in deg.iter().enumerate() {
+            if d >= 2 && !pinned.contains(&u) {
+                assert!(d <= lightest, "row {u} of degree {d} skipped");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupted_pinned_row_fails_like_its_streamed_read() {
+        let dir = tmp_dir("pin-corrupt");
+        let (g, path) = pin_fixture(&dir);
+        let sg = SegmentedGraph::open(&path).unwrap();
+        // Zero the second varint of the heaviest V2 row: a zero delta. The
+        // columns are < 128, so every varint is one byte.
+        assert!(g.nv1() < 128);
+        let deg = sg.degrees(Side::V2);
+        let max = *deg.iter().max().unwrap();
+        let v = deg.iter().position(|&d| d == max).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[sg.index(Side::V2)[v] as usize + 1] = 0;
+        let bad = dir.join("bad.bfly");
+        std::fs::write(&bad, &bytes).unwrap();
+        let sg = SegmentedGraph::open(&bad).unwrap();
+        let streamed = match sg.row_reader(Side::V2, 0).unwrap().row(v) {
+            Err(IoError::Format(msg)) => msg,
+            other => panic!("streamed read of row {v} gave {other:?}"),
+        };
+        assert!(streamed.contains("zero delta"), "{streamed}");
+        match sg.row_reader(Side::V2, u64::MAX) {
+            Err(IoError::Format(msg)) => assert_eq!(msg, streamed),
+            other => panic!("pinning row {v} gave {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hard_read_fault_fails_the_pin_with_a_typed_error() {
+        let dir = tmp_dir("pin-fault");
+        let (_, path) = pin_fixture(&dir);
+        let mut sg = SegmentedGraph::open(&path).unwrap();
+        // The schedule `BFLY_FAULT_READ_ERROR_AT=1` arms at open (set
+        // directly: the environment is shared with concurrent tests).
+        sg.faults.error_at_read = Some(1);
+        match sg.row_reader(Side::V2, u64::MAX) {
+            Err(IoError::Io(e)) => assert!(e.to_string().contains("injected hard fault")),
+            other => panic!("expected a typed i/o error, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
