@@ -31,8 +31,8 @@
 //! default (`--algorithm auto` partitions the smaller vertex set).
 
 use bfly_core::adaptive::{
-    count_adaptive_budgeted_recorded, count_adaptive_parallel_recorded, count_adaptive_recorded,
-    profile_and_peel_plan_recorded, select_plan, GraphProfile, PeelPlan,
+    count_adaptive_budgeted_recorded, execute_plan_recorded, profile_and_peel_plan_recorded,
+    profile_and_plan_recorded, select_plan, tune_plan_chunks, GraphProfile, PeelPlan, Plan,
 };
 use bfly_core::baseline::{count_hash_aggregation, count_vertex_priority};
 use bfly_core::family::{
@@ -1655,23 +1655,6 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
                     &g, &file, parallel, threads, explain, telem, &budget, out,
                 );
             }
-            // The profile and the plan the cost model selects for this
-            // graph — printed by --explain, embedded in report meta, and
-            // (in liveness mode) the source of the monitor's work
-            // forecast. Deterministic, so it matches what an adaptive
-            // run executes.
-            let planned = if explain || algorithm == Algorithm::Adaptive || live {
-                let profile = GraphProfile::compute(&g);
-                let workers = if threads > 0 {
-                    threads
-                } else {
-                    rayon::current_num_threads()
-                };
-                let plan = select_plan(&profile, parallel, workers);
-                Some((profile, plan))
-            } else {
-                None
-            };
             let mut telem = Telem::with_liveness(
                 stats,
                 report,
@@ -1681,9 +1664,6 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
                 flight_recorder,
                 "count",
             )?;
-            if let Some((_, plan)) = &planned {
-                telem.set_forecast(plan.forecast());
-            }
             fault_injection();
             let pool = if threads > 0 {
                 Some(
@@ -1695,9 +1675,37 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
             } else {
                 None
             };
+            // The profile and the plan printed by --explain, embedded in
+            // report meta, and (in liveness mode) the source of the
+            // monitor's work forecast. An adaptive run profiles once,
+            // inside its `select` span, and executes exactly this
+            // chunk-tuned plan; other algorithms show the plan the cost
+            // model would have selected.
+            let workers = if threads > 0 {
+                threads
+            } else {
+                rayon::current_num_threads()
+            };
+            let planned = if algorithm == Algorithm::Adaptive {
+                Some(with_recorder!(telem, |rec| {
+                    let (profile, mut plan) = profile_and_plan_recorded(&g, parallel, workers, rec);
+                    tune_plan_chunks(&g, &mut plan, rec);
+                    (profile, plan)
+                }))
+            } else if explain || live {
+                let profile = GraphProfile::compute(&g);
+                let plan = select_plan(&profile, parallel, workers);
+                Some((profile, plan))
+            } else {
+                None
+            };
+            if let Some((_, plan)) = &planned {
+                telem.set_forecast(plan.forecast());
+            }
+            let plan = planned.as_ref().map(|(_, plan)| plan);
             let (xi, label) = with_recorder!(telem, |rec| match &pool {
-                Some(p) => p.install(|| run_count(&g, algorithm, parallel, rec)),
-                None => run_count(&g, algorithm, parallel, rec),
+                Some(p) => p.install(|| run_count(&g, algorithm, parallel, plan, rec)),
+                None => run_count(&g, algorithm, parallel, plan, rec),
             });
             w(out, format!("butterflies = {xi}  [{label}]"))?;
             let mut meta = vec![
@@ -2190,10 +2198,13 @@ fn plan_engine(plan: &bfly_core::Plan) -> String {
     }
 }
 
+/// Run `algorithm` on `g`; the adaptive algorithm executes `plan`, the
+/// plan its caller selected and tuned.
 fn run_count<R: Recorder>(
     g: &BipartiteGraph,
     algorithm: Algorithm,
     parallel: bool,
+    plan: Option<&Plan>,
     rec: &mut R,
 ) -> (u64, String) {
     match algorithm {
@@ -2210,13 +2221,16 @@ fn run_count<R: Recorder>(
             }
         }
         Algorithm::Adaptive => {
-            if parallel {
-                let (xi, plan) = count_adaptive_parallel_recorded(g, rec);
-                (xi, format!("{} (adaptive, parallel)", plan_engine(&plan)))
+            let plan = plan.expect("an adaptive count runs its selected plan");
+            let mode = if parallel {
+                "adaptive, parallel"
             } else {
-                let (xi, plan) = count_adaptive_recorded(g, rec);
-                (xi, format!("{} (adaptive)", plan_engine(&plan)))
-            }
+                "adaptive"
+            };
+            (
+                execute_plan_recorded(g, plan, rec),
+                format!("{} ({mode})", plan_engine(plan)),
+            )
         }
         Algorithm::Family(inv) => {
             if parallel {
@@ -3518,6 +3532,66 @@ mod tests {
             .gauges
             .iter()
             .any(|(n, v)| n == "plan.invariant" && *v == inv as f64));
+
+        // On a uniform graph at two workers, chunk tuning raises the
+        // parallel plan's chunk count: --explain and the report's meta
+        // must show the tuned plan that ran, selected by one profile
+        // pass (one `select` span).
+        let upath = dir.join("uniform.tsv");
+        let up = upath.to_str().unwrap();
+        run(
+            parse(&sv(&[
+                "generate", "--kind", "uniform", "--m", "3000", "--n", "3000", "--edges", "60000",
+                "--seed", "5", "--out", up,
+            ]))
+            .unwrap(),
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let upath_report = dir.join("adaptive-parallel.json");
+        let mut sink = Vec::new();
+        run(
+            parse(&sv(&[
+                "count",
+                up,
+                "--adaptive",
+                "--parallel",
+                "--threads",
+                "2",
+                "--explain",
+                "--report",
+                upath_report.to_str().unwrap(),
+            ]))
+            .unwrap(),
+            &mut sink,
+        )
+        .unwrap();
+        let text = String::from_utf8(sink).unwrap();
+        let doc = Json::parse(&text[text.find('{').unwrap()..]).unwrap();
+        let chunks = doc
+            .get("plan")
+            .and_then(|p| p.get("chunks"))
+            .and_then(|v| v.as_u64())
+            .unwrap();
+        let rep = RunReport::parse(&std::fs::read_to_string(&upath_report).unwrap()).unwrap();
+        let gauge = |name: &str| {
+            rep.gauges
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|&(_, v)| v)
+                .unwrap()
+        };
+        assert!(
+            gauge("plan.tuned_chunks") > 2.0,
+            "tuning must change the plan"
+        );
+        assert_eq!(chunks as f64, gauge("plan.par_chunks"));
+        let meta_plan = rep.meta.iter().find(|(n, _)| n == "plan").unwrap();
+        assert_eq!(
+            meta_plan.1.get("chunks").and_then(|v| v.as_u64()),
+            Some(chunks)
+        );
+        assert_eq!(rep.spans.iter().filter(|s| s.name == "select").count(), 1);
     }
 
     #[test]

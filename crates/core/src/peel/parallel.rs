@@ -34,12 +34,11 @@
 //!   butterfly's non-frontier edges.
 
 use super::bucket::{BucketQueue, StampSet};
-use super::wing::edge_id;
 use crate::edge_support::{edge_supports, edge_supports_parallel};
 use crate::family::parallel::fork_join;
 use crate::vertex_counts::{butterflies_per_vertex, butterflies_per_vertex_parallel};
 use bfly_graph::{BipartiteGraph, Side};
-use bfly_sparse::{choose2, Spa};
+use bfly_sparse::{choose2, Pattern, Spa};
 use bfly_telemetry::{Counter, NoopRecorder, Recorder};
 
 /// Smallest frontier worth chunking across workers: below this the
@@ -49,10 +48,12 @@ use bfly_telemetry::{Counter, NoopRecorder, Recorder};
 pub const PAR_FRONTIER_MIN: usize = 128;
 
 /// Per-worker peeling scratch: `cnt` accumulates wedge multiplicities
-/// inside a single kernel invocation (tip only), `delta` accumulates the
-/// chunk's score decrements across the whole round.
+/// inside a single kernel invocation (tip only), `live` holds one
+/// frontier edge's present row partners (wing only), `delta` accumulates
+/// the chunk's score decrements across the whole round.
 pub(super) struct PeelScratch {
     pub(super) cnt: Spa<u64>,
+    pub(super) live: Vec<(u32, u32)>,
     pub(super) delta: Spa<u64>,
 }
 
@@ -60,6 +61,7 @@ impl PeelScratch {
     fn new(n: usize) -> Self {
         PeelScratch {
             cnt: Spa::new(n),
+            live: Vec::new(),
             delta: Spa::new(n),
         }
     }
@@ -244,7 +246,7 @@ fn tip_peel_run<R: Recorder>(
                 }
             }
         }
-        let PeelScratch { cnt, delta } = scratch;
+        let PeelScratch { cnt, delta, .. } = scratch;
         for (w, c) in cnt.entries() {
             let shared = choose2(c);
             if shared > 0 {
@@ -271,8 +273,30 @@ pub fn wing_numbers_with_chunks<R: Recorder>(
     wing_peel_run(g, chunks, init, None, rec).0
 }
 
+/// Row-major edge id of every position of `at`, the transpose of `a`.
+/// Walking `a`'s rows in order visits each column's entries in
+/// ascending row order, which is exactly the sorted order of the
+/// matching row of `at`, so one pass fills every slot.
+fn transpose_edge_ids(a: &Pattern, at: &Pattern) -> Vec<u32> {
+    let mut next = at.ptr()[..at.nrows()].to_vec();
+    let mut ids = vec![0u32; a.nnz()];
+    for (e, &v) in a.indices().iter().enumerate() {
+        let slot = &mut next[v as usize];
+        ids[*slot] = e as u32;
+        *slot += 1;
+    }
+    ids
+}
+
 /// Shared wing-peeling run: bucket engine over precomputed initial
 /// supports with an optional round-boundary deadline.
+///
+/// Edge ids are CSR positions of `a`, so the kernel never searches for
+/// one: the endpoints of `e` are its row (the `ptr` range holding `e`)
+/// and `a.indices()[e]`; `(u, x)` carries its id from the scan of row
+/// `u`; `(w, v)` reads its id from the transpose table; and every
+/// closing edge `(w, x)` falls out of one sorted merge of `u`'s live
+/// partners against row `w`, at id `ptr[w] + position`.
 fn wing_peel_run<R: Recorder>(
     g: &BipartiteGraph,
     chunks: usize,
@@ -282,33 +306,48 @@ fn wing_peel_run<R: Recorder>(
 ) -> (Vec<u64>, bool) {
     let a = g.biadjacency();
     let at = g.biadjacency_t();
-    let endpoints: Vec<(u32, u32)> = g.edges().collect();
+    let (ptr, cols) = (a.ptr(), a.indices());
+    let wv_ids = transpose_edge_ids(a, at);
     let kernel = move |e: u32, alive: &[bool], frontier: &StampSet, scratch: &mut PeelScratch| {
         let ex = e as usize;
-        let (u, v) = endpoints[ex];
+        let v = cols[ex];
+        let u = ptr.partition_point(|&p| p <= ex) - 1;
         // An edge participates in this round's butterflies if it was
         // alive at round start — still alive now, or in the frontier.
         let present = |i: usize| alive[i] || frontier.contains(i as u32);
-        for &w in at.row(v as usize) {
-            if w == u {
+        let PeelScratch { live, delta, .. } = scratch;
+        live.clear();
+        for ux in ptr[u]..ptr[u + 1] {
+            if cols[ux] != v && present(ux) {
+                live.push((cols[ux], ux as u32));
+            }
+        }
+        if live.is_empty() {
+            return;
+        }
+        let v = v as usize;
+        for p in at.ptr()[v]..at.ptr()[v + 1] {
+            let w = at.indices()[p] as usize;
+            let wv = wv_ids[p] as usize;
+            if w == u || !present(wv) {
                 continue;
             }
-            let wv = edge_id(a, w as usize, v);
-            if !present(wv) {
-                continue;
-            }
-            for &x in a.row(u as usize) {
-                if x == v {
+            let (row_w, base) = (a.row(w), ptr[w]);
+            let (mut i, mut j) = (0, 0);
+            while i < live.len() && j < row_w.len() {
+                let (x, ux) = live[i];
+                let y = row_w[j];
+                if x < y {
+                    i += 1;
                     continue;
                 }
-                let ux = edge_id(a, u as usize, x);
-                if !present(ux) {
+                if y < x {
+                    j += 1;
                     continue;
                 }
-                let Ok(pos) = a.row(w as usize).binary_search(&x) else {
-                    continue;
-                };
-                let wx = a.ptr()[w as usize] + pos;
+                let (ux, wx) = (ux as usize, base + j);
+                i += 1;
+                j += 1;
                 if !present(wx) {
                     continue;
                 }
@@ -323,7 +362,7 @@ fn wing_peel_run<R: Recorder>(
                 }
                 for &o in &[ux, wv, wx] {
                     if alive[o] {
-                        scratch.delta.scatter(o as u32, 1);
+                        delta.scatter(o as u32, 1);
                     }
                 }
             }

@@ -19,7 +19,6 @@
 
 use crate::edge_support::{edge_supports, edge_supports_algebraic};
 use bfly_graph::BipartiteGraph;
-use bfly_sparse::Pattern;
 use bfly_telemetry::{Counter, NoopRecorder, Recorder};
 
 /// Result of a k-wing extraction.
@@ -139,14 +138,6 @@ pub fn k_wing_masked_spgemm(g: &BipartiteGraph, k: u64) -> WingResult {
     )
 }
 
-/// Edge id of `(u, v)` in row-major order, via binary search in row `u`.
-#[inline]
-pub(super) fn edge_id(a: &Pattern, u: usize, v: u32) -> usize {
-    let row = a.row(u);
-    let pos = row.binary_search(&v).expect("edge must exist");
-    a.ptr()[u] + pos
-}
-
 /// Wing number of every edge (row-major order): the largest `k` for which
 /// the edge is contained in the k-wing. Runs the flat bucket-queue engine
 /// ([`super::parallel::wing_numbers_with_chunks`]) sequentially: each
@@ -173,6 +164,12 @@ pub fn wing_numbers_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> Ve
 pub fn wing_numbers_oracle(g: &BipartiteGraph) -> Vec<u64> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+    /// Edge id of `(u, v)` in row-major order, via binary search in row `u`.
+    fn edge_id(a: &bfly_sparse::Pattern, u: usize, v: u32) -> usize {
+        let row = a.row(u);
+        let pos = row.binary_search(&v).expect("edge must exist");
+        a.ptr()[u] + pos
+    }
     let a = g.biadjacency();
     let at = g.biadjacency_t();
     let ne = g.nedges();

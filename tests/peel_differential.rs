@@ -179,10 +179,12 @@ proptest! {
         }
     }
 
-    /// Parallel wing numbers equal sequential at every chunk width.
+    /// Sequential wing numbers equal the heap oracle's, and parallel
+    /// equal sequential at every chunk width.
     #[test]
     fn wing_parallel_matches_sequential(g in arb_family_graph(), chunks in 2usize..7) {
         let seq = wing_numbers(&g);
+        prop_assert_eq!(&seq, &wing_numbers_oracle(&g));
         prop_assert_eq!(
             wing_numbers_with_chunks(&g, chunks, &mut NoopRecorder),
             seq
