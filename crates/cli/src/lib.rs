@@ -40,7 +40,8 @@ use bfly_core::family::{
     count_ranked_recorded,
 };
 use bfly_core::peel::{
-    k_tip_recorded, k_wing_recorded, tip_numbers, tip_numbers_with_chunks, wing_numbers_with_chunks,
+    k_tip_recorded, k_wing_recorded, tip_numbers, tip_numbers_budgeted_recorded,
+    wing_numbers_budgeted_recorded,
 };
 use bfly_core::telemetry::{
     diff_reports_full, install_panic_hook, timed_phase, to_openmetrics, FlightRecorder, History,
@@ -1428,20 +1429,90 @@ macro_rules! with_recorder {
     };
 }
 
-/// Print the one-line summary of a full tip/wing decomposition and emit
-/// the telemetry outputs. `side` is `Some` for tip (the side actually
-/// peeled, plan-selected unless `--side` forced it), `None` for wing.
-#[allow(clippy::too_many_arguments)]
-fn emit_decomposition(
-    telem: Telem,
-    out: &mut impl std::io::Write,
-    command: &str,
+/// The worker count a `--threads` value plans for (0 = rayon's default).
+fn workers(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        rayon::current_num_threads()
+    }
+}
+
+/// The pool `--threads N` pins (`None` for 0: rayon's default pool).
+fn pinned_pool(threads: usize) -> Result<Option<rayon::ThreadPool>, CliError> {
+    if threads == 0 {
+        return Ok(None);
+    }
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .map(Some)
+        .map_err(|e| err(format!("thread pool: {e}")))
+}
+
+/// Run `f` inside `pool` when one is pinned, else on the default pool.
+fn in_pool<T>(pool: &Option<rayon::ThreadPool>, f: impl FnOnce() -> T) -> T {
+    match pool {
+        Some(p) => p.install(f),
+        None => f(),
+    }
+}
+
+/// `tip --decompose` (tip numbers of a side; `None` = the plan's side)
+/// and `wing --decompose` (wing numbers).
+#[derive(Clone, Copy)]
+enum Decompose {
+    Tip(Option<Side>),
+    Wing,
+}
+
+/// `tip --decompose` and `wing --decompose`: plan the peel (an explicit
+/// `--side` re-plans for that side, gauges and forecast included), run
+/// the decomposition executor at the plan's chunk count with an
+/// unlimited budget, print the one-line summary and emit the telemetry
+/// outputs. An executor error (an initial count past `u64`, say) exits
+/// with its class's code instead of panicking.
+fn run_decompose(
+    g: &BipartiteGraph,
     file: &str,
-    numbers: &[u64],
+    what: Decompose,
+    k: Option<u64>,
     threads: usize,
-    plan: PeelPlan,
-    side: Option<Side>,
+    mut telem: Telem,
+    out: &mut impl std::io::Write,
 ) -> Result<(), CliError> {
+    let workers = workers(threads);
+    let pool = pinned_pool(threads)?;
+    let (profile, mut plan) =
+        with_recorder!(telem, |rec| profile_and_peel_plan_recorded(g, workers, rec));
+    if let Decompose::Tip(Some(side)) = what {
+        if side != plan.side {
+            plan = PeelPlan::for_side(&profile, side, workers);
+            with_recorder!(telem, |rec| plan.record(rec));
+        }
+    }
+    telem.set_forecast(plan.forecast());
+    let unlimited = ResourceBudget::unlimited();
+    let (command, side) = match what {
+        Decompose::Tip(_) => ("tip", Some(plan.side)),
+        Decompose::Wing => ("wing", None),
+    };
+    let result = with_recorder!(telem, |rec| in_pool(&pool, || match side {
+        Some(side) => timed_phase(rec, "tip_decompose", |rec| {
+            tip_numbers_budgeted_recorded(g, side, plan.chunks, &unlimited, rec)
+        }),
+        None => timed_phase(rec, "wing_decompose", |rec| {
+            wing_numbers_budgeted_recorded(g, plan.chunks, &unlimited, rec)
+        }),
+    }));
+    let numbers = match result {
+        Ok(r) => r.value,
+        Err(e) => {
+            let e = CliError::from(e);
+            let fraction = telem.fail(e.class.name());
+            return Err(e.with_fraction(fraction));
+        }
+    };
     let max = numbers.iter().copied().max().unwrap_or(0);
     let mut levels: Vec<u64> = numbers.iter().copied().filter(|&t| t > 0).collect();
     levels.sort_unstable();
@@ -1474,6 +1545,9 @@ fn emit_decomposition(
     ];
     if let Some(s) = side {
         meta.push(("side".to_string(), Json::Str(format!("{s:?}"))));
+    }
+    if let Some(k) = k {
+        meta.push(("k".to_string(), Json::UInt(k)));
     }
     telem.emit(meta, out)
 }
@@ -1665,27 +1739,14 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
                 "count",
             )?;
             fault_injection();
-            let pool = if threads > 0 {
-                Some(
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .build()
-                        .map_err(|e| err(format!("thread pool: {e}")))?,
-                )
-            } else {
-                None
-            };
+            let pool = pinned_pool(threads)?;
             // The profile and the plan printed by --explain, embedded in
             // report meta, and (in liveness mode) the source of the
             // monitor's work forecast. An adaptive run profiles once,
             // inside its `select` span, and executes exactly this
             // chunk-tuned plan; other algorithms show the plan the cost
             // model would have selected.
-            let workers = if threads > 0 {
-                threads
-            } else {
-                rayon::current_num_threads()
-            };
+            let workers = workers(threads);
             let planned = if algorithm == Algorithm::Adaptive {
                 Some(with_recorder!(telem, |rec| {
                     let (profile, mut plan) = profile_and_plan_recorded(&g, parallel, workers, rec);
@@ -1703,10 +1764,9 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
                 telem.set_forecast(plan.forecast());
             }
             let plan = planned.as_ref().map(|(_, plan)| plan);
-            let (xi, label) = with_recorder!(telem, |rec| match &pool {
-                Some(p) => p.install(|| run_count(&g, algorithm, parallel, plan, rec)),
-                None => run_count(&g, algorithm, parallel, plan, rec),
-            });
+            let (xi, label) = with_recorder!(telem, |rec| in_pool(&pool, || run_count(
+                &g, algorithm, parallel, plan, rec
+            )));
             w(out, format!("butterflies = {xi}  [{label}]"))?;
             let mut meta = vec![
                 ("command".to_string(), Json::Str("count".to_string())),
@@ -1755,47 +1815,7 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
             )?;
             fault_injection();
             if decompose {
-                let workers = if threads > 0 {
-                    threads
-                } else {
-                    rayon::current_num_threads()
-                };
-                let pool = if threads > 0 {
-                    Some(
-                        rayon::ThreadPoolBuilder::new()
-                            .num_threads(threads)
-                            .build()
-                            .map_err(|e| err(format!("thread pool: {e}")))?,
-                    )
-                } else {
-                    None
-                };
-                // The plan picks the cheaper side; an explicit --side
-                // overrides it but keeps the parallel/chunks decision.
-                let (_profile, plan) = with_recorder!(telem, |rec| profile_and_peel_plan_recorded(
-                    &g, workers, rec
-                ));
-                telem.set_forecast(plan.forecast());
-                let side = side.unwrap_or(plan.side);
-                let numbers =
-                    with_recorder!(telem, |rec| timed_phase(rec, "tip_decompose", |rec| {
-                        match &pool {
-                            Some(p) => {
-                                p.install(|| tip_numbers_with_chunks(&g, side, plan.chunks, rec))
-                            }
-                            None => tip_numbers_with_chunks(&g, side, plan.chunks, rec),
-                        }
-                    }));
-                return emit_decomposition(
-                    telem,
-                    out,
-                    "tip",
-                    &file,
-                    &numbers,
-                    threads,
-                    plan,
-                    Some(side),
-                );
+                return run_decompose(&g, &file, Decompose::Tip(side), k, threads, telem, out);
             }
             let k = k.ok_or_else(|| err("tip requires --k (or --decompose)"))?;
             let side = side.unwrap_or(Side::V1);
@@ -1853,35 +1873,7 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
             )?;
             fault_injection();
             if decompose {
-                let workers = if threads > 0 {
-                    threads
-                } else {
-                    rayon::current_num_threads()
-                };
-                let pool = if threads > 0 {
-                    Some(
-                        rayon::ThreadPoolBuilder::new()
-                            .num_threads(threads)
-                            .build()
-                            .map_err(|e| err(format!("thread pool: {e}")))?,
-                    )
-                } else {
-                    None
-                };
-                let (_profile, plan) = with_recorder!(telem, |rec| profile_and_peel_plan_recorded(
-                    &g, workers, rec
-                ));
-                telem.set_forecast(plan.forecast());
-                let numbers =
-                    with_recorder!(telem, |rec| timed_phase(rec, "wing_decompose", |rec| {
-                        match &pool {
-                            Some(p) => p.install(|| wing_numbers_with_chunks(&g, plan.chunks, rec)),
-                            None => wing_numbers_with_chunks(&g, plan.chunks, rec),
-                        }
-                    }));
-                return emit_decomposition(
-                    telem, out, "wing", &file, &numbers, threads, plan, None,
-                );
+                return run_decompose(&g, &file, Decompose::Wing, k, threads, telem, out);
             }
             let k = k.ok_or_else(|| err("wing requires --k (or --decompose)"))?;
             let r = with_recorder!(telem, |rec| timed_phase(rec, "k_wing", |rec| {
@@ -2302,24 +2294,14 @@ fn run_count_budgeted(
     // may still degrade to a cheaper plan, in which case the fraction is
     // an under-estimate and the final heartbeat snaps to 1.0.
     if telem.live.is_some() {
-        let workers = if threads > 0 {
-            threads
-        } else {
-            rayon::current_num_threads()
-        };
         let profile = GraphProfile::compute(g);
-        telem.set_forecast(select_plan(&profile, parallel, workers).forecast());
+        telem.set_forecast(select_plan(&profile, parallel, workers(threads)).forecast());
     }
     fault_injection();
-    let result = with_recorder!(telem, |rec| if threads > 0 {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .map_err(|e| err(format!("thread pool: {e}")))?;
-        pool.install(|| count_adaptive_budgeted_recorded(g, parallel, budget, rec))
-    } else {
+    let pool = pinned_pool(threads)?;
+    let result = with_recorder!(telem, |rec| in_pool(&pool, || {
         count_adaptive_budgeted_recorded(g, parallel, budget, rec)
-    });
+    }));
     let r = match result {
         Ok(r) => r,
         Err(e) => {
@@ -3180,6 +3162,27 @@ mod tests {
             .meta
             .iter()
             .any(|(n, v)| n == "command" && v.as_str() == Some("wing")));
+
+        // A decomposition keeps a given --k in its report meta.
+        let dpath = dir.join("wing-decompose.json");
+        run(
+            parse(&sv(&[
+                "wing",
+                gpath.to_str().unwrap(),
+                "--k",
+                "3",
+                "--decompose",
+                "--report",
+                dpath.to_str().unwrap(),
+            ]))
+            .unwrap(),
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let rep = RunReport::parse(&std::fs::read_to_string(&dpath).unwrap()).unwrap();
+        let meta = |key: &str| rep.meta.iter().find(|(n, _)| n == key).map(|(_, v)| v);
+        assert_eq!(meta("decompose").and_then(|v| v.as_bool()), Some(true));
+        assert_eq!(meta("k").and_then(|v| v.as_u64()), Some(3));
     }
 
     #[test]

@@ -758,3 +758,53 @@ fn out_of_core_explain_prints_unmeasured_priority_work_as_null() {
     assert!(text.contains("\"wedges_priority\": null"), "{text}");
     assert!(!text.contains(&u64::MAX.to_string()), "{text}");
 }
+
+/// `tip --decompose --side` plans for the side it peels: on the skewed
+/// occupations stand-in the cheaper side is V2 (work 1,110,128), so
+/// forcing V1 must report V1's plan — side, work terms, gauges and the
+/// progress forecast (1,219,880) — not the side it did not run.
+#[test]
+fn forced_tip_side_reports_the_plan_that_ran() {
+    let dir = tempdir();
+    let skew = dir.join("side-skew.tsv");
+    let out = bfly()
+        .args(["generate", "--kind", "standin", "--name", "occupations"])
+        .args(["--scale", "0.1", "--out", skew.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let report = dir.join("side-v1.json");
+    let out = bfly()
+        .arg("tip")
+        .arg(&skew)
+        .args(["--decompose", "--threads", "2", "--side", "v1"])
+        .args(["--report", report.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let rep =
+        bfly_core::telemetry::RunReport::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let meta = |key: &str| rep.meta.iter().find(|(n, _)| n == key).map(|(_, v)| v);
+    assert_eq!(meta("side").and_then(|v| v.as_str()), Some("V1"));
+    let plan = meta("plan").expect("plan in meta");
+    assert_eq!(plan.get("side").and_then(|v| v.as_str()), Some("V1"));
+    assert_eq!(
+        plan.get("est_work").and_then(|v| v.as_u64()),
+        Some(1_219_880)
+    );
+    assert_eq!(
+        plan.get("est_work_alt").and_then(|v| v.as_u64()),
+        Some(1_110_128)
+    );
+    let gauge = |name: &str| rep.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    assert_eq!(gauge("peel.side"), Some(1.0));
+    assert_eq!(gauge("peel.est_work"), Some(1_219_880.0));
+    assert_eq!(gauge("peel.est_work_alt"), Some(1_110_128.0));
+    assert_eq!(gauge("progress.total_work"), Some(1_219_880.0));
+    assert_eq!(gauge("peel.parallel"), Some(1.0));
+    assert_eq!(gauge("peel.chunks"), Some(2.0));
+}

@@ -155,6 +155,18 @@ impl GraphProfile {
         }
     }
 
+    /// The side both cost models partition (count) or peel (tip): the
+    /// one whose opposite side does less wedge work, ties broken toward
+    /// the smaller side per the paper's rule.
+    pub(crate) fn cheaper_side(&self) -> Side {
+        let (cost_v1, cost_v2) = (self.partition_cost(Side::V1), self.partition_cost(Side::V2));
+        if cost_v2 < cost_v1 || (cost_v2 == cost_v1 && self.nv2 <= self.nv1) {
+            Side::V2
+        } else {
+            Side::V1
+        }
+    }
+
     /// Degree skew of the given side.
     pub fn skew(&self, side: Side) -> f64 {
         match side {
@@ -369,9 +381,10 @@ pub fn select_invariant(profile: &GraphProfile) -> Plan {
 
 /// The cost model. Chooses:
 ///
-/// * **partition side** — the side whose opposite does less wedge work
-///   (`Σ C(deg, 2)` over the non-partitioned side is the *exact* inner-loop
-///   volume), ties broken toward the smaller side per the paper's rule;
+/// * **partition side** — `GraphProfile::cheaper_side`: the side whose
+///   opposite does less wedge work (`Σ C(deg, 2)` over the
+///   non-partitioned side is the *exact* inner-loop volume), ties broken
+///   toward the smaller side per the paper's rule;
 /// * **invariant** — the forward *processed-prefix* member of the chosen
 ///   side (Inv. 1 / Inv. 5). The paper's §V prefers the look-ahead
 ///   members, but that finding does not reproduce in this implementation:
@@ -394,23 +407,9 @@ pub fn select_invariant(profile: &GraphProfile) -> Plan {
 ///   `est_work` then becomes the priority total (keeping
 ///   [`Plan::forecast`] exact) and `est_work_alt` the fixed side it beat.
 pub fn select_plan(profile: &GraphProfile, parallel: bool, workers: usize) -> Plan {
-    let cost_v2 = profile.partition_cost(Side::V2);
-    let cost_v1 = profile.partition_cost(Side::V1);
-    let side = if cost_v2 != cost_v1 {
-        if cost_v2 < cost_v1 {
-            Side::V2
-        } else {
-            Side::V1
-        }
-    } else if profile.nv2 <= profile.nv1 {
-        Side::V2
-    } else {
-        Side::V1
-    };
-    let (est_work, est_work_alt) = match side {
-        Side::V2 => (cost_v2, cost_v1),
-        Side::V1 => (cost_v1, cost_v2),
-    };
+    let side = profile.cheaper_side();
+    let est_work = profile.partition_cost(side);
+    let est_work_alt = profile.partition_cost(side.other());
     let partition_len = match side {
         Side::V1 => profile.nv1,
         Side::V2 => profile.nv2,
@@ -495,6 +494,41 @@ pub struct PeelPlan {
 }
 
 impl PeelPlan {
+    /// The plan that peels `side`: its wedge work against the other
+    /// side's, going parallel when `workers > 1` and the wedge work clears
+    /// [`PEEL_PARALLEL_MIN_WORK`] (below it the per-round join dominates).
+    pub fn for_side(profile: &GraphProfile, side: Side, workers: usize) -> PeelPlan {
+        let est_work = profile.partition_cost(side);
+        let parallel = workers > 1 && est_work >= PEEL_PARALLEL_MIN_WORK;
+        PeelPlan {
+            side,
+            parallel,
+            chunks: if parallel { workers } else { 1 },
+            est_work,
+            est_work_alt: profile.partition_cost(side.other()),
+        }
+    }
+
+    /// Emit the `peel.*` gauges and the `progress.total_work` forecast
+    /// describing this plan.
+    pub fn record<R: Recorder>(&self, rec: &mut R) {
+        if !R::ENABLED {
+            return;
+        }
+        rec.gauge(
+            "peel.side",
+            match self.side {
+                Side::V1 => 1.0,
+                Side::V2 => 2.0,
+            },
+        );
+        rec.gauge("peel.parallel", if self.parallel { 1.0 } else { 0.0 });
+        rec.gauge("peel.chunks", self.chunks as f64);
+        rec.gauge("peel.est_work", self.est_work as f64);
+        rec.gauge("peel.est_work_alt", self.est_work_alt as f64);
+        rec.gauge("progress.total_work", self.forecast().total as f64);
+    }
+
     /// Predicted total work for liveness monitoring: peel plans
     /// forecast the `supports_recomputed` counter from the wedge-work
     /// *estimate* of the repair kernels — approximate (peeling repairs
@@ -516,37 +550,11 @@ impl PeelPlan {
     }
 }
 
-/// Peel-mode selection, sharing the counting model's side rule: peel the
-/// side whose opposite does less wedge work (the repair kernel expands
-/// exactly the counting engine's wedges), ties toward the smaller side;
-/// go parallel when `workers > 1` and the wedge work clears
-/// [`PEEL_PARALLEL_MIN_WORK`] (below it the per-round join dominates).
+/// Peel-mode selection, sharing the counting model's side rule
+/// (`GraphProfile::cheaper_side`: the repair kernel expands exactly the
+/// counting engine's wedges); see [`PeelPlan::for_side`] for the rest.
 pub fn select_peel_plan(profile: &GraphProfile, workers: usize) -> PeelPlan {
-    let cost_v2 = profile.partition_cost(Side::V2);
-    let cost_v1 = profile.partition_cost(Side::V1);
-    let side = if cost_v2 != cost_v1 {
-        if cost_v2 < cost_v1 {
-            Side::V2
-        } else {
-            Side::V1
-        }
-    } else if profile.nv2 <= profile.nv1 {
-        Side::V2
-    } else {
-        Side::V1
-    };
-    let (est_work, est_work_alt) = match side {
-        Side::V2 => (cost_v2, cost_v1),
-        Side::V1 => (cost_v1, cost_v2),
-    };
-    let parallel = workers > 1 && est_work >= PEEL_PARALLEL_MIN_WORK;
-    PeelPlan {
-        side,
-        parallel,
-        chunks: if parallel { workers } else { 1 },
-        est_work,
-        est_work_alt,
-    }
+    PeelPlan::for_side(profile, profile.cheaper_side(), workers)
 }
 
 /// Profile `g` and select a peel plan, recording the decision inside a
@@ -560,20 +568,7 @@ pub fn profile_and_peel_plan_recorded<R: Recorder>(
     timed_span(rec, "select", |rec| {
         let profile = GraphProfile::compute(g);
         let plan = select_peel_plan(&profile, workers);
-        if R::ENABLED {
-            rec.gauge(
-                "peel.side",
-                match plan.side {
-                    Side::V1 => 1.0,
-                    Side::V2 => 2.0,
-                },
-            );
-            rec.gauge("peel.parallel", if plan.parallel { 1.0 } else { 0.0 });
-            rec.gauge("peel.chunks", plan.chunks as f64);
-            rec.gauge("peel.est_work", plan.est_work as f64);
-            rec.gauge("peel.est_work_alt", plan.est_work_alt as f64);
-            rec.gauge("progress.total_work", plan.forecast().total as f64);
-        }
+        plan.record(rec);
         (profile, plan)
     })
 }
@@ -647,9 +642,7 @@ pub fn execute_plan(g: &BipartiteGraph, plan: &Plan) -> u64 {
 /// without a deadline. A total past `u64` panics naming
 /// [`try_count_adaptive`].
 pub fn execute_plan_recorded<R: Recorder>(g: &BipartiteGraph, plan: &Plan, rec: &mut R) -> u64 {
-    run_plan(g, plan, None, rec)
-        .unwrap_or_else(|e| panic!("{e}; call try_count_adaptive for a typed error"))
-        .value
+    crate::error::expect_ok(run_plan(g, plan, None, rec), "try_count_adaptive").value
 }
 
 /// The plan executor: every counting plan — fixed, priority or ranked
@@ -1306,6 +1299,20 @@ mod tests {
         assert!(plan.parallel);
         assert_eq!(plan.chunks, 4);
         assert!(!select_peel_plan(&big, 1).parallel);
+        // Forcing the other side swaps the work terms and re-gates.
+        let forced = PeelPlan::for_side(&big, plan.side.other(), 4);
+        assert_eq!(
+            (forced.est_work, forced.est_work_alt),
+            (plan.est_work_alt, plan.est_work)
+        );
+        let tiny = GraphProfile {
+            wedges_v1: PEEL_PARALLEL_MIN_WORK,
+            wedges_v2: 0,
+            ..p
+        };
+        assert_eq!(select_peel_plan(&tiny, 4).side, Side::V1);
+        assert!(!select_peel_plan(&tiny, 4).parallel);
+        assert!(PeelPlan::for_side(&tiny, Side::V2, 4).parallel);
     }
 
     #[test]

@@ -13,124 +13,96 @@
 //! Two implementations again: a wedge-expansion sweep (production) and a
 //! literal SpGEMM evaluation of eq. 25 (validation). Supports are returned
 //! in the row-major edge order of [`BipartiteGraph::edges`], plus a helper
-//! shaping them as a CSR matrix aligned with `A`.
+//! shaping them as a CSR matrix aligned with `A`. The sweep is one
+//! overflow-checked body that [`try_edge_supports`], the wing
+//! decomposition's initial scores and [`crate::peel::k_wing`] also run.
 
+use crate::error::{expect_ok, validate_graph, BflyError, Result};
+use crate::family::parallel::fill_balanced;
 use bfly_graph::BipartiteGraph;
 use bfly_sparse::ops::spgemm;
-use bfly_sparse::{CsrMatrix, Spa};
-use rayon::prelude::*;
+use bfly_sparse::{CheckedAccum, CsrMatrix, Pattern, Spa};
+use std::ops::Range;
 
-/// Support of every edge, in row-major edge order.
+/// The one wedge-expansion body: the support of every edge of the V1
+/// vertices in `items`, written to `out` in row-major edge order.
 ///
 /// One wedge expansion per V1 vertex `u` fills `cnt[w] = |N(u) ∩ N(w)|`;
 /// each incident edge `(u, v)` then reads `Σ_{w∈N(v)} cnt[w]` (which
-/// includes `w = u` contributing `|N(u)|`) and applies eq. 23's
-/// corrections. Total cost `O(Σ_v deg(v)²)` — the same wedge volume the
-/// counting algorithms traverse.
-pub fn edge_supports(g: &BipartiteGraph) -> Vec<u64> {
-    let a = g.biadjacency();
-    let at = g.biadjacency_t();
-    let m = g.nv1();
-    let mut spa = Spa::<u64>::new(m);
-    let mut out = Vec::with_capacity(g.nedges());
-    for u in 0..m {
-        out.extend(supports_for_vertex(g, a, at, u, &mut spa));
-    }
-    out
-}
-
-/// Fallible, overflow-checked [`edge_supports`]: validates the graph,
-/// runs the same wedge-expansion sweep with every eq. 23 sum routed
-/// through a [`bfly_sparse::CheckedAccum`], and keeps the final
-/// correction in `u128` so neither the wedge sum nor the subtraction can
-/// wrap. A support exceeding `u64` fails with
-/// [`BflyError::CountOverflow`](crate::error::BflyError).
-pub fn try_edge_supports(g: &BipartiteGraph) -> crate::error::Result<Vec<u64>> {
-    crate::error::validate_graph(g)?;
-    let a = g.biadjacency();
-    let at = g.biadjacency_t();
-    let m = g.nv1();
-    let mut spa = Spa::<u64>::new(m);
-    let mut out = Vec::with_capacity(g.nedges());
-    for u in 0..m {
+/// includes `w = u` contributing `|N(u)|`) into a [`CheckedAccum`] and
+/// applies eq. 23's corrections in `u128`, so neither the wedge sum nor
+/// the subtraction can wrap. Total cost `O(Σ_v deg(v)²)` — the same wedge
+/// volume the counting algorithms traverse.
+fn supports_in(
+    (a, at): (&Pattern, &Pattern),
+    items: Range<usize>,
+    spa: &mut Spa<u64>,
+    out: &mut [u64],
+) -> Result<()> {
+    let mut slots = out.iter_mut();
+    for u in items {
         for &v in a.row(u) {
             for &w in at.row(v as usize) {
                 spa.scatter(w, 1);
             }
         }
-        let deg_u = g.deg_v1(u) as u128;
-        for &v in a.row(u) {
-            let deg_v = g.deg_v2(v as usize) as u128;
-            let mut acc = bfly_sparse::CheckedAccum::new();
+        let deg_u = a.row_nnz(u) as u128;
+        for (&v, slot) in a.row(u).iter().zip(&mut slots) {
+            let deg_v = at.row_nnz(v as usize) as u128;
+            let mut acc = CheckedAccum::new();
             for &w in at.row(v as usize) {
                 acc.add(spa.get(w));
             }
-            // eq. 23 in u128: wedge_sum + 1 − deg_u − deg_v is
-            // non-negative for any structurally valid graph (the w = u
-            // term alone contributes deg_u); validation above makes a
-            // violation impossible, but check rather than trust.
+            // eq. 23: wedge_sum + 1 − deg_u − deg_v is non-negative for
+            // any structurally valid graph (the w = u term alone
+            // contributes deg_u, and each other w ∈ N(v) at least the
+            // shared wedge via v); check rather than trust.
             let support = (acc.value() + 1)
                 .checked_sub(deg_u + deg_v)
-                .ok_or_else(|| crate::error::BflyError::InvalidGraph {
+                .ok_or_else(|| BflyError::InvalidGraph {
                     reason: format!("edge ({u}, {v}): eq. 23 wedge sum below degree correction"),
                 })?;
-            out.push(u64::try_from(support).map_err(|_| {
-                crate::error::BflyError::CountOverflow {
-                    partial: support,
-                    context: "edge_supports",
-                }
-            })?);
+            *slot = u64::try_from(support).map_err(|_| BflyError::CountOverflow {
+                partial: support,
+                context: "edge_supports",
+            })?;
         }
         spa.clear();
     }
+    Ok(())
+}
+
+/// Support of every edge over `chunks` wedge-balanced V1 vertex ranges
+/// (inline for one), a support past `u64` failing with
+/// [`BflyError::CountOverflow`].
+pub(crate) fn checked_edge_supports(g: &BipartiteGraph, chunks: usize) -> Result<Vec<u64>> {
+    let adj = (g.biadjacency(), g.biadjacency_t());
+    let ptr = adj.0.ptr();
+    let m = g.nv1();
+    let mut out = vec![0u64; g.nedges()];
+    fill_balanced(
+        &mut out,
+        adj,
+        chunks,
+        |u| ptr[u],
+        || Spa::new(m),
+        |spa, items, out| supports_in(adj, items, spa, out),
+    )?;
     Ok(out)
 }
 
-/// Parallel [`edge_supports`].
-pub fn edge_supports_parallel(g: &BipartiteGraph) -> Vec<u64> {
-    let a = g.biadjacency();
-    let at = g.biadjacency_t();
-    let m = g.nv1();
-    let per_vertex: Vec<Vec<u64>> = (0..m)
-        .into_par_iter()
-        .map_init(
-            || Spa::<u64>::new(m),
-            |spa, u| supports_for_vertex(g, a, at, u, spa),
-        )
-        .collect();
-    per_vertex.into_iter().flatten().collect()
+/// Support of every edge, in row-major edge order. A support past `u64`
+/// panics naming [`try_edge_supports`].
+pub fn edge_supports(g: &BipartiteGraph) -> Vec<u64> {
+    expect_ok(checked_edge_supports(g, 1), "try_edge_supports")
 }
 
-fn supports_for_vertex(
-    g: &BipartiteGraph,
-    a: &bfly_sparse::Pattern,
-    at: &bfly_sparse::Pattern,
-    u: usize,
-    spa: &mut Spa<u64>,
-) -> Vec<u64> {
-    // cnt[w] = |N(u) ∩ N(w)| for every w ∈ V1 reachable in two hops.
-    for &v in a.row(u) {
-        for &w in at.row(v as usize) {
-            spa.scatter(w, 1);
-        }
-    }
-    let deg_u = g.deg_v1(u) as u64;
-    let mut supports = Vec::with_capacity(a.row_nnz(u));
-    for &v in a.row(u) {
-        let deg_v = g.deg_v2(v as usize) as u64;
-        let mut wedge_sum = 0u64; // Σ_{w ∈ N(v)} cnt[w], includes w = u.
-        for &w in at.row(v as usize) {
-            wedge_sum += spa.get(w);
-        }
-        // eq. 23: subtract |N(u)| (the w = u term) and the |N(v)| − 1
-        // wedges through v itself, each counted once in cnt via v.
-        // Evaluation order keeps the intermediate non-negative:
-        // wedge_sum ≥ deg_u + deg_v − 1 always holds (w = u contributes
-        // deg_u and each other w ∈ N(v) at least the shared wedge via v).
-        supports.push(wedge_sum + 1 - deg_u - deg_v);
-    }
-    spa.clear();
-    supports
+/// Fallible [`edge_supports`]: validates the graph first, so a malformed
+/// graph or a support exceeding `u64` fails with a [`BflyError`] instead
+/// of panicking.
+pub fn try_edge_supports(g: &BipartiteGraph) -> Result<Vec<u64>> {
+    validate_graph(g)?;
+    checked_edge_supports(g, 1)
 }
 
 /// Literal eq. 25 evaluation: `S_w = (AAᵀA − deg₁·1ᵀ − 1·deg₂ᵀ + J) ∘ A`,
@@ -243,12 +215,15 @@ mod tests {
         )
         .unwrap();
         let a = edge_supports(&g);
-        let b = edge_supports_algebraic(&g);
-        let c = edge_supports_parallel(&g);
-        let d = edge_supports_masked_spgemm(&g);
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-        assert_eq!(a, d);
+        assert_eq!(a, edge_supports_algebraic(&g));
+        assert_eq!(a, edge_supports_masked_spgemm(&g));
+        for chunks in [1, 2, 4] {
+            assert_eq!(
+                checked_edge_supports(&g, chunks).unwrap(),
+                a,
+                "chunks={chunks}"
+            );
+        }
     }
 
     #[test]

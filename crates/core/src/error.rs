@@ -68,6 +68,12 @@ pub(crate) fn expect_total(acc: bfly_sparse::CheckedAccum, twin: &'static str) -
     })
 }
 
+/// Unwrap a fallible result for an infallible entry point: on error,
+/// panic with it and the `try_` twin that returns it as a typed error.
+pub(crate) fn expect_ok<T>(r: Result<T>, twin: &'static str) -> T {
+    r.unwrap_or_else(|e| panic!("{e}; call {twin} for a typed error"))
+}
+
 impl std::fmt::Display for BflyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

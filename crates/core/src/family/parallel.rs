@@ -164,6 +164,44 @@ where
         .collect()
 }
 
+/// Fill `out` by a per-vertex body over the rows of `rows`: inline over
+/// every row for one chunk, else over [`balanced_ranges`] of its
+/// [`wedge_weights`] against `opposite`, one [`fork_join`] chunk per
+/// range with scratch from `init` per worker. Row `i`'s outputs start at
+/// `out[offset(i)]`, so each chunk writes its own disjoint slice and
+/// nothing is merged. The chunks run on a [`NoopRecorder`]: callers'
+/// recorders see no `chunk` spans or `par_chunks` from it. Returns the
+/// first chunk's error, in chunk order.
+pub(crate) fn fill_balanced<S, E: Send>(
+    out: &mut [u64],
+    (rows, opposite): (&Pattern, &Pattern),
+    chunks: usize,
+    offset: impl Fn(usize) -> usize,
+    init: impl Fn() -> S + Sync,
+    body: impl Fn(&mut S, Range<usize>, &mut [u64]) -> Result<(), E> + Sync,
+) -> Result<(), E> {
+    if chunks <= 1 {
+        return body(&mut init(), 0..rows.nrows(), out);
+    }
+    let ranges = balanced_ranges(&wedge_weights(rows, opposite), chunks);
+    let mut parts = Vec::with_capacity(ranges.len());
+    let mut rest = out;
+    for items in ranges {
+        let len = offset(items.end) - offset(items.start);
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        parts.push((items, part));
+        rest = tail;
+    }
+    fork_join(
+        parts,
+        init,
+        &mut NoopRecorder,
+        |scratch, (items, part), _| body(scratch, items, part),
+    )
+    .into_iter()
+    .collect()
+}
+
 /// The chunk driver behind every parallel count: [`fork_join`] over item
 /// ranges with the kernel's scratch allocated once per worker, each
 /// chunk polling the deadline on its own. Partials merge in chunk order,

@@ -6,7 +6,6 @@
 //! wants: membership at any `k`, the subgraph at any level, the hierarchy
 //! of distinct levels, and summary statistics.
 
-use super::parallel::{tip_numbers_parallel, wing_numbers_parallel};
 use super::tip::tip_numbers;
 use super::wing::wing_numbers;
 use bfly_graph::{BipartiteGraph, Side};
@@ -38,16 +37,6 @@ impl TipDecomposition {
             graph: g.clone(),
             side,
             numbers: tip_numbers(g, side),
-        }
-    }
-
-    /// [`TipDecomposition::compute`] with the peel frontier chunked over
-    /// rayon's current pool; identical numbers at any thread count.
-    pub fn compute_parallel(g: &BipartiteGraph, side: Side) -> Self {
-        Self {
-            graph: g.clone(),
-            side,
-            numbers: tip_numbers_parallel(g, side),
         }
     }
 
@@ -123,15 +112,6 @@ impl WingDecomposition {
         Self {
             graph: g.clone(),
             numbers: wing_numbers(g),
-        }
-    }
-
-    /// [`WingDecomposition::compute`] with the peel frontier chunked over
-    /// rayon's current pool; identical numbers at any thread count.
-    pub fn compute_parallel(g: &BipartiteGraph) -> Self {
-        Self {
-            graph: g.clone(),
-            numbers: wing_numbers_parallel(g),
         }
     }
 
@@ -257,16 +237,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_compute_matches_sequential() {
+    fn chunked_numbers_match_the_decompositions() {
+        use crate::peel::{tip_numbers_with_chunks, wing_numbers_with_chunks};
+        use bfly_telemetry::NoopRecorder;
         let g = sample();
         for side in [Side::V1, Side::V2] {
             assert_eq!(
-                TipDecomposition::compute_parallel(&g, side).numbers(),
+                tip_numbers_with_chunks(&g, side, 4, &mut NoopRecorder),
                 TipDecomposition::compute(&g, side).numbers()
             );
         }
         assert_eq!(
-            WingDecomposition::compute_parallel(&g).numbers(),
+            wing_numbers_with_chunks(&g, 4, &mut NoopRecorder),
             WingDecomposition::compute(&g).numbers()
         );
     }

@@ -16,19 +16,13 @@ pub mod wing;
 pub use bucket::{BucketQueue, StampSet};
 pub use decomposition::{TipDecomposition, WingDecomposition};
 pub use parallel::{
-    tip_numbers_budgeted_recorded, tip_numbers_parallel, tip_numbers_parallel_recorded,
-    tip_numbers_with_chunks, try_tip_numbers, try_wing_numbers, wing_numbers_budgeted_recorded,
-    wing_numbers_parallel, wing_numbers_parallel_recorded, wing_numbers_with_chunks,
-    PAR_FRONTIER_MIN,
+    tip_numbers_budgeted_recorded, tip_numbers_with_chunks, try_tip_numbers, try_wing_numbers,
+    wing_numbers_budgeted_recorded, wing_numbers_with_chunks, PAR_FRONTIER_MIN,
 };
 
-pub use tip::{
-    k_tip, k_tip_lookahead, k_tip_matrix, k_tip_parallel, k_tip_parallel_recorded, k_tip_recorded,
-    tip_numbers, tip_numbers_bucket, tip_numbers_recorded, TipResult,
-};
+pub use tip::{k_tip, k_tip_lookahead, k_tip_matrix, k_tip_recorded, tip_numbers, TipResult};
 pub use wing::{
-    k_wing, k_wing_masked_spgemm, k_wing_matrix, k_wing_parallel, k_wing_parallel_recorded,
-    k_wing_recorded, wing_numbers, wing_numbers_recorded, WingResult,
+    k_wing, k_wing_masked_spgemm, k_wing_matrix, k_wing_recorded, wing_numbers, WingResult,
 };
 
 #[cfg(any(test, feature = "testkit"))]

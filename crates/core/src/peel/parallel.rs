@@ -2,6 +2,11 @@
 //! sequential or frontier-parallel (ParButterfly's peeling strategy on
 //! top of the [`super::bucket::BucketQueue`]).
 //!
+//! Every decomposition entry point runs one executor (`decompose`):
+//! validate the graph, apply the budget, compute the overflow-checked
+//! initial scores (the one body of [`crate::vertex_counts`] or
+//! [`crate::edge_support`]) over wedge-balanced chunks, then peel.
+//!
 //! Each round extracts the *entire* minimum bucket — every item whose
 //! current score equals the minimum — assigns all of them the current
 //! peel level, and repairs the scores of the surviving items they shared
@@ -34,9 +39,11 @@
 //!   butterfly's non-frontier edges.
 
 use super::bucket::{BucketQueue, StampSet};
-use crate::edge_support::{edge_supports, edge_supports_parallel};
+use crate::budget::{record_degraded, Partial, ResourceBudget};
+use crate::edge_support::checked_edge_supports;
+use crate::error::{expect_ok, validate_graph, Result};
 use crate::family::parallel::fork_join;
-use crate::vertex_counts::{butterflies_per_vertex, butterflies_per_vertex_parallel};
+use crate::vertex_counts::{checked_vertex_counts, side_adj};
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::{choose2, Pattern, Spa};
 use bfly_telemetry::{Counter, NoopRecorder, Recorder};
@@ -205,23 +212,6 @@ where
     (peel, complete)
 }
 
-/// [`super::tip::tip_numbers`] through the bucket engine with an explicit
-/// chunk count (`1` = sequential; tests and benches pin exact fan-outs
-/// with this). Output is identical for every chunk count.
-pub fn tip_numbers_with_chunks<R: Recorder>(
-    g: &BipartiteGraph,
-    side: Side,
-    chunks: usize,
-    rec: &mut R,
-) -> Vec<u64> {
-    let init = if chunks > 1 {
-        butterflies_per_vertex_parallel(g, side)
-    } else {
-        butterflies_per_vertex(g, side)
-    };
-    tip_peel_run(g, side, chunks, init, None, rec).0
-}
-
 /// Shared tip-peeling run: bucket engine over precomputed initial counts
 /// with an optional round-boundary deadline.
 fn tip_peel_run<R: Recorder>(
@@ -232,10 +222,7 @@ fn tip_peel_run<R: Recorder>(
     deadline: Option<std::time::Instant>,
     rec: &mut R,
 ) -> (Vec<u64>, bool) {
-    let (part_adj, other_adj) = match side {
-        Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-        Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-    };
+    let (part_adj, other_adj) = side_adj(g, side);
     let kernel = |u: u32, alive: &[bool], _frontier: &StampSet, scratch: &mut PeelScratch| {
         // Wedge-expand from the removed vertex over surviving partners;
         // C(multiplicity, 2) butterflies vanish per surviving partner.
@@ -256,21 +243,6 @@ fn tip_peel_run<R: Recorder>(
         cnt.clear();
     };
     peel_with_kernel_deadline(init, chunks, Counter::PeeledVertices, deadline, rec, kernel)
-}
-
-/// [`super::wing::wing_numbers`] through the bucket engine with an
-/// explicit chunk count. Output is identical for every chunk count.
-pub fn wing_numbers_with_chunks<R: Recorder>(
-    g: &BipartiteGraph,
-    chunks: usize,
-    rec: &mut R,
-) -> Vec<u64> {
-    let init = if chunks > 1 {
-        edge_supports_parallel(g)
-    } else {
-        edge_supports(g)
-    };
-    wing_peel_run(g, chunks, init, None, rec).0
 }
 
 /// Row-major edge id of every position of `at`, the transpose of `a`.
@@ -371,38 +343,6 @@ fn wing_peel_run<R: Recorder>(
     peel_with_kernel_deadline(init, chunks, Counter::PeeledEdges, deadline, rec, kernel)
 }
 
-/// Tip decomposition with the frontier parallelised over rayon's current
-/// pool (one chunk per worker). Bitwise-identical to
-/// [`super::tip::tip_numbers`] at any thread count.
-pub fn tip_numbers_parallel(g: &BipartiteGraph, side: Side) -> Vec<u64> {
-    tip_numbers_parallel_recorded(g, side, &mut NoopRecorder)
-}
-
-/// [`tip_numbers_parallel`] reporting rounds, bucket sizes, and repair
-/// volumes through `rec`.
-pub fn tip_numbers_parallel_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    side: Side,
-    rec: &mut R,
-) -> Vec<u64> {
-    let chunks = rayon::current_num_threads().max(1);
-    tip_numbers_with_chunks(g, side, chunks, rec)
-}
-
-/// Wing decomposition with the frontier parallelised over rayon's
-/// current pool. Bitwise-identical to [`super::wing::wing_numbers`] at
-/// any thread count.
-pub fn wing_numbers_parallel(g: &BipartiteGraph) -> Vec<u64> {
-    wing_numbers_parallel_recorded(g, &mut NoopRecorder)
-}
-
-/// [`wing_numbers_parallel`] reporting rounds, bucket sizes, and repair
-/// volumes through `rec`.
-pub fn wing_numbers_parallel_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> Vec<u64> {
-    let chunks = rayon::current_num_threads().max(1);
-    wing_numbers_with_chunks(g, chunks, rec)
-}
-
 /// Estimated bytes for one [`PeelScratch`] over `n` items: two `Spa`s,
 /// each roughly value (8) + stamp (8) + touched-list (8) bytes per slot.
 fn scratch_bytes(n: usize) -> u64 {
@@ -422,9 +362,9 @@ fn engine_base_bytes(n: usize) -> u64 {
 fn budgeted_chunks<R: Recorder>(
     n: usize,
     want_chunks: usize,
-    budget: &crate::budget::ResourceBudget,
+    budget: &ResourceBudget,
     rec: &mut R,
-) -> crate::error::Result<usize> {
+) -> Result<usize> {
     let floor = engine_base_bytes(n) + scratch_bytes(n);
     budget.check_bytes(floor)?;
     let mut chunks = want_chunks.max(1);
@@ -433,93 +373,141 @@ fn budgeted_chunks<R: Recorder>(
         chunks -= 1;
     }
     if chunks < want_chunks.max(1) {
-        crate::budget::record_degraded(rec, "bytes");
+        record_degraded(rec, "bytes");
         rec.gauge("budget.peel_chunks", chunks as f64);
     }
     Ok(chunks)
 }
 
+/// The decomposition a [`decompose`] run computes.
+#[derive(Clone, Copy)]
+enum Target {
+    /// Tip numbers of one side's vertices.
+    Tip(Side),
+    /// Wing numbers of the edges.
+    Wing,
+}
+
+/// The one decomposition executor, generic over tip and wing. It
+/// validates the graph, refuses a wedge-work cap the initial scores
+/// would exceed ([`BudgetExceeded`](crate::error::BflyError::BudgetExceeded)),
+/// narrows `chunks` to what the byte budget holds (`budget.degraded` =
+/// bytes), computes the overflow-checked initial scores over that many
+/// wedge-balanced chunks, and peels with the same chunk count until the
+/// budget's deadline. A deadline that expires stops peeling at a round
+/// boundary and returns [`Partial::truncated`] (`budget.degraded` =
+/// deadline): peeled items exact, still-alive items upper-bounded by
+/// their residual score.
+fn decompose<R: Recorder>(
+    g: &BipartiteGraph,
+    target: Target,
+    chunks: usize,
+    budget: &ResourceBudget,
+    rec: &mut R,
+) -> Result<Partial<Vec<u64>>> {
+    validate_graph(g)?;
+    budget.record_limits(rec);
+    let (items, init_work) = match target {
+        Target::Tip(side) => (g.nvertices(side), tip_init_work(g, side)),
+        Target::Wing => (g.nedges(), wing_init_work(g)),
+    };
+    budget.check_wedge_work(init_work)?;
+    let chunks = budgeted_chunks(items, chunks, budget, rec)?;
+    let (peel, complete) = match target {
+        Target::Tip(side) => {
+            let init = checked_vertex_counts(g, side, chunks, 0)?;
+            tip_peel_run(g, side, chunks, init, budget.deadline, rec)
+        }
+        Target::Wing => {
+            let init = checked_edge_supports(g, chunks)?;
+            wing_peel_run(g, chunks, init, budget.deadline, rec)
+        }
+    };
+    if !complete {
+        record_degraded(rec, "deadline");
+        return Ok(Partial::truncated(peel));
+    }
+    Ok(Partial::complete(peel))
+}
+
+/// Budget-aware tip decomposition of `side` over `chunks` chunks (`1` =
+/// sequential): the executor behind every tip entry point. A byte cap
+/// too small for `chunks` scratches narrows the fan-out (`budget.degraded`
+/// = bytes); a wedge-work cap the initial counts would exceed fails with
+/// [`BudgetExceeded`](crate::error::BflyError::BudgetExceeded); an
+/// expired deadline stops at a round boundary with
+/// [`Partial::truncated`] — peeled vertices exact, the rest
+/// upper-bounded. Output is identical for every chunk count.
+pub fn tip_numbers_budgeted_recorded<R: Recorder>(
+    g: &BipartiteGraph,
+    side: Side,
+    chunks: usize,
+    budget: &ResourceBudget,
+    rec: &mut R,
+) -> Result<Partial<Vec<u64>>> {
+    decompose(g, Target::Tip(side), chunks, budget, rec)
+}
+
+/// Budget-aware wing decomposition: [`tip_numbers_budgeted_recorded`]'s
+/// executor and degradation order, over edges instead of vertices.
+pub fn wing_numbers_budgeted_recorded<R: Recorder>(
+    g: &BipartiteGraph,
+    chunks: usize,
+    budget: &ResourceBudget,
+    rec: &mut R,
+) -> Result<Partial<Vec<u64>>> {
+    decompose(g, Target::Wing, chunks, budget, rec)
+}
+
+/// [`super::tip::tip_numbers`] with an explicit chunk count (`1` =
+/// sequential; tests, benches and the CLI pin exact fan-outs with this):
+/// the executor with an unlimited budget. Output is identical for every
+/// chunk count; an initial count past `u64` panics naming
+/// [`try_tip_numbers`].
+pub fn tip_numbers_with_chunks<R: Recorder>(
+    g: &BipartiteGraph,
+    side: Side,
+    chunks: usize,
+    rec: &mut R,
+) -> Vec<u64> {
+    let unlimited = ResourceBudget::unlimited();
+    expect_ok(
+        decompose(g, Target::Tip(side), chunks, &unlimited, rec),
+        "try_tip_numbers",
+    )
+    .value
+}
+
+/// [`super::wing::wing_numbers`] with an explicit chunk count: the
+/// executor with an unlimited budget. Output is identical for every
+/// chunk count; an initial support past `u64` panics naming
+/// [`try_wing_numbers`].
+pub fn wing_numbers_with_chunks<R: Recorder>(
+    g: &BipartiteGraph,
+    chunks: usize,
+    rec: &mut R,
+) -> Vec<u64> {
+    let unlimited = ResourceBudget::unlimited();
+    expect_ok(
+        decompose(g, Target::Wing, chunks, &unlimited, rec),
+        "try_wing_numbers",
+    )
+    .value
+}
+
 /// Fallible [`super::tip::tip_numbers`]: validates the graph and runs
 /// the overflow-checked initial counts before peeling. Never panics on
 /// structurally invalid input.
-pub fn try_tip_numbers(g: &BipartiteGraph, side: Side) -> crate::error::Result<Vec<u64>> {
-    let out = tip_numbers_budgeted_recorded(
-        g,
-        side,
-        &crate::budget::ResourceBudget::unlimited(),
-        &mut NoopRecorder,
-    )?;
-    Ok(out.value)
+pub fn try_tip_numbers(g: &BipartiteGraph, side: Side) -> Result<Vec<u64>> {
+    let unlimited = ResourceBudget::unlimited();
+    Ok(decompose(g, Target::Tip(side), 1, &unlimited, &mut NoopRecorder)?.value)
 }
 
 /// Fallible [`super::wing::wing_numbers`]: validates the graph and runs
 /// the overflow-checked initial supports before peeling.
-pub fn try_wing_numbers(g: &BipartiteGraph) -> crate::error::Result<Vec<u64>> {
-    let out = wing_numbers_budgeted_recorded(
-        g,
-        &crate::budget::ResourceBudget::unlimited(),
-        &mut NoopRecorder,
-    )?;
-    Ok(out.value)
-}
-
-/// Budget-aware tip decomposition. Degradation order: a byte budget too
-/// small for the planned fan-out shrinks the chunk count toward
-/// sequential (`budget.degraded` gauge = bytes); a wedge-work cap the
-/// *initial counting* pass would exceed fails with
-/// [`BudgetExceeded`](crate::error::BflyError::BudgetExceeded); an
-/// expired deadline stops peeling at a round boundary and returns
-/// [`Partial::truncated`] — peeled items exact, still-alive items
-/// upper-bounded by their residual score.
-pub fn tip_numbers_budgeted_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    side: Side,
-    budget: &crate::budget::ResourceBudget,
-    rec: &mut R,
-) -> crate::error::Result<crate::budget::Partial<Vec<u64>>> {
-    crate::error::validate_graph(g)?;
-    budget.record_limits(rec);
-    let n = match side {
-        Side::V1 => g.nv1(),
-        Side::V2 => g.nv2(),
-    };
-    budget.check_wedge_work(tip_init_work(g, side))?;
-    let want = rayon::current_num_threads().max(1);
-    let chunks = budgeted_chunks(n, want, budget, rec)?;
-    let init = crate::vertex_counts::try_butterflies_per_vertex(g, side)?;
-    let (peel, complete) = tip_peel_run(g, side, chunks, init, budget.deadline, rec);
-    if !complete {
-        crate::budget::record_degraded(rec, "deadline");
-    }
-    Ok(if complete {
-        crate::budget::Partial::complete(peel)
-    } else {
-        crate::budget::Partial::truncated(peel)
-    })
-}
-
-/// Budget-aware wing decomposition; same degradation order as
-/// [`tip_numbers_budgeted_recorded`], over edges instead of vertices.
-pub fn wing_numbers_budgeted_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    budget: &crate::budget::ResourceBudget,
-    rec: &mut R,
-) -> crate::error::Result<crate::budget::Partial<Vec<u64>>> {
-    crate::error::validate_graph(g)?;
-    budget.record_limits(rec);
-    budget.check_wedge_work(wing_init_work(g))?;
-    let want = rayon::current_num_threads().max(1);
-    let chunks = budgeted_chunks(g.nedges(), want, budget, rec)?;
-    let init = crate::edge_support::try_edge_supports(g)?;
-    let (peel, complete) = wing_peel_run(g, chunks, init, budget.deadline, rec);
-    if !complete {
-        crate::budget::record_degraded(rec, "deadline");
-    }
-    Ok(if complete {
-        crate::budget::Partial::complete(peel)
-    } else {
-        crate::budget::Partial::truncated(peel)
-    })
+pub fn try_wing_numbers(g: &BipartiteGraph) -> Result<Vec<u64>> {
+    let unlimited = ResourceBudget::unlimited();
+    Ok(decompose(g, Target::Wing, 1, &unlimited, &mut NoopRecorder)?.value)
 }
 
 /// Wedge work of the tip initial-count pass: `Σ_j deg(j)²` over the
@@ -527,10 +515,7 @@ pub fn wing_numbers_budgeted_recorded<R: Recorder>(
 /// adjacency). Saturates at `u64::MAX` — a total that large exceeds any
 /// realistic cap anyway.
 fn tip_init_work(g: &BipartiteGraph, side: Side) -> u64 {
-    let other = match side {
-        Side::V1 => g.biadjacency_t(),
-        Side::V2 => g.biadjacency(),
-    };
+    let other = side_adj(g, side).1;
     let mut total = 0u128;
     for j in 0..other.nrows() {
         let d = other.row_nnz(j) as u128;

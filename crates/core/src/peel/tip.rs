@@ -16,12 +16,12 @@
 //!
 //! [`tip_numbers`] computes the full decomposition: for each vertex the
 //! largest `k` such that it survives in the k-tip — whole-bucket peeling
-//! with incremental score repair through the engine in
+//! with incremental score repair through the executor in
 //! [`super::parallel`] (sequential by default;
-//! [`super::parallel::tip_numbers_parallel`] chunks each frontier over
-//! rayon workers). The original lazy-min-heap formulation survives as
-//! [`tip_numbers_oracle`], a `testkit`-gated witness for the
-//! differential tests.
+//! [`super::parallel::tip_numbers_with_chunks`] chunks the initial counts
+//! and each large frontier over rayon workers). The original
+//! lazy-min-heap formulation survives as [`tip_numbers_oracle`], a
+//! `testkit`-gated witness for the differential tests.
 
 use crate::vertex_counts::{butterflies_per_vertex, butterflies_per_vertex_algebraic};
 use bfly_graph::{BipartiteGraph, Side};
@@ -149,28 +149,6 @@ pub fn k_tip_recorded<R: Recorder>(
     })
 }
 
-/// Parallel [`k_tip`]: per-round scores computed with the rayon
-/// per-vertex counter. Identical output, rounds dominated by the scoring
-/// sweep parallelise.
-pub fn k_tip_parallel(g: &BipartiteGraph, side: Side, k: u64) -> TipResult {
-    k_tip_parallel_recorded(g, side, k, &mut NoopRecorder)
-}
-
-/// [`k_tip_parallel`] reporting work counters through `rec`.
-pub fn k_tip_parallel_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    side: Side,
-    k: u64,
-    rec: &mut R,
-) -> TipResult {
-    peel_to_fixed_point(g, side, rec, |cur| {
-        crate::vertex_counts::butterflies_per_vertex_parallel(cur, side)
-            .into_iter()
-            .map(|s| s >= k)
-            .collect()
-    })
-}
-
 /// The literal matrix formulation (eqs. 19–22): per round, `B = A·Aᵀ` via
 /// SpGEMM, `s` from the eq. 19 diagonal (corrected to whole butterflies,
 /// see [`crate::vertex_counts`]), threshold mask, Hadamard onto `A`
@@ -234,18 +212,6 @@ pub fn k_tip_lookahead(g: &BipartiteGraph, side: Side, k: u64) -> TipResult {
 /// wedge expansion from the removed frontier over the *remaining* graph.
 pub fn tip_numbers(g: &BipartiteGraph, side: Side) -> Vec<u64> {
     super::parallel::tip_numbers_with_chunks(g, side, 1, &mut NoopRecorder)
-}
-
-/// [`tip_numbers`] reporting rounds, bucket sizes, and repair volumes
-/// through `rec`.
-pub fn tip_numbers_recorded<R: Recorder>(g: &BipartiteGraph, side: Side, rec: &mut R) -> Vec<u64> {
-    super::parallel::tip_numbers_with_chunks(g, side, 1, rec)
-}
-
-/// Alias of [`tip_numbers`], retained from when the bucket queue was the
-/// alternative formulation rather than the default.
-pub fn tip_numbers_bucket(g: &BipartiteGraph, side: Side) -> Vec<u64> {
-    tip_numbers(g, side)
 }
 
 /// The original one-vertex-at-a-time formulation: a lazy binary min-heap
@@ -341,11 +307,8 @@ mod tests {
                 let a = k_tip(&g, side, k);
                 let b = k_tip_matrix(&g, side, k);
                 let c = k_tip_lookahead(&g, side, k);
-                let d = k_tip_parallel(&g, side, k);
                 assert_eq!(a.keep, b.keep, "k={k} {side:?} matrix");
                 assert_eq!(a.keep, c.keep, "k={k} {side:?} lookahead");
-                assert_eq!(a.keep, d.keep, "k={k} {side:?} parallel");
-                assert_eq!(a.rounds, d.rounds);
                 verify_is_fixed_point(&g, side, k, &a);
             }
         }
@@ -425,14 +388,9 @@ mod tests {
                 let want = tip_numbers_oracle(&g, side);
                 assert_eq!(tip_numbers(&g, side), want, "trial {trial} side {side:?}");
                 assert_eq!(
-                    tip_numbers_bucket(&g, side),
+                    super::super::parallel::tip_numbers_with_chunks(&g, side, 2, &mut NoopRecorder),
                     want,
-                    "trial {trial} side {side:?} alias"
-                );
-                assert_eq!(
-                    super::super::parallel::tip_numbers_parallel(&g, side),
-                    want,
-                    "trial {trial} side {side:?} parallel"
+                    "trial {trial} side {side:?} chunked"
                 );
             }
         }

@@ -111,21 +111,6 @@ pub fn k_wing_matrix(g: &BipartiteGraph, k: u64) -> WingResult {
     peel_rounds(g, k, &mut NoopRecorder, edge_supports_algebraic)
 }
 
-/// Parallel [`k_wing`]: per-round supports computed with the rayon edge
-/// scorer. Identical output.
-pub fn k_wing_parallel(g: &BipartiteGraph, k: u64) -> WingResult {
-    k_wing_parallel_recorded(g, k, &mut NoopRecorder)
-}
-
-/// [`k_wing_parallel`] reporting work counters through `rec`.
-pub fn k_wing_parallel_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    k: u64,
-    rec: &mut R,
-) -> WingResult {
-    peel_rounds(g, k, rec, crate::edge_support::edge_supports_parallel)
-}
-
 /// Eq. 25 evaluated with the Hadamard mask pushed into the SpGEMM
 /// ([`crate::edge_support::edge_supports_masked_spgemm`]); a third
 /// formulation-level implementation for the agreement tests.
@@ -145,12 +130,6 @@ pub fn k_wing_masked_spgemm(g: &BipartiteGraph, k: u64) -> WingResult {
 /// destroyed by the round decrements the supports of its surviving edges.
 pub fn wing_numbers(g: &BipartiteGraph) -> Vec<u64> {
     super::parallel::wing_numbers_with_chunks(g, 1, &mut NoopRecorder)
-}
-
-/// [`wing_numbers`] reporting rounds, bucket sizes, and repair volumes
-/// through `rec`.
-pub fn wing_numbers_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> Vec<u64> {
-    super::parallel::wing_numbers_with_chunks(g, 1, rec)
 }
 
 /// The original one-edge-at-a-time formulation: a lazy binary min-heap
@@ -261,10 +240,8 @@ mod tests {
         for k in [1u64, 2, 4, 9, 15] {
             let a = k_wing(&g, k);
             let b = k_wing_matrix(&g, k);
-            let c = k_wing_parallel(&g, k);
             let d = k_wing_masked_spgemm(&g, k);
             assert_eq!(a.keep, b.keep, "k = {k} matrix");
-            assert_eq!(a.keep, c.keep, "k = {k} parallel");
             assert_eq!(a.keep, d.keep, "k = {k} masked spgemm");
             verify_is_fixed_point(k, &a);
         }
@@ -314,9 +291,9 @@ mod tests {
             let want = wing_numbers_oracle(&g);
             assert_eq!(wing_numbers(&g), want, "trial {trial}");
             assert_eq!(
-                super::super::parallel::wing_numbers_parallel(&g),
+                super::super::parallel::wing_numbers_with_chunks(&g, 2, &mut NoopRecorder),
                 want,
-                "trial {trial} parallel"
+                "trial {trial} chunked"
             );
         }
     }

@@ -11,70 +11,41 @@
 //! relationship `2·s_paper = b` is tested rather than assumed.
 //!
 //! Two implementations:
-//! * [`butterflies_per_vertex`] — wedge expansion per vertex (production).
+//! * [`butterflies_per_vertex`] — wedge expansion per vertex (production):
+//!   one overflow-checked body that [`try_butterflies_per_vertex`], the
+//!   tip decomposition's initial scores and [`crate::peel::k_tip`] also
+//!   run.
 //! * [`butterflies_per_vertex_algebraic`] — via SpGEMM, a transliteration
 //!   of eq. 19 (validation; also exercises the sparse substrate).
 
+use crate::error::{checked_total, expect_ok, validate_graph, Result};
+use crate::family::engine::drain_pairs;
+use crate::family::parallel::fill_balanced;
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::ops::spgemm;
-use bfly_sparse::{choose2, CsrMatrix, Pattern, Spa};
-use rayon::prelude::*;
+use bfly_sparse::{choose2, CheckedAccum, CsrMatrix, Pattern, Spa};
+use std::ops::Range;
 
-fn side_adj(g: &BipartiteGraph, side: Side) -> (&Pattern, &Pattern) {
+/// `(part_adj, other_adj)` of `side`: row `u` of the first lists the
+/// opposite-side neighbours of `u`, and the second is its transpose.
+pub(crate) fn side_adj(g: &BipartiteGraph, side: Side) -> (&Pattern, &Pattern) {
     match side {
         Side::V1 => (g.biadjacency(), g.biadjacency_t()),
         Side::V2 => (g.biadjacency_t(), g.biadjacency()),
     }
 }
 
-/// Butterflies at one vertex of the given side: `Σ_{w≠u} C(|N(u)∩N(w)|, 2)`.
-pub(crate) fn butterflies_at_vertex(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    u: usize,
+/// The one wedge-expansion body: `b_u = Σ_{w≠u} C(|N(u)∩N(w)|, 2)` for
+/// each vertex `u` of `items`, written to `out` in order. Each wedge is
+/// scattered once and drained into a [`CheckedAccum`] seeded with `base`.
+fn counts_in(
+    (part_adj, other_adj): (&Pattern, &Pattern),
+    items: Range<usize>,
+    base: u64,
     spa: &mut Spa<u64>,
-) -> u64 {
-    for &j in part_adj.row(u) {
-        for &w in other_adj.row(j as usize) {
-            if w as usize != u {
-                spa.scatter(w, 1);
-            }
-        }
-    }
-    let mut acc = 0u64;
-    for (_, cnt) in spa.entries() {
-        acc += choose2(cnt);
-    }
-    spa.clear();
-    acc
-}
-
-/// `b_u` for every vertex on `side`, by wedge expansion.
-pub fn butterflies_per_vertex(g: &BipartiteGraph, side: Side) -> Vec<u64> {
-    let (part_adj, other_adj) = side_adj(g, side);
-    let n = part_adj.nrows();
-    let mut spa = Spa::<u64>::new(n);
-    (0..n)
-        .map(|u| butterflies_at_vertex(part_adj, other_adj, u, &mut spa))
-        .collect()
-}
-
-/// Fallible, overflow-checked [`butterflies_per_vertex`]: validates the
-/// graph first, then accumulates each `b_u` through a
-/// [`bfly_sparse::CheckedAccum`] so a per-vertex count exceeding `u64`
-/// surfaces as [`BflyError::CountOverflow`](crate::error::BflyError)
-/// (carrying the exact promoted value) rather than wrapping in release.
-pub fn try_butterflies_per_vertex(
-    g: &BipartiteGraph,
-    side: Side,
-) -> crate::error::Result<Vec<u64>> {
-    crate::error::validate_graph(g)?;
-    let (part_adj, other_adj) = side_adj(g, side);
-    let n = part_adj.nrows();
-    let mut spa = Spa::<u64>::new(n);
-    let mut out = Vec::with_capacity(n);
-    for u in 0..n {
-        let mut acc = bfly_sparse::CheckedAccum::new();
+    out: &mut [u64],
+) -> Result<()> {
+    for (u, slot) in items.zip(out) {
         for &j in part_adj.row(u) {
             for &w in other_adj.row(j as usize) {
                 if w as usize != u {
@@ -82,32 +53,54 @@ pub fn try_butterflies_per_vertex(
                 }
             }
         }
-        for (_, cnt) in spa.entries() {
-            acc.add(choose2(cnt));
-        }
-        spa.clear();
-        out.push(
-            acc.finish()
-                .map_err(|partial| crate::error::BflyError::CountOverflow {
-                    partial,
-                    context: "butterflies_per_vertex",
-                })?,
-        );
+        let mut acc = CheckedAccum::with_base(base);
+        drain_pairs(spa, &mut acc);
+        *slot = checked_total(acc, "butterflies_per_vertex")?;
     }
+    Ok(())
+}
+
+/// `b_u` for every vertex on `side` over `chunks` wedge-balanced vertex
+/// ranges (inline for one), a count past `u64` failing with
+/// [`BflyError::CountOverflow`](crate::error::BflyError) and its exact
+/// value. `base` seeds every vertex's accumulator: zero in production,
+/// near `u64::MAX` in the tests that reach the overflow path.
+pub(crate) fn checked_vertex_counts(
+    g: &BipartiteGraph,
+    side: Side,
+    chunks: usize,
+    base: u64,
+) -> Result<Vec<u64>> {
+    let adj = side_adj(g, side);
+    let n = adj.0.nrows();
+    let mut out = vec![0u64; n];
+    fill_balanced(
+        &mut out,
+        adj,
+        chunks,
+        |u| u,
+        || Spa::new(n),
+        |spa, items, out| counts_in(adj, items, base, spa, out),
+    )?;
     Ok(out)
 }
 
-/// Parallel [`butterflies_per_vertex`].
-pub fn butterflies_per_vertex_parallel(g: &BipartiteGraph, side: Side) -> Vec<u64> {
-    let (part_adj, other_adj) = side_adj(g, side);
-    let n = part_adj.nrows();
-    (0..n)
-        .into_par_iter()
-        .map_init(
-            || Spa::<u64>::new(n),
-            |spa, u| butterflies_at_vertex(part_adj, other_adj, u, spa),
-        )
-        .collect()
+/// `b_u` for every vertex on `side`, by wedge expansion. A count past
+/// `u64` panics naming [`try_butterflies_per_vertex`].
+pub fn butterflies_per_vertex(g: &BipartiteGraph, side: Side) -> Vec<u64> {
+    expect_ok(
+        checked_vertex_counts(g, side, 1, 0),
+        "try_butterflies_per_vertex",
+    )
+}
+
+/// Fallible [`butterflies_per_vertex`]: validates the graph first, so a
+/// malformed graph or a per-vertex count exceeding `u64` surfaces as a
+/// [`BflyError`](crate::error::BflyError) (an overflow carrying the
+/// exact promoted value) rather than a panic.
+pub fn try_butterflies_per_vertex(g: &BipartiteGraph, side: Side) -> Result<Vec<u64>> {
+    validate_graph(g)?;
+    checked_vertex_counts(g, side, 1, 0)
 }
 
 /// `b` via sparse algebra: `b_i = Σ_{j≠i} (B_ij² − B_ij)/2`, i.e. twice the
@@ -203,17 +196,41 @@ mod tests {
         )
         .unwrap();
         for side in [Side::V1, Side::V2] {
-            assert_eq!(
-                butterflies_per_vertex(&g, side),
-                butterflies_per_vertex_algebraic(&g, side),
-                "{side:?}"
-            );
-            assert_eq!(
-                butterflies_per_vertex(&g, side),
-                butterflies_per_vertex_parallel(&g, side),
-                "{side:?}"
-            );
+            let want = butterflies_per_vertex_algebraic(&g, side);
+            assert_eq!(butterflies_per_vertex(&g, side), want, "{side:?}");
+            for chunks in [1, 2, 4] {
+                assert_eq!(
+                    checked_vertex_counts(&g, side, chunks, 0).unwrap(),
+                    want,
+                    "{side:?} chunks={chunks}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn seeded_overflow_promotes_exactly() {
+        // Graph-realisable u64 overflow needs > 2^32 vertices; seeding each
+        // vertex's accumulator near the ceiling exercises the same path.
+        // K_{3,3}: vertex 0 is the first to overflow, at base + 6.
+        let base = u64::MAX - 1;
+        for chunks in [1, 2] {
+            match checked_vertex_counts(&k33(), Side::V1, chunks, base) {
+                Err(crate::error::BflyError::CountOverflow { partial, .. }) => {
+                    assert_eq!(partial, base as u128 + 6, "exact, never wrapped")
+                }
+                other => panic!("chunks={chunks}: expected CountOverflow, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "try_butterflies_per_vertex")]
+    fn infallible_counts_name_the_try_twin_past_u64() {
+        expect_ok(
+            checked_vertex_counts(&k33(), Side::V1, 1, u64::MAX),
+            "try_butterflies_per_vertex",
+        );
     }
 
     #[test]

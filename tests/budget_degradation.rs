@@ -5,15 +5,16 @@
 
 use bfly::core::adaptive::plan_scratch_bytes;
 use bfly::core::peel::{
-    tip_numbers, tip_numbers_budgeted_recorded, wing_numbers_budgeted_recorded,
+    tip_numbers, tip_numbers_budgeted_recorded, wing_numbers, wing_numbers_budgeted_recorded,
 };
 use bfly::core::telemetry::{InMemoryRecorder, NoopRecorder};
 use bfly::core::testkit::fixture_battery;
 use bfly::core::{
     count_adaptive, count_adaptive_budgeted, count_adaptive_budgeted_recorded, BflyError,
-    GraphProfile, PairMatrix, ResourceBudget,
+    GraphProfile, PairMatrix, Partial, ResourceBudget,
 };
 use bfly::graph::{BipartiteGraph, Side};
+use std::time::{Duration, Instant};
 
 #[test]
 fn unlimited_budget_reproduces_every_fixture_count() {
@@ -125,24 +126,75 @@ fn expired_deadline_yields_flagged_partial_count() {
 
 #[test]
 fn budgeted_peel_paths_match_unbudgeted_numbers() {
+    let budget = ResourceBudget::unlimited();
+    // A one-byte cap forces the chunk fallback; numbers still exact
+    // unless the budget refuses outright, which must be typed.
+    let tiny = ResourceBudget::unlimited().with_max_bytes(1);
+    let exact_or_refused = |r: Result<Partial<Vec<u64>>, BflyError>, want: &[u64], at: &str| match r
+    {
+        Ok(r) => assert_eq!(r.value, want, "{at}"),
+        Err(BflyError::BudgetExceeded { .. }) => {}
+        Err(other) => panic!("{at}: unexpected {other:?}"),
+    };
     for (name, g) in fixture_battery() {
-        let budget = ResourceBudget::unlimited();
+        let tips = [Side::V1, Side::V2].map(|side| (side, tip_numbers(&g, side)));
+        let wings = wing_numbers(&g);
+        for chunks in [1, 2, 4] {
+            for (side, want) in &tips {
+                let at = format!("{name} {side:?} chunks={chunks}");
+                let r =
+                    tip_numbers_budgeted_recorded(&g, *side, chunks, &budget, &mut NoopRecorder)
+                        .unwrap();
+                assert!(r.complete, "{at}");
+                assert_eq!(&r.value, want, "{at}");
+                let r = tip_numbers_budgeted_recorded(&g, *side, chunks, &tiny, &mut NoopRecorder);
+                exact_or_refused(r, want, &at);
+            }
+            let at = format!("{name} chunks={chunks}");
+            let r = wing_numbers_budgeted_recorded(&g, chunks, &budget, &mut NoopRecorder).unwrap();
+            assert!(r.complete, "{at}");
+            assert_eq!(r.value, wings, "{at}");
+            let r = wing_numbers_budgeted_recorded(&g, chunks, &tiny, &mut NoopRecorder);
+            exact_or_refused(r, &wings, &at);
+        }
+    }
+}
+
+#[test]
+fn expired_deadline_truncates_decompositions_to_upper_bounds() {
+    // Peeling polls the deadline at every round boundary, so an already
+    // expired one stops any decomposition with at least one item after
+    // its first round: peeled items exact, the rest bounded from above.
+    let expired =
+        ResourceBudget::unlimited().with_deadline(Instant::now() - Duration::from_secs(1));
+    let check = |r: Partial<Vec<u64>>, exact: &[u64], rec: &InMemoryRecorder, at: &str| {
+        assert!(!r.complete, "{at}: an expired deadline must truncate");
+        assert_eq!(r.value.len(), exact.len(), "{at}");
+        for (i, (&got, &want)) in r.value.iter().zip(exact).enumerate() {
+            assert!(got >= want, "{at}: item {i} got {got} below exact {want}");
+        }
+        assert_eq!(rec.gauge_value("budget.degraded"), Some(3.0), "{at}");
+    };
+    for (name, g) in fixture_battery() {
         for side in [Side::V1, Side::V2] {
-            let r = tip_numbers_budgeted_recorded(&g, side, &budget, &mut NoopRecorder).unwrap();
-            assert!(r.complete, "{name} {side:?}");
-            assert_eq!(r.value, tip_numbers(&g, side), "{name} {side:?}");
+            if g.nvertices(side) == 0 {
+                continue;
+            }
+            let mut rec = InMemoryRecorder::new();
+            let r = tip_numbers_budgeted_recorded(&g, side, 2, &expired, &mut rec).unwrap();
+            check(
+                r,
+                &tip_numbers(&g, side),
+                &rec,
+                &format!("{name} tip {side:?}"),
+            );
         }
-        let r = wing_numbers_budgeted_recorded(&g, &budget, &mut NoopRecorder).unwrap();
-        assert!(r.complete, "{name}");
-        assert_eq!(r.value, bfly::core::peel::wing_numbers(&g), "{name}");
-        // A one-byte cap forces the chunk fallback; numbers still exact
-        // unless the budget refuses outright, which must be typed.
-        let tiny = ResourceBudget::unlimited().with_max_bytes(1);
-        match wing_numbers_budgeted_recorded(&g, &tiny, &mut NoopRecorder) {
-            Ok(r) => assert_eq!(r.value, bfly::core::peel::wing_numbers(&g), "{name}"),
-            Err(BflyError::BudgetExceeded { .. }) => {}
-            Err(other) => panic!("{name}: unexpected {other:?}"),
+        if g.nedges() == 0 {
+            continue;
         }
+        let mut rec = InMemoryRecorder::new();
+        let r = wing_numbers_budgeted_recorded(&g, 2, &expired, &mut rec).unwrap();
+        check(r, &wing_numbers(&g), &rec, &format!("{name} wing"));
     }
 }
 

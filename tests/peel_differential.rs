@@ -9,8 +9,7 @@
 
 use bfly::core::peel::{
     k_wing, k_wing_masked_spgemm, k_wing_matrix, tip_numbers, tip_numbers_oracle,
-    tip_numbers_parallel, tip_numbers_with_chunks, wing_numbers, wing_numbers_oracle,
-    wing_numbers_parallel, wing_numbers_with_chunks,
+    tip_numbers_with_chunks, wing_numbers, wing_numbers_oracle, wing_numbers_with_chunks,
 };
 use bfly::core::telemetry::NoopRecorder;
 use bfly::core::testkit::{arb_family_graph, arb_graph, fixture_battery};
@@ -58,9 +57,9 @@ fn wing_paths_agree_on_fixture_battery() {
 
 #[test]
 fn pinned_pools_never_change_numbers() {
-    // The rayon-facing entry points take their chunk count from the
-    // installed pool; every pool size must reproduce the single-thread
-    // numbers exactly.
+    // The executor run at the installed pool's width (as the CLI runs
+    // it under --threads); every pool size must reproduce the
+    // single-thread numbers exactly.
     for (name, g) in fixture_battery() {
         let tip_seq: Vec<Vec<u64>> = [Side::V1, Side::V2]
             .iter()
@@ -76,9 +75,9 @@ fn pinned_pools_never_change_numbers() {
                 (
                     [Side::V1, Side::V2]
                         .iter()
-                        .map(|&s| tip_numbers_parallel(&g, s))
+                        .map(|&s| tip_numbers_with_chunks(&g, s, threads, &mut NoopRecorder))
                         .collect::<Vec<_>>(),
-                    wing_numbers_parallel(&g),
+                    wing_numbers_with_chunks(&g, threads, &mut NoopRecorder),
                 )
             });
             assert_eq!(tips, tip_seq, "{name}: tip in {threads}-thread pool");
