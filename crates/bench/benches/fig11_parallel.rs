@@ -7,7 +7,8 @@
 //! EXPERIMENTS.md E13); perf-smoke gates the work ratio in CI.
 
 use bfly_bench::{load_datasets, scale_from_env, threads_from_env};
-use bfly_core::{count_parallel, count_priority_parallel, count_ranked_parallel, Invariant};
+use bfly_core::adaptive::execute_plan;
+use bfly_core::{count_parallel, ExecMode, Invariant, Member, Plan};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -30,13 +31,15 @@ fn bench_fig11(c: &mut Criterion) {
                 |b, (g, inv)| b.iter(|| pool.install(|| black_box(count_parallel(g, *inv)))),
             );
         }
-        let chunks = pool.current_num_threads().max(1);
-        group.bench_with_input(BenchmarkId::new(name, "priority"), &g, |b, g| {
-            b.iter(|| pool.install(|| black_box(count_priority_parallel(g, chunks))))
-        });
-        group.bench_with_input(BenchmarkId::new(name, "ranked"), &g, |b, g| {
-            b.iter(|| pool.install(|| black_box(count_ranked_parallel(g, chunks))))
-        });
+        let mode = ExecMode::Parallel {
+            chunks: pool.current_num_threads().max(1),
+        };
+        for (label, member) in [("priority", Member::Priority), ("ranked", Member::Ranked)] {
+            let plan = Plan::forced(g, member, mode, None);
+            group.bench_with_input(BenchmarkId::new(name, label), &g, |b, g| {
+                b.iter(|| pool.install(|| black_box(execute_plan(g, &plan))))
+            });
+        }
     }
     group.finish();
 }

@@ -14,7 +14,7 @@
 use bfly_bench::{
     best_of, load_datasets, print_invariant_table, scale_from_env, write_bench_report,
 };
-use bfly_core::adaptive::count_adaptive_recorded;
+use bfly_core::adaptive::{profile_and_plan_recorded, run_plan};
 use bfly_core::telemetry::{InMemoryRecorder, Json};
 use bfly_core::{count, count_adaptive, count_recorded, Invariant};
 use bfly_graph::Side;
@@ -63,7 +63,8 @@ fn main() {
         let (t_adaptive, (xi_adaptive, plan)) = best_of(2, || count_adaptive(g));
         assert_eq!(xi_adaptive, counts[0], "adaptive diverged");
         let mut rec = InMemoryRecorder::new();
-        let (xi_rec, _) = count_adaptive_recorded(g, &mut rec);
+        let (_, plan_rec) = profile_and_plan_recorded(g, false, 0, &mut rec);
+        let xi_rec = run_plan(g, &plan_rec, None, &mut rec).unwrap().value;
         assert_eq!(xi_rec, xi_adaptive, "instrumented adaptive run diverged");
         reports.push(rec.report(vec![
             ("bench".to_string(), Json::Str("fig10".to_string())),

@@ -9,7 +9,7 @@ use bfly_bench::{
 use bfly_core::adaptive::count_adaptive_parallel_recorded;
 use bfly_core::telemetry::{InMemoryRecorder, Json};
 use bfly_core::{
-    count, count_adaptive_parallel, count_parallel, count_parallel_recorded, Invariant,
+    count, count_adaptive_parallel, count_parallel, run_plan, ExecMode, Invariant, Member, Plan,
 };
 
 fn main() {
@@ -41,8 +41,10 @@ fn main() {
             // Instrumented pass: per-chunk work series and the imbalance
             // gauge come from the recorded parallel path.
             let mut rec = InMemoryRecorder::new();
-            let xi_rec = pool.install(|| count_parallel_recorded(g, inv, &mut rec));
-            assert_eq!(xi_rec, xi, "instrumented run diverged");
+            let mode = ExecMode::Parallel { chunks: threads };
+            let plan = Plan::forced(g, Member::Fixed(inv), mode, None);
+            let r = pool.install(|| run_plan(g, &plan, None, &mut rec));
+            assert_eq!(r.unwrap().value, xi, "instrumented run diverged");
             if inv == Invariant::Inv2 {
                 if let Some(h) = rec.histogram("chunk_us") {
                     chunk_hists.push((spec.name, h.summary()));
@@ -59,9 +61,10 @@ fn main() {
             ]));
         }
         assert!(counts.iter().all(|&c| c == counts[0]), "family disagrees");
-        // Adaptive row: degree-balanced chunks instead of equal ranges;
-        // the imbalance gauge of this run is directly comparable to the
-        // fixed-invariant rows above.
+        // Adaptive row: the cost model's member with its chunk count
+        // tuned from the measured weights; the imbalance gauge of this run
+        // is directly comparable to the fixed-invariant rows above (one
+        // wedge-balanced chunk per worker).
         let (t_adaptive, (xi_adaptive, plan)) =
             best_of(2, || pool.install(|| count_adaptive_parallel(g)));
         assert_eq!(xi_adaptive, counts[0], "adaptive diverged");

@@ -10,10 +10,7 @@
 
 use bfly_bench::{scale_from_env, time_one, write_bench_report};
 use bfly_core::telemetry::{InMemoryRecorder, Json};
-use bfly_core::{
-    count_adaptive, count_segmented_budgeted_recorded, count_segmented_sharded_recorded,
-    ResourceBudget,
-};
+use bfly_core::{count_adaptive, count_segmented_checkpointed_recorded, ResourceBudget};
 use bfly_graph::{write_bfly_file, SegmentedGraph, StandIn};
 
 fn main() {
@@ -36,8 +33,20 @@ fn main() {
 
         for shards in [1usize, 4, 16] {
             let mut rec = InMemoryRecorder::new();
-            let (t, got) =
-                time_one(|| count_segmented_sharded_recorded(&sg, shards, &mut rec).unwrap());
+            let unlimited = ResourceBudget::unlimited();
+            let (t, got) = time_one(|| {
+                count_segmented_checkpointed_recorded(
+                    &sg,
+                    Some(shards),
+                    None,
+                    &unlimited,
+                    None,
+                    &mut rec,
+                )
+                .unwrap()
+                .value
+                .0
+            });
             assert_eq!(
                 got, want,
                 "{d:?} shards={shards}: out-of-core count drifted"
@@ -68,8 +77,9 @@ fn main() {
         let cap = sg.resident_bytes().saturating_sub(1).max(1);
         let budget = ResourceBudget::unlimited().with_max_bytes(cap);
         let mut rec = InMemoryRecorder::new();
-        let (t, r) =
-            time_one(|| count_segmented_budgeted_recorded(&sg, None, None, &budget, &mut rec));
+        let (t, r) = time_one(|| {
+            count_segmented_checkpointed_recorded(&sg, None, None, &budget, None, &mut rec)
+        });
         match r {
             Ok(partial) => {
                 assert_eq!(partial.value.0, want, "{d:?} budgeted: count drifted");

@@ -5,7 +5,7 @@
 
 use bfly_bench::{best_of, time_one};
 use bfly_core::wedges::WedgeProfile;
-use bfly_core::{count, count_parallel_with_threads, Invariant};
+use bfly_core::{count, count_parallel, Invariant};
 use bfly_graph::StandIn;
 
 fn main() {
@@ -37,7 +37,11 @@ fn main() {
     println!("(host exposes {host} hardware thread(s))");
     let mut reference = None;
     for threads in [1usize, 2, 4, 6] {
-        let (t, xi) = time_one(|| count_parallel_with_threads(&g, Invariant::Inv2, threads));
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool");
+        let (t, xi) = time_one(|| pool.install(|| count_parallel(&g, Invariant::Inv2)));
         if let Some(r) = reference {
             assert_eq!(xi, r, "thread count changed the answer");
         } else {

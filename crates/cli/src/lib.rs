@@ -31,27 +31,23 @@
 //! default (`--algorithm auto` partitions the smaller vertex set).
 
 use bfly_core::adaptive::{
-    count_adaptive_budgeted_recorded, execute_plan_recorded, profile_and_peel_plan_recorded,
-    profile_and_plan_recorded, select_plan, tune_plan_chunks, GraphProfile, PeelPlan, Plan,
+    profile_and_peel_plan_recorded, profile_and_plan_budgeted_recorded, profile_and_plan_recorded,
+    run_plan, select_plan, tune_plan_chunks, ExecMode, GraphProfile, Member, PeelPlan, Plan,
 };
 use bfly_core::baseline::{count_hash_aggregation, count_vertex_priority};
-use bfly_core::family::{
-    count_priority_parallel_recorded, count_priority_recorded, count_ranked_parallel_recorded,
-    count_ranked_recorded,
-};
 use bfly_core::peel::{
     k_tip_recorded, k_wing_recorded, tip_numbers, tip_numbers_budgeted_recorded,
     wing_numbers_budgeted_recorded,
 };
 use bfly_core::telemetry::{
     diff_reports_full, install_panic_hook, timed_phase, to_openmetrics, FlightRecorder, History,
-    Json, MetricsHub, Monitor, MonitorConfig, NdjsonSink, NoopRecorder, Recorder, ReportError,
-    RunReport, SharedSink, StreamRecorder, WorkForecast, DEFAULT_FLIGHT_CAPACITY,
+    Json, MetricsHub, Monitor, MonitorConfig, NdjsonSink, NoopRecorder, ReportError, RunReport,
+    SharedSink, StreamRecorder, WorkForecast, DEFAULT_FLIGHT_CAPACITY,
 };
 use bfly_core::{
-    count_auto_recorded, count_by_enumeration, count_parallel_recorded, count_recorded,
-    count_segmented_checkpointed_recorded, count_sharded_recorded, count_via_spgemm,
-    enumerate_butterflies, BflyError, CheckpointConfig, Invariant, ResourceBudget,
+    auto_invariant, count_by_enumeration, count_segmented_checkpointed_recorded, count_via_spgemm,
+    enumerate_butterflies, segmented_profile, BflyError, CheckpointConfig, Invariant, Partial,
+    ResourceBudget,
 };
 use bfly_graph::io::{read_edge_list_file, read_konect_file, write_edge_list, IoError};
 use bfly_graph::matrix_market::read_matrix_market_file;
@@ -85,8 +81,8 @@ pub enum Command {
         parallel: bool,
         /// Pinned thread count (0 = rayon default).
         threads: usize,
-        /// Print the graph profile and the adaptively selected plan as
-        /// JSON (computed even when a fixed algorithm runs).
+        /// Print the graph profile and the plan that runs as JSON
+        /// (`"plan": null` for a baseline counter, which runs none).
         explain: bool,
         /// Print work counters / phase timers after the count.
         stats: bool,
@@ -1084,13 +1080,7 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
 /// `--shard-bytes`, or a byte budget).
 pub fn load_graph(path: &str, format: Option<Format>) -> Result<BipartiteGraph, CliError> {
     if format.is_none() && is_bfly_file(path) {
-        return read_bfly_file(path).map_err(|e| {
-            let class = match &e {
-                IoError::Parse { .. } | IoError::Format(_) => ErrorClass::Parse,
-                IoError::Io(_) => ErrorClass::Runtime,
-            };
-            classified(class, format!("failed to load {path}: {e}"))
-        });
+        return read_bfly_file(path).map_err(|e| io_error(format!("failed to load {path}"), e));
     }
     let fmt = match format {
         Some(f) => f,
@@ -1101,13 +1091,17 @@ pub fn load_graph(path: &str, format: Option<Format>) -> Result<BipartiteGraph, 
         Format::EdgeList => read_edge_list_file(path),
         Format::MatrixMarket => read_matrix_market_file(path),
     };
-    res.map_err(|e| {
-        let class = match &e {
-            IoError::Parse { .. } | IoError::Format(_) => ErrorClass::Parse,
-            IoError::Io(_) => ErrorClass::Runtime,
-        };
-        classified(class, format!("failed to load {path}: {e}"))
-    })
+    res.map_err(|e| io_error(format!("failed to load {path}"), e))
+}
+
+/// A graph I/O failure as a CLI error: parse class (exit 3) for
+/// malformed input, runtime class (exit 1) for the I/O itself.
+fn io_error(what: String, e: IoError) -> CliError {
+    let class = match &e {
+        IoError::Parse { .. } | IoError::Format(_) => ErrorClass::Parse,
+        IoError::Io(_) => ErrorClass::Runtime,
+    };
+    classified(class, format!("{what}: {e}"))
 }
 
 fn sniff_format(path: &str) -> Result<Format, CliError> {
@@ -1311,6 +1305,27 @@ impl Telem {
         }
     }
 
+    /// Fraction of the predicted work a count finished: 1.0 when
+    /// complete, else the core's own annotation when it has one, else the
+    /// forecast counter measured against its predicted total (`None` with
+    /// telemetry off).
+    fn fraction_done<T>(&self, r: &Partial<T>, forecast: WorkForecast) -> Option<f64> {
+        if r.complete {
+            return Some(1.0);
+        }
+        r.fraction.or_else(|| {
+            if forecast.total == 0 {
+                return None;
+            }
+            let done = match self.live_hub() {
+                Some(hub) => hub.snapshot().counter(forecast.counter),
+                None if self.enabled() => self.rec.recorder().counter(forecast.counter),
+                None => return None,
+            };
+            Some((done as f64 / forecast.total as f64).clamp(0.0, 1.0))
+        })
+    }
+
     /// Abort-path teardown: stop the monitor (no final 1.0 heartbeat)
     /// and dump the flight ring with `reason`, returning the last
     /// measured fraction so errors can carry it. No-op outside liveness
@@ -1331,11 +1346,7 @@ impl Telem {
     /// Build the report and write every requested output: the `--stats`
     /// table to `out`, the `--report` JSON file, and the `--trace`
     /// Chrome Trace file. No-op when telemetry is off.
-    fn emit(
-        self,
-        meta: Vec<(String, Json)>,
-        out: &mut impl std::io::Write,
-    ) -> Result<(), CliError> {
+    fn emit(self, meta: Vec<(String, Json)>, out: &mut dyn std::io::Write) -> Result<(), CliError> {
         self.emit_with(meta, out, true)
     }
 
@@ -1347,7 +1358,7 @@ impl Telem {
     fn emit_with(
         mut self,
         meta: Vec<(String, Json)>,
-        out: &mut impl std::io::Write,
+        out: &mut dyn std::io::Write,
         complete: bool,
     ) -> Result<(), CliError> {
         if !self.enabled() {
@@ -1479,7 +1490,7 @@ fn run_decompose(
     k: Option<u64>,
     threads: usize,
     mut telem: Telem,
-    out: &mut impl std::io::Write,
+    out: &mut dyn std::io::Write,
 ) -> Result<(), CliError> {
     let workers = workers(threads);
     let pool = pinned_pool(threads)?;
@@ -1570,7 +1581,7 @@ fn load_report(path: &str) -> Result<RunReport, CliError> {
 }
 
 /// Execute a command, writing human-readable output to `out`.
-pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> {
+pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let w = |out: &mut dyn std::io::Write, s: String| -> Result<(), CliError> {
         writeln!(out, "{s}").map_err(|e| err(format!("write error: {e}")))
     };
@@ -1616,7 +1627,7 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
             checkpoint,
             resume,
         } => {
-            let live = progress || flight_recorder.is_some();
+            let profiled = explain || progress || flight_recorder.is_some();
             let mut budget = ResourceBudget::unlimited();
             if let Some(v) = max_bytes {
                 budget = budget.with_max_bytes(v);
@@ -1630,104 +1641,30 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
             // Out-of-core route: a `.bfly` input with sharding flags or a
             // byte budget executes shard-by-vertex-range straight off the
             // file, never materialising the full graph.
-            if format.is_none() && is_bfly_file(&file) {
-                if shards.is_some() || shard_bytes.is_some() || max_bytes.is_some() {
-                    let telem = Telem::with_liveness(
-                        stats,
-                        report,
-                        trace,
-                        stream,
-                        progress,
-                        flight_recorder,
-                        "count",
-                    )?;
-                    let ckpt = checkpoint.map(|dir| {
-                        if resume {
-                            CheckpointConfig::resume(dir)
-                        } else {
-                            CheckpointConfig::new(dir)
-                        }
-                    });
-                    return run_count_segmented(
-                        &file,
-                        shards,
-                        shard_bytes,
-                        &budget,
-                        ckpt,
-                        explain,
-                        telem,
-                        out,
-                    );
-                }
-                if checkpoint.is_some() {
-                    return Err(err("--checkpoint needs the out-of-core sharded tier; add \
-                         --shards/--shard-bytes or --max-bytes"));
-                }
-            } else if shard_bytes.is_some() {
+            let on_disk = format.is_none() && is_bfly_file(&file);
+            let out_of_core =
+                on_disk && (shards.is_some() || shard_bytes.is_some() || max_bytes.is_some());
+            if on_disk && !out_of_core && checkpoint.is_some() {
+                return Err(err("--checkpoint needs the out-of-core sharded tier; add \
+                     --shards/--shard-bytes or --max-bytes"));
+            }
+            if !on_disk && shard_bytes.is_some() {
                 return Err(err(
                     "--shard-bytes sizes on-disk shards and needs a .bfly input \
                      (see `bfly convert <in> <out.bfly>`)",
                 ));
             }
-            let g = load_graph(&file, format)?;
-            if let Some(nshards) = shards {
-                // In-memory sharded execution: the adaptive plan's fixed
-                // invariant over explicit vertex-range shards, merged
-                // exactly. Exercises the same shard algebra as the
-                // out-of-core path on an already-resident graph.
-                if max_bytes.is_some() || max_work.is_some() || deadline_ms.is_some() {
-                    return Err(err(
-                        "--shards with a budget needs a .bfly input; on text inputs \
-                         use either --shards or the budget flags",
-                    ));
-                }
-                let mut telem = Telem::with_liveness(
-                    stats,
-                    report,
-                    trace,
-                    stream,
-                    progress,
-                    flight_recorder,
-                    "count",
-                )?;
-                fault_injection();
-                let profile = GraphProfile::compute(&g);
-                let plan = select_plan(&profile, false, 0);
-                let inv = plan.invariant;
-                let xi = with_recorder!(telem, |rec| count_sharded_recorded(&g, inv, nshards, rec));
-                let label = format!("{inv} (sharded, {nshards} shards)");
-                w(out, format!("butterflies = {xi}  [{label}]"))?;
-                if explain {
-                    let mut sharded_plan = plan.clone();
-                    sharded_plan.mode = bfly_core::ExecMode::Sharded { shards: nshards };
-                    let doc = Json::Obj(vec![
-                        ("profile".to_string(), profile.to_json()),
-                        ("plan".to_string(), sharded_plan.to_json()),
-                    ]);
-                    w(out, doc.pretty())?;
-                }
-                let meta = vec![
-                    ("command".to_string(), Json::Str("count".to_string())),
-                    ("dataset".to_string(), Json::Str(file.clone())),
-                    ("algorithm".to_string(), Json::Str(label)),
-                    ("shards".to_string(), Json::UInt(nshards as u64)),
-                    ("butterflies".to_string(), Json::UInt(xi)),
-                ];
-                return telem.emit(meta, out);
-            }
-            if max_bytes.is_some() || max_work.is_some() || deadline_ms.is_some() {
-                let telem = Telem::with_liveness(
-                    stats,
-                    report,
-                    trace,
-                    stream,
-                    progress,
-                    flight_recorder,
-                    "count",
-                )?;
-                return run_count_budgeted(
-                    &g, &file, parallel, threads, explain, telem, &budget, out,
-                );
+            let input = if out_of_core {
+                let sg = SegmentedGraph::open(&file);
+                CountInput::OnDisk(sg.map_err(|e| io_error(format!("failed to open {file}"), e))?)
+            } else {
+                CountInput::Resident(load_graph(&file, format)?)
+            };
+            if !out_of_core && shards.is_some() && !budget.is_unlimited() {
+                return Err(err(
+                    "--shards with a budget needs a .bfly input; on text inputs \
+                     use either --shards or the budget flags",
+                ));
             }
             let mut telem = Telem::with_liveness(
                 stats,
@@ -1738,56 +1675,41 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
                 flight_recorder,
                 "count",
             )?;
-            fault_injection();
-            let pool = pinned_pool(threads)?;
-            // The profile and the plan printed by --explain, embedded in
-            // report meta, and (in liveness mode) the source of the
-            // monitor's work forecast. An adaptive run profiles once,
-            // inside its `select` span, and executes exactly this
-            // chunk-tuned plan; other algorithms show the plan the cost
-            // model would have selected.
-            let workers = workers(threads);
-            let planned = if algorithm == Algorithm::Adaptive {
-                Some(with_recorder!(telem, |rec| {
-                    let (profile, mut plan) = profile_and_plan_recorded(&g, parallel, workers, rec);
-                    tune_plan_chunks(&g, &mut plan, rec);
-                    (profile, plan)
-                }))
-            } else if explain || live {
-                let profile = GraphProfile::compute(&g);
-                let plan = select_plan(&profile, parallel, workers);
-                Some((profile, plan))
-            } else {
-                None
+            let counted = match input {
+                CountInput::Resident(g) => {
+                    let pool = pinned_pool(threads)?;
+                    let workers = workers(threads);
+                    let flags = (algorithm, parallel, shards);
+                    plan_count(&g, flags, workers, &budget, profiled, &mut telem).and_then(
+                        |planned| match planned {
+                            Some(planned) => count_plan(&g, planned, &budget, &pool, &mut telem),
+                            None => Ok(count_baseline(&g, algorithm, explain, &pool, &mut telem)),
+                        },
+                    )
+                }
+                CountInput::OnDisk(sg) => {
+                    let ckpt = checkpoint.map(|dir| {
+                        if resume {
+                            CheckpointConfig::resume(dir)
+                        } else {
+                            CheckpointConfig::new(dir)
+                        }
+                    });
+                    let sharding = (shards, shard_bytes);
+                    count_out_of_core(&sg, sharding, &budget, ckpt, profiled, &mut telem)
+                }
             };
-            if let Some((_, plan)) = &planned {
-                telem.set_forecast(plan.forecast());
+            match counted {
+                Ok(counted) => emit_count(&file, threads, explain, counted, telem, out),
+                Err(e) => {
+                    // Refusals and overflows still leave a post-mortem: dump
+                    // the flight ring and carry the measured fraction into
+                    // the error (surfaced by --json-errors).
+                    let e = CliError::from(e);
+                    let fraction = telem.fail(e.class.name());
+                    Err(e.with_fraction(fraction))
+                }
             }
-            let plan = planned.as_ref().map(|(_, plan)| plan);
-            let (xi, label) = with_recorder!(telem, |rec| in_pool(&pool, || run_count(
-                &g, algorithm, parallel, plan, rec
-            )));
-            w(out, format!("butterflies = {xi}  [{label}]"))?;
-            let mut meta = vec![
-                ("command".to_string(), Json::Str("count".to_string())),
-                ("dataset".to_string(), Json::Str(file.clone())),
-                ("algorithm".to_string(), Json::Str(label)),
-                ("threads".to_string(), Json::UInt(threads as u64)),
-                ("butterflies".to_string(), Json::UInt(xi)),
-            ];
-            if let Some((profile, plan)) = &planned {
-                meta.push(("profile".to_string(), profile.to_json()));
-                meta.push(("plan".to_string(), plan.to_json()));
-            }
-            if explain {
-                let (profile, plan) = planned.as_ref().expect("planned when explain");
-                let doc = Json::Obj(vec![
-                    ("profile".to_string(), profile.to_json()),
-                    ("plan".to_string(), plan.to_json()),
-                ]);
-                w(out, doc.pretty())?;
-            }
-            telem.emit(meta, out)
         }
         Command::Tip {
             file,
@@ -2037,13 +1959,8 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
                         Format::MatrixMarket => TextFormat::MatrixMarket,
                     },
                 };
-                let s = convert_to_bfly(&file, fmt, &path).map_err(|e| {
-                    let class = match &e {
-                        IoError::Parse { .. } | IoError::Format(_) => ErrorClass::Parse,
-                        IoError::Io(_) => ErrorClass::Runtime,
-                    };
-                    classified(class, format!("convert {file}: {e}"))
-                })?;
+                let s = convert_to_bfly(&file, fmt, &path)
+                    .map_err(|e| io_error(format!("convert {file}"), e))?;
                 return w(
                     out,
                     format!(
@@ -2168,297 +2085,235 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
     }
 }
 
-fn pick_auto(g: &BipartiteGraph) -> Invariant {
-    if g.nv2() <= g.nv1() {
-        Invariant::Inv2
-    } else {
-        Invariant::Inv6
-    }
-}
-
-/// Dispatch one counting run, reporting work through `rec`. With
-/// [`bfly_core::telemetry::NoopRecorder`] this monomorphizes to the
-/// uninstrumented loops; the baselines without recorded variants still get
-/// a phase timer.
 /// Human label for the engine a plan runs: the invariant for fixed
 /// members, the kernel name for the global-order members.
-fn plan_engine(plan: &bfly_core::Plan) -> String {
+fn plan_engine(plan: &Plan) -> String {
     match plan.member {
-        bfly_core::Member::Fixed(inv) => format!("{inv}"),
-        bfly_core::Member::Priority => "priority".to_string(),
-        bfly_core::Member::Ranked => "ranked".to_string(),
+        Member::Fixed(inv) => format!("{inv}"),
+        Member::Priority => "priority".to_string(),
+        Member::Ranked => "ranked".to_string(),
     }
 }
 
-/// Run `algorithm` on `g`; the adaptive algorithm executes `plan`, the
-/// plan its caller selected and tuned.
-fn run_count<R: Recorder>(
+/// The `[label]` of a count: the engine, then how it was chosen and run
+/// (`tag`), flagged `partial` when a deadline cut the run.
+fn count_label(engine: &str, tag: &str, complete: bool) -> String {
+    match (tag, complete) {
+        ("", true) => engine.to_string(),
+        (_, true) => format!("{engine} ({tag})"),
+        ("", false) => format!("{engine} (partial)"),
+        (_, false) => format!("{engine} ({tag}, partial)"),
+    }
+}
+
+/// What `bfly count` reads: a resident graph, or a `.bfly` file counted
+/// out of core without materialising it.
+enum CountInput {
+    Resident(BipartiteGraph),
+    OnDisk(SegmentedGraph),
+}
+
+/// The in-memory plan a `bfly count` resolves its flags to, with the
+/// label tag naming how it was chosen.
+struct Planned {
+    profile: Option<GraphProfile>,
+    plan: Plan,
+    tag: String,
+}
+
+/// Resolve `(algorithm, parallel, shards)` and the budget to the one
+/// in-memory plan this count runs, or `None` for a baseline counter,
+/// which runs no plan. Text `--shards` runs the adaptive plan's fixed
+/// fallback over explicit vertex-range shards; a budget selects through
+/// [`profile_and_plan_budgeted_recorded`]; `--adaptive` through
+/// [`profile_and_plan_recorded`] and [`tune_plan_chunks`]; everything
+/// else forces its member ([`Plan::forced`]), with the §V smaller-side
+/// rule ([`auto_invariant`]) for `auto`. The graph is profiled at most
+/// once: always on the first three routes, and on a forced plan only
+/// when `profiled` (`--explain`, `--progress`, `--flight-recorder`).
+fn plan_count(
+    g: &BipartiteGraph,
+    (algorithm, parallel, shards): (Algorithm, bool, Option<usize>),
+    workers: usize,
+    budget: &ResourceBudget,
+    profiled: bool,
+    telem: &mut Telem,
+) -> Result<Option<Planned>, BflyError> {
+    let tagged = |tag: &str| match (parallel, tag) {
+        (false, _) => tag.to_string(),
+        (true, "") => "parallel".to_string(),
+        (true, _) => format!("{tag}, parallel"),
+    };
+    if let Some(shards) = shards {
+        let profile = GraphProfile::compute(g);
+        let plan = Plan {
+            mode: ExecMode::Sharded { shards },
+            ..select_plan(&profile, false, 0).demoted()
+        };
+        let tag = format!("sharded, {shards} shards");
+        let profile = Some(profile);
+        return Ok(Some(Planned { profile, plan, tag }));
+    }
+    if !budget.is_unlimited() {
+        let (profile, plan) = with_recorder!(telem, |rec| {
+            profile_and_plan_budgeted_recorded(g, parallel, workers, budget, rec)
+        })?;
+        let tag = "adaptive, budgeted".to_string();
+        let profile = Some(profile);
+        return Ok(Some(Planned { profile, plan, tag }));
+    }
+    let member = match algorithm {
+        Algorithm::Adaptive => {
+            let (profile, plan) = with_recorder!(telem, |rec| {
+                let (profile, mut plan) = profile_and_plan_recorded(g, parallel, workers, rec);
+                tune_plan_chunks(g, &mut plan, rec);
+                (profile, plan)
+            });
+            let tag = tagged("adaptive");
+            let profile = Some(profile);
+            return Ok(Some(Planned { profile, plan, tag }));
+        }
+        Algorithm::Auto => Member::Fixed(auto_invariant(g)),
+        Algorithm::Family(inv) => Member::Fixed(inv),
+        Algorithm::Priority => Member::Priority,
+        Algorithm::Ranked => Member::Ranked,
+        Algorithm::Spgemm | Algorithm::Hash | Algorithm::VertexPriority | Algorithm::Enumerate => {
+            return Ok(None)
+        }
+    };
+    let mode = if parallel {
+        ExecMode::Parallel { chunks: workers }
+    } else {
+        ExecMode::Flat
+    };
+    let profile = profiled.then(|| GraphProfile::compute(g));
+    let plan = Plan::forced(g, member, mode, profile.as_ref());
+    let tag = tagged(if algorithm == Algorithm::Auto {
+        "auto"
+    } else {
+        ""
+    });
+    Ok(Some(Planned { profile, plan, tag }))
+}
+
+/// What a finished count prints and reports, whichever route ran it.
+struct Counted {
+    xi: u64,
+    label: String,
+    complete: bool,
+    /// Whether the run was budgeted or out of core: only those report
+    /// `complete` and `fraction_complete` in meta.
+    limited: bool,
+    /// Fraction of the predicted work done (1.0 when complete).
+    fraction: Option<f64>,
+    profile: Option<Json>,
+    /// The plan that ran; `None` for a baseline counter.
+    plan: Option<Plan>,
+    /// Route-specific report meta (the checkpoint directory).
+    meta: Vec<(String, Json)>,
+}
+
+/// Run an in-memory plan: hand the monitor the plan's forecast, run it
+/// through [`run_plan`] in the pinned pool with the budget's deadline,
+/// and label the count with the engine that ran.
+fn count_plan(
+    g: &BipartiteGraph,
+    Planned { profile, plan, tag }: Planned,
+    budget: &ResourceBudget,
+    pool: &Option<rayon::ThreadPool>,
+    telem: &mut Telem,
+) -> Result<Counted, BflyError> {
+    telem.set_forecast(plan.forecast());
+    fault_injection();
+    let r = with_recorder!(telem, |rec| in_pool(pool, || run_plan(
+        g,
+        &plan,
+        budget.deadline,
+        rec
+    )))?;
+    Ok(Counted {
+        xi: r.value,
+        label: count_label(&plan_engine(&plan), &tag, r.complete),
+        complete: r.complete,
+        limited: !budget.is_unlimited(),
+        fraction: telem.fraction_done(&r, plan.forecast()),
+        profile: profile.map(|p| p.to_json()),
+        plan: Some(plan),
+        meta: Vec::new(),
+    })
+}
+
+/// Run a baseline counter (`spgemm`, `hash`, `vp`, `enumerate`) inside a
+/// phase timer. They run no plan and forecast nothing; `--explain` still
+/// prints the profile.
+fn count_baseline(
     g: &BipartiteGraph,
     algorithm: Algorithm,
-    parallel: bool,
-    plan: Option<&Plan>,
-    rec: &mut R,
-) -> (u64, String) {
-    match algorithm {
-        Algorithm::Auto => {
-            if parallel {
-                let inv = pick_auto(g);
-                (
-                    count_parallel_recorded(g, inv, rec),
-                    format!("{inv} (auto, parallel)"),
-                )
-            } else {
-                let (xi, inv) = count_auto_recorded(g, rec);
-                (xi, format!("{inv} (auto)"))
-            }
-        }
-        Algorithm::Adaptive => {
-            let plan = plan.expect("an adaptive count runs its selected plan");
-            let mode = if parallel {
-                "adaptive, parallel"
-            } else {
-                "adaptive"
-            };
-            (
-                execute_plan_recorded(g, plan, rec),
-                format!("{} ({mode})", plan_engine(plan)),
-            )
-        }
-        Algorithm::Family(inv) => {
-            if parallel {
-                (
-                    count_parallel_recorded(g, inv, rec),
-                    format!("{inv} (parallel)"),
-                )
-            } else {
-                (count_recorded(g, inv, rec), format!("{inv}"))
-            }
-        }
-        Algorithm::Spgemm => timed_phase(rec, "count_spgemm", |_| {
-            (count_via_spgemm(g), "spgemm".to_string())
-        }),
+    explain: bool,
+    pool: &Option<rayon::ThreadPool>,
+    telem: &mut Telem,
+) -> Counted {
+    let profile = explain.then(|| GraphProfile::compute(g).to_json());
+    fault_injection();
+    let (xi, name) = with_recorder!(telem, |rec| in_pool(pool, || match algorithm {
+        Algorithm::Spgemm =>
+            timed_phase(rec, "count_spgemm", |_| { (count_via_spgemm(g), "spgemm") }),
         Algorithm::Hash => timed_phase(rec, "count_hash", |_| {
-            (count_hash_aggregation(g), "hash".to_string())
+            (count_hash_aggregation(g), "hash")
         }),
         Algorithm::VertexPriority => timed_phase(rec, "count_vertex_priority", |_| {
-            (count_vertex_priority(g), "vertex-priority".to_string())
+            (count_vertex_priority(g), "vertex-priority")
         }),
-        Algorithm::Priority => {
-            if parallel {
-                let chunks = rayon::current_num_threads().max(1);
-                (
-                    count_priority_parallel_recorded(g, chunks, rec),
-                    "priority (parallel)".to_string(),
-                )
-            } else {
-                (count_priority_recorded(g, rec), "priority".to_string())
-            }
-        }
-        Algorithm::Ranked => {
-            if parallel {
-                let chunks = rayon::current_num_threads().max(1);
-                (
-                    count_ranked_parallel_recorded(g, chunks, rec),
-                    "ranked (parallel)".to_string(),
-                )
-            } else {
-                (count_ranked_recorded(g, rec), "ranked".to_string())
-            }
-        }
-        Algorithm::Enumerate => timed_phase(rec, "count_enumeration", |_| {
-            (count_by_enumeration(g), "enumeration".to_string())
+        _ => timed_phase(rec, "count_enumeration", |_| {
+            (count_by_enumeration(g), "enumeration")
         }),
-    }
-}
-
-/// The budget-capped counting path: always adaptive, threaded through
-/// [`count_adaptive_budgeted_recorded`] so byte caps degrade the plan,
-/// work caps refuse it ([`ErrorClass::Budget`], exit 4), overflow maps
-/// to [`ErrorClass::Overflow`] (exit 5), and an expired deadline yields
-/// a partial count that is an exact lower bound over the processed
-/// prefix — flagged on stdout, in report meta, and by the
-/// `budget.degraded` gauge.
-#[allow(clippy::too_many_arguments)]
-fn run_count_budgeted(
-    g: &BipartiteGraph,
-    file: &str,
-    parallel: bool,
-    threads: usize,
-    explain: bool,
-    mut telem: Telem,
-    budget: &ResourceBudget,
-    out: &mut impl std::io::Write,
-) -> Result<(), CliError> {
-    // Liveness mode forecasts the undegraded plan's wedge work up front
-    // so the monitor has a total to measure against; the budgeted path
-    // may still degrade to a cheaper plan, in which case the fraction is
-    // an under-estimate and the final heartbeat snaps to 1.0.
-    if telem.live.is_some() {
-        let profile = GraphProfile::compute(g);
-        telem.set_forecast(select_plan(&profile, parallel, workers(threads)).forecast());
-    }
-    fault_injection();
-    let pool = pinned_pool(threads)?;
-    let result = with_recorder!(telem, |rec| in_pool(&pool, || {
-        count_adaptive_budgeted_recorded(g, parallel, budget, rec)
     }));
-    let r = match result {
-        Ok(r) => r,
-        Err(e) => {
-            // Refusals and overflows mid-run still leave a post-mortem:
-            // dump the flight ring and carry the measured fraction into
-            // the error (surfaced by --json-errors).
-            let fraction = telem.fail("budget");
-            return Err(CliError::from(e).with_fraction(fraction));
-        }
-    };
-    let complete = r.complete;
-    let core_fraction = r.fraction;
-    let (xi, plan) = r.value;
-    // Fraction-complete at truncation: the core's own annotation when it
-    // has one, else the observed forecast counter measured against the
-    // plan's predicted total.
-    let fraction = if complete {
-        Some(1.0)
-    } else {
-        core_fraction.or_else(|| {
-            let forecast = plan.forecast();
-            if forecast.total == 0 {
-                return None;
-            }
-            let done = match telem.live_hub() {
-                Some(hub) => Some(hub.snapshot().counter(forecast.counter)),
-                None if telem.enabled() => Some(telem.rec.recorder().counter(forecast.counter)),
-                None => None,
-            };
-            done.map(|d| (d as f64 / forecast.total as f64).clamp(0.0, 1.0))
-        })
-    };
-    let label = format!(
-        "{} (adaptive, budgeted{})",
-        plan_engine(&plan),
-        if complete { "" } else { ", partial" }
-    );
-    writeln!(out, "butterflies = {xi}  [{label}]").map_err(|e| err(format!("write error: {e}")))?;
-    if !complete {
-        let pct = fraction
-            .map(|f| format!(" (~{:.0}% of predicted work done)", f * 100.0))
-            .unwrap_or_default();
-        writeln!(
-            out,
-            "note: deadline expired; the count is an exact lower bound over the processed prefix{pct}"
-        )
-        .map_err(|e| err(format!("write error: {e}")))?;
+    Counted {
+        xi,
+        label: name.to_string(),
+        complete: true,
+        limited: false,
+        fraction: Some(1.0),
+        profile,
+        plan: None,
+        meta: Vec::new(),
     }
-    if explain {
-        let profile = GraphProfile::compute(g);
-        let doc = Json::Obj(vec![
-            ("profile".to_string(), profile.to_json()),
-            ("plan".to_string(), plan.to_json()),
-        ]);
-        writeln!(out, "{}", doc.pretty()).map_err(|e| err(format!("write error: {e}")))?;
-    }
-    let mut meta = vec![
-        ("command".to_string(), Json::Str("count".to_string())),
-        ("dataset".to_string(), Json::Str(file.to_string())),
-        ("algorithm".to_string(), Json::Str(label)),
-        ("threads".to_string(), Json::UInt(threads as u64)),
-        ("butterflies".to_string(), Json::UInt(xi)),
-        ("complete".to_string(), Json::Bool(complete)),
-        ("plan".to_string(), plan.to_json()),
-    ];
-    if let Some(f) = fraction {
-        meta.push(("fraction_complete".to_string(), Json::Float(f)));
-    }
-    telem.emit_with(meta, out, complete)
 }
 
-/// The out-of-core counting path: opens the `.bfly` file as a
-/// [`SegmentedGraph`] and streams wedge-balanced vertex-range shards
-/// through [`count_segmented_budgeted_recorded`] — the full graph is
-/// never resident; peak memory is the metadata, one shard, one
-/// accumulator, and the pinned hub rows. Shard count comes from
-/// `--shards`, `--shard-bytes`, or the byte budget (in that
-/// precedence); budget refusals exit through
-/// [`ErrorClass::Budget`] and a deadline cut yields a flagged partial
-/// exactly like the in-memory budgeted path.
-#[allow(clippy::too_many_arguments)]
-fn run_count_segmented(
-    file: &str,
-    shards: Option<usize>,
-    shard_bytes: Option<u64>,
+/// The out-of-core route: stream wedge-balanced vertex-range shards of
+/// the `.bfly` file through [`count_segmented_checkpointed_recorded`] —
+/// the full graph is never resident; peak memory is the metadata, one
+/// shard, one accumulator, and the pinned hub rows. Shard count comes
+/// from `--shards`, `--shard-bytes`, or the byte budget (in that
+/// precedence). The on-disk profile (degree arrays only) is read when
+/// `profiled`, for `--explain` and the monitor's forecast.
+fn count_out_of_core(
+    sg: &SegmentedGraph,
+    (shards, shard_bytes): (Option<usize>, Option<u64>),
     budget: &ResourceBudget,
     ckpt: Option<CheckpointConfig>,
-    explain: bool,
-    mut telem: Telem,
-    out: &mut impl std::io::Write,
-) -> Result<(), CliError> {
-    let sg = SegmentedGraph::open(file).map_err(|e| {
-        let class = match &e {
-            IoError::Parse { .. } | IoError::Format(_) => ErrorClass::Parse,
-            IoError::Io(_) => ErrorClass::Runtime,
-        };
-        classified(class, format!("failed to open {file}: {e}"))
-    })?;
-    let profile = bfly_core::segmented_profile(&sg);
-    if telem.live.is_some() {
-        telem.set_forecast(select_plan(&profile, false, 0).forecast());
+    profiled: bool,
+    telem: &mut Telem,
+) -> Result<Counted, BflyError> {
+    let profile = profiled.then(|| segmented_profile(sg));
+    if let Some(profile) = &profile {
+        telem.set_forecast(select_plan(profile, false, 0).forecast());
     }
     fault_injection();
-    let result = with_recorder!(telem, |rec| count_segmented_checkpointed_recorded(
-        &sg,
+    let r = with_recorder!(telem, |rec| count_segmented_checkpointed_recorded(
+        sg,
         shards,
         shard_bytes,
         budget,
         ckpt.as_ref(),
         rec
-    ));
-    let r = match result {
-        Ok(r) => r,
-        Err(e) => {
-            let fraction = telem.fail("budget");
-            return Err(CliError::from(e).with_fraction(fraction));
-        }
-    };
-    let complete = r.complete;
-    let fraction = if complete { Some(1.0) } else { r.fraction };
+    ))?;
+    let fraction = telem.fraction_done(&r, r.value.1.forecast());
     let (xi, plan) = r.value;
-    let nshards = match plan.mode {
-        bfly_core::ExecMode::Sharded { shards } => shards,
-        _ => 1,
+    let ExecMode::Sharded { shards } = plan.mode else {
+        unreachable!("out-of-core plans are always sharded");
     };
-    let label = format!(
-        "{} (out-of-core, {nshards} shards{})",
-        plan.invariant,
-        if complete { "" } else { ", partial" }
-    );
-    writeln!(out, "butterflies = {xi}  [{label}]").map_err(|e| err(format!("write error: {e}")))?;
-    if !complete {
-        let pct = fraction
-            .map(|f| format!(" (~{:.0}% of predicted work done)", f * 100.0))
-            .unwrap_or_default();
-        writeln!(
-            out,
-            "note: deadline expired; the count is an exact lower bound over the processed prefix{pct}"
-        )
-        .map_err(|e| err(format!("write error: {e}")))?;
-    }
-    if explain {
-        let doc = Json::Obj(vec![
-            ("profile".to_string(), profile.to_json()),
-            ("plan".to_string(), plan.to_json()),
-        ]);
-        writeln!(out, "{}", doc.pretty()).map_err(|e| err(format!("write error: {e}")))?;
-    }
-    let mut meta = vec![
-        ("command".to_string(), Json::Str("count".to_string())),
-        ("dataset".to_string(), Json::Str(file.to_string())),
-        ("algorithm".to_string(), Json::Str(label)),
-        ("shards".to_string(), Json::UInt(nshards as u64)),
-        ("butterflies".to_string(), Json::UInt(xi)),
-        ("complete".to_string(), Json::Bool(complete)),
-        ("plan".to_string(), plan.to_json()),
-    ];
+    let mut meta = Vec::new();
     if let Some(cfg) = &ckpt {
         meta.push((
             "checkpoint_dir".to_string(),
@@ -2466,10 +2321,83 @@ fn run_count_segmented(
         ));
         meta.push(("resumed".to_string(), Json::Bool(cfg.resume)));
     }
-    if let Some(f) = fraction {
-        meta.push(("fraction_complete".to_string(), Json::Float(f)));
+    let tag = format!("out-of-core, {shards} shards");
+    Ok(Counted {
+        xi,
+        label: count_label(&plan_engine(&plan), &tag, r.complete),
+        complete: r.complete,
+        limited: true,
+        fraction,
+        profile: profile.map(|p| p.to_json()),
+        plan: Some(plan),
+        meta,
+    })
+}
+
+/// Print a count and emit its telemetry, the same way on every route:
+/// the `butterflies = N  [label]` line, the partial note when a deadline
+/// cut the run, the `--explain` profile and plan (`"plan": null` for a
+/// baseline), and the report meta carrying the same plan.
+fn emit_count(
+    file: &str,
+    threads: usize,
+    explain: bool,
+    c: Counted,
+    telem: Telem,
+    out: &mut dyn std::io::Write,
+) -> Result<(), CliError> {
+    let write = |out: &mut dyn std::io::Write, s: String| {
+        writeln!(out, "{s}").map_err(|e| err(format!("write error: {e}")))
+    };
+    write(out, format!("butterflies = {}  [{}]", c.xi, c.label))?;
+    if !c.complete {
+        let pct = c
+            .fraction
+            .map(|f| format!(" (~{:.0}% of predicted work done)", f * 100.0))
+            .unwrap_or_default();
+        write(
+            out,
+            format!(
+                "note: deadline expired; the count is an exact lower bound over the \
+                 processed prefix{pct}"
+            ),
+        )?;
     }
-    telem.emit_with(meta, out, complete)
+    let plan = c.plan.as_ref().map_or(Json::Null, Plan::to_json);
+    if explain {
+        let doc = Json::Obj(vec![
+            (
+                "profile".to_string(),
+                c.profile.clone().unwrap_or(Json::Null),
+            ),
+            ("plan".to_string(), plan.clone()),
+        ]);
+        write(out, doc.pretty())?;
+    }
+    let mut meta = vec![
+        ("command".to_string(), Json::Str("count".to_string())),
+        ("dataset".to_string(), Json::Str(file.to_string())),
+        ("algorithm".to_string(), Json::Str(c.label)),
+        ("threads".to_string(), Json::UInt(threads as u64)),
+        ("butterflies".to_string(), Json::UInt(c.xi)),
+    ];
+    if let Some(ExecMode::Sharded { shards }) = c.plan.as_ref().map(|p| p.mode) {
+        meta.push(("shards".to_string(), Json::UInt(shards as u64)));
+    }
+    if c.limited {
+        meta.push(("complete".to_string(), Json::Bool(c.complete)));
+        if let Some(f) = c.fraction {
+            meta.push(("fraction_complete".to_string(), Json::Float(f)));
+        }
+    }
+    meta.extend(c.meta);
+    if let Some(profile) = c.profile {
+        meta.push(("profile".to_string(), profile));
+    }
+    if c.plan.is_some() {
+        meta.push(("plan".to_string(), plan));
+    }
+    telem.emit_with(meta, out, c.complete)
 }
 
 /// `bfly report history`: fold every `*.json` run report under the given
@@ -2482,7 +2410,7 @@ fn run_report_history(
     out_path: Option<String>,
     gate: bool,
     threshold: f64,
-    out: &mut impl std::io::Write,
+    out: &mut dyn std::io::Write,
 ) -> Result<(), CliError> {
     let w = |out: &mut dyn std::io::Write, s: String| -> Result<(), CliError> {
         writeln!(out, "{s}").map_err(|e| err(format!("write error: {e}")))

@@ -1,6 +1,7 @@
 //! End-to-end tests of the compiled `bfly` binary (spawned as a real
 //! process via `CARGO_BIN_EXE_bfly`).
 
+use bfly_core::telemetry::Json;
 use std::process::Command;
 
 fn bfly() -> Command {
@@ -807,4 +808,113 @@ fn forced_tip_side_reports_the_plan_that_ran() {
     assert_eq!(gauge("progress.total_work"), Some(1_219_880.0));
     assert_eq!(gauge("peel.parallel"), Some(1.0));
     assert_eq!(gauge("peel.chunks"), Some(2.0));
+}
+
+/// Every plan-backed `count` route explains, reports and runs one plan:
+/// on the skewed occupations stand-in, the `--explain` plan equals
+/// `meta.plan`, its member and invariant name the label's engine, and
+/// its `est_work` is the `wedges_expanded` the run recorded. A baseline
+/// counter runs no plan and explains `"plan": null`.
+#[test]
+fn every_count_route_reports_the_plan_it_ran() {
+    let dir = tempdir();
+    let skew = dir.join("routes-skew.tsv");
+    let skew_bfly = dir.join("routes-skew.bfly");
+    let out = bfly()
+        .args(["generate", "--kind", "standin", "--name", "occupations"])
+        .args(["--scale", "0.1", "--out", skew.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = bfly()
+        .arg("convert")
+        .arg(&skew)
+        .args(["--out", skew_bfly.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let mut routes: Vec<Vec<String>> = vec![vec![], vec!["--adaptive".into()]];
+    for i in 1..=8 {
+        routes.push(vec!["--algorithm".into(), format!("inv{i}")]);
+    }
+    for m in ["priority", "ranked"] {
+        routes.push(vec!["--member".into(), m.into()]);
+    }
+    for r in routes.clone() {
+        routes.push([r, vec!["--parallel".into(), "--threads".into(), "2".into()]].concat());
+    }
+    for extra in [
+        &["--shards", "4"][..],
+        &["--max-bytes", "1000000000"],
+        &["--max-bytes", "1200000"],
+        &["--max-bytes", "1200000", "--parallel", "--threads", "2"],
+    ] {
+        routes.push(extra.iter().map(|s| s.to_string()).collect());
+    }
+    let mut tested = 0;
+    for (i, args) in routes.iter().enumerate() {
+        for (input, ooc) in [(&skew, None), (&skew_bfly, Some(["--shards", "2"]))] {
+            let args: Vec<String> = match ooc {
+                None => args.clone(),
+                // Two out-of-core routes: explicit shards and a byte cap.
+                Some(shards) if args.is_empty() => shards.map(String::from).to_vec(),
+                Some(_) if args == &["--max-bytes", "1000000000"] => {
+                    vec!["--max-bytes".into(), "700000".into()]
+                }
+                Some(_) => continue,
+            };
+            let report = dir.join(format!("routes-{i}-{}.json", ooc.is_some()));
+            let out = bfly()
+                .arg("count")
+                .arg(input)
+                .args(&args)
+                .args(["--explain", "--report", report.to_str().unwrap()])
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let text = String::from_utf8(out.stdout).unwrap();
+            let label = text.lines().next().unwrap();
+            assert!(label.starts_with("butterflies = 478903  ["), "{label}");
+            let doc = Json::parse(&text[text.find('{').unwrap()..]).unwrap();
+            let plan = doc.get("plan").expect("explained plan").clone();
+            let rep =
+                bfly_core::telemetry::RunReport::parse(&std::fs::read_to_string(&report).unwrap())
+                    .unwrap();
+            let meta_plan = rep.meta.iter().find(|(n, _)| n == "plan").map(|(_, v)| v);
+            assert_eq!(meta_plan, Some(&plan), "{args:?}: meta.plan");
+            let member = plan.get("member").and_then(|v| v.as_str()).unwrap();
+            let engine = match member {
+                "fixed" => format!(
+                    "Inv. {}",
+                    plan.get("invariant").and_then(|v| v.as_u64()).unwrap()
+                ),
+                other => other.to_string(),
+            };
+            assert!(
+                label.contains(&format!("[{engine}")),
+                "{args:?}: {label} vs {engine}"
+            );
+            assert_eq!(
+                plan.get("est_work").and_then(|v| v.as_u64()),
+                rep.counter("wedges_expanded"),
+                "{args:?}: est_work vs wedges_expanded"
+            );
+            tested += 1;
+        }
+    }
+    assert_eq!(tested, 2 * 12 + 4 + 2);
+    let out = bfly()
+        .arg("count")
+        .arg(&skew)
+        .args(["--algorithm", "spgemm", "--explain"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    let doc = Json::parse(&text[text.find('{').unwrap()..]).unwrap();
+    assert_eq!(doc.get("plan"), Some(&Json::Null), "{text}");
 }

@@ -45,47 +45,83 @@ fn progress_plus_stream_heartbeats_reach_fraction_one() {
     let gpath = dir.join("hb.tsv");
     let gpath_s = gpath.to_str().unwrap();
     generate(gpath_s, "120", "120", "800", "71");
-
-    // A short sleep before counting plus a fast monitor guarantees
-    // heartbeats even on a machine that counts this graph instantly.
+    // The skewed occupations stand-in, where the plan that runs and the
+    // plan the cost model would pick differ: every heartbeat that carries
+    // a `total` must carry the executed plan's wedge work (Inv. 2 on the
+    // default route, the byte cap's Inv. 1 fallback when budgeted — both
+    // partition V2, 1,110,128 wedges).
+    let skew = dir.join("hb-skew.tsv");
+    let skew_s = skew.to_str().unwrap();
     let out = bfly()
-        .args(["count", gpath_s, "--progress", "--stream", "-"])
-        .env("BFLY_MONITOR_INTERVAL_MS", "20")
-        .env("BFLY_FAULT_SLEEP_MS", "120")
+        .args(["generate", "--kind", "standin", "--name", "occupations"])
+        .args(["--scale", "0.1", "--out", skew_s])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // stdout is pure NDJSON with one strictly monotonic seq lane across
-    // the monitor thread and the closing events.
-    let events = parse_lines(&String::from_utf8(out.stdout).unwrap());
-    let seqs: Vec<u64> = events
-        .iter()
-        .map(|e| e.get("seq").and_then(|v| v.as_u64()).expect("seq"))
-        .collect();
-    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{seqs:?}");
-    let ty = |e: &Json| e.get("type").and_then(|v| v.as_str()).unwrap().to_string();
-    assert_eq!(ty(&events[0]), "run_start");
-    assert_eq!(ty(events.last().unwrap()), "run_end");
-    let heartbeats: Vec<&Json> = events.iter().filter(|e| ty(e) == "heartbeat").collect();
-    assert!(heartbeats.len() >= 2, "expected several heartbeats");
-    let last = heartbeats.last().unwrap();
-    assert_eq!(last.get("final").and_then(|v| v.as_bool()), Some(true));
-    assert_eq!(last.get("fraction").and_then(|v| v.as_f64()), Some(1.0));
-
-    // The human summary went to stderr through the gate: whole lines
-    // only, no NDJSON fragments spliced mid-line.
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("butterflies ="), "{stderr}");
-    for line in stderr.lines() {
+    assert!(out.status.success());
+    let budgeted = ["--parallel", "--threads", "2", "--max-bytes", "1200000"];
+    for (input, extra, total) in [
+        (gpath_s, &[][..], None),
+        (skew_s, &[][..], Some(1_110_128)),
+        (skew_s, &budgeted[..], Some(1_110_128)),
+    ] {
+        // A short sleep before counting plus a fast monitor guarantees
+        // heartbeats even on a machine that counts this graph instantly.
+        let out = bfly()
+            .args(["count", input, "--progress", "--stream", "-"])
+            .args(extra)
+            .env("BFLY_MONITOR_INTERVAL_MS", "20")
+            .env("BFLY_FAULT_SLEEP_MS", "120")
+            .output()
+            .unwrap();
         assert!(
-            !line.contains("{\"type\""),
-            "stream JSON leaked into stderr line {line:?}"
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
         );
+
+        // stdout is pure NDJSON with one strictly monotonic seq lane across
+        // the monitor thread and the closing events.
+        let events = parse_lines(&String::from_utf8(out.stdout).unwrap());
+        let seqs: Vec<u64> = events
+            .iter()
+            .map(|e| e.get("seq").and_then(|v| v.as_u64()).expect("seq"))
+            .collect();
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{seqs:?}");
+        let ty = |e: &Json| e.get("type").and_then(|v| v.as_str()).unwrap().to_string();
+        assert_eq!(ty(&events[0]), "run_start");
+        assert_eq!(ty(events.last().unwrap()), "run_end");
+        let heartbeats: Vec<&Json> = events.iter().filter(|e| ty(e) == "heartbeat").collect();
+        assert!(heartbeats.len() >= 2, "expected several heartbeats");
+        let last = heartbeats.last().unwrap();
+        assert_eq!(last.get("final").and_then(|v| v.as_bool()), Some(true));
+        assert_eq!(last.get("fraction").and_then(|v| v.as_f64()), Some(1.0));
+        if let Some(total) = total {
+            // A heartbeat sampled before the forecast arrives reads 0.
+            let totals: Vec<u64> = heartbeats
+                .iter()
+                .filter_map(|h| h.get("total").and_then(|v| v.as_u64()))
+                .filter(|&t| t > 0)
+                .collect();
+            assert!(
+                !totals.is_empty(),
+                "{extra:?}: no heartbeat carried a total"
+            );
+            assert!(
+                totals.iter().all(|&t| t == total),
+                "{extra:?}: heartbeat totals {totals:?}, executed plan's est_work {total}"
+            );
+        }
+
+        // The human summary went to stderr through the gate: whole lines
+        // only, no NDJSON fragments spliced mid-line.
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("butterflies ="), "{stderr}");
+        for line in stderr.lines() {
+            assert!(
+                !line.contains("{\"type\""),
+                "stream JSON leaked into stderr line {line:?}"
+            );
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //! 1. computes a cheap [`GraphProfile`] — side sizes, degree extrema, the
 //!    `Σ C(deg, 2)` wedge-work estimate per side, and degree skew — in one
 //!    pass over the two CSR/CSC degree arrays;
-//! 2. runs a cost model ([`select_invariant`] / [`select_plan`]) that picks
+//! 2. runs a cost model ([`select_plan`]) that picks
 //!    the partition side, traversal direction, look-ahead vs. look-behind,
 //!    blocked vs. flat execution, and (for parallel runs) degree-balanced
 //!    chunk boundaries instead of equal vertex ranges; and
@@ -102,28 +102,50 @@ pub fn graph_resident_bytes(nv1: usize, nv2: usize, nedges: usize) -> u64 {
 }
 
 impl GraphProfile {
-    /// Profile `g` in one pass over each side's degree array.
+    /// Profile `g`: the degree terms (one pass over each side's degree
+    /// array) plus the exact vertex-priority work
+    /// ([`priority_wedge_work`]: one degree sort and one edge pass).
     pub fn compute(g: &BipartiteGraph) -> GraphProfile {
-        let (nv1, nv2) = (g.nv1(), g.nv2());
+        GraphProfile {
+            wedges_priority: priority_wedge_work(g),
+            ..GraphProfile::of_degrees(g)
+        }
+    }
+
+    /// The degree terms of `g` alone, in one pass over each side's degree
+    /// array with no allocation. The priority term is not measured: it is
+    /// pinned to the `u64::MAX` sentinel, so the member gate never fires
+    /// and [`GraphProfile::to_json`] renders it as `null`.
+    pub(crate) fn of_degrees(g: &BipartiteGraph) -> GraphProfile {
+        GraphProfile::from_degrees(
+            (0..g.nv1()).map(|u| g.deg_v1(u)),
+            (0..g.nv2()).map(|v| g.deg_v2(v)),
+            g.nedges(),
+            graph_resident_bytes(g.nv1(), g.nv2(), g.nedges()),
+        )
+    }
+
+    /// A profile from the two sides' degree sequences, with the priority
+    /// term unmeasured (`u64::MAX`). The in-memory and the on-disk
+    /// profiles both start here.
+    pub(crate) fn from_degrees(
+        deg_v1: impl ExactSizeIterator<Item = usize>,
+        deg_v2: impl ExactSizeIterator<Item = usize>,
+        nedges: usize,
+        resident_bytes: u64,
+    ) -> GraphProfile {
         // Saturating sums: the profile is a cost *estimate*, and a graph
         // whose wedge volume exceeds u64 should still profile (and then
         // fail the work budget or overflow check downstream) rather than
         // wrap to a tiny bogus estimate in release builds.
-        let mut max_deg_v1 = 0usize;
-        let mut wedges_v1 = 0u64;
-        for u in 0..nv1 {
-            let d = g.deg_v1(u);
-            max_deg_v1 = max_deg_v1.max(d);
-            wedges_v1 = wedges_v1.saturating_add(choose2(d as u64));
+        fn side(degrees: impl Iterator<Item = usize>) -> (usize, u64) {
+            degrees.fold((0, 0), |(max_deg, wedges), d| {
+                (max_deg.max(d), wedges.saturating_add(choose2(d as u64)))
+            })
         }
-        let mut max_deg_v2 = 0usize;
-        let mut wedges_v2 = 0u64;
-        for v in 0..nv2 {
-            let d = g.deg_v2(v);
-            max_deg_v2 = max_deg_v2.max(d);
-            wedges_v2 = wedges_v2.saturating_add(choose2(d as u64));
-        }
-        let nedges = g.nedges();
+        let (nv1, nv2) = (deg_v1.len(), deg_v2.len());
+        let (max_deg_v1, wedges_v1) = side(deg_v1);
+        let (max_deg_v2, wedges_v2) = side(deg_v2);
         let skew = |max_deg: usize, count: usize| {
             if nedges == 0 || count == 0 {
                 0.0
@@ -139,10 +161,10 @@ impl GraphProfile {
             max_deg_v2,
             wedges_v1,
             wedges_v2,
-            wedges_priority: priority_wedge_work(g),
+            wedges_priority: u64::MAX,
             skew_v1: skew(max_deg_v1, nv1),
             skew_v2: skew(max_deg_v2, nv2),
-            resident_bytes: graph_resident_bytes(nv1, nv2, nedges),
+            resident_bytes,
         }
     }
 
@@ -291,6 +313,66 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The plan a flag forces: `member` in `mode` (`Flat` or
+    /// `Parallel { chunks }` from the CLI), never degree-ordered. A fixed
+    /// member is priced exactly from the degree terms — its partition
+    /// side's `Σ C(deg, 2)` as `est_work`, the other side's as
+    /// `est_work_alt` — taken from `profile` when the run computed one,
+    /// else from one pass over the degree arrays (no allocation). A
+    /// global-order member keeps the best fixed invariant as its
+    /// fallback, priced as `est_work_alt`; its `est_work` is the
+    /// profile's [`GraphProfile::wedges_priority`], or the unmeasured
+    /// `u64::MAX` sentinel without a profile.
+    pub fn forced(
+        g: &BipartiteGraph,
+        member: Member,
+        mode: ExecMode,
+        profile: Option<&GraphProfile>,
+    ) -> Plan {
+        let degrees;
+        let profile = match profile {
+            Some(p) => p,
+            None => {
+                degrees = GraphProfile::of_degrees(g);
+                &degrees
+            }
+        };
+        match member {
+            Member::Fixed(inv) => Plan {
+                member,
+                invariant: inv,
+                degree_ordered: false,
+                mode,
+                est_work: profile.partition_cost(inv.partitioned_side()),
+                est_work_alt: profile.partition_cost(inv.partitioned_side().other()),
+            },
+            Member::Priority | Member::Ranked => {
+                let best = select_plan(profile, false, 0).demoted();
+                Plan {
+                    member,
+                    mode,
+                    est_work: profile.wedges_priority,
+                    est_work_alt: best.est_work,
+                    ..best
+                }
+            }
+        }
+    }
+
+    /// This plan's fixed fallback: a global-order member becomes the best
+    /// fixed invariant it carries (`est_work` and `est_work_alt` swap
+    /// back, so the estimate stays that of the engine that runs), and the
+    /// degree-ordered relabel is dropped. A fixed plan only loses the
+    /// relabel.
+    pub fn demoted(mut self) -> Plan {
+        if !matches!(self.member, Member::Fixed(_)) {
+            self.member = Member::Fixed(self.invariant);
+            std::mem::swap(&mut self.est_work, &mut self.est_work_alt);
+        }
+        self.degree_ordered = false;
+        self
+    }
+
     /// The vertex set the plan partitions.
     pub fn partition_side(&self) -> Side {
         self.invariant.partitioned_side()
@@ -336,7 +418,13 @@ impl Plan {
             ("block_size".into(), Json::UInt(block_size)),
             ("chunks".into(), Json::UInt(chunks)),
             ("shards".into(), Json::UInt(shards)),
-            ("est_work".into(), Json::UInt(self.est_work)),
+            (
+                "est_work".into(),
+                match self.est_work {
+                    u64::MAX => Json::Null,
+                    w => Json::UInt(w),
+                },
+            ),
             ("est_work_alt".into(), Json::UInt(self.est_work_alt)),
         ])
     }
@@ -374,11 +462,6 @@ pub const PRIORITY_MIN_WORK: u64 = 1 << 10;
 /// land at 1.0–1.3 (rejected).
 pub const PRIORITY_ADVANTAGE: f64 = 0.9;
 
-/// Sequential selection: [`select_plan`] with `parallel = false`.
-pub fn select_invariant(profile: &GraphProfile) -> Plan {
-    select_plan(profile, false, 0)
-}
-
 /// The cost model. Chooses:
 ///
 /// * **partition side** — `GraphProfile::cheaper_side`: the side whose
@@ -414,10 +497,11 @@ pub fn select_plan(profile: &GraphProfile, parallel: bool, workers: usize) -> Pl
         Side::V1 => profile.nv1,
         Side::V2 => profile.nv2,
     };
+    let parallel_mode = ExecMode::Parallel {
+        chunks: workers.max(1),
+    };
     let mode = if parallel {
-        ExecMode::Parallel {
-            chunks: workers.max(1),
-        }
+        parallel_mode
     } else if partition_len >= BLOCKED_MIN_PARTITION {
         ExecMode::Blocked {
             block_size: DEFAULT_BLOCK_SIZE,
@@ -449,9 +533,7 @@ pub fn select_plan(profile: &GraphProfile, parallel: bool, workers: usize) -> Pl
             invariant,
             degree_ordered: false,
             mode: if parallel {
-                ExecMode::Parallel {
-                    chunks: workers.max(1),
-                }
+                parallel_mode
             } else {
                 ExecMode::Flat
             },
@@ -633,25 +715,33 @@ pub(crate) fn record_plan_gauges<R: Recorder>(rec: &mut R, plan: &Plan) {
     rec.gauge("progress.total_work", plan.forecast().total as f64);
 }
 
-/// Execute a previously selected plan on `g`.
+/// Execute a previously selected plan on `g`. A total past `u64` panics
+/// naming [`try_count_adaptive`].
 pub fn execute_plan(g: &BipartiteGraph, plan: &Plan) -> u64 {
-    execute_plan_recorded(g, plan, &mut NoopRecorder)
+    run_to_end(g, plan, &mut NoopRecorder, "try_count_adaptive")
 }
 
-/// [`execute_plan`] reporting work counters through `rec` — [`run_plan`]
-/// without a deadline. A total past `u64` panics naming
-/// [`try_count_adaptive`].
-pub fn execute_plan_recorded<R: Recorder>(g: &BipartiteGraph, plan: &Plan, rec: &mut R) -> u64 {
-    crate::error::expect_ok(run_plan(g, plan, None, rec), "try_count_adaptive").value
+/// [`run_plan`] without a deadline for an infallible entry point: a total
+/// past `u64` panics naming `twin`, the call that reports it as a typed
+/// error instead.
+pub(crate) fn run_to_end<R: Recorder>(
+    g: &BipartiteGraph,
+    plan: &Plan,
+    rec: &mut R,
+    twin: &'static str,
+) -> u64 {
+    crate::error::expect_ok(run_plan(g, plan, None, rec), twin).value
 }
 
-/// The plan executor: every counting plan — fixed, priority or ranked
-/// member; flat, blocked, parallel or sharded mode — runs its member's
-/// one overflow-checked kernel with `deadline` polled at item or block
-/// boundaries. Returns the count with `complete = false` when the
-/// deadline cut the traversal short — the value is then the exact count
-/// over the items processed before the cut, a lower bound on the true
-/// total. The only error is a total past `u64`
+/// The plan executor, and the only one: every in-memory count — fixed,
+/// priority or ranked member; flat, blocked, parallel or sharded mode —
+/// runs its member's one overflow-checked kernel here with `deadline`
+/// polled at item or block boundaries. Returns the count with
+/// `complete = false` when the deadline cut the traversal short — the
+/// value is then the exact count over the items processed before the
+/// cut, a lower bound on the true total, and a `budget.degraded = 3`
+/// gauge marks the cut. Either way the run ends by recording measured
+/// memory ([`record_memory`]). The only error is a total past `u64`
 /// ([`BflyError::CountOverflow`](crate::error::BflyError::CountOverflow)).
 ///
 /// Degree-ordered plans count an isomorphic renumbering of `g`; the
@@ -706,6 +796,10 @@ pub fn run_plan<R: Recorder>(
         }
     };
     let value = crate::error::checked_total(acc, "count_adaptive")?;
+    if !complete {
+        record_degraded(rec, "deadline");
+    }
+    record_memory(rec);
     Ok(if complete {
         Partial::complete(value)
     } else {
@@ -736,11 +830,7 @@ pub fn tune_plan_chunks<R: Recorder>(g: &BipartiteGraph, plan: &mut Plan, rec: &
     let (Member::Fixed(_), ExecMode::Parallel { chunks }) = (plan.member, plan.mode) else {
         return;
     };
-    let side = plan.partition_side();
-    let (part_adj, other_adj) = match side {
-        Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-        Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-    };
+    let (part_adj, other_adj) = FixedKernel::of(g, plan.invariant).patterns();
     let weights = crate::family::wedge_weights(part_adj, other_adj);
     let tuned = crate::family::tuned_chunk_count(&weights, chunks);
     if tuned != chunks {
@@ -753,14 +843,8 @@ pub fn tune_plan_chunks<R: Recorder>(g: &BipartiteGraph, plan: &mut Plan, rec: &
 /// Count with the adaptively selected sequential plan. Returns the count
 /// and the plan that produced it.
 pub fn count_adaptive(g: &BipartiteGraph) -> (u64, Plan) {
-    count_adaptive_recorded(g, &mut NoopRecorder)
-}
-
-/// [`count_adaptive`] reporting the selection and the work through `rec`.
-pub fn count_adaptive_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> (u64, Plan) {
-    let (_, plan) = profile_and_plan_recorded(g, false, 0, rec);
-    let xi = execute_plan_recorded(g, &plan, rec);
-    (xi, plan)
+    let (_, plan) = profile_and_plan_recorded(g, false, 0, &mut NoopRecorder);
+    (execute_plan(g, &plan), plan)
 }
 
 /// Count with the adaptively selected plan on rayon's current pool, using
@@ -769,7 +853,8 @@ pub fn count_adaptive_parallel(g: &BipartiteGraph) -> (u64, Plan) {
     count_adaptive_parallel_recorded(g, &mut NoopRecorder)
 }
 
-/// [`count_adaptive_parallel`] reporting through `rec`.
+/// [`count_adaptive_parallel`] reporting the selection, the chunk tuning
+/// and the work through `rec`.
 pub fn count_adaptive_parallel_recorded<R: Recorder>(
     g: &BipartiteGraph,
     rec: &mut R,
@@ -777,44 +862,18 @@ pub fn count_adaptive_parallel_recorded<R: Recorder>(
     let workers = rayon::current_num_threads().max(1);
     let (_, mut plan) = profile_and_plan_recorded(g, true, workers, rec);
     tune_plan_chunks(g, &mut plan, rec);
-    let xi = execute_plan_recorded(g, &plan, rec);
-    (xi, plan)
+    (run_to_end(g, &plan, rec, "try_count_adaptive"), plan)
 }
 
 /// Fallible [`count_adaptive`]: validates the graph up front and reports
 /// a total past `u64` as a typed
 /// [`BflyError`](crate::error::BflyError), so hostile input fails
-/// without panicking.
+/// without panicking. Any other plan gets the same guarantee from
+/// [`validate_graph`](crate::error::validate_graph) then [`run_plan`].
 pub fn try_count_adaptive(g: &BipartiteGraph) -> crate::error::Result<(u64, Plan)> {
-    try_count_adaptive_recorded(g, &mut NoopRecorder)
-}
-
-/// [`try_count_adaptive`] reporting through `rec`.
-pub fn try_count_adaptive_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    rec: &mut R,
-) -> crate::error::Result<(u64, Plan)> {
     crate::error::validate_graph(g)?;
-    let (_, plan) = profile_and_plan_recorded(g, false, 0, rec);
-    Ok((run_plan(g, &plan, None, rec)?.value, plan))
-}
-
-/// Fallible [`count_adaptive_parallel`]: [`try_count_adaptive`] on the
-/// parallel plan.
-pub fn try_count_adaptive_parallel(g: &BipartiteGraph) -> crate::error::Result<(u64, Plan)> {
-    try_count_adaptive_parallel_recorded(g, &mut NoopRecorder)
-}
-
-/// [`try_count_adaptive_parallel`] reporting through `rec`.
-pub fn try_count_adaptive_parallel_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    rec: &mut R,
-) -> crate::error::Result<(u64, Plan)> {
-    crate::error::validate_graph(g)?;
-    let workers = rayon::current_num_threads().max(1);
-    let (_, mut plan) = profile_and_plan_recorded(g, true, workers, rec);
-    tune_plan_chunks(g, &mut plan, rec);
-    Ok((run_plan(g, &plan, None, rec)?.value, plan))
+    let (_, plan) = profile_and_plan_recorded(g, false, 0, &mut NoopRecorder);
+    Ok((run_plan(g, &plan, None, &mut NoopRecorder)?.value, plan))
 }
 
 /// Estimated bytes of one [`Spa`](bfly_sparse::Spa) accumulator over `n`
@@ -927,12 +986,12 @@ pub fn plan_scratch_bytes(profile: &GraphProfile, plan: &Plan) -> u64 {
 /// 1. halve the parallel chunk count (each chunk owns an accumulator the
 ///    size of the partitioned side),
 /// 2. abandon parallelism entirely,
-/// 3. demote a global-order member to its best fixed invariant (dropping
-///    the rank arrays, the ranked batches, and the max-side accumulator
-///    for the partition-side one — `est_work`/`est_work_alt` swap back,
-///    and the wedge-work cap is re-checked against the higher fixed
-///    total),
-/// 4. drop the degree-ordered relabel (it copies the graph).
+/// 3. [`Plan::demoted`]: a global-order member falls back to its best
+///    fixed invariant (dropping the rank arrays, the ranked batches, and
+///    the max-side accumulator for the partition-side one —
+///    `est_work`/`est_work_alt` swap back, and the wedge-work cap is
+///    re-checked against the higher fixed total), and a fixed member
+///    drops the degree-ordered relabel (it copies the graph).
 ///
 /// Each applied degradation is recorded once via
 /// [`record_degraded`]`(rec, "bytes")`. A byte cap below even the sharded
@@ -957,42 +1016,27 @@ pub fn select_plan_budgeted<R: Recorder>(
     // Floor of the in-memory regime: the resident graph plus the flat
     // fixed-member accumulator. Below it no degradation sequence can
     // ever fit, so the planner goes straight to the sharded tier.
-    let mut floor = plan.clone();
-    if !matches!(floor.member, Member::Fixed(_)) {
-        floor.member = Member::Fixed(floor.invariant);
-        std::mem::swap(&mut floor.est_work, &mut floor.est_work_alt);
-    }
-    floor.mode = ExecMode::Flat;
-    floor.degree_ordered = false;
+    let floor = Plan {
+        mode: ExecMode::Flat,
+        ..plan.clone().demoted()
+    };
     if !budget.bytes_fit(total_bytes(&floor)) {
         return select_sharded_plan(profile, budget);
     }
     let mut degraded = false;
-    loop {
-        if budget.bytes_fit(total_bytes(&plan)) {
-            break;
-        }
+    while !budget.bytes_fit(total_bytes(&plan)) {
         match plan.mode {
             ExecMode::Parallel { chunks } if chunks > 1 => {
                 plan.mode = ExecMode::Parallel { chunks: chunks / 2 };
-                degraded = true;
             }
-            ExecMode::Parallel { .. } => {
-                plan.mode = ExecMode::Flat;
-                degraded = true;
-            }
-            _ if !matches!(plan.member, Member::Fixed(_)) => {
-                plan.member = Member::Fixed(plan.invariant);
-                std::mem::swap(&mut plan.est_work, &mut plan.est_work_alt);
+            ExecMode::Parallel { .. } => plan.mode = ExecMode::Flat,
+            _ if plan.degree_ordered || !matches!(plan.member, Member::Fixed(_)) => {
+                plan = plan.demoted();
                 budget.check_wedge_work(plan.est_work)?;
-                degraded = true;
-            }
-            _ if plan.degree_ordered => {
-                plan.degree_ordered = false;
-                degraded = true;
             }
             _ => break,
         }
+        degraded = true;
     }
     if degraded {
         record_degraded(rec, "bytes");
@@ -1015,12 +1059,7 @@ fn select_sharded_plan(
     profile: &GraphProfile,
     budget: &ResourceBudget,
 ) -> crate::error::Result<Plan> {
-    let mut plan = select_plan(profile, false, 0);
-    if !matches!(plan.member, Member::Fixed(_)) {
-        plan.member = Member::Fixed(plan.invariant);
-        std::mem::swap(&mut plan.est_work, &mut plan.est_work_alt);
-    }
-    plan.degree_ordered = false;
+    let mut plan = select_plan(profile, false, 0).demoted();
     budget.check_wedge_work(plan.est_work)?;
     let part_len = match plan.partition_side() {
         Side::V1 => profile.nv1,
@@ -1039,9 +1078,12 @@ fn select_sharded_plan(
     Ok(plan)
 }
 
-/// Profile `g` and select a budget-constrained plan inside a `select`
-/// span, emitting the `plan.*` gauges for the plan that will actually
-/// run (after any degradation).
+/// The first half of a budgeted count: validate `g`, record the budget's
+/// limits, check measured allocation against the byte cap, then profile
+/// and select a budget-constrained plan inside a `select` span, emitting
+/// the `plan.*` gauges for the plan that will actually run (after any
+/// degradation). [`run_plan`] with `budget.deadline` is the second half;
+/// a caller can hand the liveness monitor the plan's forecast in between.
 pub fn profile_and_plan_budgeted_recorded<R: Recorder>(
     g: &BipartiteGraph,
     parallel: bool,
@@ -1049,6 +1091,13 @@ pub fn profile_and_plan_budgeted_recorded<R: Recorder>(
     budget: &ResourceBudget,
     rec: &mut R,
 ) -> crate::error::Result<(GraphProfile, Plan)> {
+    crate::error::validate_graph(g)?;
+    budget.record_limits(rec);
+    // When the tracking allocator is live (feature `alloc-track` +
+    // installed by the binary), the byte cap is also enforced against
+    // *measured* live bytes — the process may already be over budget
+    // before any plan is chosen, which no estimate can see.
+    budget.check_measured_bytes()?;
     timed_span(rec, "select", |rec| {
         let profile = GraphProfile::compute(g);
         let plan = select_plan_budgeted(&profile, parallel, workers, budget, rec)?;
@@ -1057,35 +1106,19 @@ pub fn profile_and_plan_budgeted_recorded<R: Recorder>(
     })
 }
 
-/// [`count_adaptive_budgeted_recorded`] without telemetry.
-pub fn count_adaptive_budgeted(
-    g: &BipartiteGraph,
-    parallel: bool,
-    budget: &ResourceBudget,
-) -> crate::error::Result<Partial<(u64, Plan)>> {
-    count_adaptive_budgeted_recorded(g, parallel, budget, &mut NoopRecorder)
-}
-
-/// Resource-budgeted adaptive count: validates the graph, selects a plan
-/// that fits the budget (degrading per [`select_plan_budgeted`]),
-/// executes it overflow-checked with the budget's deadline threaded to
-/// the kernels, and tags every degradation in telemetry. A deadline that
-/// expires mid-count yields `complete = false` with the exact count over
-/// the processed prefix (and a `budget.degraded = 3` gauge) rather than
-/// an error; only a budget with no viable shape at all fails.
+/// Resource-budgeted adaptive count: [`profile_and_plan_budgeted_recorded`]
+/// (degrading per [`select_plan_budgeted`]) then [`run_plan`] with the
+/// budget's deadline, on one chunk per worker of rayon's current pool
+/// when `parallel`. A deadline that expires mid-count yields
+/// `complete = false` with the exact count over the processed prefix
+/// (and a `budget.degraded = 3` gauge) rather than an error; only a
+/// budget with no viable shape at all fails.
 pub fn count_adaptive_budgeted_recorded<R: Recorder>(
     g: &BipartiteGraph,
     parallel: bool,
     budget: &ResourceBudget,
     rec: &mut R,
 ) -> crate::error::Result<Partial<(u64, Plan)>> {
-    crate::error::validate_graph(g)?;
-    budget.record_limits(rec);
-    // When the tracking allocator is live (feature `alloc-track` +
-    // installed by the binary), the byte cap is also enforced against
-    // *measured* live bytes — the process may already be over budget
-    // before any plan is chosen, which no estimate can see.
-    budget.check_measured_bytes()?;
     let workers = if parallel {
         rayon::current_num_threads().max(1)
     } else {
@@ -1093,10 +1126,6 @@ pub fn count_adaptive_budgeted_recorded<R: Recorder>(
     };
     let (_, plan) = profile_and_plan_budgeted_recorded(g, parallel, workers, budget, rec)?;
     let r = run_plan(g, &plan, budget.deadline, rec)?;
-    if !r.complete {
-        record_degraded(rec, "deadline");
-    }
-    record_memory(rec);
     Ok(Partial {
         value: (r.value, plan),
         complete: r.complete,
@@ -1152,7 +1181,7 @@ mod tests {
         assert_eq!(p.skew_v1, 0.0);
         assert_eq!(p.skew_v2, 0.0);
         // Tie on work → the paper's smaller-side rule decides (V1 here).
-        assert_eq!(select_invariant(&p).partition_side(), Side::V1);
+        assert_eq!(select_plan(&p, false, 0).partition_side(), Side::V1);
     }
 
     #[test]
@@ -1163,11 +1192,11 @@ mod tests {
         let edges: Vec<(u32, u32)> = (0..12).map(|v| (0, v)).collect();
         let star = BipartiteGraph::from_edges(1, 12, &edges).unwrap();
         let p = GraphProfile::compute(&star);
-        let plan = select_invariant(&p);
+        let plan = select_plan(&p, false, 0);
         assert_eq!(plan.partition_side(), Side::V1);
         assert!(plan.est_work <= plan.est_work_alt);
         // And the mirrored star flips the decision.
-        let plan_t = select_invariant(&GraphProfile::compute(&star.swap_sides()));
+        let plan_t = select_plan(&GraphProfile::compute(&star.swap_sides()), false, 0);
         assert_eq!(plan_t.partition_side(), Side::V2);
     }
 
@@ -1177,7 +1206,7 @@ mod tests {
         // forward A₀-reading member of whichever side is chosen.
         let mut rng = StdRng::seed_from_u64(5);
         let g = uniform_exact(40, 30, 200, &mut rng);
-        let plan = select_invariant(&GraphProfile::compute(&g));
+        let plan = select_plan(&GraphProfile::compute(&g), false, 0);
         assert!(matches!(plan.mode, ExecMode::Flat));
         assert!(matches!(plan.invariant, Invariant::Inv1 | Invariant::Inv5));
         assert!(!plan.invariant.is_lookahead());
@@ -1192,7 +1221,7 @@ mod tests {
         edges.extend((0..40u32).map(|u| (u, 1 + u % 30)));
         let g = BipartiteGraph::from_edges(60, 31, &edges).unwrap();
         let p = GraphProfile::compute(&g);
-        let plan = select_invariant(&p);
+        let plan = select_plan(&p, false, 0);
         if plan.degree_ordered {
             assert!(p.skew(plan.partition_side()) >= DEGREE_ORDER_SKEW_THRESHOLD);
         }
@@ -1223,7 +1252,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let g = chung_lu(60, 45, 280, 0.8, 0.6, &mut rng);
         let want = count_brute_force(&g);
-        let base = select_invariant(&GraphProfile::compute(&g));
+        let base = select_plan(&GraphProfile::compute(&g), false, 0);
         for (mode, invariant) in [
             (ExecMode::Flat, base.invariant),
             (ExecMode::Blocked { block_size: 16 }, base.invariant),
@@ -1249,7 +1278,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let g = uniform_exact(50, 20, 180, &mut rng);
         let mut rec = InMemoryRecorder::new();
-        let (xi, plan) = count_adaptive_recorded(&g, &mut rec);
+        let (_, plan) = profile_and_plan_recorded(&g, false, 0, &mut rec);
+        let xi = run_to_end(&g, &plan, &mut rec, "try_count_adaptive");
         assert_eq!(xi, count_brute_force(&g));
         assert_eq!(
             rec.gauge_value("plan.invariant"),
@@ -1344,7 +1374,10 @@ mod tests {
         ] {
             let want = count_adaptive(&g).0;
             assert_eq!(try_count_adaptive(&g).unwrap().0, want);
-            assert_eq!(try_count_adaptive_parallel(&g).unwrap().0, want);
+            let (_, par) = profile_and_plan_recorded(&g, true, 4, &mut NoopRecorder);
+            crate::error::validate_graph(&g).unwrap();
+            let r = run_plan(&g, &par, None, &mut NoopRecorder).unwrap();
+            assert_eq!(r.value, want);
         }
     }
 
@@ -1354,7 +1387,13 @@ mod tests {
         let g = uniform_exact(40, 40, 300, &mut rng);
         let want = count_brute_force(&g);
         for parallel in [false, true] {
-            let r = count_adaptive_budgeted(&g, parallel, &ResourceBudget::unlimited()).unwrap();
+            let r = count_adaptive_budgeted_recorded(
+                &g,
+                parallel,
+                &ResourceBudget::unlimited(),
+                &mut NoopRecorder,
+            )
+            .unwrap();
             assert!(r.complete);
             assert_eq!(r.value.0, want);
         }
@@ -1392,7 +1431,8 @@ mod tests {
         assert!(rec_ooc.gauge_value("plan.shards").unwrap_or(0.0) >= 1.0);
         // A cap below even the sharded tier's metadata has no viable shape.
         let starved = ResourceBudget::unlimited().with_max_bytes(64);
-        let err = count_adaptive_budgeted(&g, true, &starved).unwrap_err();
+        let err =
+            count_adaptive_budgeted_recorded(&g, true, &starved, &mut NoopRecorder).unwrap_err();
         assert!(matches!(
             err,
             crate::error::BflyError::BudgetExceeded {
@@ -1406,7 +1446,8 @@ mod tests {
     fn work_cap_below_minimum_side_is_a_hard_error() {
         let g = BipartiteGraph::complete(8, 8);
         let budget = ResourceBudget::unlimited().with_max_wedge_work(1);
-        let err = count_adaptive_budgeted(&g, false, &budget).unwrap_err();
+        let err =
+            count_adaptive_budgeted_recorded(&g, false, &budget, &mut NoopRecorder).unwrap_err();
         assert!(matches!(
             err,
             crate::error::BflyError::BudgetExceeded {
@@ -1502,7 +1543,8 @@ mod tests {
         use bfly_telemetry::InMemoryRecorder;
         let g = skewed_standin();
         let mut rec = InMemoryRecorder::new();
-        let (_, plan) = count_adaptive_recorded(&g, &mut rec);
+        let (_, plan) = profile_and_plan_recorded(&g, false, 0, &mut rec);
+        run_to_end(&g, &plan, &mut rec, "try_count_adaptive");
         assert_eq!(plan.member, Member::Priority);
         assert_eq!(rec.counter(Counter::WedgesExpanded), plan.forecast().total);
         let mut rec_par = InMemoryRecorder::new();
@@ -1526,9 +1568,7 @@ mod tests {
         // Cap below the priority plan's scratch but at the fixed flat
         // floor: the planner must demote to the fixed invariant and the
         // count must be unchanged.
-        let mut fixed = chosen.clone();
-        fixed.member = Member::Fixed(fixed.invariant);
-        std::mem::swap(&mut fixed.est_work, &mut fixed.est_work_alt);
+        let fixed = chosen.clone().demoted();
         let floor = p.resident_bytes + plan_scratch_bytes(&p, &fixed);
         assert!(plan_scratch_bytes(&p, &fixed) < plan_scratch_bytes(&p, &chosen));
         let budget = ResourceBudget::unlimited().with_max_bytes(floor);
@@ -1541,10 +1581,40 @@ mod tests {
     }
 
     #[test]
+    fn forced_plans_price_the_engine_that_runs() {
+        use bfly_telemetry::InMemoryRecorder;
+        let g = skewed_standin();
+        let p = GraphProfile::compute(&g);
+        let members = Invariant::ALL
+            .map(Member::Fixed)
+            .into_iter()
+            .chain([Member::Priority, Member::Ranked]);
+        for member in members {
+            for mode in [ExecMode::Flat, ExecMode::Parallel { chunks: 3 }] {
+                let plan = Plan::forced(&g, member, mode, Some(&p));
+                assert_eq!((plan.member, plan.mode), (member, mode));
+                let mut rec = InMemoryRecorder::new();
+                let xi = run_to_end(&g, &plan, &mut rec, "run_plan");
+                assert_eq!(xi, count_brute_force(&g), "{member:?} {mode:?}");
+                assert_eq!(rec.counter(Counter::WedgesExpanded), plan.est_work);
+                let unprofiled = Plan::forced(&g, member, mode, None);
+                if let Member::Fixed(_) = member {
+                    assert_eq!(unprofiled, plan, "degree terms price fixed plans");
+                } else {
+                    assert_eq!(unprofiled.est_work, u64::MAX);
+                    assert_eq!(unprofiled.to_json().get("est_work"), Some(&Json::Null));
+                    let (a, b) = (unprofiled.demoted(), plan.clone().demoted());
+                    assert_eq!((a.member, a.est_work), (b.member, b.est_work));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn json_payloads_name_every_field() {
         let g = BipartiteGraph::complete(3, 9);
         let p = GraphProfile::compute(&g);
-        let plan = select_invariant(&p);
+        let plan = select_plan(&p, false, 0);
         let pj = p.to_json();
         for key in [
             "nv1",

@@ -31,7 +31,7 @@ pub enum BflyError {
     CountOverflow {
         /// Exact value of the accumulator at the point of failure.
         partial: u128,
-        /// Which accumulator overflowed (`"count_partitioned"`, …).
+        /// Which accumulator overflowed (`"count_adaptive"`, …).
         context: &'static str,
     },
     /// A [`ResourceBudget`](crate::budget::ResourceBudget) limit would be
@@ -57,15 +57,6 @@ pub enum BflyError {
 pub(crate) fn checked_total(acc: bfly_sparse::CheckedAccum, context: &'static str) -> Result<u64> {
     acc.finish()
         .map_err(|partial| BflyError::CountOverflow { partial, context })
-}
-
-/// Finish a checked total for an infallible entry point, which promises
-/// a `u64`: past it, panic with the exact total and the `try_` twin that
-/// reports the overflow as a typed error instead.
-pub(crate) fn expect_total(acc: bfly_sparse::CheckedAccum, twin: &'static str) -> u64 {
-    acc.finish().unwrap_or_else(|exact| {
-        panic!("butterfly total {exact} exceeds u64; call {twin} for a typed error")
-    })
 }
 
 /// Unwrap a fallible result for an infallible entry point: on error,

@@ -19,38 +19,21 @@
 use super::engine::update_vertex;
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::{CheckedAccum, Spa};
-use bfly_telemetry::{Counter, NoopRecorder, Recorder};
+use bfly_telemetry::{Counter, Recorder};
 use std::time::Instant;
 
-/// Blocked counterpart of invariant 1 (`Side::V2`) / invariant 5
-/// (`Side::V1`): forward traversal in blocks of `block_size`, each block's
-/// update reading the processed region and the block interior.
-pub fn count_blocked(g: &BipartiteGraph, side: Side, block_size: usize) -> u64 {
-    count_blocked_recorded(g, side, block_size, &mut NoopRecorder)
-}
-
-/// [`count_blocked`] with instrumentation: blocks processed, the shared
-/// engine counters, and the per-block split of wedge work between the
-/// cross term (block × processed prefix) and the interior term (within
-/// the block) as the `block_cross_wedges` / `block_interior_wedges`
-/// series. Each block's two phases also record as `block_cross` /
-/// `block_interior` spans carrying their wedge-work deltas, so the
-/// locality trade of the blocked loop is visible on the timeline.
-pub fn count_blocked_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    side: Side,
-    block_size: usize,
-    rec: &mut R,
-) -> u64 {
-    let (acc, _) = run_blocked(g, side, block_size, None, rec);
-    crate::error::expect_total(acc, "try_count")
-}
-
-/// The blocked loop, overflow-checked: both terms of every block run the
-/// engine's eq. 18 update restricted to a window of the partitioned side
-/// (`[0, start)` for the cross term, `[start, k)` for the interior), and
-/// `deadline` is polled at every block boundary. Returns the exact total
-/// over the blocks processed and whether all of them ran.
+/// The blocked loop ([`count_blocked`](super::count_blocked) runs it
+/// through the plan executor), overflow-checked: both terms of every
+/// block run the engine's eq. 18 update restricted to a window of the
+/// partitioned side (`[0, start)` for the cross term, `[start, k)` for
+/// the interior), and `deadline` is polled at every block boundary.
+/// Returns the exact total over the blocks processed and whether all of
+/// them ran. Records blocks processed, the shared engine counters, and
+/// the per-block split of wedge work between the cross term and the
+/// interior term as the `block_cross_wedges` / `block_interior_wedges`
+/// series; each block's two phases also record as `block_cross` /
+/// `block_interior` spans, so the locality trade of the blocked loop is
+/// visible on the timeline.
 pub(crate) fn run_blocked<R: Recorder>(
     g: &BipartiteGraph,
     side: Side,
@@ -131,7 +114,7 @@ pub(crate) fn run_blocked<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::{count, Invariant};
+    use crate::family::{count, count_blocked, Invariant};
     use bfly_graph::generators::uniform_exact;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

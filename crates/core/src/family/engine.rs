@@ -24,7 +24,7 @@ use super::parallel::{run_inline, Kernel};
 use super::Invariant;
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
-use bfly_telemetry::{Counter, NoopRecorder, Recorder};
+use bfly_telemetry::{Counter, Recorder};
 use std::convert::Infallible;
 use std::ops::Range;
 use std::time::Instant;
@@ -273,42 +273,27 @@ pub(crate) fn run_partitioned<R: Recorder>(
     })
 }
 
-/// Run one family member over a partitioned side.
-///
-/// * `part_adj` — adjacency of the partitioned side (row `k` = sorted
-///   opposite-side neighbours of partitioned vertex `k`). For invariants
-///   1–4 this is `Aᵀ` (the CSC view of `A`); for 5–8 it is `A`.
-/// * `other_adj` — the transpose of `part_adj`.
-pub fn count_partitioned(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    traversal: Traversal,
-    filter: PartFilter,
-) -> u64 {
-    count_partitioned_recorded(part_adj, other_adj, traversal, filter, &mut NoopRecorder)
-}
-
-/// [`count_partitioned`] reporting work counters (and a
-/// `count_partitioned` span with a `vertex_wedges` histogram) through
-/// `rec`.
-pub fn count_partitioned_recorded<R: Recorder>(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    traversal: Traversal,
-    filter: PartFilter,
-    rec: &mut R,
-) -> u64 {
-    let kernel = FixedKernel::new(part_adj, other_adj, traversal, filter);
-    let (acc, _) = run_partitioned(&kernel, None, rec);
-    crate::error::expect_total(acc, "try_count")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use bfly_telemetry::NoopRecorder;
+
     fn k23() -> BipartiteGraph {
         BipartiteGraph::complete(2, 3)
+    }
+
+    /// One sequential pass of the kernel over an explicit parameterisation.
+    fn partitioned_total(
+        part_adj: &Pattern,
+        other_adj: &Pattern,
+        traversal: Traversal,
+        filter: PartFilter,
+    ) -> u64 {
+        let kernel = FixedKernel::new(part_adj, other_adj, traversal, filter);
+        let (acc, complete) = run_partitioned(&kernel, None, &mut NoopRecorder);
+        assert!(complete);
+        acc.finish().unwrap()
     }
 
     fn update(at: &Pattern, a: &Pattern, filter: PartFilter, k: usize) -> u64 {
@@ -355,8 +340,8 @@ mod tests {
         let (a, at) = (g.biadjacency(), g.biadjacency_t());
         for traversal in [Traversal::Forward, Traversal::Backward] {
             for filter in [PartFilter::Before, PartFilter::After] {
-                assert_eq!(count_partitioned(at, a, traversal, filter), want);
-                assert_eq!(count_partitioned(a, at, traversal, filter), want);
+                assert_eq!(partitioned_total(at, a, traversal, filter), want);
+                assert_eq!(partitioned_total(a, at, traversal, filter), want);
             }
         }
     }
@@ -384,7 +369,8 @@ mod tests {
     fn infallible_wrappers_name_the_try_twin_past_u64() {
         let mut acc = CheckedAccum::with_base(u64::MAX);
         acc.add(1);
-        crate::error::expect_total(acc, "try_count");
+        let total = crate::error::checked_total(acc, "count_adaptive");
+        crate::error::expect_ok(total, "try_count");
     }
 
     #[test]
@@ -404,7 +390,7 @@ mod tests {
         let g = BipartiteGraph::from_edges(5, 5, &[(0, 0), (0, 1), (1, 0), (1, 1)]).unwrap();
         let (a, at) = (g.biadjacency(), g.biadjacency_t());
         assert_eq!(
-            count_partitioned(at, a, Traversal::Forward, PartFilter::After),
+            partitioned_total(at, a, Traversal::Forward, PartFilter::After),
             1
         );
     }

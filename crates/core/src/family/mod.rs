@@ -43,30 +43,20 @@ pub mod ranked;
 pub mod sharded;
 pub mod verify;
 
+use crate::adaptive::{run_plan, run_to_end, ExecMode, Member, Plan};
 use bfly_graph::{BipartiteGraph, Side};
-use bfly_telemetry::{timed_phase, NoopRecorder, Recorder};
-pub use blocked::{count_blocked, count_blocked_recorded};
-pub use engine::{count_partitioned, count_partitioned_recorded, PartFilter, Traversal};
-use engine::{run_partitioned, FixedKernel};
+use bfly_telemetry::{NoopRecorder, Recorder};
+pub use engine::{PartFilter, Traversal};
 pub use literal::count_literal;
-pub use parallel::{
-    balanced_chunk_bounds, count_parallel, count_parallel_recorded, count_parallel_with_threads,
-    tuned_chunk_count, wedge_weights, weight_p90,
-};
+pub use parallel::{balanced_chunk_bounds, tuned_chunk_count, wedge_weights, weight_p90};
 pub use priority::{
-    butterflies_per_vertex_priority, count_priority, count_priority_parallel,
-    count_priority_parallel_recorded, count_priority_recorded, edge_supports_priority,
-    priority_start_weights, priority_wedge_work, priority_wedge_work_with, try_count_priority,
-    PriorityRanks,
+    butterflies_per_vertex_priority, edge_supports_priority, priority_start_weights,
+    priority_wedge_work, priority_wedge_work_with, PriorityRanks,
 };
-pub use ranked::{
-    count_ranked, count_ranked_parallel, count_ranked_parallel_recorded, count_ranked_recorded,
-    try_count_ranked, RANKED_BUCKET_WEDGES,
-};
+pub use ranked::RANKED_BUCKET_WEDGES;
 pub use sharded::{
-    count_segmented, count_segmented_budgeted_recorded, count_segmented_checkpointed_recorded,
-    count_segmented_sharded_recorded, count_sharded, count_sharded_recorded, segmented_profile,
-    segmented_wedge_weights, try_count_sharded,
+    count_segmented, count_segmented_checkpointed_recorded, segmented_profile,
+    segmented_wedge_weights,
 };
 pub use verify::{invariant_specified_value, verify_loop_invariant};
 
@@ -165,6 +155,21 @@ impl std::fmt::Display for Invariant {
     }
 }
 
+// The in-memory entry points below are one line each: the plan a caller
+// forces ([`Plan::forced`]), run by the one executor ([`run_plan`]).
+
+/// Run the forced plan `member` × `mode` on `g` to completion; a total
+/// past `u64` panics naming [`run_plan`], which returns it as a typed
+/// error.
+pub(crate) fn run_forced<R: Recorder>(
+    g: &BipartiteGraph,
+    member: Member,
+    mode: ExecMode,
+    rec: &mut R,
+) -> u64 {
+    run_to_end(g, &Plan::forced(g, member, mode, None), rec, "run_plan")
+}
+
 /// Count the butterflies of `g` with the algorithm derived from the given
 /// loop invariant (sequential).
 pub fn count(g: &BipartiteGraph, inv: Invariant) -> u64 {
@@ -175,48 +180,77 @@ pub fn count(g: &BipartiteGraph, inv: Invariant) -> u64 {
 /// Overflow-checked like every counting path: a total past `u64` panics
 /// naming [`try_count`].
 pub fn count_recorded<R: Recorder>(g: &BipartiteGraph, inv: Invariant, rec: &mut R) -> u64 {
-    let kernel = FixedKernel::of(g, inv);
-    let (acc, _) = timed_phase(rec, "count", |rec| run_partitioned(&kernel, None, rec));
-    crate::error::expect_total(acc, "try_count")
+    let plan = Plan::forced(g, Member::Fixed(inv), ExecMode::Flat, None);
+    run_to_end(g, &plan, rec, "try_count")
 }
 
 /// Fallible [`count`]: validates the graph's structural invariants up
 /// front and reports a total past `u64` as a typed
 /// [`BflyError`](crate::error::BflyError), so hostile or hand-built
-/// inputs fail without panicking mid-kernel.
+/// inputs fail without panicking mid-kernel. Every other plan gets the
+/// same guarantee from [`validate_graph`](crate::error::validate_graph)
+/// then [`run_plan`].
 pub fn try_count(g: &BipartiteGraph, inv: Invariant) -> crate::error::Result<u64> {
-    try_count_recorded(g, inv, &mut NoopRecorder)
-}
-
-/// [`try_count`] reporting work counters through `rec`.
-pub fn try_count_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    inv: Invariant,
-    rec: &mut R,
-) -> crate::error::Result<u64> {
     crate::error::validate_graph(g)?;
-    let kernel = FixedKernel::of(g, inv);
-    let (acc, _) = timed_phase(rec, "count", |rec| run_partitioned(&kernel, None, rec));
-    crate::error::checked_total(acc, "count_partitioned")
+    let plan = Plan::forced(g, Member::Fixed(inv), ExecMode::Flat, None);
+    Ok(run_plan(g, &plan, None, &mut NoopRecorder)?.value)
 }
 
-/// Pick the family member the paper's §V guidance prescribes — partition
-/// the *smaller* vertex set — and count with it. Returns the count and
-/// the invariant chosen.
-pub fn count_auto(g: &BipartiteGraph) -> (u64, Invariant) {
-    count_auto_recorded(g, &mut NoopRecorder)
-}
-
-/// [`count_auto`] reporting work counters through `rec`.
-pub fn count_auto_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> (u64, Invariant) {
-    // Within the chosen half we use the forward look-ahead member, the
-    // variant §V singles out.
-    let inv = if g.nv2() <= g.nv1() {
+/// The family member the paper's §V guidance prescribes: partition the
+/// *smaller* vertex set, with the forward look-ahead member §V singles
+/// out — Inv. 2 when `|V2| ≤ |V1|`, else Inv. 6.
+pub fn auto_invariant(g: &BipartiteGraph) -> Invariant {
+    if g.nv2() <= g.nv1() {
         Invariant::Inv2
     } else {
         Invariant::Inv6
-    };
+    }
+}
+
+/// Count with [`auto_invariant`], reporting work counters through `rec`.
+/// Returns the count and the invariant chosen.
+pub fn count_auto_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> (u64, Invariant) {
+    let inv = auto_invariant(g);
     (count_recorded(g, inv, rec), inv)
+}
+
+/// Count with the given invariant on rayon's current pool: one
+/// wedge-balanced chunk per worker, partials merged in chunk order.
+pub fn count_parallel(g: &BipartiteGraph, inv: Invariant) -> u64 {
+    let mode = ExecMode::Parallel {
+        chunks: rayon::current_num_threads().max(1),
+    };
+    run_forced(g, Member::Fixed(inv), mode, &mut NoopRecorder)
+}
+
+/// Blocked counterpart of invariant 1 (`Side::V2`) / invariant 5
+/// (`Side::V1`): forward traversal in blocks of `block_size` (see
+/// [`blocked`]).
+pub fn count_blocked(g: &BipartiteGraph, side: Side, block_size: usize) -> u64 {
+    let inv = match side {
+        Side::V2 => Invariant::Inv1,
+        Side::V1 => Invariant::Inv5,
+    };
+    let mode = ExecMode::Blocked { block_size };
+    run_forced(g, Member::Fixed(inv), mode, &mut NoopRecorder)
+}
+
+/// Count with invariant `inv` over `nshards` wedge-balanced vertex-range
+/// shards of the partitioned side, merging per-shard partials exactly
+/// (see [`sharded`]). Identical to [`count`] for every shard count.
+pub fn count_sharded(g: &BipartiteGraph, inv: Invariant, nshards: usize) -> u64 {
+    let mode = ExecMode::Sharded { shards: nshards };
+    run_forced(g, Member::Fixed(inv), mode, &mut NoopRecorder)
+}
+
+/// Count with the vertex-priority kernel, sequentially (see [`priority`]).
+pub fn count_priority(g: &BipartiteGraph) -> u64 {
+    run_forced(g, Member::Priority, ExecMode::Flat, &mut NoopRecorder)
+}
+
+/// Count by ranked wedge aggregation, sequentially (see [`ranked`]).
+pub fn count_ranked(g: &BipartiteGraph) -> u64 {
+    run_forced(g, Member::Ranked, ExecMode::Flat, &mut NoopRecorder)
 }
 
 #[cfg(test)]
@@ -290,12 +324,14 @@ mod tests {
     #[test]
     fn auto_selection_follows_partition_rule() {
         let wide = BipartiteGraph::complete(2, 10);
-        let (xi, inv) = count_auto(&wide);
+        let (xi, inv) = count_auto_recorded(&wide, &mut NoopRecorder);
         assert_eq!(xi, 45);
+        assert_eq!(inv, auto_invariant(&wide));
         assert_eq!(inv.partitioned_side(), Side::V1); // smaller side is V1
         let tall = BipartiteGraph::complete(10, 2);
-        let (xi, inv) = count_auto(&tall);
+        let (xi, inv) = count_auto_recorded(&tall, &mut NoopRecorder);
         assert_eq!(xi, 45);
+        assert_eq!(inv, auto_invariant(&tall));
         assert_eq!(inv.partitioned_side(), Side::V2);
     }
 

@@ -7,8 +7,9 @@
 //! worker owns private scratch (an SPA, allocated once per worker rather
 //! than once per chunk), and the per-chunk [`CheckedAccum`] partials merge
 //! in chunk order — bitwise-identical totals at any thread count. The
-//! paper used 6 OpenMP threads; [`count_parallel_with_threads`] pins the
-//! pool size to reproduce that configuration exactly.
+//! paper used 6 OpenMP threads; running
+//! [`count_parallel`](super::count_parallel) inside a 6-thread rayon pool
+//! reproduces that configuration exactly.
 //!
 //! Every member (fixed, priority, ranked) implements `Kernel` once.
 //! Sequential runs call it inline on the caller's recorder
@@ -16,11 +17,9 @@
 //! forks the recorder per chunk ([`Recorder::fork`]) and joins it back on
 //! track `i + 1`.
 
-use super::engine::{FixedKernel, DEADLINE_STRIDE};
-use super::Invariant;
-use bfly_graph::BipartiteGraph;
+use super::engine::DEADLINE_STRIDE;
 use bfly_sparse::{CheckedAccum, Pattern};
-use bfly_telemetry::{timed_phase, Counter, NoopRecorder, Recorder};
+use bfly_telemetry::{Counter, NoopRecorder, Recorder};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::time::Instant;
@@ -344,48 +343,14 @@ pub fn tuned_chunk_count(weights: &[u64], workers: usize) -> usize {
         .min(weights.len().max(1))
 }
 
-/// Count butterflies with the given invariant using rayon's current pool.
-pub fn count_parallel(g: &BipartiteGraph, inv: Invariant) -> u64 {
-    count_parallel_recorded(g, inv, &mut NoopRecorder)
-}
-
-/// [`count_parallel`] reporting work counters through `rec`: the
-/// partitioned vertices are cut into one equal-length chunk per worker
-/// (see `drive_chunks` for the per-chunk event stream), inside a
-/// `count_parallel` phase.
-pub fn count_parallel_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    inv: Invariant,
-    rec: &mut R,
-) -> u64 {
-    let kernel = FixedKernel::of(g, inv);
-    let n = kernel.len();
-    let chunk_len = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
-    let chunks = (0..n)
-        .step_by(chunk_len)
-        .map(|lo| lo..(lo + chunk_len).min(n))
-        .collect();
-    let (acc, _) = timed_phase(rec, "count_parallel", |rec| {
-        drive_chunks(&kernel, chunks, None, rec)
-    });
-    crate::error::expect_total(acc, "try_count_adaptive_parallel")
-}
-
-/// Count with a dedicated pool of `nthreads` workers (Fig. 11 uses 6).
-pub fn count_parallel_with_threads(g: &BipartiteGraph, inv: Invariant, nthreads: usize) -> u64 {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(nthreads)
-        .build()
-        .expect("thread pool construction");
-    pool.install(|| count_parallel(g, inv))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::count;
+    use crate::family::engine::FixedKernel;
+    use crate::family::{count, count_parallel, Invariant};
     use crate::spec::count_via_spgemm;
     use bfly_graph::generators::{chung_lu, uniform_exact};
+    use bfly_graph::BipartiteGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -474,14 +439,12 @@ mod tests {
         let g = uniform_exact(50, 50, 250, &mut rng);
         let want = count(&g, Invariant::Inv2);
         for threads in [1, 2, 6] {
-            assert_eq!(
-                count_parallel_with_threads(&g, Invariant::Inv2, threads),
-                want
-            );
-            assert_eq!(
-                count_parallel_with_threads(&g, Invariant::Inv7, threads),
-                want
-            );
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            assert_eq!(pool.install(|| count_parallel(&g, Invariant::Inv2)), want);
+            assert_eq!(pool.install(|| count_parallel(&g, Invariant::Inv7)), want);
         }
     }
 

@@ -32,7 +32,7 @@ use super::parallel::{balanced_ranges, drive_chunks, run_inline, Kernel};
 use bfly_graph::ordering::global_degree_ranks;
 use bfly_graph::BipartiteGraph;
 use bfly_sparse::{choose2, CheckedAccum, Spa};
-use bfly_telemetry::{timed_phase, timed_span, NoopRecorder, Recorder};
+use bfly_telemetry::{timed_phase, timed_span, Recorder};
 use std::time::Instant;
 
 /// The global priority order: `rank_v1[u]` / `rank_v2[v]` is the position
@@ -198,7 +198,8 @@ impl Kernel for PriorityKernel<'_> {
     }
 }
 
-/// The priority member, overflow-checked, polling `deadline` every
+/// The priority member ([`Member::Priority`](crate::adaptive::Member)
+/// in a plan), overflow-checked, polling `deadline` every
 /// [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) starts. The rank
 /// sort records as a `priority_rank` span. `chunks = None` runs the
 /// starts in order inside a `count` phase and `count_priority` span;
@@ -232,48 +233,6 @@ pub(crate) fn run_priority<R: Recorder>(
             })
         }
     }
-}
-
-/// Count the butterflies of `g` with the vertex-priority kernel
-/// (sequential).
-pub fn count_priority(g: &BipartiteGraph) -> u64 {
-    count_priority_recorded(g, &mut NoopRecorder)
-}
-
-/// [`count_priority`] reporting work counters, a `priority_rank` span for
-/// the ordering sort, and a `"count"` phase through `rec`.
-pub fn count_priority_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> u64 {
-    let (acc, _) = run_priority(g, None, None, rec);
-    crate::error::expect_total(acc, "try_count_priority")
-}
-
-/// Deterministic parallel [`count_priority`]: the combined start space is
-/// cut into `nchunks` contiguous ranges balanced by
-/// [`priority_start_weights`], each worker owns a private SPA, and the
-/// per-chunk partial sums merge in chunk order — so the total is bitwise
-/// identical at any thread count.
-pub fn count_priority_parallel(g: &BipartiteGraph, nchunks: usize) -> u64 {
-    count_priority_parallel_recorded(g, nchunks, &mut NoopRecorder)
-}
-
-/// Instrumented [`count_priority_parallel`]: the chunk driver's event
-/// stream (`chunk` spans, `chunk_us`, `par_chunk_wedges`,
-/// `par_imbalance`) inside a `count_parallel` phase.
-pub fn count_priority_parallel_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    nchunks: usize,
-    rec: &mut R,
-) -> u64 {
-    let (acc, _) = run_priority(g, Some(nchunks), None, rec);
-    crate::error::expect_total(acc, "try_count_priority")
-}
-
-/// Fallible [`count_priority`]: validates the graph up front and reports
-/// a total past `u64` as a typed error.
-pub fn try_count_priority(g: &BipartiteGraph) -> crate::error::Result<u64> {
-    crate::error::validate_graph(g)?;
-    let (acc, _) = run_priority(g, None, None, &mut NoopRecorder);
-    crate::error::checked_total(acc, "count_priority")
 }
 
 /// Per-vertex butterfly counts computed by the priority kernel, returned
@@ -354,12 +313,14 @@ pub fn edge_supports_priority(g: &BipartiteGraph) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::{ExecMode, Member};
     use crate::edge_support::edge_supports;
+    use crate::family::{count_priority, run_forced};
     use crate::spec::{count_brute_force, count_via_spgemm};
     use crate::vertex_counts::butterflies_per_vertex;
     use bfly_graph::generators::{chung_lu, uniform_exact};
     use bfly_graph::Side;
-    use bfly_telemetry::{Counter, InMemoryRecorder};
+    use bfly_telemetry::{Counter, InMemoryRecorder, NoopRecorder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -387,7 +348,7 @@ mod tests {
     fn wedge_work_formula_matches_recorded_counter() {
         for g in sample_graphs() {
             let mut rec = InMemoryRecorder::new();
-            let xi = count_priority_recorded(&g, &mut rec);
+            let xi = run_forced(&g, Member::Priority, ExecMode::Flat, &mut rec);
             assert_eq!(xi, count_brute_force(&g));
             assert_eq!(
                 rec.counter(Counter::WedgesExpanded),
@@ -404,9 +365,14 @@ mod tests {
         for g in sample_graphs() {
             let want = count_priority(&g);
             for nchunks in [1, 2, 4, 7] {
-                assert_eq!(count_priority_parallel(&g, nchunks), want);
+                let mode = ExecMode::Parallel { chunks: nchunks };
+                let got = run_forced(&g, Member::Priority, mode, &mut NoopRecorder);
+                assert_eq!(got, want);
             }
-            assert_eq!(try_count_priority(&g).unwrap(), want);
+            crate::error::validate_graph(&g).unwrap();
+            let plan = crate::adaptive::Plan::forced(&g, Member::Priority, ExecMode::Flat, None);
+            let r = crate::adaptive::run_plan(&g, &plan, None, &mut NoopRecorder).unwrap();
+            assert_eq!(r.value, want);
         }
     }
 
@@ -415,7 +381,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4002);
         let g = chung_lu(80, 40, 400, 0.9, 0.5, &mut rng);
         let mut rec = InMemoryRecorder::new();
-        let got = count_priority_parallel_recorded(&g, 4, &mut rec);
+        let mode = ExecMode::Parallel { chunks: 4 };
+        let got = run_forced(&g, Member::Priority, mode, &mut rec);
         assert_eq!(got, count_via_spgemm(&g));
         assert_eq!(
             rec.counter(Counter::WedgesExpanded),

@@ -27,7 +27,7 @@ use super::parallel::{balanced_chunk_bounds, drive_chunks, run_inline, Kernel};
 use super::priority::{for_each_wedge, priority_start_weights, PriorityRanks};
 use bfly_graph::BipartiteGraph;
 use bfly_sparse::{CheckedAccum, Spa};
-use bfly_telemetry::{timed_phase, timed_span, Counter, NoopRecorder, Recorder};
+use bfly_telemetry::{timed_phase, timed_span, Counter, Recorder};
 use std::time::Instant;
 
 /// Target wedge work per bucket. Calibrated from the `vertex_wedges` /
@@ -147,7 +147,8 @@ fn replay_segment<R: Recorder>(
     }
 }
 
-/// The ranked member, overflow-checked. Ranks record as a
+/// The ranked member ([`Member::Ranked`](crate::adaptive::Member) in a
+/// plan), overflow-checked. Ranks record as a
 /// `priority_rank` span and the bucket count as the `ranked_buckets`
 /// gauge. `chunks = None` processes the buckets in rank order inside a
 /// `count` phase and `count_ranked` span; `Some(n)` makes at least `n`
@@ -191,54 +192,15 @@ pub(crate) fn run_ranked<R: Recorder>(
     }
 }
 
-/// Count the butterflies of `g` by ranked wedge aggregation
-/// (sequential, buckets processed in rank order).
-pub fn count_ranked(g: &BipartiteGraph) -> u64 {
-    count_ranked_recorded(g, &mut NoopRecorder)
-}
-
-/// [`count_ranked`] reporting work counters, a `priority_rank` span for
-/// the ordering sort, a `ranked_buckets` gauge, and a `"count"` phase
-/// through `rec`.
-pub fn count_ranked_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> u64 {
-    let (acc, _) = run_ranked(g, None, None, rec);
-    crate::error::expect_total(acc, "try_count_ranked")
-}
-
-/// Deterministic parallel [`count_ranked`]: buckets (at least `nchunks`
-/// of them, balanced by wedge weight) are processed concurrently, each
-/// worker with a private SPA and batch, and the per-bucket partial sums
-/// merge in bucket order — bitwise identical totals at any thread count.
-pub fn count_ranked_parallel(g: &BipartiteGraph, nchunks: usize) -> u64 {
-    count_ranked_parallel_recorded(g, nchunks, &mut NoopRecorder)
-}
-
-/// Instrumented [`count_ranked_parallel`]: the chunk driver's event
-/// stream, one chunk per bucket, inside a `count_parallel` phase.
-pub fn count_ranked_parallel_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    nchunks: usize,
-    rec: &mut R,
-) -> u64 {
-    let (acc, _) = run_ranked(g, Some(nchunks), None, rec);
-    crate::error::expect_total(acc, "try_count_ranked")
-}
-
-/// Fallible [`count_ranked`]: validates the graph up front and reports a
-/// total past `u64` as a typed error.
-pub fn try_count_ranked(g: &BipartiteGraph) -> crate::error::Result<u64> {
-    crate::error::validate_graph(g)?;
-    let (acc, _) = run_ranked(g, None, None, &mut NoopRecorder);
-    crate::error::checked_total(acc, "count_ranked")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::priority::{count_priority, priority_wedge_work};
+    use crate::adaptive::{ExecMode, Member};
+    use crate::family::priority::priority_wedge_work;
+    use crate::family::{count_priority, count_ranked, run_forced};
     use crate::spec::count_via_spgemm;
     use bfly_graph::generators::{chung_lu, uniform_exact};
-    use bfly_telemetry::InMemoryRecorder;
+    use bfly_telemetry::{InMemoryRecorder, NoopRecorder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -266,7 +228,7 @@ mod tests {
     fn ranked_wedge_work_equals_priority_forecast() {
         for g in sample_graphs() {
             let mut rec = InMemoryRecorder::new();
-            count_ranked_recorded(&g, &mut rec);
+            run_forced(&g, Member::Ranked, ExecMode::Flat, &mut rec);
             let want = priority_wedge_work(&g);
             assert_eq!(rec.counter(Counter::WedgesExpanded), want);
             // Replay scatters exactly what materialisation expanded.
@@ -279,13 +241,14 @@ mod tests {
         for g in sample_graphs() {
             let want = count_ranked(&g);
             for nchunks in [1, 2, 4, 5] {
-                assert_eq!(
-                    count_ranked_parallel(&g, nchunks),
-                    want,
-                    "nchunks={nchunks}"
-                );
+                let mode = ExecMode::Parallel { chunks: nchunks };
+                let got = run_forced(&g, Member::Ranked, mode, &mut NoopRecorder);
+                assert_eq!(got, want, "nchunks={nchunks}");
             }
-            assert_eq!(try_count_ranked(&g).unwrap(), want);
+            crate::error::validate_graph(&g).unwrap();
+            let plan = crate::adaptive::Plan::forced(&g, Member::Ranked, ExecMode::Flat, None);
+            let r = crate::adaptive::run_plan(&g, &plan, None, &mut NoopRecorder).unwrap();
+            assert_eq!(r.value, want);
         }
     }
 
@@ -306,7 +269,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5003);
         let g = chung_lu(90, 30, 420, 0.9, 0.5, &mut rng);
         let mut rec = InMemoryRecorder::new();
-        let got = count_ranked_parallel_recorded(&g, 4, &mut rec);
+        let mode = ExecMode::Parallel { chunks: 4 };
+        let got = run_forced(&g, Member::Ranked, mode, &mut rec);
         assert_eq!(got, count_via_spgemm(&g));
         assert!(rec.gauge_value("ranked_buckets").unwrap_or(0.0) >= 1.0);
         assert!(rec.counter(Counter::ParChunks) >= 1);

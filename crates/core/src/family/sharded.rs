@@ -13,12 +13,13 @@
 //!
 //! Two drivers share that algebra:
 //!
-//! * **In-memory** ([`count_sharded`]): the resident graph processed one
+//! * **In-memory** ([`count_sharded`](super::count_sharded), or any plan
+//!   in [`ExecMode::Sharded`]): the resident graph processed one
 //!   wedge-balanced shard at a time through the engine's fixed-member
 //!   kernel — one SPA for the whole run, one `CheckedAccum` per shard.
 //!   The global-order members (priority/ranked) shard through the chunk
 //!   driver instead, with chunks = shards.
-//! * **Out-of-core** ([`count_segmented_budgeted_recorded`]): a
+//! * **Out-of-core** ([`count_segmented_checkpointed_recorded`]): a
 //!   [`SegmentedGraph`] (the `.bfly` on-disk format) counted without
 //!   ever materializing the full graph. Each shard materializes only
 //!   its own partitioned-side rows ([`SegmentedGraph::segment`]);
@@ -38,13 +39,13 @@
 
 use super::engine::{record_update, update_vertex, FixedKernel};
 use super::parallel::{balanced_chunk_bounds, run_range, wedge_weights, Kernel, Poll};
-use super::{Invariant, Traversal};
+use super::Traversal;
 use crate::adaptive::{plan_scratch_bytes, select_plan, ExecMode, GraphProfile, Member, Plan};
 use crate::budget::{record_degraded, record_memory, Partial, ResourceBudget};
 use crate::checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore};
 use crate::error::BflyError;
-use bfly_graph::{BipartiteGraph, SegmentedGraph, Side};
-use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
+use bfly_graph::{SegmentedGraph, Side};
+use bfly_sparse::{CheckedAccum, Pattern, Spa};
 use bfly_telemetry::{timed_span, Counter, NoopRecorder, Recorder};
 use std::time::Instant;
 
@@ -56,38 +57,6 @@ use std::time::Instant;
 /// [`crate::adaptive::plan_scratch_bytes`]. Also the ceiling of the
 /// count's pinned opposite-side rows.
 pub(crate) const STREAM_WINDOW_BYTES: u64 = 256 << 10;
-
-/// Count butterflies with invariant `inv` over `nshards` wedge-balanced
-/// vertex-range shards of the partitioned side, merging per-shard
-/// partials exactly. Identical to [`super::count`] for every shard count
-/// (pinned by `tests/shard_differential.rs`).
-pub fn count_sharded(g: &BipartiteGraph, inv: Invariant, nshards: usize) -> u64 {
-    count_sharded_recorded(g, inv, nshards, &mut NoopRecorder)
-}
-
-/// [`count_sharded`] reporting work counters, `shard` spans, and the
-/// shard gauges through `rec`.
-pub fn count_sharded_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    inv: Invariant,
-    nshards: usize,
-    rec: &mut R,
-) -> u64 {
-    let (acc, _) = run_sharded(&FixedKernel::of(g, inv), nshards, None, rec);
-    crate::error::expect_total(acc, "try_count_sharded")
-}
-
-/// Fallible [`count_sharded`]: validates the graph and reports a total
-/// past `u64` as a typed error.
-pub fn try_count_sharded(
-    g: &BipartiteGraph,
-    inv: Invariant,
-    nshards: usize,
-) -> crate::error::Result<u64> {
-    crate::error::validate_graph(g)?;
-    let (acc, _) = run_sharded(&FixedKernel::of(g, inv), nshards, None, &mut NoopRecorder);
-    crate::error::checked_total(acc, "count_sharded")
-}
 
 /// The in-memory sharded engine: wedge-balanced shard bounds over the
 /// partitioned side, visited in traversal order, each shard counted
@@ -103,16 +72,15 @@ pub(crate) fn run_sharded<R: Recorder>(
     rec: &mut R,
 ) -> (CheckedAccum, bool) {
     let (part_adj, other_adj) = kernel.patterns();
-    let plan = shard_ranges(part_adj, other_adj, nshards, rec);
+    let mut shards = shard_ranges(part_adj, other_adj, nshards, rec);
+    if kernel.traversal() == Traversal::Backward {
+        // Backward members expose the last shard first.
+        shards.reverse();
+    }
     let mut spa = kernel.scratch();
     let mut total = CheckedAccum::new();
     let mut poll = Poll::new(deadline);
-    let mut ranges: Vec<(usize, usize)> = plan.ranges.clone();
-    if kernel.traversal() == Traversal::Backward {
-        // Backward members expose the last shard first.
-        ranges.reverse();
-    }
-    for (lo, hi) in ranges {
+    for ((lo, hi), wedges) in shards {
         let mut shard_acc = CheckedAccum::new();
         let (complete, _) = timed_span(rec, "shard", |rec| {
             let items = kernel.items(lo, hi);
@@ -122,48 +90,41 @@ pub(crate) fn run_sharded<R: Recorder>(
         if !complete {
             return (total, false);
         }
-        finish_shard(&plan, lo, hi, rec);
+        rec.incr(Counter::ShardsProcessed, 1);
+        if R::ENABLED {
+            rec.series_push("shard_wedges", wedges as f64);
+        }
     }
     (total, true)
 }
 
-/// Planned shard layout of one run: the non-empty vertex ranges plus the
-/// per-shard wedge totals (the per-shard forecast).
-struct ShardLayout {
-    ranges: Vec<(usize, usize)>,
-    wedges: Vec<u64>,
-}
-
-/// Compute wedge-balanced shard bounds and emit the planning gauges:
-/// `shards_planned` (non-empty ranges) and `shard_bytes` (adjacency
-/// bytes of the heaviest shard's partitioned rows).
+/// Wedge-balanced shard layout of one run: the non-empty vertex ranges,
+/// each with its wedge total (the per-shard forecast, recorded as the
+/// `shard_wedges` series). Emits the planning gauges: `shards_planned`
+/// (non-empty ranges) and `shard_bytes` (adjacency bytes of the heaviest
+/// shard's partitioned rows).
 fn shard_ranges<R: Recorder>(
     part_adj: &Pattern,
     other_adj: &Pattern,
     nshards: usize,
     rec: &mut R,
-) -> ShardLayout {
+) -> Vec<((usize, usize), u64)> {
     let weights = wedge_weights(part_adj, other_adj);
-    let bounds = balanced_chunk_bounds(&weights, nshards.max(1));
-    let mut ranges = Vec::new();
-    let mut shard_wedges = Vec::new();
-    for w in bounds.windows(2) {
-        if w[1] > w[0] {
-            ranges.push((w[0], w[1]));
-            shard_wedges.push(weights[w[0]..w[1]].iter().sum());
-        }
-    }
-    if ranges.is_empty() {
+    let mut shards: Vec<_> = balanced_chunk_bounds(&weights, nshards.max(1))
+        .windows(2)
+        .filter(|w| w[1] > w[0])
+        .map(|w| ((w[0], w[1]), weights[w[0]..w[1]].iter().sum()))
+        .collect();
+    if shards.is_empty() {
         // A zero-vertex side still runs one (empty) shard so the span
         // and gauge vocabulary stays uniform.
-        ranges.push((0, part_adj.nrows()));
-        shard_wedges.push(0);
+        shards.push(((0, part_adj.nrows()), 0));
     }
     if R::ENABLED {
-        rec.gauge("shards_planned", ranges.len() as f64);
-        let max_bytes = ranges
+        rec.gauge("shards_planned", shards.len() as f64);
+        let max_bytes = shards
             .iter()
-            .map(|&(lo, hi)| {
+            .map(|&((lo, hi), _)| {
                 let nnz = (lo..hi).map(|k| part_adj.row(k).len() as u64).sum::<u64>();
                 4 * nnz + 8 * (hi - lo) as u64
             })
@@ -171,63 +132,24 @@ fn shard_ranges<R: Recorder>(
             .unwrap_or(0);
         rec.gauge("shard_bytes", max_bytes as f64);
     }
-    ShardLayout {
-        ranges,
-        wedges: shard_wedges,
-    }
-}
-
-/// Shard bookkeeping after its span closes: the `shards_processed`
-/// counter and the `shard_wedges` series entry (per-shard forecast).
-fn finish_shard<R: Recorder>(plan: &ShardLayout, lo: usize, hi: usize, rec: &mut R) {
-    rec.incr(Counter::ShardsProcessed, 1);
-    if R::ENABLED {
-        if let Some(i) = plan.ranges.iter().position(|&r| r == (lo, hi)) {
-            rec.series_push("shard_wedges", plan.wedges[i] as f64);
-        }
-    }
+    shards
 }
 
 /// Profile an on-disk graph from its resident degree arrays — the same
-/// side terms [`GraphProfile::compute`] derives, without materializing
-/// an edge. `wedges_priority` is not measurable without the resident
-/// graph (the priority rank needs a full edge pass), so it is pinned to
-/// `u64::MAX`: the planner's global-member gate then never fires, and
-/// out-of-core plans always run a fixed invariant — the only members
-/// the segment kernel implements.
+/// side terms [`GraphProfile::compute`] derives in memory, without
+/// materializing an edge. `wedges_priority` is not measurable without
+/// the resident graph (the priority rank needs a full edge pass), so it
+/// is pinned to `u64::MAX`: the planner's global-member gate then never
+/// fires, and out-of-core plans always run a fixed invariant — the only
+/// members the segment kernel implements.
 pub fn segmented_profile(sg: &SegmentedGraph) -> GraphProfile {
-    let side_terms = |side: Side| {
-        let mut max_deg = 0usize;
-        let mut wedges = 0u64;
-        for &d in sg.degrees(side) {
-            max_deg = max_deg.max(d as usize);
-            wedges = wedges.saturating_add(choose2(d as u64));
-        }
-        (max_deg, wedges)
-    };
-    let (max_deg_v1, wedges_v1) = side_terms(Side::V1);
-    let (max_deg_v2, wedges_v2) = side_terms(Side::V2);
-    let (nv1, nv2, nedges) = (sg.nv1(), sg.nv2(), sg.nedges() as usize);
-    let skew = |max_deg: usize, count: usize| {
-        if nedges == 0 || count == 0 {
-            0.0
-        } else {
-            max_deg as f64 * count as f64 / nedges as f64
-        }
-    };
-    GraphProfile {
-        nv1,
-        nv2,
-        nedges,
-        max_deg_v1,
-        max_deg_v2,
-        wedges_v1,
-        wedges_v2,
-        wedges_priority: u64::MAX,
-        skew_v1: skew(max_deg_v1, nv1),
-        skew_v2: skew(max_deg_v2, nv2),
-        resident_bytes: sg.resident_bytes(),
-    }
+    let degrees = |side| sg.degrees(side).iter().map(|&d| d as usize);
+    GraphProfile::from_degrees(
+        degrees(Side::V1),
+        degrees(Side::V2),
+        sg.nedges() as usize,
+        sg.resident_bytes(),
+    )
 }
 
 /// Exact per-vertex wedge work of partitioning `side`, computed from the
@@ -247,11 +169,7 @@ fn wedge_weights_windowed(
     side: Side,
     window_bytes: u64,
 ) -> crate::error::Result<Vec<u64>> {
-    let other = match side {
-        Side::V1 => Side::V2,
-        Side::V2 => Side::V1,
-    };
-    let other_deg = sg.degrees(other);
+    let other_deg = sg.degrees(side.other());
     let mut weights = vec![0u64; sg.side_len(side)];
     sg.for_each_row(side, 0, sg.side_len(side), window_bytes.max(1), |k, row| {
         weights[k] = row.iter().map(|&j| other_deg[j as usize] as u64).sum();
@@ -261,36 +179,21 @@ fn wedge_weights_windowed(
 }
 
 /// Count an on-disk graph exactly, without budget or telemetry —
-/// [`count_segmented_budgeted_recorded`] with one shard and no limits.
+/// [`count_segmented_checkpointed_recorded`] with one shard and no limits.
 pub fn count_segmented(sg: &SegmentedGraph) -> crate::error::Result<u64> {
-    let r = count_segmented_budgeted_recorded(
+    let unlimited = ResourceBudget::unlimited();
+    let r = count_segmented_checkpointed_recorded(
         sg,
         Some(1),
         None,
-        &ResourceBudget::unlimited(),
+        &unlimited,
+        None,
         &mut NoopRecorder,
     )?;
     Ok(r.value.0)
 }
 
-/// [`count_segmented`] with an explicit shard count, reporting through
-/// `rec`.
-pub fn count_segmented_sharded_recorded<R: Recorder>(
-    sg: &SegmentedGraph,
-    nshards: usize,
-    rec: &mut R,
-) -> crate::error::Result<u64> {
-    let r = count_segmented_budgeted_recorded(
-        sg,
-        Some(nshards),
-        None,
-        &ResourceBudget::unlimited(),
-        rec,
-    )?;
-    Ok(r.value.0)
-}
-
-/// The out-of-core budgeted counter: plan, shard, and count a
+/// The out-of-core counter: plan, shard, and count a
 /// [`SegmentedGraph`] without ever holding the full graph.
 ///
 /// Shard sizing, in precedence order: an explicit `shards`; else
@@ -307,23 +210,12 @@ pub fn count_segmented_sharded_recorded<R: Recorder>(
 /// byte budget's slack (`max_bytes` − [`plan_scratch_bytes`], at most
 /// [`STREAM_WINDOW_BYTES`]; [`STREAM_WINDOW_BYTES`] with no cap) and
 /// never changes the plan. The budget's
-/// deadline is polled every [`DEADLINE_STRIDE`] vertices (a cut returns
+/// deadline is polled every `DEADLINE_STRIDE` vertices (a cut returns
 /// the exact processed-prefix count with `complete = false`), and
 /// measured allocation is re-checked at every shard boundary.
 ///
-/// [`GraphSegment`]: bfly_graph::GraphSegment
-pub fn count_segmented_budgeted_recorded<R: Recorder>(
-    sg: &SegmentedGraph,
-    shards: Option<usize>,
-    shard_bytes: Option<u64>,
-    budget: &ResourceBudget,
-    rec: &mut R,
-) -> crate::error::Result<Partial<(u64, Plan)>> {
-    count_segmented_checkpointed_recorded(sg, shards, shard_bytes, budget, None, rec)
-}
-
-/// [`count_segmented_budgeted_recorded`] with an optional durability
-/// layer: when `ckpt` is set, every completed shard's exact
+/// An optional durability layer: when `ckpt` is set, every completed
+/// shard's exact
 /// [`CheckedAccum`] partial is atomically persisted to the checkpoint
 /// directory (inside a `checkpoint` span, counted by
 /// `checkpoints_written`), and a resume run validates the
@@ -332,9 +224,11 @@ pub fn count_segmented_budgeted_recorded<R: Recorder>(
 /// recounts only the rest — bitwise-identical to an uninterrupted run,
 /// because the shard merge algebra is exact.
 ///
-/// With `ckpt = None` this is byte-for-byte the plain budgeted path:
-/// the durability layer is pay-for-use (one branch per *shard*, never
-/// per vertex).
+/// With `ckpt = None` the durability layer costs nothing: it is
+/// pay-for-use (one branch per *shard*, never per vertex).
+///
+/// [`GraphSegment`]: bfly_graph::GraphSegment
+/// [`RowReader`]: bfly_graph::RowReader
 pub fn count_segmented_checkpointed_recorded<R: Recorder>(
     sg: &SegmentedGraph,
     shards: Option<usize>,
@@ -402,10 +296,6 @@ pub(crate) fn run_segmented<R: Recorder>(
     let side = plan.partition_side();
     let inv = plan.invariant;
     let filter = inv.update_part();
-    let other_side = match side {
-        Side::V1 => Side::V2,
-        Side::V2 => Side::V1,
-    };
     // Scan with a window sized to the shard geometry: the plan estimate
     // charges one shard's payload, so the weight scan must not hold more
     // than that at once.
@@ -462,7 +352,7 @@ pub(crate) fn run_segmented<R: Recorder>(
     let mut shards_done = 0u64;
     let phase_result =
         bfly_telemetry::timed_phase(rec, "count", |rec| -> crate::error::Result<()> {
-            let mut reader = sg.row_reader(other_side, pin_bytes)?;
+            let mut reader = sg.row_reader(side.other(), pin_bytes)?;
             'shards: for (&(lo, hi), &wedge_total) in ranges.iter().zip(&shard_wedges) {
                 if let Some(store) = &store {
                     if let Some(saved) = store.load_shard(lo, hi)? {
@@ -551,10 +441,11 @@ pub(crate) fn run_segmented<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::count;
+    use crate::adaptive::run_plan;
+    use crate::family::{count, count_sharded, run_forced, Invariant};
     use crate::spec::count_brute_force;
     use bfly_graph::generators::{chung_lu, uniform_exact};
-    use bfly_graph::write_bfly_file;
+    use bfly_graph::{write_bfly_file, BipartiteGraph};
     use bfly_telemetry::InMemoryRecorder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -580,7 +471,11 @@ mod tests {
                         want,
                         "inv {inv:?} shards {shards}"
                     );
-                    assert_eq!(try_count_sharded(&g, inv, shards).unwrap(), want);
+                    crate::error::validate_graph(&g).unwrap();
+                    let mode = ExecMode::Sharded { shards };
+                    let plan = Plan::forced(&g, Member::Fixed(inv), mode, None);
+                    let r = run_plan(&g, &plan, None, &mut NoopRecorder).unwrap();
+                    assert_eq!(r.value, want);
                 }
             }
         }
@@ -591,7 +486,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(78);
         let g = uniform_exact(30, 30, 180, &mut rng);
         let mut rec = InMemoryRecorder::new();
-        let got = count_sharded_recorded(&g, Invariant::Inv1, 4, &mut rec);
+        let mode = ExecMode::Sharded { shards: 4 };
+        let got = run_forced(&g, Member::Fixed(Invariant::Inv1), mode, &mut rec);
         assert_eq!(got, count(&g, Invariant::Inv1));
         assert_eq!(rec.gauge_value("shards_planned"), Some(4.0));
         assert!(rec.gauge_value("shard_bytes").unwrap_or(0.0) > 0.0);
@@ -619,7 +515,7 @@ mod tests {
                     mode: ExecMode::Sharded { shards },
                     ..base.clone()
                 };
-                let r = crate::adaptive::run_plan(&g, &plan, None, &mut NoopRecorder).unwrap();
+                let r = run_plan(&g, &plan, None, &mut NoopRecorder).unwrap();
                 assert!(r.complete);
                 assert_eq!(r.value, want, "{member:?} x{shards}");
             }
@@ -638,10 +534,17 @@ mod tests {
             assert_eq!(count_segmented(&sg).unwrap(), want);
             for shards in [2, 4] {
                 let mut rec = InMemoryRecorder::new();
-                assert_eq!(
-                    count_segmented_sharded_recorded(&sg, shards, &mut rec).unwrap(),
-                    want
-                );
+                let unlimited = ResourceBudget::unlimited();
+                let r = count_segmented_checkpointed_recorded(
+                    &sg,
+                    Some(shards),
+                    None,
+                    &unlimited,
+                    None,
+                    &mut rec,
+                )
+                .unwrap();
+                assert_eq!(r.value.0, want);
                 assert!(rec.counter(Counter::ShardsProcessed) >= 1);
             }
             // Profile agrees with the in-memory one on every shared term.
@@ -676,11 +579,12 @@ mod tests {
         let sg = SegmentedGraph::open(&path).unwrap();
         // shard_bytes forces multiple shards.
         let mut rec = InMemoryRecorder::new();
-        let r = count_segmented_budgeted_recorded(
+        let r = count_segmented_checkpointed_recorded(
             &sg,
             None,
             Some(64),
             &ResourceBudget::unlimited(),
+            None,
             &mut rec,
         )
         .unwrap();
@@ -698,13 +602,27 @@ mod tests {
                 p
             },
         ));
-        let r =
-            count_segmented_budgeted_recorded(&sg, None, None, &budget, &mut NoopRecorder).unwrap();
+        let r = count_segmented_checkpointed_recorded(
+            &sg,
+            None,
+            None,
+            &budget,
+            None,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         assert!(r.complete);
         assert_eq!(r.value.0, count_brute_force(&g));
         let starved = ResourceBudget::unlimited().with_max_bytes(16);
-        let err = count_segmented_budgeted_recorded(&sg, None, None, &starved, &mut NoopRecorder)
-            .unwrap_err();
+        let err = count_segmented_checkpointed_recorded(
+            &sg,
+            None,
+            None,
+            &starved,
+            None,
+            &mut NoopRecorder,
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             BflyError::BudgetExceeded {
@@ -728,8 +646,15 @@ mod tests {
         write_bfly_file(&g, &path).unwrap();
         let sg = SegmentedGraph::open(&path).unwrap();
         let budget = ResourceBudget::unlimited().with_deadline_in(Duration::ZERO);
-        let r = count_segmented_budgeted_recorded(&sg, Some(4), None, &budget, &mut NoopRecorder)
-            .unwrap();
+        let r = count_segmented_checkpointed_recorded(
+            &sg,
+            Some(4),
+            None,
+            &budget,
+            None,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         assert!(!r.complete);
         assert!(r.value.0 <= count_brute_force(&g));
         std::fs::remove_dir_all(&dir).ok();

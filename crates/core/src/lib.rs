@@ -21,7 +21,8 @@
 //!   ([`count`]), rayon-parallel ([`count_parallel`]), and blocked.
 //! * [`adaptive`] — profile-driven selection among the family members
 //!   ([`count_adaptive`]): partition side by exact wedge-work estimate,
-//!   degree-ordered execution, degree-balanced parallel chunking.
+//!   degree-ordered execution, degree-balanced parallel chunking — and
+//!   [`run_plan`], the one executor every in-memory count runs through.
 //! * [`vertex_counts`] / [`edge_support`] — per-vertex butterfly counts
 //!   (paper eq. 19) and per-edge support `S_w` (eq. 25), each in both
 //!   wedge-expansion and literal-algebra form.
@@ -52,7 +53,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod adaptive;
-pub mod approx;
 pub mod baseline;
 pub mod budget;
 pub mod checkpoint;
@@ -72,23 +72,19 @@ pub mod vertex_counts;
 pub mod wedges;
 
 pub use adaptive::{
-    count_adaptive, count_adaptive_budgeted, count_adaptive_budgeted_recorded,
-    count_adaptive_parallel, count_adaptive_parallel_recorded, count_adaptive_recorded,
-    graph_resident_bytes, plan_scratch_bytes, run_plan, select_invariant, select_plan,
-    select_plan_budgeted, try_count_adaptive, try_count_adaptive_parallel, tune_plan_chunks,
-    ExecMode, GraphProfile, Member, Plan, PRIORITY_ADVANTAGE, PRIORITY_MIN_WORK,
+    count_adaptive, count_adaptive_budgeted_recorded, count_adaptive_parallel,
+    count_adaptive_parallel_recorded, graph_resident_bytes, plan_scratch_bytes, run_plan,
+    select_plan, select_plan_budgeted, try_count_adaptive, tune_plan_chunks, ExecMode,
+    GraphProfile, Member, Plan, PRIORITY_ADVANTAGE, PRIORITY_MIN_WORK,
 };
 pub use budget::{record_memory, Partial, ResourceBudget};
 pub use checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore};
 pub use enumerate::{count_by_enumeration, enumerate_butterflies, for_each_butterfly, Butterfly};
 pub use error::{validate_graph, BflyError};
 pub use family::{
-    count, count_auto, count_auto_recorded, count_parallel, count_parallel_recorded,
-    count_parallel_with_threads, count_priority, count_priority_parallel, count_ranked,
-    count_ranked_parallel, count_recorded, count_segmented, count_segmented_budgeted_recorded,
-    count_segmented_checkpointed_recorded, count_segmented_sharded_recorded, count_sharded,
-    count_sharded_recorded, priority_wedge_work, segmented_profile, segmented_wedge_weights,
-    try_count, try_count_priority, try_count_ranked, try_count_recorded, try_count_sharded,
+    auto_invariant, count, count_auto_recorded, count_blocked, count_parallel, count_priority,
+    count_ranked, count_recorded, count_segmented, count_segmented_checkpointed_recorded,
+    count_sharded, priority_wedge_work, segmented_profile, segmented_wedge_weights, try_count,
     tuned_chunk_count, weight_p90, Invariant,
 };
 pub use incremental::IncrementalCounter;

@@ -16,7 +16,7 @@
 //! The family in [`crate::family`] is tested to agree with all three.
 
 use bfly_graph::BipartiteGraph;
-use bfly_sparse::ops::{spgemm, spgemm_parallel};
+use bfly_sparse::ops::spgemm;
 use bfly_sparse::{choose2, CsrMatrix, DenseMatrix};
 
 /// Butterfly count by definition: `Σ_{i<j∈V1} C(|N(i) ∩ N(j)|, 2)`.
@@ -62,14 +62,6 @@ pub fn count_dense_formula(g: &BipartiteGraph) -> u64 {
 pub fn count_via_spgemm(g: &BipartiteGraph) -> u64 {
     let a: CsrMatrix<u64> = g.to_csr();
     let b = spgemm(&a, &a.transpose()).expect("A·Aᵀ shapes conform");
-    sum_offdiag_choose2(&b) / 2
-}
-
-/// Parallel variant of [`count_via_spgemm`] (parallel SpGEMM; the reduction
-/// is a single sweep).
-pub fn count_via_spgemm_parallel(g: &BipartiteGraph) -> u64 {
-    let a: CsrMatrix<u64> = g.to_csr();
-    let b = spgemm_parallel(&a, &a.transpose()).expect("A·Aᵀ shapes conform");
     sum_offdiag_choose2(&b) / 2
 }
 
@@ -155,7 +147,6 @@ mod tests {
         ] {
             let want = count_brute_force(&g);
             assert_eq!(count_via_spgemm(&g), want);
-            assert_eq!(count_via_spgemm_parallel(&g), want);
         }
     }
 

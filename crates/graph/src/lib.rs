@@ -32,10 +32,8 @@ pub mod cores;
 pub mod generators;
 pub mod io;
 pub mod konect;
-pub mod labeled;
 pub mod matrix_market;
 pub mod ordering;
-pub mod projection;
 pub mod retry;
 pub mod rewire;
 pub mod stats;
@@ -50,8 +48,6 @@ pub use compact::{compact, compact_by, CompactedGraph};
 pub use components::{component_subgraph, connected_components, Components};
 pub use cores::{butterfly_core, kl_core, CoreResult};
 pub use konect::{DatasetSpec, StandIn};
-pub use labeled::{LabeledGraph, LabeledGraphBuilder};
-pub use projection::Projection;
 pub use retry::{is_transient_io_error, with_retries, RetryPolicy, RetryStats, RetryingReader};
 pub use rewire::double_edge_swaps;
 pub use stats::GraphStats;

@@ -111,8 +111,10 @@ proptest! {
         prop_assert_eq!(count_priority(&g), want);
         prop_assert_eq!(count_ranked(&g), want);
         for chunks in [2usize, 4] {
-            prop_assert_eq!(bfly::core::count_priority_parallel(&g, chunks), want);
-            prop_assert_eq!(bfly::core::count_ranked_parallel(&g, chunks), want);
+            for member in [Member::Priority, Member::Ranked] {
+                let plan = Plan::forced(&g, member, ExecMode::Parallel { chunks }, None);
+                prop_assert_eq!(execute_plan(&g, &plan), want);
+            }
         }
     }
 

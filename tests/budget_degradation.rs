@@ -10,8 +10,8 @@ use bfly::core::peel::{
 use bfly::core::telemetry::{InMemoryRecorder, NoopRecorder};
 use bfly::core::testkit::fixture_battery;
 use bfly::core::{
-    count_adaptive, count_adaptive_budgeted, count_adaptive_budgeted_recorded, BflyError,
-    GraphProfile, PairMatrix, Partial, ResourceBudget,
+    count_adaptive, count_adaptive_budgeted_recorded, BflyError, GraphProfile, PairMatrix, Partial,
+    ResourceBudget,
 };
 use bfly::graph::{BipartiteGraph, Side};
 use std::time::{Duration, Instant};
@@ -22,7 +22,8 @@ fn unlimited_budget_reproduces_every_fixture_count() {
     for (name, g) in fixture_battery() {
         let want = count_adaptive(&g).0;
         for parallel in [false, true] {
-            let r = count_adaptive_budgeted(&g, parallel, &budget).unwrap();
+            let r =
+                count_adaptive_budgeted_recorded(&g, parallel, &budget, &mut NoopRecorder).unwrap();
             assert!(r.complete, "{name} parallel={parallel}");
             assert_eq!(r.value.0, want, "{name} parallel={parallel}");
         }
@@ -46,14 +47,14 @@ fn byte_caps_degrade_the_plan_but_not_the_count() {
         flat.mode = bfly::core::ExecMode::Flat;
         let floor = profile.resident_bytes + plan_scratch_bytes(&profile, &flat);
         let budget = ResourceBudget::unlimited().with_max_bytes(floor);
-        let r = count_adaptive_budgeted(&g, true, &budget).unwrap();
+        let r = count_adaptive_budgeted_recorded(&g, true, &budget, &mut NoopRecorder).unwrap();
         assert!(r.complete, "{name}");
         assert_eq!(r.value.0, want, "{name}: degraded count must stay exact");
         // Below the in-memory floor the planner switches to the sharded
         // tier — a *planned* mode, still exact — and only a cap no shard
         // count can satisfy is a typed refusal naming the axis.
         let budget = ResourceBudget::unlimited().with_max_bytes(floor - 1);
-        match count_adaptive_budgeted(&g, true, &budget) {
+        match count_adaptive_budgeted_recorded(&g, true, &budget, &mut NoopRecorder) {
             Ok(r) => {
                 assert!(r.complete, "{name}");
                 assert!(
@@ -68,7 +69,8 @@ fn byte_caps_degrade_the_plan_but_not_the_count() {
             }
             other => panic!("{name}: expected sharded plan or bytes refusal, got {other:?}"),
         }
-        match count_adaptive_budgeted(&g, true, &ResourceBudget::unlimited().with_max_bytes(16)) {
+        let starved = ResourceBudget::unlimited().with_max_bytes(16);
+        match count_adaptive_budgeted_recorded(&g, true, &starved, &mut NoopRecorder) {
             Err(BflyError::BudgetExceeded { resource, .. }) => {
                 assert_eq!(resource, "bytes", "{name}")
             }

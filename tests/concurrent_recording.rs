@@ -14,11 +14,11 @@
 
 use bfly::core::telemetry::{
     parse_exposition, to_openmetrics, validate_exposition, Counter, InMemoryRecorder, Json,
-    MetricsHub, NoopRecorder,
+    MetricsHub, NoopRecorder, Recorder,
 };
 use bfly::core::{
-    count_parallel_recorded, count_recorded, count_via_spgemm, run_plan, select_plan, ExecMode,
-    GraphProfile, Invariant, Member, Plan,
+    count_recorded, count_via_spgemm, run_plan, select_plan, ExecMode, GraphProfile, Invariant,
+    Member, Plan,
 };
 use bfly::graph::generators::{chung_lu, uniform_exact};
 use bfly::graph::BipartiteGraph;
@@ -37,6 +37,16 @@ fn graphs() -> Vec<BipartiteGraph> {
     out.push(BipartiteGraph::complete(12, 10));
     out.push(BipartiteGraph::empty(40, 40));
     out
+}
+
+/// The forced fixed parallel plan — one chunk per worker of the current
+/// pool — through the one executor.
+fn parallel_recorded<R: Recorder>(g: &BipartiteGraph, inv: Invariant, rec: &mut R) -> u64 {
+    let mode = ExecMode::Parallel {
+        chunks: rayon::current_num_threads(),
+    };
+    let plan = Plan::forced(g, Member::Fixed(inv), mode, None);
+    run_plan(g, &plan, None, rec).unwrap().value
 }
 
 fn sequential_tally(g: &BipartiteGraph, inv: Invariant) -> (u64, Vec<(Counter, u64)>) {
@@ -67,7 +77,7 @@ fn merged_parallel_counters_equal_sequential_for_all_invariants() {
                     .build()
                     .unwrap();
                 let mut rec = InMemoryRecorder::new();
-                let par_xi = pool.install(|| count_parallel_recorded(&g, inv, &mut rec));
+                let par_xi = pool.install(|| parallel_recorded(&g, inv, &mut rec));
                 assert_eq!(par_xi, seq_xi, "{inv} with {threads} threads: count");
                 for &(c, want) in seq_tally.iter().filter(|(c, _)| comparable(*c)) {
                     assert_eq!(
@@ -194,7 +204,7 @@ fn every_chunk_leaves_exactly_one_span_and_latency_sample() {
             .build()
             .unwrap();
         let mut rec = InMemoryRecorder::new();
-        pool.install(|| count_parallel_recorded(&g, Invariant::Inv2, &mut rec));
+        pool.install(|| parallel_recorded(&g, Invariant::Inv2, &mut rec));
         let nchunks = rec.counter(Counter::ParChunks);
         assert!(nchunks >= 1);
         let chunk_spans = rec
@@ -230,7 +240,7 @@ fn shared_hub_counter_totals_equal_sequential_for_all_invariants() {
                     .build()
                     .unwrap();
                 let hub = MetricsHub::new();
-                let par_xi = pool.install(|| count_parallel_recorded(&g, inv, &mut &hub));
+                let par_xi = pool.install(|| parallel_recorded(&g, inv, &mut &hub));
                 assert_eq!(par_xi, seq_xi, "{inv} with {threads} threads: count");
                 let snap = hub.snapshot();
                 for &(c, want) in seq_tally.iter().filter(|(c, _)| comparable(*c)) {
@@ -288,7 +298,7 @@ fn hub_snapshot_openmetrics_round_trip() {
         .num_threads(4)
         .build()
         .unwrap();
-    pool.install(|| count_parallel_recorded(&g, Invariant::Inv2, &mut &hub));
+    pool.install(|| parallel_recorded(&g, Invariant::Inv2, &mut &hub));
     let snap = hub.snapshot();
     let rep = snap.to_report(vec![(
         "command".to_string(),
@@ -314,7 +324,7 @@ fn repeated_recorded_runs_are_deterministic() {
         .unwrap();
     let tally_of = || {
         let mut rec = InMemoryRecorder::new();
-        let xi = pool.install(|| count_parallel_recorded(&g, Invariant::Inv6, &mut rec));
+        let xi = pool.install(|| parallel_recorded(&g, Invariant::Inv6, &mut rec));
         let tally: Vec<(Counter, u64)> = Counter::ALL
             .into_iter()
             .map(|c| (c, rec.counter(c)))

@@ -5,11 +5,12 @@
 //! on the same graph, across a spread of generator regimes and edge cases.
 
 use bfly::core::adaptive::{count_adaptive, count_adaptive_parallel};
+use bfly::core::adaptive::{execute_plan, ExecMode, Member, Plan};
 use bfly::core::baseline::{count_hash_aggregation, count_vertex_priority};
 use bfly::core::edge_support::edge_supports;
 use bfly::core::family::{
-    butterflies_per_vertex_priority, count_blocked, count_priority, count_priority_parallel,
-    count_ranked, count_ranked_parallel, edge_supports_priority,
+    butterflies_per_vertex_priority, count_blocked, count_priority, count_ranked,
+    edge_supports_priority,
 };
 use bfly::core::testkit::fixture_battery;
 use bfly::core::vertex_counts::butterflies_per_vertex;
@@ -48,13 +49,14 @@ fn assert_all_agree(g: &BipartiteGraph, label: &str) {
     assert_eq!(count_priority(g), want, "{label}: priority sequential");
     assert_eq!(count_ranked(g), want, "{label}: ranked sequential");
     for chunks in [1usize, 2, 4] {
+        let mode = ExecMode::Parallel { chunks };
         assert_eq!(
-            count_priority_parallel(g, chunks),
+            execute_plan(g, &Plan::forced(g, Member::Priority, mode, None)),
             want,
             "{label}: priority parallel/{chunks}"
         );
         assert_eq!(
-            count_ranked_parallel(g, chunks),
+            execute_plan(g, &Plan::forced(g, Member::Ranked, mode, None)),
             want,
             "{label}: ranked parallel/{chunks}"
         );

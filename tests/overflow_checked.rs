@@ -7,7 +7,10 @@
 
 use bfly::core::telemetry::NoopRecorder;
 use bfly::core::testkit::{arb_family_graph, fixture_battery};
-use bfly::core::{try_count, try_count_adaptive, BflyError, Invariant};
+use bfly::core::{
+    count_auto_recorded, run_plan, try_count, try_count_adaptive, validate_graph, BflyError,
+    ExecMode, Invariant, Member, Plan,
+};
 use bfly::sparse::CheckedAccum;
 use proptest::prelude::*;
 
@@ -75,7 +78,7 @@ proptest! {
     /// infallible ones do, for every invariant.
     #[test]
     fn try_count_agrees_with_count(g in arb_family_graph()) {
-        let want = bfly::core::count_auto(&g).0;
+        let want = count_auto_recorded(&g, &mut NoopRecorder).0;
         for inv in Invariant::ALL {
             prop_assert_eq!(try_count(&g, inv).unwrap(), want, "{}", inv);
         }
@@ -86,13 +89,20 @@ proptest! {
 #[test]
 fn try_count_agrees_on_fixture_battery() {
     for (name, g) in fixture_battery() {
-        let want = bfly::core::count_auto(&g).0;
+        let want = count_auto_recorded(&g, &mut NoopRecorder).0;
         for inv in Invariant::ALL {
             assert_eq!(try_count(&g, inv).unwrap(), want, "{name}: {inv}");
         }
         assert_eq!(try_count_adaptive(&g).unwrap().0, want, "{name}");
         assert_eq!(
-            bfly::core::family::try_count_recorded(&g, Invariant::Inv2, &mut NoopRecorder).unwrap(),
+            validate_graph(&g)
+                .and_then(|()| {
+                    let plan =
+                        Plan::forced(&g, Member::Fixed(Invariant::Inv2), ExecMode::Flat, None);
+                    run_plan(&g, &plan, None, &mut NoopRecorder)
+                })
+                .unwrap()
+                .value,
             want,
             "{name}"
         );

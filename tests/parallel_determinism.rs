@@ -1,11 +1,20 @@
 //! Stress: the parallel family must be deterministic and thread-count
 //! independent — the property Fig. 11's measurements rest on.
 
-use bfly::core::{count, count_parallel_with_threads, Invariant};
+use bfly::core::{count, count_parallel, Invariant};
 use bfly::graph::generators::chung_lu;
 use bfly::graph::StandIn;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// [`count_parallel`] inside a dedicated pool of `threads` workers.
+fn parallel_with_threads(g: &bfly::graph::BipartiteGraph, inv: Invariant, threads: usize) -> u64 {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool construction");
+    pool.install(|| count_parallel(g, inv))
+}
 
 #[test]
 fn counts_identical_across_thread_counts() {
@@ -19,7 +28,7 @@ fn counts_identical_across_thread_counts() {
     ] {
         for threads in [1usize, 2, 3, 8] {
             assert_eq!(
-                count_parallel_with_threads(&g, inv, threads),
+                parallel_with_threads(&g, inv, threads),
                 seq,
                 "{inv} with {threads} threads"
             );
@@ -31,9 +40,9 @@ fn counts_identical_across_thread_counts() {
 fn repeated_parallel_runs_are_stable() {
     let mut rng = StdRng::seed_from_u64(515);
     let g = chung_lu(300, 250, 2000, 0.8, 0.8, &mut rng);
-    let first = count_parallel_with_threads(&g, Invariant::Inv2, 4);
+    let first = parallel_with_threads(&g, Invariant::Inv2, 4);
     for _ in 0..5 {
-        assert_eq!(count_parallel_with_threads(&g, Invariant::Inv2, 4), first);
+        assert_eq!(parallel_with_threads(&g, Invariant::Inv2, 4), first);
     }
     assert_eq!(first, count(&g, Invariant::Inv2));
 }

@@ -19,11 +19,11 @@
 //!   generators), and the pin there is that `select_plan` never chooses
 //!   a global-order member at a work regression.
 
-use bfly::core::adaptive::{select_plan, GraphProfile, Member};
+use bfly::core::adaptive::{run_plan, select_plan, ExecMode, GraphProfile, Member, Plan};
 use bfly::core::edge_support::edge_supports;
 use bfly::core::family::{
-    butterflies_per_vertex_priority, count_priority, count_priority_recorded, count_ranked,
-    count_ranked_recorded, edge_supports_priority, priority_wedge_work,
+    butterflies_per_vertex_priority, count_priority, count_ranked, edge_supports_priority,
+    priority_wedge_work,
 };
 use bfly::core::telemetry::{Counter, InMemoryRecorder};
 use bfly::core::testkit::{arb_family_graph, fixture_battery};
@@ -37,6 +37,12 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// Fisher–Yates permutation of `0..n` (the vendored rand has no shuffle).
+/// Run a global-order member sequentially through the one executor.
+fn run_forced(g: &BipartiteGraph, member: Member, rec: &mut InMemoryRecorder) -> u64 {
+    let plan = Plan::forced(g, member, ExecMode::Flat, None);
+    run_plan(g, &plan, None, rec).unwrap().value
+}
+
 fn random_permutation(n: usize, rng: &mut StdRng) -> Vec<u32> {
     let mut perm: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
@@ -126,14 +132,14 @@ fn wedge_work_counter_is_exact_on_every_fixture() {
     for (name, g) in fixture_battery() {
         let want = priority_wedge_work(&g);
         let mut rec = InMemoryRecorder::new();
-        count_priority_recorded(&g, &mut rec);
+        run_forced(&g, Member::Priority, &mut rec);
         assert_eq!(
             rec.counter(Counter::WedgesExpanded),
             want,
             "{name}: priority wedges_expanded"
         );
         let mut rec = InMemoryRecorder::new();
-        count_ranked_recorded(&g, &mut rec);
+        run_forced(&g, Member::Ranked, &mut rec);
         assert_eq!(
             rec.counter(Counter::WedgesExpanded),
             want,
@@ -197,7 +203,7 @@ proptest! {
         }
         // The exact-work identity holds on every generated graph too.
         let mut rec = InMemoryRecorder::new();
-        count_priority_recorded(&g, &mut rec);
+        run_forced(&g, Member::Priority, &mut rec);
         prop_assert_eq!(rec.counter(Counter::WedgesExpanded), priority_wedge_work(&g));
     }
 }

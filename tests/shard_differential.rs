@@ -7,13 +7,14 @@
 //! reader's pinned hub rows are a cache, not a plan input: every pin
 //! bound yields the same count, work counters, shard plan and refusals.
 
+use bfly::core::telemetry::NoopRecorder;
 use bfly::core::telemetry::{Counter, InMemoryRecorder};
 use bfly::core::testkit::{count_segmented_pinned, fixture_battery};
 use bfly::core::{
-    count_adaptive, count_adaptive_budgeted, count_segmented, count_segmented_budgeted_recorded,
-    count_segmented_checkpointed_recorded, count_segmented_sharded_recorded, count_sharded,
-    count_sharded_recorded, plan_scratch_bytes, segmented_profile, select_plan, try_count_sharded,
-    CheckpointConfig, Invariant, ResourceBudget,
+    count_adaptive, count_adaptive_budgeted_recorded, count_segmented,
+    count_segmented_checkpointed_recorded, count_sharded, plan_scratch_bytes, run_plan,
+    segmented_profile, select_plan, validate_graph, CheckpointConfig, ExecMode, Invariant, Member,
+    Plan, ResourceBudget,
 };
 use bfly::graph::{write_bfly_file, RowReader, SegmentedGraph};
 
@@ -31,8 +32,10 @@ fn every_invariant_and_shard_count_matches_adaptive() {
                     want,
                     "{name} {inv} shards={shards}"
                 );
+                validate_graph(&g).unwrap();
+                let plan = Plan::forced(&g, Member::Fixed(inv), ExecMode::Sharded { shards }, None);
                 assert_eq!(
-                    try_count_sharded(&g, inv, shards).unwrap(),
+                    run_plan(&g, &plan, None, &mut NoopRecorder).unwrap().value,
                     want,
                     "{name} {inv} shards={shards} (checked)"
                 );
@@ -63,7 +66,9 @@ fn sharded_counts_are_thread_pool_invariant() {
             for shards in SHARDS {
                 let got = pool.install(|| {
                     let mut rec = InMemoryRecorder::new();
-                    let n = count_sharded_recorded(&g, inv, shards, &mut rec);
+                    let plan =
+                        Plan::forced(&g, Member::Fixed(inv), ExecMode::Sharded { shards }, None);
+                    let n = run_plan(&g, &plan, None, &mut rec).unwrap().value;
                     let rep = rec.report(vec![]);
                     let processed = rep
                         .counters
@@ -95,20 +100,30 @@ fn out_of_core_counts_match_in_memory_on_the_battery() {
         let sg = SegmentedGraph::open(&path).unwrap();
         assert_eq!(count_segmented(&sg).unwrap(), want, "{name}");
         for shards in SHARDS {
+            let unlimited = ResourceBudget::unlimited();
+            let mut rec = InMemoryRecorder::new();
+            let r = count_segmented_checkpointed_recorded(
+                &sg,
+                Some(shards),
+                None,
+                &unlimited,
+                None,
+                &mut rec,
+            );
             assert_eq!(
-                count_segmented_sharded_recorded(&sg, shards, &mut InMemoryRecorder::new())
-                    .unwrap(),
+                r.unwrap().value.0,
                 want,
                 "{name} shards={shards} (out-of-core)"
             );
         }
         // Byte-driven shard sizing: a small per-shard payload cap forces
         // many shards; the count must not move.
-        let r = count_segmented_budgeted_recorded(
+        let r = count_segmented_checkpointed_recorded(
             &sg,
             None,
             Some(64),
             &ResourceBudget::unlimited(),
+            None,
             &mut InMemoryRecorder::new(),
         )
         .unwrap();
@@ -127,7 +142,7 @@ fn budgeted_sharded_tier_agrees_with_unbudgeted_planner() {
         let want = count_adaptive(&g).0;
         for cap in [1u64 << 30, 1 << 20, 1 << 14, 1 << 10] {
             let budget = ResourceBudget::unlimited().with_max_bytes(cap);
-            match count_adaptive_budgeted(&g, true, &budget) {
+            match count_adaptive_budgeted_recorded(&g, true, &budget, &mut NoopRecorder) {
                 Ok(r) => {
                     assert!(r.complete, "{name} cap={cap}");
                     assert_eq!(r.value.0, want, "{name} cap={cap}");
@@ -228,7 +243,8 @@ fn the_pin_plans_the_same_shards_and_refuses_at_the_same_caps() {
         for cap in [1u64 << 30, 1 << 20, 1 << 14, 1 << 10] {
             let budget = ResourceBudget::unlimited().with_max_bytes(cap);
             let mut rec = InMemoryRecorder::new();
-            let pinned = count_segmented_budgeted_recorded(&sg, None, None, &budget, &mut rec);
+            let pinned =
+                count_segmented_checkpointed_recorded(&sg, None, None, &budget, None, &mut rec);
             let unpinned =
                 count_segmented_pinned(&sg, None, &budget, None, 0, &mut InMemoryRecorder::new());
             match (pinned, unpinned) {

@@ -55,11 +55,12 @@ fn full_scale_specs_match_fig9() {
 
 #[test]
 fn count_auto_picks_smaller_side_per_dataset() {
-    use bfly::core::count_auto;
+    use bfly::core::count_auto_recorded;
+    use bfly::core::telemetry::NoopRecorder;
     use bfly::graph::Side;
     for d in StandIn::ALL {
         let g = d.generate_scaled(0.02);
-        let (xi, inv) = count_auto(&g);
+        let (xi, inv) = count_auto_recorded(&g, &mut NoopRecorder);
         assert_eq!(xi, count(&g, Invariant::Inv1));
         let expect = if g.nv2() <= g.nv1() {
             Side::V2

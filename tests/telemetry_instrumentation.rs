@@ -3,12 +3,31 @@
 //! must not change results, and [`RunReport`] JSON must round-trip.
 
 use bfly::core::peel::{k_tip_recorded, k_wing_recorded};
+use bfly::core::telemetry::Recorder;
 use bfly::core::telemetry::{Counter, InMemoryRecorder, Json, RunReport};
-use bfly::core::{count, count_parallel_recorded, count_recorded, Invariant};
+use bfly::core::{count, count_recorded, run_plan, ExecMode, Invariant, Member, Plan};
 use bfly::graph::{BipartiteGraph, Side};
 use proptest::prelude::*;
 
 const MAX_SIDE: u32 = 24;
+
+/// Run the forced plan `member` × `mode` through the one executor.
+fn forced_recorded<R: Recorder>(
+    g: &BipartiteGraph,
+    member: Member,
+    mode: ExecMode,
+    rec: &mut R,
+) -> u64 {
+    let plan = Plan::forced(g, member, mode, None);
+    run_plan(g, &plan, None, rec).unwrap().value
+}
+
+/// One chunk per worker of rayon's current pool.
+fn parallel_mode() -> ExecMode {
+    ExecMode::Parallel {
+        chunks: rayon::current_num_threads(),
+    }
+}
 
 fn arb_graph() -> impl Strategy<Value = BipartiteGraph> {
     (1..=MAX_SIDE, 1..=MAX_SIDE).prop_flat_map(|(m, n)| {
@@ -69,7 +88,7 @@ proptest! {
         let inv = Invariant::Inv2;
         let want = analytic_wedges(&g, Side::V1);
         let mut rec = InMemoryRecorder::new();
-        let xi = count_parallel_recorded(&g, inv, &mut rec);
+        let xi = forced_recorded(&g, Member::Fixed(inv), parallel_mode(), &mut rec);
         prop_assert_eq!(xi, count(&g, inv));
         prop_assert_eq!(rec.counter(Counter::WedgesExpanded), want);
         let rep = rec.report(Vec::new());
@@ -91,7 +110,6 @@ fn progress_fraction_reaches_exactly_one_for_global_order_kernels() {
     // fraction == 1.0 exactly — never short of it, and (pinned via the
     // un-clamped done/total identity) never past it.
     use bfly::core::adaptive::{select_plan, GraphProfile, Member};
-    use bfly::core::family::{count_priority_recorded, count_ranked_recorded};
     use bfly::core::telemetry::ProgressModel;
     use bfly::core::testkit::skewed_graph;
 
@@ -104,8 +122,9 @@ fn progress_fraction_reaches_exactly_one_for_global_order_kernels() {
         assert_eq!(forecast.counter, Counter::WedgesExpanded);
         let mut rec = InMemoryRecorder::new();
         match want_member {
-            Member::Priority => count_priority_recorded(&g, &mut rec),
-            Member::Ranked => count_ranked_recorded(&g, &mut rec),
+            Member::Priority | Member::Ranked => {
+                forced_recorded(&g, want_member, ExecMode::Flat, &mut rec)
+            }
             Member::Fixed(_) => unreachable!(),
         };
         let done = rec.counter(forecast.counter);
@@ -164,7 +183,12 @@ fn noop_and_recorded_paths_agree() {
 fn spans_and_histograms_survive_the_json_round_trip() {
     let g = BipartiteGraph::complete(8, 7);
     let mut rec = InMemoryRecorder::new();
-    count_parallel_recorded(&g, Invariant::Inv2, &mut rec);
+    forced_recorded(
+        &g,
+        Member::Fixed(Invariant::Inv2),
+        parallel_mode(),
+        &mut rec,
+    );
     let rep = rec.report(Vec::new());
     assert!(!rep.spans.is_empty(), "parallel run must leave chunk spans");
     assert!(
