@@ -40,9 +40,9 @@ use bfly_core::peel::{
     wing_numbers_budgeted_recorded,
 };
 use bfly_core::telemetry::{
-    diff_reports_full, install_panic_hook, timed_phase, to_openmetrics, FlightRecorder, History,
-    Json, MetricsHub, Monitor, MonitorConfig, NdjsonSink, NoopRecorder, ReportError, RunReport,
-    SharedSink, StreamRecorder, WorkForecast, DEFAULT_FLIGHT_CAPACITY,
+    diff_reports_full, install_panic_hook, timed_phase, to_openmetrics, Counter, FlightRecorder,
+    History, InMemoryRecorder, Json, LiveBoard, Monitor, MonitorConfig, NdjsonSink, NoopRecorder,
+    Recorder, ReportError, RunReport, WorkForecast, DEFAULT_FLIGHT_CAPACITY,
 };
 use bfly_core::{
     auto_invariant, count_by_enumeration, count_segmented_checkpointed_recorded, count_via_spgemm,
@@ -536,19 +536,6 @@ pub fn streams_to_stdout(cmd: &Command) -> bool {
         Command::Count { stream: Some(s), .. }
         | Command::Tip { stream: Some(s), .. }
         | Command::Wing { stream: Some(s), .. } if s == "-"
-    )
-}
-
-/// Whether this command renders the live `--progress` line (the binary
-/// then routes any stderr-bound human output through the shared
-/// [`bfly_core::telemetry::StderrGate`] so the two never interleave
-/// mid-line).
-pub fn wants_progress(cmd: &Command) -> bool {
-    matches!(
-        cmd,
-        Command::Count { progress: true, .. }
-            | Command::Tip { progress: true, .. }
-            | Command::Wing { progress: true, .. }
     )
 }
 
@@ -1155,70 +1142,32 @@ fn fault_injection() {
     }
 }
 
-/// Liveness state behind `--progress` / `--flight-recorder`: a shared
-/// [`MetricsHub`] the kernels record into concurrently, the background
-/// [`Monitor`] thread sampling it, the shared NDJSON sink heartbeats
-/// interleave into (the `--stream` target, or a null sink that exists
-/// only to stamp `seq` and tee into the flight ring), and the flight
-/// ring with its dump path.
-struct Live {
-    hub: Arc<MetricsHub>,
-    monitor: Option<Monitor>,
-    sink: Option<SharedSink>,
-    flight: Option<(Arc<FlightRecorder>, String)>,
-}
-
-/// The `--stats` / `--report` / `--trace` plumbing shared by every
-/// instrumented subcommand: decides once whether instrumentation is on,
-/// owns the [`StreamRecorder`] (or, in liveness mode, the shared
-/// [`MetricsHub`] plus monitor thread), and emits all requested outputs
-/// from the single [`RunReport`] it builds at the end.
+/// The telemetry plumbing shared by every instrumented subcommand: one
+/// [`InMemoryRecorder`] behind every flag, decided once. `--stream`
+/// attaches its NDJSON sink. `--progress` and `--flight-recorder` attach
+/// a [`LiveBoard`], which a background [`Monitor`] samples for
+/// heartbeats, the stall watchdog and the progress line, and which the
+/// panic hook dumps. Every requested output comes from the one
+/// [`RunReport`] the recorder builds at the end.
 struct Telem {
     stats: bool,
     report: Option<String>,
     trace: Option<String>,
-    streaming: bool,
-    rec: StreamRecorder,
-    live: Option<Live>,
+    /// Whether any telemetry flag was given. When false, commands run
+    /// against [`NoopRecorder`] (see [`with_recorder!`]).
+    enabled: bool,
+    rec: InMemoryRecorder,
+    monitor: Option<Monitor>,
+    /// The flight ring and its dump path (`--flight-recorder`).
+    flight: Option<(Arc<FlightRecorder>, String)>,
 }
 
 impl Telem {
     /// Fallible because `--stream FILE` opens the sink eagerly: a bad
-    /// path fails before any counting work, not after it.
+    /// path fails before any counting work, not after it. Without
+    /// `--progress` or `--flight-recorder` there is no board, no monitor
+    /// thread and no panic hook.
     fn new(
-        stats: bool,
-        report: Option<String>,
-        trace: Option<String>,
-        stream: Option<String>,
-    ) -> Result<Self, CliError> {
-        let rec = match &stream {
-            Some(target) => {
-                let sink = if target == "-" {
-                    NdjsonSink::stdout()
-                } else {
-                    NdjsonSink::file(target)
-                        .map_err(|e| err(format!("open stream {target}: {e}")))?
-                };
-                StreamRecorder::new().with_sink(sink)
-            }
-            None => StreamRecorder::new(),
-        };
-        Ok(Self {
-            stats,
-            report,
-            trace,
-            streaming: stream.is_some(),
-            rec,
-            live: None,
-        })
-    }
-
-    /// [`Telem::new`] plus the liveness subsystem when `--progress` or
-    /// `--flight-recorder` asked for it. Without either flag this is
-    /// exactly [`Telem::new`]: no hub, no monitor thread, no panic hook —
-    /// the zero-overhead guarantee of the noop path is preserved.
-    #[allow(clippy::too_many_arguments)]
-    fn with_liveness(
         stats: bool,
         report: Option<String>,
         trace: Option<String>,
@@ -1227,81 +1176,62 @@ impl Telem {
         flight_recorder: Option<String>,
         label: &str,
     ) -> Result<Self, CliError> {
-        if !progress && flight_recorder.is_none() {
-            return Self::new(stats, report, trace, stream);
-        }
         let flight = flight_recorder
             .map(|path| (Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)), path));
-        let base = match &stream {
+        let sink = match &stream {
             Some(t) if t == "-" => Some(NdjsonSink::stdout()),
             Some(t) => Some(NdjsonSink::file(t).map_err(|e| err(format!("open stream {t}: {e}")))?),
-            // Heartbeats still need `seq` stamps and the flight tee even
+            // The flight ring tees the event stream, so it needs one even
             // when nobody asked for the stream itself.
             None if flight.is_some() => Some(NdjsonSink::null()),
             None => None,
         };
-        let sink = base.map(|s| {
+        let sink = sink.map(|s| {
             let shared = s.into_shared();
             match &flight {
                 Some((ring, _)) => shared.with_flight(Arc::clone(ring)),
                 None => shared,
             }
         });
+        let mut rec = InMemoryRecorder::new();
         if let Some(sink) = &sink {
-            sink.emit("run_start", vec![]);
+            rec = rec.with_sink(sink.clone());
         }
-        let hub = Arc::new(MetricsHub::new());
-        if let Some((ring, path)) = &flight {
-            install_panic_hook(Arc::clone(ring), Arc::clone(&hub), path.clone());
+        let mut monitor = None;
+        if progress || flight.is_some() {
+            let board = Arc::new(LiveBoard::new());
+            rec = rec.with_board(Arc::clone(&board));
+            if let Some((ring, path)) = &flight {
+                install_panic_hook(Arc::clone(ring), Arc::clone(&board), path.clone());
+            }
+            let cfg = MonitorConfig {
+                interval: std::time::Duration::from_millis(
+                    env_u64("BFLY_MONITOR_INTERVAL_MS", 200).max(1),
+                ),
+                stall_intervals: env_u64("BFLY_STALL_INTERVALS", 5).min(u32::MAX as u64) as u32,
+                progress_line: progress,
+                label: label.to_string(),
+            };
+            monitor = Some(Monitor::spawn(board, sink, cfg));
         }
-        let cfg = MonitorConfig {
-            interval: std::time::Duration::from_millis(
-                env_u64("BFLY_MONITOR_INTERVAL_MS", 200).max(1),
-            ),
-            stall_intervals: env_u64("BFLY_STALL_INTERVALS", 5).min(u32::MAX as u64) as u32,
-            progress_line: progress,
-            label: label.to_string(),
-        };
-        let monitor = Monitor::spawn(Arc::clone(&hub), sink.clone(), cfg);
+        let enabled =
+            stats || report.is_some() || trace.is_some() || stream.is_some() || monitor.is_some();
         Ok(Self {
             stats,
             report,
             trace,
-            streaming: stream.is_some(),
-            rec: StreamRecorder::new(),
-            live: Some(Live {
-                hub,
-                monitor: Some(monitor),
-                sink,
-                flight,
-            }),
+            enabled,
+            rec,
+            monitor,
+            flight,
         })
     }
 
-    /// Whether any telemetry output was requested. When false, commands
-    /// should run against [`NoopRecorder`] (see [`with_recorder!`]).
-    fn enabled(&self) -> bool {
-        self.stats
-            || self.report.is_some()
-            || self.trace.is_some()
-            || self.streaming
-            || self.live.is_some()
-    }
-
-    /// The shared hub, when liveness mode is on. Commands record through
-    /// `&MetricsHub` (a [`Recorder`]) so the monitor thread sees counters
-    /// advance live.
-    fn live_hub(&self) -> Option<Arc<MetricsHub>> {
-        self.live.as_ref().map(|l| Arc::clone(&l.hub))
-    }
-
     /// Hand the monitor its predicted-total-work forecast once the
-    /// planner has run. No-op outside liveness mode.
+    /// planner has run. No-op without a monitor.
     fn set_forecast(&self, f: WorkForecast) {
-        if let Some(live) = &self.live {
-            if let Some(monitor) = &live.monitor {
-                monitor.set_forecast(f);
-            }
+        if let Some(monitor) = &self.monitor {
+            monitor.set_forecast(f);
         }
     }
 
@@ -1314,33 +1244,42 @@ impl Telem {
             return Some(1.0);
         }
         r.fraction.or_else(|| {
-            if forecast.total == 0 {
+            if forecast.total == 0 || !self.enabled {
                 return None;
             }
-            let done = match self.live_hub() {
-                Some(hub) => hub.snapshot().counter(forecast.counter),
-                None if self.enabled() => self.rec.recorder().counter(forecast.counter),
-                None => return None,
-            };
+            let done = self.rec.counter(forecast.counter);
             Some((done as f64 / forecast.total as f64).clamp(0.0, 1.0))
         })
     }
 
-    /// Abort-path teardown: stop the monitor (no final 1.0 heartbeat)
-    /// and dump the flight ring with `reason`, returning the last
-    /// measured fraction so errors can carry it. No-op outside liveness
-    /// mode.
-    fn fail(&mut self, reason: &str) -> Option<f64> {
-        let live = self.live.as_mut()?;
-        let fraction = live.monitor.take().map(|m| {
-            let f = m.fraction();
-            m.finish(false);
-            f
-        });
-        if let Some((ring, path)) = &live.flight {
-            let _ = ring.dump_to_file(path, Some(&live.hub.snapshot()), reason);
+    /// Stop the monitor, if one runs (final heartbeat at exactly 1.0 when
+    /// `complete`), and record its outcome on the recorder: the stall
+    /// count and the final `progress.fraction` / `progress.eta_ms`. The
+    /// board comes off the recorder first, so the stalls the monitor
+    /// already counted there are not counted twice. Returns the final
+    /// fraction.
+    fn finish_monitor(&mut self, complete: bool) -> Option<f64> {
+        let stats = self.monitor.take()?.finish(complete);
+        self.rec.take_board();
+        self.rec.incr(Counter::StallsDetected, stats.stalls);
+        self.rec.gauge("progress.fraction", stats.fraction);
+        if let Some(eta) = stats.eta_ms {
+            self.rec.gauge("progress.eta_ms", eta as f64);
         }
-        fraction
+        Some(stats.fraction)
+    }
+
+    /// Abort-path teardown: stop the monitor (no final 1.0 heartbeat)
+    /// and dump the flight ring with `reason` and the recorder's report
+    /// so far, returning the last measured fraction so errors can carry
+    /// it. No-op without a monitor.
+    fn fail(&mut self, reason: &str) -> Option<f64> {
+        let fraction = self.finish_monitor(false)?;
+        if let Some((ring, path)) = &self.flight {
+            let meta = vec![("flight_reason".to_string(), Json::Str(reason.to_string()))];
+            let _ = ring.dump_to_file(path, Some(&self.rec.snapshot(meta)), reason);
+        }
+        Some(fraction)
     }
 
     /// Build the report and write every requested output: the `--stats`
@@ -1350,59 +1289,26 @@ impl Telem {
         self.emit_with(meta, out, true)
     }
 
-    /// [`Telem::emit`] with an explicit completion flag. In liveness mode
-    /// this finishes the monitor (final heartbeat at exactly 1.0 when
-    /// `complete`), emits the closing `counters`/`run_end` stream events
-    /// from the hub snapshot, and — on an incomplete run — dumps the
-    /// flight ring with reason `"deadline"`.
+    /// [`Telem::emit`] with an explicit completion flag: finishes the
+    /// monitor first (final heartbeat at exactly 1.0 when `complete`),
+    /// and on an incomplete run dumps the flight ring with reason
+    /// `"deadline"` and the run's report.
     fn emit_with(
         mut self,
         meta: Vec<(String, Json)>,
         out: &mut dyn std::io::Write,
         complete: bool,
     ) -> Result<(), CliError> {
-        if !self.enabled() {
+        if !self.enabled {
             return Ok(());
         }
-        let rep = match self.live.take() {
-            Some(mut live) => {
-                if let Some(monitor) = live.monitor.take() {
-                    monitor.finish(complete);
-                }
-                let snap = live.hub.snapshot();
-                let rep = snap.to_report(meta);
-                if let Some(sink) = &live.sink {
-                    sink.emit(
-                        "counters",
-                        vec![(
-                            "values".to_string(),
-                            Json::Obj(
-                                rep.counters
-                                    .iter()
-                                    .filter(|(_, v)| *v != 0)
-                                    .map(|(n, v)| (n.clone(), Json::UInt(*v)))
-                                    .collect(),
-                            ),
-                        )],
-                    );
-                    let errors = sink.write_errors();
-                    sink.emit(
-                        "run_end",
-                        vec![
-                            ("meta".to_string(), Json::Obj(rep.meta.clone())),
-                            ("write_errors".to_string(), Json::UInt(errors)),
-                        ],
-                    );
-                }
-                if !complete {
-                    if let Some((ring, path)) = &live.flight {
-                        let _ = ring.dump_to_file(path, Some(&snap), "deadline");
-                    }
-                }
-                rep
+        self.finish_monitor(complete);
+        let rep = self.rec.report(meta);
+        if !complete {
+            if let Some((ring, path)) = &self.flight {
+                let _ = ring.dump_to_file(path, Some(&rep), "deadline");
             }
-            None => self.rec.report(meta),
-        };
+        }
         if self.stats {
             writeln!(out, "{}", rep.render_table())
                 .map_err(|e| err(format!("write error: {e}")))?;
@@ -1419,18 +1325,14 @@ impl Telem {
     }
 }
 
-/// Run `$body` with `$rec` bound to the [`Telem`]'s shared hub (liveness
-/// mode), its live recorder (plain telemetry), or [`NoopRecorder`] when
-/// telemetry is off. A macro rather than a function because closures
-/// cannot be generic over the recorder type: the expansions monomorphize
-/// separately, so the off path keeps the zero-overhead no-op code.
+/// Run `$body` with `$rec` bound to the [`Telem`]'s recorder, or to
+/// [`NoopRecorder`] when telemetry is off. A macro rather than a function
+/// because closures cannot be generic over the recorder type: the two
+/// expansions monomorphize separately, so the off path keeps the
+/// zero-overhead no-op code.
 macro_rules! with_recorder {
     ($telem:expr, |$rec:ident| $body:expr) => {
-        if let Some(hub) = $telem.live_hub() {
-            let mut hub_rec: &MetricsHub = &hub;
-            let $rec = &mut hub_rec;
-            $body
-        } else if $telem.enabled() {
+        if $telem.enabled {
             let $rec = &mut $telem.rec;
             $body
         } else {
@@ -1666,7 +1568,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                      use either --shards or the budget flags",
                 ));
             }
-            let mut telem = Telem::with_liveness(
+            let mut telem = Telem::new(
                 stats,
                 report,
                 trace,
@@ -1726,7 +1628,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             flight_recorder,
         } => {
             let g = load_graph(&file, format)?;
-            let mut telem = Telem::with_liveness(
+            let mut telem = Telem::new(
                 stats,
                 report,
                 trace,
@@ -1784,7 +1686,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             flight_recorder,
         } => {
             let g = load_graph(&file, format)?;
-            let mut telem = Telem::with_liveness(
+            let mut telem = Telem::new(
                 stats,
                 report,
                 trace,
@@ -4012,7 +3914,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(wants_progress(&cmd));
         assert!(!streams_to_stdout(&cmd));
 
         // --flight-recorder takes a file; tip/wing grew --stream too.
@@ -4040,9 +3941,8 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(streams_to_stdout(&cmd));
-        assert!(!wants_progress(&cmd));
         let cmd = parse(&sv(&["wing", "g.tsv", "--k", "1", "--progress"])).unwrap();
-        assert!(wants_progress(&cmd));
+        assert!(matches!(cmd, Command::Wing { progress: true, .. }));
 
         // report diff grew --gauges / --gauge-tolerance.
         match parse(&sv(&[
@@ -4156,8 +4056,8 @@ mod tests {
         let last_hb = heartbeats.last().unwrap();
         assert_eq!(last_hb.get("final").and_then(|v| v.as_bool()), Some(true));
         assert_eq!(last_hb.get("fraction").and_then(|v| v.as_f64()), Some(1.0));
-        // The closing counters event carries the hub totals the report
-        // would have, so a stream consumer needs no side channel.
+        // The closing counters event carries the recorder's totals the
+        // report has, so a stream consumer needs no side channel.
         assert!(events.iter().any(|e| {
             e.get("type").and_then(|v| v.as_str()) == Some("counters")
                 && e.get("values")

@@ -918,3 +918,87 @@ fn every_count_route_reports_the_plan_it_ran() {
     let doc = Json::parse(&text[text.find('{').unwrap()..]).unwrap();
     assert_eq!(doc.get("plan"), Some(&Json::Null), "{text}");
 }
+
+/// `--progress` and `--flight-recorder` watch the run's own recorder
+/// rather than replacing it: on the skewed occupations stand-in,
+/// `wing --decompose` writes the same report spans, counters (all but the
+/// monitor's `stalls_detected`), histograms and trace events with either
+/// liveness flag as without one, and every stream carries one `span`
+/// event per report span.
+#[test]
+fn liveness_flags_keep_report_trace_and_stream() {
+    let dir = tempdir();
+    let skew = dir.join("live-skew.tsv");
+    let out = bfly()
+        .args(["generate", "--kind", "standin", "--name", "occupations"])
+        .args(["--scale", "0.1", "--out", skew.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let flight = dir.join("live-flight.json");
+    let flight = flight.to_str().unwrap();
+    let flags: [&[&str]; 3] = [&[], &["--progress"], &["--flight-recorder", flight]];
+    let mut runs = Vec::new();
+    for (i, extra) in flags.into_iter().enumerate() {
+        let path = |what: &str| dir.join(format!("live-{i}.{what}"));
+        let (report, trace, stream) = (path("json"), path("trace"), path("ndjson"));
+        let out = bfly()
+            .arg("wing")
+            .arg(&skew)
+            .args(["--decompose", "--threads", "2"])
+            .arg("--report")
+            .arg(&report)
+            .arg("--trace")
+            .arg(&trace)
+            .arg("--stream")
+            .arg(&stream)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let rep =
+            bfly_core::telemetry::RunReport::parse(&std::fs::read_to_string(&report).unwrap())
+                .unwrap();
+        let mut spans = std::collections::BTreeMap::new();
+        for s in &rep.spans {
+            *spans.entry(s.name.clone()).or_insert(0u64) += 1;
+        }
+        let counters: Vec<(String, u64)> = rep
+            .counters
+            .iter()
+            .filter(|(n, _)| n != "stalls_detected")
+            .cloned()
+            .collect();
+        let hists: Vec<String> = rep.histograms.iter().map(|(n, _)| n.clone()).collect();
+        let trace = Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let trace_events = trace
+            .get("traceEvents")
+            .and_then(|v| v.as_arr())
+            .map(|a| a.len());
+        let streamed = std::fs::read_to_string(&stream)
+            .unwrap()
+            .lines()
+            .filter(|l| {
+                Json::parse(l).unwrap().get("type").and_then(|t| t.as_str()) == Some("span")
+            })
+            .count();
+        assert_eq!(
+            streamed,
+            rep.spans.len(),
+            "{extra:?}: one span event per report span"
+        );
+        runs.push((extra, spans, counters, hists, trace_events));
+    }
+    let (_, spans, counters, hists, trace_events) = &runs[0];
+    assert!(spans.get("peel_round").is_some_and(|&n| n > 0), "{spans:?}");
+    for (extra, s, c, h, t) in &runs[1..] {
+        assert_eq!(s, spans, "{extra:?}: span-name counts");
+        assert_eq!(c, counters, "{extra:?}: counters");
+        assert_eq!(h, hists, "{extra:?}: histogram names");
+        assert_eq!(t, trace_events, "{extra:?}: trace events");
+    }
+}

@@ -50,7 +50,8 @@ pub struct ReportDiff {
     pub hist_tolerance_pct: Option<f64>,
     /// When set, gauge rows gate at this separate tolerance (percent);
     /// `None` keeps them informational. `span.*` gauges (wall-clock
-    /// aggregates lowered from hub snapshots) never gate.
+    /// span aggregates that reports saved by earlier builds carry) never
+    /// gate.
     pub gauge_tolerance_pct: Option<f64>,
 }
 
@@ -214,9 +215,9 @@ pub fn diff_reports_with(
 /// `gauge_tolerance_pct` promotes gauge rows the same way (the CLI's
 /// `report diff --gauges`). Gauge promotion is aimed at deterministic
 /// levels — `mem.peak_bytes`, `plan.est_work`, `budget.degraded` —
-/// while `span.*` gauges (wall-clock span aggregates lowered from hub
-/// snapshots) always stay informational, mirroring the never-gated span
-/// rows they mirror.
+/// while `span.*` gauges (wall-clock span aggregates that reports saved
+/// by earlier builds carry) always stay informational, mirroring the
+/// never-gated span rows they mirror.
 pub fn diff_reports_full(
     base: &RunReport,
     new: &RunReport,

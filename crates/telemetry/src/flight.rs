@@ -1,9 +1,11 @@
 //! Crash flight recorder: a fixed-size ring of the most recent telemetry
-//! events, dumped together with a final [`MetricsHub`] snapshot when a
-//! run dies — by panic (via [`install_panic_hook`]) or by deadline
-//! truncation (the CLI's budgeted path dumps explicitly). Post-mortems
-//! then see the last heartbeats, stalls, and gauges leading up to the
-//! failure without depending on the run ever reaching its report.
+//! events, dumped together with a final [`RunReport`] snapshot when a run
+//! dies — by panic (via [`install_panic_hook`], which can only reach the
+//! [`LiveBoard`]'s counters and gauges) or by deadline truncation or an
+//! error (the CLI dumps the run's own recorder report explicitly).
+//! Post-mortems then see the last spans, heartbeats, stalls, and gauges
+//! leading up to the failure without depending on the run ever reaching
+//! its report.
 //!
 //! The ring is write-optimised for many producers: slots are claimed
 //! with a single lock-free `fetch_add`, and each slot is guarded by its
@@ -17,7 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
-use crate::{MetricsHub, MetricsSnapshot};
+use crate::report::RunReport;
+use crate::LiveBoard;
 
 /// Version stamp on every dump so consumers can detect format drift.
 pub const FLIGHT_FORMAT_VERSION: u64 = 1;
@@ -109,8 +112,8 @@ impl FlightRecorder {
     /// Render the dump document: format version, the reason the run
     /// died, how many events the ring dropped, the retained event tail
     /// (each line re-parsed so the dump is one self-contained JSON
-    /// document), and the final hub snapshot as a full run report.
-    pub fn dump(&self, snapshot: Option<&MetricsSnapshot>, reason: &str) -> String {
+    /// document), and the final snapshot report.
+    pub fn dump(&self, snapshot: Option<&RunReport>, reason: &str) -> String {
         let events = self.events();
         let dropped = self.recorded().saturating_sub(events.len() as u64);
         let mut obj = vec![
@@ -130,11 +133,7 @@ impl FlightRecorder {
                 ),
             ),
         ];
-        if let Some(snap) = snapshot {
-            let rep = snap.to_report(vec![(
-                "flight_reason".to_string(),
-                Json::Str(reason.to_string()),
-            )]);
+        if let Some(rep) = snapshot {
             obj.push(("snapshot".to_string(), rep.to_json()));
         }
         Json::Obj(obj).pretty()
@@ -144,7 +143,7 @@ impl FlightRecorder {
     pub fn dump_to_file(
         &self,
         path: &str,
-        snapshot: Option<&MetricsSnapshot>,
+        snapshot: Option<&RunReport>,
         reason: &str,
     ) -> std::io::Result<()> {
         let doc = self.dump(snapshot, reason);
@@ -155,15 +154,18 @@ impl FlightRecorder {
     }
 }
 
-/// Chain a panic hook that dumps `flight` plus a final `hub` snapshot to
-/// `path` before delegating to the previous hook. The dump is
+/// Chain a panic hook that dumps `flight` plus the `board`'s counters and
+/// gauges to `path` before delegating to the previous hook. The dump is
 /// best-effort: IO errors are swallowed (a failing dump must not mask
 /// the original panic).
-pub fn install_panic_hook(flight: Arc<FlightRecorder>, hub: Arc<MetricsHub>, path: String) {
+pub fn install_panic_hook(flight: Arc<FlightRecorder>, board: Arc<LiveBoard>, path: String) {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let reason = format!("panic: {info}");
-        let snap = hub.snapshot();
+        let snap = board.report(vec![(
+            "flight_reason".to_string(),
+            Json::Str(reason.clone()),
+        )]);
         let _ = flight.dump_to_file(&path, Some(&snap), &reason);
         prev(info);
     }));
@@ -220,9 +222,9 @@ mod tests {
         let ring = FlightRecorder::new(8);
         ring.record(0, r#"{"type":"heartbeat","seq":0}"#);
         ring.record(1, "not json at all");
-        let hub = MetricsHub::new();
-        hub.incr(Counter::WedgesExpanded, 7);
-        let snap = hub.snapshot();
+        let board = LiveBoard::new();
+        board.incr(Counter::WedgesExpanded, 7);
+        let snap = board.report(vec![]);
         let doc = ring.dump(Some(&snap), "deadline");
         let j = Json::parse(&doc).expect("dump parses");
         assert_eq!(j.get("type").unwrap().as_str(), Some("flight_recorder"));

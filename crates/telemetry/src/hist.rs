@@ -144,30 +144,6 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Bucket-wise difference against an earlier snapshot of the same
-    /// histogram — the samples recorded since then. Counts, sum, and
-    /// buckets subtract exactly; min/max cannot be reconstructed from
-    /// bucketed state, so they are approximated by the bounds of the
-    /// extreme non-empty delta buckets (clamped to this histogram's
-    /// exact extremes).
-    pub fn saturating_sub(&self, earlier: &Histogram) -> Histogram {
-        let mut out = Histogram::new();
-        for (i, slot) in out.buckets.iter_mut().enumerate() {
-            *slot = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum = self.sum.saturating_sub(earlier.sum);
-        if out.count > 0 {
-            if let Some(lo) = out.buckets.iter().position(|&c| c > 0) {
-                out.min = Self::bucket_bounds(lo).0.max(self.min);
-            }
-            if let Some(hi) = out.buckets.iter().rposition(|&c| c > 0) {
-                out.max = Self::bucket_bounds(hi).1.min(self.max);
-            }
-        }
-        out
-    }
-
     /// Fold another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
@@ -302,29 +278,6 @@ mod tests {
         assert_eq!(a.min(), Some(1));
         assert_eq!(a.max(), 100);
         assert_eq!(a.sum(), 108);
-    }
-
-    #[test]
-    fn saturating_sub_is_bucket_exact() {
-        let mut early = Histogram::new();
-        early.record(3);
-        early.record(100);
-        let mut late = early.clone();
-        late.record(7);
-        late.record(9);
-        let d = late.saturating_sub(&early);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.sum(), 16);
-        // Both new samples land in bucket 4 ([8,15]) and 3 ([4,7]).
-        assert_eq!(d.bucket_counts()[Histogram::bucket_of(7)], 1);
-        assert_eq!(d.bucket_counts()[Histogram::bucket_of(9)], 1);
-        // Approximate extremes stay within the delta buckets' bounds.
-        assert!(d.min().unwrap() >= 4 && d.min().unwrap() <= 7);
-        assert!(d.max() >= 9 && d.max() <= 15);
-        // Subtracting a histogram from itself is empty.
-        let z = late.saturating_sub(&late);
-        assert_eq!(z.count(), 0);
-        assert_eq!(z.min(), None);
     }
 
     #[test]

@@ -8,23 +8,25 @@
 //! default [`NoopRecorder`] the branch is a compile-time constant and the
 //! whole site monomorphizes away — the uninstrumented build pays nothing.
 //!
-//! [`InMemoryRecorder`] is the one real implementation: it aggregates
-//! counters into a flat array, folds repeated phases by name, keeps
-//! named series, collects hierarchical [`SpanRow`]s with attached
-//! counter deltas, buckets values into [`Histogram`]s, and renders
-//! everything as a [`RunReport`] — a schema-versioned (v2, v1 still
-//! parses), JSON-serializable record of one run that the CLI
-//! (`--stats` / `--report` / `--trace`) and the bench binaries
-//! (`BENCH_*.json`) emit.
+//! [`InMemoryRecorder`] is the one real implementation, behind every
+//! telemetry flag: it aggregates counters into a flat array, folds
+//! repeated phases by name, keeps named series, collects hierarchical
+//! [`SpanRow`]s with attached counter deltas, buckets values into
+//! [`Histogram`]s, and renders everything as a [`RunReport`] — a
+//! schema-versioned (v2, v1 still parses), JSON-serializable record of
+//! one run that the CLI (`--stats` / `--report` / `--trace`) and the
+//! bench binaries (`BENCH_*.json`) emit. With a [`SharedSink`] attached
+//! it also streams its events as NDJSON (`--stream`); with a
+//! [`LiveBoard`] attached it mirrors counters and gauges onto the board
+//! a liveness monitor samples (`--progress`, `--flight-recorder`).
 //!
 //! Parallel code cannot share one `&mut Recorder` across workers, so
 //! every recorder hands each worker one of its own
 //! ([`Recorder::fork`]) and takes it back after the join
-//! ([`Recorder::join`]). The buffering recorders fork a [`ThreadTrace`]
-//! (counters + spans + histograms against the global monotonic clock)
-//! and join it onto its own span track; `&MetricsHub` forks itself, so
-//! workers publish live; [`NoopRecorder`] forks itself and compiles
-//! away.
+//! ([`Recorder::join`]). [`InMemoryRecorder`] forks a [`ThreadTrace`]
+//! (counters + spans + histograms against the global monotonic clock,
+//! carrying the recorder's board) and joins it onto its own span track;
+//! [`NoopRecorder`] forks itself and compiles away.
 //!
 //! Reports export further as Chrome Trace Event JSON
 //! ([`RunReport::to_chrome_trace`], for `chrome://tracing` / Perfetto)
@@ -35,13 +37,14 @@
 //! serde; the emitter and the recursive-descent parser round-trip every
 //! report (property-tested in `crates/telemetry/tests`).
 
+use std::sync::Arc;
 use std::time::Instant;
 
+mod board;
 mod diff;
 pub mod flight;
 mod hist;
 pub mod history;
-mod hub;
 mod json;
 pub mod mem;
 mod openmetrics;
@@ -52,11 +55,11 @@ mod stream;
 mod trace;
 pub mod watchdog;
 
+pub use board::LiveBoard;
 pub use diff::{diff_reports, diff_reports_full, diff_reports_with, DiffRow, ReportDiff};
 pub use flight::{install_panic_hook, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use hist::Histogram;
 pub use history::{History, HistoryError, TrendRow};
-pub use hub::{MetricsHub, MetricsSnapshot, SpanAgg};
 pub use json::Json;
 pub use openmetrics::{parse_exposition, to_openmetrics, validate_exposition, Exposition};
 pub use progress::{
@@ -64,7 +67,7 @@ pub use progress::{
 };
 pub use report::{PhaseRow, ReportError, RunReport};
 pub use span::{parse_span_cap, SpanRow, ThreadTrace, DEFAULT_SPAN_CAP};
-pub use stream::{NdjsonSink, SharedSink, StreamRecorder};
+pub use stream::{NdjsonSink, SharedSink};
 pub use watchdog::StallWatchdog;
 
 /// Every work counter the engine knows. Adding a variant: append it to
@@ -183,8 +186,8 @@ impl Counter {
     }
 }
 
-/// Plain additive bundle of counters: the tally behind every buffering
-/// recorder and span delta, and itself a counters-only recorder.
+/// Plain additive bundle of counters: the tally behind every recorder
+/// and span delta.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkTally {
     counts: [u64; Counter::COUNT],
@@ -306,26 +309,6 @@ pub trait Recorder {
     fn join(&mut self, track: u32, worker: Self::Worker);
 }
 
-/// A tally is itself a counters-only recorder, so per-thread workers can
-/// run the same instrumented code paths and be merged afterwards.
-impl Recorder for WorkTally {
-    const ENABLED: bool = true;
-    type Worker = WorkTally;
-
-    #[inline]
-    fn incr(&mut self, c: Counter, n: u64) {
-        self.add(c, n);
-    }
-
-    fn fork(&self) -> WorkTally {
-        WorkTally::new()
-    }
-
-    fn join(&mut self, _track: u32, worker: WorkTally) {
-        self.absorb(&worker);
-    }
-}
-
 /// The zero-cost default recorder: every call is a no-op and
 /// `ENABLED = false` lets guarded call sites vanish at monomorphization.
 #[derive(Debug, Clone, Copy, Default)]
@@ -401,9 +384,13 @@ impl<R: Recorder> Recorder for &mut R {
     }
 }
 
-/// Aggregating recorder backing `--stats` / `--report` / `--trace`.
-/// Spans recorded directly on it land on track 0 (the main thread);
-/// forked worker traces keep their own tracks via [`Recorder::join`].
+/// The recorder behind every telemetry flag (`--stats`, `--report`,
+/// `--trace`, `--stream`, `--progress`, `--flight-recorder`). Spans
+/// recorded directly on it land on track 0 (the main thread); forked
+/// worker traces keep their own tracks via [`Recorder::join`]. An
+/// attached [`SharedSink`] streams its events as they happen, and an
+/// attached [`LiveBoard`] sees its counters and gauges — and its
+/// workers' counters — while the run is in flight.
 #[derive(Debug)]
 pub struct InMemoryRecorder {
     /// Timeline origin: all span timestamps are offsets from here.
@@ -419,7 +406,8 @@ pub struct InMemoryRecorder {
     open_spans: Vec<(&'static str, Instant, WorkTally, u64)>,
     hists: Vec<(&'static str, Histogram)>,
     spans_dropped: u64,
-    span_cap: usize,
+    sink: Option<SharedSink>,
+    board: Option<Arc<LiveBoard>>,
 }
 
 impl Default for InMemoryRecorder {
@@ -429,7 +417,9 @@ impl Default for InMemoryRecorder {
 }
 
 impl InMemoryRecorder {
-    /// Fresh, empty recorder; the span timeline starts now.
+    /// Fresh, empty recorder; the span timeline starts now. Spans past
+    /// the `BFLY_SPAN_CAP` cap (default [`DEFAULT_SPAN_CAP`]) are counted
+    /// in the `spans_dropped` gauge rather than buffered.
     pub fn new() -> Self {
         InMemoryRecorder {
             epoch: Instant::now(),
@@ -442,22 +432,34 @@ impl InMemoryRecorder {
             open_spans: Vec::new(),
             hists: Vec::new(),
             spans_dropped: 0,
-            span_cap: span::env_span_cap(),
+            sink: None,
+            board: None,
         }
     }
 
-    /// Override the span cap (defaults to `BFLY_SPAN_CAP`, falling back
-    /// to [`DEFAULT_SPAN_CAP`]). Further spans past the cap are counted
-    /// in the `spans_dropped` gauge rather than buffered.
-    pub fn with_span_cap(mut self, cap: usize) -> Self {
-        self.span_cap = cap;
+    /// Stream this recorder's events to `sink`, starting with the
+    /// `run_start` line emitted now. Other producers (a liveness
+    /// monitor's heartbeats) may share the sink; every event then shares
+    /// one monotonic `seq`.
+    pub fn with_sink(mut self, sink: SharedSink) -> Self {
+        sink.emit("run_start", vec![]);
+        self.sink = Some(sink);
         self
     }
 
-    /// Set the span cap in place (builder-style setter for recorders
-    /// already embedded in a larger struct).
-    pub fn set_span_cap(&mut self, cap: usize) {
-        self.span_cap = cap;
+    /// Mirror every counter increment and gauge write onto `board`, and
+    /// hand the board to every forked worker, so a monitor sees the run's
+    /// work before the joins.
+    pub fn with_board(mut self, board: Arc<LiveBoard>) -> Self {
+        self.board = Some(board);
+        self
+    }
+
+    /// Stop mirroring onto the board and hand it back. A finished
+    /// monitor's outcome is then recorded here without being counted on
+    /// the board a second time.
+    pub fn take_board(&mut self) -> Option<Arc<LiveBoard>> {
+        self.board.take()
     }
 
     /// Current value of a counter.
@@ -497,16 +499,10 @@ impl InMemoryRecorder {
         self.hists.iter().find(|(n, _)| *n == name).map(|(_, h)| h)
     }
 
-    /// Render the recorder into a report. `meta` carries run context
-    /// (dataset, invariant, threads, …); unfinished phases and spans are
-    /// closed at render time so an aborted path still reports.
-    pub fn report(&mut self, meta: Vec<(String, Json)>) -> RunReport {
-        while let Some((name, _)) = self.open.last().copied() {
-            self.phase_end(name);
-        }
-        while let Some((name, _, _, _)) = self.open_spans.last().copied() {
-            self.span_exit(name);
-        }
+    /// What the recorder holds so far, as a report: finished phases and
+    /// spans only, nothing closed and nothing streamed. Error-path flight
+    /// dumps use it.
+    pub fn snapshot(&self, meta: Vec<(String, Json)>) -> RunReport {
         let mut gauges: Vec<(String, f64)> = self
             .gauges
             .iter()
@@ -545,6 +541,54 @@ impl InMemoryRecorder {
                 .collect(),
         }
     }
+
+    /// Render the recorder into a report. `meta` carries run context
+    /// (dataset, invariant, threads, …); unfinished phases and spans are
+    /// closed at render time so an aborted path still reports. When
+    /// streaming, the spans closed here and the closing `counters` /
+    /// `hist` / `run_end` lines are emitted.
+    pub fn report(&mut self, meta: Vec<(String, Json)>) -> RunReport {
+        while let Some((name, _)) = self.open.last().copied() {
+            self.close_phase(name);
+        }
+        while let Some((name, _, _, _)) = self.open_spans.last().copied() {
+            self.span_exit(name);
+        }
+        let rep = self.snapshot(meta);
+        if let Some(sink) = &self.sink {
+            sink.emit_close(&rep);
+        }
+        rep
+    }
+
+    /// Close the innermost open phase named `name` and fold it into its
+    /// row, returning the row's cumulative `(seconds, count)`.
+    fn close_phase(&mut self, name: &'static str) -> Option<(f64, u64)> {
+        // An unmatched end is ignored rather than corrupting the stack.
+        let pos = self.open.iter().rposition(|(n, _)| *n == name)?;
+        let (_, t0) = self.open.remove(pos);
+        let secs = t0.elapsed().as_secs_f64();
+        if let Some(row) = self.phases.iter_mut().find(|(n, _, _)| n == name) {
+            row.1 += secs;
+            row.2 += 1;
+            Some((row.1, row.2))
+        } else {
+            self.phases.push((name.to_string(), secs, 1));
+            Some((secs, 1))
+        }
+    }
+
+    /// Keep one finished span (streaming it) unless the span cap is full.
+    fn push_span(&mut self, row: SpanRow) {
+        if self.spans.len() >= span::env_span_cap() {
+            self.spans_dropped += 1;
+            return;
+        }
+        if let Some(sink) = &self.sink {
+            sink.emit_span(&row);
+        }
+        self.spans.push(row);
+    }
 }
 
 impl Recorder for InMemoryRecorder {
@@ -554,6 +598,9 @@ impl Recorder for InMemoryRecorder {
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {
         self.tally.add(c, n);
+        if let Some(board) = &self.board {
+            board.incr(c, n);
+        }
     }
 
     fn gauge(&mut self, name: &'static str, value: f64) {
@@ -561,6 +608,18 @@ impl Recorder for InMemoryRecorder {
             slot.1 = value;
         } else {
             self.gauges.push((name, value));
+        }
+        if let Some(board) = &self.board {
+            board.set_gauge(name, value);
+        }
+        if let Some(sink) = &self.sink {
+            sink.emit(
+                "gauge",
+                vec![
+                    ("name".to_string(), Json::Str(name.to_string())),
+                    ("value".to_string(), Json::Float(value)),
+                ],
+            );
         }
     }
 
@@ -577,16 +636,18 @@ impl Recorder for InMemoryRecorder {
     }
 
     fn phase_end(&mut self, name: &'static str) {
-        let Some(pos) = self.open.iter().rposition(|(n, _)| *n == name) else {
-            return; // unmatched end: ignore rather than corrupt the stack
+        let Some((secs, count)) = self.close_phase(name) else {
+            return;
         };
-        let (_, t0) = self.open.remove(pos);
-        let secs = t0.elapsed().as_secs_f64();
-        if let Some(row) = self.phases.iter_mut().find(|(n, _, _)| n == name) {
-            row.1 += secs;
-            row.2 += 1;
-        } else {
-            self.phases.push((name.to_string(), secs, 1));
+        if let Some(sink) = &self.sink {
+            sink.emit(
+                "phase",
+                vec![
+                    ("name".to_string(), Json::Str(name.to_string())),
+                    ("seconds_total".to_string(), Json::Float(secs)),
+                    ("count".to_string(), Json::UInt(count)),
+                ],
+            );
         }
     }
 
@@ -623,15 +684,11 @@ impl Recorder for InMemoryRecorder {
             mem::restore_peak(saved_peak);
             counters.push(("mem.peak_bytes".to_string(), scope_peak));
         }
-        if self.spans.len() >= self.span_cap {
-            self.spans_dropped += 1;
-            return;
-        }
         let start_us = start
             .checked_duration_since(self.epoch)
             .unwrap_or_default()
             .as_micros() as u64;
-        self.spans.push(SpanRow {
+        self.push_span(SpanRow {
             name: name.to_string(),
             thread: 0,
             depth: pos as u32,
@@ -652,18 +709,16 @@ impl Recorder for InMemoryRecorder {
     }
 
     fn fork(&self) -> ThreadTrace {
-        ThreadTrace::new()
+        ThreadTrace::new().with_board(self.board.clone())
     }
 
+    /// The worker's counters already reached the board as it ran, so
+    /// only the recorder's own tally absorbs them here.
     fn join(&mut self, track: u32, mut trace: ThreadTrace) {
         trace.finish();
         self.tally.absorb(trace.tally());
-        for raw in trace.spans.drain(..) {
-            if self.spans.len() >= self.span_cap {
-                self.spans_dropped += 1;
-                continue;
-            }
-            self.spans.push(raw.into_row(self.epoch, track));
+        for raw in std::mem::take(&mut trace.spans) {
+            self.push_span(raw.into_row(self.epoch, track));
         }
         for (name, h) in &trace.hists {
             if let Some((_, mine)) = self.hists.iter_mut().find(|(n, _)| n == name) {
@@ -840,14 +895,7 @@ mod tests {
 
     #[test]
     fn counter_only_recorders_fork_and_join_tallies() {
-        // A counters-only recorder (WorkTally) forks tallies and absorbs
-        // them back; a worker left with an open span still counts.
-        let mut sink = WorkTally::new();
-        let mut t = sink.fork();
-        t.span_enter("chunk");
-        t.incr(Counter::SpaScatters, 9);
-        sink.join(1, t);
-        assert_eq!(sink.get(Counter::SpaScatters), 9);
+        // A nested worker left with an open span still counts.
         let mut trace = ThreadTrace::new();
         let mut inner = trace.fork();
         inner.span_enter("open");

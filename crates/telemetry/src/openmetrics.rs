@@ -1,18 +1,18 @@
 //! OpenMetrics / Prometheus text exposition, dependency-free.
 //!
-//! [`to_openmetrics`] renders a [`RunReport`] (and therefore a
-//! [`crate::MetricsSnapshot`] via `to_report`) in the OpenMetrics text
+//! [`to_openmetrics`] renders a [`RunReport`] in the OpenMetrics text
 //! format: `# TYPE` metadata, `_total`-suffixed counters, labeled
 //! gauges for phases and span aggregates, full cumulative-`le`
 //! histogram families, and the mandatory `# EOF` terminator — what a
-//! Prometheus scrape of a future `bfly serve` endpoint would return.
+//! Prometheus scrape would return.
 //!
 //! The inverse direction ships too: [`parse_exposition`] lexes the text
 //! back into typed samples and [`validate_exposition`] enforces the
 //! format's structural rules (declared families, counter naming,
 //! cumulative buckets). Both exist so the exposition is testable
 //! offline — the round-trip test in `tests/concurrent_recording.rs`
-//! scrapes a live hub and checks every value against the snapshot.
+//! exports a board-attached recorder's report and checks the counters
+//! against it.
 //!
 //! All metric names are prefixed `bfly_` and sanitized (`.` → `_`), so
 //! `mem.peak_bytes` scrapes as `bfly_mem_peak_bytes`.

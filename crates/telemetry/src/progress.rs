@@ -1,27 +1,30 @@
 //! Live progress, ETA, and the background monitor thread.
 //!
-//! A [`Monitor`] periodically samples a shared [`MetricsHub`] (PR 6's
-//! concurrent recorder) and turns the deltas into liveness signals:
+//! A [`Monitor`] periodically samples the run's [`LiveBoard`] — the
+//! counters and gauges the run's recorder and its forked workers mirror
+//! as they go — and turns the deltas into liveness signals:
 //!
 //! * a [`ProgressModel`] seeded with predicted total work (exact
 //!   Σ C(deg, 2) wedge totals for counting plans, support-update
-//!   estimates for peel plans) tracks completion from the hub's work
-//!   counters and exposes `progress.fraction` / `progress.eta_ms`
-//!   gauges;
+//!   estimates for peel plans) tracks completion from the board's work
+//!   counters and sets `progress.fraction` / `progress.eta_ms` gauges on
+//!   the board;
 //! * `heartbeat` NDJSON events are interleaved into the run's
 //!   [`SharedSink`](crate::SharedSink) under the same monotonic `seq`
 //!   as the recorder's own events;
-//! * a [`StallWatchdog`] fires a `stall` event (with a full snapshot)
-//!   when no monitored counter advances for the configured patience —
-//!   the run is never killed;
+//! * a [`StallWatchdog`] fires a `stall` event (with the board's
+//!   counters and gauges) when no monitored counter advances for the
+//!   configured patience — the run is never killed;
 //! * an optional TTY-aware progress line is rendered to the process-wide
 //!   [`StderrGate`], the same locked writer the CLI routes its human
 //!   summary through, so `--progress` and `--stream -` never interleave
 //!   mid-line on stderr.
 //!
-//! Everything here is opt-in: no monitor thread exists unless
-//! [`Monitor::spawn`] is called, so runs without liveness flags keep the
-//! zero-overhead guarantee of the noop recorder path.
+//! [`Monitor::finish`] hands back the final fraction, ETA and stall
+//! count, for the caller to record on the run's recorder. Everything
+//! here is opt-in: no monitor thread exists unless [`Monitor::spawn`] is
+//! called, so runs without liveness flags keep the zero-overhead
+//! guarantee of the noop recorder path.
 
 use std::io::{IsTerminal, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -30,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use crate::json::Json;
 use crate::watchdog::StallWatchdog;
-use crate::{Counter, MetricsHub, MetricsSnapshot, SharedSink};
+use crate::{Counter, LiveBoard, SharedSink, WorkTally};
 
 /// Predicted total work for a run: which counter measures it and how
 /// many units the planner expects. Counting plans forecast
@@ -40,7 +43,7 @@ use crate::{Counter, MetricsHub, MetricsSnapshot, SharedSink};
 /// accordingly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkForecast {
-    /// The hub counter that accumulates the forecast work unit.
+    /// The counter that accumulates the forecast work unit.
     pub counter: Counter,
     /// Predicted total units (0 = unknown).
     pub total: u64,
@@ -277,7 +280,7 @@ impl Drop for GateWriter {
 /// Monitor thread configuration.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
-    /// Sampling interval between hub snapshots.
+    /// Sampling interval between board samples.
     pub interval: Duration,
     /// Consecutive idle intervals before the watchdog fires.
     pub stall_intervals: u32,
@@ -308,20 +311,24 @@ struct MonitorShared {
     /// [`NO_FORECAST`]) and predicted total.
     forecast_counter: AtomicUsize,
     forecast_total: AtomicU64,
-    /// Latest computed fraction, as f64 bits, for cheap cross-thread
-    /// reads (fraction-at-truncation annotations).
-    fraction_bits: AtomicU64,
 }
 
-/// What the monitor thread did, returned by [`Monitor::finish`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What the monitor thread did and last measured, returned by
+/// [`Monitor::finish`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MonitorStats {
-    /// Snapshots taken.
+    /// Board samples taken.
     pub samples: u64,
     /// Heartbeat events emitted (excluding the final one).
     pub heartbeats: u64,
     /// Stall windows detected.
     pub stalls: u64,
+    /// Final completion: exactly 1.0 for a complete run, else the last
+    /// sampled fraction.
+    pub fraction: f64,
+    /// Final ETA in ms: 0 for a complete run, else the last sampled one
+    /// (`None` if no sample ever saw progress).
+    pub eta_ms: Option<u64>,
 }
 
 /// Handle to the background monitor thread. Dropping without calling
@@ -330,27 +337,25 @@ pub struct Monitor {
     shared: Arc<MonitorShared>,
     handle: Option<std::thread::JoinHandle<MonitorStats>>,
     sink: Option<SharedSink>,
-    hub: Arc<MetricsHub>,
     progress_line: bool,
     started: Instant,
 }
 
 impl Monitor {
-    /// Spawn the monitor thread over `hub`. Heartbeat/stall events go to
-    /// `sink` when given (sharing its `seq` with every other producer);
-    /// the progress line goes to the global [`StderrGate`] when
-    /// `cfg.progress_line` is set.
-    pub fn spawn(hub: Arc<MetricsHub>, sink: Option<SharedSink>, cfg: MonitorConfig) -> Monitor {
+    /// Spawn the monitor thread over `board`. Heartbeat/stall events go
+    /// to `sink` when given (sharing its `seq` with every other
+    /// producer); the progress line goes to the global [`StderrGate`]
+    /// when `cfg.progress_line` is set.
+    pub fn spawn(board: Arc<LiveBoard>, sink: Option<SharedSink>, cfg: MonitorConfig) -> Monitor {
         let shared = Arc::new(MonitorShared {
             stop: Mutex::new(false),
             wake: Condvar::new(),
             forecast_counter: AtomicUsize::new(NO_FORECAST),
             forecast_total: AtomicU64::new(0),
-            fraction_bits: AtomicU64::new(0f64.to_bits()),
         });
         let started = Instant::now();
         let worker = MonitorWorker {
-            hub: Arc::clone(&hub),
+            board,
             sink: sink.clone(),
             shared: Arc::clone(&shared),
             cfg: cfg.clone(),
@@ -364,7 +369,6 @@ impl Monitor {
             shared,
             handle: Some(handle),
             sink,
-            hub,
             progress_line: cfg.progress_line,
             started,
         }
@@ -379,25 +383,16 @@ impl Monitor {
             .store(f.counter as usize, Ordering::Release);
     }
 
-    /// Latest fraction computed by the monitor thread (for
-    /// fraction-at-truncation annotations).
-    pub fn fraction(&self) -> f64 {
-        f64::from_bits(self.shared.fraction_bits.load(Ordering::Relaxed))
-    }
-
     /// Stop the thread, emit the final heartbeat (fraction exactly 1.0
     /// when `complete`), release the progress line, and return the
-    /// thread's stats.
+    /// thread's stats with the final fraction and ETA.
     pub fn finish(mut self, complete: bool) -> MonitorStats {
-        let stats = self.stop_thread();
-        let fraction = if complete { 1.0 } else { self.fraction() };
-        self.shared
-            .fraction_bits
-            .store(fraction.to_bits(), Ordering::Relaxed);
-        self.hub.set_gauge("progress.fraction", fraction);
+        let mut stats = self.stop_thread();
         if complete {
-            self.hub.set_gauge("progress.eta_ms", 0.0);
+            stats.fraction = 1.0;
+            stats.eta_ms = Some(0);
         }
+        let fraction = stats.fraction;
         if let Some(sink) = &self.sink {
             sink.emit(
                 "heartbeat",
@@ -428,17 +423,9 @@ impl Monitor {
                 *stop = true;
             }
             self.shared.wake.notify_all();
-            handle.join().unwrap_or(MonitorStats {
-                samples: 0,
-                heartbeats: 0,
-                stalls: 0,
-            })
+            handle.join().unwrap_or_default()
         } else {
-            MonitorStats {
-                samples: 0,
-                heartbeats: 0,
-                stalls: 0,
-            }
+            MonitorStats::default()
         }
     }
 }
@@ -450,7 +437,7 @@ impl Drop for Monitor {
 }
 
 struct MonitorWorker {
-    hub: Arc<MetricsHub>,
+    board: Arc<LiveBoard>,
     sink: Option<SharedSink>,
     shared: Arc<MonitorShared>,
     cfg: MonitorConfig,
@@ -461,12 +448,8 @@ impl MonitorWorker {
     fn run(self) -> MonitorStats {
         let mut model = ProgressModel::new(0);
         let mut dog = StallWatchdog::new(self.cfg.stall_intervals);
-        let mut last = self.hub.snapshot();
-        let mut stats = MonitorStats {
-            samples: 0,
-            heartbeats: 0,
-            stalls: 0,
-        };
+        let mut last = self.board.counters();
+        let mut stats = MonitorStats::default();
         let mut last_pct_printed: i64 = -1;
         loop {
             {
@@ -487,27 +470,26 @@ impl MonitorWorker {
                 }
             }
             stats.samples += 1;
-            let snap = self.hub.snapshot();
+            let snap = self.board.counters();
             let delta = snap.delta_since(&last);
             let advanced = Counter::ALL
                 .iter()
-                .any(|&c| c != Counter::StallsDetected && delta.counter(c) > 0);
+                .any(|&c| c != Counter::StallsDetected && delta.get(c) > 0);
 
             // Fold the forecast in (it may arrive after spawn).
             let cidx = self.shared.forecast_counter.load(Ordering::Acquire);
             if cidx != NO_FORECAST {
                 model.set_total(self.shared.forecast_total.load(Ordering::Relaxed));
-                model.observe(snap.counter(Counter::ALL[cidx]));
+                model.observe(snap.get(Counter::ALL[cidx]));
             }
             let fraction = model.fraction();
-            self.shared
-                .fraction_bits
-                .store(fraction.to_bits(), Ordering::Relaxed);
-            self.hub.set_gauge("progress.fraction", fraction);
+            stats.fraction = fraction;
+            self.board.set_gauge("progress.fraction", fraction);
             let elapsed_ms = self.started.elapsed().as_millis() as u64;
             let eta = model.eta_ms(elapsed_ms);
             if let Some(eta) = eta {
-                self.hub.set_gauge("progress.eta_ms", eta as f64);
+                stats.eta_ms = Some(eta);
+                self.board.set_gauge("progress.eta_ms", eta as f64);
             }
 
             if let Some(sink) = &self.sink {
@@ -531,7 +513,7 @@ impl MonitorWorker {
 
             if dog.observe(advanced) {
                 stats.stalls += 1;
-                self.hub.incr(Counter::StallsDetected, 1);
+                self.board.incr(Counter::StallsDetected, 1);
                 if let Some(sink) = &self.sink {
                     let mut fields = vec![
                         ("elapsed_ms".to_string(), Json::UInt(elapsed_ms)),
@@ -541,7 +523,7 @@ impl MonitorWorker {
                         ),
                         ("fraction".to_string(), Json::Float(fraction)),
                     ];
-                    fields.extend(snapshot_fields(&snap));
+                    fields.extend(snapshot_fields(&snap, &self.board.gauges()));
                     sink.emit("stall", fields);
                 }
                 if self.cfg.progress_line {
@@ -591,38 +573,23 @@ impl MonitorWorker {
     }
 }
 
-/// The snapshot portion of a `stall` event: non-zero counters, gauges,
-/// span aggregates (the hub's per-shard span state, merged), and the
-/// tracking allocator's `mem.*` readings.
-fn snapshot_fields(snap: &MetricsSnapshot) -> Vec<(String, Json)> {
+/// The snapshot portion of a `stall` event: the board's non-zero
+/// counters and its gauges, and the tracking allocator's `mem.*`
+/// readings. The spans finished so far are in the stream and the flight
+/// ring already.
+fn snapshot_fields(counters: &WorkTally, gauges: &[(&'static str, f64)]) -> Vec<(String, Json)> {
     let counters = Counter::ALL
         .iter()
-        .filter(|&&c| snap.counter(c) != 0)
-        .map(|&c| (c.name().to_string(), Json::UInt(snap.counter(c))))
+        .filter(|&&c| counters.get(c) != 0)
+        .map(|&c| (c.name().to_string(), Json::UInt(counters.get(c))))
         .collect();
-    let gauges = snap
-        .gauges
+    let gauges = gauges
         .iter()
-        .map(|(n, v)| (n.clone(), Json::Float(*v)))
-        .collect();
-    let spans = snap
-        .spans
-        .iter()
-        .map(|(n, agg)| {
-            (
-                n.clone(),
-                Json::Obj(vec![
-                    ("count".to_string(), Json::UInt(agg.count)),
-                    ("total_us".to_string(), Json::UInt(agg.total_us)),
-                    ("max_us".to_string(), Json::UInt(agg.max_us)),
-                ]),
-            )
-        })
+        .map(|&(n, v)| (n.to_string(), Json::Float(v)))
         .collect();
     vec![
         ("counters".to_string(), Json::Obj(counters)),
         ("gauges".to_string(), Json::Obj(gauges)),
-        ("spans".to_string(), Json::Obj(spans)),
         (
             "mem".to_string(),
             Json::Obj(vec![
@@ -646,7 +613,7 @@ fn snapshot_fields(snap: &MetricsSnapshot) -> Vec<(String, Json)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NdjsonSink, Recorder, StreamRecorder};
+    use crate::{InMemoryRecorder, NdjsonSink, Recorder};
 
     #[derive(Clone, Default)]
     struct Buf(Arc<Mutex<Vec<u8>>>);
@@ -716,10 +683,12 @@ mod tests {
     fn monitor_emits_heartbeats_with_shared_monotonic_seq() {
         let buf = Buf::default();
         let sink = NdjsonSink::from_writer(Box::new(buf.clone())).into_shared();
-        let hub = Arc::new(MetricsHub::new());
-        let mut rec = StreamRecorder::new().with_shared_sink(sink.clone());
+        let board = Arc::new(LiveBoard::new());
+        let mut rec = InMemoryRecorder::new()
+            .with_sink(sink.clone())
+            .with_board(Arc::clone(&board));
         let monitor = Monitor::spawn(
-            Arc::clone(&hub),
+            Arc::clone(&board),
             Some(sink),
             MonitorConfig {
                 interval: Duration::from_millis(2),
@@ -728,17 +697,16 @@ mod tests {
         );
         monitor.set_forecast(WorkForecast::new(Counter::WedgesExpanded, 1000));
         // Kernel-side events interleave with the monitor's heartbeats.
-        for i in 0..20u64 {
+        for _ in 0..20 {
             rec.span_enter("work");
-            hub.incr(Counter::WedgesExpanded, 50);
-            rec.incr(Counter::WedgesExpanded, 1);
+            rec.incr(Counter::WedgesExpanded, 50);
             rec.span_exit("work");
-            let _ = i;
             std::thread::sleep(Duration::from_millis(1));
         }
         let stats = monitor.finish(true);
         assert!(stats.samples > 0, "monitor sampled");
         assert!(stats.heartbeats > 0, "heartbeats emitted");
+        assert_eq!((stats.fraction, stats.eta_ms), (1.0, Some(0)));
 
         let events = lines(&buf);
         let mut prev_seq = None;
@@ -770,16 +738,16 @@ mod tests {
             assert!(w[1] >= w[0], "fraction regressed: {w:?}");
         }
         assert_eq!(*fractions.last().unwrap(), 1.0);
-        assert_eq!(hub.snapshot().counter(Counter::StallsDetected), 0);
+        assert_eq!(board.counter(Counter::StallsDetected), 0);
     }
 
     #[test]
     fn monitor_detects_a_stall_exactly_once_per_window() {
         let buf = Buf::default();
         let sink = NdjsonSink::from_writer(Box::new(buf.clone())).into_shared();
-        let hub = Arc::new(MetricsHub::new());
+        let board = Arc::new(LiveBoard::new());
         let monitor = Monitor::spawn(
-            Arc::clone(&hub),
+            Arc::clone(&board),
             Some(sink),
             MonitorConfig {
                 interval: Duration::from_millis(2),
@@ -791,7 +759,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(60));
         let stats = monitor.finish(false);
         assert_eq!(stats.stalls, 1, "exactly one stall per window");
-        assert_eq!(hub.snapshot().counter(Counter::StallsDetected), 1);
+        assert_eq!(board.counter(Counter::StallsDetected), 1);
 
         let events = lines(&buf);
         let stalls: Vec<&Json> = events
@@ -802,7 +770,6 @@ mod tests {
         let stall = stalls[0];
         assert!(stall.get("counters").is_some());
         assert!(stall.get("gauges").is_some());
-        assert!(stall.get("spans").is_some());
         assert!(stall.get("mem").is_some());
         assert_eq!(
             stall.get("idle_intervals").unwrap().as_u64(),

@@ -8,17 +8,18 @@
 //! monotonic clock — forked from the caller's recorder and joined back
 //! after the worker finishes ([`crate::Recorder::join`]), which is when
 //! raw `Instant`s are rebased onto the run's epoch and become
-//! [`SpanRow`]s.
+//! [`SpanRow`]s. A trace forked from a recorder with a [`LiveBoard`]
+//! carries the board and publishes its counters there as it runs.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::hist::Histogram;
-use crate::{Counter, Recorder, WorkTally};
+use crate::{Counter, LiveBoard, Recorder, WorkTally};
 
 /// Default cap on buffered spans per sink; further spans are counted as
 /// dropped rather than growing memory without bound on adversarial
-/// inputs. Override per-process with the `BFLY_SPAN_CAP` env var or
-/// per-recorder with `with_span_cap`.
+/// inputs. Override per-process with the `BFLY_SPAN_CAP` env var.
 pub const DEFAULT_SPAN_CAP: usize = 1 << 16;
 
 /// Parse a `BFLY_SPAN_CAP` value. Absent or unparseable input falls
@@ -109,6 +110,7 @@ pub struct ThreadTrace {
     pub(crate) hists: Vec<(&'static str, Histogram)>,
     pub(crate) dropped: u64,
     cap: usize,
+    board: Option<Arc<LiveBoard>>,
 }
 
 impl Default for ThreadTrace {
@@ -128,12 +130,20 @@ impl ThreadTrace {
             hists: Vec::new(),
             dropped: 0,
             cap: env_span_cap(),
+            board: None,
         }
     }
 
     /// Override the span cap for this trace.
     pub fn with_span_cap(mut self, cap: usize) -> Self {
         self.cap = cap;
+        self
+    }
+
+    /// Publish every counter increment on `board` as well (a trace
+    /// forked from a board-attached recorder).
+    pub(crate) fn with_board(mut self, board: Option<Arc<LiveBoard>>) -> Self {
+        self.board = board;
         self
     }
 
@@ -163,6 +173,9 @@ impl Recorder for ThreadTrace {
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {
         self.tally.add(c, n);
+        if let Some(board) = &self.board {
+            board.incr(c, n);
+        }
     }
 
     fn span_enter(&mut self, name: &'static str) {
@@ -203,10 +216,13 @@ impl Recorder for ThreadTrace {
     }
 
     fn fork(&self) -> ThreadTrace {
-        ThreadTrace::new().with_span_cap(self.cap)
+        ThreadTrace::new()
+            .with_span_cap(self.cap)
+            .with_board(self.board.clone())
     }
 
     /// A trace has a single track, so a nested worker's spans land on it.
+    /// The nested worker already published its counters on the board.
     fn join(&mut self, _track: u32, mut worker: ThreadTrace) {
         worker.finish();
         self.tally.absorb(&worker.tally);

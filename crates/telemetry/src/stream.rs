@@ -2,8 +2,9 @@
 //! happens, so a long run can be watched (or piped into `jq`) live
 //! instead of waiting for the end-of-run report.
 //!
-//! [`StreamRecorder`] wraps an [`InMemoryRecorder`] and mirrors the
-//! events worth streaming to an [`NdjsonSink`] as they occur:
+//! An [`InMemoryRecorder`](crate::InMemoryRecorder) with a sink attached
+//! ([`InMemoryRecorder::with_sink`](crate::InMemoryRecorder::with_sink))
+//! mirrors the events worth streaming as they occur:
 //!
 //! * `run_start` — when the sink is attached;
 //! * `span` — every finished span (own spans and worker-trace spans at
@@ -13,8 +14,10 @@
 //! * `counters`, `hist` — totals at report time;
 //! * `run_end` — last line, carrying the run meta.
 //!
-//! Counter increments are *not* streamed per-event — `incr` sits in the
-//! hot loops — they ride on span deltas and the final `counters` line.
+//! A liveness monitor emits its `heartbeat` and `stall` events into the
+//! same [`SharedSink`], so every producer shares one `seq` lane. Counter
+//! increments are *not* streamed per-event — `incr` sits in the hot
+//! loops — they ride on span deltas and the final `counters` line.
 //! Every line is flushed immediately; write errors are counted and
 //! reported on `run_end` (`"write_errors"`), never allowed to kill the
 //! run. The full report is still produced at the end, so `--stream`
@@ -26,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use crate::flight::FlightRecorder;
 use crate::json::Json;
 use crate::report::RunReport;
-use crate::{Counter, InMemoryRecorder, Recorder, ThreadTrace};
+use crate::span::SpanRow;
 
 /// Line-oriented JSON event writer with a monotonically increasing
 /// `seq` field, so consumers can detect gaps/reordering.
@@ -181,211 +184,75 @@ impl SharedSink {
     }
 }
 
-/// An [`InMemoryRecorder`] that additionally streams events to an
-/// optional [`NdjsonSink`]. Without a sink it behaves exactly like the
-/// inner recorder.
-#[derive(Debug, Default)]
-pub struct StreamRecorder {
-    inner: InMemoryRecorder,
-    sink: Option<SharedSink>,
-}
-
-impl StreamRecorder {
-    /// Plain recorder, no streaming.
-    pub fn new() -> Self {
-        StreamRecorder {
-            inner: InMemoryRecorder::new(),
-            sink: None,
-        }
-    }
-
-    /// Attach a sink; emits the `run_start` line.
-    pub fn with_sink(self, sink: NdjsonSink) -> Self {
-        self.with_shared_sink(sink.into_shared())
-    }
-
-    /// Attach an already-shared sink (e.g. one a monitor thread also
-    /// emits heartbeats into); emits the `run_start` line. Recorder
-    /// events and the other producers' events share one monotonic `seq`.
-    pub fn with_shared_sink(mut self, sink: SharedSink) -> Self {
-        sink.emit("run_start", vec![]);
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Handle to the attached sink, for wiring additional producers.
-    pub fn shared_sink(&self) -> Option<SharedSink> {
-        self.sink.clone()
-    }
-
-    /// Forwarded span-cap override (see
-    /// [`InMemoryRecorder::set_span_cap`]).
-    pub fn set_span_cap(&mut self, cap: usize) {
-        self.inner.set_span_cap(cap);
-    }
-
-    /// Read-only view of the aggregated state.
-    pub fn recorder(&self) -> &InMemoryRecorder {
-        &self.inner
-    }
-
-    /// Stream any spans the inner recorder gained past `from`.
-    fn stream_new_spans(&mut self, from: usize) {
-        let Some(sink) = self.sink.as_ref() else {
-            return;
-        };
-        for s in &self.inner.spans()[from..] {
-            sink.emit(
-                "span",
-                vec![
-                    ("name".to_string(), Json::Str(s.name.clone())),
-                    ("thread".to_string(), Json::UInt(s.thread as u64)),
-                    ("depth".to_string(), Json::UInt(s.depth as u64)),
-                    ("start_us".to_string(), Json::UInt(s.start_us)),
-                    ("dur_us".to_string(), Json::UInt(s.dur_us)),
-                    (
-                        "counters".to_string(),
-                        Json::Obj(
-                            s.counters
-                                .iter()
-                                .map(|(n, v)| (n.clone(), Json::UInt(*v)))
-                                .collect(),
-                        ),
-                    ),
-                ],
-            );
-        }
-    }
-
-    /// Build the final report, emitting the closing `counters` /
-    /// `hist` / `run_end` lines first when streaming.
-    pub fn report(&mut self, meta: Vec<(String, Json)>) -> RunReport {
-        let before = self.inner.spans().len();
-        let rep = self.inner.report(meta);
-        self.stream_new_spans(before); // spans closed by report()
-        if let Some(sink) = self.sink.as_ref() {
-            sink.emit(
-                "counters",
-                vec![(
-                    "values".to_string(),
+impl SharedSink {
+    /// Stream one finished span with its counter deltas.
+    pub(crate) fn emit_span(&self, s: &SpanRow) {
+        self.emit(
+            "span",
+            vec![
+                ("name".to_string(), Json::Str(s.name.clone())),
+                ("thread".to_string(), Json::UInt(s.thread as u64)),
+                ("depth".to_string(), Json::UInt(s.depth as u64)),
+                ("start_us".to_string(), Json::UInt(s.start_us)),
+                ("dur_us".to_string(), Json::UInt(s.dur_us)),
+                (
+                    "counters".to_string(),
                     Json::Obj(
-                        rep.counters
+                        s.counters
                             .iter()
-                            .filter(|(_, v)| *v != 0)
                             .map(|(n, v)| (n.clone(), Json::UInt(*v)))
                             .collect(),
                     ),
-                )],
-            );
-            for (n, h) in &rep.histograms {
-                sink.emit(
-                    "hist",
-                    vec![
-                        ("name".to_string(), Json::Str(n.clone())),
-                        ("count".to_string(), Json::UInt(h.count())),
-                        ("sum".to_string(), Json::UInt(h.sum())),
-                        ("p50".to_string(), Json::Float(h.p50())),
-                        ("p99".to_string(), Json::Float(h.p99())),
-                        ("max".to_string(), Json::UInt(h.max())),
-                    ],
-                );
-            }
-            let errors = sink.write_errors();
-            sink.emit(
-                "run_end",
+                ),
+            ],
+        );
+    }
+
+    /// Stream the closing lines of a run from its final report: the
+    /// non-zero `counters`, one `hist` per histogram, then `run_end`
+    /// with the run meta and the write errors swallowed so far.
+    pub(crate) fn emit_close(&self, rep: &RunReport) {
+        self.emit(
+            "counters",
+            vec![(
+                "values".to_string(),
+                Json::Obj(
+                    rep.counters
+                        .iter()
+                        .filter(|(_, v)| *v != 0)
+                        .map(|(n, v)| (n.clone(), Json::UInt(*v)))
+                        .collect(),
+                ),
+            )],
+        );
+        for (n, h) in &rep.histograms {
+            self.emit(
+                "hist",
                 vec![
-                    ("meta".to_string(), Json::Obj(rep.meta.clone())),
-                    ("write_errors".to_string(), Json::UInt(errors)),
+                    ("name".to_string(), Json::Str(n.clone())),
+                    ("count".to_string(), Json::UInt(h.count())),
+                    ("sum".to_string(), Json::UInt(h.sum())),
+                    ("p50".to_string(), Json::Float(h.p50())),
+                    ("p99".to_string(), Json::Float(h.p99())),
+                    ("max".to_string(), Json::UInt(h.max())),
                 ],
             );
         }
-        rep
-    }
-}
-
-impl Recorder for StreamRecorder {
-    const ENABLED: bool = true;
-    type Worker = ThreadTrace;
-
-    #[inline]
-    fn incr(&mut self, c: Counter, n: u64) {
-        self.inner.incr(c, n);
-    }
-
-    fn gauge(&mut self, name: &'static str, value: f64) {
-        self.inner.gauge(name, value);
-        if let Some(sink) = self.sink.as_ref() {
-            sink.emit(
-                "gauge",
-                vec![
-                    ("name".to_string(), Json::Str(name.to_string())),
-                    ("value".to_string(), Json::Float(value)),
-                ],
-            );
-        }
-    }
-
-    fn series_push(&mut self, name: &'static str, value: f64) {
-        self.inner.series_push(name, value);
-    }
-
-    fn phase_start(&mut self, name: &'static str) {
-        self.inner.phase_start(name);
-    }
-
-    fn phase_end(&mut self, name: &'static str) {
-        self.inner.phase_end(name);
-        if self.sink.is_none() {
-            return;
-        }
-        // Cumulative totals for this phase, post-fold.
-        let row = self
-            .inner
-            .phase_rows()
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, secs, count)| (*secs, *count));
-        if let (Some(sink), Some((secs, count))) = (self.sink.as_ref(), row) {
-            sink.emit(
-                "phase",
-                vec![
-                    ("name".to_string(), Json::Str(name.to_string())),
-                    ("seconds_total".to_string(), Json::Float(secs)),
-                    ("count".to_string(), Json::UInt(count)),
-                ],
-            );
-        }
-    }
-
-    fn span_enter(&mut self, name: &'static str) {
-        self.inner.span_enter(name);
-    }
-
-    fn span_exit(&mut self, name: &'static str) {
-        let before = self.inner.spans().len();
-        self.inner.span_exit(name);
-        self.stream_new_spans(before);
-    }
-
-    fn hist_record(&mut self, name: &'static str, value: u64) {
-        self.inner.hist_record(name, value);
-    }
-
-    fn fork(&self) -> ThreadTrace {
-        self.inner.fork()
-    }
-
-    fn join(&mut self, track: u32, worker: ThreadTrace) {
-        let before = self.inner.spans().len();
-        self.inner.join(track, worker);
-        self.stream_new_spans(before);
+        let errors = self.write_errors();
+        self.emit(
+            "run_end",
+            vec![
+                ("meta".to_string(), Json::Obj(rep.meta.clone())),
+                ("write_errors".to_string(), Json::UInt(errors)),
+            ],
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
+    use crate::{Counter, InMemoryRecorder, Recorder};
 
     /// Shared in-memory sink target for asserting on emitted lines.
     #[derive(Clone, Default)]
@@ -419,8 +286,8 @@ mod tests {
     #[test]
     fn events_stream_in_order_with_contiguous_seq() {
         let buf = Buf::default();
-        let sink = NdjsonSink::from_writer(Box::new(buf.clone()));
-        let mut rec = StreamRecorder::new().with_sink(sink);
+        let sink = NdjsonSink::from_writer(Box::new(buf.clone())).into_shared();
+        let mut rec = InMemoryRecorder::new().with_sink(sink);
         rec.span_enter("work");
         rec.incr(Counter::WedgesExpanded, 9);
         rec.span_exit("work");
@@ -469,8 +336,8 @@ mod tests {
     #[test]
     fn merged_worker_spans_stream_too() {
         let buf = Buf::default();
-        let mut rec =
-            StreamRecorder::new().with_sink(NdjsonSink::from_writer(Box::new(buf.clone())));
+        let sink = NdjsonSink::from_writer(Box::new(buf.clone())).into_shared();
+        let mut rec = InMemoryRecorder::new().with_sink(sink);
         let mut t = rec.fork();
         t.span_enter("chunk");
         t.incr(Counter::ParChunks, 1);
@@ -486,7 +353,7 @@ mod tests {
 
     #[test]
     fn without_a_sink_it_is_a_plain_recorder() {
-        let mut rec = StreamRecorder::new();
+        let mut rec = InMemoryRecorder::new();
         rec.incr(Counter::PeelRounds, 2);
         let rep = rec.report(vec![]);
         assert_eq!(rep.counter("peel_rounds"), Some(2));

@@ -3,18 +3,18 @@
 //!
 //! Every parallel count forks the caller's recorder once per chunk
 //! (`Recorder::fork`) and joins it back after the chunk ran
-//! (`Recorder::join`): the buffering recorders fork a private trace
-//! merged onto the chunk's own span track, the live `&MetricsHub` forks
-//! itself so workers publish as they go, and `NoopRecorder` forks
-//! nothing at all. These tests pin the contract that this is lossless:
-//! for every member, recorder, thread count, and deadline, the counter
-//! totals equal the sequential recorder's, the butterfly count is
-//! unchanged, and the per-chunk span streams cover every chunk exactly
-//! once.
+//! (`Recorder::join`): `InMemoryRecorder` forks a private trace merged
+//! onto the chunk's own span track — carrying the recorder's live board,
+//! if any, so workers publish their counters as they go — and
+//! `NoopRecorder` forks nothing at all. These tests pin the contract
+//! that this is lossless: for every member, recorder, thread count, and
+//! deadline, the counter totals equal the sequential recorder's, the
+//! board's equal the recorder's, the butterfly count is unchanged, and
+//! the per-chunk span streams cover every chunk exactly once.
 
 use bfly::core::telemetry::{
     parse_exposition, to_openmetrics, validate_exposition, Counter, InMemoryRecorder, Json,
-    MetricsHub, NoopRecorder, Recorder,
+    LiveBoard, NoopRecorder, Recorder,
 };
 use bfly::core::{
     count_recorded, count_via_spgemm, run_plan, select_plan, ExecMode, GraphProfile, Invariant,
@@ -24,6 +24,7 @@ use bfly::graph::generators::{chung_lu, uniform_exact};
 use bfly::graph::BipartiteGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn graphs() -> Vec<BipartiteGraph> {
@@ -124,12 +125,13 @@ fn assert_one_span_per_chunk(rec: &InMemoryRecorder, what: &str) {
 }
 
 /// The recorder contract as one table: every counting member (the eight
-/// fixed invariants, priority, ranked) × recorder (noop, buffered, live
-/// hub) × threads {1, 2, 4} × deadline {none, an hour out}, through the
-/// one plan executor. Counts equal the sequential run's, every counter
-/// but `par_chunks` is bitwise-equal to the sequential buffered run's,
-/// and on the buffered recorder every chunk has exactly one span and one
-/// latency sample on its own track.
+/// fixed invariants, priority, ranked) × recorder (noop, buffered, live:
+/// buffered with a [`LiveBoard`] attached) × threads {1, 2, 4} ×
+/// deadline {none, an hour out}, through the one plan executor. Counts
+/// equal the sequential run's, every counter but `par_chunks` is
+/// bitwise-equal to the sequential buffered run's, on the live row the
+/// board's counters equal the recorder's, and on both buffered rows every
+/// chunk has exactly one span and one latency sample on its own track.
 #[test]
 fn recorder_contract_table() {
     let members = Invariant::ALL
@@ -180,14 +182,23 @@ fn recorder_contract_table() {
                     assert_eq!(counters_of(|c| rec.counter(c)), want_counters, "{what}");
                     assert_one_span_per_chunk(&rec, &what);
 
-                    let hub = MetricsHub::new();
+                    let board = Arc::new(LiveBoard::new());
+                    let mut rec = InMemoryRecorder::new().with_board(Arc::clone(&board));
                     let r = pool
-                        .install(|| run_plan(g, &par, deadline, &mut &hub))
+                        .install(|| run_plan(g, &par, deadline, &mut rec))
                         .unwrap();
-                    assert!(r.complete, "{what}: hub");
-                    assert_eq!(r.value, want.value, "{what}: hub count");
-                    let snap = hub.snapshot();
-                    assert_eq!(counters_of(|c| snap.counter(c)), want_counters, "{what}");
+                    assert!(r.complete, "{what}: live");
+                    assert_eq!(r.value, want.value, "{what}: live count");
+                    assert_eq!(counters_of(|c| rec.counter(c)), want_counters, "{what}");
+                    for c in Counter::ALL {
+                        assert_eq!(
+                            board.counter(c),
+                            rec.counter(c),
+                            "{what}: board {}",
+                            c.name()
+                        );
+                    }
+                    assert_one_span_per_chunk(&rec, &what);
                 }
             }
         }
@@ -225,91 +236,57 @@ fn every_chunk_leaves_exactly_one_span_and_latency_sample() {
     }
 }
 
-/// The live-hub acceptance pin: workers forked from a shared
-/// [`MetricsHub`] record straight into it (no per-thread buffering, no
-/// merge step) and must land on counter totals bitwise-equal to the
-/// sequential recorder's, for every invariant and thread count.
-#[test]
-fn shared_hub_counter_totals_equal_sequential_for_all_invariants() {
-    for g in graphs() {
-        for inv in Invariant::ALL {
-            let (seq_xi, seq_tally) = sequential_tally(&g, inv);
-            for threads in [1usize, 2, 4] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let hub = MetricsHub::new();
-                let par_xi = pool.install(|| parallel_recorded(&g, inv, &mut &hub));
-                assert_eq!(par_xi, seq_xi, "{inv} with {threads} threads: count");
-                let snap = hub.snapshot();
-                for &(c, want) in seq_tally.iter().filter(|(c, _)| comparable(*c)) {
-                    assert_eq!(
-                        snap.counter(c),
-                        want,
-                        "{inv} with {threads} threads: hub counter {}",
-                        c.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Raw hammering: N threads incrementing the same counters and histogram
+/// Raw hammering: N threads incrementing the same board counters
 /// concurrently must lose nothing — totals equal the single-threaded sum
 /// exactly (the atomics are relaxed, but additions commute).
 #[test]
-fn hub_hammered_from_threads_matches_single_threaded_sums() {
-    let hub = MetricsHub::new();
+fn board_hammered_from_threads_matches_single_threaded_sums() {
+    let board = LiveBoard::new();
     let threads = 8u64;
     let per = 20_000u64;
     std::thread::scope(|s| {
-        for t in 0..threads {
-            let hub = &hub;
+        for _ in 0..threads {
+            let board = &board;
             s.spawn(move || {
-                for i in 0..per {
-                    hub.incr(Counter::WedgesExpanded, 1);
-                    hub.incr(Counter::SpaScatters, 2);
-                    hub.record_hist("hammer_us", t * per + i);
+                for _ in 0..per {
+                    board.incr(Counter::WedgesExpanded, 1);
+                    board.incr(Counter::SpaScatters, 2);
                 }
             });
         }
     });
-    let snap = hub.snapshot();
-    assert_eq!(snap.counter(Counter::WedgesExpanded), threads * per);
-    assert_eq!(snap.counter(Counter::SpaScatters), 2 * threads * per);
-    let h = snap.histogram("hammer_us").expect("hammer_us histogram");
-    assert_eq!(h.count(), threads * per);
-    // Sum of 0..threads*per — every sample landed exactly once.
-    let n = threads * per;
-    assert_eq!(h.sum(), n * (n - 1) / 2);
+    assert_eq!(board.counter(Counter::WedgesExpanded), threads * per);
+    assert_eq!(board.counter(Counter::SpaScatters), 2 * threads * per);
 }
 
-/// A live hub snapshot exports to OpenMetrics text that passes the
-/// structural validator and round-trips through the parser with the
-/// counter totals intact.
+/// A live recorder's report (a parallel run with a board attached)
+/// exports to OpenMetrics text that passes the structural validator and
+/// round-trips through the parser with the counter totals intact — the
+/// board's and the recorder's alike.
 #[test]
-fn hub_snapshot_openmetrics_round_trip() {
+fn live_report_openmetrics_round_trip() {
     let mut rng = StdRng::seed_from_u64(4096);
     let g = uniform_exact(100, 80, 700, &mut rng);
-    let hub = MetricsHub::new();
+    let board = Arc::new(LiveBoard::new());
+    let mut rec = InMemoryRecorder::new().with_board(Arc::clone(&board));
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)
         .build()
         .unwrap();
-    pool.install(|| parallel_recorded(&g, Invariant::Inv2, &mut &hub));
-    let snap = hub.snapshot();
-    let rep = snap.to_report(vec![(
+    pool.install(|| parallel_recorded(&g, Invariant::Inv2, &mut rec));
+    let rep = rec.report(vec![(
         "command".to_string(),
         Json::Str("count".to_string()),
     )]);
     let text = to_openmetrics(&rep);
     validate_exposition(&text).expect("valid OpenMetrics exposition");
     let exp = parse_exposition(&text).expect("parseable exposition");
+    let wedges = rec.counter(Counter::WedgesExpanded);
+    assert!(wedges > 0);
+    assert_eq!(board.counter(Counter::WedgesExpanded), wedges);
     assert_eq!(
         exp.value("bfly_wedges_expanded_total"),
-        Some(snap.counter(Counter::WedgesExpanded) as f64),
+        Some(wedges as f64),
         "counter survives the text round-trip"
     );
 }
