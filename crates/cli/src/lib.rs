@@ -27,8 +27,10 @@
 //! ```
 //!
 //! The file format is inferred from content/extension and can be forced
-//! with `--format`. All analysis follows the paper's §V guidance by
-//! default (`--algorithm auto` partitions the smaller vertex set).
+//! with `--format`. By default (`--algorithm auto`) a count runs the
+//! adaptive planner's pick, the same plan as `--adaptive`: a fixed
+//! family member, or the priority or ranked kernel when the profile
+//! prices it cheaper.
 
 use bfly_core::adaptive::{
     profile_and_peel_plan_recorded, profile_and_plan_budgeted_recorded, profile_and_plan_recorded,
@@ -45,7 +47,7 @@ use bfly_core::telemetry::{
     Recorder, ReportError, RunReport, WorkForecast, DEFAULT_FLIGHT_CAPACITY,
 };
 use bfly_core::{
-    auto_invariant, count_by_enumeration, count_segmented_checkpointed_recorded, count_via_spgemm,
+    count_by_enumeration, count_segmented_checkpointed_recorded, count_via_spgemm,
     enumerate_butterflies, segmented_profile, BflyError, CheckpointConfig, Invariant, Partial,
     ResourceBudget,
 };
@@ -332,7 +334,8 @@ pub enum Format {
 /// Counting algorithm selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
-    /// §V rule: partition the smaller side.
+    /// The default: the same planner as [`Algorithm::Adaptive`], labelled
+    /// `auto`.
     Auto,
     /// Profile-driven cost model ([`bfly_core::adaptive`]): partition side
     /// by wedge-work estimate, degree ordering, balanced parallel chunks.
@@ -2027,12 +2030,12 @@ struct Planned {
 /// in-memory plan this count runs, or `None` for a baseline counter,
 /// which runs no plan. Text `--shards` runs the adaptive plan's fixed
 /// fallback over explicit vertex-range shards; a budget selects through
-/// [`profile_and_plan_budgeted_recorded`]; `--adaptive` through
-/// [`profile_and_plan_recorded`] and [`tune_plan_chunks`]; everything
-/// else forces its member ([`Plan::forced`]), with the §V smaller-side
-/// rule ([`auto_invariant`]) for `auto`. The graph is profiled at most
-/// once: always on the first three routes, and on a forced plan only
-/// when `profiled` (`--explain`, `--progress`, `--flight-recorder`).
+/// [`profile_and_plan_budgeted_recorded`]; `auto` and `--adaptive`
+/// through [`profile_and_plan_recorded`] and [`tune_plan_chunks`], told
+/// apart only by their label tag; everything else forces its member
+/// ([`Plan::forced`]). The graph is profiled at most once: always on the
+/// first three routes, and on a forced plan only when `profiled`
+/// (`--explain`, `--progress`, `--flight-recorder`).
 fn plan_count(
     g: &BipartiteGraph,
     (algorithm, parallel, shards): (Algorithm, bool, Option<usize>),
@@ -2065,17 +2068,20 @@ fn plan_count(
         return Ok(Some(Planned { profile, plan, tag }));
     }
     let member = match algorithm {
-        Algorithm::Adaptive => {
+        Algorithm::Auto | Algorithm::Adaptive => {
             let (profile, plan) = with_recorder!(telem, |rec| {
                 let (profile, mut plan) = profile_and_plan_recorded(g, parallel, workers, rec);
                 tune_plan_chunks(g, &mut plan, rec);
                 (profile, plan)
             });
-            let tag = tagged("adaptive");
+            let tag = tagged(if algorithm == Algorithm::Auto {
+                "auto"
+            } else {
+                "adaptive"
+            });
             let profile = Some(profile);
             return Ok(Some(Planned { profile, plan, tag }));
         }
-        Algorithm::Auto => Member::Fixed(auto_invariant(g)),
         Algorithm::Family(inv) => Member::Fixed(inv),
         Algorithm::Priority => Member::Priority,
         Algorithm::Ranked => Member::Ranked,
@@ -2090,11 +2096,7 @@ fn plan_count(
     };
     let profile = profiled.then(|| GraphProfile::compute(g));
     let plan = Plan::forced(g, member, mode, profile.as_ref());
-    let tag = tagged(if algorithm == Algorithm::Auto {
-        "auto"
-    } else {
-        ""
-    });
+    let tag = tagged("");
     Ok(Some(Planned { profile, plan, tag }))
 }
 

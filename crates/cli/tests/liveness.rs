@@ -45,11 +45,11 @@ fn progress_plus_stream_heartbeats_reach_fraction_one() {
     let gpath = dir.join("hb.tsv");
     let gpath_s = gpath.to_str().unwrap();
     generate(gpath_s, "120", "120", "800", "71");
-    // The skewed occupations stand-in, where the plan that runs and the
-    // plan the cost model would pick differ: every heartbeat that carries
-    // a `total` must carry the executed plan's wedge work (Inv. 2 on the
-    // default route, the byte cap's Inv. 1 fallback when budgeted — both
-    // partition V2, 1,110,128 wedges).
+    // The skewed occupations stand-in, where the default route and the
+    // budgeted route run different plans: every heartbeat that carries a
+    // `total` must carry the executed plan's wedge work (the planner's
+    // priority pick on the default route, 179,928 wedges; the byte cap's
+    // Inv. 1 fallback when budgeted, which partitions V2, 1,110,128).
     let skew = dir.join("hb-skew.tsv");
     let skew_s = skew.to_str().unwrap();
     let out = bfly()
@@ -61,7 +61,7 @@ fn progress_plus_stream_heartbeats_reach_fraction_one() {
     let budgeted = ["--parallel", "--threads", "2", "--max-bytes", "1200000"];
     for (input, extra, total) in [
         (gpath_s, &[][..], None),
-        (skew_s, &[][..], Some(1_110_128)),
+        (skew_s, &[][..], Some(179_928)),
         (skew_s, &budgeted[..], Some(1_110_128)),
     ] {
         // A short sleep before counting plus a fast monitor guarantees

@@ -198,7 +198,9 @@ pub fn try_count(g: &BipartiteGraph, inv: Invariant) -> crate::error::Result<u64
 
 /// The family member the paper's §V guidance prescribes: partition the
 /// *smaller* vertex set, with the forward look-ahead member §V singles
-/// out — Inv. 2 when `|V2| ≤ |V1|`, else Inv. 6.
+/// out — Inv. 2 when `|V2| ≤ |V1|`, else Inv. 6. The paper's rule, kept
+/// for reproducing it; `bfly count`'s default runs the planner
+/// ([`select_plan`](crate::adaptive::select_plan)) instead.
 pub fn auto_invariant(g: &BipartiteGraph) -> Invariant {
     if g.nv2() <= g.nv1() {
         Invariant::Inv2

@@ -31,7 +31,7 @@ use super::engine::{drain_pairs, record_update};
 use super::parallel::{balanced_ranges, drive_chunks, run_inline, Kernel};
 use bfly_graph::ordering::global_degree_ranks;
 use bfly_graph::BipartiteGraph;
-use bfly_sparse::{choose2, CheckedAccum, Spa};
+use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
 use bfly_telemetry::{timed_phase, timed_span, Recorder};
 use std::time::Instant;
 
@@ -47,7 +47,8 @@ pub struct PriorityRanks {
 }
 
 impl PriorityRanks {
-    /// Sort both degree arrays into the total order (`O(V log V)`).
+    /// Counting-sort both degree arrays into the total order
+    /// (`O(V + max degree)`).
     pub fn compute(g: &BipartiteGraph) -> PriorityRanks {
         let (rank_v1, rank_v2) = global_degree_ranks(g);
         PriorityRanks { rank_v1, rank_v2 }
@@ -56,7 +57,7 @@ impl PriorityRanks {
 
 /// Exact number of wedges the priority kernel expands on `g`: the
 /// closed form `Σ_j [C(deg(j), 2) − C(g_j, 2)]` over both sides, with
-/// `g_j` = neighbours of `j` out-ranking `j`. `O(E + V log V)`; equals
+/// `g_j` = neighbours of `j` out-ranking `j`. `O(E + V + max degree)`; equals
 /// the kernel's `wedges_expanded` counter on every graph, which is what
 /// lets [`Plan::forecast`](crate::adaptive::Plan::forecast) stay exact
 /// for the priority and ranked members.
@@ -69,9 +70,10 @@ pub fn priority_wedge_work(g: &BipartiteGraph) -> u64 {
 pub fn priority_wedge_work_with(g: &BipartiteGraph, ranks: &PriorityRanks) -> u64 {
     let a = g.biadjacency();
     // g_j per vertex in one edge pass: ranks are a total order, so for
-    // every edge (u, v) exactly one endpoint out-ranks the other.
-    let mut up_v1 = vec![0u64; g.nv1()];
-    let mut up_v2 = vec![0u64; g.nv2()];
+    // every edge (u, v) exactly one endpoint out-ranks the other. A
+    // count never exceeds its vertex's degree, so `u32` holds it.
+    let mut up_v1 = vec![0u32; g.nv1()];
+    let mut up_v2 = vec![0u32; g.nv2()];
     for u in 0..g.nv1() {
         let ru = ranks.rank_v1[u];
         for &v in a.row(u) {
@@ -84,12 +86,42 @@ pub fn priority_wedge_work_with(g: &BipartiteGraph, ranks: &PriorityRanks) -> u6
     }
     let mut total = 0u64;
     for u in 0..g.nv1() {
-        total = total.saturating_add(choose2(g.deg_v1(u) as u64) - choose2(up_v1[u]));
+        total = total.saturating_add(choose2(g.deg_v1(u) as u64) - choose2(up_v1[u].into()));
     }
     for v in 0..g.nv2() {
-        total = total.saturating_add(choose2(g.deg_v2(v) as u64) - choose2(up_v2[v]));
+        total = total.saturating_add(choose2(g.deg_v2(v) as u64) - choose2(up_v2[v].into()));
     }
     total
+}
+
+/// Start `s` of the combined index space (`s < nv1` is V1 vertex `s`,
+/// else V2 vertex `s − nv1`) seen from its own side:
+/// `(start rows, centre rows, start-side ranks, centre-side ranks, id)`.
+#[inline]
+fn oriented<'g>(
+    g: &'g BipartiteGraph,
+    ranks: &'g PriorityRanks,
+    s: usize,
+) -> (&'g Pattern, &'g Pattern, &'g [u32], &'g [u32], usize) {
+    let (a, at) = (g.biadjacency(), g.biadjacency_t());
+    if s < g.nv1() {
+        (a, at, &ranks.rank_v1, &ranks.rank_v2, s)
+    } else {
+        (at, a, &ranks.rank_v2, &ranks.rank_v1, s - g.nv1())
+    }
+}
+
+/// One start's entry of [`priority_start_weights`] (combined index `s`),
+/// for callers that visit the starts in another order.
+pub(crate) fn priority_start_weight(g: &BipartiteGraph, ranks: &PriorityRanks, s: usize) -> u64 {
+    let (adj_start, adj_mid, rank_start, rank_mid, u) = oriented(g, ranks, s);
+    let ru = rank_start[u];
+    adj_start
+        .row(u)
+        .iter()
+        .filter(|&&j| rank_mid[j as usize] > ru)
+        .map(|&j| (adj_mid.row(j as usize).len() as u64).saturating_sub(1))
+        .sum()
 }
 
 /// Cheap per-start upper bound on the wedges each start vertex expands —
@@ -99,30 +131,9 @@ pub fn priority_wedge_work_with(g: &BipartiteGraph, ranks: &PriorityRanks) -> u6
 /// (it skips the far-endpoint rank filter) but proportional enough to
 /// balance chunks; exactness is not required for correctness.
 pub fn priority_start_weights(g: &BipartiteGraph, ranks: &PriorityRanks) -> Vec<u64> {
-    let a = g.biadjacency();
-    let at = g.biadjacency_t();
-    let mut weights = Vec::with_capacity(g.nv1() + g.nv2());
-    for u in 0..g.nv1() {
-        let ru = ranks.rank_v1[u];
-        let w: u64 = a
-            .row(u)
-            .iter()
-            .filter(|&&j| ranks.rank_v2[j as usize] > ru)
-            .map(|&j| (at.row(j as usize).len() as u64).saturating_sub(1))
-            .sum();
-        weights.push(w);
-    }
-    for v in 0..g.nv2() {
-        let rv = ranks.rank_v2[v];
-        let w: u64 = at
-            .row(v)
-            .iter()
-            .filter(|&&j| ranks.rank_v1[j as usize] > rv)
-            .map(|&j| (a.row(j as usize).len() as u64).saturating_sub(1))
-            .sum();
-        weights.push(w);
-    }
-    weights
+    (0..g.nv1() + g.nv2())
+        .map(|s| priority_start_weight(g, ranks, s))
+        .collect()
 }
 
 /// Visit the priority wedges of start `s` (combined index: `s < nv1` is
@@ -137,12 +148,7 @@ pub(crate) fn for_each_wedge(
     s: usize,
     mut f: impl FnMut(u32, u32),
 ) {
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
-    let (adj_start, adj_mid, rank_start, rank_mid, u) = if s < g.nv1() {
-        (a, at, &ranks.rank_v1, &ranks.rank_v2, s)
-    } else {
-        (at, a, &ranks.rank_v2, &ranks.rank_v1, s - g.nv1())
-    };
+    let (adj_start, adj_mid, rank_start, rank_mid, u) = oriented(g, ranks, s);
     let ru = rank_start[u];
     for &j in adj_start.row(u) {
         if rank_mid[j as usize] <= ru {

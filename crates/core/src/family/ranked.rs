@@ -24,7 +24,7 @@
 
 use super::engine::drain_pairs;
 use super::parallel::{balanced_chunk_bounds, drive_chunks, run_inline, Kernel};
-use super::priority::{for_each_wedge, priority_start_weights, PriorityRanks};
+use super::priority::{for_each_wedge, priority_start_weight, PriorityRanks};
 use bfly_graph::BipartiteGraph;
 use bfly_sparse::{CheckedAccum, Spa};
 use bfly_telemetry::{timed_phase, timed_span, Counter, Recorder};
@@ -39,15 +39,16 @@ pub const RANKED_BUCKET_WEDGES: u64 = 1 << 14;
 
 /// Starts ordered by ascending rank (the "ranked" in ranked
 /// aggregation), as combined indices (`s < nv1` → V1 vertex `s`, else V2
-/// vertex `s − nv1`).
-fn starts_by_rank(g: &BipartiteGraph, ranks: &PriorityRanks) -> Vec<usize> {
+/// vertex `s − nv1`). Ranks are `u32` over every vertex, so the combined
+/// indices are too.
+fn starts_by_rank(g: &BipartiteGraph, ranks: &PriorityRanks) -> Vec<u32> {
     let nstarts = g.nv1() + g.nv2();
-    let mut order = vec![0usize; nstarts];
+    let mut order = vec![0u32; nstarts];
     for (u, &r) in ranks.rank_v1.iter().enumerate() {
-        order[r as usize] = u;
+        order[r as usize] = u as u32;
     }
     for (v, &r) in ranks.rank_v2.iter().enumerate() {
-        order[r as usize] = g.nv1() + v;
+        order[r as usize] = (g.nv1() + v) as u32;
     }
     order
 }
@@ -81,7 +82,7 @@ struct RankedScratch {
 struct RankedKernel<'g> {
     g: &'g BipartiteGraph,
     ranks: &'g PriorityRanks,
-    order: Vec<usize>,
+    order: Vec<u32>,
 }
 
 impl Kernel for RankedKernel<'_> {
@@ -104,7 +105,7 @@ impl Kernel for RankedKernel<'_> {
         rec: &mut R,
     ) -> u64 {
         let before = scratch.batch.len();
-        for_each_wedge(self.g, self.ranks, self.order[i], |_, w| {
+        for_each_wedge(self.g, self.ranks, self.order[i] as usize, |_, w| {
             scratch.batch.push(w)
         });
         scratch.segs.push(scratch.batch.len());
@@ -165,9 +166,14 @@ pub(crate) fn run_ranked<R: Recorder>(
 ) -> (CheckedAccum, bool) {
     let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
     let order = starts_by_rank(g, &ranks);
-    let weights_by_start = priority_start_weights(g, &ranks);
-    let weights: Vec<u64> = order.iter().map(|&s| weights_by_start[s]).collect();
-    let bounds = bucket_bounds(&weights, chunks.unwrap_or(1).max(1));
+    // The weights live only until the bucket bounds are placed.
+    let bounds = {
+        let weights: Vec<u64> = order
+            .iter()
+            .map(|&s| priority_start_weight(g, &ranks, s as usize))
+            .collect();
+        bucket_bounds(&weights, chunks.unwrap_or(1).max(1))
+    };
     if R::ENABLED {
         rec.gauge("ranked_buckets", (bounds.len() - 1) as f64);
     }

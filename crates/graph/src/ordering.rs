@@ -58,27 +58,36 @@ pub fn relabel(g: &BipartiteGraph, side: Side, perm: &[u32]) -> BipartiteGraph {
 /// degree (ties by side, then id). Returns `(rank_v1, rank_v2)`: lower rank
 /// = higher priority. This is the order the vertex-priority baseline
 /// (BFC-VP) peels wedges in.
+///
+/// One counting sort over degrees, `O(V + max degree)` time, allocating
+/// one `u32` bucket per degree beside the two rank arrays: each degree's
+/// bucket becomes its first free rank, and handing ranks out over V1 then
+/// V2, ids ascending, breaks ties by side then id.
 pub fn global_degree_ranks(g: &BipartiteGraph) -> (Vec<u32>, Vec<u32>) {
-    let m = g.nv1();
-    let n = g.nv2();
-    // Entries: (degree, side, id). Sort descending by degree.
-    let mut all: Vec<(usize, u8, u32)> = Vec::with_capacity(m + n);
-    for u in 0..m {
-        all.push((g.deg_v1(u), 0, u as u32));
+    let (m, n) = (g.nv1(), g.nv2());
+    let degrees = || {
+        (0..m)
+            .map(|u| g.deg_v1(u))
+            .chain((0..n).map(|v| g.deg_v2(v)))
+    };
+    let mut next = vec![0u32; degrees().max().unwrap_or(0) + 1];
+    for d in degrees() {
+        next[d] += 1;
     }
-    for v in 0..n {
-        all.push((g.deg_v2(v), 1, v as u32));
+    // Exclusive prefix sum from the highest degree down.
+    let mut first = 0u32;
+    for slot in next.iter_mut().rev() {
+        let size = *slot;
+        *slot = first;
+        first += size;
     }
-    all.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    let mut rank_v1 = vec![0u32; m];
-    let mut rank_v2 = vec![0u32; n];
-    for (rank, &(_, side, id)) in all.iter().enumerate() {
-        if side == 0 {
-            rank_v1[id as usize] = rank as u32;
-        } else {
-            rank_v2[id as usize] = rank as u32;
-        }
-    }
+    let mut take = |d: usize| {
+        let rank = next[d];
+        next[d] += 1;
+        rank
+    };
+    let rank_v1 = (0..m).map(|u| take(g.deg_v1(u))).collect();
+    let rank_v2 = (0..n).map(|v| take(g.deg_v2(v))).collect();
     (rank_v1, rank_v2)
 }
 
