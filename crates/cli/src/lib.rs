@@ -51,11 +51,10 @@ use bfly_core::{
     enumerate_butterflies, segmented_profile, BflyError, CheckpointConfig, Invariant, Partial,
     ResourceBudget,
 };
-use bfly_graph::io::{read_edge_list_file, read_konect_file, write_edge_list, IoError};
-use bfly_graph::matrix_market::read_matrix_market_file;
+use bfly_graph::io::{read_text_file, write_edge_list, IoError};
 use bfly_graph::{
     convert_to_bfly, is_bfly_file, read_bfly_file, write_bfly_file, BipartiteGraph, GraphStats,
-    SegmentedGraph, Side, StandIn, TextFormat,
+    SegmentedGraph, Side, StandIn,
 };
 use std::io::Read;
 use std::path::Path;
@@ -320,16 +319,8 @@ pub enum ReportAction {
     },
 }
 
-/// Input file formats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    /// KONECT `out.*` (1-based, `%` comments).
-    Konect,
-    /// 0-based whitespace edge list.
-    EdgeList,
-    /// MatrixMarket coordinate.
-    MatrixMarket,
-}
+/// Input file formats: the text dialects every loader and `convert` read.
+pub use bfly_graph::TextFormat as Format;
 
 /// Counting algorithm selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1072,16 +1063,8 @@ pub fn load_graph(path: &str, format: Option<Format>) -> Result<BipartiteGraph, 
     if format.is_none() && is_bfly_file(path) {
         return read_bfly_file(path).map_err(|e| io_error(format!("failed to load {path}"), e));
     }
-    let fmt = match format {
-        Some(f) => f,
-        None => sniff_format(path)?,
-    };
-    let res = match fmt {
-        Format::Konect => read_konect_file(path),
-        Format::EdgeList => read_edge_list_file(path),
-        Format::MatrixMarket => read_matrix_market_file(path),
-    };
-    res.map_err(|e| io_error(format!("failed to load {path}"), e))
+    let fmt = format.map_or_else(|| sniff_format(path), Ok)?;
+    read_text_file(path, fmt).map_err(|e| io_error(format!("failed to load {path}"), e))
 }
 
 /// A graph I/O failure as a CLI error: parse class (exit 3) for
@@ -1842,9 +1825,9 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             out: path,
         } => {
             if path.ends_with(".bfly") {
-                // Text inputs stream through the one-pass converter
-                // (bounded memory regardless of |E|); a `.bfly` input is
-                // re-encoded via the in-memory writer.
+                // Text inputs stream through the loaders' parser into the
+                // one-pass converter (bounded memory regardless of |E|); a
+                // `.bfly` input is re-encoded via the in-memory writer.
                 if format.is_none() && is_bfly_file(&file) {
                     let g = load_graph(&file, None)?;
                     let bytes = write_bfly_file(&g, &path)
@@ -1854,16 +1837,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                         format!("wrote {} edges ({bytes} bytes) to {path}", g.nedges()),
                     );
                 }
-                let fmt = match format {
-                    Some(Format::Konect) => TextFormat::Konect,
-                    Some(Format::EdgeList) => TextFormat::EdgeList,
-                    Some(Format::MatrixMarket) => TextFormat::MatrixMarket,
-                    None => match sniff_format(&file)? {
-                        Format::Konect => TextFormat::Konect,
-                        Format::EdgeList => TextFormat::EdgeList,
-                        Format::MatrixMarket => TextFormat::MatrixMarket,
-                    },
-                };
+                let fmt = format.map_or_else(|| sniff_format(&file), Ok)?;
                 let s = convert_to_bfly(&file, fmt, &path)
                     .map_err(|e| io_error(format!("convert {file}"), e))?;
                 return w(

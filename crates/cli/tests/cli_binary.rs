@@ -289,6 +289,19 @@ fn exit_codes_follow_error_classes() {
         .unwrap();
     assert_eq!(out.status.code(), Some(3), "{:?}", out);
     assert!(String::from_utf8_lossy(&out.stderr).contains("header declares"));
+    // So is a MatrixMarket size line past u32 indices, before anything is
+    // allocated for it.
+    let huge = dir.join("huge.mtx");
+    std::fs::write(
+        &huge,
+        "%%MatrixMarket matrix coordinate pattern general\n99999999999 1 0\n",
+    )
+    .unwrap();
+    let out = bfly()
+        .args(["count", huge.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3), "{:?}", out);
     // Budget refusals exit 4.
     let gpath = dir.join("budget.tsv");
     let gpath_s = gpath.to_str().unwrap();

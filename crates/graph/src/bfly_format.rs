@@ -38,14 +38,15 @@
 //!
 //! The streaming converter ([`convert_to_bfly`]) goes from a KONECT /
 //! edge-list / MatrixMarket text file to `.bfly` without ever holding the
-//! edge list in memory: pass A streams edges to a fixed-width spill file
+//! edge list in memory: pass A streams edges, through the parser every
+//! text loader in [`crate::io`] collects from, to a fixed-width spill file
 //! while counting degrees, then each side is gathered in vertex-range
 //! windows sized to a bounded buffer (classic out-of-core bucketing with
 //! sequential I/O only). Duplicate edges collapse during the per-vertex
 //! sort, matching [`BipartiteGraph::from_edges`] semantics exactly.
 
 use crate::bipartite::{BipartiteGraph, Side};
-use crate::io::IoError;
+use crate::io::{stream_edges, IoError, TextFormat};
 use crate::retry::{with_retries, RetryPolicy, RetryStats};
 use bfly_sparse::Pattern;
 use std::fs::File;
@@ -432,34 +433,70 @@ fn encode_side(pat: &Pattern) -> (Vec<u8>, Vec<u64>) {
     (payload, rel)
 }
 
+/// Write the sections every `.bfly` file opens with: the header, both
+/// degree arrays and both row indexes, ready for the V1 and V2 payloads the
+/// caller writes next. `rel1`/`rel2` are each side's payload-relative row
+/// offsets, ending at its payload length.
+fn write_sections<W: Write>(
+    w: &mut W,
+    deg1: &[u32],
+    deg2: &[u32],
+    rel1: &[u64],
+    rel2: &[u64],
+) -> Result<Header, IoError> {
+    let header = Header::new(
+        deg1.len() as u64,
+        deg2.len() as u64,
+        deg1.iter().map(|&d| u64::from(d)).sum(),
+        fnv1a_degrees(deg1),
+        fnv1a_degrees(deg2),
+        *rel1.last().expect("row offsets start at 0"),
+        *rel2.last().expect("row offsets start at 0"),
+    );
+    w.write_all(&header.to_bytes())?;
+    for &d in deg1.iter().chain(deg2) {
+        w.write_all(&d.to_le_bytes())?;
+    }
+    for &o in rel1 {
+        w.write_all(&(header.off_pay_v1 + o).to_le_bytes())?;
+    }
+    for &o in rel2 {
+        w.write_all(&(header.off_pay_v2 + o).to_le_bytes())?;
+    }
+    Ok(header)
+}
+
+/// Crash-safe file write: `write` fills `<path>.tmp`, which is flushed,
+/// fsynced and only then renamed over `path`. The temp file is removed
+/// when any step fails.
+fn persist_atomically<T>(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<T, IoError>,
+) -> Result<T, IoError> {
+    let tmp = PathBuf::from(format!("{}.tmp", path.display()));
+    let result = (|| {
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        let written = write(&mut w)?;
+        w.flush()?;
+        let f = w.into_inner().map_err(|e| IoError::from(e.into_error()))?;
+        f.sync_all()?;
+        drop(f);
+        std::fs::rename(&tmp, path)?;
+        Ok(written)
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
 /// Serialize a graph to the `.bfly` format. Returns the byte length.
 pub fn write_bfly<W: Write>(g: &BipartiteGraph, w: &mut W) -> Result<u64, IoError> {
     let (pay1, rel1) = encode_side(g.biadjacency());
     let (pay2, rel2) = encode_side(g.biadjacency_t());
     let deg1: Vec<u32> = (0..g.nv1()).map(|u| g.deg_v1(u) as u32).collect();
     let deg2: Vec<u32> = (0..g.nv2()).map(|v| g.deg_v2(v) as u32).collect();
-    let header = Header::new(
-        g.nv1() as u64,
-        g.nv2() as u64,
-        g.nedges() as u64,
-        fnv1a_degrees(&deg1),
-        fnv1a_degrees(&deg2),
-        pay1.len() as u64,
-        pay2.len() as u64,
-    );
-    w.write_all(&header.to_bytes())?;
-    for &d in &deg1 {
-        w.write_all(&d.to_le_bytes())?;
-    }
-    for &d in &deg2 {
-        w.write_all(&d.to_le_bytes())?;
-    }
-    for &o in &rel1 {
-        w.write_all(&(header.off_pay_v1 + o).to_le_bytes())?;
-    }
-    for &o in &rel2 {
-        w.write_all(&(header.off_pay_v2 + o).to_le_bytes())?;
-    }
+    let header = write_sections(w, &deg1, &deg2, &rel1, &rel2)?;
     w.write_all(&pay1)?;
     w.write_all(&pay2)?;
     Ok(header.file_len)
@@ -471,22 +508,7 @@ pub fn write_bfly<W: Write>(g: &BipartiteGraph, w: &mut W) -> Result<u64, IoErro
 /// renamed over `path`, so a reader never observes a torn file — either
 /// the old content or the complete new one.
 pub fn write_bfly_file(g: &BipartiteGraph, path: impl AsRef<Path>) -> Result<u64, IoError> {
-    let path = path.as_ref();
-    let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-    let result = (|| {
-        let mut w = BufWriter::new(File::create(&tmp)?);
-        let n = write_bfly(g, &mut w)?;
-        w.flush()?;
-        let f = w.into_inner().map_err(|e| IoError::from(e.into_error()))?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)?;
-        Ok(n)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    persist_atomically(path.as_ref(), |w| write_bfly(g, w))
 }
 
 // ---------------------------------------------------------------------------
@@ -1176,18 +1198,6 @@ impl GraphSegment {
 // streaming converter
 // ---------------------------------------------------------------------------
 
-/// Text input dialects the streaming converter accepts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TextFormat {
-    /// KONECT `out.*` edge list: 1-based ids, `%` comments, optional
-    /// `% nedges nv1 nv2` size header.
-    Konect,
-    /// Plain 0-based edge list with the same comment conventions.
-    EdgeList,
-    /// MatrixMarket coordinate file (`pattern`/`integer`/`real`).
-    MatrixMarket,
-}
-
 /// What the streaming converter did.
 #[derive(Debug, Clone, Copy)]
 pub struct ConvertStats {
@@ -1203,258 +1213,6 @@ pub struct ConvertStats {
     pub bytes_written: u64,
     /// Spill-file scan passes the bounded-buffer gather needed.
     pub gather_passes: u32,
-}
-
-struct StreamInfo {
-    data_lines: u64,
-    /// Declared `(header_line, nv1, nv2)` when the input carries one.
-    declared_dims: Option<(usize, u64, u64)>,
-}
-
-/// Stream `(u, v)` edges (0-based) out of a text graph file, enforcing
-/// the same header cross-checks as the in-memory readers in
-/// [`crate::io`] / [`crate::matrix_market`] — but without accumulating
-/// the edge list.
-fn stream_edges<R: Read>(
-    reader: R,
-    format: TextFormat,
-    mut emit: impl FnMut(u32, u32) -> Result<(), IoError>,
-) -> Result<StreamInfo, IoError> {
-    use std::io::BufRead;
-    let reader = BufReader::new(reader);
-    match format {
-        TextFormat::Konect | TextFormat::EdgeList => {
-            let one_based = format == TextFormat::Konect;
-            let mut header: Option<(usize, u64, u64, u64)> = None;
-            let mut data_lines = 0u64;
-            for (lineno, line) in reader.lines().enumerate() {
-                let line = line?;
-                let line = if lineno == 0 {
-                    crate::io::strip_bom(&line).to_string()
-                } else {
-                    line
-                };
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                if trimmed.starts_with('%') || trimmed.starts_with('#') {
-                    if header.is_none() && data_lines == 0 {
-                        let body = trimmed.trim_start_matches(['%', '#']);
-                        let nums: Vec<u64> = body
-                            .split_whitespace()
-                            .map_while(|t| t.parse().ok())
-                            .collect();
-                        if nums.len() == 3 && body.split_whitespace().count() == 3 {
-                            header = Some((lineno + 1, nums[0], nums[1], nums[2]));
-                        }
-                    }
-                    continue;
-                }
-                data_lines += 1;
-                let mut it = trimmed.split_whitespace();
-                let (us, vs) = match (it.next(), it.next()) {
-                    (Some(u), Some(v)) => (u, v),
-                    _ => {
-                        return Err(IoError::Parse {
-                            line: lineno + 1,
-                            msg: format!("expected at least two fields, got {trimmed:?}"),
-                        })
-                    }
-                };
-                let parse = |s: &str| -> Result<u32, IoError> {
-                    s.parse::<u32>().map_err(|e| IoError::Parse {
-                        line: lineno + 1,
-                        msg: format!("bad vertex id {s:?}: {e}"),
-                    })
-                };
-                let (mut u, mut v) = (parse(us)?, parse(vs)?);
-                if one_based {
-                    if u == 0 || v == 0 {
-                        return Err(IoError::Parse {
-                            line: lineno + 1,
-                            msg: "vertex id 0 in a 1-based file".to_string(),
-                        });
-                    }
-                    u -= 1;
-                    v -= 1;
-                }
-                if let Some((hline, _, nv1, nv2)) = header {
-                    if u as u64 >= nv1 || v as u64 >= nv2 {
-                        return Err(IoError::Parse {
-                            line: hline,
-                            msg: format!(
-                                "edge ({u}, {v}) outside the declared {nv1}x{nv2} vertex sets (0-based)"
-                            ),
-                        });
-                    }
-                }
-                emit(u, v)?;
-            }
-            let declared_dims = match header {
-                Some((hline, ne, nv1, nv2)) => {
-                    if ne != data_lines {
-                        return Err(IoError::Parse {
-                            line: hline,
-                            msg: format!(
-                                "header declares {ne} edges but the file has {data_lines} data lines"
-                            ),
-                        });
-                    }
-                    if nv1 > u32::MAX as u64 || nv2 > u32::MAX as u64 {
-                        return Err(IoError::Parse {
-                            line: hline,
-                            msg: format!(
-                                "declared vertex-set sizes {nv1}x{nv2} exceed u32 indices"
-                            ),
-                        });
-                    }
-                    Some((hline, nv1, nv2))
-                }
-                None => None,
-            };
-            Ok(StreamInfo {
-                data_lines,
-                declared_dims,
-            })
-        }
-        TextFormat::MatrixMarket => {
-            let mut lines = reader.lines();
-            let mut first = true;
-            let header = loop {
-                match lines.next() {
-                    Some(line) => {
-                        let line = line?;
-                        let line = if std::mem::take(&mut first) {
-                            crate::io::strip_bom(&line).to_string()
-                        } else {
-                            line
-                        };
-                        if line.starts_with("%%MatrixMarket") {
-                            break line;
-                        }
-                        if !line.trim().is_empty() {
-                            return Err(IoError::Parse {
-                                line: 1,
-                                msg: "missing %%MatrixMarket header".to_string(),
-                            });
-                        }
-                    }
-                    None => {
-                        return Err(IoError::Parse {
-                            line: 1,
-                            msg: "empty file".to_string(),
-                        })
-                    }
-                }
-            };
-            let tokens: Vec<&str> = header.split_whitespace().collect();
-            if tokens.len() < 4 || tokens[1] != "matrix" || tokens[2] != "coordinate" {
-                return Err(IoError::Parse {
-                    line: 1,
-                    msg: format!("unsupported header {header:?} (need matrix coordinate)"),
-                });
-            }
-            let field = tokens[3];
-            if !matches!(field, "pattern" | "integer" | "real") {
-                return Err(IoError::Parse {
-                    line: 1,
-                    msg: format!("unsupported field type {field:?}"),
-                });
-            }
-            let mut lineno = 1usize;
-            let (m, n, nnz) = loop {
-                let line = lines.next().ok_or(IoError::Parse {
-                    line: lineno,
-                    msg: "missing size line".to_string(),
-                })??;
-                lineno += 1;
-                let t = line.trim();
-                if t.is_empty() || t.starts_with('%') {
-                    continue;
-                }
-                let parts: Vec<&str> = t.split_whitespace().collect();
-                if parts.len() != 3 {
-                    return Err(IoError::Parse {
-                        line: lineno,
-                        msg: format!("bad size line {t:?}"),
-                    });
-                }
-                let parse = |s: &str| -> Result<u64, IoError> {
-                    s.parse().map_err(|e| IoError::Parse {
-                        line: lineno,
-                        msg: format!("bad size field {s:?}: {e}"),
-                    })
-                };
-                break (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
-            };
-            if m > u32::MAX as u64 || n > u32::MAX as u64 {
-                return Err(IoError::Parse {
-                    line: lineno,
-                    msg: format!("declared matrix {m}x{n} exceeds u32 indices"),
-                });
-            }
-            let size_line = lineno;
-            let mut entry_lines = 0u64;
-            for line in lines {
-                let line = line?;
-                lineno += 1;
-                let t = line.trim();
-                if t.is_empty() || t.starts_with('%') {
-                    continue;
-                }
-                entry_lines += 1;
-                let mut it = t.split_whitespace();
-                let (rs, cs) = match (it.next(), it.next()) {
-                    (Some(r), Some(c)) => (r, c),
-                    _ => {
-                        return Err(IoError::Parse {
-                            line: lineno,
-                            msg: format!("bad entry line {t:?}"),
-                        })
-                    }
-                };
-                let r: u64 = rs.parse().map_err(|e| IoError::Parse {
-                    line: lineno,
-                    msg: format!("bad row {rs:?}: {e}"),
-                })?;
-                let c: u64 = cs.parse().map_err(|e| IoError::Parse {
-                    line: lineno,
-                    msg: format!("bad column {cs:?}: {e}"),
-                })?;
-                if r == 0 || c == 0 || r > m || c > n {
-                    return Err(IoError::Parse {
-                        line: lineno,
-                        msg: format!("entry ({r}, {c}) outside the declared {m}x{n} matrix"),
-                    });
-                }
-                if field != "pattern" {
-                    let vs = it.next().ok_or(IoError::Parse {
-                        line: lineno,
-                        msg: "missing value field".to_string(),
-                    })?;
-                    let v: f64 = vs.parse().map_err(|e| IoError::Parse {
-                        line: lineno,
-                        msg: format!("bad value {vs:?}: {e}"),
-                    })?;
-                    if v == 0.0 {
-                        continue;
-                    }
-                }
-                emit((r - 1) as u32, (c - 1) as u32)?;
-            }
-            if entry_lines != nnz {
-                return Err(IoError::Parse {
-                    line: size_line,
-                    msg: format!("size line declares {nnz} entries but the file has {entry_lines}"),
-                });
-            }
-            Ok(StreamInfo {
-                data_lines: entry_lines,
-                declared_dims: Some((size_line, m, n)),
-            })
-        }
-    }
 }
 
 fn bump_degree(deg: &mut Vec<u32>, i: u32) {
@@ -1573,27 +1331,16 @@ pub fn convert_to_bfly_with_buffer(
 ) -> Result<ConvertStats, IoError> {
     let input = input.as_ref();
     let out = out.as_ref();
-    let spill_path = PathBuf::from(format!("{}.spill.tmp", out.display()));
-    let pay1_path = PathBuf::from(format!("{}.pay1.tmp", out.display()));
-    let pay2_path = PathBuf::from(format!("{}.pay2.tmp", out.display()));
-    let final_tmp_path = PathBuf::from(format!("{}.tmp", out.display()));
-    let result = convert_inner(
-        input,
-        format,
-        out,
-        buffer_entries,
-        &spill_path,
-        &pay1_path,
-        &pay2_path,
-        &final_tmp_path,
-    );
-    for p in [&spill_path, &pay1_path, &pay2_path, &final_tmp_path] {
+    let tmp = |suffix: &str| PathBuf::from(format!("{}{suffix}", out.display()));
+    let (spill, pay1, pay2) = (tmp(".spill.tmp"), tmp(".pay1.tmp"), tmp(".pay2.tmp"));
+    let result = convert_inner(input, format, out, buffer_entries, &spill, &pay1, &pay2);
+    // `<out>.tmp` too: an earlier run that crashed mid-assembly leaves one.
+    for p in [spill, pay1, pay2, tmp(".tmp")] {
         let _ = std::fs::remove_file(p);
     }
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn convert_inner(
     input: &Path,
     format: TextFormat,
@@ -1602,10 +1349,9 @@ fn convert_inner(
     spill_path: &Path,
     pay1_path: &Path,
     pay2_path: &Path,
-    final_tmp_path: &Path,
 ) -> Result<ConvertStats, IoError> {
-    // Pass A: stream the text input once, spilling fixed-width edge
-    // records and counting pre-dedup degrees.
+    // Pass A: stream the text input once through the loaders' parser,
+    // spilling fixed-width edge records and counting pre-dedup degrees.
     let mut spill = BufWriter::new(File::create(spill_path)?);
     let mut predeg1: Vec<u32> = Vec::new();
     let mut predeg2: Vec<u32> = Vec::new();
@@ -1618,13 +1364,7 @@ fn convert_inner(
     })?;
     spill.flush()?;
     drop(spill);
-
-    // Declared dims win (they keep trailing isolated vertices, exactly
-    // like the in-memory readers); headerless files use max id + 1.
-    let (nv1, nv2) = match info.declared_dims {
-        Some((_, d1, d2)) => (d1 as usize, d2 as usize),
-        None => (predeg1.len(), predeg2.len()),
-    };
+    let (nv1, nv2) = (info.nv1, info.nv2);
     predeg1.resize(nv1, 0);
     predeg2.resize(nv2, 0);
 
@@ -1633,52 +1373,24 @@ fn convert_inner(
         gather_side(spill_path, true, &predeg1, nv2, buffer_entries, pay1_path)?;
     let (deg2, rel2, passes2) =
         gather_side(spill_path, false, &predeg2, nv1, buffer_entries, pay2_path)?;
-    let nedges: u64 = deg1.iter().map(|&d| u64::from(d)).sum();
-    let check: u64 = deg2.iter().map(|&d| u64::from(d)).sum();
-    debug_assert_eq!(nedges, check);
-
-    // Assemble the final file.
-    let pay1_len = *rel1.last().unwrap();
-    let pay2_len = *rel2.last().unwrap();
-    let header = Header::new(
-        nv1 as u64,
-        nv2 as u64,
-        nedges,
-        fnv1a_degrees(&deg1),
-        fnv1a_degrees(&deg2),
-        pay1_len,
-        pay2_len,
+    debug_assert_eq!(
+        deg1.iter().map(|&d| u64::from(d)).sum::<u64>(),
+        deg2.iter().map(|&d| u64::from(d)).sum::<u64>()
     );
-    // Assemble into `<out>.tmp`, fsync, then atomically rename: a crash
-    // (or injected fault) mid-assembly can never leave a torn `.bfly`
-    // under the destination name — the caller's cleanup removes the temp.
-    let mut w = BufWriter::new(File::create(final_tmp_path)?);
-    w.write_all(&header.to_bytes())?;
-    for &d in &deg1 {
-        w.write_all(&d.to_le_bytes())?;
-    }
-    for &d in &deg2 {
-        w.write_all(&d.to_le_bytes())?;
-    }
-    for &o in &rel1 {
-        w.write_all(&(header.off_pay_v1 + o).to_le_bytes())?;
-    }
-    for &o in &rel2 {
-        w.write_all(&(header.off_pay_v2 + o).to_le_bytes())?;
-    }
-    std::io::copy(&mut File::open(pay1_path)?, &mut w)?;
-    std::io::copy(&mut File::open(pay2_path)?, &mut w)?;
-    w.flush()?;
-    let f = w.into_inner().map_err(|e| IoError::from(e.into_error()))?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(final_tmp_path, out)?;
+
+    // Assemble the final file from the payload spills.
+    let header = persist_atomically(out, |w| {
+        let header = write_sections(w, &deg1, &deg2, &rel1, &rel2)?;
+        std::io::copy(&mut File::open(pay1_path)?, w)?;
+        std::io::copy(&mut File::open(pay2_path)?, w)?;
+        Ok(header)
+    })?;
 
     Ok(ConvertStats {
         nv1,
         nv2,
         data_lines: info.data_lines,
-        nedges,
+        nedges: header.nedges,
         bytes_written: header.file_len,
         gather_passes: passes1 + passes2,
     })
@@ -1931,6 +1643,8 @@ mod tests {
         write_edge_list(&g, &mut f).unwrap();
         drop(f);
         let expect = read_edge_list_file(&txt).unwrap();
+        let in_memory = dir.join("in-memory.bfly");
+        write_bfly_file(&expect, &in_memory).unwrap();
 
         for (tag, buffer) in [("big", 1 << 20), ("tiny", 7)] {
             let out = dir.join(format!("g-{tag}.bfly"));
@@ -1939,6 +1653,11 @@ mod tests {
             assert_eq!(stats.nedges, expect.nedges() as u64);
             let sg = SegmentedGraph::open(&out).unwrap();
             assert_eq!(sg.load().unwrap(), expect);
+            // Both writers emit the same sections in the same order.
+            assert_eq!(
+                std::fs::read(&out).unwrap(),
+                std::fs::read(&in_memory).unwrap()
+            );
             if buffer == 7 {
                 assert!(
                     stats.gather_passes > 2,

@@ -41,12 +41,13 @@ pub mod temporal;
 
 pub use bfly_format::{
     convert_to_bfly, is_bfly_file, read_bfly, read_bfly_file, write_bfly, write_bfly_file,
-    ConvertStats, GraphSegment, RowReader, SegmentedGraph, TextFormat,
+    ConvertStats, GraphSegment, RowReader, SegmentedGraph,
 };
 pub use bipartite::{BipartiteGraph, Side};
 pub use compact::{compact, compact_by, CompactedGraph};
 pub use components::{component_subgraph, connected_components, Components};
 pub use cores::{butterfly_core, kl_core, CoreResult};
+pub use io::TextFormat;
 pub use konect::{DatasetSpec, StandIn};
 pub use retry::{is_transient_io_error, with_retries, RetryPolicy, RetryStats, RetryingReader};
 pub use rewire::double_edge_swaps;

@@ -4,157 +4,24 @@
 //! coordinate files; supporting the format lets the harness run on real
 //! downloads with no conversion step. We read/write the `coordinate`
 //! layout with `pattern`, `integer`, or `real` fields — any nonzero entry
-//! becomes an edge (the biadjacency is 0/1 by definition).
+//! becomes an edge (the biadjacency is 0/1 by definition), and an
+//! `integer` or `real` entry without its value column is a parse error.
 
 use crate::bipartite::BipartiteGraph;
-use crate::io::IoError;
-use std::io::{BufRead, BufReader, Read, Write};
+use crate::io::{read_text, read_text_file, IoError, TextFormat};
+use std::io::{Read, Write};
 use std::path::Path;
 
 /// Parse a MatrixMarket coordinate file into a bipartite graph
-/// (rows = V1, columns = V2; indices are 1-based per the format).
+/// (rows = V1, columns = V2; indices are 1-based per the format). The
+/// grammar is [`TextFormat::MatrixMarket`]'s in [`crate::io`].
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<BipartiteGraph, IoError> {
-    let mut lines = BufReader::new(reader).lines();
-    // Header: %%MatrixMarket matrix coordinate <field> <symmetry>.
-    // The first line may carry a UTF-8 BOM (Windows editors); CRLF is
-    // handled throughout because `\r` is whitespace to the tokenizers.
-    let mut first = true;
-    let header = loop {
-        match lines.next() {
-            Some(line) => {
-                let line = line?;
-                let line = if std::mem::take(&mut first) {
-                    crate::io::strip_bom(&line).to_string()
-                } else {
-                    line
-                };
-                if line.starts_with("%%MatrixMarket") {
-                    break line;
-                }
-                if !line.trim().is_empty() {
-                    return Err(IoError::Parse {
-                        line: 1,
-                        msg: "missing %%MatrixMarket header".to_string(),
-                    });
-                }
-            }
-            None => {
-                return Err(IoError::Parse {
-                    line: 1,
-                    msg: "empty file".to_string(),
-                })
-            }
-        }
-    };
-    let tokens: Vec<&str> = header.split_whitespace().collect();
-    if tokens.len() < 4 || tokens[1] != "matrix" || tokens[2] != "coordinate" {
-        return Err(IoError::Parse {
-            line: 1,
-            msg: format!("unsupported header {header:?} (need matrix coordinate)"),
-        });
-    }
-    let field = tokens[3];
-    if !matches!(field, "pattern" | "integer" | "real") {
-        return Err(IoError::Parse {
-            line: 1,
-            msg: format!("unsupported field type {field:?}"),
-        });
-    }
-
-    // Size line: m n nnz (skipping % comments).
-    let mut lineno = 1usize;
-    let (m, n, nnz) = loop {
-        let line = lines.next().ok_or(IoError::Parse {
-            line: lineno,
-            msg: "missing size line".to_string(),
-        })??;
-        lineno += 1;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        let parts: Vec<&str> = t.split_whitespace().collect();
-        if parts.len() != 3 {
-            return Err(IoError::Parse {
-                line: lineno,
-                msg: format!("bad size line {t:?}"),
-            });
-        }
-        let parse = |s: &str| -> Result<usize, IoError> {
-            s.parse().map_err(|e| IoError::Parse {
-                line: lineno,
-                msg: format!("bad size field {s:?}: {e}"),
-            })
-        };
-        break (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
-    };
-
-    // `nnz` counts *entry lines*, not edges: zero-valued entries are
-    // skipped (they are not edges) but still count against the declared
-    // total, so track the two separately.
-    let mut entry_lines = 0usize;
-    let mut edges = Vec::with_capacity(nnz.min(1 << 20));
-    for line in lines {
-        let line = line?;
-        lineno += 1;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        entry_lines += 1;
-        let mut it = t.split_whitespace();
-        let (rs, cs) = match (it.next(), it.next()) {
-            (Some(r), Some(c)) => (r, c),
-            _ => {
-                return Err(IoError::Parse {
-                    line: lineno,
-                    msg: format!("bad entry line {t:?}"),
-                })
-            }
-        };
-        let r: usize = rs.parse().map_err(|e| IoError::Parse {
-            line: lineno,
-            msg: format!("bad row {rs:?}: {e}"),
-        })?;
-        let c: usize = cs.parse().map_err(|e| IoError::Parse {
-            line: lineno,
-            msg: format!("bad col {cs:?}: {e}"),
-        })?;
-        if r == 0 || c == 0 || r > m || c > n {
-            return Err(IoError::Parse {
-                line: lineno,
-                msg: format!("entry ({r},{c}) outside {m}x{n}"),
-            });
-        }
-        // Value column (if any): zero values are not edges.
-        if field != "pattern" {
-            if let Some(vs) = it.next() {
-                let v: f64 = vs.parse().map_err(|e| IoError::Parse {
-                    line: lineno,
-                    msg: format!("bad value {vs:?}: {e}"),
-                })?;
-                if v == 0.0 {
-                    continue;
-                }
-            }
-        }
-        edges.push(((r - 1) as u32, (c - 1) as u32));
-    }
-    if entry_lines != nnz {
-        return Err(IoError::Parse {
-            line: lineno,
-            msg: format!("size line declares {nnz} entries but the file has {entry_lines}"),
-        });
-    }
-    BipartiteGraph::from_edges(m, n, &edges).map_err(|e| IoError::Parse {
-        line: lineno,
-        msg: format!("structural error: {e}"),
-    })
+    read_text(reader, TextFormat::MatrixMarket)
 }
 
 /// Load a `.mtx` file from disk.
 pub fn read_matrix_market_file<P: AsRef<Path>>(path: P) -> Result<BipartiteGraph, IoError> {
-    read_matrix_market(std::fs::File::open(path)?)
+    read_text_file(path, TextFormat::MatrixMarket)
 }
 
 /// Write the biadjacency as a `pattern` MatrixMarket file.

@@ -1,15 +1,13 @@
 //! Temporal edge streams.
 //!
 //! KONECT distributes many bipartite datasets with per-edge timestamps
-//! (`u v weight timestamp` lines). This module parses those streams and
-//! provides snapshot/window extraction, which together with
+//! (`u v weight timestamp` lines). This module holds such a stream in
+//! time order and provides snapshot/window extraction, which together with
 //! `bfly_core::IncrementalCounter` supports butterfly counting over
 //! sliding windows — the streaming setting of the approximate-counting
 //! literature the paper builds on.
 
 use crate::bipartite::BipartiteGraph;
-use crate::io::IoError;
-use std::io::{BufRead, BufReader, Read};
 
 /// One timestamped edge event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,51 +86,6 @@ impl TemporalStream {
     }
 }
 
-/// Parse a KONECT file with timestamps (`u v [weight [time]]`, 1-based).
-/// Events without a timestamp column get time 0.
-pub fn read_konect_temporal<R: Read>(reader: R) -> Result<TemporalStream, IoError> {
-    let reader = BufReader::new(reader);
-    let mut events = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') || t.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = t.split_whitespace().collect();
-        if fields.len() < 2 {
-            return Err(IoError::Parse {
-                line: lineno + 1,
-                msg: format!("expected at least two fields, got {t:?}"),
-            });
-        }
-        let parse_id = |s: &str| -> Result<u32, IoError> {
-            let id: u32 = s.parse().map_err(|e| IoError::Parse {
-                line: lineno + 1,
-                msg: format!("bad vertex id {s:?}: {e}"),
-            })?;
-            if id == 0 {
-                return Err(IoError::Parse {
-                    line: lineno + 1,
-                    msg: "vertex id 0 in a 1-based file".to_string(),
-                });
-            }
-            Ok(id - 1)
-        };
-        let u = parse_id(fields[0])?;
-        let v = parse_id(fields[1])?;
-        let time: i64 = match fields.get(3) {
-            Some(ts) => ts.parse().map_err(|e| IoError::Parse {
-                line: lineno + 1,
-                msg: format!("bad timestamp {ts:?}: {e}"),
-            })?,
-            None => 0,
-        };
-        events.push(TemporalEdge { u, v, time });
-    }
-    Ok(TemporalStream::new(events))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,24 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_konect_with_timestamps() {
-        let file = "% bip\n1 1 1 100\n1 2 1 200\n2 1 1 300\n2 2 1 400\n";
-        let s = read_konect_temporal(file.as_bytes()).unwrap();
-        assert_eq!(s.events().len(), 4);
-        assert_eq!(s.snapshot_at(250).nedges(), 2);
-        // Full snapshot is the butterfly.
-        let g = s.snapshot_at(1000);
-        assert_eq!(g.nedges(), 4);
-    }
-
-    #[test]
-    fn parses_without_timestamp_column() {
-        let file = "1 1\n2 2\n";
-        let s = read_konect_temporal(file.as_bytes()).unwrap();
-        assert!(s.events().iter().all(|e| e.time == 0));
-    }
-
-    #[test]
     fn slice_boundaries_cover_range() {
         let s = stream();
         let b = s.slice_boundaries(3);
@@ -227,12 +162,5 @@ mod tests {
         assert_eq!(*b.last().unwrap(), 40);
         assert!(b.windows(2).all(|w| w[0] <= w[1]));
         assert!(TemporalStream::new(vec![]).slice_boundaries(3).is_empty());
-    }
-
-    #[test]
-    fn bad_lines_error() {
-        assert!(read_konect_temporal("0 1\n".as_bytes()).is_err());
-        assert!(read_konect_temporal("1\n".as_bytes()).is_err());
-        assert!(read_konect_temporal("1 1 1 notatime\n".as_bytes()).is_err());
     }
 }

@@ -3,7 +3,6 @@
 
 use bfly_graph::io::{read_edge_list, read_konect};
 use bfly_graph::matrix_market::read_matrix_market;
-use bfly_graph::temporal::read_konect_temporal;
 use proptest::prelude::*;
 
 proptest! {
@@ -15,7 +14,6 @@ proptest! {
         let _ = read_edge_list(input.as_bytes());
         let _ = read_konect(input.as_bytes());
         let _ = read_matrix_market(input.as_bytes());
-        let _ = read_konect_temporal(input.as_bytes());
     }
 
     /// Numeric-looking lines either parse or produce a located error.
@@ -152,4 +150,86 @@ fn specific_hostile_inputs() {
     // Empty and comment-only inputs are valid empty graphs.
     assert_eq!(read_edge_list(b"".as_ref()).unwrap().nedges(), 0);
     assert_eq!(read_edge_list(b"% x\n# y\n".as_ref()).unwrap().nedges(), 0);
+}
+
+/// Every loader and the `.bfly` converter read text through one parser, so
+/// on any input they build the same graph or fail on the same line with
+/// the same message.
+#[test]
+fn loaders_and_converter_agree() {
+    use bfly_graph::io::IoError;
+    use bfly_graph::{convert_to_bfly, read_bfly_file, TextFormat};
+    let konect = "% bip unweighted\n% 4 3 3\n1 1\n1 2\n2 2\n3 3\n";
+    let mtx =
+        "%%MatrixMarket matrix coordinate integer general\n3 3 4\n1 1 1\n1 2 7\n2 2 0\n3 3 2\n";
+    let mut corpus: Vec<(TextFormat, &str)> =
+        vec![
+        (TextFormat::Konect, "\u{feff}% bip unweighted\r\n% 3 2 2\r\n1 1\r\n1 2\r\n2 2\r\n"),
+        (TextFormat::Konect, "% 1 4 7\n1 1\n"),
+        (TextFormat::Konect, "1 1\n% 9 9 9\n2 2\n"),
+        (TextFormat::Konect, "% 5 2 2\n1 1\n1 2\n2 2\n"),
+        (TextFormat::Konect, "% 3 2 2\n1 1\n1 2\n3 2\n"),
+        (TextFormat::EdgeList, "\u{feff}0 0\r\n1 1\r\n"),
+        (TextFormat::EdgeList, "% x\n# y\n"),
+        (
+            TextFormat::MatrixMarket,
+            "\u{feff}%%MatrixMarket matrix coordinate pattern general\r\n2 2 2\r\n1 1\r\n2 2\r\n",
+        ),
+        (
+            TextFormat::MatrixMarket,
+            "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 0\n2 2 1\n",
+        ),
+        (
+            TextFormat::MatrixMarket,
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n2 2\n",
+        ),
+    ];
+    corpus.extend((0..=konect.len()).map(|cut| (TextFormat::Konect, &konect[..cut])));
+    corpus.extend((0..=mtx.len()).map(|cut| (TextFormat::MatrixMarket, &mtx[..cut])));
+    corpus.extend([
+        // An `integer` entry without its value: what a torn last entry
+        // looks like.
+        (
+            TextFormat::MatrixMarket,
+            "%%MatrixMarket matrix coordinate integer general\n1 1 1\n1 1\n",
+        ),
+        // More entries declared than the file has.
+        (
+            TextFormat::MatrixMarket,
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 3\n1 1\n2 2\n",
+        ),
+        // Both a wrong edge count and an edge outside the declared sizes:
+        // the first violation met while streaming wins.
+        (TextFormat::EdgeList, "% 5 2 2\n0 0\n3 1\n"),
+        // Declared rows past u32 indices, rejected before any allocation.
+        (
+            TextFormat::MatrixMarket,
+            "%%MatrixMarket matrix coordinate pattern general\n99999999999 1 0\n",
+        ),
+    ]);
+
+    let dir = std::env::temp_dir().join(format!("bfly-agree-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (input, out) = (dir.join("input.txt"), dir.join("out.bfly"));
+    for (format, text) in corpus {
+        let loaded = match format {
+            TextFormat::Konect => read_konect(text.as_bytes()),
+            TextFormat::EdgeList => read_edge_list(text.as_bytes()),
+            TextFormat::MatrixMarket => read_matrix_market(text.as_bytes()),
+        };
+        std::fs::write(&input, text).unwrap();
+        let converted = convert_to_bfly(&input, format, &out).and_then(|_| read_bfly_file(&out));
+        match (&loaded, &converted) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{format:?} {text:?}"),
+            (
+                Err(IoError::Parse { line, msg }),
+                Err(IoError::Parse {
+                    line: cline,
+                    msg: cmsg,
+                }),
+            ) => assert_eq!((line, msg), (cline, cmsg), "{format:?} {text:?}"),
+            _ => panic!("{format:?} {text:?}: load gave {loaded:?}, convert gave {converted:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
