@@ -42,9 +42,9 @@ use bfly_core::peel::{
     wing_numbers_budgeted_recorded,
 };
 use bfly_core::telemetry::{
-    diff_reports_full, install_panic_hook, timed_phase, to_openmetrics, Counter, FlightRecorder,
-    History, InMemoryRecorder, Json, LiveBoard, Monitor, MonitorConfig, NdjsonSink, NoopRecorder,
-    Recorder, ReportError, RunReport, WorkForecast, DEFAULT_FLIGHT_CAPACITY,
+    diff_reports, install_panic_hook, timed_span, to_openmetrics, Counter, FlightRecorder, History,
+    InMemoryRecorder, Json, LiveBoard, Monitor, MonitorConfig, NdjsonSink, NoopRecorder, Recorder,
+    ReportError, RunReport, WorkForecast, DEFAULT_FLIGHT_CAPACITY,
 };
 use bfly_core::{
     count_by_enumeration, count_segmented_checkpointed_recorded, count_via_spgemm,
@@ -85,22 +85,8 @@ pub enum Command {
         /// Print the graph profile and the plan that runs as JSON
         /// (`"plan": null` for a baseline counter, which runs none).
         explain: bool,
-        /// Print work counters / phase timers after the count.
-        stats: bool,
-        /// Write a machine-readable [`RunReport`] to this path.
-        report: Option<String>,
-        /// Write a Chrome Trace Event JSON file to this path.
-        trace: Option<String>,
-        /// `--stream FILE|-`: stream NDJSON telemetry events live; `-`
-        /// streams to stdout (human output moves to stderr).
-        stream: Option<String>,
-        /// `--progress`: render a live TTY-aware progress/ETA line on
-        /// stderr, driven by a background monitor thread.
-        progress: bool,
-        /// `--flight-recorder FILE`: keep a ring of recent telemetry
-        /// events and dump it (plus a final snapshot) on panic or
-        /// deadline truncation.
-        flight_recorder: Option<String>,
+        /// The telemetry flags.
+        telemetry: TelemetryFlags,
         /// `--max-bytes`: cap on counting scratch memory.
         max_bytes: Option<u64>,
         /// `--max-work`: cap on the wedge-work estimate.
@@ -138,18 +124,8 @@ pub enum Command {
         decompose: bool,
         /// Pinned thread count for `--decompose` (0 = rayon default).
         threads: usize,
-        /// Print work counters / phase timers after peeling.
-        stats: bool,
-        /// Write a machine-readable [`RunReport`] to this path.
-        report: Option<String>,
-        /// Write a Chrome Trace Event JSON file to this path.
-        trace: Option<String>,
-        /// `--stream FILE|-`: stream NDJSON telemetry events live.
-        stream: Option<String>,
-        /// `--progress`: live progress/ETA line (see `Count::progress`).
-        progress: bool,
-        /// `--flight-recorder FILE`: crash flight recorder dump path.
-        flight_recorder: Option<String>,
+        /// The telemetry flags.
+        telemetry: TelemetryFlags,
     },
     /// `bfly wing`.
     Wing {
@@ -163,18 +139,8 @@ pub enum Command {
         decompose: bool,
         /// Pinned thread count for `--decompose` (0 = rayon default).
         threads: usize,
-        /// Print work counters / phase timers after peeling.
-        stats: bool,
-        /// Write a machine-readable [`RunReport`] to this path.
-        report: Option<String>,
-        /// Write a Chrome Trace Event JSON file to this path.
-        trace: Option<String>,
-        /// `--stream FILE|-`: stream NDJSON telemetry events live.
-        stream: Option<String>,
-        /// `--progress`: live progress/ETA line (see `Count::progress`).
-        progress: bool,
-        /// `--flight-recorder FILE`: crash flight recorder dump path.
-        flight_recorder: Option<String>,
+        /// The telemetry flags.
+        telemetry: TelemetryFlags,
     },
     /// `bfly tip-numbers`.
     TipNumbers {
@@ -256,6 +222,42 @@ pub enum Command {
     },
     /// `bfly help` / `--help`.
     Help,
+}
+
+/// The telemetry flags `count`, `tip` and `wing` share. With none given
+/// the command runs against [`NoopRecorder`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TelemetryFlags {
+    /// `--stats`: print the report table after the run.
+    pub stats: bool,
+    /// `--report FILE`: write a machine-readable [`RunReport`].
+    pub report: Option<String>,
+    /// `--trace FILE`: write a Chrome Trace Event JSON file.
+    pub trace: Option<String>,
+    /// `--stream FILE|-`: stream NDJSON telemetry events live; `-`
+    /// streams to stdout (human output moves to stderr).
+    pub stream: Option<String>,
+    /// `--progress`: render a live TTY-aware progress/ETA line on
+    /// stderr, driven by a background monitor thread.
+    pub progress: bool,
+    /// `--flight-recorder FILE`: keep a ring of recent telemetry events
+    /// and dump it (plus a final snapshot) on panic or deadline
+    /// truncation.
+    pub flight_recorder: Option<String>,
+}
+
+impl TelemetryFlags {
+    fn parse(args: &Args) -> Self {
+        let path = |name: &str| args.flag(name).map(str::to_string);
+        TelemetryFlags {
+            stats: args.has("stats"),
+            report: path("report"),
+            trace: path("trace"),
+            stream: path("stream"),
+            progress: args.has("progress"),
+            flight_recorder: path("flight-recorder"),
+        }
+    }
 }
 
 /// Operations on saved run reports (`bfly report <verb> ...`).
@@ -525,12 +527,12 @@ fn classified(class: ErrorClass, msg: impl Into<String>) -> CliError {
 /// (`--stream -`). The binary routes human-readable output to stderr in
 /// that case so the event stream stays machine-parseable.
 pub fn streams_to_stdout(cmd: &Command) -> bool {
-    matches!(
-        cmd,
-        Command::Count { stream: Some(s), .. }
-        | Command::Tip { stream: Some(s), .. }
-        | Command::Wing { stream: Some(s), .. } if s == "-"
-    )
+    match cmd {
+        Command::Count { telemetry, .. }
+        | Command::Tip { telemetry, .. }
+        | Command::Wing { telemetry, .. } => telemetry.stream.as_deref() == Some("-"),
+        _ => false,
+    }
 }
 
 /// The byte-tracking global allocator, re-exported so the binary can
@@ -852,12 +854,7 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
                 parallel: rest.has("parallel"),
                 threads: rest.parse_flag("threads", 0usize)?,
                 explain: rest.has("explain"),
-                stats: rest.has("stats"),
-                report: rest.flag("report").map(str::to_string),
-                trace: rest.flag("trace").map(str::to_string),
-                stream: rest.flag("stream").map(str::to_string),
-                progress: rest.has("progress"),
-                flight_recorder: rest.flag("flight-recorder").map(str::to_string),
+                telemetry: TelemetryFlags::parse(&rest),
                 max_bytes,
                 max_work,
                 deadline_ms,
@@ -883,12 +880,7 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
                 },
                 decompose,
                 threads: rest.parse_flag("threads", 0usize)?,
-                stats: rest.has("stats"),
-                report: rest.flag("report").map(str::to_string),
-                trace: rest.flag("trace").map(str::to_string),
-                stream: rest.flag("stream").map(str::to_string),
-                progress: rest.has("progress"),
-                flight_recorder: rest.flag("flight-recorder").map(str::to_string),
+                telemetry: TelemetryFlags::parse(&rest),
             })
         }
         "wing" => {
@@ -903,12 +895,7 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
                 },
                 decompose,
                 threads: rest.parse_flag("threads", 0usize)?,
-                stats: rest.has("stats"),
-                report: rest.flag("report").map(str::to_string),
-                trace: rest.flag("trace").map(str::to_string),
-                stream: rest.flag("stream").map(str::to_string),
-                progress: rest.has("progress"),
-                flight_recorder: rest.flag("flight-recorder").map(str::to_string),
+                telemetry: TelemetryFlags::parse(&rest),
             })
         }
         "tip-numbers" => Ok(Command::TipNumbers {
@@ -1153,15 +1140,15 @@ impl Telem {
     /// path fails before any counting work, not after it. Without
     /// `--progress` or `--flight-recorder` there is no board, no monitor
     /// thread and no panic hook.
-    fn new(
-        stats: bool,
-        report: Option<String>,
-        trace: Option<String>,
-        stream: Option<String>,
-        progress: bool,
-        flight_recorder: Option<String>,
-        label: &str,
-    ) -> Result<Self, CliError> {
+    fn new(flags: TelemetryFlags, label: &str) -> Result<Self, CliError> {
+        let TelemetryFlags {
+            stats,
+            report,
+            trace,
+            stream,
+            progress,
+            flight_recorder,
+        } = flags;
         let flight = flight_recorder
             .map(|path| (Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)), path));
         let sink = match &stream {
@@ -1397,10 +1384,10 @@ fn run_decompose(
         Decompose::Wing => ("wing", None),
     };
     let result = with_recorder!(telem, |rec| in_pool(&pool, || match side {
-        Some(side) => timed_phase(rec, "tip_decompose", |rec| {
+        Some(side) => timed_span(rec, "tip_decompose", |rec| {
             tip_numbers_budgeted_recorded(g, side, plan.chunks, &unlimited, rec)
         }),
-        None => timed_phase(rec, "wing_decompose", |rec| {
+        None => timed_span(rec, "wing_decompose", |rec| {
             wing_numbers_budgeted_recorded(g, plan.chunks, &unlimited, rec)
         }),
     }));
@@ -1501,12 +1488,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             parallel,
             threads,
             explain,
-            stats,
-            report,
-            trace,
-            stream,
-            progress,
-            flight_recorder,
+            telemetry,
             max_bytes,
             max_work,
             deadline_ms,
@@ -1515,7 +1497,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             checkpoint,
             resume,
         } => {
-            let profiled = explain || progress || flight_recorder.is_some();
+            let profiled = explain || telemetry.progress || telemetry.flight_recorder.is_some();
             let mut budget = ResourceBudget::unlimited();
             if let Some(v) = max_bytes {
                 budget = budget.with_max_bytes(v);
@@ -1554,15 +1536,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                      use either --shards or the budget flags",
                 ));
             }
-            let mut telem = Telem::new(
-                stats,
-                report,
-                trace,
-                stream,
-                progress,
-                flight_recorder,
-                "count",
-            )?;
+            let mut telem = Telem::new(telemetry, "count")?;
             let counted = match input {
                 CountInput::Resident(g) => {
                     let pool = pinned_pool(threads)?;
@@ -1606,30 +1580,17 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             side,
             decompose,
             threads,
-            stats,
-            report,
-            trace,
-            stream,
-            progress,
-            flight_recorder,
+            telemetry,
         } => {
             let g = load_graph(&file, format)?;
-            let mut telem = Telem::new(
-                stats,
-                report,
-                trace,
-                stream,
-                progress,
-                flight_recorder,
-                "tip",
-            )?;
+            let mut telem = Telem::new(telemetry, "tip")?;
             fault_injection();
             if decompose {
                 return run_decompose(&g, &file, Decompose::Tip(side), k, threads, telem, out);
             }
             let k = k.ok_or_else(|| err("tip requires --k (or --decompose)"))?;
             let side = side.unwrap_or(Side::V1);
-            let r = with_recorder!(telem, |rec| timed_phase(rec, "k_tip", |rec| {
+            let r = with_recorder!(telem, |rec| timed_span(rec, "k_tip", |rec| {
                 k_tip_recorded(&g, side, k, rec)
             }));
             let survivors = r.keep.iter().filter(|&&b| b).count();
@@ -1664,29 +1625,16 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             k,
             decompose,
             threads,
-            stats,
-            report,
-            trace,
-            stream,
-            progress,
-            flight_recorder,
+            telemetry,
         } => {
             let g = load_graph(&file, format)?;
-            let mut telem = Telem::new(
-                stats,
-                report,
-                trace,
-                stream,
-                progress,
-                flight_recorder,
-                "wing",
-            )?;
+            let mut telem = Telem::new(telemetry, "wing")?;
             fault_injection();
             if decompose {
                 return run_decompose(&g, &file, Decompose::Wing, k, threads, telem, out);
             }
             let k = k.ok_or_else(|| err("wing requires --k (or --decompose)"))?;
-            let r = with_recorder!(telem, |rec| timed_phase(rec, "k_wing", |rec| {
+            let r = with_recorder!(telem, |rec| timed_span(rec, "k_wing", |rec| {
                 k_wing_recorded(&g, k, rec)
             }));
             w(
@@ -1877,7 +1825,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 let n = load_report(&new)?;
                 let htol = if hist { Some(hist_tolerance) } else { None };
                 let gtol = if gauges { Some(gauge_tolerance) } else { None };
-                let d = diff_reports_full(&b, &n, threshold, htol, gtol);
+                let d = diff_reports(&b, &n, threshold, htol, gtol);
                 w(out, d.render_table())?;
                 let fails = d.failures();
                 if fails.is_empty() {
@@ -2122,7 +2070,7 @@ fn count_plan(
 }
 
 /// Run a baseline counter (`spgemm`, `hash`, `vp`, `enumerate`) inside a
-/// phase timer. They run no plan and forecast nothing; `--explain` still
+/// span named after it. They run no plan and forecast nothing; `--explain` still
 /// prints the profile.
 fn count_baseline(
     g: &BipartiteGraph,
@@ -2135,14 +2083,14 @@ fn count_baseline(
     fault_injection();
     let (xi, name) = with_recorder!(telem, |rec| in_pool(pool, || match algorithm {
         Algorithm::Spgemm =>
-            timed_phase(rec, "count_spgemm", |_| { (count_via_spgemm(g), "spgemm") }),
-        Algorithm::Hash => timed_phase(rec, "count_hash", |_| {
+            timed_span(rec, "count_spgemm", |_| { (count_via_spgemm(g), "spgemm") }),
+        Algorithm::Hash => timed_span(rec, "count_hash", |_| {
             (count_hash_aggregation(g), "hash")
         }),
-        Algorithm::VertexPriority => timed_phase(rec, "count_vertex_priority", |_| {
+        Algorithm::VertexPriority => timed_span(rec, "count_vertex_priority", |_| {
             (count_vertex_priority(g), "vertex-priority")
         }),
-        _ => timed_phase(rec, "count_enumeration", |_| {
+        _ => timed_span(rec, "count_enumeration", |_| {
             (count_by_enumeration(g), "enumeration")
         }),
     }));
@@ -2398,12 +2346,7 @@ mod tests {
                 parallel: true,
                 threads: 4,
                 explain: false,
-                stats: false,
-                report: None,
-                trace: None,
-                stream: None,
-                progress: false,
-                flight_recorder: None,
+                telemetry: TelemetryFlags::default(),
                 max_bytes: None,
                 max_work: None,
                 deadline_ms: None,
@@ -2477,7 +2420,8 @@ mod tests {
     fn parses_stats_and_report_flags() {
         let cmd = parse(&sv(&["count", "g.tsv", "--stats", "--report", "run.json"])).unwrap();
         match cmd {
-            Command::Count { stats, report, .. } => {
+            Command::Count { telemetry, .. } => {
+                let TelemetryFlags { stats, report, .. } = telemetry;
                 assert!(stats);
                 assert_eq!(report.as_deref(), Some("run.json"));
             }
@@ -2486,9 +2430,11 @@ mod tests {
         // --stats is boolean: the next token stays positional.
         let cmd = parse(&sv(&["wing", "--stats", "g.tsv", "--k", "2"])).unwrap();
         match cmd {
-            Command::Wing { file, stats, .. } => {
+            Command::Wing {
+                file, telemetry, ..
+            } => {
                 assert_eq!(file, "g.tsv");
-                assert!(stats);
+                assert!(telemetry.stats);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2577,12 +2523,7 @@ mod tests {
                 side: Some(Side::V2),
                 decompose: false,
                 threads: 0,
-                stats: false,
-                report: None,
-                trace: None,
-                stream: None,
-                progress: false,
-                flight_recorder: None,
+                telemetry: TelemetryFlags::default(),
             }
         );
         assert!(parse(&sv(&["tip", "g.tsv"])).is_err()); // missing --k
@@ -2603,12 +2544,7 @@ mod tests {
                 side: None,
                 decompose: true,
                 threads: 4,
-                stats: false,
-                report: None,
-                trace: None,
-                stream: None,
-                progress: false,
-                flight_recorder: None,
+                telemetry: TelemetryFlags::default(),
             }
         );
         // --decompose is boolean: the next token stays positional.
@@ -2995,7 +2931,9 @@ mod tests {
     fn parses_trace_flag_and_report_verbs() {
         let cmd = parse(&sv(&["count", "g.tsv", "--trace", "t.json"])).unwrap();
         match cmd {
-            Command::Count { trace, .. } => assert_eq!(trace.as_deref(), Some("t.json")),
+            Command::Count { telemetry, .. } => {
+                assert_eq!(telemetry.trace.as_deref(), Some("t.json"))
+            }
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(
@@ -3132,9 +3070,11 @@ mod tests {
             &mut Vec::new(),
         )
         .unwrap();
-        assert!(std::fs::read_to_string(&t2)
-            .unwrap()
-            .contains("count_partitioned"));
+        let trace = Json::parse(&std::fs::read_to_string(&t2).unwrap()).unwrap();
+        let events = trace.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+        assert!(events
+            .iter()
+            .any(|e| e.get("name").and_then(|n| n.as_str()) == Some("count")));
     }
 
     #[test]
@@ -3879,14 +3819,11 @@ mod tests {
         let cmd = parse(&sv(&["count", "--progress", "g.tsv"])).unwrap();
         match &cmd {
             Command::Count {
-                file,
-                progress,
-                flight_recorder,
-                ..
+                file, telemetry, ..
             } => {
                 assert_eq!(file, "g.tsv");
-                assert!(progress);
-                assert!(flight_recorder.is_none());
+                assert!(telemetry.progress);
+                assert!(telemetry.flight_recorder.is_none());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -3904,21 +3841,16 @@ mod tests {
         ]))
         .unwrap();
         match &cmd {
-            Command::Tip {
-                stream,
-                progress,
-                flight_recorder,
-                ..
-            } => {
-                assert_eq!(stream.as_deref(), Some("-"));
-                assert!(!progress);
-                assert_eq!(flight_recorder.as_deref(), Some("crash.json"));
+            Command::Tip { telemetry, .. } => {
+                assert_eq!(telemetry.stream.as_deref(), Some("-"));
+                assert!(!telemetry.progress);
+                assert_eq!(telemetry.flight_recorder.as_deref(), Some("crash.json"));
             }
             other => panic!("unexpected {other:?}"),
         }
         assert!(streams_to_stdout(&cmd));
         let cmd = parse(&sv(&["wing", "g.tsv", "--k", "1", "--progress"])).unwrap();
-        assert!(matches!(cmd, Command::Wing { progress: true, .. }));
+        assert!(matches!(cmd, Command::Wing { telemetry, .. } if telemetry.progress));
 
         // report diff grew --gauges / --gauge-tolerance.
         match parse(&sv(&[

@@ -826,8 +826,10 @@ fn forced_tip_side_reports_the_plan_that_ran() {
 /// Every plan-backed `count` route explains, reports and runs one plan:
 /// on the skewed occupations stand-in, the `--explain` plan equals
 /// `meta.plan`, its member and invariant name the label's engine, and
-/// its `est_work` is the `wedges_expanded` the run recorded. A baseline
-/// counter runs no plan and explains `"plan": null`.
+/// its `est_work` is the `wedges_expanded` the run recorded. Every
+/// report is schema 3, without a `phases` key, and times the count as
+/// one top-level `count` span. A baseline counter runs no plan and
+/// explains `"plan": null`.
 #[test]
 fn every_count_route_reports_the_plan_it_ran() {
     let dir = tempdir();
@@ -894,9 +896,19 @@ fn every_count_route_reports_the_plan_it_ran() {
             assert!(label.starts_with("butterflies = 478903  ["), "{label}");
             let doc = Json::parse(&text[text.find('{').unwrap()..]).unwrap();
             let plan = doc.get("plan").expect("explained plan").clone();
-            let rep =
-                bfly_core::telemetry::RunReport::parse(&std::fs::read_to_string(&report).unwrap())
-                    .unwrap();
+            let raw = std::fs::read_to_string(&report).unwrap();
+            assert!(
+                Json::parse(&raw).unwrap().get("phases").is_none(),
+                "{args:?}"
+            );
+            let rep = bfly_core::telemetry::RunReport::parse(&raw).unwrap();
+            assert_eq!(rep.schema_version, 3, "{args:?}");
+            let counts = rep.spans.iter().filter(|s| s.name == "count");
+            let top: Vec<(u32, u32)> = counts
+                .filter(|s| s.thread == 0 && s.depth == 0)
+                .map(|s| (s.thread, s.depth))
+                .collect();
+            assert_eq!(top, vec![(0, 0)], "{args:?}: one top-level count span");
             let meta_plan = rep.meta.iter().find(|(n, _)| n == "plan").map(|(_, v)| v);
             assert_eq!(meta_plan, Some(&plan), "{args:?}: meta.plan");
             let member = plan.get("member").and_then(|v| v.as_str()).unwrap();
@@ -930,6 +942,112 @@ fn every_count_route_reports_the_plan_it_ran() {
     let text = String::from_utf8(out.stdout).unwrap();
     let doc = Json::parse(&text[text.find('{').unwrap()..]).unwrap();
     assert_eq!(doc.get("plan"), Some(&Json::Null), "{text}");
+}
+
+/// Out-of-core plans are the planner's fixed fallback on every sizing
+/// route: the segment kernel never makes the degree-ordered relabel, so
+/// no route plans it or charges its 16·E + 8·V bytes. On 550 V1 hubs
+/// joined to all 600 V2 vertices plus 4,000 pendant V1 vertices, that
+/// charge alone (5,385,200 B) used to refuse a 1,000,000 B cap the
+/// 4-shard plan fits. The deadline keeps each count short.
+#[test]
+fn out_of_core_plans_never_charge_the_relabel() {
+    let dir = tempdir();
+    let tsv = dir.join("ooc-hubs.tsv");
+    let bfly_file = dir.join("ooc-hubs.bfly");
+    let mut text = String::from("% bip unweighted\n% 334000 4550 600\n");
+    for u in 0..550 {
+        for v in 0..600 {
+            text.push_str(&format!("{u} {v}\n"));
+        }
+    }
+    for p in 0..4000 {
+        text.push_str(&format!("{} {}\n", 550 + p, p % 600));
+    }
+    std::fs::write(&tsv, text).unwrap();
+    let out = bfly()
+        .arg("convert")
+        .arg(&tsv)
+        .arg("--out")
+        .arg(&bfly_file)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for sizing in [
+        &["--shards", "2"][..],
+        &["--shard-bytes", "200000"],
+        &["--max-bytes", "1000000"],
+    ] {
+        let out = bfly()
+            .arg("count")
+            .arg(&bfly_file)
+            .args(sizing)
+            .args(["--explain", "--deadline-ms", "50"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{sizing:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        let plan = Json::parse(&text[text.find('{').unwrap()..])
+            .unwrap()
+            .get("plan")
+            .cloned()
+            .unwrap();
+        assert_eq!(
+            plan.get("degree_ordered"),
+            Some(&Json::Bool(false)),
+            "{sizing:?}: {text}"
+        );
+        if sizing[0] == "--max-bytes" {
+            assert!(text.contains("(out-of-core, 4 shards"), "{text}");
+        }
+    }
+}
+
+/// The recorder's own top-level spans never count against
+/// `BFLY_SPAN_CAP`: under a cap of one span, a parallel wing
+/// decomposition still reports its `wing_decompose` span, keeps at most
+/// one capped span, and counts the rest as dropped.
+#[test]
+fn span_cap_keeps_top_level_spans() {
+    let dir = tempdir();
+    let gpath = dir.join("span-cap.tsv");
+    let out = bfly()
+        .args(["generate", "--kind", "uniform", "--m", "100", "--n", "100"])
+        .args(["--edges", "800", "--seed", "9", "--out"])
+        .arg(&gpath)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let report = dir.join("span-cap.json");
+    let out = bfly()
+        .env("BFLY_SPAN_CAP", "1")
+        .arg("wing")
+        .arg(&gpath)
+        .args(["--decompose", "--threads", "2", "--report"])
+        .arg(&report)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let rep =
+        bfly_core::telemetry::RunReport::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let top = |name: &str| {
+        rep.spans
+            .iter()
+            .any(|s| s.name == name && s.thread == 0 && s.depth == 0)
+    };
+    assert!(top("wing_decompose"), "{:?}", rep.spans);
+    let capped = rep.spans.iter().filter(|s| s.thread != 0 || s.depth != 0);
+    assert!(capped.count() <= 1, "{:?}", rep.spans);
+    let dropped = rep.gauges.iter().find(|(n, _)| n == "spans_dropped");
+    assert!(dropped.is_some_and(|&(_, v)| v > 0.0), "{:?}", rep.gauges);
 }
 
 /// `--progress` and `--flight-recorder` watch the run's own recorder

@@ -43,9 +43,7 @@ use crate::family::{priority_wedge_work, Invariant, RANKED_BUCKET_WEDGES};
 use bfly_graph::ordering::{degree_descending, relabel};
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::choose2;
-use bfly_telemetry::{
-    timed_phase, timed_span, Counter, Json, NoopRecorder, Recorder, WorkForecast,
-};
+use bfly_telemetry::{timed_span, Counter, Json, NoopRecorder, Recorder, WorkForecast};
 use std::time::Instant;
 
 /// Structural profile of a bipartite graph — everything the cost model
@@ -736,8 +734,9 @@ pub(crate) fn run_to_end<R: Recorder>(
 /// The plan executor, and the only one: every in-memory count — fixed,
 /// priority or ranked member; flat, blocked, parallel or sharded mode —
 /// runs its member's one overflow-checked kernel here with `deadline`
-/// polled at item or block boundaries. Returns the count with
-/// `complete = false` when the deadline cut the traversal short — the
+/// polled at item or block boundaries, inside one `count` span that
+/// times the whole run (rank or relabel, then kernel). Returns the count
+/// with `complete = false` when the deadline cut the traversal short — the
 /// value is then the exact count over the items processed before the
 /// cut, a lower bound on the true total, and a `budget.degraded = 3`
 /// gauge marks the cut. Either way the run ends by recording measured
@@ -761,9 +760,8 @@ pub fn run_plan<R: Recorder>(
         ExecMode::Flat | ExecMode::Blocked { .. } => None,
     };
     // Global-order members ignore partition side, blocking, and degree
-    // ordering — the global rank *is* their ordering heuristic. The
-    // kernels emit their own count/count_parallel phases.
-    let (acc, complete) = match plan.member {
+    // ordering — the global rank *is* their ordering heuristic.
+    let (acc, complete) = timed_span(rec, "count", |rec| match plan.member {
         Member::Priority => run_priority(g, chunks, deadline, rec),
         Member::Ranked => run_ranked(g, chunks, deadline, rec),
         Member::Fixed(_) => {
@@ -779,22 +777,18 @@ pub fn run_plan<R: Recorder>(
             };
             let kernel = FixedKernel::of(g_exec, plan.invariant);
             match plan.mode {
-                ExecMode::Flat => {
-                    timed_phase(rec, "count", |rec| run_partitioned(&kernel, deadline, rec))
-                }
+                ExecMode::Flat => run_partitioned(&kernel, deadline, rec),
                 ExecMode::Blocked { block_size } => {
                     run_blocked(g_exec, side, block_size, deadline, rec)
                 }
-                ExecMode::Parallel { chunks } => timed_phase(rec, "count_parallel", |rec| {
+                ExecMode::Parallel { chunks } => {
                     let ranges = balanced_ranges(&kernel.item_weights(), chunks);
                     drive_chunks(&kernel, ranges, deadline, rec)
-                }),
-                ExecMode::Sharded { shards } => timed_phase(rec, "count", |rec| {
-                    run_sharded(&kernel, shards, deadline, rec)
-                }),
+                }
+                ExecMode::Sharded { shards } => run_sharded(&kernel, shards, deadline, rec),
             }
         }
-    };
+    });
     let value = crate::error::checked_total(acc, "count_adaptive")?;
     if !complete {
         record_degraded(rec, "deadline");
@@ -1055,7 +1049,7 @@ pub fn select_plan_budgeted<R: Recorder>(
 /// the smallest viable shape, so an impossible cap fails through the
 /// same [`BflyError::BudgetExceeded`](crate::error::BflyError::BudgetExceeded)
 /// path as every other shape.
-fn select_sharded_plan(
+pub(crate) fn select_sharded_plan(
     profile: &GraphProfile,
     budget: &ResourceBudget,
 ) -> crate::error::Result<Plan> {
@@ -1247,8 +1241,11 @@ mod tests {
         }
     }
 
+    /// Every mode counts the same, and every run times itself as one
+    /// top-level `count` span — Blocked and Sharded included.
     #[test]
     fn forced_modes_all_agree() {
+        use bfly_telemetry::InMemoryRecorder;
         let mut rng = StdRng::seed_from_u64(13);
         let g = chung_lu(60, 45, 280, 0.8, 0.6, &mut rng);
         let want = count_brute_force(&g);
@@ -1257,6 +1254,7 @@ mod tests {
             (ExecMode::Flat, base.invariant),
             (ExecMode::Blocked { block_size: 16 }, base.invariant),
             (ExecMode::Parallel { chunks: 3 }, base.invariant),
+            (ExecMode::Sharded { shards: 3 }, base.invariant),
         ] {
             for degree_ordered in [false, true] {
                 let plan = Plan {
@@ -1268,6 +1266,15 @@ mod tests {
                     est_work_alt: base.est_work_alt,
                 };
                 assert_eq!(execute_plan(&g, &plan), want, "{plan:?}");
+                let mut rec = InMemoryRecorder::new();
+                assert_eq!(run_to_end(&g, &plan, &mut rec, "run_plan"), want);
+                let counts: Vec<(u32, u32)> = rec
+                    .spans()
+                    .iter()
+                    .filter(|s| s.name == "count")
+                    .map(|s| (s.thread, s.depth))
+                    .collect();
+                assert_eq!(counts, vec![(0, 0)], "{plan:?}: one count span");
             }
         }
     }

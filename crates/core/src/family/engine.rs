@@ -258,8 +258,8 @@ impl Kernel for FixedKernel<'_> {
     }
 }
 
-/// Run one family member sequentially over its whole partitioned side
-/// inside a `count_partitioned` span, polling `deadline` every
+/// Run one family member sequentially over its whole partitioned side,
+/// polling `deadline` every
 /// [`DEADLINE_STRIDE`] exposed vertices. Returns the exact accumulated
 /// total (over the processed prefix when cut) and whether the traversal
 /// completed.
@@ -268,9 +268,7 @@ pub(crate) fn run_partitioned<R: Recorder>(
     deadline: Option<Instant>,
     rec: &mut R,
 ) -> (CheckedAccum, bool) {
-    bfly_telemetry::timed_span(rec, "count_partitioned", |rec| {
-        run_inline(kernel, std::iter::once(0..kernel.len()), deadline, rec)
-    })
+    run_inline(kernel, std::iter::once(0..kernel.len()), deadline, rec)
 }
 
 #[cfg(test)]

@@ -176,7 +176,7 @@ pub fn count(g: &BipartiteGraph, inv: Invariant) -> u64 {
     count_recorded(g, inv, &mut NoopRecorder)
 }
 
-/// [`count`] reporting work counters and a `"count"` phase through `rec`.
+/// [`count`] reporting work counters and a `count` span through `rec`.
 /// Overflow-checked like every counting path: a total past `u64` panics
 /// naming [`try_count`].
 pub fn count_recorded<R: Recorder>(g: &BipartiteGraph, inv: Invariant, rec: &mut R) -> u64 {

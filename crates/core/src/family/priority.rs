@@ -32,7 +32,7 @@ use super::parallel::{balanced_ranges, drive_chunks, run_inline, Kernel};
 use bfly_graph::ordering::global_degree_ranks;
 use bfly_graph::BipartiteGraph;
 use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
-use bfly_telemetry::{timed_phase, timed_span, Recorder};
+use bfly_telemetry::{timed_span, Recorder};
 use std::time::Instant;
 
 /// The global priority order: `rank_v1[u]` / `rank_v2[v]` is the position
@@ -208,11 +208,10 @@ impl Kernel for PriorityKernel<'_> {
 /// in a plan), overflow-checked, polling `deadline` every
 /// [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) starts. The rank
 /// sort records as a `priority_rank` span. `chunks = None` runs the
-/// starts in order inside a `count` phase and `count_priority` span;
-/// `Some(n)` runs `n` contiguous ranges balanced by
-/// [`priority_start_weights`] through the chunk driver inside a
-/// `count_parallel` phase. Returns the exact total (over the processed
-/// starts when cut) and whether every start ran.
+/// starts in order; `Some(n)` runs `n` contiguous ranges balanced by
+/// [`priority_start_weights`] through the chunk driver. Returns the
+/// exact total (over the processed starts when cut) and whether every
+/// start ran.
 pub(crate) fn run_priority<R: Recorder>(
     g: &BipartiteGraph,
     chunks: Option<usize>,
@@ -222,21 +221,15 @@ pub(crate) fn run_priority<R: Recorder>(
     let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
     let kernel = PriorityKernel { g, ranks: &ranks };
     match chunks {
-        None => timed_phase(rec, "count", |rec| {
-            timed_span(rec, "count_priority", |rec| {
-                run_inline(
-                    &kernel,
-                    std::iter::once(0..g.nv1() + g.nv2()),
-                    deadline,
-                    rec,
-                )
-            })
-        }),
+        None => run_inline(
+            &kernel,
+            std::iter::once(0..g.nv1() + g.nv2()),
+            deadline,
+            rec,
+        ),
         Some(n) => {
             let ranges = balanced_ranges(&priority_start_weights(g, &ranks), n.max(1));
-            timed_phase(rec, "count_parallel", |rec| {
-                drive_chunks(&kernel, ranges, deadline, rec)
-            })
+            drive_chunks(&kernel, ranges, deadline, rec)
         }
     }
 }

@@ -27,7 +27,7 @@ use super::parallel::{balanced_chunk_bounds, drive_chunks, run_inline, Kernel};
 use super::priority::{for_each_wedge, priority_start_weight, PriorityRanks};
 use bfly_graph::BipartiteGraph;
 use bfly_sparse::{CheckedAccum, Spa};
-use bfly_telemetry::{timed_phase, timed_span, Counter, Recorder};
+use bfly_telemetry::{timed_span, Counter, Recorder};
 use std::time::Instant;
 
 /// Target wedge work per bucket. Calibrated from the `vertex_wedges` /
@@ -151,10 +151,9 @@ fn replay_segment<R: Recorder>(
 /// The ranked member ([`Member::Ranked`](crate::adaptive::Member) in a
 /// plan), overflow-checked. Ranks record as a
 /// `priority_rank` span and the bucket count as the `ranked_buckets`
-/// gauge. `chunks = None` processes the buckets in rank order inside a
-/// `count` phase and `count_ranked` span; `Some(n)` makes at least `n`
-/// buckets and runs them as chunks through the driver inside a
-/// `count_parallel` phase. The deadline is polled every
+/// gauge. `chunks = None` processes the buckets in rank order;
+/// `Some(n)` makes at least `n` buckets and runs them as chunks through
+/// the driver. The deadline is polled every
 /// [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) starts during
 /// materialisation; a cut bucket still replays what it materialised, so
 /// the total is exact over the starts fully processed.
@@ -187,14 +186,8 @@ pub(crate) fn run_ranked<R: Recorder>(
         order,
     };
     match chunks {
-        None => timed_phase(rec, "count", |rec| {
-            timed_span(rec, "count_ranked", |rec| {
-                run_inline(&kernel, buckets, deadline, rec)
-            })
-        }),
-        Some(_) => timed_phase(rec, "count_parallel", |rec| {
-            drive_chunks(&kernel, buckets.collect(), deadline, rec)
-        }),
+        None => run_inline(&kernel, buckets, deadline, rec),
+        Some(_) => drive_chunks(&kernel, buckets.collect(), deadline, rec),
     }
 }
 

@@ -40,7 +40,10 @@
 use super::engine::{record_update, update_vertex, FixedKernel};
 use super::parallel::{balanced_chunk_bounds, run_range, wedge_weights, Kernel, Poll};
 use super::Traversal;
-use crate::adaptive::{plan_scratch_bytes, select_plan, ExecMode, GraphProfile, Member, Plan};
+use crate::adaptive::{
+    plan_scratch_bytes, record_plan_gauges, select_plan, select_sharded_plan, ExecMode,
+    GraphProfile, Plan,
+};
 use crate::budget::{record_degraded, record_memory, Partial, ResourceBudget};
 use crate::checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore};
 use crate::error::BflyError;
@@ -196,13 +199,17 @@ pub fn count_segmented(sg: &SegmentedGraph) -> crate::error::Result<u64> {
 /// The out-of-core counter: plan, shard, and count a
 /// [`SegmentedGraph`] without ever holding the full graph.
 ///
-/// Shard sizing, in precedence order: an explicit `shards`; else
+/// The plan is the planner's fixed fallback ([`Plan::demoted`]): the
+/// segment kernel runs fixed members only and never makes the
+/// degree-ordered relabel, so no route plans or charges one. Shard
+/// sizing, in precedence order: an explicit `shards`; else
 /// `shard_bytes` (shards = partitioned payload / cap, each shard's
-/// on-disk rows roughly that many bytes); else grown until the plan's
-/// scratch estimate fits `budget.max_bytes` (doubling from 1, capped at
-/// one vertex per shard — a cap no shard count satisfies fails with
+/// on-disk rows roughly that many bytes); else the planner's sharded
+/// tier, grown until the plan's scratch estimate fits
+/// `budget.max_bytes` (doubling from 1, capped at one vertex per shard —
+/// a cap no shard count satisfies fails with
 /// [`BflyError::BudgetExceeded`] carrying the exact estimate); else a
-/// single shard.
+/// single shard. The shard loop runs inside one `count` span.
 ///
 /// Execution mirrors the engine kernel exactly — same counters, same
 /// `vertex_wedges` histogram — over [`GraphSegment`] rows with
@@ -259,35 +266,27 @@ pub(crate) fn run_segmented<R: Recorder>(
     budget.check_measured_bytes()?;
     let (profile, plan) = timed_span(rec, "select", |rec| {
         let profile = segmented_profile(sg);
-        let mut plan = select_plan(&profile, false, 0);
-        debug_assert!(matches!(plan.member, Member::Fixed(_)));
-        budget.check_wedge_work(plan.est_work)?;
-        let side = plan.partition_side();
-        let part_len = sg.side_len(side).max(1);
-        let nshards = match (shards, shard_bytes) {
-            (Some(n), _) => n.max(1),
-            (None, Some(cap)) => {
-                let payload = sg.payload_bytes(side, 0, sg.side_len(side));
-                payload.div_ceil(cap.max(1)).max(1) as usize
-            }
-            (None, None) if budget.max_bytes.is_some() => {
-                let mut s = 1usize;
-                loop {
-                    plan.mode = ExecMode::Sharded { shards: s };
-                    if budget.bytes_fit(plan_scratch_bytes(&profile, &plan)) || s >= part_len {
-                        break;
-                    }
-                    s = (s * 2).min(part_len);
+        let plan = if shards.is_none() && shard_bytes.is_none() && budget.max_bytes.is_some() {
+            select_sharded_plan(&profile, budget)?
+        } else {
+            let mut plan = select_plan(&profile, false, 0).demoted();
+            budget.check_wedge_work(plan.est_work)?;
+            let side = plan.partition_side();
+            let nshards = match (shards, shard_bytes) {
+                (Some(n), _) => n.max(1),
+                (None, Some(cap)) => {
+                    let payload = sg.payload_bytes(side, 0, sg.side_len(side));
+                    payload.div_ceil(cap.max(1)).max(1) as usize
                 }
-                s
-            }
-            (None, None) => 1,
+                (None, None) => 1,
+            };
+            plan.mode = ExecMode::Sharded {
+                shards: nshards.min(sg.side_len(side).max(1)),
+            };
+            budget.check_bytes(plan_scratch_bytes(&profile, &plan))?;
+            plan
         };
-        plan.mode = ExecMode::Sharded {
-            shards: nshards.min(part_len),
-        };
-        budget.check_bytes(plan_scratch_bytes(&profile, &plan))?;
-        crate::adaptive::record_plan_gauges(rec, &plan);
+        record_plan_gauges(rec, &plan);
         Ok::<_, crate::error::BflyError>((profile, plan))
     })?;
     let ExecMode::Sharded { shards: nshards } = plan.mode else {
@@ -350,82 +349,80 @@ pub(crate) fn run_segmented<R: Recorder>(
     let mut complete = true;
     let mut poll = Poll::new(budget.deadline);
     let mut shards_done = 0u64;
-    let phase_result =
-        bfly_telemetry::timed_phase(rec, "count", |rec| -> crate::error::Result<()> {
-            let mut reader = sg.row_reader(side.other(), pin_bytes)?;
-            'shards: for (&(lo, hi), &wedge_total) in ranges.iter().zip(&shard_wedges) {
-                if let Some(store) = &store {
-                    if let Some(saved) = store.load_shard(lo, hi)? {
-                        total.merge(saved);
-                        rec.incr(Counter::ShardsSkippedResume, 1);
-                        if R::ENABLED {
-                            rec.series_push("shard_wedges", wedge_total as f64);
-                        }
-                        shards_done += 1;
-                        continue 'shards;
+    let counted = timed_span(rec, "count", |rec| -> crate::error::Result<()> {
+        let mut reader = sg.row_reader(side.other(), pin_bytes)?;
+        'shards: for (&(lo, hi), &wedge_total) in ranges.iter().zip(&shard_wedges) {
+            if let Some(store) = &store {
+                if let Some(saved) = store.load_shard(lo, hi)? {
+                    total.merge(saved);
+                    rec.incr(Counter::ShardsSkippedResume, 1);
+                    if R::ENABLED {
+                        rec.series_push("shard_wedges", wedge_total as f64);
                     }
+                    shards_done += 1;
+                    continue 'shards;
                 }
-                let seg = sg.segment(side, lo, hi)?;
-                let mut shard_acc = CheckedAccum::new();
-                let shard_complete =
-                    timed_span(rec, "shard", |rec| -> crate::error::Result<bool> {
-                        // Inv1/Inv5 are forward traversals; the selector
-                        // never picks a backward member.
-                        for k in lo..hi {
-                            if poll.expired() {
-                                return Ok(false);
-                            }
-                            let (wedges, touched) = update_vertex(
-                                seg.neighbors(k),
-                                &mut reader,
-                                filter.window(k),
-                                &mut spa,
-                                &mut shard_acc,
-                            )?;
-                            record_update(rec, wedges, touched);
-                        }
-                        Ok(true)
-                    })?;
-                total.merge(shard_acc);
-                rec.incr(Counter::ShardsProcessed, 1);
-                if R::ENABLED {
-                    rec.series_push("shard_wedges", wedge_total as f64);
-                }
-                if !shard_complete {
-                    complete = false;
-                    break 'shards;
-                }
-                // Persist only *complete* shard partials: a deadline cut
-                // above leaves nothing durable, so a later resume recounts
-                // that shard from scratch instead of merging a prefix.
-                if let Some(store) = &store {
-                    timed_span(rec, "checkpoint", |_rec| {
-                        store.persist_shard(lo, hi, &shard_acc)
-                    })?;
-                    rec.incr(Counter::CheckpointsWritten, 1);
-                }
-                shards_done += 1;
-                if fault_after_shards == Some(shards_done) {
-                    return Err(BflyError::Io(bfly_graph::io::IoError::Io(
-                        std::io::Error::other(format!(
-                            "injected shard fault after {shards_done} shard(s) \
-                             (BFLY_FAULT_SHARD_ERROR)"
-                        )),
-                    )));
-                }
-                budget.check_measured_bytes()?;
             }
+            let seg = sg.segment(side, lo, hi)?;
+            let mut shard_acc = CheckedAccum::new();
+            let shard_complete = timed_span(rec, "shard", |rec| -> crate::error::Result<bool> {
+                // Inv1/Inv5 are forward traversals; the selector
+                // never picks a backward member.
+                for k in lo..hi {
+                    if poll.expired() {
+                        return Ok(false);
+                    }
+                    let (wedges, touched) = update_vertex(
+                        seg.neighbors(k),
+                        &mut reader,
+                        filter.window(k),
+                        &mut spa,
+                        &mut shard_acc,
+                    )?;
+                    record_update(rec, wedges, touched);
+                }
+                Ok(true)
+            })?;
+            total.merge(shard_acc);
+            rec.incr(Counter::ShardsProcessed, 1);
             if R::ENABLED {
-                rec.gauge("pinned_rows", reader.pinned_rows() as f64);
-                rec.gauge("pinned_bytes", reader.pinned_bytes() as f64);
-                rec.gauge("pinned_hits", reader.pinned_hits() as f64);
+                rec.series_push("shard_wedges", wedge_total as f64);
             }
-            Ok(())
-        });
+            if !shard_complete {
+                complete = false;
+                break 'shards;
+            }
+            // Persist only *complete* shard partials: a deadline cut
+            // above leaves nothing durable, so a later resume recounts
+            // that shard from scratch instead of merging a prefix.
+            if let Some(store) = &store {
+                timed_span(rec, "checkpoint", |_rec| {
+                    store.persist_shard(lo, hi, &shard_acc)
+                })?;
+                rec.incr(Counter::CheckpointsWritten, 1);
+            }
+            shards_done += 1;
+            if fault_after_shards == Some(shards_done) {
+                return Err(BflyError::Io(bfly_graph::io::IoError::Io(
+                    std::io::Error::other(format!(
+                        "injected shard fault after {shards_done} shard(s) \
+                             (BFLY_FAULT_SHARD_ERROR)"
+                    )),
+                )));
+            }
+            budget.check_measured_bytes()?;
+        }
+        if R::ENABLED {
+            rec.gauge("pinned_rows", reader.pinned_rows() as f64);
+            rec.gauge("pinned_bytes", reader.pinned_bytes() as f64);
+            rec.gauge("pinned_hits", reader.pinned_hits() as f64);
+        }
+        Ok(())
+    });
     let (retries1, giveups1) = sg.retry_stats();
     rec.incr(Counter::IoRetries, retries1.saturating_sub(retries0));
     rec.incr(Counter::IoGiveups, giveups1.saturating_sub(giveups0));
-    phase_result?;
+    counted?;
     if !complete {
         record_degraded(rec, "deadline");
     }
@@ -441,7 +438,7 @@ pub(crate) fn run_segmented<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::run_plan;
+    use crate::adaptive::{run_plan, Member};
     use crate::family::{count, count_sharded, run_forced, Invariant};
     use crate::spec::count_brute_force;
     use bfly_graph::generators::{chung_lu, uniform_exact};

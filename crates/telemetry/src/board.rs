@@ -15,7 +15,7 @@
 //! * **gauges** — last-write values behind one mutex. Only the caller's
 //!   recorder and the monitor write them, a few times per run.
 //!
-//! The board is not a recorder: spans, phases, series and histograms stay
+//! The board is not a recorder: spans, series and histograms stay
 //! on the recorder. The monitor samples the board for heartbeats, the
 //! stall watchdog and the `progress.*` gauges, and the panic hook dumps
 //! it, because a panicking thread cannot reach the recorder.
@@ -106,7 +106,6 @@ impl LiveBoard {
                 .into_iter()
                 .map(|(n, v)| (n.to_string(), v))
                 .collect(),
-            phases: Vec::new(),
             series: Vec::new(),
             spans: Vec::new(),
             histograms: Vec::new(),

@@ -4,7 +4,7 @@
 //! comparable quantity. Only **counters** gate (exceed the threshold →
 //! failure) by default: they are deterministic for a fixed graph and
 //! algorithm, so the CI gate is immune to machine noise. Wall-clock rows
-//! — phase and span totals, histogram quantiles, gauges — are reported
+//! — span totals, histogram quantiles, gauges — are reported
 //! for humans but never fail the gate, unless explicitly promoted:
 //! `--hist` gates histogram p50/p99 rows at a separate tolerance, and
 //! `--gauges` does the same for gauge rows (useful for deterministic
@@ -16,8 +16,7 @@ use crate::report::RunReport;
 /// One compared quantity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffRow {
-    /// Quantity class: `"counter"`, `"gauge"`, `"phase"`, `"span"`, or
-    /// `"hist"`.
+    /// Quantity class: `"counter"`, `"gauge"`, `"span"`, or `"hist"`.
     pub kind: &'static str,
     /// Quantity name (histograms carry a `/p50` style suffix).
     pub name: String,
@@ -164,7 +163,7 @@ fn trim_num(v: f64) -> String {
 
 /// Relative change in percent. Equal values (including 0 → 0) are 0;
 /// appearing from zero is `INFINITY` (always past any threshold).
-fn delta_pct(base: f64, new: f64) -> f64 {
+pub(crate) fn delta_pct(base: f64, new: f64) -> f64 {
     if base == new {
         0.0
     } else if base == 0.0 {
@@ -188,37 +187,21 @@ fn name_union<'a>(
     names
 }
 
-/// Compare two reports. Counters gate at `threshold_pct`; phases, span
-/// totals, histogram quantiles, and gauges are informational.
-pub fn diff_reports(base: &RunReport, new: &RunReport, threshold_pct: f64) -> ReportDiff {
-    diff_reports_full(base, new, threshold_pct, None, None)
-}
-
-/// Like [`diff_reports`], but with `hist_tolerance_pct` set the
-/// histogram **p50/p99** rows also gate, at that tolerance (the CLI's
-/// `report diff --hist`). p90 stays informational either way: the gated
-/// pair matches the quantiles the paper's skew plots report. Quantiles
-/// are wall-clock-adjacent for latency histograms, so pick a tolerance
-/// with machine noise in mind — work-shaped histograms
-/// (`vertex_wedges`) are deterministic and gate tightly.
-pub fn diff_reports_with(
-    base: &RunReport,
-    new: &RunReport,
-    threshold_pct: f64,
-    hist_tolerance_pct: Option<f64>,
-) -> ReportDiff {
-    diff_reports_full(base, new, threshold_pct, hist_tolerance_pct, None)
-}
-
-/// Full-control comparison: `hist_tolerance_pct` promotes histogram
-/// p50/p99 rows to gating (see [`diff_reports_with`]);
-/// `gauge_tolerance_pct` promotes gauge rows the same way (the CLI's
-/// `report diff --gauges`). Gauge promotion is aimed at deterministic
-/// levels — `mem.peak_bytes`, `plan.est_work`, `budget.degraded` —
-/// while `span.*` gauges (wall-clock span aggregates that reports saved
-/// by earlier builds carry) always stay informational, mirroring the
-/// never-gated span rows they mirror.
-pub fn diff_reports_full(
+/// Compare two reports. Counters gate at `threshold_pct`; span totals,
+/// histogram quantiles and gauges are informational unless promoted:
+///
+/// * `hist_tolerance_pct` gates the histogram **p50/p99** rows at that
+///   tolerance (`report diff --hist`). p90 stays informational either
+///   way: the gated pair matches the quantiles the paper's skew plots
+///   report. Quantiles are wall-clock-adjacent for latency histograms,
+///   so pick a tolerance with machine noise in mind — work-shaped
+///   histograms (`vertex_wedges`) are deterministic and gate tightly.
+/// * `gauge_tolerance_pct` gates gauge rows the same way
+///   (`report diff --gauges`), aimed at deterministic levels —
+///   `mem.peak_bytes`, `plan.est_work`, `budget.degraded`. `span.*`
+///   gauges (wall-clock span aggregates that reports saved by earlier
+///   builds carry) always stay informational, like the span rows.
+pub fn diff_reports(
     base: &RunReport,
     new: &RunReport,
     threshold_pct: f64,
@@ -262,27 +245,6 @@ pub fn diff_reports_full(
             new: v,
             delta_pct: delta_pct(b, v),
             gated,
-        });
-    }
-
-    let phase = |r: &RunReport, n: &str| {
-        r.phases
-            .iter()
-            .find(|p| p.name == n)
-            .map_or(0.0, |p| p.seconds)
-    };
-    for name in name_union(
-        base.phases.iter().map(|p| p.name.as_str()),
-        new.phases.iter().map(|p| p.name.as_str()),
-    ) {
-        let (b, v) = (phase(base, &name), phase(new, &name));
-        rows.push(DiffRow {
-            kind: "phase",
-            name,
-            base: b,
-            new: v,
-            delta_pct: delta_pct(b, v),
-            gated: false,
         });
     }
 
@@ -339,7 +301,7 @@ mod tests {
     use super::*;
     use crate::hist::Histogram;
     use crate::json::Json;
-    use crate::report::PhaseRow;
+    use crate::span::SpanRow;
 
     fn base_report() -> RunReport {
         let mut h = Histogram::new();
@@ -349,13 +311,15 @@ mod tests {
             meta: vec![("dataset".into(), Json::Str("g".into()))],
             counters: vec![("wedges_expanded".into(), 1000), ("spa_scatters".into(), 0)],
             gauges: vec![("par_imbalance".into(), 1.0)],
-            phases: vec![PhaseRow {
-                name: "count".into(),
-                seconds: 0.5,
-                count: 1,
-            }],
             series: vec![],
-            spans: vec![],
+            spans: vec![SpanRow {
+                name: "count".into(),
+                thread: 0,
+                depth: 0,
+                start_us: 0,
+                dur_us: 500_000,
+                counters: vec![],
+            }],
             histograms: vec![("vertex_wedges".into(), h)],
         }
     }
@@ -363,7 +327,7 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let rep = base_report();
-        let d = diff_reports(&rep, &rep, 10.0);
+        let d = diff_reports(&rep, &rep, 10.0, None, None);
         assert!(d.passed());
         assert!(d.failures().is_empty());
         assert!(d.render_table().contains("diff: ok"));
@@ -374,7 +338,7 @@ mod tests {
         let base = base_report();
         let mut new = base_report();
         new.counters[0].1 = 1200; // +20% past a 10% threshold
-        let d = diff_reports(&base, &new, 10.0);
+        let d = diff_reports(&base, &new, 10.0, None, None);
         assert!(!d.passed());
         let fails = d.failures();
         assert_eq!(fails.len(), 1);
@@ -388,7 +352,7 @@ mod tests {
         let base = base_report();
         let mut new = base_report();
         new.counters[0].1 = 1050; // +5% under a 10% threshold
-        assert!(diff_reports(&base, &new, 10.0).passed());
+        assert!(diff_reports(&base, &new, 10.0, None, None).passed());
     }
 
     #[test]
@@ -396,7 +360,7 @@ mod tests {
         let base = base_report();
         let mut new = base_report();
         new.counters[1].1 = 3; // spa_scatters: 0 → 3
-        let d = diff_reports(&base, &new, 1e9);
+        let d = diff_reports(&base, &new, 1e9, None, None);
         assert!(!d.passed());
         assert!(d.render_table().contains("new"));
     }
@@ -405,12 +369,12 @@ mod tests {
     fn timing_rows_never_gate() {
         let base = base_report();
         let mut new = base_report();
-        new.phases[0].seconds = 50.0; // 100x slower wall clock
+        new.spans[0].dur_us = 50_000_000; // 100x slower wall clock
         new.gauges[0].1 = 99.0;
-        let d = diff_reports(&base, &new, 10.0);
+        let d = diff_reports(&base, &new, 10.0, None, None);
         assert!(d.passed(), "wall-clock rows must not gate");
         // ... but they do show up in the table.
-        assert!(d.render_table().contains("phase"));
+        assert!(d.render_table().contains("span"));
     }
 
     #[test]
@@ -423,9 +387,9 @@ mod tests {
         h.record(400);
         new.histograms[0].1 = h;
         // Default diff: informational only.
-        assert!(diff_reports(&base, &new, 10.0).passed());
+        assert!(diff_reports(&base, &new, 10.0, None, None).passed());
         // --hist: p50/p99 gate at the tolerance.
-        let d = diff_reports_with(&base, &new, 10.0, Some(25.0));
+        let d = diff_reports(&base, &new, 10.0, Some(25.0), None);
         assert!(!d.passed());
         let fails = d.failures();
         assert!(fails.iter().all(|r| r.kind == "hist"));
@@ -443,12 +407,12 @@ mod tests {
         let base = base_report();
         let mut new = base_report();
         new.counters[0].1 = 1200; // +20%
-        let d = diff_reports_with(&base, &new, 10.0, Some(50.0));
+        let d = diff_reports(&base, &new, 10.0, Some(50.0), None);
         let fails = d.failures();
         assert_eq!(fails.len(), 1);
         assert_eq!(fails[0].kind, "counter");
         // Identical histograms never trip the tolerance.
-        assert!(diff_reports_with(&base, &base, 10.0, Some(0.0)).passed());
+        assert!(diff_reports(&base, &base, 10.0, Some(0.0), None).passed());
     }
 
     #[test]
@@ -458,9 +422,9 @@ mod tests {
         let mut new = base.clone();
         new.gauges[1].1 = 1500.0; // mem.peak_bytes +50%
                                   // Default diff: informational only.
-        assert!(diff_reports(&base, &new, 10.0).passed());
+        assert!(diff_reports(&base, &new, 10.0, None, None).passed());
         // --gauges: gauge rows gate at the tolerance.
-        let d = diff_reports_full(&base, &new, 10.0, None, Some(25.0));
+        let d = diff_reports(&base, &new, 10.0, None, Some(25.0));
         assert!(!d.passed());
         let fails = d.failures();
         assert_eq!(fails.len(), 1);
@@ -468,7 +432,7 @@ mod tests {
         assert_eq!(fails[0].name, "mem.peak_bytes");
         assert!(d.render_table().contains("gauge(s) past the 25% tolerance"));
         // Within tolerance: passes.
-        assert!(diff_reports_full(&base, &new, 10.0, None, Some(60.0)).passed());
+        assert!(diff_reports(&base, &new, 10.0, None, Some(60.0)).passed());
     }
 
     #[test]
@@ -477,11 +441,11 @@ mod tests {
         base.gauges.push(("span.count.total_us".into(), 100.0));
         let mut new = base.clone();
         new.gauges[1].1 = 100000.0; // wall clock exploded; still info
-        let d = diff_reports_full(&base, &new, 10.0, None, Some(25.0));
+        let d = diff_reports(&base, &new, 10.0, None, Some(25.0));
         assert!(d.passed(), "span.* gauges are wall-clock, never gated");
         // par_imbalance, a non-span gauge, does gate.
         new.gauges[0].1 = 50.0;
-        assert!(!diff_reports_full(&base, &new, 10.0, None, Some(25.0)).passed());
+        assert!(!diff_reports(&base, &new, 10.0, None, Some(25.0)).passed());
     }
 
     #[test]
@@ -489,7 +453,7 @@ mod tests {
         let base = base_report();
         let mut new = base_report();
         new.counters.push(("par_chunks".into(), 8));
-        let d = diff_reports(&base, &new, 10.0);
+        let d = diff_reports(&base, &new, 10.0, None, None);
         assert!(d.rows.iter().any(|r| r.name == "par_chunks"));
         assert!(!d.passed());
     }

@@ -9,13 +9,14 @@
 //! `BENCH_*.json` arrays the bench binaries write) into `history.json`,
 //! prints per-counter trend lines, and with `--gate` fails when the
 //! newest run of any series drifts past a threshold against its
-//! predecessor — the same counters-only philosophy as
-//! [`diff_reports`](crate::diff_reports), extended along the time axis.
+//! predecessor — [`diff_reports`] of the two runs, extended along the
+//! time axis.
 //!
 //! Folding is idempotent: a run whose `source` (file path, plus `#i`
 //! for array elements) is already present replaces the old entry
 //! instead of appending, so re-running over a directory converges.
 
+use crate::diff::{delta_pct, diff_reports};
 use crate::json::Json;
 use crate::report::{ReportError, RunReport};
 
@@ -69,6 +70,19 @@ impl HistoryRun {
             .iter()
             .find(|(n, _)| n == name)
             .map_or(0, |&(_, v)| v)
+    }
+
+    /// The run as a report holding only its counters and gauges.
+    fn as_report(&self) -> RunReport {
+        RunReport {
+            schema_version: RunReport::SCHEMA_VERSION,
+            meta: Vec::new(),
+            counters: self.counters.clone(),
+            gauges: self.gauges.clone(),
+            series: Vec::new(),
+            spans: Vec::new(),
+            histograms: Vec::new(),
+        }
     }
 }
 
@@ -149,16 +163,6 @@ impl std::fmt::Display for GateFailure {
             "{}: {} {} -> {} ({delta})",
             self.series, self.counter, self.base, self.new
         )
-    }
-}
-
-fn delta_pct(base: f64, new: f64) -> f64 {
-    if base == new {
-        0.0
-    } else if base == 0.0 {
-        f64::INFINITY
-    } else {
-        (new - base) / base * 100.0
     }
 }
 
@@ -277,33 +281,29 @@ impl History {
     }
 
     /// Regressions of the newest run of each series against its
-    /// immediate predecessor: counters only, both directions, past
-    /// `threshold_pct`. Series with fewer than two runs never gate.
+    /// immediate predecessor: the failures of their [`diff_reports`] —
+    /// counters only, both directions, past `threshold_pct`. Series with
+    /// fewer than two runs never gate.
     pub fn gate(&self, threshold_pct: f64) -> Vec<GateFailure> {
         let mut fails = Vec::new();
         for s in &self.series {
             let [.., prev, last] = s.runs.as_slice() else {
                 continue;
             };
-            let mut names: Vec<&str> = prev.counters.iter().map(|(n, _)| n.as_str()).collect();
-            for (n, _) in &last.counters {
-                if !names.contains(&n.as_str()) {
-                    names.push(n);
-                }
-            }
-            for name in names {
-                let (base, new) = (prev.counter(name), last.counter(name));
-                let pct = delta_pct(base as f64, new as f64);
-                if pct.abs() > threshold_pct {
-                    fails.push(GateFailure {
-                        series: s.key.clone(),
-                        counter: name.to_string(),
-                        base,
-                        new,
-                        delta_pct: pct,
-                    });
-                }
-            }
+            let d = diff_reports(
+                &prev.as_report(),
+                &last.as_report(),
+                threshold_pct,
+                None,
+                None,
+            );
+            fails.extend(d.failures().into_iter().map(|r| GateFailure {
+                series: s.key.clone(),
+                counter: r.name.clone(),
+                base: prev.counter(&r.name),
+                new: last.counter(&r.name),
+                delta_pct: r.delta_pct,
+            }));
         }
         fails
     }
@@ -504,7 +504,6 @@ mod tests {
                 ("spa_scatters".to_string(), 0),
             ],
             gauges: vec![("par_imbalance".to_string(), 1.0)],
-            phases: vec![],
             series: vec![],
             spans: vec![],
             histograms: vec![],

@@ -1,5 +1,5 @@
-//! Work counters, phase timers, hierarchical spans, histograms, and
-//! machine-readable run reports.
+//! Work counters, hierarchical spans, histograms, and machine-readable
+//! run reports.
 //!
 //! The counting engine, the peeling drivers, and the incremental
 //! maintainer are all instrumented against the [`Recorder`] trait. The
@@ -9,16 +9,18 @@
 //! whole site monomorphizes away — the uninstrumented build pays nothing.
 //!
 //! [`InMemoryRecorder`] is the one real implementation, behind every
-//! telemetry flag: it aggregates counters into a flat array, folds
-//! repeated phases by name, keeps named series, collects hierarchical
-//! [`SpanRow`]s with attached counter deltas, buckets values into
-//! [`Histogram`]s, and renders everything as a [`RunReport`] — a
-//! schema-versioned (v2, v1 still parses), JSON-serializable record of
-//! one run that the CLI (`--stats` / `--report` / `--trace`) and the
-//! bench binaries (`BENCH_*.json`) emit. With a [`SharedSink`] attached
-//! it also streams its events as NDJSON (`--stream`); with a
-//! [`LiveBoard`] attached it mirrors counters and gauges onto the board
-//! a liveness monitor samples (`--progress`, `--flight-recorder`).
+//! telemetry flag: it aggregates counters into a flat array, keeps named
+//! series, collects hierarchical [`SpanRow`]s with attached counter
+//! deltas, buckets values into [`Histogram`]s, and renders everything as
+//! a [`RunReport`] — a schema-versioned (v3; v1 and v2 still parse),
+//! JSON-serializable record of one run that the CLI (`--stats` /
+//! `--report` / `--trace`) and the bench binaries (`BENCH_*.json`) emit.
+//! Spans are the one timing primitive: every timed region is a span, and
+//! [`RunReport::span_totals`] folds them by name. With a [`SharedSink`]
+//! attached the recorder also streams its events as NDJSON
+//! (`--stream`); with a [`LiveBoard`] attached it mirrors counters and
+//! gauges onto the board a liveness monitor samples (`--progress`,
+//! `--flight-recorder`).
 //!
 //! Parallel code cannot share one `&mut Recorder` across workers, so
 //! every recorder hands each worker one of its own
@@ -56,7 +58,7 @@ mod trace;
 pub mod watchdog;
 
 pub use board::LiveBoard;
-pub use diff::{diff_reports, diff_reports_full, diff_reports_with, DiffRow, ReportDiff};
+pub use diff::{diff_reports, DiffRow, ReportDiff};
 pub use flight::{install_panic_hook, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use hist::Histogram;
 pub use history::{History, HistoryError, TrendRow};
@@ -65,7 +67,7 @@ pub use openmetrics::{parse_exposition, to_openmetrics, validate_exposition, Exp
 pub use progress::{
     GateWriter, Monitor, MonitorConfig, MonitorStats, ProgressModel, StderrGate, WorkForecast,
 };
-pub use report::{PhaseRow, ReportError, RunReport};
+pub use report::{ReportError, RunReport};
 pub use span::{parse_span_cap, SpanRow, ThreadTrace, DEFAULT_SPAN_CAP};
 pub use stream::{NdjsonSink, SharedSink};
 pub use watchdog::StallWatchdog;
@@ -267,18 +269,6 @@ pub trait Recorder {
         let _ = (name, value);
     }
 
-    /// Open a timed phase. Phases nest; repeated names aggregate.
-    #[inline]
-    fn phase_start(&mut self, name: &'static str) {
-        let _ = name;
-    }
-
-    /// Close the innermost open phase named `name`.
-    #[inline]
-    fn phase_end(&mut self, name: &'static str) {
-        let _ = name;
-    }
-
     /// Open a span: a named, nestable slice of wall-clock time that
     /// carries the counter work done inside it as a delta.
     #[inline]
@@ -349,16 +339,6 @@ impl<R: Recorder> Recorder for &mut R {
     }
 
     #[inline]
-    fn phase_start(&mut self, name: &'static str) {
-        (**self).phase_start(name);
-    }
-
-    #[inline]
-    fn phase_end(&mut self, name: &'static str) {
-        (**self).phase_end(name);
-    }
-
-    #[inline]
     fn span_enter(&mut self, name: &'static str) {
         (**self).span_enter(name);
     }
@@ -398,9 +378,10 @@ pub struct InMemoryRecorder {
     tally: WorkTally,
     gauges: Vec<(&'static str, f64)>,
     series: Vec<(&'static str, Vec<f64>)>,
-    phases: Vec<(String, f64, u64)>,
-    open: Vec<(&'static str, Instant)>,
     spans: Vec<SpanRow>,
+    /// Buffered spans that count against the span cap: all but the
+    /// recorder's own top-level spans.
+    capped: usize,
     /// Open spans: name, start, counter snapshot, and the allocator peak
     /// watermark saved at entry (0 unless `alloc-track` is active).
     open_spans: Vec<(&'static str, Instant, WorkTally, u64)>,
@@ -419,16 +400,17 @@ impl Default for InMemoryRecorder {
 impl InMemoryRecorder {
     /// Fresh, empty recorder; the span timeline starts now. Spans past
     /// the `BFLY_SPAN_CAP` cap (default [`DEFAULT_SPAN_CAP`]) are counted
-    /// in the `spans_dropped` gauge rather than buffered.
+    /// in the `spans_dropped` gauge rather than buffered. The spans this
+    /// recorder closes itself at depth 0 (track 0) are the run's
+    /// top-level timing: they never count against the cap.
     pub fn new() -> Self {
         InMemoryRecorder {
             epoch: Instant::now(),
             tally: WorkTally::new(),
             gauges: Vec::new(),
             series: Vec::new(),
-            phases: Vec::new(),
-            open: Vec::new(),
             spans: Vec::new(),
+            capped: 0,
             open_spans: Vec::new(),
             hists: Vec::new(),
             spans_dropped: 0,
@@ -489,19 +471,14 @@ impl InMemoryRecorder {
         &self.spans
     }
 
-    /// Folded phase rows finished so far: `(name, total seconds, count)`.
-    pub fn phase_rows(&self) -> &[(String, f64, u64)] {
-        &self.phases
-    }
-
     /// The named histogram, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.hists.iter().find(|(n, _)| *n == name).map(|(_, h)| h)
     }
 
-    /// What the recorder holds so far, as a report: finished phases and
-    /// spans only, nothing closed and nothing streamed. Error-path flight
-    /// dumps use it.
+    /// What the recorder holds so far, as a report: finished spans only,
+    /// nothing closed and nothing streamed. Error-path flight dumps use
+    /// it.
     pub fn snapshot(&self, meta: Vec<(String, Json)>) -> RunReport {
         let mut gauges: Vec<(String, f64)> = self
             .gauges
@@ -519,15 +496,6 @@ impl InMemoryRecorder {
                 .map(|c| (c.name().to_string(), self.tally.get(c)))
                 .collect(),
             gauges,
-            phases: self
-                .phases
-                .iter()
-                .map(|(n, s, c)| PhaseRow {
-                    name: n.clone(),
-                    seconds: *s,
-                    count: *c,
-                })
-                .collect(),
             series: self
                 .series
                 .iter()
@@ -543,14 +511,11 @@ impl InMemoryRecorder {
     }
 
     /// Render the recorder into a report. `meta` carries run context
-    /// (dataset, invariant, threads, …); unfinished phases and spans are
-    /// closed at render time so an aborted path still reports. When
+    /// (dataset, invariant, threads, …); unfinished spans are closed at
+    /// render time so an aborted path still reports. When
     /// streaming, the spans closed here and the closing `counters` /
     /// `hist` / `run_end` lines are emitted.
     pub fn report(&mut self, meta: Vec<(String, Json)>) -> RunReport {
-        while let Some((name, _)) = self.open.last().copied() {
-            self.close_phase(name);
-        }
         while let Some((name, _, _, _)) = self.open_spans.last().copied() {
             self.span_exit(name);
         }
@@ -561,28 +526,15 @@ impl InMemoryRecorder {
         rep
     }
 
-    /// Close the innermost open phase named `name` and fold it into its
-    /// row, returning the row's cumulative `(seconds, count)`.
-    fn close_phase(&mut self, name: &'static str) -> Option<(f64, u64)> {
-        // An unmatched end is ignored rather than corrupting the stack.
-        let pos = self.open.iter().rposition(|(n, _)| *n == name)?;
-        let (_, t0) = self.open.remove(pos);
-        let secs = t0.elapsed().as_secs_f64();
-        if let Some(row) = self.phases.iter_mut().find(|(n, _, _)| n == name) {
-            row.1 += secs;
-            row.2 += 1;
-            Some((row.1, row.2))
-        } else {
-            self.phases.push((name.to_string(), secs, 1));
-            Some((secs, 1))
-        }
-    }
-
-    /// Keep one finished span (streaming it) unless the span cap is full.
-    fn push_span(&mut self, row: SpanRow) {
-        if self.spans.len() >= span::env_span_cap() {
-            self.spans_dropped += 1;
-            return;
+    /// Keep one finished span (streaming it) unless it counts against
+    /// the span cap (`capped`) and the cap is full.
+    fn push_span(&mut self, row: SpanRow, capped: bool) {
+        if capped {
+            if self.capped >= span::env_span_cap() {
+                self.spans_dropped += 1;
+                return;
+            }
+            self.capped += 1;
         }
         if let Some(sink) = &self.sink {
             sink.emit_span(&row);
@@ -631,26 +583,6 @@ impl Recorder for InMemoryRecorder {
         }
     }
 
-    fn phase_start(&mut self, name: &'static str) {
-        self.open.push((name, Instant::now()));
-    }
-
-    fn phase_end(&mut self, name: &'static str) {
-        let Some((secs, count)) = self.close_phase(name) else {
-            return;
-        };
-        if let Some(sink) = &self.sink {
-            sink.emit(
-                "phase",
-                vec![
-                    ("name".to_string(), Json::Str(name.to_string())),
-                    ("seconds_total".to_string(), Json::Float(secs)),
-                    ("count".to_string(), Json::UInt(count)),
-                ],
-            );
-        }
-    }
-
     fn span_enter(&mut self, name: &'static str) {
         // With the tracking allocator active, scope the allocator's peak
         // watermark to this span: save the outer peak, restart the peak
@@ -688,14 +620,15 @@ impl Recorder for InMemoryRecorder {
             .checked_duration_since(self.epoch)
             .unwrap_or_default()
             .as_micros() as u64;
-        self.push_span(SpanRow {
+        let row = SpanRow {
             name: name.to_string(),
             thread: 0,
             depth: pos as u32,
             start_us,
             dur_us: start.elapsed().as_micros() as u64,
             counters,
-        });
+        };
+        self.push_span(row, pos > 0);
     }
 
     fn hist_record(&mut self, name: &'static str, value: u64) {
@@ -718,7 +651,7 @@ impl Recorder for InMemoryRecorder {
         trace.finish();
         self.tally.absorb(trace.tally());
         for raw in std::mem::take(&mut trace.spans) {
-            self.push_span(raw.into_row(self.epoch, track));
+            self.push_span(raw.into_row(self.epoch, track), true);
         }
         for (name, h) in &trace.hists {
             if let Some((_, mine)) = self.hists.iter_mut().find(|(n, _)| n == name) {
@@ -731,27 +664,9 @@ impl Recorder for InMemoryRecorder {
     }
 }
 
-/// Run `f` inside a named timed phase. The timer is only touched when
-/// the recorder is enabled.
-#[inline]
-pub fn timed_phase<R: Recorder, T>(
-    rec: &mut R,
-    name: &'static str,
-    f: impl FnOnce(&mut R) -> T,
-) -> T {
-    if R::ENABLED {
-        rec.phase_start(name);
-    }
-    let out = f(rec);
-    if R::ENABLED {
-        rec.phase_end(name);
-    }
-    out
-}
-
-/// Run `f` inside a named span. Like [`timed_phase`] but produces a
-/// [`SpanRow`] on the recorder's timeline instead of folding into a
-/// flat phase total.
+/// Run `f` inside a named span: a [`SpanRow`] on the recorder's
+/// timeline carrying the counter work done inside it. The clock is only
+/// read when the recorder is enabled.
 #[inline]
 pub fn timed_span<R: Recorder, T>(
     rec: &mut R,
@@ -821,18 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn phases_fold_by_name() {
-        let mut r = InMemoryRecorder::new();
-        for _ in 0..3 {
-            timed_phase(&mut r, "count", |_| ());
-        }
-        let rep = r.report(vec![]);
-        assert_eq!(rep.phases.len(), 1);
-        assert_eq!(rep.phases[0].count, 3);
-        assert!(rep.phases[0].seconds >= 0.0);
-    }
-
-    #[test]
     fn gauges_last_write_wins_and_series_append() {
         let mut r = InMemoryRecorder::new();
         r.gauge("imbalance", 1.5);
@@ -846,13 +749,11 @@ mod tests {
     #[test]
     fn unclosed_phase_and_span_close_at_report() {
         let mut r = InMemoryRecorder::new();
-        r.phase_start("outer");
+        r.span_enter("outer");
         r.span_enter("left-open");
         let rep = r.report(vec![]);
-        assert_eq!(rep.phases.len(), 1);
-        assert_eq!(rep.phases[0].name, "outer");
-        assert_eq!(rep.spans.len(), 1);
-        assert_eq!(rep.spans[0].name, "left-open");
+        let names: Vec<(&str, u32)> = rep.spans.iter().map(|s| (&*s.name, s.depth)).collect();
+        assert_eq!(names, vec![("left-open", 1), ("outer", 0)]);
     }
 
     #[test]
@@ -913,7 +814,7 @@ mod tests {
         r.gauge("par_imbalance", 1.25);
         r.series_push("peel_removed", 10.0);
         r.series_push("peel_removed", 4.0);
-        timed_phase(&mut r, "count", |_| ());
+        timed_span(&mut r, "select", |_| ());
         timed_span(&mut r, "count", |r| {
             r.hist_record("vertex_wedges", 17);
         });

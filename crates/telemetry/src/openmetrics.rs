@@ -2,7 +2,7 @@
 //!
 //! [`to_openmetrics`] renders a [`RunReport`] in the OpenMetrics text
 //! format: `# TYPE` metadata, `_total`-suffixed counters, labeled
-//! gauges for phases and span aggregates, full cumulative-`le`
+//! gauges for span aggregates, full cumulative-`le`
 //! histogram families, and the mandatory `# EOF` terminator — what a
 //! Prometheus scrape would return.
 //!
@@ -94,26 +94,6 @@ pub fn to_openmetrics(rep: &RunReport) -> String {
         let name = metric_name(n);
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {}", fmt_value(*v));
-    }
-    if !rep.phases.is_empty() {
-        let _ = writeln!(out, "# TYPE bfly_phase_seconds gauge");
-        for p in &rep.phases {
-            let _ = writeln!(
-                out,
-                "bfly_phase_seconds{{phase=\"{}\"}} {}",
-                escape_label(&p.name),
-                fmt_value(p.seconds)
-            );
-        }
-        let _ = writeln!(out, "# TYPE bfly_phase_runs gauge");
-        for p in &rep.phases {
-            let _ = writeln!(
-                out,
-                "bfly_phase_runs{{phase=\"{}\"}} {}",
-                escape_label(&p.name),
-                p.count
-            );
-        }
     }
     let span_totals = rep.span_totals();
     if !span_totals.is_empty() {
@@ -425,7 +405,7 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::report::PhaseRow;
+    use crate::span::SpanRow;
     use crate::{Counter, InMemoryRecorder, Recorder};
 
     fn sample_report() -> RunReport {
@@ -434,10 +414,10 @@ mod tests {
         rec.incr(Counter::ParChunks, 4);
         rec.gauge("par_imbalance", 1.25);
         rec.gauge("mem.peak_bytes", 4096.0);
-        rec.phase_start("count_parallel");
-        rec.phase_end("count_parallel");
+        rec.span_enter("count");
         rec.span_enter("chunk");
         rec.span_exit("chunk");
+        rec.span_exit("count");
         for v in [3u64, 9, 200, 4000] {
             rec.hist_record("chunk_us", v);
         }
@@ -464,6 +444,10 @@ mod tests {
             exp.labeled_value("bfly_span_runs", "span", "chunk"),
             Some(1.0)
         );
+        assert_eq!(
+            exp.labeled_value("bfly_span_runs", "span", "count"),
+            Some(1.0)
+        );
         assert_eq!(exp.value("bfly_chunk_us_count"), Some(4.0));
         assert_eq!(exp.value("bfly_chunk_us_sum"), Some(4212.0));
         assert_eq!(exp.value("bfly_chunk_us_min"), Some(3.0));
@@ -487,7 +471,6 @@ mod tests {
             meta: vec![],
             counters: vec![],
             gauges: vec![],
-            phases: vec![],
             series: vec![],
             spans: vec![],
             histograms: vec![("w".to_string(), h)],
@@ -533,20 +516,22 @@ mod tests {
             meta: vec![],
             counters: vec![],
             gauges: vec![],
-            phases: vec![PhaseRow {
-                name: "a\"b\\c".to_string(),
-                seconds: 1.0,
-                count: 1,
-            }],
             series: vec![],
-            spans: vec![],
+            spans: vec![SpanRow {
+                name: "a\"b\\c".to_string(),
+                thread: 0,
+                depth: 0,
+                start_us: 0,
+                dur_us: 1_000_000,
+                counters: vec![],
+            }],
             histograms: vec![],
         };
         let text = to_openmetrics(&rep);
         validate_exposition(&text).unwrap();
         let exp = parse_exposition(&text).unwrap();
         assert_eq!(
-            exp.labeled_value("bfly_phase_seconds", "phase", "a\"b\\c"),
+            exp.labeled_value("bfly_span_seconds", "span", "a\"b\\c"),
             Some(1.0)
         );
     }

@@ -2,11 +2,15 @@
 //!
 //! Schema history:
 //! - **v1** (PR 1): meta, counters, gauges, flat phases, series.
-//! - **v2** (this layer): adds `spans` (hierarchical, per-thread timed
-//!   spans with counter deltas) and `histograms` (log-bucketed value
-//!   distributions). v1 documents still parse — the new sections just
-//!   come back empty. Documents claiming a *newer* schema are rejected
-//!   with a clear error instead of a confusing field-level failure.
+//! - **v2**: adds `spans` (hierarchical, per-thread timed spans with
+//!   counter deltas) and `histograms` (log-bucketed value distributions).
+//! - **v3** (this layer): drops `phases` — every timed region is a span.
+//!
+//! Older documents still parse: absent sections come back empty, and
+//! each v1/v2 `phases` row comes back as a track-0, depth-0 span of its
+//! total, so saved reports keep their timing. Documents claiming a
+//! *newer* schema are rejected with a clear error instead of a confusing
+//! field-level failure.
 
 use crate::hist::Histogram;
 use crate::json::Json;
@@ -49,17 +53,6 @@ impl std::fmt::Display for ReportError {
 
 impl std::error::Error for ReportError {}
 
-/// One aggregated phase row in a report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseRow {
-    /// Phase name as given to [`crate::Recorder::phase_start`].
-    pub name: String,
-    /// Total wall-clock seconds across all occurrences.
-    pub seconds: f64,
-    /// Number of start/end pairs folded into this row.
-    pub count: u64,
-}
-
 /// Schema-versioned, machine-readable record of one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
@@ -72,8 +65,6 @@ pub struct RunReport {
     pub counters: Vec<(String, u64)>,
     /// Last-write-wins point measurements.
     pub gauges: Vec<(String, f64)>,
-    /// Aggregated timed phases.
-    pub phases: Vec<PhaseRow>,
     /// Named value sequences (per-round, per-chunk, …).
     pub series: Vec<(String, Vec<f64>)>,
     /// Finished spans across all threads, in merge order (v2+).
@@ -84,7 +75,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Current report schema version.
-    pub const SCHEMA_VERSION: u64 = 2;
+    pub const SCHEMA_VERSION: u64 = 3;
 
     /// Value of a counter by report name.
     pub fn counter(&self, name: &str) -> Option<u64> {
@@ -148,21 +139,6 @@ impl RunReport {
                 ),
             ),
             (
-                "phases".into(),
-                Json::Arr(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::Str(p.name.clone())),
-                                ("seconds".into(), Json::Float(p.seconds)),
-                                ("count".into(), Json::UInt(p.count)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
                 "series".into(),
                 Json::Obj(
                     self.series
@@ -215,7 +191,8 @@ impl RunReport {
     }
 
     /// Reconstruct a report from [`RunReport::to_json`] output. Accepts
-    /// schema v1 (spans/histograms come back empty) and v2; documents
+    /// schemas v1 to v3 (see the module docs for what older ones map
+    /// to); documents
     /// declaring a newer schema fail with
     /// [`ReportError::FutureSchema`], ill-shaped ones with
     /// [`ReportError::Schema`].
@@ -274,22 +251,6 @@ impl RunReport {
                     .ok_or_else(|| format!("gauge `{n}`: expected number"))
             })
             .collect::<Result<_, _>>()?;
-        let phases = field("phases")?
-            .as_arr()
-            .ok_or("phases: expected array")?
-            .iter()
-            .map(|p| {
-                let get = |k: &str| p.get(k).ok_or_else(|| format!("phase: missing `{k}`"));
-                Ok(PhaseRow {
-                    name: get("name")?
-                        .as_str()
-                        .ok_or("phase name: expected string")?
-                        .to_string(),
-                    seconds: get("seconds")?.as_f64().ok_or("phase seconds: number")?,
-                    count: get("count")?.as_u64().ok_or("phase count: integer")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
         let series = field("series")?
             .as_obj()
             .ok_or("series: expected object")?
@@ -307,8 +268,33 @@ impl RunReport {
                 Ok((n.clone(), vals))
             })
             .collect::<Result<_, String>>()?;
+        // v1/v2 `phases`: each row's total becomes a top-level span on
+        // track 0, ahead of the document's own spans.
+        let mut spans: Vec<SpanRow> = match field("phases") {
+            Err(_) => Vec::new(),
+            Ok(v) => v
+                .as_arr()
+                .ok_or("phases: expected array")?
+                .iter()
+                .map(|p| {
+                    let get = |k: &str| p.get(k).ok_or_else(|| format!("phase: missing `{k}`"));
+                    let seconds = get("seconds")?.as_f64().ok_or("phase seconds: number")?;
+                    Ok(SpanRow {
+                        name: get("name")?
+                            .as_str()
+                            .ok_or("phase name: expected string")?
+                            .to_string(),
+                        thread: 0,
+                        depth: 0,
+                        start_us: 0,
+                        dur_us: (seconds * 1e6).round() as u64,
+                        counters: Vec::new(),
+                    })
+                })
+                .collect::<Result<_, String>>()?,
+        };
         // v2 sections: absent in v1 documents, default to empty.
-        let spans = match field("spans") {
+        let own_spans: Vec<SpanRow> = match field("spans") {
             Err(_) => Vec::new(),
             Ok(v) => v
                 .as_arr()
@@ -340,6 +326,7 @@ impl RunReport {
                 })
                 .collect::<Result<_, String>>()?,
         };
+        spans.extend(own_spans);
         let histograms = match field("histograms") {
             Err(_) => Vec::new(),
             Ok(v) => v
@@ -354,7 +341,6 @@ impl RunReport {
             meta,
             counters,
             gauges,
-            phases,
             series,
             spans,
             histograms,
@@ -373,8 +359,8 @@ impl RunReport {
     }
 
     /// Human-oriented table for `--stats` / `report show`: all meta,
-    /// non-zero counters, every gauge, phase, span aggregate, histogram
-    /// summary, and series.
+    /// non-zero counters, every gauge, span aggregate, histogram summary,
+    /// and series.
     pub fn render_table(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -389,13 +375,6 @@ impl RunReport {
         }
         for (n, v) in &self.gauges {
             let _ = writeln!(out, "  {n:<22} {v:.4}");
-        }
-        for p in &self.phases {
-            let _ = writeln!(
-                out,
-                "  phase {:<16} {:>12.6}s  x{}",
-                p.name, p.seconds, p.count
-            );
         }
         let threads = self.span_threads();
         if !self.spans.is_empty() {
@@ -442,11 +421,6 @@ mod tests {
             meta: vec![("dataset".into(), Json::Str("k33".into()))],
             counters: vec![("wedges_expanded".into(), 42)],
             gauges: vec![("par_imbalance".into(), 1.25)],
-            phases: vec![PhaseRow {
-                name: "count".into(),
-                seconds: 0.5,
-                count: 1,
-            }],
             series: vec![("rounds".into(), vec![4.0, 2.0])],
             spans: vec![SpanRow {
                 name: "chunk".into(),
@@ -461,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_round_trips() {
+    fn v3_round_trips() {
         let rep = sample();
         let back = RunReport::parse(&rep.to_json_string()).unwrap();
         assert_eq!(rep, back);
@@ -480,7 +454,15 @@ mod tests {
         let rep = RunReport::parse(v1).unwrap();
         assert_eq!(rep.schema_version, 1);
         assert_eq!(rep.counter("wedges_expanded"), Some(42));
-        assert!(rep.spans.is_empty());
+        let phase = SpanRow {
+            name: "count".into(),
+            thread: 0,
+            depth: 0,
+            start_us: 0,
+            dur_us: 500_000,
+            counters: vec![],
+        };
+        assert_eq!(rep.spans, vec![phase]);
         assert!(rep.histograms.is_empty());
     }
 

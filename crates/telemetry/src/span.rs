@@ -24,7 +24,8 @@ pub const DEFAULT_SPAN_CAP: usize = 1 << 16;
 
 /// Parse a `BFLY_SPAN_CAP` value. Absent or unparseable input falls
 /// back to [`DEFAULT_SPAN_CAP`]; `0` is legal and drops every span
-/// (counters/phases/histograms are unaffected).
+/// but the recorder's own top-level ones (counters and histograms are
+/// unaffected).
 pub fn parse_span_cap(raw: Option<&str>) -> usize {
     raw.and_then(|s| s.trim().parse::<usize>().ok())
         .unwrap_or(DEFAULT_SPAN_CAP)

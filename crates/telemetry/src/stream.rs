@@ -9,7 +9,6 @@
 //! * `run_start` — when the sink is attached;
 //! * `span` — every finished span (own spans and worker-trace spans at
 //!   merge time), with its counter deltas;
-//! * `phase` — on every phase end, with the cumulative total;
 //! * `gauge` — on every gauge write;
 //! * `counters`, `hist` — totals at report time;
 //! * `run_end` — last line, carrying the run meta.
@@ -292,8 +291,8 @@ mod tests {
         rec.incr(Counter::WedgesExpanded, 9);
         rec.span_exit("work");
         rec.gauge("par_imbalance", 1.5);
-        rec.phase_start("count");
-        rec.phase_end("count");
+        rec.span_enter("count");
+        rec.span_exit("count");
         rec.hist_record("w", 3);
         let rep = rec.report(vec![("dataset".to_string(), Json::Str("g".to_string()))]);
         assert_eq!(rep.counter("wedges_expanded"), Some(9));
@@ -306,7 +305,7 @@ mod tests {
                 "run_start",
                 "span",
                 "gauge",
-                "phase",
+                "span",
                 "counters",
                 "hist",
                 "run_end"

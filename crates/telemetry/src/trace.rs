@@ -203,7 +203,6 @@ mod tests {
             meta: vec![("dataset".into(), Json::Str("k<3>".into()))],
             counters: vec![],
             gauges: vec![],
-            phases: vec![],
             series: vec![],
             spans: vec![
                 SpanRow {

@@ -139,7 +139,7 @@ fn progress_fraction_reaches_exactly_one_for_global_order_kernels() {
 
 #[test]
 fn run_report_round_trips_through_json() {
-    // Exercise counters, gauges, phases, and series in one report.
+    // Exercise counters, gauges, spans, and series in one report.
     let g = BipartiteGraph::complete(6, 5);
     let mut rec = InMemoryRecorder::new();
     let xi = count_recorded(&g, Invariant::Inv1, &mut rec);
@@ -167,7 +167,10 @@ fn run_report_round_trips_through_json() {
     // The interesting counters are actually non-zero on this input.
     assert!(rep.counter("wedges_expanded").unwrap() > 0);
     assert!(rep.counter("peel_rounds").unwrap() >= 2); // tip + wing rounds
-    assert!(!rep.phases.is_empty());
+    assert!(rep
+        .spans
+        .iter()
+        .any(|s| s.name == "count" && s.thread == 0 && s.depth == 0));
 }
 
 #[test]
@@ -223,13 +226,35 @@ fn v1_reports_parse_and_future_schemas_are_rejected() {
     assert!(rep.spans.is_empty());
     assert!(rep.histograms.is_empty());
 
+    // v1 and v2 `phases` rows come back as top-level track-0 spans of
+    // their totals, ahead of a v2 document's own spans.
+    let v1_phases = v1.replace(
+        "\"phases\": []",
+        "\"phases\": [{\"name\": \"count\", \"seconds\": 0.25, \"count\": 2}]",
+    );
+    let v2_phases = v1_phases
+        .replace("\"schema_version\": 1", "\"schema_version\": 2")
+        .replace(
+            "\"series\": {}",
+            "\"series\": {}, \"histograms\": {}, \"spans\": [{\"name\": \"shard\", \
+             \"thread\": 0, \"depth\": 0, \"start_us\": 5, \"dur_us\": 9, \"counters\": {}}]",
+        );
+    for (doc, own) in [(v1_phases, 0), (v2_phases, 1)] {
+        let rep = RunReport::parse(&doc).expect("phases must stay readable");
+        assert_eq!(rep.spans.len(), 1 + own, "{doc}");
+        let s = &rep.spans[0];
+        assert_eq!((s.name.as_str(), s.thread, s.depth), ("count", 0, 0));
+        assert_eq!(s.dur_us, 250_000);
+        assert!(s.counters.is_empty());
+    }
+
     // A report from a future build is refused with a pointed message.
-    let future = v1.replace("\"schema_version\": 1", "\"schema_version\": 3");
+    let future = v1.replace("\"schema_version\": 1", "\"schema_version\": 4");
     let err = RunReport::parse(&future).unwrap_err();
     assert!(
         matches!(
             err,
-            bfly::core::telemetry::ReportError::FutureSchema { found: 3, .. }
+            bfly::core::telemetry::ReportError::FutureSchema { found: 4, .. }
         ),
         "should classify as FutureSchema: {err:?}"
     );
