@@ -1951,7 +1951,8 @@ struct Planned {
 /// Resolve `(algorithm, parallel, shards)` and the budget to the one
 /// in-memory plan this count runs, or `None` for a baseline counter,
 /// which runs no plan. Text `--shards` runs the adaptive plan's fixed
-/// fallback over explicit vertex-range shards; a budget selects through
+/// fallback over explicit vertex-range shards, profiled inside a `select`
+/// span and recorded by [`Plan::record`]; a budget selects through
 /// [`profile_and_plan_budgeted_recorded`]; `auto` and `--adaptive`
 /// through [`profile_and_plan_recorded`] and [`tune_plan_chunks`], told
 /// apart only by their label tag; everything else forces its member
@@ -1972,11 +1973,15 @@ fn plan_count(
         (true, _) => format!("{tag}, parallel"),
     };
     if let Some(shards) = shards {
-        let profile = GraphProfile::compute(g);
-        let plan = Plan {
-            mode: ExecMode::Sharded { shards },
-            ..select_plan(&profile, false, 0).demoted()
-        };
+        let (profile, plan) = with_recorder!(telem, |rec| timed_span(rec, "select", |rec| {
+            let profile = GraphProfile::compute(g);
+            let plan = Plan {
+                mode: ExecMode::Sharded { shards },
+                ..select_plan(&profile, false, 0).demoted()
+            };
+            plan.record(rec);
+            (profile, plan)
+        }));
         let tag = format!("sharded, {shards} shards");
         let profile = Some(profile);
         return Ok(Some(Planned { profile, plan, tag }));

@@ -1007,6 +1007,42 @@ fn out_of_core_plans_never_charge_the_relabel() {
     }
 }
 
+/// The text `--shards N` route accounts for its plan like every other
+/// plan-backed route: the profile runs inside one `select` span, and the
+/// report carries the `plan.*` gauges of the sharded plan that ran.
+#[test]
+fn text_shards_route_reports_its_select_span_and_plan() {
+    let dir = tempdir();
+    let gpath = dir.join("text-shards.tsv");
+    let out = bfly()
+        .args(["generate", "--kind", "uniform", "--m", "300", "--n", "300"])
+        .args(["--edges", "3000", "--seed", "5", "--out"])
+        .arg(&gpath)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let report = dir.join("text-shards.json");
+    let out = bfly()
+        .arg("count")
+        .arg(&gpath)
+        .args(["--shards", "4", "--report"])
+        .arg(&report)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let rep =
+        bfly_core::telemetry::RunReport::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let selects = rep.spans.iter().filter(|s| s.name == "select").count();
+    assert_eq!(selects, 1, "{:?}", rep.spans);
+    let gauge = |name: &str| rep.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+    assert_eq!(gauge("plan.shards"), Some(4.0), "{:?}", rep.gauges);
+    assert!(gauge("plan.member").is_some(), "{:?}", rep.gauges);
+}
+
 /// The recorder's own top-level spans never count against
 /// `BFLY_SPAN_CAP`: under a cap of one span, a parallel wing
 /// decomposition still reports its `wing_decompose` span, keeps at most

@@ -389,6 +389,50 @@ impl Plan {
         WorkForecast::new(Counter::WedgesExpanded, self.est_work)
     }
 
+    /// Emit the `plan.*` gauges and the `progress.total_work` forecast
+    /// describing this plan.
+    pub fn record<R: Recorder>(&self, rec: &mut R) {
+        if !R::ENABLED {
+            return;
+        }
+        rec.gauge("plan.member", self.member.gauge_value());
+        rec.gauge("plan.invariant", self.invariant.number() as f64);
+        rec.gauge(
+            "plan.partition_side",
+            match self.partition_side() {
+                Side::V1 => 1.0,
+                Side::V2 => 2.0,
+            },
+        );
+        rec.gauge(
+            "plan.lookahead",
+            if self.invariant.is_lookahead() {
+                1.0
+            } else {
+                0.0
+            },
+        );
+        rec.gauge(
+            "plan.degree_ordered",
+            if self.degree_ordered { 1.0 } else { 0.0 },
+        );
+        let (blocked, block_size, chunks, shards) = match self.mode {
+            ExecMode::Flat => (0.0, 0.0, 0.0, 0.0),
+            ExecMode::Blocked { block_size } => (1.0, block_size as f64, 0.0, 0.0),
+            ExecMode::Parallel { chunks } => (0.0, 0.0, chunks as f64, 0.0),
+            ExecMode::Sharded { shards } => (0.0, 0.0, 0.0, shards as f64),
+        };
+        rec.gauge("plan.blocked", blocked);
+        rec.gauge("plan.block_size", block_size);
+        rec.gauge("plan.par_chunks", chunks);
+        rec.gauge("plan.shards", shards);
+        rec.gauge("plan.est_work", self.est_work as f64);
+        rec.gauge("plan.est_work_alt", self.est_work_alt as f64);
+        // Liveness: the forecast total the monitor seeds its ProgressModel
+        // with, visible in reports even when no monitor ran.
+        rec.gauge("progress.total_work", self.forecast().total as f64);
+    }
+
     /// Render as a JSON object (the `--explain` payload).
     pub fn to_json(&self) -> Json {
         let (mode, block_size, chunks, shards) = match self.mode {
@@ -665,52 +709,9 @@ pub fn profile_and_plan_recorded<R: Recorder>(
     timed_span(rec, "select", |rec| {
         let profile = GraphProfile::compute(g);
         let plan = select_plan(&profile, parallel, workers);
-        record_plan_gauges(rec, &plan);
+        plan.record(rec);
         (profile, plan)
     })
-}
-
-/// Emit the `plan.*` gauges describing a selected plan.
-pub(crate) fn record_plan_gauges<R: Recorder>(rec: &mut R, plan: &Plan) {
-    if !R::ENABLED {
-        return;
-    }
-    rec.gauge("plan.member", plan.member.gauge_value());
-    rec.gauge("plan.invariant", plan.invariant.number() as f64);
-    rec.gauge(
-        "plan.partition_side",
-        match plan.partition_side() {
-            Side::V1 => 1.0,
-            Side::V2 => 2.0,
-        },
-    );
-    rec.gauge(
-        "plan.lookahead",
-        if plan.invariant.is_lookahead() {
-            1.0
-        } else {
-            0.0
-        },
-    );
-    rec.gauge(
-        "plan.degree_ordered",
-        if plan.degree_ordered { 1.0 } else { 0.0 },
-    );
-    let (blocked, block_size, chunks, shards) = match plan.mode {
-        ExecMode::Flat => (0.0, 0.0, 0.0, 0.0),
-        ExecMode::Blocked { block_size } => (1.0, block_size as f64, 0.0, 0.0),
-        ExecMode::Parallel { chunks } => (0.0, 0.0, chunks as f64, 0.0),
-        ExecMode::Sharded { shards } => (0.0, 0.0, 0.0, shards as f64),
-    };
-    rec.gauge("plan.blocked", blocked);
-    rec.gauge("plan.block_size", block_size);
-    rec.gauge("plan.par_chunks", chunks);
-    rec.gauge("plan.shards", shards);
-    rec.gauge("plan.est_work", plan.est_work as f64);
-    rec.gauge("plan.est_work_alt", plan.est_work_alt as f64);
-    // Liveness: the forecast total the monitor seeds its ProgressModel
-    // with, visible in reports even when no monitor ran.
-    rec.gauge("progress.total_work", plan.forecast().total as f64);
 }
 
 /// Execute a previously selected plan on `g`. A total past `u64` panics
@@ -1095,7 +1096,7 @@ pub fn profile_and_plan_budgeted_recorded<R: Recorder>(
     timed_span(rec, "select", |rec| {
         let profile = GraphProfile::compute(g);
         let plan = select_plan_budgeted(&profile, parallel, workers, budget, rec)?;
-        record_plan_gauges(rec, &plan);
+        plan.record(rec);
         Ok((profile, plan))
     })
 }

@@ -41,8 +41,7 @@ use super::engine::{record_update, update_vertex, FixedKernel};
 use super::parallel::{balanced_chunk_bounds, run_range, wedge_weights, Kernel, Poll};
 use super::Traversal;
 use crate::adaptive::{
-    plan_scratch_bytes, record_plan_gauges, select_plan, select_sharded_plan, ExecMode,
-    GraphProfile, Plan,
+    plan_scratch_bytes, select_plan, select_sharded_plan, ExecMode, GraphProfile, Plan,
 };
 use crate::budget::{record_degraded, record_memory, Partial, ResourceBudget};
 use crate::checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore};
@@ -286,7 +285,7 @@ pub(crate) fn run_segmented<R: Recorder>(
             budget.check_bytes(plan_scratch_bytes(&profile, &plan))?;
             plan
         };
-        record_plan_gauges(rec, &plan);
+        plan.record(rec);
         Ok::<_, crate::error::BflyError>((profile, plan))
     })?;
     let ExecMode::Sharded { shards: nshards } = plan.mode else {

@@ -22,9 +22,17 @@
 //! to disk, so loading and converting a file cannot disagree. If real
 //! KONECT files are available locally they can be fed straight into the
 //! same harness that runs the synthetic stand-ins.
+//!
+//! Input is read in bounded blocks and split into lines without a
+//! per-line allocation. A plain KONECT or edge-list `u v` data line is
+//! parsed in place by a byte-level fast path; every other line (comments,
+//! headers, MatrixMarket, non-ASCII bytes, signs, long ids, anything
+//! malformed) goes through the str grammar, which decides every graph and
+//! every error exactly as the fast path would where both apply.
 
 use crate::bipartite::BipartiteGraph;
-use std::io::{BufRead, BufReader, Read, Write};
+use bfly_sparse::Pattern;
+use std::io::{ErrorKind, Read, Write};
 use std::path::Path;
 
 /// Errors raised while parsing edge-list files.
@@ -74,10 +82,158 @@ pub enum TextFormat {
     MatrixMarket,
 }
 
-/// Strip a UTF-8 byte-order mark (files saved by Windows editors often
-/// lead with one; it must not poison the first token).
-fn strip_bom(s: &str) -> &str {
-    s.strip_prefix('\u{feff}').unwrap_or(s)
+/// Bytes the line splitter asks its reader for at a time. The buffer
+/// grows past this only to hold one line longer than a block.
+const BLOCK: usize = 128 << 10;
+
+/// UTF-8 byte-order mark: files saved by Windows editors often lead with
+/// one, and it must not poison line 1's first token.
+const BOM: &[u8] = b"\xEF\xBB\xBF";
+
+/// Splits a reader into lines through one bounded buffer, with
+/// `BufRead::lines`' framing and none of its per-line `String`: a line
+/// loses its `\n` and one `\r` before it (a last line without `\n` keeps
+/// its `\r`), line 1 loses a leading BOM, and `Interrupted` reads are
+/// retried. Lines stay bytes; each grammar decides how much text it needs.
+struct LineSplitter<R> {
+    reader: R,
+    buf: Vec<u8>,
+    /// Start of the first line not yet returned.
+    start: usize,
+    /// End of the bytes read so far.
+    end: usize,
+    eof: bool,
+    /// Lines returned so far: the number of the last one.
+    lineno: usize,
+}
+
+impl<R: Read> LineSplitter<R> {
+    fn new(reader: R) -> Self {
+        LineSplitter {
+            reader,
+            buf: vec![0; BLOCK],
+            start: 0,
+            end: 0,
+            eof: false,
+            lineno: 0,
+        }
+    }
+
+    /// The next line and its 1-based number, or `None` once the input
+    /// ends.
+    fn next_line(&mut self) -> Result<Option<(usize, &[u8])>, IoError> {
+        let mut searched = 0;
+        let (line_end, next) = loop {
+            let from = self.start + searched;
+            if let Some(i) = self.buf[from..self.end].iter().position(|&b| b == b'\n') {
+                let nl = from + i;
+                let cr = nl > self.start && self.buf[nl - 1] == b'\r';
+                break (nl - usize::from(cr), nl + 1);
+            }
+            searched = self.end - self.start;
+            if !self.refill()? {
+                if self.start == self.end {
+                    return Ok(None);
+                }
+                break (self.end, self.end);
+            }
+        };
+        let mut line_start = self.start;
+        self.start = next;
+        self.lineno += 1;
+        if self.lineno == 1 && self.buf[line_start..line_end].starts_with(BOM) {
+            line_start += BOM.len();
+        }
+        Ok(Some((self.lineno, &self.buf[line_start..line_end])))
+    }
+
+    /// Read more input behind the pending bytes, first moving them to the
+    /// front of the buffer and doubling the buffer when one line fills
+    /// it. `false` once the input has ended.
+    fn refill(&mut self) -> Result<bool, IoError> {
+        if self.eof {
+            return Ok(false);
+        }
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.end == self.buf.len() {
+            self.buf.resize(2 * self.buf.len(), 0);
+        }
+        loop {
+            match self.reader.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    self.eof = true;
+                    return Ok(false);
+                }
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(true);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
+/// The whitespace of the str grammar (`char::is_whitespace`) that is
+/// ASCII: `\t \n \x0B \x0C \r` and space. `u8::is_ascii_whitespace`
+/// leaves out `\x0B`.
+#[inline]
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
+}
+
+/// A run of 1–9 ASCII digits at `bytes[*at..]`, advancing `at` past it.
+/// Nine digits stay below `u32::MAX`, so the value needs no check.
+#[inline]
+fn digits(bytes: &[u8], at: &mut usize) -> Option<u32> {
+    let mut value = 0u32;
+    let mut n = 0;
+    while let Some(&b) = bytes.get(*at + n) {
+        if !b.is_ascii_digit() {
+            break;
+        }
+        if n == 9 {
+            return None;
+        }
+        value = value * 10 + u32::from(b - b'0');
+        n += 1;
+    }
+    *at += n;
+    (n > 0).then_some(value)
+}
+
+/// The fast path of the KONECT and edge-list data line: optional
+/// whitespace, 1–9 digits, whitespace, 1–9 digits, then the end of the
+/// line or whitespace followed by ASCII (KONECT's weight and timestamp
+/// columns, which are ignored). On such a line the str grammar reads the
+/// same two ids, so `None`, which sends the line to the str grammar,
+/// changes no graph and no error.
+#[inline]
+fn fast_pair(line: &[u8]) -> Option<(u32, u32)> {
+    let mut at = line.iter().take_while(|&&b| is_space(b)).count();
+    let first = digits(line, &mut at)?;
+    let gap = line[at..].iter().take_while(|&&b| is_space(b)).count();
+    if gap == 0 {
+        return None;
+    }
+    at += gap;
+    let second = digits(line, &mut at)?;
+    let rest = &line[at..];
+    (rest.first().is_none_or(|&b| is_space(b)) && rest.is_ascii()).then_some((first, second))
+}
+
+/// A line as text for the str grammar, failing on invalid UTF-8 with the
+/// error `BufRead::lines` raises.
+fn utf8(line: &[u8]) -> Result<&str, IoError> {
+    std::str::from_utf8(line).map_err(|_| {
+        IoError::Io(std::io::Error::new(
+            ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        ))
+    })
 }
 
 /// What a streaming parse saw besides the edges it emitted.
@@ -99,17 +255,19 @@ pub(crate) struct StreamInfo {
 /// soon as it is read (a MatrixMarket entry, against its own line), and a
 /// declared edge or entry count that the data contradicts is reported
 /// against the header or size line once the input ends. Tolerates a UTF-8
-/// BOM and CRLF line endings (`\r` is whitespace to the tokenizer).
+/// BOM and CRLF line endings ([`LineSplitter`]). KONECT and edge-list
+/// data lines take [`fast_pair`]; every other line, and every error, goes
+/// through the str grammar.
 pub(crate) fn stream_edges<R: Read>(
     reader: R,
     format: TextFormat,
     emit: impl FnMut(u32, u32) -> Result<(), IoError>,
 ) -> Result<StreamInfo, IoError> {
-    let reader = BufReader::new(reader);
+    let lines = LineSplitter::new(reader);
     match format {
-        TextFormat::Konect => stream_pairs(reader, true, emit),
-        TextFormat::EdgeList => stream_pairs(reader, false, emit),
-        TextFormat::MatrixMarket => stream_matrix_market(reader, emit),
+        TextFormat::Konect => stream_pairs(lines, true, emit),
+        TextFormat::EdgeList => stream_pairs(lines, false, emit),
+        TextFormat::MatrixMarket => stream_matrix_market(lines, emit),
     }
 }
 
@@ -117,60 +275,59 @@ pub(crate) fn stream_edges<R: Read>(
 /// data line whose payload is exactly three integers is KONECT's
 /// `% nedges nv1 nv2` size header; it counts data lines, not distinct
 /// edges.
-fn stream_pairs(
-    reader: impl BufRead,
+fn stream_pairs<R: Read>(
+    mut lines: LineSplitter<R>,
     one_based: bool,
     mut emit: impl FnMut(u32, u32) -> Result<(), IoError>,
 ) -> Result<StreamInfo, IoError> {
     let mut header: Option<(usize, u64, u64, u64)> = None;
     let mut data_lines = 0u64;
     let (mut max1, mut max2) = (0usize, 0usize);
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = if lineno == 0 {
-            strip_bom(&line)
-        } else {
-            line.as_str()
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if trimmed.starts_with('%') || trimmed.starts_with('#') {
-            if header.is_none() && data_lines == 0 {
-                let body = trimmed.trim_start_matches(['%', '#']);
-                let nums: Vec<u64> = body
-                    .split_whitespace()
-                    .map_while(|t| t.parse().ok())
-                    .collect();
-                if nums.len() == 3 && body.split_whitespace().count() == 3 {
-                    header = Some((lineno + 1, nums[0], nums[1], nums[2]));
+    while let Some((lineno, line)) = lines.next_line()? {
+        let (mut u, mut v) = match fast_pair(line) {
+            Some(pair) => pair,
+            None => {
+                let trimmed = utf8(line)?.trim();
+                if trimmed.is_empty() {
+                    continue;
                 }
+                if trimmed.starts_with('%') || trimmed.starts_with('#') {
+                    if header.is_none() && data_lines == 0 {
+                        let body = trimmed.trim_start_matches(['%', '#']);
+                        let nums: Vec<u64> = body
+                            .split_whitespace()
+                            .map_while(|t| t.parse().ok())
+                            .collect();
+                        if nums.len() == 3 && body.split_whitespace().count() == 3 {
+                            header = Some((lineno, nums[0], nums[1], nums[2]));
+                        }
+                    }
+                    continue;
+                }
+                let mut it = trimmed.split_whitespace();
+                let (us, vs) = match (it.next(), it.next()) {
+                    (Some(u), Some(v)) => (u, v),
+                    _ => {
+                        return Err(IoError::Parse {
+                            line: lineno,
+                            msg: format!("expected at least two fields, got {trimmed:?}"),
+                        })
+                    }
+                };
+                let parse = |s: &str| -> Result<u32, IoError> {
+                    s.parse::<u32>().map_err(|e| IoError::Parse {
+                        line: lineno,
+                        msg: format!("bad vertex id {s:?}: {e}"),
+                    })
+                };
+                (parse(us)?, parse(vs)?)
             }
-            continue;
-        }
+        };
         data_lines += 1;
-        let mut it = trimmed.split_whitespace();
-        let (us, vs) = match (it.next(), it.next()) {
-            (Some(u), Some(v)) => (u, v),
-            _ => {
-                return Err(IoError::Parse {
-                    line: lineno + 1,
-                    msg: format!("expected at least two fields, got {trimmed:?}"),
-                })
-            }
-        };
-        let parse = |s: &str| -> Result<u32, IoError> {
-            s.parse::<u32>().map_err(|e| IoError::Parse {
-                line: lineno + 1,
-                msg: format!("bad vertex id {s:?}: {e}"),
-            })
-        };
-        let (mut u, mut v) = (parse(us)?, parse(vs)?);
         if one_based {
             if u == 0 || v == 0 {
                 return Err(IoError::Parse {
-                    line: lineno + 1,
+                    line: lineno,
                     msg: "vertex id 0 in a 1-based file".to_string(),
                 });
             }
@@ -220,37 +377,28 @@ fn stream_pairs(
 /// MatrixMarket coordinate grammar: rows are V1, columns V2, indices
 /// 1-based. A non-`pattern` entry must carry its value, and a zero value
 /// is not an edge, though it still counts against the declared `nnz`.
-fn stream_matrix_market(
-    reader: impl BufRead,
+/// Blank lines may precede the header; line numbers count from the header
+/// as line 1.
+fn stream_matrix_market<R: Read>(
+    mut lines: LineSplitter<R>,
     mut emit: impl FnMut(u32, u32) -> Result<(), IoError>,
 ) -> Result<StreamInfo, IoError> {
-    let mut lines = reader.lines();
-    let mut first = true;
-    let header = loop {
-        match lines.next() {
-            Some(line) => {
-                let line = line?;
-                let line = if std::mem::take(&mut first) {
-                    strip_bom(&line).to_string()
-                } else {
-                    line
-                };
-                if line.starts_with("%%MatrixMarket") {
-                    break line;
-                }
-                if !line.trim().is_empty() {
-                    return Err(IoError::Parse {
-                        line: 1,
-                        msg: "missing %%MatrixMarket header".to_string(),
-                    });
-                }
-            }
-            None => {
-                return Err(IoError::Parse {
-                    line: 1,
-                    msg: "empty file".to_string(),
-                })
-            }
+    let (base, header) = loop {
+        let Some((n, line)) = lines.next_line()? else {
+            return Err(IoError::Parse {
+                line: 1,
+                msg: "empty file".to_string(),
+            });
+        };
+        let line = utf8(line)?;
+        if line.starts_with("%%MatrixMarket") {
+            break (n - 1, line.to_string());
+        }
+        if !line.trim().is_empty() {
+            return Err(IoError::Parse {
+                line: 1,
+                msg: "missing %%MatrixMarket header".to_string(),
+            });
         }
     };
     let tokens: Vec<&str> = header.split_whitespace().collect();
@@ -267,14 +415,15 @@ fn stream_matrix_market(
             msg: format!("unsupported field type {field:?}"),
         });
     }
-    let mut lineno = 1usize;
-    let (m, n, nnz) = loop {
-        let line = lines.next().ok_or(IoError::Parse {
-            line: lineno,
-            msg: "missing size line".to_string(),
-        })??;
-        lineno += 1;
-        let t = line.trim();
+    let (size_line, m, n, nnz) = loop {
+        let Some((lineno, line)) = lines.next_line()? else {
+            return Err(IoError::Parse {
+                line: lines.lineno - base,
+                msg: "missing size line".to_string(),
+            });
+        };
+        let lineno = lineno - base;
+        let t = utf8(line)?.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
@@ -291,20 +440,18 @@ fn stream_matrix_market(
                 msg: format!("bad size field {s:?}: {e}"),
             })
         };
-        break (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
+        break (lineno, parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
     };
     if m > u32::MAX as u64 || n > u32::MAX as u64 {
         return Err(IoError::Parse {
-            line: lineno,
+            line: size_line,
             msg: format!("declared matrix {m}x{n} exceeds u32 indices"),
         });
     }
-    let size_line = lineno;
     let mut entry_lines = 0u64;
-    for line in lines {
-        let line = line?;
-        lineno += 1;
-        let t = line.trim();
+    while let Some((lineno, line)) = lines.next_line()? {
+        let lineno = lineno - base;
+        let t = utf8(line)?.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
@@ -367,15 +514,18 @@ fn stream_matrix_market(
 /// write/read roundtrip, or max id + 1 per side when the file declares
 /// none. A header that contradicts the data (wrong edge or entry count,
 /// or an id outside the declared sizes) is a pointed [`IoError::Parse`],
-/// not a silently misshapen graph.
+/// not a silently misshapen graph. The edge list is freed once `A` is
+/// built, before the transpose, so it is never resident beside `Aᵀ`.
 pub fn read_text<R: Read>(reader: R, format: TextFormat) -> Result<BipartiteGraph, IoError> {
     let mut edges = Vec::new();
     let info = stream_edges(reader, format, |u, v| {
         edges.push((u, v));
         Ok(())
     })?;
-    Ok(BipartiteGraph::from_edges(info.nv1, info.nv2, &edges)
-        .expect("the parser keeps every edge inside the dimensions it reports"))
+    let a = Pattern::from_edges(info.nv1, info.nv2, &edges)
+        .expect("the parser keeps every edge inside the dimensions it reports");
+    drop(edges);
+    Ok(BipartiteGraph::from_biadjacency(a))
 }
 
 /// Load a text graph in any [`TextFormat`] from disk.
