@@ -34,7 +34,7 @@
 
 use bfly_core::adaptive::{
     profile_and_peel_plan_recorded, profile_and_plan_budgeted_recorded, profile_and_plan_recorded,
-    run_plan, select_plan, tune_plan_chunks, ExecMode, GraphProfile, Member, PeelPlan, Plan,
+    run_plan, tune_plan_chunks, ExecMode, GraphProfile, Member, PeelPlan, Plan, ShardSizing,
 };
 use bfly_core::baseline::{count_hash_aggregation, count_vertex_priority};
 use bfly_core::peel::{
@@ -47,9 +47,9 @@ use bfly_core::telemetry::{
     ReportError, RunReport, WorkForecast, DEFAULT_FLIGHT_CAPACITY,
 };
 use bfly_core::{
-    count_by_enumeration, count_segmented_checkpointed_recorded, count_via_spgemm,
-    enumerate_butterflies, segmented_profile, BflyError, CheckpointConfig, Invariant, Partial,
-    ResourceBudget,
+    count_by_enumeration, count_via_spgemm, enumerate_butterflies,
+    profile_and_plan_segmented_recorded, run_plan_segmented, BflyError, CheckpointConfig,
+    Invariant, Partial, ResourceBudget,
 };
 use bfly_graph::io::{read_text_file, write_edge_list, IoError};
 use bfly_graph::{
@@ -1526,7 +1526,12 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             }
             let input = if out_of_core {
                 let sg = SegmentedGraph::open(&file);
-                CountInput::OnDisk(sg.map_err(|e| io_error(format!("failed to open {file}"), e))?)
+                let sg = sg.map_err(|e| io_error(format!("failed to open {file}"), e))?;
+                let ckpt = checkpoint.map(|dir| match resume {
+                    true => CheckpointConfig::resume(dir),
+                    false => CheckpointConfig::new(dir),
+                });
+                CountInput::OnDisk(sg, ckpt)
             } else {
                 CountInput::Resident(load_graph(&file, format)?)
             };
@@ -1537,30 +1542,16 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 ));
             }
             let mut telem = Telem::new(telemetry, "count")?;
-            let counted = match input {
-                CountInput::Resident(g) => {
-                    let pool = pinned_pool(threads)?;
-                    let workers = workers(threads);
-                    let flags = (algorithm, parallel, shards);
-                    plan_count(&g, flags, workers, &budget, profiled, &mut telem).and_then(
-                        |planned| match planned {
-                            Some(planned) => count_plan(&g, planned, &budget, &pool, &mut telem),
-                            None => Ok(count_baseline(&g, algorithm, explain, &pool, &mut telem)),
-                        },
-                    )
+            let (pool, workers) = (pinned_pool(threads)?, workers(threads));
+            let flags = (algorithm, parallel, shards, shard_bytes);
+            let planned = plan_count(&input, flags, workers, &budget, profiled, &mut telem);
+            let counted = planned.and_then(|planned| match (planned, &input) {
+                (Some(planned), _) => count_plan(&input, planned, &budget, &pool, &mut telem),
+                (None, CountInput::Resident(g)) => {
+                    Ok(count_baseline(g, algorithm, explain, &pool, &mut telem))
                 }
-                CountInput::OnDisk(sg) => {
-                    let ckpt = checkpoint.map(|dir| {
-                        if resume {
-                            CheckpointConfig::resume(dir)
-                        } else {
-                            CheckpointConfig::new(dir)
-                        }
-                    });
-                    let sharding = (shards, shard_bytes);
-                    count_out_of_core(&sg, sharding, &budget, ckpt, profiled, &mut telem)
-                }
-            };
+                (None, CountInput::OnDisk(..)) => unreachable!("every .bfly count plans"),
+            });
             match counted {
                 Ok(counted) => emit_count(&file, threads, explain, counted, telem, out),
                 Err(e) => {
@@ -1934,39 +1925,58 @@ fn count_label(engine: &str, tag: &str, complete: bool) -> String {
 }
 
 /// What `bfly count` reads: a resident graph, or a `.bfly` file counted
-/// out of core without materialising it.
+/// out of core without materialising it, with its checkpoint directory.
 enum CountInput {
     Resident(BipartiteGraph),
-    OnDisk(SegmentedGraph),
+    OnDisk(SegmentedGraph, Option<CheckpointConfig>),
 }
 
-/// The in-memory plan a `bfly count` resolves its flags to, with the
-/// label tag naming how it was chosen.
+/// The plan a `bfly count` resolves its flags to, with the label tag
+/// naming how it was chosen.
 struct Planned {
     profile: Option<GraphProfile>,
     plan: Plan,
     tag: String,
 }
 
-/// Resolve `(algorithm, parallel, shards)` and the budget to the one
-/// in-memory plan this count runs, or `None` for a baseline counter,
-/// which runs no plan. Text `--shards` runs the adaptive plan's fixed
-/// fallback over explicit vertex-range shards, profiled inside a `select`
-/// span and recorded by [`Plan::record`]; a budget selects through
+/// The label tag of a sharded plan: `kind`, then its shard count.
+fn shards_tag(kind: &str, plan: &Plan) -> String {
+    let ExecMode::Sharded { shards } = plan.mode else {
+        unreachable!("sharded routes plan sharded");
+    };
+    format!("{kind}, {shards} shards")
+}
+
+/// Resolve the input, `(algorithm, parallel, shards, shard_bytes)` and
+/// the budget to the one plan this count runs, or `None` for a baseline
+/// counter, which runs no plan. A `.bfly` input plans through
+/// [`profile_and_plan_segmented_recorded`]; text `--shards` through
+/// [`Plan::sharded`] inside a `select` span; a budget through
 /// [`profile_and_plan_budgeted_recorded`]; `auto` and `--adaptive`
 /// through [`profile_and_plan_recorded`] and [`tune_plan_chunks`], told
 /// apart only by their label tag; everything else forces its member
-/// ([`Plan::forced`]). The graph is profiled at most once: always on the
-/// first three routes, and on a forced plan only when `profiled`
+/// ([`Plan::forced`]). The input is profiled at most once: always on the
+/// first four routes, and on a forced plan only when `profiled`
 /// (`--explain`, `--progress`, `--flight-recorder`).
 fn plan_count(
-    g: &BipartiteGraph,
-    (algorithm, parallel, shards): (Algorithm, bool, Option<usize>),
+    input: &CountInput,
+    (algorithm, parallel, shards, shard_bytes): (Algorithm, bool, Option<usize>, Option<u64>),
     workers: usize,
     budget: &ResourceBudget,
     profiled: bool,
     telem: &mut Telem,
 ) -> Result<Option<Planned>, BflyError> {
+    let g = match input {
+        CountInput::Resident(g) => g,
+        CountInput::OnDisk(sg, _) => {
+            let (profile, plan) = with_recorder!(telem, |rec| {
+                profile_and_plan_segmented_recorded(sg, shards, shard_bytes, budget, rec)
+            })?;
+            let tag = shards_tag("out-of-core", &plan);
+            let profile = Some(profile);
+            return Ok(Some(Planned { profile, plan, tag }));
+        }
+    };
     let tagged = |tag: &str| match (parallel, tag) {
         (false, _) => tag.to_string(),
         (true, "") => "parallel".to_string(),
@@ -1975,14 +1985,11 @@ fn plan_count(
     if let Some(shards) = shards {
         let (profile, plan) = with_recorder!(telem, |rec| timed_span(rec, "select", |rec| {
             let profile = GraphProfile::compute(g);
-            let plan = Plan {
-                mode: ExecMode::Sharded { shards },
-                ..select_plan(&profile, false, 0).demoted()
-            };
+            let plan = Plan::sharded(&profile, ShardSizing::Count(shards), budget)?;
             plan.record(rec);
-            (profile, plan)
-        }));
-        let tag = format!("sharded, {shards} shards");
+            Ok::<_, BflyError>((profile, plan))
+        }))?;
+        let tag = shards_tag("sharded", &plan);
         let profile = Some(profile);
         return Ok(Some(Planned { profile, plan, tag }));
     }
@@ -2044,11 +2051,12 @@ struct Counted {
     meta: Vec<(String, Json)>,
 }
 
-/// Run an in-memory plan: hand the monitor the plan's forecast, run it
-/// through [`run_plan`] in the pinned pool with the budget's deadline,
-/// and label the count with the engine that ran.
+/// Run a plan: hand the monitor the plan's forecast, run it in the
+/// pinned pool with the budget — a resident graph through [`run_plan`]
+/// with the deadline, a `.bfly` file through [`run_plan_segmented`] with
+/// its checkpoints — and label the count with the engine that ran.
 fn count_plan(
-    g: &BipartiteGraph,
+    input: &CountInput,
     Planned { profile, plan, tag }: Planned,
     budget: &ResourceBudget,
     pool: &Option<rayon::ThreadPool>,
@@ -2056,21 +2064,28 @@ fn count_plan(
 ) -> Result<Counted, BflyError> {
     telem.set_forecast(plan.forecast());
     fault_injection();
-    let r = with_recorder!(telem, |rec| in_pool(pool, || run_plan(
-        g,
-        &plan,
-        budget.deadline,
-        rec
-    )))?;
+    let r = with_recorder!(telem, |rec| in_pool(pool, || match (input, &profile) {
+        (CountInput::Resident(g), _) => run_plan(g, &plan, budget.deadline, rec),
+        (CountInput::OnDisk(sg, ckpt), Some(profile)) => {
+            run_plan_segmented(sg, profile, &plan, budget, ckpt.as_ref(), rec)
+        }
+        (CountInput::OnDisk(..), None) => unreachable!("out-of-core plans carry their profile"),
+    }))?;
+    let mut meta = Vec::new();
+    if let CountInput::OnDisk(_, Some(cfg)) = input {
+        let dir = Json::Str(cfg.dir.display().to_string());
+        meta.push(("checkpoint_dir".to_string(), dir));
+        meta.push(("resumed".to_string(), Json::Bool(cfg.resume)));
+    }
     Ok(Counted {
         xi: r.value,
         label: count_label(&plan_engine(&plan), &tag, r.complete),
         complete: r.complete,
-        limited: !budget.is_unlimited(),
+        limited: matches!(input, CountInput::OnDisk(..)) || !budget.is_unlimited(),
         fraction: telem.fraction_done(&r, plan.forecast()),
         profile: profile.map(|p| p.to_json()),
         plan: Some(plan),
-        meta: Vec::new(),
+        meta,
     })
 }
 
@@ -2109,60 +2124,6 @@ fn count_baseline(
         plan: None,
         meta: Vec::new(),
     }
-}
-
-/// The out-of-core route: stream wedge-balanced vertex-range shards of
-/// the `.bfly` file through [`count_segmented_checkpointed_recorded`] —
-/// the full graph is never resident; peak memory is the metadata, one
-/// shard, one accumulator, and the pinned hub rows. Shard count comes
-/// from `--shards`, `--shard-bytes`, or the byte budget (in that
-/// precedence). The on-disk profile (degree arrays only) is read when
-/// `profiled`, for `--explain` and the monitor's forecast.
-fn count_out_of_core(
-    sg: &SegmentedGraph,
-    (shards, shard_bytes): (Option<usize>, Option<u64>),
-    budget: &ResourceBudget,
-    ckpt: Option<CheckpointConfig>,
-    profiled: bool,
-    telem: &mut Telem,
-) -> Result<Counted, BflyError> {
-    let profile = profiled.then(|| segmented_profile(sg));
-    if let Some(profile) = &profile {
-        telem.set_forecast(select_plan(profile, false, 0).forecast());
-    }
-    fault_injection();
-    let r = with_recorder!(telem, |rec| count_segmented_checkpointed_recorded(
-        sg,
-        shards,
-        shard_bytes,
-        budget,
-        ckpt.as_ref(),
-        rec
-    ))?;
-    let fraction = telem.fraction_done(&r, r.value.1.forecast());
-    let (xi, plan) = r.value;
-    let ExecMode::Sharded { shards } = plan.mode else {
-        unreachable!("out-of-core plans are always sharded");
-    };
-    let mut meta = Vec::new();
-    if let Some(cfg) = &ckpt {
-        meta.push((
-            "checkpoint_dir".to_string(),
-            Json::Str(cfg.dir.display().to_string()),
-        ));
-        meta.push(("resumed".to_string(), Json::Bool(cfg.resume)));
-    }
-    let tag = format!("out-of-core, {shards} shards");
-    Ok(Counted {
-        xi,
-        label: count_label(&plan_engine(&plan), &tag, r.complete),
-        complete: r.complete,
-        limited: true,
-        fraction,
-        profile: profile.map(|p| p.to_json()),
-        plan: Some(plan),
-        meta,
-    })
 }
 
 /// Print a count and emit its telemetry, the same way on every route:
@@ -3729,7 +3690,7 @@ mod tests {
         let g = load_graph(gp, None).unwrap();
         let profile = GraphProfile::compute(&g);
         let floor = profile.resident_bytes
-            + bfly_core::plan_scratch_bytes(&profile, &select_plan(&profile, false, 0));
+            + bfly_core::plan_scratch_bytes(&profile, &bfly_core::select_plan(&profile, false, 0));
         let cap_owned = (floor - 1).to_string();
         let rpath = dir.join("ooc.json");
         let rp_owned = rpath.to_str().unwrap().to_string();

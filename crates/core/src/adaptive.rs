@@ -38,7 +38,7 @@ use crate::family::engine::{run_partitioned, FixedKernel};
 use crate::family::parallel::{balanced_ranges, drive_chunks};
 use crate::family::priority::run_priority;
 use crate::family::ranked::run_ranked;
-use crate::family::sharded::run_sharded;
+use crate::family::sharded::drive_shards;
 use crate::family::{priority_wedge_work, Invariant, RANKED_BUCKET_WEDGES};
 use bfly_graph::ordering::{degree_descending, relabel};
 use bfly_graph::{BipartiteGraph, Side};
@@ -235,12 +235,10 @@ pub enum ExecMode {
         /// Number of work chunks (normally the worker count).
         chunks: usize,
     },
-    /// Shard-by-vertex-range execution ([`crate::family::count_sharded`]):
-    /// wedge-balanced contiguous shards of the partitioned side counted
-    /// independently and merged exactly — the out-of-core tier, selected
-    /// when the byte budget cannot hold the resident graph. On a `.bfly`
-    /// input only the metadata, one shard, one accumulator, and the
-    /// pinned hub rows (inside the cap's slack) are ever resident.
+    /// Shard-by-vertex-range execution ([`crate::family::sharded`]):
+    /// wedge-balanced shards of the partitioned side counted one at a
+    /// time and merged exactly, resident or straight off a `.bfly` file —
+    /// the tier a byte budget too small for the resident graph selects.
     Sharded {
         /// Number of vertex-range shards.
         shards: usize,
@@ -371,6 +369,47 @@ impl Plan {
         self
     }
 
+    /// The sharded fixed-member plan, and its only planner: the sharded
+    /// tier of [`select_plan_budgeted`], text `--shards` and every
+    /// `.bfly` count plan here. It prices only the profile's degree terms,
+    /// the only terms a `.bfly` profile has, so resident and on-disk
+    /// inputs get the same plan: the demoted [`select_plan`], with the
+    /// other fixed side as `est_work_alt`. It checks the wedge-work cap,
+    /// picks the shard count by `sizing` (at most one shard per
+    /// partitioned vertex), then checks the byte cap, so a cap no shard
+    /// count fits fails with the exact estimate.
+    pub fn sharded(
+        profile: &GraphProfile,
+        sizing: ShardSizing,
+        budget: &ResourceBudget,
+    ) -> crate::error::Result<Plan> {
+        let mut plan = select_plan(profile, false, 0).demoted();
+        plan.est_work_alt = profile.partition_cost(plan.partition_side().other());
+        budget.check_wedge_work(plan.est_work)?;
+        let (part_len, side) = match plan.partition_side() {
+            Side::V1 => (profile.nv1.max(1), 0),
+            Side::V2 => (profile.nv2.max(1), 1),
+        };
+        let mut shards = match sizing {
+            ShardSizing::Count(n) => n,
+            ShardSizing::Bytes(cap, payload) => {
+                payload[side].div_ceil(cap.max(1)).min(part_len as u64) as usize
+            }
+            ShardSizing::Fit => 1,
+        }
+        .clamp(1, part_len);
+        loop {
+            plan.mode = ExecMode::Sharded { shards };
+            let fits = budget.bytes_fit(plan_scratch_bytes(profile, &plan));
+            if sizing != ShardSizing::Fit || fits || shards >= part_len {
+                break;
+            }
+            shards = (shards * 2).min(part_len);
+        }
+        budget.check_bytes(plan_scratch_bytes(profile, &plan))?;
+        Ok(plan)
+    }
+
     /// The vertex set the plan partitions.
     pub fn partition_side(&self) -> Side {
         self.invariant.partitioned_side()
@@ -470,6 +509,19 @@ impl Plan {
             ("est_work_alt".into(), Json::UInt(self.est_work_alt)),
         ])
     }
+}
+
+/// How [`Plan::sharded`] picks its shard count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardSizing {
+    /// Exactly this many shards.
+    Count(usize),
+    /// Shards of about `.0` payload bytes each, out of the partitioned
+    /// side's on-disk payload (`.1` holds V1's and V2's).
+    Bytes(u64, [u64; 2]),
+    /// The fewest shards, doubling from one, whose scratch estimate fits
+    /// the byte cap (one shard without a cap).
+    Fit,
 }
 
 /// Degree skew of the partitioned side past which the plan renumbers it
@@ -763,8 +815,8 @@ pub fn run_plan<R: Recorder>(
     // Global-order members ignore partition side, blocking, and degree
     // ordering — the global rank *is* their ordering heuristic.
     let (acc, complete) = timed_span(rec, "count", |rec| match plan.member {
-        Member::Priority => run_priority(g, chunks, deadline, rec),
-        Member::Ranked => run_ranked(g, chunks, deadline, rec),
+        Member::Priority => Ok(run_priority(g, chunks, deadline, rec)),
+        Member::Ranked => Ok(run_ranked(g, chunks, deadline, rec)),
         Member::Fixed(_) => {
             let side = plan.partition_side();
             let ordered;
@@ -778,19 +830,33 @@ pub fn run_plan<R: Recorder>(
             };
             let kernel = FixedKernel::of(g_exec, plan.invariant);
             match plan.mode {
-                ExecMode::Flat => run_partitioned(&kernel, deadline, rec),
+                ExecMode::Flat => Ok(run_partitioned(&kernel, deadline, rec)),
                 ExecMode::Blocked { block_size } => {
-                    run_blocked(g_exec, side, block_size, deadline, rec)
+                    Ok(run_blocked(g_exec, side, block_size, deadline, rec))
                 }
                 ExecMode::Parallel { chunks } => {
                     let ranges = balanced_ranges(&kernel.item_weights(), chunks);
-                    drive_chunks(&kernel, ranges, deadline, rec)
+                    Ok(drive_chunks(&kernel, ranges, deadline, rec))
                 }
-                ExecMode::Sharded { shards } => run_sharded(&kernel, shards, deadline, rec),
+                ExecMode::Sharded { shards } => {
+                    drive_shards(kernel, plan.invariant, shards, deadline, rec)
+                }
             }
         }
-    });
-    let value = crate::error::checked_total(acc, "count_adaptive")?;
+    })?;
+    finish_count(acc, complete, "count_adaptive", rec)
+}
+
+/// Close a count: the exact total (past `u64`, a typed error naming
+/// `context`), the `budget.degraded = 3` gauge when the deadline cut the
+/// run, and the measured memory ([`record_memory`]).
+pub(crate) fn finish_count<R: Recorder>(
+    acc: bfly_sparse::CheckedAccum,
+    complete: bool,
+    context: &'static str,
+    rec: &mut R,
+) -> crate::error::Result<Partial<u64>> {
+    let value = crate::error::checked_total(acc, context)?;
     if !complete {
         record_degraded(rec, "deadline");
     }
@@ -970,10 +1036,8 @@ pub fn plan_scratch_bytes(profile: &GraphProfile, plan: &Plan) -> u64 {
 /// **Doesn't fit at all** — when the cap cannot hold even the cheapest
 /// in-memory shape (resident graph + one flat accumulator over the best
 /// fixed partition side), "doesn't fit" is a *planned* tier, not a
-/// degradation: the returned plan is [`ExecMode::Sharded`] with a shard
-/// count sized so one shard's rows plus the accumulator fit the cap, and
-/// no `budget.degraded` gauge is recorded. Sharded scratch *replaces* the
-/// resident term — only metadata, one shard, and one accumulator are live.
+/// degradation: [`Plan::sharded`] with [`ShardSizing::Fit`], and no
+/// `budget.degraded` gauge.
 ///
 /// **Fits, tightly** — starts from the unconstrained choice and degrades
 /// until resident + scratch fits, in preference order —
@@ -1016,7 +1080,7 @@ pub fn select_plan_budgeted<R: Recorder>(
         ..plan.clone().demoted()
     };
     if !budget.bytes_fit(total_bytes(&floor)) {
-        return select_sharded_plan(profile, budget);
+        return Plan::sharded(profile, ShardSizing::Fit, budget);
     }
     let mut degraded = false;
     while !budget.bytes_fit(total_bytes(&plan)) {
@@ -1037,39 +1101,6 @@ pub fn select_plan_budgeted<R: Recorder>(
         record_degraded(rec, "bytes");
     }
     budget.check_bytes(total_bytes(&plan))?;
-    Ok(plan)
-}
-
-/// The "doesn't fit" tier of [`select_plan_budgeted`]: a fixed-member
-/// [`ExecMode::Sharded`] plan whose shard count is doubled from 1 until
-/// one shard's rows plus the single accumulator fit the byte cap (capped
-/// at one vertex per shard). Global-order members are normalised to the
-/// best fixed invariant first — their rank arrays span both sides at
-/// once, which is exactly what the tier cannot afford. The final
-/// [`ResourceBudget::check_bytes`] carries the exact estimated bytes of
-/// the smallest viable shape, so an impossible cap fails through the
-/// same [`BflyError::BudgetExceeded`](crate::error::BflyError::BudgetExceeded)
-/// path as every other shape.
-pub(crate) fn select_sharded_plan(
-    profile: &GraphProfile,
-    budget: &ResourceBudget,
-) -> crate::error::Result<Plan> {
-    let mut plan = select_plan(profile, false, 0).demoted();
-    budget.check_wedge_work(plan.est_work)?;
-    let part_len = match plan.partition_side() {
-        Side::V1 => profile.nv1,
-        Side::V2 => profile.nv2,
-    }
-    .max(1);
-    let mut shards = 1usize;
-    loop {
-        plan.mode = ExecMode::Sharded { shards };
-        if budget.bytes_fit(plan_scratch_bytes(profile, &plan)) || shards >= part_len {
-            break;
-        }
-        shards = (shards * 2).min(part_len);
-    }
-    budget.check_bytes(plan_scratch_bytes(profile, &plan))?;
     Ok(plan)
 }
 
@@ -1120,12 +1151,7 @@ pub fn count_adaptive_budgeted_recorded<R: Recorder>(
         0
     };
     let (_, plan) = profile_and_plan_budgeted_recorded(g, parallel, workers, budget, rec)?;
-    let r = run_plan(g, &plan, budget.deadline, rec)?;
-    Ok(Partial {
-        value: (r.value, plan),
-        complete: r.complete,
-        fraction: r.fraction,
-    })
+    Ok(run_plan(g, &plan, budget.deadline, rec)?.map(|count| (count, plan)))
 }
 
 /// Per-vertex butterfly counts computed on the descending-degree

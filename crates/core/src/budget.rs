@@ -212,6 +212,15 @@ impl<T> Partial<T> {
         }
     }
 
+    /// The same outcome carrying `f(value)`.
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> Partial<U> {
+        Partial {
+            value: f(self.value),
+            complete: self.complete,
+            fraction: self.fraction,
+        }
+    }
+
     /// A result cut short at a phase boundary, progress unknown.
     pub fn truncated(value: T) -> Self {
         Partial {

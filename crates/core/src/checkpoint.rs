@@ -52,7 +52,7 @@
 use crate::error::{BflyError, Result};
 use crate::family::Invariant;
 use bfly_graph::io::IoError;
-use bfly_graph::{SegmentedGraph, Side};
+use bfly_graph::{fnv1a, persist_atomically, SegmentedGraph, Side};
 use bfly_sparse::CheckedAccum;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -66,18 +66,6 @@ pub const CKPT_VERSION: u16 = 1;
 const KIND_MANIFEST: u16 = 0;
 const KIND_SHARD: u16 = 1;
 const RECORD_HEADER_LEN: usize = 16;
-
-/// FNV-1a 64 (the `.bfly` header hash) over raw bytes.
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = BASIS;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// What the CLI's `--checkpoint DIR [--resume]` resolves to.
 #[derive(Debug, Clone)]
@@ -129,7 +117,7 @@ pub fn fingerprint_segmented(
         bytes.extend_from_slice(&(lo as u64).to_le_bytes());
         bytes.extend_from_slice(&(hi as u64).to_le_bytes());
     }
-    fnv1a_bytes(&bytes)
+    fnv1a(bytes)
 }
 
 /// An opened checkpoint directory, bound to one run fingerprint.
@@ -153,7 +141,7 @@ impl CheckpointStore {
     /// Resuming into an empty directory is allowed (there is nothing to
     /// skip; the manifest is written for the next crash).
     pub fn open(cfg: &CheckpointConfig, fingerprint: u64, nshards: usize) -> Result<Self> {
-        std::fs::create_dir_all(&cfg.dir).map_err(|e| BflyError::Io(IoError::Io(e)))?;
+        std::fs::create_dir_all(&cfg.dir)?;
         let store = CheckpointStore {
             dir: cfg.dir.clone(),
             fingerprint,
@@ -180,16 +168,6 @@ impl CheckpointStore {
         Ok(store)
     }
 
-    /// The fingerprint this store is bound to.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Directory this store writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn manifest_path(&self) -> PathBuf {
         self.dir.join("manifest.ck")
     }
@@ -208,8 +186,7 @@ impl CheckpointStore {
         payload.extend_from_slice(&(hi as u64).to_le_bytes());
         payload.extend_from_slice(&acc_lo.to_le_bytes());
         payload.extend_from_slice(&acc_spill.to_le_bytes());
-        write_record_atomic(&self.shard_path(lo, hi), KIND_SHARD, &payload)
-            .map_err(|e| BflyError::Io(IoError::Io(e)))
+        write_record(&self.shard_path(lo, hi), KIND_SHARD, &payload)
     }
 
     /// Load a previously persisted partial for shard `lo..hi`, if this
@@ -236,25 +213,23 @@ impl CheckpointStore {
 
     /// Number of shard records currently on disk (diagnostics).
     pub fn shard_records(&self) -> usize {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        entries
-            .flatten()
-            .filter(|e| {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                name.starts_with("shard-") && name.ends_with(".ck")
-            })
-            .count()
+        self.shard_files().map_or(0, |files| files.count())
+    }
+
+    /// The `shard-*.ck` records in the directory.
+    fn shard_files(&self) -> std::io::Result<impl Iterator<Item = PathBuf>> {
+        let entries = std::fs::read_dir(&self.dir)?.flatten().map(|e| e.path());
+        Ok(entries.filter(|p| {
+            let name = p.file_name().unwrap_or_default().to_string_lossy();
+            name.starts_with("shard-") && name.ends_with(".ck")
+        }))
     }
 
     fn write_manifest(&self, nshards: usize) -> Result<()> {
         let mut payload = Vec::with_capacity(16);
         payload.extend_from_slice(&self.fingerprint.to_le_bytes());
         payload.extend_from_slice(&(nshards as u64).to_le_bytes());
-        write_record_atomic(&self.manifest_path(), KIND_MANIFEST, &payload)
-            .map_err(|e| BflyError::Io(IoError::Io(e)))
+        write_record(&self.manifest_path(), KIND_MANIFEST, &payload)
     }
 
     /// `(fingerprint, nshards)` from an existing manifest; `None` when
@@ -286,38 +261,24 @@ impl CheckpointStore {
     }
 
     fn clear_shards(&self) -> Result<()> {
-        let entries = std::fs::read_dir(&self.dir).map_err(|e| BflyError::Io(IoError::Io(e)))?;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("shard-") && name.ends_with(".ck") {
-                let _ = std::fs::remove_file(entry.path());
-            }
+        for path in self.shard_files()? {
+            let _ = std::fs::remove_file(path);
         }
         Ok(())
     }
 }
 
-/// Serialize one record atomically: `<path>.tmp` → flush → fsync →
-/// rename.
-fn write_record_atomic(path: &Path, kind: u16, payload: &[u8]) -> std::io::Result<()> {
-    let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-    let result = (|| {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&CKPT_MAGIC)?;
-        f.write_all(&CKPT_VERSION.to_le_bytes())?;
-        f.write_all(&kind.to_le_bytes())?;
-        f.write_all(&(payload.len() as u32).to_le_bytes())?;
-        f.write_all(payload)?;
-        f.write_all(&fnv1a_bytes(payload).to_le_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+/// Serialize one record crash-safely ([`persist_atomically`]).
+fn write_record(path: &Path, kind: u16, payload: &[u8]) -> Result<()> {
+    persist_atomically(path, |w| {
+        w.write_all(&CKPT_MAGIC)?;
+        w.write_all(&CKPT_VERSION.to_le_bytes())?;
+        w.write_all(&kind.to_le_bytes())?;
+        w.write_all(&(payload.len() as u32).to_le_bytes())?;
+        w.write_all(payload)?;
+        Ok(w.write_all(&fnv1a(payload.iter().copied()).to_le_bytes())?)
+    })?;
+    Ok(())
 }
 
 /// Read and validate one record. `Ok(None)` covers every recoverable
@@ -327,11 +288,10 @@ fn read_record(path: &Path, kind: u16) -> Result<Option<Vec<u8>>> {
     let mut f = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(BflyError::Io(IoError::Io(e))),
+        Err(e) => return Err(e.into()),
     };
     let mut bytes = Vec::new();
-    f.read_to_end(&mut bytes)
-        .map_err(|e| BflyError::Io(IoError::Io(e)))?;
+    f.read_to_end(&mut bytes)?;
     if bytes.len() < RECORD_HEADER_LEN + 8 || bytes[0..8] != CKPT_MAGIC {
         return Ok(None);
     }
@@ -343,7 +303,7 @@ fn read_record(path: &Path, kind: u16) -> Result<Option<Vec<u8>>> {
     }
     let payload = &bytes[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len];
     let want = u64::from_le_bytes(bytes[RECORD_HEADER_LEN + len..].try_into().unwrap());
-    if fnv1a_bytes(payload) != want {
+    if fnv1a(payload.iter().copied()) != want {
         return Ok(None);
     }
     Ok(Some(payload.to_vec()))

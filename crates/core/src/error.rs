@@ -105,6 +105,12 @@ impl std::error::Error for BflyError {
     }
 }
 
+impl From<std::convert::Infallible> for BflyError {
+    fn from(e: std::convert::Infallible) -> Self {
+        match e {}
+    }
+}
+
 impl From<IoError> for BflyError {
     fn from(e: IoError) -> Self {
         BflyError::Io(e)

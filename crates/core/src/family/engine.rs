@@ -16,17 +16,17 @@
 //!
 //! `update_vertex` is that update, written once. The flat loop here,
 //! the parallel chunks ([`super::parallel`]), the blocked loop, and the
-//! in-memory and out-of-core shard loops ([`super::sharded`]) all call
-//! it; the out-of-core loop streams the opposite rows through a
-//! `RowSource` instead of holding them.
+//! shard loop ([`super::sharded`]) all call it; out of core, the shard
+//! loop streams the opposite rows through a `RowSource` instead of
+//! holding them.
 
 use super::parallel::{run_inline, Kernel};
 use super::Invariant;
+use crate::error::BflyError;
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
 use bfly_telemetry::{Counter, Recorder};
 use std::convert::Infallible;
-use std::ops::Range;
 use std::time::Instant;
 
 /// How many items (exposed vertices, starts) a kernel processes between
@@ -65,13 +65,16 @@ impl PartFilter {
     }
 }
 
-/// Where the eq. 18 update reads opposite-side rows from: the resident
-/// pattern, or (out of core) a reader streaming them off disk.
+/// Where the shard loop reads rows from: the resident pattern, or (out
+/// of core) a decoded segment of partitioned rows and a reader streaming
+/// opposite rows off disk.
 pub(crate) trait RowSource {
     /// Why a row could not be read.
-    type Error;
-    /// Sorted partitioned-side neighbours of opposite-side vertex `j`.
+    type Error: Into<BflyError>;
+    /// Sorted neighbours of vertex `j`.
     fn row(&mut self, j: usize) -> Result<&[u32], Self::Error>;
+    /// Record the source's own gauges at the end of a run.
+    fn record<R: Recorder>(&self, _rec: &mut R) {}
 }
 
 impl RowSource for &Pattern {
@@ -83,12 +86,30 @@ impl RowSource for &Pattern {
     }
 }
 
+impl RowSource for bfly_graph::GraphSegment {
+    type Error = Infallible;
+
+    #[inline]
+    fn row(&mut self, j: usize) -> Result<&[u32], Infallible> {
+        Ok(self.neighbors(j))
+    }
+}
+
 impl RowSource for bfly_graph::RowReader<'_> {
     type Error = bfly_graph::io::IoError;
 
     #[inline]
     fn row(&mut self, j: usize) -> Result<&[u32], Self::Error> {
         bfly_graph::RowReader::row(self, j)
+    }
+
+    /// The pin's gauges: rows and bytes pinned, lookups it served.
+    fn record<R: Recorder>(&self, rec: &mut R) {
+        if R::ENABLED {
+            rec.gauge("pinned_rows", self.pinned_rows() as f64);
+            rec.gauge("pinned_bytes", self.pinned_bytes() as f64);
+            rec.gauge("pinned_hits", self.pinned_hits() as f64);
+        }
     }
 }
 
@@ -197,22 +218,9 @@ impl<'g> FixedKernel<'g> {
         self.part_adj.nrows()
     }
 
-    /// The direction items expose the partitioned side in.
-    pub(crate) fn traversal(&self) -> Traversal {
-        self.traversal
-    }
-
     /// The pattern pair `(part_adj, other_adj)`.
     pub(crate) fn patterns(&self) -> (&'g Pattern, &'g Pattern) {
         (self.part_adj, self.other_adj)
-    }
-
-    /// Item range exposing the vertices `lo..hi` (traversal order).
-    pub(crate) fn items(&self, lo: usize, hi: usize) -> Range<usize> {
-        match self.traversal {
-            Traversal::Forward => lo..hi,
-            Traversal::Backward => self.len() - hi..self.len() - lo,
-        }
     }
 
     /// Per-item wedge work in item order (see

@@ -55,8 +55,8 @@ pub use priority::{
 };
 pub use ranked::RANKED_BUCKET_WEDGES;
 pub use sharded::{
-    count_segmented, count_segmented_checkpointed_recorded, segmented_profile,
-    segmented_wedge_weights,
+    count_segmented, count_segmented_checkpointed_recorded, profile_and_plan_segmented_recorded,
+    run_plan_segmented, segmented_profile,
 };
 pub use verify::{invariant_specified_value, verify_loop_invariant};
 

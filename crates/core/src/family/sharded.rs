@@ -1,4 +1,5 @@
-//! Shard-by-vertex-range execution: the out-of-core tier.
+//! Shard-by-vertex-range execution: the sharded tier, resident or out of
+//! core.
 //!
 //! Every member of the family updates one exposed vertex at a time, and
 //! vertex `k`'s eq. 18 contribution depends only on `N(k)` and the rows
@@ -9,132 +10,257 @@
 //! parallel chunks already rely on, lifted from threads to shards
 //! (ROADMAP item 2; cf. Wang et al., arXiv 1812.00283 on partitioned
 //! exactness and Shi & Shun, arXiv 1907.08607 on vertex-range wedge
-//! decomposition).
-//!
-//! Two drivers share that algebra:
-//!
-//! * **In-memory** ([`count_sharded`](super::count_sharded), or any plan
-//!   in [`ExecMode::Sharded`]): the resident graph processed one
-//!   wedge-balanced shard at a time through the engine's fixed-member
-//!   kernel — one SPA for the whole run, one `CheckedAccum` per shard.
-//!   The global-order members (priority/ranked) shard through the chunk
-//!   driver instead, with chunks = shards.
-//! * **Out-of-core** ([`count_segmented_checkpointed_recorded`]): a
-//!   [`SegmentedGraph`] (the `.bfly` on-disk format) counted without
-//!   ever materializing the full graph. Each shard materializes only
-//!   its own partitioned-side rows ([`SegmentedGraph::segment`]);
-//!   opposite-side rows come from a
-//!   [`RowReader`](bfly_graph::RowReader) into the same
-//!   eq. 18 vertex update the in-memory kernel runs. The reader pins
-//!   the heaviest opposite rows, decoded once, in the byte slack the
-//!   plan leaves (at most [`STREAM_WINDOW_BYTES`]) and streams the
-//!   rest. Peak memory is the reader's metadata plus one shard plus one
-//!   SPA plus the pin — the `mem.peak_bytes` gauge proves it.
-//!
-//! Shards are sized by the same [`balanced_chunk_bounds`] wedge-weighted
-//! splitting the parallel kernels use, so skewed graphs get even shards
-//! by *work*, not vertex count. Telemetry: a `shard` span per shard, the
-//! `shards_planned` / `shard_bytes` gauges, a `shard_wedges` series (the
-//! per-shard forecast), and the `shards_processed` counter.
+//! decomposition). That holds whether the rows are resident
+//! ([`run_plan`](crate::adaptive::run_plan) in [`ExecMode::Sharded`]) or
+//! streamed from a `.bfly` [`SegmentedGraph`]
+//! ([`count_segmented_checkpointed_recorded`]), so one planner,
+//! [`Plan::sharded`], sizes every sharded fixed-member plan and one loop,
+//! `drive_shards`, runs it over either input. Out of core, peak memory is
+//! the reader's metadata, one shard's partitioned rows, one SPA, and the
+//! heaviest opposite rows a [`RowReader`] pins in the slack the plan
+//! leaves. Shards are balanced by *work* ([`balanced_chunk_bounds`] over
+//! the wedge weights); a shard the deadline cuts merges its exact prefix
+//! but is not processed, pushes no forecast and persists no checkpoint.
+//! The global-order members shard through the chunk driver instead.
 
-use super::engine::{record_update, update_vertex, FixedKernel};
-use super::parallel::{balanced_chunk_bounds, run_range, wedge_weights, Kernel, Poll};
-use super::Traversal;
+use super::engine::{record_update, update_vertex, FixedKernel, RowSource};
+use super::parallel::{balanced_chunk_bounds, wedge_weights, Poll};
+use super::{Invariant, Traversal};
 use crate::adaptive::{
-    plan_scratch_bytes, select_plan, select_sharded_plan, ExecMode, GraphProfile, Plan,
+    finish_count, plan_scratch_bytes, ExecMode, GraphProfile, Plan, ShardSizing,
 };
-use crate::budget::{record_degraded, record_memory, Partial, ResourceBudget};
+use crate::budget::{Partial, ResourceBudget};
 use crate::checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore};
-use crate::error::BflyError;
-use bfly_graph::{SegmentedGraph, Side};
+use crate::error::{BflyError, Result};
+use bfly_graph::{GraphSegment, RowReader, SegmentedGraph, Side};
 use bfly_sparse::{CheckedAccum, Pattern, Spa};
 use bfly_telemetry::{timed_span, Counter, NoopRecorder, Recorder};
 use std::time::Instant;
 
-/// Payload window ceiling for streaming passes over the on-disk graph
-/// (the wedge-weight scan and [`SegmentedGraph::load`]-style row
-/// walks). Bounds both the encoded bytes read and the decoded columns
-/// per window; budgeted execution shrinks the window further to the
-/// per-shard payload so scan transients stay within the shard terms of
-/// [`crate::adaptive::plan_scratch_bytes`]. Also the ceiling of the
-/// count's pinned opposite-side rows.
+/// Ceiling of a streamed window over the on-disk graph (encoded bytes
+/// and decoded columns alike) and of the pinned opposite-side rows. The
+/// weight scan shrinks it to one shard's payload, as charged by
+/// [`plan_scratch_bytes`].
 pub(crate) const STREAM_WINDOW_BYTES: u64 = 256 << 10;
 
-/// The in-memory sharded engine: wedge-balanced shard bounds over the
-/// partitioned side, visited in traversal order, each shard counted
-/// inside a `shard` span into a private [`CheckedAccum`] merged into the
-/// total. Polls `deadline` every
-/// [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) exposed vertices;
-/// a cut returns the exact partial over the processed prefix and
-/// `false`.
-pub(crate) fn run_sharded<R: Recorder>(
-    kernel: &FixedKernel<'_>,
+/// What the shard loop reads, and what the input adds at shard
+/// boundaries: nothing resident; checkpoints, the fault hook and the
+/// measured-byte check out of core.
+pub(crate) trait ShardInput {
+    /// One shard's partitioned rows, by global vertex id.
+    type Part: RowSource;
+    /// The opposite side's rows.
+    type Other: RowSource;
+    /// Exact per-vertex wedge work of the partitioned side; `nshards`
+    /// sizes a streamed scan's window.
+    fn weights(&self, nshards: usize) -> Result<Vec<u64>>;
+    /// This input's bytes of shard `lo..hi` (the `shard_bytes` gauge).
+    fn shard_bytes(&self, lo: usize, hi: usize) -> u64;
+    /// Start a run of `inv` over the layout `shards`, before any count:
+    /// bind durable state to it and open the opposite rows.
+    fn start(&mut self, inv: Invariant, shards: &[((usize, usize), u64)]) -> Result<Self::Other>;
+    /// Shard `lo..hi`'s partitioned rows.
+    fn part(&self, lo: usize, hi: usize) -> Result<Self::Part>;
+    /// Shard `lo..hi`'s partial saved by an earlier run, if any.
+    fn saved(&self, _lo: usize, _hi: usize) -> Result<Option<CheckedAccum>> {
+        Ok(None)
+    }
+    /// Shard `lo..hi` counted to completion into `acc`, the `done`-th
+    /// shard of the run to finish (saved shards included).
+    fn completed<R: Recorder>(
+        &mut self,
+        _lo: usize,
+        _hi: usize,
+        _done: u64,
+        _acc: &CheckedAccum,
+        _rec: &mut R,
+    ) -> Result<()> {
+        Ok(())
+    }
+}
+
+impl<'g> ShardInput for FixedKernel<'g> {
+    type Part = &'g Pattern;
+    type Other = &'g Pattern;
+
+    fn weights(&self, _nshards: usize) -> Result<Vec<u64>> {
+        Ok(wedge_weights(self.patterns().0, self.patterns().1))
+    }
+
+    /// Adjacency bytes of the shard's partitioned rows.
+    fn shard_bytes(&self, lo: usize, hi: usize) -> u64 {
+        let part = self.patterns().0;
+        let nnz: u64 = (lo..hi).map(|k| part.row(k).len() as u64).sum();
+        4 * nnz + 8 * (hi - lo) as u64
+    }
+
+    fn start(&mut self, _inv: Invariant, _shards: &[((usize, usize), u64)]) -> Result<&'g Pattern> {
+        Ok(self.patterns().1)
+    }
+
+    fn part(&self, _lo: usize, _hi: usize) -> Result<&'g Pattern> {
+        Ok(self.patterns().0)
+    }
+}
+
+/// The shard loop: the wedge-weight scan, priced into balanced shards and
+/// freed, then each shard in `inv`'s traversal order counted inside a
+/// `shard` span into a [`CheckedAccum`] merged into the total (a saved
+/// one merges without counting). Polls `deadline` every
+/// [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) vertices; a cut
+/// returns the exact partial over the processed prefix and `false`.
+pub(crate) fn drive_shards<S: ShardInput, R: Recorder>(
+    mut input: S,
+    inv: Invariant,
     nshards: usize,
     deadline: Option<Instant>,
     rec: &mut R,
-) -> (CheckedAccum, bool) {
-    let (part_adj, other_adj) = kernel.patterns();
-    let mut shards = shard_ranges(part_adj, other_adj, nshards, rec);
-    if kernel.traversal() == Traversal::Backward {
-        // Backward members expose the last shard first.
-        shards.reverse();
-    }
-    let mut spa = kernel.scratch();
-    let mut total = CheckedAccum::new();
-    let mut poll = Poll::new(deadline);
-    for ((lo, hi), wedges) in shards {
-        let mut shard_acc = CheckedAccum::new();
-        let (complete, _) = timed_span(rec, "shard", |rec| {
-            let items = kernel.items(lo, hi);
-            run_range(kernel, items, &mut spa, &mut shard_acc, &mut poll, rec)
-        });
-        total.merge(shard_acc);
-        if !complete {
-            return (total, false);
-        }
-        rec.incr(Counter::ShardsProcessed, 1);
-        if R::ENABLED {
-            rec.series_push("shard_wedges", wedges as f64);
-        }
-    }
-    (total, true)
-}
-
-/// Wedge-balanced shard layout of one run: the non-empty vertex ranges,
-/// each with its wedge total (the per-shard forecast, recorded as the
-/// `shard_wedges` series). Emits the planning gauges: `shards_planned`
-/// (non-empty ranges) and `shard_bytes` (adjacency bytes of the heaviest
-/// shard's partitioned rows).
-fn shard_ranges<R: Recorder>(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    nshards: usize,
-    rec: &mut R,
-) -> Vec<((usize, usize), u64)> {
-    let weights = wedge_weights(part_adj, other_adj);
-    let mut shards: Vec<_> = balanced_chunk_bounds(&weights, nshards.max(1))
+) -> Result<(CheckedAccum, bool)> {
+    let weights = input.weights(nshards)?;
+    let part_len = weights.len();
+    let mut shards: Vec<((usize, usize), u64)> = balanced_chunk_bounds(&weights, nshards)
         .windows(2)
         .filter(|w| w[1] > w[0])
         .map(|w| ((w[0], w[1]), weights[w[0]..w[1]].iter().sum()))
         .collect();
+    // Dead once the shards are priced: free them before the SPA and the
+    // pin take their place.
+    drop(weights);
     if shards.is_empty() {
         // A zero-vertex side still runs one (empty) shard so the span
         // and gauge vocabulary stays uniform.
-        shards.push(((0, part_adj.nrows()), 0));
+        shards.push(((0, part_len), 0));
     }
     if R::ENABLED {
         rec.gauge("shards_planned", shards.len() as f64);
-        let max_bytes = shards
+        let bytes = shards
             .iter()
-            .map(|&((lo, hi), _)| {
-                let nnz = (lo..hi).map(|k| part_adj.row(k).len() as u64).sum::<u64>();
-                4 * nnz + 8 * (hi - lo) as u64
-            })
-            .max()
-            .unwrap_or(0);
-        rec.gauge("shard_bytes", max_bytes as f64);
+            .map(|&((lo, hi), _)| input.shard_bytes(lo, hi));
+        rec.gauge("shard_bytes", bytes.max().unwrap_or(0) as f64);
     }
-    shards
+    let mut other = input.start(inv, &shards)?;
+    let backward = inv.traversal() == Traversal::Backward;
+    if backward {
+        shards.reverse();
+    }
+    let filter = inv.update_part();
+    let mut spa = Spa::<u64>::new(part_len);
+    let (mut total, mut poll, mut complete) = (CheckedAccum::new(), Poll::new(deadline), true);
+    for (done, ((lo, hi), wedges)) in (1..).zip(shards) {
+        let saved = input.saved(lo, hi)?;
+        let acc = match saved {
+            Some(acc) => acc,
+            None => {
+                let (mut part, mut acc) = (input.part(lo, hi)?, CheckedAccum::new());
+                complete = timed_span(rec, "shard", |rec| -> Result<bool> {
+                    for i in 0..hi - lo {
+                        let k = if backward { hi - 1 - i } else { lo + i };
+                        if poll.expired() {
+                            return Ok(false);
+                        }
+                        let nbrs = part.row(k).map_err(Into::into)?;
+                        let (wedges, touched) =
+                            update_vertex(nbrs, &mut other, filter.window(k), &mut spa, &mut acc)
+                                .map_err(Into::into)?;
+                        record_update(rec, wedges, touched);
+                    }
+                    Ok(true)
+                })?;
+                acc
+            }
+        };
+        total.merge(acc);
+        if !complete {
+            break;
+        }
+        match saved {
+            Some(_) => rec.incr(Counter::ShardsSkippedResume, 1),
+            None => rec.incr(Counter::ShardsProcessed, 1),
+        }
+        if R::ENABLED {
+            rec.series_push("shard_wedges", wedges as f64);
+        }
+        if saved.is_none() {
+            input.completed(lo, hi, done, &acc, rec)?;
+        }
+    }
+    other.record(rec);
+    Ok((total, complete))
+}
+
+/// A `.bfly` file as the shard loop's input: one positioned read per
+/// shard's rows, one pinned [`RowReader`] for the opposite rows.
+struct OnDisk<'g> {
+    sg: &'g SegmentedGraph,
+    side: Side,
+    pin_bytes: u64,
+    budget: &'g ResourceBudget,
+    ckpt: Option<&'g CheckpointConfig>,
+    store: Option<CheckpointStore>,
+    /// `BFLY_FAULT_SHARD_ERROR=N`: a hard I/O error once N shards are
+    /// done (and checkpointed), to kill a run at a shard boundary.
+    fault_after: Option<u64>,
+}
+
+impl<'g> ShardInput for OnDisk<'g> {
+    type Part = GraphSegment;
+    type Other = RowReader<'g>;
+
+    /// A scan window of one shard's payload, the most the plan charges.
+    fn weights(&self, nshards: usize) -> Result<Vec<u64>> {
+        let (sg, side) = (self.sg, self.side);
+        let payload = sg.payload_bytes(side, 0, sg.side_len(side));
+        let window = (payload / nshards.max(1) as u64).clamp(4096, STREAM_WINDOW_BYTES);
+        wedge_weights_windowed(sg, side, window)
+    }
+
+    /// On-disk payload bytes of the shard's partitioned rows.
+    fn shard_bytes(&self, lo: usize, hi: usize) -> u64 {
+        self.sg.payload_bytes(self.side, lo, hi)
+    }
+
+    /// Bind the checkpoint directory to this exact run shape (graph,
+    /// invariant, shard ranges), so a mismatched resume refuses here,
+    /// then pin the reader's rows.
+    fn start(&mut self, inv: Invariant, shards: &[((usize, usize), u64)]) -> Result<RowReader<'g>> {
+        if let Some(cfg) = self.ckpt {
+            let ranges: Vec<(usize, usize)> = shards.iter().map(|&(range, _)| range).collect();
+            let fp = fingerprint_segmented(self.sg, inv, &ranges);
+            self.store = Some(CheckpointStore::open(cfg, fp, ranges.len())?);
+        }
+        Ok(self.sg.row_reader(self.side.other(), self.pin_bytes)?)
+    }
+
+    fn part(&self, lo: usize, hi: usize) -> Result<GraphSegment> {
+        Ok(self.sg.segment(self.side, lo, hi)?)
+    }
+
+    fn saved(&self, lo: usize, hi: usize) -> Result<Option<CheckedAccum>> {
+        match &self.store {
+            Some(store) => store.load_shard(lo, hi),
+            None => Ok(None),
+        }
+    }
+
+    fn completed<R: Recorder>(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        done: u64,
+        acc: &CheckedAccum,
+        rec: &mut R,
+    ) -> Result<()> {
+        if let Some(store) = &self.store {
+            timed_span(rec, "checkpoint", |_| store.persist_shard(lo, hi, acc))?;
+            rec.incr(Counter::CheckpointsWritten, 1);
+        }
+        if self.fault_after == Some(done) {
+            let msg =
+                format!("injected shard fault after {done} shard(s) (BFLY_FAULT_SHARD_ERROR)");
+            return Err(BflyError::from(std::io::Error::other(msg)));
+        }
+        self.budget.check_measured_bytes()
+    }
 }
 
 /// Profile an on-disk graph from its resident degree arrays — the same
@@ -143,7 +269,7 @@ fn shard_ranges<R: Recorder>(
 /// the resident graph (the priority rank needs a full edge pass), so it
 /// is pinned to `u64::MAX`: the planner's global-member gate then never
 /// fires, and out-of-core plans always run a fixed invariant — the only
-/// members the segment kernel implements.
+/// members the shard loop implements.
 pub fn segmented_profile(sg: &SegmentedGraph) -> GraphProfile {
     let degrees = |side| sg.degrees(side).iter().map(|&d| d as usize);
     GraphProfile::from_degrees(
@@ -155,22 +281,10 @@ pub fn segmented_profile(sg: &SegmentedGraph) -> GraphProfile {
 }
 
 /// Exact per-vertex wedge work of partitioning `side`, computed from the
-/// on-disk graph in one bounded-memory streaming pass: vertex `k`'s
-/// update scans `Σ_{j ∈ N(k)} deg_other(j)` entries, and the opposite
-/// side's degrees are resident.
-pub fn segmented_wedge_weights(sg: &SegmentedGraph, side: Side) -> crate::error::Result<Vec<u64>> {
-    wedge_weights_windowed(sg, side, STREAM_WINDOW_BYTES)
-}
-
-/// [`segmented_wedge_weights`] with an explicit stream-window bound —
-/// budgeted execution passes the per-shard payload size so the scan's
-/// transient footprint stays within the shard terms the plan estimate
-/// already charges.
-fn wedge_weights_windowed(
-    sg: &SegmentedGraph,
-    side: Side,
-    window_bytes: u64,
-) -> crate::error::Result<Vec<u64>> {
+/// on-disk graph in one streaming pass of at most `window_bytes` at a
+/// time: vertex `k`'s update scans `Σ_{j ∈ N(k)} deg_other(j)` entries,
+/// and the opposite side's degrees are resident.
+fn wedge_weights_windowed(sg: &SegmentedGraph, side: Side, window_bytes: u64) -> Result<Vec<u64>> {
     let other_deg = sg.degrees(side.other());
     let mut weights = vec![0u64; sg.side_len(side)];
     sg.for_each_row(side, 0, sg.side_len(side), window_bytes.max(1), |k, row| {
@@ -182,59 +296,107 @@ fn wedge_weights_windowed(
 
 /// Count an on-disk graph exactly, without budget or telemetry —
 /// [`count_segmented_checkpointed_recorded`] with one shard and no limits.
-pub fn count_segmented(sg: &SegmentedGraph) -> crate::error::Result<u64> {
-    let unlimited = ResourceBudget::unlimited();
-    let r = count_segmented_checkpointed_recorded(
-        sg,
-        Some(1),
-        None,
-        &unlimited,
-        None,
-        &mut NoopRecorder,
-    )?;
+pub fn count_segmented(sg: &SegmentedGraph) -> Result<u64> {
+    let (budget, rec) = (ResourceBudget::unlimited(), &mut NoopRecorder);
+    let r = count_segmented_checkpointed_recorded(sg, Some(1), None, &budget, None, rec)?;
     Ok(r.value.0)
 }
 
-/// The out-of-core counter: plan, shard, and count a
-/// [`SegmentedGraph`] without ever holding the full graph.
-///
-/// The plan is the planner's fixed fallback ([`Plan::demoted`]): the
-/// segment kernel runs fixed members only and never makes the
-/// degree-ordered relabel, so no route plans or charges one. Shard
-/// sizing, in precedence order: an explicit `shards`; else
-/// `shard_bytes` (shards = partitioned payload / cap, each shard's
-/// on-disk rows roughly that many bytes); else the planner's sharded
-/// tier, grown until the plan's scratch estimate fits
-/// `budget.max_bytes` (doubling from 1, capped at one vertex per shard —
-/// a cap no shard count satisfies fails with
-/// [`BflyError::BudgetExceeded`] carrying the exact estimate); else a
-/// single shard. The shard loop runs inside one `count` span.
-///
-/// Execution mirrors the engine kernel exactly — same counters, same
-/// `vertex_wedges` histogram — over [`GraphSegment`] rows with
-/// opposite-side rows served by a [`RowReader`], whose pin takes the
-/// byte budget's slack (`max_bytes` − [`plan_scratch_bytes`], at most
-/// [`STREAM_WINDOW_BYTES`]; [`STREAM_WINDOW_BYTES`] with no cap) and
-/// never changes the plan. The budget's
-/// deadline is polled every `DEADLINE_STRIDE` vertices (a cut returns
-/// the exact processed-prefix count with `complete = false`), and
-/// measured allocation is re-checked at every shard boundary.
-///
-/// An optional durability layer: when `ckpt` is set, every completed
-/// shard's exact
-/// [`CheckedAccum`] partial is atomically persisted to the checkpoint
-/// directory (inside a `checkpoint` span, counted by
-/// `checkpoints_written`), and a resume run validates the
-/// [`fingerprint_segmented`] run-shape fingerprint, merges persisted
-/// partials for already-completed shards (`shards_skipped_resume`), and
-/// recounts only the rest — bitwise-identical to an uninterrupted run,
-/// because the shard merge algebra is exact.
-///
-/// With `ckpt = None` the durability layer costs nothing: it is
-/// pay-for-use (one branch per *shard*, never per vertex).
-///
-/// [`GraphSegment`]: bfly_graph::GraphSegment
-/// [`RowReader`]: bfly_graph::RowReader
+/// The first half of a `.bfly` count: record the budget's limits, check
+/// measured allocation, then profile and plan ([`Plan::sharded`]) inside
+/// one `select` span with the `plan.*` gauges. Sizing: `shards`, else
+/// `shard_bytes`, else the byte cap. [`run_plan_segmented`] is the
+/// second half; the monitor can take the plan's forecast in between.
+pub fn profile_and_plan_segmented_recorded<R: Recorder>(
+    sg: &SegmentedGraph,
+    shards: Option<usize>,
+    shard_bytes: Option<u64>,
+    budget: &ResourceBudget,
+    rec: &mut R,
+) -> Result<(GraphProfile, Plan)> {
+    budget.record_limits(rec);
+    budget.check_measured_bytes()?;
+    timed_span(rec, "select", |rec| {
+        let profile = segmented_profile(sg);
+        let payload = |side| sg.payload_bytes(side, 0, sg.side_len(side));
+        let sizing = match (shards, shard_bytes) {
+            (Some(n), _) => ShardSizing::Count(n),
+            (None, Some(cap)) => ShardSizing::Bytes(cap, [payload(Side::V1), payload(Side::V2)]),
+            (None, None) => ShardSizing::Fit,
+        };
+        let plan = Plan::sharded(&profile, sizing, budget)?;
+        plan.record(rec);
+        Ok((profile, plan))
+    })
+}
+
+/// Run a sharded plan over a `.bfly` file inside one `count` span: the
+/// shard loop over the plan's fixed invariant and shard count (one for
+/// an unsharded plan). The [`RowReader`]'s pin takes the slack the plan
+/// leaves under the byte cap (`max_bytes` − [`plan_scratch_bytes`] of
+/// `profile`, the plan's own profile; at most [`STREAM_WINDOW_BYTES`]),
+/// so it never changes the plan. Measured allocation is re-checked at
+/// every shard boundary, and the reader's retries land in `io_retries` /
+/// `io_giveups`. With `ckpt` set, each complete shard's exact partial is
+/// persisted atomically (a `checkpoint` span, `checkpoints_written`); a
+/// resume validates the [`fingerprint_segmented`] run-shape fingerprint,
+/// merges the saved partials (`shards_skipped_resume`) and recounts only
+/// the rest, bitwise-identical to an uninterrupted run.
+pub fn run_plan_segmented<R: Recorder>(
+    sg: &SegmentedGraph,
+    profile: &GraphProfile,
+    plan: &Plan,
+    budget: &ResourceBudget,
+    ckpt: Option<&CheckpointConfig>,
+    rec: &mut R,
+) -> Result<Partial<u64>> {
+    run_on_disk(sg, profile, plan, budget, ckpt, None, rec)
+}
+
+/// [`run_plan_segmented`] with an explicit pin bound (`None`: the slack).
+pub(crate) fn run_on_disk<R: Recorder>(
+    sg: &SegmentedGraph,
+    profile: &GraphProfile,
+    plan: &Plan,
+    budget: &ResourceBudget,
+    ckpt: Option<&CheckpointConfig>,
+    pin_bytes: Option<u64>,
+    rec: &mut R,
+) -> Result<Partial<u64>> {
+    let nshards = match plan.mode {
+        ExecMode::Sharded { shards } => shards,
+        _ => 1,
+    };
+    let slack = match budget.max_bytes {
+        Some(cap) => cap.saturating_sub(plan_scratch_bytes(profile, plan)),
+        None => u64::MAX,
+    };
+    let input = OnDisk {
+        sg,
+        side: plan.partition_side(),
+        pin_bytes: pin_bytes.unwrap_or(slack.min(STREAM_WINDOW_BYTES)),
+        budget,
+        ckpt,
+        store: None,
+        fault_after: std::env::var("BFLY_FAULT_SHARD_ERROR")
+            .ok()
+            .and_then(|v| v.trim().parse().ok()),
+    };
+    let (retries0, giveups0) = sg.retry_stats();
+    let counted = timed_span(rec, "count", |rec| {
+        drive_shards(input, plan.invariant, nshards, budget.deadline, rec)
+    });
+    let (retries1, giveups1) = sg.retry_stats();
+    rec.incr(Counter::IoRetries, retries1.saturating_sub(retries0));
+    rec.incr(Counter::IoGiveups, giveups1.saturating_sub(giveups0));
+    let (acc, complete) = counted?;
+    finish_count(acc, complete, "count_segmented", rec)
+}
+
+/// The out-of-core counter: [`profile_and_plan_segmented_recorded`] then
+/// [`run_plan_segmented`], never holding the full graph. A byte cap no
+/// shard count satisfies fails with [`BflyError::BudgetExceeded`]
+/// carrying the exact estimate.
 pub fn count_segmented_checkpointed_recorded<R: Recorder>(
     sg: &SegmentedGraph,
     shards: Option<usize>,
@@ -242,202 +404,17 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
     budget: &ResourceBudget,
     ckpt: Option<&CheckpointConfig>,
     rec: &mut R,
-) -> crate::error::Result<Partial<(u64, Plan)>> {
-    run_segmented(sg, shards, shard_bytes, budget, ckpt, None, rec)
-}
-
-/// [`count_segmented_checkpointed_recorded`] with an explicit pin bound
-/// for the opposite-side [`RowReader`](bfly_graph::RowReader); `None`
-/// derives it from the budget's slack.
-pub(crate) fn run_segmented<R: Recorder>(
-    sg: &SegmentedGraph,
-    shards: Option<usize>,
-    shard_bytes: Option<u64>,
-    budget: &ResourceBudget,
-    ckpt: Option<&CheckpointConfig>,
-    pin_bytes: Option<u64>,
-    rec: &mut R,
-) -> crate::error::Result<Partial<(u64, Plan)>> {
-    budget.record_limits(rec);
-    // Snapshot the reader's retry counters up front so the delta covers
-    // the wedge-weight scan as well as the shard loop.
-    let (retries0, giveups0) = sg.retry_stats();
-    budget.check_measured_bytes()?;
-    let (profile, plan) = timed_span(rec, "select", |rec| {
-        let profile = segmented_profile(sg);
-        let plan = if shards.is_none() && shard_bytes.is_none() && budget.max_bytes.is_some() {
-            select_sharded_plan(&profile, budget)?
-        } else {
-            let mut plan = select_plan(&profile, false, 0).demoted();
-            budget.check_wedge_work(plan.est_work)?;
-            let side = plan.partition_side();
-            let nshards = match (shards, shard_bytes) {
-                (Some(n), _) => n.max(1),
-                (None, Some(cap)) => {
-                    let payload = sg.payload_bytes(side, 0, sg.side_len(side));
-                    payload.div_ceil(cap.max(1)).max(1) as usize
-                }
-                (None, None) => 1,
-            };
-            plan.mode = ExecMode::Sharded {
-                shards: nshards.min(sg.side_len(side).max(1)),
-            };
-            budget.check_bytes(plan_scratch_bytes(&profile, &plan))?;
-            plan
-        };
-        plan.record(rec);
-        Ok::<_, crate::error::BflyError>((profile, plan))
-    })?;
-    let ExecMode::Sharded { shards: nshards } = plan.mode else {
-        unreachable!("out-of-core plans are always sharded");
-    };
-    let side = plan.partition_side();
-    let inv = plan.invariant;
-    let filter = inv.update_part();
-    // Scan with a window sized to the shard geometry: the plan estimate
-    // charges one shard's payload, so the weight scan must not hold more
-    // than that at once.
-    let scan_window = (sg.payload_bytes(side, 0, sg.side_len(side)) / nshards.max(1) as u64)
-        .clamp(4096, STREAM_WINDOW_BYTES);
-    let weights = wedge_weights_windowed(sg, side, scan_window)?;
-    let (ranges, shard_wedges): (Vec<(usize, usize)>, Vec<u64>) =
-        balanced_chunk_bounds(&weights, nshards)
-            .windows(2)
-            .filter(|w| w[1] > w[0])
-            .map(|w| ((w[0], w[1]), weights[w[0]..w[1]].iter().sum::<u64>()))
-            .unzip();
-    // The per-vertex weights are dead once the shards are priced; free
-    // them before the SPA and the pin take their place.
-    drop(weights);
-    // The pin lives in the slack the plan leaves under the cap, so it
-    // never changes the shard count or a refusal.
-    let pin_bytes = pin_bytes.unwrap_or(match budget.max_bytes {
-        Some(cap) => cap
-            .saturating_sub(plan_scratch_bytes(&profile, &plan))
-            .min(STREAM_WINDOW_BYTES),
-        None => STREAM_WINDOW_BYTES,
-    });
-    if R::ENABLED {
-        rec.gauge("shards_planned", ranges.len().max(1) as f64);
-        let max_bytes = ranges
-            .iter()
-            .map(|&(lo, hi)| sg.payload_bytes(side, lo, hi))
-            .max()
-            .unwrap_or(0);
-        rec.gauge("shard_bytes", max_bytes as f64);
-    }
-    // Durability layer: bind the checkpoint directory to this exact run
-    // shape (graph identity + invariant + shard ranges). A resume with a
-    // mismatched fingerprint refuses here, before any counting.
-    let store = match ckpt {
-        Some(cfg) => {
-            let fp = fingerprint_segmented(sg, inv, &ranges);
-            Some(CheckpointStore::open(cfg, fp, ranges.len())?)
-        }
-        None => None,
-    };
-    // Deterministic chaos hook: BFLY_FAULT_SHARD_ERROR=N injects a hard
-    // I/O error after N shards complete (and checkpoint, if enabled) —
-    // how CI kills a run at a shard boundary.
-    let fault_after_shards: Option<u64> = std::env::var("BFLY_FAULT_SHARD_ERROR")
-        .ok()
-        .and_then(|v| v.trim().parse().ok());
-    let part_len = sg.side_len(side);
-    let mut spa = Spa::<u64>::new(part_len);
-    let mut total = CheckedAccum::new();
-    let mut complete = true;
-    let mut poll = Poll::new(budget.deadline);
-    let mut shards_done = 0u64;
-    let counted = timed_span(rec, "count", |rec| -> crate::error::Result<()> {
-        let mut reader = sg.row_reader(side.other(), pin_bytes)?;
-        'shards: for (&(lo, hi), &wedge_total) in ranges.iter().zip(&shard_wedges) {
-            if let Some(store) = &store {
-                if let Some(saved) = store.load_shard(lo, hi)? {
-                    total.merge(saved);
-                    rec.incr(Counter::ShardsSkippedResume, 1);
-                    if R::ENABLED {
-                        rec.series_push("shard_wedges", wedge_total as f64);
-                    }
-                    shards_done += 1;
-                    continue 'shards;
-                }
-            }
-            let seg = sg.segment(side, lo, hi)?;
-            let mut shard_acc = CheckedAccum::new();
-            let shard_complete = timed_span(rec, "shard", |rec| -> crate::error::Result<bool> {
-                // Inv1/Inv5 are forward traversals; the selector
-                // never picks a backward member.
-                for k in lo..hi {
-                    if poll.expired() {
-                        return Ok(false);
-                    }
-                    let (wedges, touched) = update_vertex(
-                        seg.neighbors(k),
-                        &mut reader,
-                        filter.window(k),
-                        &mut spa,
-                        &mut shard_acc,
-                    )?;
-                    record_update(rec, wedges, touched);
-                }
-                Ok(true)
-            })?;
-            total.merge(shard_acc);
-            rec.incr(Counter::ShardsProcessed, 1);
-            if R::ENABLED {
-                rec.series_push("shard_wedges", wedge_total as f64);
-            }
-            if !shard_complete {
-                complete = false;
-                break 'shards;
-            }
-            // Persist only *complete* shard partials: a deadline cut
-            // above leaves nothing durable, so a later resume recounts
-            // that shard from scratch instead of merging a prefix.
-            if let Some(store) = &store {
-                timed_span(rec, "checkpoint", |_rec| {
-                    store.persist_shard(lo, hi, &shard_acc)
-                })?;
-                rec.incr(Counter::CheckpointsWritten, 1);
-            }
-            shards_done += 1;
-            if fault_after_shards == Some(shards_done) {
-                return Err(BflyError::Io(bfly_graph::io::IoError::Io(
-                    std::io::Error::other(format!(
-                        "injected shard fault after {shards_done} shard(s) \
-                             (BFLY_FAULT_SHARD_ERROR)"
-                    )),
-                )));
-            }
-            budget.check_measured_bytes()?;
-        }
-        if R::ENABLED {
-            rec.gauge("pinned_rows", reader.pinned_rows() as f64);
-            rec.gauge("pinned_bytes", reader.pinned_bytes() as f64);
-            rec.gauge("pinned_hits", reader.pinned_hits() as f64);
-        }
-        Ok(())
-    });
-    let (retries1, giveups1) = sg.retry_stats();
-    rec.incr(Counter::IoRetries, retries1.saturating_sub(retries0));
-    rec.incr(Counter::IoGiveups, giveups1.saturating_sub(giveups0));
-    counted?;
-    if !complete {
-        record_degraded(rec, "deadline");
-    }
-    record_memory(rec);
-    let value = crate::error::checked_total(total, "count_segmented")?;
-    Ok(Partial {
-        value: (value, plan),
-        complete,
-        fraction: if complete { Some(1.0) } else { None },
-    })
+) -> Result<Partial<(u64, Plan)>> {
+    let (profile, plan) =
+        profile_and_plan_segmented_recorded(sg, shards, shard_bytes, budget, rec)?;
+    let r = run_plan_segmented(sg, &profile, &plan, budget, ckpt, rec)?;
+    Ok(r.map(|count| (count, plan)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::{run_plan, Member};
+    use crate::adaptive::{run_plan, select_plan, Member};
     use crate::family::{count, count_sharded, run_forced, Invariant};
     use crate::spec::count_brute_force;
     use bfly_graph::generators::{chung_lu, uniform_exact};
@@ -557,7 +534,7 @@ mod tests {
                 p_seg.to_json().get("wedges_priority"),
                 Some(&bfly_telemetry::Json::Null)
             );
-            let w_seg = segmented_wedge_weights(&sg, Side::V2).unwrap();
+            let w_seg = wedge_weights_windowed(&sg, Side::V2, STREAM_WINDOW_BYTES).unwrap();
             let w_mem = wedge_weights(g.biadjacency_t(), g.biadjacency());
             assert_eq!(w_seg, w_mem);
         }

@@ -75,7 +75,7 @@ pub use adaptive::{
     count_adaptive, count_adaptive_budgeted_recorded, count_adaptive_parallel,
     count_adaptive_parallel_recorded, graph_resident_bytes, plan_scratch_bytes, run_plan,
     select_plan, select_plan_budgeted, try_count_adaptive, tune_plan_chunks, ExecMode,
-    GraphProfile, Member, Plan, PRIORITY_ADVANTAGE, PRIORITY_MIN_WORK,
+    GraphProfile, Member, Plan, ShardSizing, PRIORITY_ADVANTAGE, PRIORITY_MIN_WORK,
 };
 pub use budget::{record_memory, Partial, ResourceBudget};
 pub use checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore};
@@ -84,8 +84,8 @@ pub use error::{validate_graph, BflyError};
 pub use family::{
     auto_invariant, count, count_auto_recorded, count_blocked, count_parallel, count_priority,
     count_ranked, count_recorded, count_segmented, count_segmented_checkpointed_recorded,
-    count_sharded, priority_wedge_work, segmented_profile, segmented_wedge_weights, try_count,
-    tuned_chunk_count, weight_p90, Invariant,
+    count_sharded, priority_wedge_work, profile_and_plan_segmented_recorded, run_plan_segmented,
+    segmented_profile, try_count, tuned_chunk_count, weight_p90, Invariant,
 };
 pub use incremental::IncrementalCounter;
 pub use pair_matrix::PairMatrix;

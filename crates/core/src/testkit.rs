@@ -454,7 +454,11 @@ pub fn count_segmented_pinned<R: bfly_telemetry::Recorder>(
     pin_bytes: u64,
     rec: &mut R,
 ) -> crate::error::Result<crate::Partial<(u64, crate::adaptive::Plan)>> {
-    crate::family::sharded::run_segmented(sg, shards, None, budget, ckpt, Some(pin_bytes), rec)
+    let (profile, plan) =
+        crate::profile_and_plan_segmented_recorded(sg, shards, None, budget, rec)?;
+    let pinned = Some(pin_bytes);
+    let r = crate::family::sharded::run_on_disk(sg, &profile, &plan, budget, ckpt, pinned, rec)?;
+    Ok(r.map(|count| (count, plan)))
 }
 
 #[cfg(test)]

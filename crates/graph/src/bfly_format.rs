@@ -167,18 +167,19 @@ fn decode_row(bytes: &[u8], deg: usize, ncols: usize, out: &mut Vec<u32>) -> Res
 // header
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64 over the little-endian bytes of a degree array.
-fn fnv1a_degrees(degrees: &[u32]) -> u64 {
+/// FNV-1a 64 over a byte stream: the `.bfly` header's degree-array
+/// checksum, and the checkpoint records' payload checksum.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = BASIS;
-    for &d in degrees {
-        for b in d.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
+    bytes
+        .into_iter()
+        .fold(BASIS, |h, b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+}
+
+/// FNV-1a 64 over the little-endian bytes of a degree array.
+fn fnv1a_degrees(degrees: &[u32]) -> u64 {
+    fnv1a(degrees.iter().flat_map(|d| d.to_le_bytes()))
 }
 
 /// Parsed `.bfly` header with its derived section offsets.
@@ -466,10 +467,10 @@ fn write_sections<W: Write>(
     Ok(header)
 }
 
-/// Crash-safe file write: `write` fills `<path>.tmp`, which is flushed,
-/// fsynced and only then renamed over `path`. The temp file is removed
-/// when any step fails.
-fn persist_atomically<T>(
+/// Crash-safe file write, behind every `.bfly` file and checkpoint
+/// record: `write` fills `<path>.tmp`, which is flushed, fsynced and only
+/// then renamed over `path`. The temp file is removed when a step fails.
+pub fn persist_atomically<T>(
     path: &Path,
     write: impl FnOnce(&mut BufWriter<File>) -> Result<T, IoError>,
 ) -> Result<T, IoError> {
@@ -595,7 +596,6 @@ pub struct SegmentedGraph {
     deg_v2: Vec<u32>,
     idx_v1: Vec<u64>,
     idx_v2: Vec<u64>,
-    retry: RetryPolicy,
     retry_stats: Arc<RetryStats>,
     reads: AtomicU64,
     faults: FaultPlan,
@@ -691,18 +691,10 @@ impl SegmentedGraph {
             deg_v2,
             idx_v1,
             idx_v2,
-            retry: RetryPolicy::default(),
             retry_stats: Arc::new(RetryStats::new()),
             reads: AtomicU64::new(0),
             faults: FaultPlan::from_env(),
         })
-    }
-
-    /// Replace the retry policy applied to positioned payload reads
-    /// (default: [`RetryPolicy::default`]). `RetryPolicy::none()`
-    /// restores fail-on-first-error behaviour.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
     }
 
     /// Snapshot of `(retried attempts, give-ups)` accumulated by
@@ -797,7 +789,7 @@ impl SegmentedGraph {
     /// and the `BFLY_FAULT_READ_*` chaos hooks cover them all.
     fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<(), IoError> {
         let seq = self.reads.fetch_add(1, Ordering::Relaxed) + 1;
-        with_retries(&self.retry, &self.retry_stats, || {
+        with_retries(&RetryPolicy::default(), &self.retry_stats, || {
             self.faults.check(seq)?;
             self.raw_read_at(off, buf)
         })

@@ -377,13 +377,13 @@ fn stream_pairs<R: Read>(
 /// MatrixMarket coordinate grammar: rows are V1, columns V2, indices
 /// 1-based. A non-`pattern` entry must carry its value, and a zero value
 /// is not an edge, though it still counts against the declared `nnz`.
-/// Blank lines may precede the header; line numbers count from the header
-/// as line 1.
+/// Blank lines may precede the header; line numbers count from the
+/// file's first line, and a header error names the header's own line.
 fn stream_matrix_market<R: Read>(
     mut lines: LineSplitter<R>,
     mut emit: impl FnMut(u32, u32) -> Result<(), IoError>,
 ) -> Result<StreamInfo, IoError> {
-    let (base, header) = loop {
+    let (hline, header) = loop {
         let Some((n, line)) = lines.next_line()? else {
             return Err(IoError::Parse {
                 line: 1,
@@ -392,11 +392,11 @@ fn stream_matrix_market<R: Read>(
         };
         let line = utf8(line)?;
         if line.starts_with("%%MatrixMarket") {
-            break (n - 1, line.to_string());
+            break (n, line.to_string());
         }
         if !line.trim().is_empty() {
             return Err(IoError::Parse {
-                line: 1,
+                line: n,
                 msg: "missing %%MatrixMarket header".to_string(),
             });
         }
@@ -404,25 +404,24 @@ fn stream_matrix_market<R: Read>(
     let tokens: Vec<&str> = header.split_whitespace().collect();
     if tokens.len() < 4 || tokens[1] != "matrix" || tokens[2] != "coordinate" {
         return Err(IoError::Parse {
-            line: 1,
+            line: hline,
             msg: format!("unsupported header {header:?} (need matrix coordinate)"),
         });
     }
     let field = tokens[3];
     if !matches!(field, "pattern" | "integer" | "real") {
         return Err(IoError::Parse {
-            line: 1,
+            line: hline,
             msg: format!("unsupported field type {field:?}"),
         });
     }
     let (size_line, m, n, nnz) = loop {
         let Some((lineno, line)) = lines.next_line()? else {
             return Err(IoError::Parse {
-                line: lines.lineno - base,
+                line: lines.lineno,
                 msg: "missing size line".to_string(),
             });
         };
-        let lineno = lineno - base;
         let t = utf8(line)?.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
@@ -450,7 +449,6 @@ fn stream_matrix_market<R: Read>(
     }
     let mut entry_lines = 0u64;
     while let Some((lineno, line)) = lines.next_line()? {
-        let lineno = lineno - base;
         let t = utf8(line)?.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;

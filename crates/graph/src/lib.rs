@@ -40,8 +40,8 @@ pub mod stats;
 pub mod temporal;
 
 pub use bfly_format::{
-    convert_to_bfly, is_bfly_file, read_bfly, read_bfly_file, write_bfly, write_bfly_file,
-    ConvertStats, GraphSegment, RowReader, SegmentedGraph,
+    convert_to_bfly, fnv1a, is_bfly_file, persist_atomically, read_bfly, read_bfly_file,
+    write_bfly, write_bfly_file, ConvertStats, GraphSegment, RowReader, SegmentedGraph,
 };
 pub use bipartite::{BipartiteGraph, Side};
 pub use compact::{compact, compact_by, CompactedGraph};
@@ -49,7 +49,7 @@ pub use components::{component_subgraph, connected_components, Components};
 pub use cores::{butterfly_core, kl_core, CoreResult};
 pub use io::TextFormat;
 pub use konect::{DatasetSpec, StandIn};
-pub use retry::{is_transient_io_error, with_retries, RetryPolicy, RetryStats, RetryingReader};
+pub use retry::{is_transient_io_error, with_retries, RetryPolicy, RetryStats};
 pub use rewire::double_edge_swaps;
 pub use stats::GraphStats;
 pub use temporal::{TemporalEdge, TemporalStream};

@@ -3,29 +3,21 @@
 //! Out-of-core counting turns every shard into a sequence of positioned
 //! reads, and on network filesystems or under memory pressure a read can
 //! fail *transiently* (`Interrupted`, `WouldBlock`, `TimedOut`) without
-//! the file being damaged. Before this layer any such error aborted the
-//! whole sharded run. [`RetryPolicy`] classifies error kinds
-//! ([`is_transient_io_error`]), retries transient ones a bounded number
-//! of times with decorrelated-jitter backoff, and counts every retried
-//! attempt and every give-up in a shared [`RetryStats`] so the telemetry
-//! layer can surface `io_retries` / `io_giveups` per run.
-//!
-//! Two consumers:
-//!
-//! * [`SegmentedGraph`](crate::bfly_format::SegmentedGraph) routes all
-//!   positioned payload reads through [`with_retries`].
-//! * [`RetryingReader`] wraps any sequential [`Read`] (e.g. the
-//!   streaming `.bfly` loader or a text-format parser) with the same
-//!   policy.
+//! the file being damaged. [`SegmentedGraph`](crate::bfly_format::SegmentedGraph)
+//! routes every positioned payload read through [`with_retries`] under
+//! the default [`RetryPolicy`]: transient error kinds
+//! ([`is_transient_io_error`]) are retried a bounded number of times with
+//! decorrelated-jitter backoff, and every retried attempt and give-up is
+//! counted in a shared [`RetryStats`] so the telemetry layer can surface
+//! `io_retries` / `io_giveups` per run.
 //!
 //! Determinism: the backoff jitter comes from a fixed xorshift sequence
 //! seeded by the previous delay and attempt number, not from a clock or
 //! OS entropy, so a test that injects `N` transient faults observes an
 //! exactly reproducible retry schedule.
 
-use std::io::{self, Read};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Is this `io::ErrorKind` worth retrying?
@@ -71,15 +63,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (single attempt, no sleeping).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_delay_us: 0,
-            max_delay_us: 0,
-        }
-    }
-
     /// Next backoff delay after sleeping `prev_us`, attempt number
     /// `attempt` — decorrelated jitter (`min(cap, uniform[base, 3·prev])`)
     /// from a deterministic xorshift stream, so schedules reproduce.
@@ -171,76 +154,9 @@ pub fn with_retries<T>(
     }
 }
 
-/// A sequential [`Read`] adapter that retries transient errors.
-///
-/// Wraps any byte source with a [`RetryPolicy`]; useful for streaming
-/// loaders whose source is a network mount (or a fault-injecting test
-/// double). Positioned reads inside
-/// [`SegmentedGraph`](crate::bfly_format::SegmentedGraph) use the same
-/// policy internally and do not need this wrapper.
-#[derive(Debug)]
-pub struct RetryingReader<R> {
-    inner: R,
-    policy: RetryPolicy,
-    stats: Arc<RetryStats>,
-}
-
-impl<R: Read> RetryingReader<R> {
-    /// Wrap `inner` with the default policy and fresh stats.
-    pub fn new(inner: R) -> Self {
-        Self::with_policy(inner, RetryPolicy::default())
-    }
-
-    /// Wrap `inner` with an explicit policy.
-    pub fn with_policy(inner: R, policy: RetryPolicy) -> Self {
-        RetryingReader {
-            inner,
-            policy,
-            stats: Arc::new(RetryStats::new()),
-        }
-    }
-
-    /// Handle to the shared retry counters.
-    pub fn stats(&self) -> Arc<RetryStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Unwrap, returning the inner reader.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<R: Read> Read for RetryingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let inner = &mut self.inner;
-        with_retries(&self.policy, &self.stats, || inner.read(buf))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Fails transiently `n` times, then yields `payload`.
-    struct Flaky {
-        n: u32,
-        payload: Vec<u8>,
-        pos: usize,
-    }
-
-    impl Read for Flaky {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.n > 0 {
-                self.n -= 1;
-                return Err(io::Error::new(io::ErrorKind::Interrupted, "flaky"));
-            }
-            let n = buf.len().min(self.payload.len() - self.pos);
-            buf[..n].copy_from_slice(&self.payload[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
 
     fn quick() -> RetryPolicy {
         RetryPolicy {
@@ -319,24 +235,5 @@ mod tests {
             assert!(d >= p.base_delay_us);
             assert!(d <= p.max_delay_us);
         }
-        assert_eq!(RetryPolicy::none().next_delay_us(0, 1), 0);
-    }
-
-    #[test]
-    fn retrying_reader_recovers_a_flaky_stream() {
-        let payload = b"butterflies".to_vec();
-        let mut r = RetryingReader::with_policy(
-            Flaky {
-                n: 2,
-                payload: payload.clone(),
-                pos: 0,
-            },
-            quick(),
-        );
-        let stats = r.stats();
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).unwrap();
-        assert_eq!(out, payload);
-        assert_eq!(stats.retries(), 2);
     }
 }

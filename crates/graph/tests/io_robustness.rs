@@ -93,6 +93,34 @@ fn matrix_market_entry_count_must_match_declaration() {
     assert_eq!(g.nedges(), 1);
 }
 
+/// MatrixMarket errors name the file's own line numbers, blank lines
+/// before the header included; a header error names the header's line.
+#[test]
+fn matrix_market_errors_count_lines_from_the_file_start() {
+    use bfly_graph::io::IoError;
+    for (text, want_line, want_msg) in [
+        (
+            "\n\n%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n3 3\n",
+            6,
+            "entry (3, 3) outside the declared 2x2 matrix",
+        ),
+        ("\n\nfoo\n", 3, "missing %%MatrixMarket header"),
+        (
+            "\n\n%%MatrixMarket matrix array real general\n1 1\n1.0\n",
+            3,
+            "unsupported header",
+        ),
+    ] {
+        match read_matrix_market(text.as_bytes()) {
+            Err(IoError::Parse { line, msg }) => {
+                assert_eq!(line, want_line, "{text:?}: {msg}");
+                assert!(msg.starts_with(want_msg), "{text:?}: {msg}");
+            }
+            other => panic!("{text:?}: expected a parse error, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn loaders_survive_fault_injection() {
     use bfly_core::testkit::FaultyReader;
@@ -720,10 +748,12 @@ mod lines_grammar {
     ) -> Result<StreamInfo, IoError> {
         let mut lines = reader.lines();
         let mut first = true;
+        let mut lineno = 0usize;
         let header = loop {
             match lines.next() {
                 Some(line) => {
                     let line = line?;
+                    lineno += 1;
                     let line = if std::mem::take(&mut first) {
                         strip_bom(&line).to_string()
                     } else {
@@ -734,7 +764,7 @@ mod lines_grammar {
                     }
                     if !line.trim().is_empty() {
                         return Err(IoError::Parse {
-                            line: 1,
+                            line: lineno,
                             msg: "missing %%MatrixMarket header".to_string(),
                         });
                     }
@@ -750,18 +780,17 @@ mod lines_grammar {
         let tokens: Vec<&str> = header.split_whitespace().collect();
         if tokens.len() < 4 || tokens[1] != "matrix" || tokens[2] != "coordinate" {
             return Err(IoError::Parse {
-                line: 1,
+                line: lineno,
                 msg: format!("unsupported header {header:?} (need matrix coordinate)"),
             });
         }
         let field = tokens[3];
         if !matches!(field, "pattern" | "integer" | "real") {
             return Err(IoError::Parse {
-                line: 1,
+                line: lineno,
                 msg: format!("unsupported field type {field:?}"),
             });
         }
-        let mut lineno = 1usize;
         let (m, n, nnz) = loop {
             let line = lines.next().ok_or(IoError::Parse {
                 line: lineno,
