@@ -4,7 +4,6 @@
 //! scaling of the parallel family member on the largest size.
 
 use bfly_bench::{best_of, time_one};
-use bfly_core::wedges::WedgeProfile;
 use bfly_core::{count, count_parallel, Invariant};
 use bfly_graph::StandIn;
 
@@ -17,13 +16,12 @@ fn main() {
     let mut biggest = None;
     for scale in [0.05, 0.1, 0.2, 0.4, 0.8] {
         let g = StandIn::ArxivCondMat.generate_scaled(scale);
-        let p = WedgeProfile::compute(&g);
         let (t, xi) = best_of(2, || count(&g, Invariant::Inv2));
         println!(
             "{scale:>8}{:>10}{xi:>12}{:>14}{:>14}{t:>12.4}",
             g.nedges(),
-            p.through_v2,
-            p.through_v1
+            g.wedges_through_v2(),
+            g.wedges_through_v1()
         );
         biggest = Some(g);
     }

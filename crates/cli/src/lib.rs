@@ -1514,9 +1514,12 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             let on_disk = format.is_none() && is_bfly_file(&file);
             let out_of_core =
                 on_disk && (shards.is_some() || shard_bytes.is_some() || max_bytes.is_some());
-            if on_disk && !out_of_core && checkpoint.is_some() {
-                return Err(err("--checkpoint needs the out-of-core sharded tier; add \
-                     --shards/--shard-bytes or --max-bytes"));
+            if !on_disk && checkpoint.is_some() {
+                return Err(classified(
+                    ErrorClass::Usage,
+                    "--checkpoint persists the shards of an out-of-core count and needs \
+                     a .bfly input (see `bfly convert <in> --out <out.bfly>`)",
+                ));
             }
             if !on_disk && shard_bytes.is_some() {
                 return Err(err(

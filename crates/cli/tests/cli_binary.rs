@@ -1169,3 +1169,62 @@ fn liveness_flags_keep_report_trace_and_stream() {
         assert_eq!(t, trace_events, "{extra:?}: trace events");
     }
 }
+
+/// `--checkpoint` persists the shards of a `.bfly` count. On a text input
+/// it is a usage error (exit 2) whichever sharded tier it rides, and the
+/// directory is never created.
+#[test]
+fn checkpoint_on_a_text_input_is_a_usage_error() {
+    let dir = tempdir();
+    let gpath = dir.join("ckpt-text.tsv");
+    let out = bfly()
+        .args(["generate", "--kind", "uniform", "--m", "300", "--n", "300"])
+        .args(["--edges", "3000", "--seed", "5", "--out"])
+        .arg(&gpath)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for (tier, value) in [("--shards", "4"), ("--max-bytes", "1000000")] {
+        let ckpt = dir.join(format!("ckpt-text{tier}"));
+        let out = bfly()
+            .arg("count")
+            .arg(&gpath)
+            .args([tier, value, "--checkpoint"])
+            .arg(&ckpt)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{tier}: {stderr}");
+        assert!(stderr.contains(".bfly input"), "{tier}: {stderr}");
+        assert!(!ckpt.exists(), "{tier} created {}", ckpt.display());
+    }
+}
+
+/// A bare output name is written into the working directory: the
+/// atomic persist fsyncs the parent directory, which for a bare name is
+/// `.`.
+#[test]
+fn convert_writes_a_bare_file_name_into_the_working_directory() {
+    let dir = tempdir().join("bare-convert");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("in.tsv"), "0\t0\n0\t1\n1\t0\n1\t1\n2\t1\n").unwrap();
+    let out = bfly()
+        .current_dir(&dir)
+        .args(["convert", "in.tsv", "--out", "g.bfly"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!dir.join("g.bfly.tmp").exists());
+    let out = bfly()
+        .current_dir(&dir)
+        .args(["count", "g.bfly"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("butterflies = 1 "), "{stdout}");
+}

@@ -798,9 +798,7 @@ pub(crate) fn run_to_end<R: Recorder>(
 ///
 /// Degree-ordered plans count an isomorphic renumbering of `g`; the
 /// total is unchanged (counting is permutation-invariant — pinned by the
-/// differential tests), so no inverse mapping is needed here. Per-vertex
-/// consumers go through [`butterflies_per_vertex_degree_ordered`], which
-/// does map back.
+/// differential tests), so no inverse mapping is needed here.
 pub fn run_plan<R: Recorder>(
     g: &BipartiteGraph,
     plan: &Plan,
@@ -1154,22 +1152,6 @@ pub fn count_adaptive_budgeted_recorded<R: Recorder>(
     Ok(run_plan(g, &plan, budget.deadline, rec)?.map(|count| (count, plan)))
 }
 
-/// Per-vertex butterfly counts computed on the descending-degree
-/// renumbering of `side`, mapped back to the original vertex ids — the
-/// result-mapping half of the degree-ordered execution mode. Equal to
-/// [`crate::vertex_counts::butterflies_per_vertex`] on the original graph
-/// (pinned by `tests/degree_order_permutation.rs`).
-pub fn butterflies_per_vertex_degree_ordered(g: &BipartiteGraph, side: Side) -> Vec<u64> {
-    let perm = degree_descending(g, side);
-    let h = relabel(g, side, &perm);
-    let renumbered = crate::vertex_counts::butterflies_per_vertex(&h, side);
-    let mut out = vec![0u64; renumbered.len()];
-    for (new, &old) in perm.iter().enumerate() {
-        out[old as usize] = renumbered[new];
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1321,18 +1303,6 @@ mod tests {
         );
         assert_eq!(rec.gauge_value("plan.est_work"), Some(plan.est_work as f64));
         assert!(rec.spans().iter().any(|s| s.name == "select"));
-    }
-
-    #[test]
-    fn degree_ordered_per_vertex_counts_map_back() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let g = chung_lu(40, 35, 220, 0.9, 0.9, &mut rng);
-        for side in [Side::V1, Side::V2] {
-            assert_eq!(
-                butterflies_per_vertex_degree_ordered(&g, side),
-                crate::vertex_counts::butterflies_per_vertex(&g, side)
-            );
-        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! 2. return a [`Partial`] result tagged `complete = false` when a
 //!    deadline expires mid-computation,
 //! 3. only when no cheaper shape exists, fail with
-//!    [`BflyError::BudgetExceeded`](crate::error::BflyError::BudgetExceeded).
+//!    [`BflyError::BudgetExceeded`].
 //!
 //! Every degradation is observable: budgeted paths emit `budget.*`
 //! gauges and a `degraded` span through whatever
-//! [`Recorder`](bfly_telemetry::Recorder) they were handed, so a
+//! [`Recorder`] they were handed, so a
 //! production run that silently fell back is visible in its run report.
 
 use crate::error::BflyError;

@@ -20,7 +20,7 @@
 use crate::error::{expect_ok, validate_graph, BflyError, Result};
 use crate::family::parallel::fill_balanced;
 use bfly_graph::BipartiteGraph;
-use bfly_sparse::ops::spgemm;
+use bfly_sparse::ops::{spgemm, spgemm_masked};
 use bfly_sparse::{CheckedAccum, CsrMatrix, Pattern, Spa};
 use std::ops::Range;
 
@@ -133,8 +133,7 @@ pub fn edge_supports_masked_spgemm(g: &BipartiteGraph) -> Vec<u64> {
     let a: CsrMatrix<u64> = g.to_csr();
     let at = a.transpose();
     let b = spgemm(&a, &at).expect("A·Aᵀ shapes conform");
-    let walks = bfly_sparse::spgemm_masked(&b, &a, g.biadjacency(), bfly_sparse::PlusTimes)
-        .expect("(AAᵀ)·A ∘ A shapes conform");
+    let walks = spgemm_masked(&b, &a, g.biadjacency()).expect("(AAᵀ)·A ∘ A shapes conform");
     let mut out = Vec::with_capacity(g.nedges());
     for u in 0..g.nv1() {
         let deg_u = g.deg_v1(u) as u64;

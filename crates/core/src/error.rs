@@ -7,7 +7,7 @@
 //! process exit codes and callers can `?` across crate boundaries:
 //! `From` bridges lift [`bfly_graph::io::IoError`],
 //! [`bfly_sparse::SparseError`], and the telemetry
-//! [`ReportError`](bfly_telemetry::ReportError) into it.
+//! [`ReportError`] into it.
 
 use bfly_graph::io::IoError;
 use bfly_sparse::SparseError;

@@ -50,8 +50,7 @@ pub use engine::{PartFilter, Traversal};
 pub use literal::count_literal;
 pub use parallel::{balanced_chunk_bounds, tuned_chunk_count, wedge_weights, weight_p90};
 pub use priority::{
-    butterflies_per_vertex_priority, edge_supports_priority, priority_start_weights,
-    priority_wedge_work, priority_wedge_work_with, PriorityRanks,
+    priority_start_weights, priority_wedge_work, priority_wedge_work_with, PriorityRanks,
 };
 pub use ranked::RANKED_BUCKET_WEDGES;
 pub use sharded::{

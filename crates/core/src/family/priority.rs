@@ -137,16 +137,16 @@ pub fn priority_start_weights(g: &BipartiteGraph, ranks: &PriorityRanks) -> Vec<
 }
 
 /// Visit the priority wedges of start `s` (combined index: `s < nv1` is
-/// V1 vertex `s`, else V2 vertex `s − nv1`): calls `f(j, w)` for every
+/// V1 vertex `s`, else V2 vertex `s − nv1`): calls `f(w)` for every
 /// wedge `u – j – w` whose strict minimum-rank vertex is the start `u`,
-/// with `j` and `w` as ids on their own sides. The one wedge enumeration
-/// behind the count, the ranked batches, and the attributions.
+/// with the far endpoint `w` as an id on its own side. The one wedge enumeration
+/// behind the count and the ranked batches.
 #[inline]
 pub(crate) fn for_each_wedge(
     g: &BipartiteGraph,
     ranks: &PriorityRanks,
     s: usize,
-    mut f: impl FnMut(u32, u32),
+    mut f: impl FnMut(u32),
 ) {
     let (adj_start, adj_mid, rank_start, rank_mid, u) = oriented(g, ranks, s);
     let ru = rank_start[u];
@@ -156,7 +156,7 @@ pub(crate) fn for_each_wedge(
         }
         for &w in adj_mid.row(j as usize) {
             if w as usize != u && rank_start[w as usize] > ru {
-                f(j, w);
+                f(w);
             }
         }
     }
@@ -167,7 +167,7 @@ pub(crate) fn for_each_wedge(
 #[inline]
 fn scatter_start(g: &BipartiteGraph, ranks: &PriorityRanks, s: usize, spa: &mut Spa<u64>) -> u64 {
     let mut wedges = 0u64;
-    for_each_wedge(g, ranks, s, |_, w| {
+    for_each_wedge(g, ranks, s, |w| {
         wedges += 1;
         spa.scatter(w, 1);
     });
@@ -234,91 +234,13 @@ pub(crate) fn run_priority<R: Recorder>(
     }
 }
 
-/// Per-vertex butterfly counts computed by the priority kernel, returned
-/// as `(per_v1, per_v2)`. Attribution per expanded start: an endpoint
-/// pair `{u, w}` with multiplicity `cnt` yields `C(cnt, 2)` butterflies
-/// charged to both `u` and `w`, and replaying each wedge `u – j – w`
-/// credits its centre `j` with the `cnt − 1` butterflies pairing `j`
-/// with another centre — every butterfly lands on all four of its
-/// vertices exactly once (`Σ b = 4Ξ`). Agrees with
-/// [`butterflies_per_vertex`](crate::vertex_counts::butterflies_per_vertex)
-/// on both sides (pinned by the differential suites).
-pub fn butterflies_per_vertex_priority(g: &BipartiteGraph) -> (Vec<u64>, Vec<u64>) {
-    let ranks = PriorityRanks::compute(g);
-    let nv1 = g.nv1();
-    // Combined index space: V1 vertices, then V2 vertices.
-    let mut b = vec![0u64; nv1 + g.nv2()];
-    let mut spa = Spa::<u64>::new(nv1.max(g.nv2()));
-    for s in 0..nv1 + g.nv2() {
-        // Far endpoints live on the start's side, centres on the other.
-        let (far, centre) = if s < nv1 { (0, nv1) } else { (nv1, 0) };
-        scatter_start(g, &ranks, s, &mut spa);
-        for (w, cnt) in spa.entries() {
-            let pairs = choose2(cnt);
-            b[s] += pairs;
-            b[far + w as usize] += pairs;
-        }
-        // Replay the wedges to credit the centres.
-        for_each_wedge(g, &ranks, s, |j, w| {
-            b[centre + j as usize] += spa.get(w) - 1
-        });
-        spa.clear();
-    }
-    let b2 = b.split_off(nv1);
-    (b, b2)
-}
-
-/// Per-edge butterfly supports computed by the priority kernel, in the
-/// row-major edge order of [`BipartiteGraph::edges`] (matching
-/// [`edge_supports`](crate::edge_support::edge_supports)). Each expanded
-/// wedge `u – j – w` with final multiplicity `cnt[w]` supports its two
-/// edges `(u, j)` and `(w, j)` with the `cnt[w] − 1` butterflies closing
-/// it — every butterfly lands on all four of its edges exactly once.
-pub fn edge_supports_priority(g: &BipartiteGraph) -> Vec<u64> {
-    let ranks = PriorityRanks::compute(g);
-    let a = g.biadjacency();
-    let ptr = a.ptr();
-    let nv1 = g.nv1();
-    let mut out = vec![0u64; g.nedges()];
-    let mut spa = Spa::<u64>::new(nv1.max(g.nv2()));
-    // Edge index of (u ∈ V1, v ∈ V2): CSR offset of u plus the position
-    // of v in u's sorted row.
-    let edge_index = |u: usize, v: u32| -> usize {
-        let pos = a.row(u).binary_search(&v).expect("edge exists");
-        ptr[u] + pos
-    };
-    for s in 0..nv1 + g.nv2() {
-        scatter_start(g, &ranks, s, &mut spa);
-        for_each_wedge(g, &ranks, s, |j, w| {
-            let closures = spa.get(w) - 1;
-            // A V1 start's wedge u – j – w has edges (u, j) and (w, j);
-            // a V2 start's wedge v – j – w has edges (j, v) and (j, w).
-            let (e1, e2) = if s < nv1 {
-                (edge_index(s, j), edge_index(w as usize, j))
-            } else {
-                (
-                    edge_index(j as usize, (s - nv1) as u32),
-                    edge_index(j as usize, w),
-                )
-            };
-            out[e1] += closures;
-            out[e2] += closures;
-        });
-        spa.clear();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adaptive::{ExecMode, Member};
-    use crate::edge_support::edge_supports;
     use crate::family::{count_priority, run_forced};
     use crate::spec::{count_brute_force, count_via_spgemm};
-    use crate::vertex_counts::butterflies_per_vertex;
     use bfly_graph::generators::{chung_lu, uniform_exact};
-    use bfly_graph::Side;
     use bfly_telemetry::{Counter, InMemoryRecorder, NoopRecorder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -389,24 +311,6 @@ mod tests {
         );
         assert!(rec.counter(Counter::ParChunks) >= 1);
         assert!(rec.spans().iter().any(|s| s.name == "priority_rank"));
-    }
-
-    #[test]
-    fn per_vertex_counts_match_oracle_on_both_sides() {
-        for g in sample_graphs() {
-            let (b1, b2) = butterflies_per_vertex_priority(&g);
-            assert_eq!(b1, butterflies_per_vertex(&g, Side::V1));
-            assert_eq!(b2, butterflies_per_vertex(&g, Side::V2));
-            let four_xi: u64 = b1.iter().chain(b2.iter()).sum();
-            assert_eq!(four_xi, 4 * count_priority(&g));
-        }
-    }
-
-    #[test]
-    fn per_edge_supports_match_oracle() {
-        for g in sample_graphs() {
-            assert_eq!(edge_supports_priority(&g), edge_supports(&g));
-        }
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl Kernel for RankedKernel<'_> {
         rec: &mut R,
     ) -> u64 {
         let before = scratch.batch.len();
-        for_each_wedge(self.g, self.ranks, self.order[i] as usize, |_, w| {
+        for_each_wedge(self.g, self.ranks, self.order[i] as usize, |w| {
             scratch.batch.push(w)
         });
         scratch.segs.push(scratch.batch.len());

@@ -334,7 +334,7 @@ pub fn profile_and_plan_segmented_recorded<R: Recorder>(
 /// shard loop over the plan's fixed invariant and shard count (one for
 /// an unsharded plan). The [`RowReader`]'s pin takes the slack the plan
 /// leaves under the byte cap (`max_bytes` − [`plan_scratch_bytes`] of
-/// `profile`, the plan's own profile; at most [`STREAM_WINDOW_BYTES`]),
+/// `profile`, the plan's own profile; at most `STREAM_WINDOW_BYTES`),
 /// so it never changes the plan. Measured allocation is re-checked at
 /// every shard boundary, and the reader's retries land in `io_retries` /
 /// `io_giveups`. With `ckpt` set, each complete shard's exact partial is

@@ -32,8 +32,8 @@
 //!   hash-aggregation (Wang et al. 2014), degree-ordered vertex-priority
 //!   counting (Wang et al. VLDB'19), and sampling estimators
 //!   (Sanei-Mehri et al. KDD'18).
-//! * [`metrics`] — wedge totals, caterpillars, and the bipartite
-//!   clustering coefficient the introduction motivates.
+//! * [`metrics`] — caterpillars, the bipartite clustering coefficient the
+//!   introduction motivates, and the degree-preserving null model.
 //!
 //! ```
 //! use bfly_core::{count, count_brute_force, Invariant};
@@ -60,7 +60,6 @@ pub mod edge_support;
 pub mod enumerate;
 pub mod error;
 pub mod family;
-pub mod incremental;
 pub mod metrics;
 pub mod pair_matrix;
 pub mod partitioned;
@@ -69,7 +68,6 @@ pub mod spec;
 #[cfg(feature = "testkit")]
 pub mod testkit;
 pub mod vertex_counts;
-pub mod wedges;
 
 pub use adaptive::{
     count_adaptive, count_adaptive_budgeted_recorded, count_adaptive_parallel,
@@ -87,7 +85,6 @@ pub use family::{
     count_sharded, priority_wedge_work, profile_and_plan_segmented_recorded, run_plan_segmented,
     segmented_profile, try_count, tuned_chunk_count, weight_p90, Invariant,
 };
-pub use incremental::IncrementalCounter;
 pub use pair_matrix::PairMatrix;
 pub use spec::{count_brute_force, count_dense_formula, count_via_spgemm};
 

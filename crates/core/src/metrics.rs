@@ -1,11 +1,14 @@
 //! Graph metrics built on butterfly counts.
 //!
 //! The introduction motivates butterfly counting via the bipartite
-//! clustering coefficient [15]: butterflies are the closed quadrilaterals,
+//! clustering coefficient \[15\]: butterflies are the closed quadrilaterals,
 //! caterpillars (paths of length 3) the open ones, and their ratio measures
 //! how strongly the network closes its wedges into 2×2 bicliques.
+//!
+//! Every count here runs the planner's pick ([`count_adaptive`]), the same
+//! plan `bfly count` runs.
 
-use crate::family::{count, Invariant};
+use crate::adaptive::count_adaptive;
 use bfly_graph::BipartiteGraph;
 
 /// Number of *caterpillars* (paths with three edges): each edge `(u, v)`
@@ -28,7 +31,7 @@ pub fn clustering_coefficient(g: &BipartiteGraph) -> Option<f64> {
     if cats == 0 {
         return None;
     }
-    let xi = count(g, Invariant::Inv2);
+    let xi = count_adaptive(g).0;
     Some(4.0 * xi as f64 / cats as f64)
 }
 
@@ -49,7 +52,7 @@ pub struct ButterflyMetrics {
 
 /// Compute [`ButterflyMetrics`].
 pub fn metrics(g: &BipartiteGraph) -> ButterflyMetrics {
-    let butterflies = count(g, Invariant::Inv2);
+    let butterflies = count_adaptive(g).0;
     let cats = caterpillars(g);
     ButterflyMetrics {
         butterflies,
@@ -61,52 +64,6 @@ pub fn metrics(g: &BipartiteGraph) -> ButterflyMetrics {
         } else {
             Some(4.0 * butterflies as f64 / cats as f64)
         },
-    }
-}
-
-/// Distribution summary of per-vertex butterfly participation on one side.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ButterflyDistribution {
-    /// Vertices with at least one butterfly.
-    pub participating: usize,
-    /// Maximum per-vertex count.
-    pub max: u64,
-    /// Mean over all vertices (including zeros).
-    pub mean: f64,
-    /// Median over all vertices.
-    pub median: u64,
-    /// Gini coefficient of the counts (0 = uniform, →1 = concentrated).
-    pub gini: f64,
-}
-
-/// Summarise how unevenly butterflies are spread over one side's vertices
-/// — heavy concentration is what the tip decomposition then localises.
-pub fn butterfly_distribution(g: &BipartiteGraph, side: bfly_graph::Side) -> ButterflyDistribution {
-    let counts = crate::vertex_counts::butterflies_per_vertex(g, side);
-    let n = counts.len().max(1);
-    let mut sorted = counts.clone();
-    sorted.sort_unstable();
-    let total: u64 = sorted.iter().sum();
-    let participating = sorted.iter().filter(|&&c| c > 0).count();
-    let mean = total as f64 / n as f64;
-    let median = sorted.get(n / 2).copied().unwrap_or(0);
-    // Gini via the sorted-rank formula: G = (2·Σ i·x_i)/(n·Σx) − (n+1)/n.
-    let gini = if total == 0 {
-        0.0
-    } else {
-        let weighted: f64 = sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (i as f64 + 1.0) * x as f64)
-            .sum();
-        (2.0 * weighted) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
-    };
-    ButterflyDistribution {
-        participating,
-        max: sorted.last().copied().unwrap_or(0),
-        mean,
-        median,
-        gini,
     }
 }
 
@@ -135,12 +92,12 @@ pub fn butterfly_null_model<R: rand::Rng>(
     rng: &mut R,
 ) -> NullModelResult {
     assert!(samples >= 2, "need at least two null samples");
-    let observed = count(g, Invariant::Inv2);
+    let observed = count_adaptive(g).0;
     let attempts = swaps_per_edge.saturating_mul(g.nedges()).max(1);
     let counts: Vec<f64> = (0..samples)
         .map(|_| {
             let (h, _) = bfly_graph::rewire::double_edge_swaps(g, attempts, rng);
-            count(&h, Invariant::Inv2) as f64
+            count_adaptive(&h).0 as f64
         })
         .collect();
     let mean = counts.iter().sum::<f64>() / samples as f64;
@@ -188,34 +145,6 @@ mod tests {
         let g = BipartiteGraph::from_edges(3, 1, &[(0, 0), (1, 0), (2, 0)]).unwrap();
         assert_eq!(caterpillars(&g), 0);
         assert_eq!(clustering_coefficient(&g), None);
-    }
-
-    #[test]
-    fn distribution_on_transitive_graph_is_flat() {
-        let g = BipartiteGraph::complete(3, 3);
-        let d = butterfly_distribution(&g, bfly_graph::Side::V1);
-        assert_eq!(d.participating, 3);
-        assert_eq!(d.max, 6);
-        assert_eq!(d.median, 6);
-        assert!((d.mean - 6.0).abs() < 1e-12);
-        assert!(d.gini.abs() < 1e-12, "uniform counts must have Gini 0");
-    }
-
-    #[test]
-    fn distribution_detects_concentration() {
-        // One dense block among many isolated vertices: high Gini.
-        let mut rng = StdRng::seed_from_u64(90);
-        let base = uniform_exact(50, 50, 30, &mut rng);
-        let g = with_planted_biclique(&base, &[0, 1, 2], &[0, 1, 2]);
-        let d = butterfly_distribution(&g, bfly_graph::Side::V1);
-        assert!(d.participating < 25);
-        assert!(d.gini > 0.7, "expected concentration, got {d:?}");
-        assert_eq!(d.median, 0);
-        // Empty graph edge case.
-        let e = BipartiteGraph::empty(4, 4);
-        let d = butterfly_distribution(&e, bfly_graph::Side::V1);
-        assert_eq!(d.gini, 0.0);
-        assert_eq!(d.max, 0);
     }
 
     #[test]

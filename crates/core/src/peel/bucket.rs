@@ -17,7 +17,7 @@
 //!
 //! When every open bucket has been exhausted, the remaining live items
 //! all sit in overflow; the queue re-bases the window at their minimum
-//! current score and redistributes ([`BucketQueue::rebucket`] — the
+//! current score and redistributes (`BucketQueue::rebucket` — the
 //! "shift the window" step of Julienne-style bucketing).
 
 /// Number of simultaneously open buckets. Peel levels move slowly (each

@@ -1,5 +1,5 @@
 //! Butterfly peeling: k-tip and k-wing subgraph extraction and the full
-//! tip/wing decompositions (paper §IV, after Sariyüce–Pinar [11]).
+//! tip/wing decompositions (paper §IV, after Sariyüce–Pinar \[11\]).
 //!
 //! The decompositions run on the shared bucket-peeling engine in
 //! [`parallel`]: a flat [`bucket::BucketQueue`] (O(1) push, lazy

@@ -14,7 +14,7 @@
 //! scatters score decrements into a sparse accumulator; the driver
 //! either runs the kernel over the frontier in place (sequential) or
 //! splits the frontier into contiguous chunks, gives each worker a
-//! private [`PeelScratch`], and merges the per-chunk delta lists into
+//! private `PeelScratch`, and merges the per-chunk delta lists into
 //! one accumulator after the join — exactly the per-thread-SPA pattern
 //! `family/parallel.rs` uses for counting, and the reason the result is
 //! deterministic: the applied delta for each survivor is an integer sum

@@ -20,7 +20,7 @@
 //! [`super::parallel`] (sequential by default;
 //! [`super::parallel::tip_numbers_with_chunks`] chunks the initial counts
 //! and each large frontier over rayon workers). The original
-//! lazy-min-heap formulation survives as [`tip_numbers_oracle`], a
+//! lazy-min-heap formulation survives as `tip_numbers_oracle`, a
 //! `testkit`-gated witness for the differential tests.
 
 use crate::vertex_counts::{butterflies_per_vertex, butterflies_per_vertex_algebraic};

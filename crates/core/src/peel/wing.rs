@@ -14,7 +14,7 @@
 //!   the engine in [`super::parallel`] (for each butterfly destroyed by
 //!   the removed frontier, its surviving edges lose one unit of support).
 //!   The original single-edge heap formulation survives as
-//!   [`wing_numbers_oracle`], a `testkit`-gated witness for the
+//!   `wing_numbers_oracle`, a `testkit`-gated witness for the
 //!   differential tests.
 
 use crate::edge_support::{edge_supports, edge_supports_algebraic};

@@ -469,7 +469,9 @@ fn write_sections<W: Write>(
 
 /// Crash-safe file write, behind every `.bfly` file and checkpoint
 /// record: `write` fills `<path>.tmp`, which is flushed, fsynced and only
-/// then renamed over `path`. The temp file is removed when a step fails.
+/// then renamed over `path`. On unix the parent directory (`.` for a bare
+/// file name) is fsynced after the rename, so the rename itself survives
+/// a power loss. The temp file is removed when a step fails.
 pub fn persist_atomically<T>(
     path: &Path,
     write: impl FnOnce(&mut BufWriter<File>) -> Result<T, IoError>,
@@ -483,6 +485,14 @@ pub fn persist_atomically<T>(
         f.sync_all()?;
         drop(f);
         std::fs::rename(&tmp, path)?;
+        #[cfg(unix)]
+        {
+            let dir = match path.parent() {
+                Some(p) if !p.as_os_str().is_empty() => p,
+                _ => Path::new("."),
+            };
+            File::open(dir)?.sync_all()?;
+        }
         Ok(written)
     })();
     if result.is_err() {
@@ -785,7 +795,7 @@ impl SegmentedGraph {
 
     /// Positioned read with fault injection and bounded transient-error
     /// retries. Every payload access (`segment`, `row_reader`,
-    /// `for_each_row`, `load`) funnels through here, so the retry policy
+    /// `for_each_row`) funnels through here, so the retry policy
     /// and the `BFLY_FAULT_READ_*` chaos hooks cover them all.
     fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<(), IoError> {
         let seq = self.reads.fetch_add(1, Ordering::Relaxed) + 1;
@@ -926,36 +936,6 @@ impl SegmentedGraph {
             start = end;
         }
         Ok(())
-    }
-
-    /// Fully materialize the graph (streaming decode, then the usual
-    /// in-memory representation). Cross-checks the two payload sides.
-    pub fn load(&self) -> Result<BipartiteGraph, IoError> {
-        let window = 4 << 20;
-        let build = |side: Side| -> Result<Pattern, IoError> {
-            let (nrows, ncols) = match side {
-                Side::V1 => (self.nv1(), self.nv2()),
-                Side::V2 => (self.nv2(), self.nv1()),
-            };
-            let mut ptr = Vec::with_capacity(nrows + 1);
-            ptr.push(0usize);
-            let mut cols = Vec::new();
-            self.for_each_row(side, 0, nrows, window, |_, row| {
-                cols.extend_from_slice(row);
-                ptr.push(cols.len());
-                Ok(())
-            })?;
-            Pattern::from_raw_parts(nrows, ncols, ptr, cols)
-                .map_err(|e| format_err(format!("payload is not a valid CSR: {e}")))
-        };
-        let a = build(Side::V1)?;
-        let at = build(Side::V2)?;
-        if at != a.transpose() {
-            return Err(format_err(
-                "v2 payload is not the transpose of the v1 payload",
-            ));
-        }
-        Ok(BipartiteGraph::from_biadjacency(a))
     }
 }
 
@@ -1469,6 +1449,16 @@ mod tests {
         }
     }
 
+    /// The full-range segment of each side decodes exactly `g`'s rows.
+    fn assert_segments_decode(sg: &SegmentedGraph, g: &BipartiteGraph) {
+        for (side, rows) in [(Side::V1, g.biadjacency()), (Side::V2, g.biadjacency_t())] {
+            let seg = sg.segment(side, 0, rows.nrows()).unwrap();
+            for u in 0..rows.nrows() {
+                assert_eq!(seg.neighbors(u), rows.row(u), "{side:?} row {u}");
+            }
+        }
+    }
+
     #[test]
     fn segmented_reader_matches_in_memory() {
         let dir = tmp_dir("segments");
@@ -1481,7 +1471,7 @@ mod tests {
             (sg.nv1(), sg.nv2(), sg.nedges()),
             (23, 19, g.nedges() as u64)
         );
-        assert_eq!(sg.load().unwrap(), g);
+        assert_segments_decode(&sg, &g);
         // Segments over both sides, a few split points.
         for (lo, hi) in [(0, 23), (0, 5), (5, 23), (11, 11)] {
             let seg = sg.segment(Side::V1, lo, hi).unwrap();
@@ -1643,8 +1633,7 @@ mod tests {
             let stats =
                 convert_to_bfly_with_buffer(&txt, TextFormat::EdgeList, &out, buffer).unwrap();
             assert_eq!(stats.nedges, expect.nedges() as u64);
-            let sg = SegmentedGraph::open(&out).unwrap();
-            assert_eq!(sg.load().unwrap(), expect);
+            assert_segments_decode(&SegmentedGraph::open(&out).unwrap(), &expect);
             // Both writers emit the same sections in the same order.
             assert_eq!(
                 std::fs::read(&out).unwrap(),
@@ -1693,7 +1682,7 @@ mod tests {
         let stats = convert_to_bfly(&mtx, TextFormat::MatrixMarket, &out).unwrap();
         // The zero-valued entry is not an edge.
         assert_eq!(stats.nedges, 3);
-        let g = SegmentedGraph::open(&out).unwrap().load().unwrap();
+        let g = read_bfly_file(&out).unwrap();
         assert_eq!((g.nv1(), g.nv2()), (3, 4));
         assert_eq!(g.neighbors_v1(0), &[0, 1]);
         assert_eq!(g.neighbors_v1(2), &[3]);

@@ -225,42 +225,6 @@ pub fn preferential_attachment<R: Rng>(
     BipartiteGraph::from_edges(m, n, &edges).expect("generated edges are in range")
 }
 
-/// Bipartite configuration model: a simple graph whose degree sequences
-/// approximate the two given sequences (`Σ deg1` must equal `Σ deg2`).
-///
-/// Half-edge stubs from each side are shuffled and matched; duplicate
-/// matches are dropped (the usual "erased" configuration model), so very
-/// skewed sequences lose a few edges to collisions — the returned graph
-/// reports its actual size.
-pub fn configuration_model<R: Rng>(
-    deg_v1: &[usize],
-    deg_v2: &[usize],
-    rng: &mut R,
-) -> BipartiteGraph {
-    let s1: usize = deg_v1.iter().sum();
-    let s2: usize = deg_v2.iter().sum();
-    assert_eq!(
-        s1, s2,
-        "degree sequences must have equal sums ({s1} vs {s2})"
-    );
-    let mut stubs1: Vec<u32> = Vec::with_capacity(s1);
-    for (u, &d) in deg_v1.iter().enumerate() {
-        stubs1.extend(std::iter::repeat_n(u as u32, d));
-    }
-    let mut stubs2: Vec<u32> = Vec::with_capacity(s2);
-    for (v, &d) in deg_v2.iter().enumerate() {
-        stubs2.extend(std::iter::repeat_n(v as u32, d));
-    }
-    // Fisher–Yates on one side suffices for a uniform matching.
-    for i in (1..stubs2.len()).rev() {
-        let j = rng.random_range(0..=i);
-        stubs2.swap(i, j);
-    }
-    let edges: Vec<(u32, u32)> = stubs1.into_iter().zip(stubs2).collect();
-    BipartiteGraph::from_edges(deg_v1.len(), deg_v2.len(), &edges)
-        .expect("stub indices are in range")
-}
-
 /// Overlay a complete biclique on the vertex subsets `v1s × v2s` — a planted
 /// dense region containing `C(|v1s|,2)·C(|v2s|,2)` butterflies among its own
 /// vertices, which peeling should recover.
@@ -399,41 +363,6 @@ mod tests {
         let edges: Vec<(u32, u32)> = g1.edges().collect();
         let unique: std::collections::HashSet<(u32, u32)> = edges.iter().copied().collect();
         assert_eq!(unique.len(), edges.len());
-    }
-
-    #[test]
-    fn configuration_model_respects_degree_sums() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let deg1 = vec![3, 2, 2, 1];
-        let deg2 = vec![4, 2, 1, 1];
-        let g = configuration_model(&deg1, &deg2, &mut rng);
-        assert_eq!(g.nv1(), 4);
-        assert_eq!(g.nv2(), 4);
-        // Erased model: at most the stub count, and degrees bounded above.
-        assert!(g.nedges() <= 8);
-        for (u, &d) in deg1.iter().enumerate() {
-            assert!(g.deg_v1(u) <= d, "vertex {u} over degree");
-        }
-        for (v, &d) in deg2.iter().enumerate() {
-            assert!(g.deg_v2(v) <= d);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "equal sums")]
-    fn configuration_model_rejects_unbalanced_sequences() {
-        let mut rng = StdRng::seed_from_u64(16);
-        let _ = configuration_model(&[2, 2], &[1], &mut rng);
-    }
-
-    #[test]
-    fn configuration_model_regular_sequences_mostly_survive() {
-        // Low-collision regime: nearly all edges should survive erasure.
-        let mut rng = StdRng::seed_from_u64(17);
-        let deg1 = vec![2; 100];
-        let deg2 = vec![2; 100];
-        let g = configuration_model(&deg1, &deg2, &mut rng);
-        assert!(g.nedges() > 180, "too many collisions: {}", g.nedges());
     }
 
     #[test]

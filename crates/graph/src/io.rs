@@ -1,7 +1,7 @@
 //! Text graph I/O: the one parser behind every loader and the `.bfly`
 //! converter.
 //!
-//! The paper's datasets come from the KONECT collection [5], whose files
+//! The paper's datasets come from the KONECT collection \[5\], whose files
 //! look like:
 //!
 //! ```text

@@ -26,7 +26,6 @@
 
 pub mod bfly_format;
 pub mod bipartite;
-pub mod compact;
 pub mod components;
 pub mod cores;
 pub mod generators;
@@ -37,14 +36,12 @@ pub mod ordering;
 pub mod retry;
 pub mod rewire;
 pub mod stats;
-pub mod temporal;
 
 pub use bfly_format::{
     convert_to_bfly, fnv1a, is_bfly_file, persist_atomically, read_bfly, read_bfly_file,
     write_bfly, write_bfly_file, ConvertStats, GraphSegment, RowReader, SegmentedGraph,
 };
 pub use bipartite::{BipartiteGraph, Side};
-pub use compact::{compact, compact_by, CompactedGraph};
 pub use components::{component_subgraph, connected_components, Components};
 pub use cores::{butterfly_core, kl_core, CoreResult};
 pub use io::TextFormat;
@@ -52,4 +49,3 @@ pub use konect::{DatasetSpec, StandIn};
 pub use retry::{is_transient_io_error, with_retries, RetryPolicy, RetryStats};
 pub use rewire::double_edge_swaps;
 pub use stats::GraphStats;
-pub use temporal::{TemporalEdge, TemporalStream};

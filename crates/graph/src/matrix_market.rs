@@ -8,20 +8,14 @@
 //! `integer` or `real` entry without its value column is a parse error.
 
 use crate::bipartite::BipartiteGraph;
-use crate::io::{read_text, read_text_file, IoError, TextFormat};
+use crate::io::{read_text, IoError, TextFormat};
 use std::io::{Read, Write};
-use std::path::Path;
 
 /// Parse a MatrixMarket coordinate file into a bipartite graph
 /// (rows = V1, columns = V2; indices are 1-based per the format). The
 /// grammar is [`TextFormat::MatrixMarket`]'s in [`crate::io`].
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<BipartiteGraph, IoError> {
     read_text(reader, TextFormat::MatrixMarket)
-}
-
-/// Load a `.mtx` file from disk.
-pub fn read_matrix_market_file<P: AsRef<Path>>(path: P) -> Result<BipartiteGraph, IoError> {
-    read_text_file(path, TextFormat::MatrixMarket)
 }
 
 /// Write the biadjacency as a `pattern` MatrixMarket file.

@@ -1,6 +1,6 @@
 //! Vertex orderings and relabelings.
 //!
-//! The paper's future-work section (§VI) points at degree sorting [3], [12]
+//! The paper's future-work section (§VI) points at degree sorting \[3\], \[12\]
 //! as the next optimisation for the derived algorithms, and the
 //! vertex-priority baseline (Wang et al., VLDB'19) is built entirely on a
 //! degree-based total order. This module produces such orders and applies

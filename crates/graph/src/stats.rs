@@ -59,26 +59,9 @@ impl GraphStats {
     }
 }
 
-/// Degree histogram of one side: `hist[d]` = number of vertices of degree
-/// `d` (used to eyeball the power-law shape of the stand-ins).
-pub fn degree_histogram(g: &BipartiteGraph, side: crate::bipartite::Side) -> Vec<usize> {
-    use crate::bipartite::Side;
-    let (count, deg): (usize, Box<dyn Fn(usize) -> usize>) = match side {
-        Side::V1 => (g.nv1(), Box::new(|u| g.deg_v1(u))),
-        Side::V2 => (g.nv2(), Box::new(|v| g.deg_v2(v))),
-    };
-    let max = (0..count).map(&deg).max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for i in 0..count {
-        hist[deg(i)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bipartite::Side;
 
     #[test]
     fn stats_of_complete_graph() {
@@ -101,17 +84,5 @@ mod tests {
         assert_eq!(s.nedges, 0);
         assert_eq!(s.density, 0.0);
         assert_eq!(s.mean_deg_v1, 0.0);
-    }
-
-    #[test]
-    fn histogram_sums_to_vertex_count() {
-        let g = BipartiteGraph::from_edges(4, 3, &[(0, 0), (0, 1), (1, 0), (3, 2)]).unwrap();
-        let h1 = degree_histogram(&g, Side::V1);
-        assert_eq!(h1.iter().sum::<usize>(), 4);
-        assert_eq!(h1[0], 1); // vertex 2 isolated
-        assert_eq!(h1[2], 1); // vertex 0
-        let h2 = degree_histogram(&g, Side::V2);
-        assert_eq!(h2.iter().sum::<usize>(), 3);
-        assert_eq!(h2[2], 1); // v2 vertex 0 has degree 2
     }
 }

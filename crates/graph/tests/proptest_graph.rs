@@ -1,8 +1,7 @@
 //! Property tests for the graph layer: structural coherence of the dual
 //! orientations, I/O round trips, relabeling isomorphisms, components,
-//! and compaction.
+//! and masking.
 
-use bfly_graph::compact::compact;
 use bfly_graph::components::{component_subgraph, connected_components};
 use bfly_graph::io::{read_edge_list, write_edge_list};
 use bfly_graph::matrix_market::{read_matrix_market, write_matrix_market};
@@ -94,23 +93,6 @@ proptest! {
             total += component_subgraph(&g, &c, id).nedges();
         }
         prop_assert_eq!(total, g.nedges());
-    }
-
-    /// Compaction removes exactly the isolated vertices and keeps every
-    /// edge, and the mappings are consistent.
-    #[test]
-    fn compaction_consistency(g in arb_graph()) {
-        let c = compact(&g);
-        prop_assert_eq!(c.graph.nedges(), g.nedges());
-        prop_assert!(c.graph.nv1() <= g.nv1());
-        for u in 0..c.graph.nv1() {
-            prop_assert!(c.graph.deg_v1(u) > 0);
-            let old = c.original_v1(u as u32) as usize;
-            prop_assert_eq!(c.graph.deg_v1(u), g.deg_v1(old));
-        }
-        for (u, v) in c.graph.edges() {
-            prop_assert!(g.has_edge(c.original_v1(u), c.original_v2(v)));
-        }
     }
 
     /// Masking then unmasking semantics: masked graphs preserve dimensions

@@ -7,8 +7,6 @@
 //! 0/1 adjacency (`u8`/`u64`), wedge counts (`u64`), and floating-point test
 //! matrices.
 
-use crate::coo::CooMatrix;
-use crate::csc::CscMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::SparseError;
 use crate::pattern::Pattern;
@@ -55,12 +53,6 @@ impl<T: Scalar> CsrMatrix<T> {
             colind,
             values,
         }
-    }
-
-    /// Build from triplets, summing duplicates.
-    pub fn from_coo(coo: &CooMatrix<T>) -> Self {
-        let (rows, cols, vals) = coo.triplets();
-        Self::from_triplets(coo.nrows(), coo.ncols(), rows, cols, vals)
     }
 
     /// Build from parallel triplet slices, summing duplicate coordinates.
@@ -205,18 +197,6 @@ impl<T: Scalar> CsrMatrix<T> {
         self.colind.len()
     }
 
-    /// Row offsets.
-    #[inline]
-    pub fn rowptr(&self) -> &[usize] {
-        &self.rowptr
-    }
-
-    /// Column indices.
-    #[inline]
-    pub fn colind(&self) -> &[u32] {
-        &self.colind
-    }
-
     /// Stored values.
     #[inline]
     pub fn values(&self) -> &[T] {
@@ -280,12 +260,6 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Convert to CSC storage of the same matrix.
-    pub fn to_csc(&self) -> CscMatrix<T> {
-        let t = self.transpose();
-        CscMatrix::from_transposed_csr(t)
-    }
-
     /// Densify (reference implementations / tests).
     pub fn to_dense(&self) -> DenseMatrix<T> {
         let mut m = DenseMatrix::zeros(self.nrows, self.ncols);
@@ -309,13 +283,6 @@ impl<T: Scalar> CsrMatrix<T> {
         .expect("CSR invariants imply a valid pattern")
     }
 
-    /// Diagonal entries as a vector (paper's `diag(·)`), length
-    /// `min(nrows, ncols)`.
-    pub fn diag(&self) -> Vec<T> {
-        let n = self.nrows.min(self.ncols);
-        (0..n).map(|i| self.get(i, i as u32)).collect()
-    }
-
     /// Trace `Γ(X)` of a square matrix.
     pub fn trace(&self) -> T {
         assert_eq!(self.nrows, self.ncols, "trace of a non-square matrix");
@@ -333,31 +300,6 @@ impl<T: Scalar> CsrMatrix<T> {
             s += v;
         }
         s
-    }
-
-    /// Drop explicitly-stored zeros (peeling masks can introduce them).
-    pub fn prune_zeros(&self) -> Self {
-        let mut rowptr = Vec::with_capacity(self.nrows + 1);
-        let mut colind = Vec::new();
-        let mut values = Vec::new();
-        rowptr.push(0);
-        for r in 0..self.nrows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if !v.is_zero() {
-                    colind.push(c);
-                    values.push(v);
-                }
-            }
-            rowptr.push(colind.len());
-        }
-        Self {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            rowptr,
-            colind,
-            values,
-        }
     }
 }
 
@@ -402,20 +344,10 @@ mod tests {
     }
 
     #[test]
-    fn diag_trace_sum() {
+    fn trace_and_sum() {
         let m = CsrMatrix::from_triplets(2, 2, &[0, 0, 1], &[0, 1, 1], &[4u64, 9, 6]);
-        assert_eq!(m.diag(), vec![4, 6]);
         assert_eq!(m.trace(), 10);
         assert_eq!(m.sum(), 19);
-    }
-
-    #[test]
-    fn prune_zeros_removes_explicit_zeros() {
-        let m = CsrMatrix::from_triplets(1, 3, &[0, 0], &[0, 1], &[0u64, 5]);
-        assert_eq!(m.nnz(), 2);
-        let p = m.prune_zeros();
-        assert_eq!(p.nnz(), 1);
-        assert_eq!(p.get(0, 1), 5);
     }
 
     #[test]
@@ -435,15 +367,5 @@ mod tests {
         assert_eq!(p.nnz(), m.nnz());
         assert!(p.contains(0, 2));
         assert!(!p.contains(1, 2));
-    }
-
-    #[test]
-    fn coo_roundtrip() {
-        let mut coo = CooMatrix::<u64>::new(2, 2);
-        coo.push(0, 0, 1).unwrap();
-        coo.push(1, 1, 2).unwrap();
-        coo.push(1, 1, 3).unwrap();
-        let m = CsrMatrix::from_coo(&coo);
-        assert_eq!(m.get(1, 1), 5);
     }
 }

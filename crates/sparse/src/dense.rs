@@ -1,9 +1,9 @@
-//! Dense matrices and vectors.
+//! Dense matrices.
 //!
-//! These are the *reference* containers: the paper's specification of
+//! This is the *reference* container: the paper's specification of
 //! butterfly counting (eq. 7) and the peeling formulations (eqs. 19–22 and
-//! 25–27) are stated over plain matrices, `J` (all ones), Hadamard products,
-//! traces and diagonals. The dense implementations here are deliberately
+//! 25–27) are stated over plain matrices, `J` (all ones), Hadamard products
+//! and traces. The dense implementations here are deliberately
 //! straightforward — they exist so that every optimised sparse algorithm in
 //! the workspace can be checked against a transliteration of the maths.
 
@@ -35,25 +35,6 @@ impl<T: Scalar> DenseMatrix<T> {
             ncols,
             data: vec![T::ONE; nrows * ncols],
         }
-    }
-
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, T::ONE);
-        }
-        m
-    }
-
-    /// Build from a row-major data vector. Panics if the length is wrong.
-    pub fn from_vec(nrows: usize, ncols: usize, data: Vec<T>) -> Self {
-        assert_eq!(
-            data.len(),
-            nrows * ncols,
-            "dense data length must equal nrows * ncols"
-        );
-        Self { nrows, ncols, data }
     }
 
     /// Build from nested row slices (test convenience).
@@ -171,50 +152,6 @@ impl<T: Scalar> DenseMatrix<T> {
         })
     }
 
-    /// Element-wise sum.
-    pub fn add(&self, rhs: &Self) -> Result<Self, ShapeError> {
-        if self.shape() != rhs.shape() {
-            return Err(ShapeError {
-                op: "dense add",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(&a, &b)| a + b)
-            .collect();
-        Ok(Self {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            data,
-        })
-    }
-
-    /// Element-wise difference `self - rhs`.
-    pub fn sub(&self, rhs: &Self) -> Result<Self, ShapeError> {
-        if self.shape() != rhs.shape() {
-            return Err(ShapeError {
-                op: "dense sub",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(&a, &b)| a - b)
-            .collect();
-        Ok(Self {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            data,
-        })
-    }
-
     /// Trace `Γ(X)`. Panics on non-square matrices.
     pub fn trace(&self) -> T {
         assert_eq!(self.nrows, self.ncols, "trace of a non-square matrix");
@@ -232,135 +169,6 @@ impl<T: Scalar> DenseMatrix<T> {
             s += v;
         }
         s
-    }
-
-    /// `DIAG(X)` from the paper: the diagonal as a vector.
-    pub fn diag(&self) -> DenseVector<T> {
-        let n = self.nrows.min(self.ncols);
-        DenseVector::from_vec((0..n).map(|i| self.get(i, i)).collect())
-    }
-
-    /// Matrix–vector product `self * x`.
-    pub fn matvec(&self, x: &DenseVector<T>) -> Result<DenseVector<T>, ShapeError> {
-        if self.ncols != x.len() {
-            return Err(ShapeError {
-                op: "dense matvec",
-                lhs: self.shape(),
-                rhs: (x.len(), 1),
-            });
-        }
-        let mut out = vec![T::ZERO; self.nrows];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = T::ZERO;
-            for (j, &v) in self.row(i).iter().enumerate() {
-                acc += v * x[j];
-            }
-            *o = acc;
-        }
-        Ok(DenseVector::from_vec(out))
-    }
-}
-
-/// Dense column vector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseVector<T: Scalar> {
-    data: Vec<T>,
-}
-
-impl<T: Scalar> DenseVector<T> {
-    /// All-zeros vector.
-    pub fn zeros(n: usize) -> Self {
-        Self {
-            data: vec![T::ZERO; n],
-        }
-    }
-
-    /// The `1⃗` vector of the paper.
-    pub fn ones(n: usize) -> Self {
-        Self {
-            data: vec![T::ONE; n],
-        }
-    }
-
-    /// Wrap an existing buffer.
-    pub fn from_vec(data: Vec<T>) -> Self {
-        Self { data }
-    }
-
-    /// Length.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the vector has zero length.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Borrow the underlying slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable access to the underlying slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Inner product.
-    pub fn dot(&self, rhs: &Self) -> Result<T, ShapeError> {
-        if self.len() != rhs.len() {
-            return Err(ShapeError {
-                op: "dense dot",
-                lhs: (self.len(), 1),
-                rhs: (rhs.len(), 1),
-            });
-        }
-        let mut acc = T::ZERO;
-        for (&a, &b) in self.data.iter().zip(&rhs.data) {
-            acc += a * b;
-        }
-        Ok(acc)
-    }
-
-    /// Sum of entries.
-    pub fn sum(&self) -> T {
-        let mut acc = T::ZERO;
-        for &v in &self.data {
-            acc += v;
-        }
-        acc
-    }
-
-    /// Outer product `self * rhsᵀ` (used by the rank-1 update terms such as
-    /// `a₁a₁ᵀ` in the derivations).
-    pub fn outer(&self, rhs: &Self) -> DenseMatrix<T> {
-        let mut out = DenseMatrix::zeros(self.len(), rhs.len());
-        for i in 0..self.len() {
-            for j in 0..rhs.len() {
-                out.set(i, j, self[i] * rhs[j]);
-            }
-        }
-        out
-    }
-}
-
-impl<T: Scalar> std::ops::Index<usize> for DenseVector<T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, i: usize) -> &T {
-        &self.data[i]
-    }
-}
-
-impl<T: Scalar> std::ops::IndexMut<usize> for DenseVector<T> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.data[i]
     }
 }
 
@@ -399,14 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_identity_property() {
-        // Γ(X + Y) = Γ(X) + Γ(Y), used in the paper's derivation.
-        let x = DenseMatrix::from_rows(&[&[1i64, 2], &[3, 4]]);
-        let y = DenseMatrix::from_rows(&[&[5i64, -1], &[0, 2]]);
-        assert_eq!(x.add(&y).unwrap().trace(), x.trace() + y.trace());
-    }
-
-    #[test]
     fn frobenius_trace_identity() {
         // Paper eq. 3: Σᵢⱼ (X ∘ Y)ᵢⱼ = Γ(X Yᵀ).
         let x = DenseMatrix::from_rows(&[&[1i64, 2, 0], &[3, 4, 1]]);
@@ -417,43 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn diag_and_ones() {
+    fn ones_sum_and_trace() {
         let j = DenseMatrix::<u64>::ones(3, 3);
         assert_eq!(j.sum(), 9);
         assert_eq!(j.trace(), 3);
-        assert_eq!(j.diag().as_slice(), &[1, 1, 1]);
-    }
-
-    #[test]
-    fn identity_is_matmul_neutral() {
-        let a = DenseMatrix::from_rows(&[&[1u64, 2], &[3, 4]]);
-        let i = DenseMatrix::<u64>::identity(2);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-        assert_eq!(i.matmul(&a).unwrap(), a);
-    }
-
-    #[test]
-    fn vector_ops() {
-        let x = DenseVector::from_vec(vec![1u64, 2, 3]);
-        let y = DenseVector::from_vec(vec![4u64, 5, 6]);
-        assert_eq!(x.dot(&y).unwrap(), 32);
-        assert_eq!(x.sum(), 6);
-        let o = x.outer(&y);
-        assert_eq!(o.get(2, 0), 12);
-        assert_eq!(o.shape(), (3, 3));
-    }
-
-    #[test]
-    fn matvec_matches_manual() {
-        let a = DenseMatrix::from_rows(&[&[1u64, 2], &[0, 3]]);
-        let x = DenseVector::from_vec(vec![5u64, 7]);
-        assert_eq!(a.matvec(&x).unwrap().as_slice(), &[19, 21]);
-    }
-
-    #[test]
-    fn vector_length_mismatch_errors() {
-        let x = DenseVector::from_vec(vec![1u64]);
-        let y = DenseVector::from_vec(vec![1u64, 2]);
-        assert!(x.dot(&y).is_err());
     }
 }

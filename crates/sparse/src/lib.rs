@@ -7,23 +7,24 @@
 //! traces, and element-wise masks. This crate implements exactly that
 //! vocabulary from scratch:
 //!
-//! * [`CooMatrix`] — triplet builder used while assembling matrices.
-//! * [`CsrMatrix`] / [`CscMatrix`] — compressed sparse row / column storage.
-//!   The paper stores the graph in CSC for the column-partitioned invariants
-//!   (1–4) and CSR for the row-partitioned invariants (5–8); both formats are
-//!   first-class here.
-//! * [`Pattern`] — a value-free CSR-like structure (sorted adjacency). This
-//!   doubles as the binary biadjacency matrix of a bipartite graph and as the
-//!   0/1 masks used by the peeling formulations (paper eqs. 20–22, 26–27).
-//! * [`DenseMatrix`] / [`DenseVector`] — dense reference arithmetic used by
-//!   the specification-level counters (paper eq. 7) that everything else is
+//! * [`Pattern`] — a value-free CSR structure (sorted adjacency). This is
+//!   the binary biadjacency matrix of a bipartite graph; a graph keeps one
+//!   per orientation, which serves the paper's CSC storage for the
+//!   column-partitioned invariants (1–4) and its CSR storage for the
+//!   row-partitioned invariants (5–8).
+//! * [`CsrMatrix`] — valued compressed sparse rows, for the wedge matrix
+//!   `B = A·Aᵀ` and the literal-algebra oracles.
+//! * [`DenseMatrix`] — dense reference arithmetic used by the
+//!   specification-level counters (paper eq. 7) that everything else is
 //!   validated against.
 //! * [`ops`] — SpGEMM (Gustavson's algorithm with a sparse accumulator,
-//!   sequential and rayon-parallel), SpMV, transposition, Hadamard products,
-//!   masking, and the trace identities (`Γ(XYᵀ) = Σᵢⱼ (X∘Y)ᵢⱼ`, paper eq. 3)
-//!   that let the counting update be computed without forming intermediates.
+//!   sequential, rayon-parallel and masked), Hadamard products and the
+//!   Frobenius inner product (`Γ(XYᵀ) = Σᵢⱼ (X∘Y)ᵢⱼ`, paper eq. 3), row and
+//!   column slices, and threshold masks.
 //! * [`Spa`] — the dense-accumulator-with-touched-list workhorse shared by
 //!   SpGEMM and the wedge-expansion counters in `bfly-core`.
+//! * [`CheckedAccum`] — the overflow-checked `u64` total every counter
+//!   accumulates into.
 //!
 //! Matrix indices are `u32` (graphs with fewer than 2³² vertices per side),
 //! offsets are `usize`, and all counting arithmetic upstream is `u64`.
@@ -44,24 +45,18 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod accum;
-pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod error;
 pub mod ops;
 pub mod pattern;
 pub mod scalar;
-pub mod semiring;
 pub mod spa;
 
 pub use accum::CheckedAccum;
-pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
-pub use dense::{DenseMatrix, DenseVector};
+pub use dense::DenseMatrix;
 pub use error::{ShapeError, SparseError};
 pub use pattern::Pattern;
 pub use scalar::{choose2, Scalar};
-pub use semiring::{spgemm_masked, spgemm_semiring, BoolOrAnd, MinPlus, PlusTimes, Semiring};
 pub use spa::Spa;

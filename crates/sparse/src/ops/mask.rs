@@ -2,53 +2,13 @@
 //!
 //! k-tip (paper eqs. 20–22) and k-wing (eqs. 26–27) both follow the shape
 //! "compute a score, build the 0/1 mask `score ≥ k`, Hadamard it onto the
-//! adjacency, repeat". These helpers build such masks.
+//! adjacency, repeat". This helper builds such a mask.
 
-use crate::csr::CsrMatrix;
-use crate::pattern::Pattern;
 use crate::scalar::Scalar;
 
 /// Boolean mask `sᵢ ≥ k` over a score vector (paper eq. 20: `m = s ≥ k`).
 pub fn threshold_mask<T: Scalar>(scores: &[T], k: T) -> Vec<bool> {
     scores.iter().map(|&s| s >= k).collect()
-}
-
-/// Entry-wise mask of a scored sparse matrix: keep the pattern positions
-/// whose stored score is `≥ k` (paper eq. 26: `M = S_w ≥ k`).
-pub fn entry_threshold_pattern<T: Scalar>(scores: &CsrMatrix<T>, k: T) -> Pattern {
-    let mut ptr = Vec::with_capacity(scores.nrows() + 1);
-    let mut idx = Vec::new();
-    ptr.push(0usize);
-    for r in 0..scores.nrows() {
-        let (cols, vals) = scores.row(r);
-        for (&c, &v) in cols.iter().zip(vals) {
-            if v >= k {
-                idx.push(c);
-            }
-        }
-        ptr.push(idx.len());
-    }
-    Pattern::from_raw_parts(scores.nrows(), scores.ncols(), ptr, idx)
-        .expect("rows inherit sortedness from the score matrix")
-}
-
-/// Zero out the rows of `a` where `keep` is false, preserving dimensions
-/// (the `mmᵀA₀` masking step of eq. 21–22, restricted to binary masks).
-pub fn zero_rows<T: Scalar>(a: &CsrMatrix<T>, keep: &[bool]) -> CsrMatrix<T> {
-    assert_eq!(keep.len(), a.nrows());
-    let mut rowptr = Vec::with_capacity(a.nrows() + 1);
-    let mut colind = Vec::new();
-    let mut values = Vec::new();
-    rowptr.push(0usize);
-    for r in 0..a.nrows() {
-        if keep[r] {
-            let (cols, vals) = a.row(r);
-            colind.extend_from_slice(cols);
-            values.extend_from_slice(vals);
-        }
-        rowptr.push(colind.len());
-    }
-    CsrMatrix::from_pattern_parts(a.nrows(), a.ncols(), rowptr, colind, values)
 }
 
 #[cfg(test)]
@@ -59,34 +19,5 @@ mod tests {
     fn threshold_mask_compares_inclusively() {
         let m = threshold_mask(&[0u64, 3, 5, 2], 3);
         assert_eq!(m, vec![false, true, true, false]);
-    }
-
-    #[test]
-    fn entry_threshold_keeps_qualifying_positions() {
-        let s = CsrMatrix::from_triplets(2, 3, &[0, 0, 1], &[0, 2, 1], &[5u64, 1, 9]);
-        let p = entry_threshold_pattern(&s, 5);
-        assert!(p.contains(0, 0));
-        assert!(!p.contains(0, 2));
-        assert!(p.contains(1, 1));
-        assert_eq!(p.nnz(), 2);
-    }
-
-    #[test]
-    fn zero_rows_preserves_shape() {
-        let a = CsrMatrix::from_triplets(3, 2, &[0, 1, 2], &[0, 1, 0], &[1u64, 2, 3]);
-        let z = zero_rows(&a, &[true, false, true]);
-        assert_eq!(z.shape(), (3, 2));
-        assert_eq!(z.get(0, 0), 1);
-        assert_eq!(z.get(1, 1), 0);
-        assert_eq!(z.get(2, 0), 3);
-        assert_eq!(z.nnz(), 2);
-    }
-
-    #[test]
-    fn masking_everything_empties_matrix() {
-        let a = CsrMatrix::from_triplets(2, 2, &[0, 1], &[0, 1], &[1u64, 1]);
-        let z = zero_rows(&a, &[false, false]);
-        assert_eq!(z.nnz(), 0);
-        assert_eq!(z.shape(), (2, 2));
     }
 }

@@ -1,23 +1,16 @@
-//! Matrix operations: SpGEMM, SpMV, Hadamard products, traces, and masks.
+//! Matrix operations: SpGEMM, Hadamard products, slices, and masks.
 //!
 //! These are the operations the paper's specification is written in:
-//! `B = A·Aᵀ` (SpGEMM), `B ∘ B` (Hadamard), `Γ(·)` (trace), `Σᵢⱼ(·)`
-//! (sums), `DIAG(·)`, and threshold masks `m = s ≥ k` for peeling.
+//! `B = A·Aᵀ` (SpGEMM), `B ∘ B` (Hadamard), the FLAME repartitioning
+//! (row and column slices), and threshold masks `m = s ≥ k` for peeling.
+//! The trace `Γ(·)` and the sum `Σᵢⱼ(·)` are methods of the matrix types.
 
-pub mod add;
 pub mod hadamard;
 pub mod mask;
-pub mod reduce;
 pub mod slice;
 pub mod spgemm;
-pub mod spmv;
-pub mod trace;
 
-pub use add::{sparse_add, sparse_sub};
 pub use hadamard::{frobenius_inner, hadamard};
-pub use mask::{entry_threshold_pattern, threshold_mask, zero_rows};
-pub use reduce::{col_sums, row_max, row_nnz, row_sums};
+pub use mask::threshold_mask;
 pub use slice::{col_slice, row_slice};
-pub use spgemm::{spgemm, spgemm_parallel};
-pub use spmv::{spmv, spmv_transpose};
-pub use trace::{sum_entries, trace_of_product, trace_of_product_with_self_transpose};
+pub use spgemm::{spgemm, spgemm_masked, spgemm_parallel};

@@ -8,8 +8,8 @@
 //! columns of `A`, i.e. rows of `Aᵀ`; invariants 5–8 iterate rows of `A`).
 //!
 //! Patterns also serve as the element-wise masks of the peeling
-//! formulations: `A₁ = A₀ ∘ M` (paper eqs. 22 and 27) is
-//! [`Pattern::intersect`].
+//! formulations: `A₁ = A₀ ∘ M` (paper eqs. 22 and 27) with `M` selecting
+//! the surviving rows and columns is [`Pattern::mask_rows_cols`].
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
@@ -222,41 +222,6 @@ impl Pattern {
         }
     }
 
-    /// Element-wise intersection (Hadamard product of 0/1 matrices) — the
-    /// masking step `A₀ ∘ M` in the peeling algorithms.
-    pub fn intersect(&self, mask: &Pattern) -> Pattern {
-        assert_eq!(
-            (self.nrows, self.ncols),
-            (mask.nrows, mask.ncols),
-            "pattern intersection requires equal shapes"
-        );
-        let mut ptr = Vec::with_capacity(self.nrows + 1);
-        let mut idx = Vec::new();
-        ptr.push(0);
-        for r in 0..self.nrows {
-            let (mut a, mut b) = (self.row(r), mask.row(r));
-            // Sorted-merge intersection.
-            while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
-                match x.cmp(&y) {
-                    std::cmp::Ordering::Less => a = &a[1..],
-                    std::cmp::Ordering::Greater => b = &b[1..],
-                    std::cmp::Ordering::Equal => {
-                        idx.push(x);
-                        a = &a[1..];
-                        b = &b[1..];
-                    }
-                }
-            }
-            ptr.push(idx.len());
-        }
-        Pattern {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            ptr,
-            idx,
-        }
-    }
-
     /// Keep only rows flagged in `row_mask` and columns flagged in
     /// `col_mask`, zeroing everything else (dimensions are preserved — this
     /// is masking, not compaction, matching the paper's `A ∘ M`).
@@ -342,28 +307,6 @@ impl Pattern {
             idx,
         }
     }
-
-    /// Relabel columns: column `c` becomes `relabel[c]`. Rows are re-sorted.
-    pub fn relabel_cols(&self, relabel: &[u32]) -> Pattern {
-        assert_eq!(relabel.len(), self.ncols);
-        let mut ptr = Vec::with_capacity(self.nrows + 1);
-        let mut idx = Vec::with_capacity(self.idx.len());
-        ptr.push(0);
-        let mut buf: Vec<u32> = Vec::new();
-        for r in 0..self.nrows {
-            buf.clear();
-            buf.extend(self.row(r).iter().map(|&c| relabel[c as usize]));
-            buf.sort_unstable();
-            idx.extend_from_slice(&buf);
-            ptr.push(idx.len());
-        }
-        Pattern {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            ptr,
-            idx,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -428,15 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn intersect_is_elementwise_and() {
-        let a = Pattern::from_edges(2, 3, &[(0, 0), (0, 1), (1, 2)]).unwrap();
-        let b = Pattern::from_edges(2, 3, &[(0, 1), (0, 2), (1, 2)]).unwrap();
-        let c = a.intersect(&b);
-        assert_eq!(c.row(0), &[1]);
-        assert_eq!(c.row(1), &[2]);
-    }
-
-    #[test]
     fn mask_rows_cols_zeroes_but_keeps_shape() {
         let p = small();
         let m = p.mask_rows_cols(&[true, false, true], &[true, true, true, false]);
@@ -478,15 +412,6 @@ mod tests {
         let q = p.permute_rows(&[1, 0, 2]);
         assert_eq!(q.row(0), p.row(1));
         assert_eq!(q.row(1), p.row(0));
-    }
-
-    #[test]
-    fn relabel_cols_resorts() {
-        let p = Pattern::from_edges(1, 3, &[(0, 0), (0, 2)]).unwrap();
-        let q = p.relabel_cols(&[2, 1, 0]);
-        assert_eq!(q.row(0), &[0, 2]);
-        let r = p.relabel_cols(&[1, 0, 2]);
-        assert_eq!(r.row(0), &[1, 2]);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Scalar trait abstracting the element types our matrices hold.
 //!
-//! Butterfly counting only needs semiring-style arithmetic (add, sub, mul,
+//! Butterfly counting only needs semiring-style arithmetic (add, mul,
 //! zero, one). Counts are integral (`u64` upstream), but the dense reference
 //! implementations of the paper's trace formulas are also exercised over
 //! floating point in tests, so the trait covers both.
 
 use std::fmt::Debug;
-use std::ops::{Add, AddAssign, Mul, Sub};
+use std::ops::{Add, AddAssign, Mul};
 
-/// Element type usable inside [`crate::CsrMatrix`], [`crate::CscMatrix`],
-/// and the dense containers.
+/// Element type usable inside [`crate::CsrMatrix`] and
+/// [`crate::DenseMatrix`].
 pub trait Scalar:
     Copy
     + PartialEq
@@ -19,7 +19,6 @@ pub trait Scalar:
     + Sync
     + 'static
     + Add<Output = Self>
-    + Sub<Output = Self>
     + Mul<Output = Self>
     + AddAssign
 {

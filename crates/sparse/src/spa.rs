@@ -73,12 +73,6 @@ impl<T: Scalar> Spa<T> {
         }
     }
 
-    /// Whether index `i` was touched in the current generation.
-    #[inline]
-    pub fn is_touched(&self, i: u32) -> bool {
-        self.stamp[i as usize] == self.generation
-    }
-
     /// Iterate `(index, value)` over touched positions (insertion order).
     pub fn entries(&self) -> impl Iterator<Item = (u32, T)> + '_ {
         self.touched
@@ -166,8 +160,7 @@ mod tests {
         assert_eq!(spa.touched_len(), 1);
         spa.scatter(1, 0);
         assert_eq!(spa.touched_len(), 1, "no duplicate touch entries");
-        assert!(spa.is_touched(1));
-        assert!(!spa.is_touched(0));
+        assert_eq!(spa.touched(), &[1]);
     }
 
     #[test]

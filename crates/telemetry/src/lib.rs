@@ -1,8 +1,8 @@
 //! Work counters, hierarchical spans, histograms, and machine-readable
 //! run reports.
 //!
-//! The counting engine, the peeling drivers, and the incremental
-//! maintainer are all instrumented against the [`Recorder`] trait. The
+//! The counting engine and the peeling drivers are instrumented against
+//! the [`Recorder`] trait. The
 //! trait carries a `const ENABLED: bool`; every instrumentation site in
 //! the hot paths is guarded by `if R::ENABLED { ... }`, so with the
 //! default [`NoopRecorder`] the branch is a compile-time constant and the
@@ -73,7 +73,7 @@ pub use stream::{NdjsonSink, SharedSink};
 pub use watchdog::StallWatchdog;
 
 /// Every work counter the engine knows. Adding a variant: append it to
-/// [`Counter::TABLE`] **in discriminant order** — `ALL`, `name`, and
+/// `Counter::TABLE` **in discriminant order** — `ALL`, `name`, and
 /// `from_name` all derive from that one table (and a test pins the
 /// order), so a new variant cannot silently break report parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,12 +104,6 @@ pub enum Counter {
     /// delta entries, summed over rounds) — the incremental counterpart
     /// of [`Counter::RecomputeEdges`].
     SupportsRecomputed,
-    /// Edge insertions applied by the incremental maintainer.
-    IncInserts,
-    /// Edge deletions applied by the incremental maintainer.
-    IncDeletes,
-    /// Wedge endpoints visited by incremental support updates.
-    IncWedgeWork,
     /// Stall windows detected by the liveness watchdog (see
     /// [`watchdog::StallWatchdog`]): sampling intervals in which no
     /// monitored counter advanced for the configured patience. Raised by
@@ -137,7 +131,7 @@ pub enum Counter {
 impl Counter {
     /// Single source of truth: every counter with its stable report
     /// name, in discriminant order.
-    const TABLE: [(Counter, &'static str); 20] = [
+    const TABLE: [(Counter, &'static str); 17] = [
         (Counter::WedgesExpanded, "wedges_expanded"),
         (Counter::SpaScatters, "spa_scatters"),
         (Counter::AccumEntries, "accum_entries"),
@@ -149,9 +143,6 @@ impl Counter {
         (Counter::PeeledEdges, "peeled_edges"),
         (Counter::RecomputeEdges, "recompute_edges"),
         (Counter::SupportsRecomputed, "supports_recomputed"),
-        (Counter::IncInserts, "inc_inserts"),
-        (Counter::IncDeletes, "inc_deletes"),
-        (Counter::IncWedgeWork, "inc_wedge_work"),
         (Counter::StallsDetected, "stalls_detected"),
         (Counter::ShardsProcessed, "shards_processed"),
         (Counter::IoRetries, "io_retries"),
@@ -163,7 +154,7 @@ impl Counter {
     /// Number of counters (length of [`Counter::ALL`]).
     pub const COUNT: usize = Counter::TABLE.len();
 
-    /// All counters, in report order (derived from [`Counter::TABLE`]).
+    /// All counters, in report order (derived from `Counter::TABLE`).
     pub const ALL: [Counter; Counter::COUNT] = {
         let mut all = [Counter::WedgesExpanded; Counter::COUNT];
         let mut i = 0;

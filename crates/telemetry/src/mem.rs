@@ -1,6 +1,6 @@
 //! Opt-in memory accounting via a tracking global allocator.
 //!
-//! Built with the `alloc-track` feature, [`TrackingAllocator`] wraps the
+//! Built with the `alloc-track` feature, `TrackingAllocator` wraps the
 //! system allocator and maintains two process-wide atomics: the bytes
 //! currently live and a high-water mark. The binary opts in by
 //! installing it:
@@ -94,7 +94,7 @@ mod imp {
 pub use imp::TrackingAllocator;
 
 /// True when the crate was built with `alloc-track` **and** the
-/// [`TrackingAllocator`] has served at least one allocation (i.e. it is
+/// `TrackingAllocator` has served at least one allocation (i.e. it is
 /// actually installed as the global allocator).
 #[inline]
 pub fn tracking_active() -> bool {

@@ -10,7 +10,7 @@
 //!   counters and sets `progress.fraction` / `progress.eta_ms` gauges on
 //!   the board;
 //! * `heartbeat` NDJSON events are interleaved into the run's
-//!   [`SharedSink`](crate::SharedSink) under the same monotonic `seq`
+//!   [`SharedSink`] under the same monotonic `seq`
 //!   as the recorder's own events;
 //! * a [`StallWatchdog`] fires a `stall` event (with the board's
 //!   counters and gauges) when no monitored counter advances for the
