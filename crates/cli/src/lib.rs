@@ -594,7 +594,7 @@ USAGE:
 Budget flags route `count` through the adaptive planner, degrading the
 plan (fewer chunks, flat kernel, no degree ordering) before refusing.
 A --max-bytes cap below the resident graph selects the out-of-core
-sharded tier on `.bfly` inputs (see `bfly convert <in> <out.bfly>`):
+sharded tier on `.bfly` inputs (see `bfly convert <in> --out <out.bfly>`):
 the count streams wedge-balanced vertex-range shards off the file,
 merging per-shard partials exactly. --shards / --shard-bytes pick the
 shard count or on-disk shard size directly. Every command reads
@@ -1522,9 +1522,18 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 ));
             }
             if !on_disk && shard_bytes.is_some() {
-                return Err(err(
+                return Err(classified(
+                    ErrorClass::Usage,
                     "--shard-bytes sizes on-disk shards and needs a .bfly input \
-                     (see `bfly convert <in> <out.bfly>`)",
+                     (see `bfly convert <in> --out <out.bfly>`)",
+                ));
+            }
+            if !on_disk && shards.is_some() && !budget.is_unlimited() {
+                return Err(classified(
+                    ErrorClass::Usage,
+                    "--shards with a budget needs a .bfly input (see `bfly convert <in> \
+                     --out <out.bfly>`); on text inputs use either --shards or the \
+                     budget flags",
                 ));
             }
             let input = if out_of_core {
@@ -1538,12 +1547,6 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             } else {
                 CountInput::Resident(load_graph(&file, format)?)
             };
-            if !out_of_core && shards.is_some() && !budget.is_unlimited() {
-                return Err(err(
-                    "--shards with a budget needs a .bfly input; on text inputs \
-                     use either --shards or the budget flags",
-                ));
-            }
             let mut telem = Telem::new(telemetry, "count")?;
             let (pool, workers) = (pinned_pool(threads)?, workers(threads));
             let flags = (algorithm, parallel, shards, shard_bytes);
@@ -3719,12 +3722,13 @@ mod tests {
             .iter()
             .any(|(n, v)| n == "complete" && matches!(v, Json::Bool(true))));
 
-        // --shard-bytes needs a .bfly input.
-        assert!(run(
+        // --shard-bytes needs a .bfly input: a usage error.
+        let e = run(
             parse(&sv(&["count", gp, "--shard-bytes", "256"])).unwrap(),
             &mut Vec::new(),
         )
-        .is_err());
+        .unwrap_err();
+        assert_eq!(e.class, ErrorClass::Usage);
 
         // A corrupt .bfly (valid magic, garbage header) is parse-class.
         let corrupt = dir.join("corrupt.bfly");

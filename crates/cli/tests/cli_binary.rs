@@ -1200,6 +1200,81 @@ fn checkpoint_on_a_text_input_is_a_usage_error() {
     }
 }
 
+/// The flags that shape the out-of-core tier are usage errors (exit 2)
+/// on a text input, raised before the input is read: a missing text path
+/// exits 2 as well. The hint names `bfly convert`'s real syntax, as the
+/// usage text does.
+#[test]
+fn shard_flags_on_a_text_input_are_usage_errors() {
+    let dir = tempdir();
+    let gpath = dir.join("shard-text.tsv");
+    let out = bfly()
+        .args(["generate", "--kind", "uniform", "--m", "300", "--n", "300"])
+        .args(["--edges", "3000", "--seed", "5", "--out"])
+        .arg(&gpath)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let missing = dir.join("shard-text-missing.tsv");
+    let hint = "bfly convert <in> --out <out.bfly>";
+    for flags in [
+        &["--shard-bytes", "1000"][..],
+        &["--shards", "4", "--max-work", "100000000"],
+    ] {
+        for input in [&gpath, &missing] {
+            let out = bfly().arg("count").arg(input).args(flags).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flags:?} {input:?}: {stderr}");
+            assert!(stderr.contains(".bfly input"), "{flags:?}: {stderr}");
+            assert!(stderr.contains(hint), "{flags:?}: {stderr}");
+        }
+    }
+    let help = bfly().arg("help").output().unwrap();
+    assert!(String::from_utf8_lossy(&help.stdout).contains(hint));
+}
+
+/// `bfly pairs` sums its pair matrix to the butterfly count on either
+/// side.
+#[test]
+fn pairs_total_matches_count_on_both_sides() {
+    let dir = tempdir();
+    let gpath = dir.join("pairs-total.tsv");
+    let out = bfly()
+        .args(["generate", "--kind", "chunglu", "--m", "200", "--n", "150"])
+        .args([
+            "--edges", "1200", "--exp1", "0.7", "--exp2", "0.7", "--seed", "3",
+        ])
+        .arg("--out")
+        .arg(&gpath)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = bfly().arg("count").arg(&gpath).output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let count = stdout
+        .strip_prefix("butterflies = ")
+        .and_then(|s| s.split_whitespace().next())
+        .unwrap_or_else(|| panic!("{stdout}"))
+        .to_string();
+    for side in ["v1", "v2"] {
+        let out = bfly()
+            .arg("pairs")
+            .arg(&gpath)
+            .args(["--side", side])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let total = stdout
+            .split("(total ")
+            .nth(1)
+            .and_then(|s| s.split(')').next())
+            .unwrap_or_else(|| panic!("{stdout}"));
+        assert_eq!(total, count, "{side}: {stdout}");
+    }
+}
+
 /// A bare output name is written into the working directory: the
 /// atomic persist fsyncs the parent directory, which for a bare name is
 /// `.`.

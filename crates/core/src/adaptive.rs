@@ -14,8 +14,8 @@
 //!    pass over the two CSR/CSC degree arrays;
 //! 2. runs a cost model ([`select_plan`]) that picks
 //!    the partition side, traversal direction, look-ahead vs. look-behind,
-//!    blocked vs. flat execution, and (for parallel runs) degree-balanced
-//!    chunk boundaries instead of equal vertex ranges; and
+//!    and (for parallel runs) degree-balanced chunk boundaries instead of
+//!    equal vertex ranges; and
 //! 3. optionally renumbers the partitioned side by descending degree
 //!    before counting ([`Plan::degree_ordered`]) — the ordering heuristic
 //!    of Wang et al. (VLDB'19) and ParButterfly's ranking phase — mapping
@@ -33,7 +33,6 @@
 //! tests pin this identity against the `wedges_expanded` counter.
 
 use crate::budget::{record_degraded, record_memory, Partial, ResourceBudget};
-use crate::family::blocked::run_blocked;
 use crate::family::engine::{run_partitioned, FixedKernel};
 use crate::family::parallel::{balanced_ranges, drive_chunks};
 use crate::family::priority::run_priority;
@@ -224,11 +223,6 @@ impl GraphProfile {
 pub enum ExecMode {
     /// The plain sequential loop of [`crate::family::count`].
     Flat,
-    /// The cache-blocked sibling ([`crate::family::count_blocked`]).
-    Blocked {
-        /// Columns/rows exposed per block.
-        block_size: usize,
-    },
     /// Rayon-parallel with degree-balanced chunk boundaries
     /// (the chunk driver over [`crate::family::balanced_chunk_bounds`]).
     Parallel {
@@ -297,7 +291,7 @@ pub struct Plan {
     pub invariant: Invariant,
     /// Renumber the partitioned side by descending degree first.
     pub degree_ordered: bool,
-    /// Flat, blocked, or parallel execution.
+    /// Flat, parallel, or sharded execution.
     pub mode: ExecMode,
     /// Exact wedge work of the chosen engine: the chosen partition side's
     /// `Σ C(deg, 2)` for a fixed member, [`GraphProfile::wedges_priority`]
@@ -455,14 +449,11 @@ impl Plan {
             "plan.degree_ordered",
             if self.degree_ordered { 1.0 } else { 0.0 },
         );
-        let (blocked, block_size, chunks, shards) = match self.mode {
-            ExecMode::Flat => (0.0, 0.0, 0.0, 0.0),
-            ExecMode::Blocked { block_size } => (1.0, block_size as f64, 0.0, 0.0),
-            ExecMode::Parallel { chunks } => (0.0, 0.0, chunks as f64, 0.0),
-            ExecMode::Sharded { shards } => (0.0, 0.0, 0.0, shards as f64),
+        let (chunks, shards) = match self.mode {
+            ExecMode::Flat => (0.0, 0.0),
+            ExecMode::Parallel { chunks } => (chunks as f64, 0.0),
+            ExecMode::Sharded { shards } => (0.0, shards as f64),
         };
-        rec.gauge("plan.blocked", blocked);
-        rec.gauge("plan.block_size", block_size);
         rec.gauge("plan.par_chunks", chunks);
         rec.gauge("plan.shards", shards);
         rec.gauge("plan.est_work", self.est_work as f64);
@@ -474,11 +465,10 @@ impl Plan {
 
     /// Render as a JSON object (the `--explain` payload).
     pub fn to_json(&self) -> Json {
-        let (mode, block_size, chunks, shards) = match self.mode {
-            ExecMode::Flat => ("flat", 0u64, 0u64, 0u64),
-            ExecMode::Blocked { block_size } => ("blocked", block_size as u64, 0, 0),
-            ExecMode::Parallel { chunks } => ("parallel", 0, chunks as u64, 0),
-            ExecMode::Sharded { shards } => ("sharded", 0, 0, shards as u64),
+        let (mode, chunks, shards) = match self.mode {
+            ExecMode::Flat => ("flat", 0u64, 0u64),
+            ExecMode::Parallel { chunks } => ("parallel", chunks as u64, 0),
+            ExecMode::Sharded { shards } => ("sharded", 0, shards as u64),
         };
         Json::Obj(vec![
             ("member".into(), Json::Str(self.member.name().into())),
@@ -496,7 +486,6 @@ impl Plan {
             ),
             ("degree_ordered".into(), Json::Bool(self.degree_ordered)),
             ("mode".into(), Json::Str(mode.into())),
-            ("block_size".into(), Json::UInt(block_size)),
             ("chunks".into(), Json::UInt(chunks)),
             ("shards".into(), Json::UInt(shards)),
             (
@@ -536,13 +525,6 @@ pub const DEGREE_ORDER_SKEW_THRESHOLD: f64 = 8.0;
 /// datasets when applied unconditionally).
 pub const DEGREE_ORDER_MIN_WORK_PER_EDGE: u64 = 256;
 
-/// Partitioned-side size past which the sequential plan switches to the
-/// blocked kernel for cache locality.
-pub const BLOCKED_MIN_PARTITION: usize = 1 << 16;
-
-/// Block size used when the plan goes blocked.
-pub const DEFAULT_BLOCK_SIZE: usize = 4096;
-
 /// Best-fixed-side wedge-work floor below which the global-order members
 /// are never selected: the priority rank sort plus the extra edge pass
 /// cost more than they can save on tiny inputs.
@@ -566,16 +548,13 @@ pub const PRIORITY_ADVANTAGE: f64 = 0.9;
 ///   side (Inv. 1 / Inv. 5). The paper's §V prefers the look-ahead
 ///   members, but that finding does not reproduce in this implementation:
 ///   the A₀-readers run ~5–25% faster here (EXPERIMENTS.md, E2), so the
-///   cost model follows the measurement. Conveniently these are also the
-///   members the blocked kernel realises, so blocked and flat plans name
-///   the same invariant;
+///   cost model follows the measurement;
 /// * **degree ordering** — renumber the partitioned side by descending
 ///   degree when its skew crosses [`DEGREE_ORDER_SKEW_THRESHOLD`] *and*
 ///   the wedge work is at least [`DEGREE_ORDER_MIN_WORK_PER_EDGE`] times
 ///   the edge count (otherwise the relabel costs more than it saves);
 /// * **mode** — parallel (degree-balanced chunks, one per worker) when
-///   requested, else blocked when the partitioned side exceeds
-///   [`BLOCKED_MIN_PARTITION`], else flat;
+///   requested, else flat;
 /// * **member** — when the exact priority wedge total
 ///   ([`GraphProfile::wedges_priority`]) undercuts the best fixed side by
 ///   [`PRIORITY_ADVANTAGE`] and that side clears [`PRIORITY_MIN_WORK`],
@@ -587,18 +566,9 @@ pub fn select_plan(profile: &GraphProfile, parallel: bool, workers: usize) -> Pl
     let side = profile.cheaper_side();
     let est_work = profile.partition_cost(side);
     let est_work_alt = profile.partition_cost(side.other());
-    let partition_len = match side {
-        Side::V1 => profile.nv1,
-        Side::V2 => profile.nv2,
-    };
-    let parallel_mode = ExecMode::Parallel {
-        chunks: workers.max(1),
-    };
     let mode = if parallel {
-        parallel_mode
-    } else if partition_len >= BLOCKED_MIN_PARTITION {
-        ExecMode::Blocked {
-            block_size: DEFAULT_BLOCK_SIZE,
+        ExecMode::Parallel {
+            chunks: workers.max(1),
         }
     } else {
         ExecMode::Flat
@@ -626,11 +596,7 @@ pub fn select_plan(profile: &GraphProfile, parallel: bool, workers: usize) -> Pl
             },
             invariant,
             degree_ordered: false,
-            mode: if parallel {
-                parallel_mode
-            } else {
-                ExecMode::Flat
-            },
+            mode,
             est_work: profile.wedges_priority,
             est_work_alt: est_work,
         };
@@ -785,11 +751,11 @@ pub(crate) fn run_to_end<R: Recorder>(
 }
 
 /// The plan executor, and the only one: every in-memory count — fixed,
-/// priority or ranked member; flat, blocked, parallel or sharded mode —
-/// runs its member's one overflow-checked kernel here with `deadline`
-/// polled at item or block boundaries, inside one `count` span that
-/// times the whole run (rank or relabel, then kernel). Returns the count
-/// with `complete = false` when the deadline cut the traversal short — the
+/// priority or ranked member; flat, parallel or sharded mode — runs its
+/// member's one overflow-checked kernel here with `deadline` polled at
+/// item boundaries, inside one `count` span that times the whole run
+/// (rank or relabel, then kernel). Returns the count with
+/// `complete = false` when the deadline cut the traversal short — the
 /// value is then the exact count over the items processed before the
 /// cut, a lower bound on the true total, and a `budget.degraded = 3`
 /// gauge marks the cut. Either way the run ends by recording measured
@@ -808,10 +774,10 @@ pub fn run_plan<R: Recorder>(
     let chunks = match plan.mode {
         ExecMode::Parallel { chunks } => Some(chunks),
         ExecMode::Sharded { shards } => Some(shards),
-        ExecMode::Flat | ExecMode::Blocked { .. } => None,
+        ExecMode::Flat => None,
     };
-    // Global-order members ignore partition side, blocking, and degree
-    // ordering — the global rank *is* their ordering heuristic.
+    // Global-order members ignore partition side and degree ordering —
+    // the global rank *is* their ordering heuristic.
     let (acc, complete) = timed_span(rec, "count", |rec| match plan.member {
         Member::Priority => Ok(run_priority(g, chunks, deadline, rec)),
         Member::Ranked => Ok(run_ranked(g, chunks, deadline, rec)),
@@ -829,9 +795,6 @@ pub fn run_plan<R: Recorder>(
             let kernel = FixedKernel::of(g_exec, plan.invariant);
             match plan.mode {
                 ExecMode::Flat => Ok(run_partitioned(&kernel, deadline, rec)),
-                ExecMode::Blocked { block_size } => {
-                    Ok(run_blocked(g_exec, side, block_size, deadline, rec))
-                }
                 ExecMode::Parallel { chunks } => {
                     let ranges = balanced_ranges(&kernel.item_weights(), chunks);
                     Ok(drive_chunks(&kernel, ranges, deadline, rec))
@@ -945,9 +908,9 @@ fn spa_bytes(n: usize) -> u64 {
 /// of `profile`'s shape: one wedge accumulator per worker (sized by the
 /// partitioned side), the chunk-balancing arrays when parallel, and the
 /// relabelled graph copy when degree-ordered. Deliberately coarse — the
-/// byte budget guards against the order-of-magnitude blowups (a dense
-/// pair matrix, one accumulator per worker on a huge side), not malloc
-/// accounting.
+/// byte budget guards against the order-of-magnitude blowups (one
+/// accumulator per worker on a huge side, a relabelled copy of the
+/// graph), not malloc accounting.
 pub fn plan_scratch_bytes(profile: &GraphProfile, plan: &Plan) -> u64 {
     if !matches!(plan.member, Member::Fixed(_)) {
         // Global-order members: one accumulator per chunk sized by the
@@ -982,7 +945,7 @@ pub fn plan_scratch_bytes(profile: &GraphProfile, plan: &Plan) -> u64 {
         Side::V2 => profile.nv2,
     };
     let mode = match plan.mode {
-        ExecMode::Flat | ExecMode::Blocked { .. } => spa_bytes(n),
+        ExecMode::Flat => spa_bytes(n),
         ExecMode::Parallel { chunks } => {
             (chunks as u64).saturating_mul(spa_bytes(n)) + 16 * n as u64
         }
@@ -1251,7 +1214,7 @@ mod tests {
     }
 
     /// Every mode counts the same, and every run times itself as one
-    /// top-level `count` span — Blocked and Sharded included.
+    /// top-level `count` span — Sharded included.
     #[test]
     fn forced_modes_all_agree() {
         use bfly_telemetry::InMemoryRecorder;
@@ -1261,7 +1224,6 @@ mod tests {
         let base = select_plan(&GraphProfile::compute(&g), false, 0);
         for (mode, invariant) in [
             (ExecMode::Flat, base.invariant),
-            (ExecMode::Blocked { block_size: 16 }, base.invariant),
             (ExecMode::Parallel { chunks: 3 }, base.invariant),
             (ExecMode::Sharded { shards: 3 }, base.invariant),
         ] {

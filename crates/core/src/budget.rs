@@ -6,8 +6,9 @@
 //! **deadline** checked at phase boundaries. Budget-aware entry points
 //! degrade in preference order instead of aborting:
 //!
-//! 1. pick a cheaper plan (parallel → sequential, dense pair matrix →
-//!    streaming) when a limit would be crossed,
+//! 1. pick a cheaper plan (fewer parallel chunks, then sequential, then
+//!    the fixed member without the degree-ordered relabel) when a limit
+//!    would be crossed,
 //! 2. return a [`Partial`] result tagged `complete = false` when a
 //!    deadline expires mid-computation,
 //! 3. only when no cheaper shape exists, fail with
@@ -28,15 +29,10 @@ use std::time::{Duration, Instant};
 pub struct ResourceBudget {
     /// Cap on total bytes of working memory: the resident input graph
     /// *plus* everything the operation allocates (accumulators, scratch
-    /// pools, pair matrices). A cap below the resident graph itself is a
-    /// meaningful request — the adaptive planner answers it with the
-    /// out-of-core sharded tier
-    /// ([`ExecMode::Sharded`](crate::adaptive::ExecMode)), which never
-    /// materialises the whole graph. Exception: [`PairMatrix`] builds
-    /// take the graph as already paid for and budget only their own
-    /// scratch.
-    ///
-    /// [`PairMatrix`]: crate::pair_matrix::PairMatrix
+    /// pools). A cap below the resident graph itself is a meaningful
+    /// request — the adaptive planner answers it with the out-of-core
+    /// sharded tier ([`ExecMode::Sharded`](crate::adaptive::ExecMode)),
+    /// which never materialises the whole graph.
     pub max_bytes: Option<u64>,
     /// Cap on wedge work (Σ C(deg, 2) over the traversed side) — the
     /// budget analogue of the profile's `est_work`.

@@ -15,10 +15,9 @@
 //! closing §III-C.
 //!
 //! `update_vertex` is that update, written once. The flat loop here,
-//! the parallel chunks ([`super::parallel`]), the blocked loop, and the
-//! shard loop ([`super::sharded`]) all call it; out of core, the shard
-//! loop streams the opposite rows through a `RowSource` instead of
-//! holding them.
+//! the parallel chunks ([`super::parallel`]) and the shard loop
+//! ([`super::sharded`]) all call it; out of core, the shard loop streams
+//! the opposite rows through a `RowSource` instead of holding them.
 
 use super::parallel::{run_inline, Kernel};
 use super::Invariant;

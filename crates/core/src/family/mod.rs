@@ -34,7 +34,6 @@
 //! invariants 5–8 the CSR view (rows = V1 vertices), exactly as stored by
 //! the paper's implementations (§V).
 
-pub mod blocked;
 pub mod engine;
 pub mod literal;
 pub mod parallel;
@@ -221,18 +220,6 @@ pub fn count_parallel(g: &BipartiteGraph, inv: Invariant) -> u64 {
     let mode = ExecMode::Parallel {
         chunks: rayon::current_num_threads().max(1),
     };
-    run_forced(g, Member::Fixed(inv), mode, &mut NoopRecorder)
-}
-
-/// Blocked counterpart of invariant 1 (`Side::V2`) / invariant 5
-/// (`Side::V1`): forward traversal in blocks of `block_size` (see
-/// [`blocked`]).
-pub fn count_blocked(g: &BipartiteGraph, side: Side, block_size: usize) -> u64 {
-    let inv = match side {
-        Side::V2 => Invariant::Inv1,
-        Side::V1 => Invariant::Inv5,
-    };
-    let mode = ExecMode::Blocked { block_size };
     run_forced(g, Member::Fixed(inv), mode, &mut NoopRecorder)
 }
 

@@ -18,7 +18,8 @@
 //!   SpGEMM-based counter, brute-force pair enumeration). Everything else
 //!   is validated against these.
 //! * [`family`] — the eight derived algorithms ([`Invariant`]), sequential
-//!   ([`count`]), rayon-parallel ([`count_parallel`]), and blocked.
+//!   ([`count`]), rayon-parallel ([`count_parallel`]), and sharded
+//!   ([`count_sharded`]).
 //! * [`adaptive`] — profile-driven selection among the family members
 //!   ([`count_adaptive`]): partition side by exact wedge-work estimate,
 //!   degree-ordered execution, degree-balanced parallel chunking — and
@@ -27,7 +28,8 @@
 //!   (paper eq. 19) and per-edge support `S_w` (eq. 25), each in both
 //!   wedge-expansion and literal-algebra form.
 //! * [`peel`] — k-tip and k-wing subgraph extraction (eqs. 20–22, 26–27),
-//!   the Fig. 8 look-ahead variant, and full tip/wing decompositions.
+//!   the Fig. 8 look-ahead variant, and tip/wing numbers (the full
+//!   decompositions).
 //! * [`baseline`] — the algorithms the paper positions against: wedge
 //!   hash-aggregation (Wang et al. 2014), degree-ordered vertex-priority
 //!   counting (Wang et al. VLDB'19), and sampling estimators
@@ -80,9 +82,9 @@ pub use checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore};
 pub use enumerate::{count_by_enumeration, enumerate_butterflies, for_each_butterfly, Butterfly};
 pub use error::{validate_graph, BflyError};
 pub use family::{
-    auto_invariant, count, count_auto_recorded, count_blocked, count_parallel, count_priority,
-    count_ranked, count_recorded, count_segmented, count_segmented_checkpointed_recorded,
-    count_sharded, priority_wedge_work, profile_and_plan_segmented_recorded, run_plan_segmented,
+    auto_invariant, count, count_auto_recorded, count_parallel, count_priority, count_ranked,
+    count_recorded, count_segmented, count_segmented_checkpointed_recorded, count_sharded,
+    priority_wedge_work, profile_and_plan_segmented_recorded, run_plan_segmented,
     segmented_profile, try_count, tuned_chunk_count, weight_p90, Invariant,
 };
 pub use pair_matrix::PairMatrix;

@@ -8,11 +8,8 @@
 //! queries, and the top-k heaviest pairs locate the strongest 2×2
 //! co-engagement in the network.
 
-use crate::budget::{record_degraded, ResourceBudget};
 use bfly_graph::{BipartiteGraph, Side};
-use bfly_sparse::ops::spgemm;
 use bfly_sparse::{choose2, CheckedAccum, CsrMatrix, Spa};
-use bfly_telemetry::{NoopRecorder, Recorder};
 
 /// Symmetric per-pair butterfly counts on one side of the bipartition.
 #[derive(Debug, Clone)]
@@ -24,105 +21,13 @@ pub struct PairMatrix {
 
 impl PairMatrix {
     /// Build `C` for the given side (`Side::V1` pairs vertices of V1 with
-    /// wedge points in V2, and vice versa).
+    /// wedge points in V2, and vice versa), one row at a time: row `i`'s
+    /// wedges `i – v – j` aggregate `B_ij` in a sparse accumulator over
+    /// the pair side (the per-start wedge aggregation of Wang et al.),
+    /// and the row keeps `C(B_ij, 2)` for `j ≠ i`, sorted by `j`. `B`
+    /// itself is never materialised: beyond `C`, scratch is one
+    /// accumulator over the pair side plus one row's sort buffer.
     pub fn build(g: &BipartiteGraph, side: Side) -> Self {
-        let a: CsrMatrix<u64> = match side {
-            Side::V1 => g.to_csr(),
-            Side::V2 => g.biadjacency_t().to_csr(),
-        };
-        let b = spgemm(&a, &a.transpose()).expect("A·Aᵀ shapes conform");
-        // Map B ↦ ½ B∘(B−J) entry-wise, dropping the diagonal and pairs
-        // with fewer than two shared wedges.
-        let mut rowptr = Vec::with_capacity(b.nrows() + 1);
-        let mut colind = Vec::new();
-        let mut values = Vec::new();
-        rowptr.push(0usize);
-        for i in 0..b.nrows() {
-            let (cols, vals) = b.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                if j as usize != i {
-                    let pairs = choose2(v);
-                    if pairs > 0 {
-                        colind.push(j);
-                        values.push(pairs);
-                    }
-                }
-            }
-            rowptr.push(colind.len());
-        }
-        let n = b.nrows();
-        let c = CsrMatrix::try_from_raw_parts(n, n, rowptr, colind, values)
-            .expect("filtered rows stay sorted");
-        Self { side, c }
-    }
-
-    /// Estimated bytes the dense [`PairMatrix::build`] path materialises:
-    /// the intermediate `B = A·Aᵀ` holds up to `Σ_{v ∈ other} deg(v)²`
-    /// generated entries (every wedge lands once), at roughly 16 bytes
-    /// each. Saturates instead of wrapping — an estimate past `u64` is
-    /// "too big" either way.
-    pub fn dense_build_bytes(g: &BipartiteGraph, side: Side) -> u64 {
-        let other = match side {
-            Side::V1 => g.biadjacency_t(),
-            Side::V2 => g.biadjacency(),
-        };
-        let mut wedges = 0u64;
-        for v in 0..other.nrows() {
-            let d = other.row_nnz(v) as u64;
-            wedges = wedges.saturating_add(d.saturating_mul(d));
-        }
-        wedges.saturating_mul(16)
-    }
-
-    /// Budget-aware [`PairMatrix::build`] without telemetry.
-    pub fn try_build(
-        g: &BipartiteGraph,
-        side: Side,
-        budget: &ResourceBudget,
-    ) -> crate::error::Result<Self> {
-        Self::try_build_recorded(g, side, budget, &mut NoopRecorder)
-    }
-
-    /// Scratch floor of the streaming fallback: one [`Spa`] over the pair
-    /// side (24 bytes/slot: values, stamps, touched list) plus the
-    /// per-row sort buffer of `(u32, u64)` entries (16 bytes each, at
-    /// most one full row live at once). A byte cap below this has no
-    /// viable build shape at all.
-    pub fn streaming_build_bytes(g: &BipartiteGraph, side: Side) -> u64 {
-        let n = match side {
-            Side::V1 => g.nv1(),
-            Side::V2 => g.nv2(),
-        } as u64;
-        40 * n
-    }
-
-    /// Budget-aware [`PairMatrix::build`]: validates the graph, and when
-    /// the dense path's intermediate `B = A·Aᵀ` would cross the byte
-    /// budget ([`PairMatrix::dense_build_bytes`]), degrades to a
-    /// streaming row-at-a-time wedge expansion that never materialises
-    /// `B` — `O(n)` scratch instead of `O(nnz(B))`, at the cost of a
-    /// sort per emitted row. The fallback is recorded via
-    /// [`record_degraded`]`(rec, "bytes")`; both paths produce identical
-    /// matrices (pinned by the unit tests).
-    ///
-    /// A cap below even the streaming floor
-    /// ([`PairMatrix::streaming_build_bytes`]) fails with
-    /// [`BflyError::BudgetExceeded`](crate::error::BflyError) carrying
-    /// the exact estimated bytes of the cheapest shape — the same typed
-    /// path the adaptive planner's sharded tier reports through, so
-    /// callers see one error shape for every "doesn't fit" verdict.
-    pub fn try_build_recorded<R: Recorder>(
-        g: &BipartiteGraph,
-        side: Side,
-        budget: &ResourceBudget,
-        rec: &mut R,
-    ) -> crate::error::Result<Self> {
-        crate::error::validate_graph(g)?;
-        if budget.bytes_fit(Self::dense_build_bytes(g, side)) {
-            return Ok(Self::build(g, side));
-        }
-        budget.check_bytes(Self::streaming_build_bytes(g, side))?;
-        record_degraded(rec, "bytes");
         let (part, other) = match side {
             Side::V1 => (g.biadjacency(), g.biadjacency_t()),
             Side::V2 => (g.biadjacency_t(), g.biadjacency()),
@@ -132,6 +37,7 @@ impl PairMatrix {
         let mut rowptr = Vec::with_capacity(n + 1);
         let mut colind = Vec::new();
         let mut values = Vec::new();
+        let mut row: Vec<(u32, u64)> = Vec::new();
         rowptr.push(0usize);
         for i in 0..n {
             for &v in part.row(i) {
@@ -139,13 +45,13 @@ impl PairMatrix {
                     spa.scatter(j, 1);
                 }
             }
-            let mut row: Vec<(u32, u64)> = spa
-                .entries()
-                .filter(|&(j, cnt)| j as usize != i && choose2(cnt) > 0)
-                .map(|(j, cnt)| (j, choose2(cnt)))
-                .collect();
+            row.extend(
+                spa.entries()
+                    .filter(|&(j, cnt)| j as usize != i && cnt >= 2)
+                    .map(|(j, cnt)| (j, choose2(cnt))),
+            );
             row.sort_unstable_by_key(|&(j, _)| j);
-            for (j, pairs) in row {
+            for (j, pairs) in row.drain(..) {
                 colind.push(j);
                 values.push(pairs);
             }
@@ -154,7 +60,7 @@ impl PairMatrix {
         }
         let c = CsrMatrix::try_from_raw_parts(n, n, rowptr, colind, values)
             .expect("sorted rows are structurally valid");
-        Ok(Self { side, c })
+        Self { side, c }
     }
 
     /// Which side the pairs live on.
@@ -281,67 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_fallback_matches_dense_build() {
-        use bfly_telemetry::InMemoryRecorder;
-        let g = BipartiteGraph::from_edges(
-            5,
-            4,
-            &[
-                (0, 0),
-                (0, 1),
-                (1, 0),
-                (1, 1),
-                (1, 2),
-                (2, 1),
-                (2, 2),
-                (3, 0),
-                (3, 3),
-                (4, 2),
-                (4, 3),
-            ],
-        )
-        .unwrap();
-        for side in [Side::V1, Side::V2] {
-            let dense = PairMatrix::build(&g, side);
-            // An unlimited budget takes the dense path...
-            let unbudgeted = PairMatrix::try_build(&g, side, &ResourceBudget::unlimited()).unwrap();
-            assert_eq!(unbudgeted.nnz(), dense.nnz());
-            // ...while a cap at the streaming floor forces streaming;
-            // same matrix either way.
-            let mut rec = InMemoryRecorder::new();
-            let floor = PairMatrix::streaming_build_bytes(&g, side);
-            assert!(floor < PairMatrix::dense_build_bytes(&g, side) || floor > 0);
-            let tight = ResourceBudget::unlimited().with_max_bytes(floor);
-            let streamed = PairMatrix::try_build_recorded(&g, side, &tight, &mut rec).unwrap();
-            assert_eq!(streamed.nnz(), dense.nnz());
-            assert_eq!(streamed.total(), dense.total());
-            assert_eq!(streamed.top_pairs(10), dense.top_pairs(10));
-            assert_eq!(rec.gauge_value("budget.degraded"), Some(1.0));
-            // A cap below even the streaming floor fails typed, carrying
-            // the exact estimate of the cheapest shape.
-            let starved = ResourceBudget::unlimited().with_max_bytes(floor - 1);
-            let err = PairMatrix::try_build(&g, side, &starved).unwrap_err();
-            match err {
-                crate::error::BflyError::BudgetExceeded {
-                    resource,
-                    limit,
-                    requested,
-                } => {
-                    assert_eq!(resource, "bytes");
-                    assert_eq!(limit, floor - 1);
-                    assert_eq!(requested, floor);
-                }
-                other => panic!("expected BudgetExceeded, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn checked_total_matches_infallible_total() {
         let g = BipartiteGraph::complete(4, 5);
         let pm = PairMatrix::build(&g, Side::V1);
         assert_eq!(pm.try_total().unwrap(), pm.total());
-        assert!(PairMatrix::dense_build_bytes(&g, Side::V1) > 0);
     }
 
     #[test]

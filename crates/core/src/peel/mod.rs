@@ -8,13 +8,11 @@
 //! frontier across rayon workers. See `docs/PEELING.md`.
 
 pub mod bucket;
-pub mod decomposition;
 pub mod parallel;
 pub mod tip;
 pub mod wing;
 
 pub use bucket::{BucketQueue, StampSet};
-pub use decomposition::{TipDecomposition, WingDecomposition};
 pub use parallel::{
     tip_numbers_budgeted_recorded, tip_numbers_with_chunks, try_tip_numbers, try_wing_numbers,
     wing_numbers_budgeted_recorded, wing_numbers_with_chunks, PAR_FRONTIER_MIN,

@@ -87,8 +87,6 @@ pub enum Counter {
     AccumEntries,
     /// Vertices of the partitioned side exposed (outer-loop iterations).
     VerticesExposed,
-    /// Cache blocks processed by the blocked variant.
-    BlocksProcessed,
     /// Parallel chunks executed.
     ParChunks,
     /// Peeling fixed-point rounds.
@@ -131,12 +129,11 @@ pub enum Counter {
 impl Counter {
     /// Single source of truth: every counter with its stable report
     /// name, in discriminant order.
-    const TABLE: [(Counter, &'static str); 17] = [
+    const TABLE: [(Counter, &'static str); 16] = [
         (Counter::WedgesExpanded, "wedges_expanded"),
         (Counter::SpaScatters, "spa_scatters"),
         (Counter::AccumEntries, "accum_entries"),
         (Counter::VerticesExposed, "vertices_exposed"),
-        (Counter::BlocksProcessed, "blocks_processed"),
         (Counter::ParChunks, "par_chunks"),
         (Counter::PeelRounds, "peel_rounds"),
         (Counter::PeeledVertices, "peeled_vertices"),

@@ -6,10 +6,8 @@
 //! cargo run --release --example algorithm_family_tour
 //! ```
 
-use bfly::core::family::count_blocked;
 use bfly::core::{count, Invariant};
 use bfly::graph::generators::chung_lu;
-use bfly::graph::Side;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -53,16 +51,6 @@ fn main() {
                     ""
                 },
             );
-        }
-        // Blocked siblings (FLAME blocked derivation) — same counts.
-        for bs in [64usize, 1024] {
-            let t0 = Instant::now();
-            let xi = count_blocked(g, Side::V2, bs);
-            println!(
-                "  blocked Inv.1 (b = {bs:>4})  {:.3}s",
-                t0.elapsed().as_secs_f64()
-            );
-            assert_eq!(xi, reference.unwrap());
         }
     }
     println!("\nReading: the family partitioning the *smaller* vertex set is the faster half —");

@@ -44,18 +44,14 @@ fn assert_adaptive_agrees(g: &BipartiteGraph, label: &str) {
         "{label}: plan picked the more expensive side: {plan:?}"
     );
     // Force every member × execution mode × degree-ordering combination:
-    // re-association, renumbering, the global-order kernels, and the
-    // chunked/bucketed parallel shapes never change the total.
+    // renumbering, the global-order kernels, and the chunked/bucketed
+    // parallel shapes never change the total.
     for member in [
         Member::Fixed(plan.invariant),
         Member::Priority,
         Member::Ranked,
     ] {
-        for mode in [
-            ExecMode::Flat,
-            ExecMode::Blocked { block_size: 8 },
-            ExecMode::Parallel { chunks: 3 },
-        ] {
+        for mode in [ExecMode::Flat, ExecMode::Parallel { chunks: 3 }] {
             for degree_ordered in [false, true] {
                 let forced = Plan {
                     member,

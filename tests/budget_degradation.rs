@@ -10,7 +10,7 @@ use bfly::core::peel::{
 use bfly::core::telemetry::{InMemoryRecorder, NoopRecorder};
 use bfly::core::testkit::fixture_battery;
 use bfly::core::{
-    count_adaptive, count_adaptive_budgeted_recorded, BflyError, GraphProfile, PairMatrix, Partial,
+    count_adaptive, count_adaptive_budgeted_recorded, BflyError, GraphProfile, Partial,
     ResourceBudget,
 };
 use bfly::graph::{BipartiteGraph, Side};
@@ -197,31 +197,5 @@ fn expired_deadline_truncates_decompositions_to_upper_bounds() {
         let mut rec = InMemoryRecorder::new();
         let r = wing_numbers_budgeted_recorded(&g, 2, &expired, &mut rec).unwrap();
         check(r, &wing_numbers(&g), &rec, &format!("{name} wing"));
-    }
-}
-
-#[test]
-fn pair_matrix_streaming_fallback_is_exact() {
-    for (name, g) in fixture_battery() {
-        for side in [Side::V1, Side::V2] {
-            let dense = PairMatrix::build(&g, side);
-            // A cap at exactly the streaming floor forces the streaming
-            // path (the dense estimate is larger on every fixture); a cap
-            // below it is a typed refusal carrying the exact floor bytes,
-            // covered by the pair_matrix unit tests.
-            let tiny = ResourceBudget::unlimited()
-                .with_max_bytes(PairMatrix::streaming_build_bytes(&g, side));
-            let streamed = PairMatrix::try_build(&g, side, &tiny).unwrap();
-            assert_eq!(
-                streamed.total(),
-                dense.total(),
-                "{name} {side:?}: streaming fallback total"
-            );
-            assert_eq!(
-                streamed.top_pairs(5),
-                dense.top_pairs(5),
-                "{name} {side:?}: streaming fallback top pairs"
-            );
-        }
     }
 }

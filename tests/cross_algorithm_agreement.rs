@@ -1,19 +1,23 @@
 //! Integration: every counting algorithm in the workspace — the eight
-//! derived invariants (sequential, parallel, blocked), the two
-//! global-order kernels (vertex-priority and ranked aggregation), the
-//! three specification counters, and the two exact baselines — must agree
-//! on the same graph, across a spread of generator regimes and edge cases.
+//! derived invariants (sequential and parallel), the two global-order
+//! kernels (vertex-priority and ranked aggregation), the three
+//! specification counters, and the two exact baselines — must agree on
+//! the same graph, across a spread of generator regimes and edge cases.
+//! The per-pair matrix `C` is checked entry by entry against its
+//! definition.
 
 use bfly::core::adaptive::{count_adaptive, count_adaptive_parallel};
 use bfly::core::adaptive::{execute_plan, ExecMode, Member, Plan};
 use bfly::core::baseline::{count_hash_aggregation, count_vertex_priority};
-use bfly::core::family::{count_blocked, count_priority, count_ranked};
+use bfly::core::family::{count_priority, count_ranked};
 use bfly::core::testkit::fixture_battery;
 use bfly::core::{
     count, count_brute_force, count_dense_formula, count_parallel, count_via_spgemm, Invariant,
+    PairMatrix,
 };
 use bfly::graph::generators::{chung_lu, gnp, uniform_exact, with_planted_biclique};
 use bfly::graph::{BipartiteGraph, Side};
+use bfly::sparse::choose2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,18 +29,6 @@ fn assert_all_agree(g: &BipartiteGraph, label: &str) {
     for inv in Invariant::ALL {
         assert_eq!(count(g, inv), want, "{label}: {inv} sequential");
         assert_eq!(count_parallel(g, inv), want, "{label}: {inv} parallel");
-    }
-    for b in [1usize, 7, 128] {
-        assert_eq!(
-            count_blocked(g, Side::V2, b),
-            want,
-            "{label}: blocked V2/{b}"
-        );
-        assert_eq!(
-            count_blocked(g, Side::V1, b),
-            want,
-            "{label}: blocked V1/{b}"
-        );
     }
     assert_eq!(count_hash_aggregation(g), want, "{label}: hash baseline");
     assert_eq!(count_vertex_priority(g), want, "{label}: vertex priority");
@@ -71,6 +63,39 @@ fn agreement_on_testkit_fixture_battery() {
     // star-heavy, near-empty, biclique, and degenerate shapes.
     for (name, g) in fixture_battery() {
         assert_all_agree(&g, &name);
+    }
+}
+
+/// Every stored entry of `C` is `C(|N(i) ∩ N(j)|, 2)` for its pair, the
+/// stored entries are exactly the ordered pairs `i ≠ j` sharing at least
+/// two neighbours, and the total is the brute-force count — on both
+/// sides of every fixture.
+#[test]
+fn pair_matrix_entries_match_the_intersection_oracle() {
+    for (name, g) in fixture_battery() {
+        let want = count_brute_force(&g);
+        for side in [Side::V1, Side::V2] {
+            let adj = match side {
+                Side::V1 => g.biadjacency(),
+                Side::V2 => g.biadjacency_t(),
+            };
+            let pm = PairMatrix::build(&g, side);
+            let mut pairs = 0;
+            for i in 0..adj.nrows() {
+                for j in (0..adj.nrows()).filter(|&j| j != i) {
+                    let shared = adj.row_intersection_size(i, j) as u64;
+                    assert_eq!(
+                        pm.butterflies_between(i as u32, j as u32),
+                        choose2(shared),
+                        "{name} {side:?}: entry ({i}, {j})"
+                    );
+                    pairs += usize::from(shared >= 2);
+                }
+                assert_eq!(pm.butterflies_between(i as u32, i as u32), 0);
+            }
+            assert_eq!(pm.nnz(), pairs, "{name} {side:?}: stored pairs");
+            assert_eq!(pm.total(), want, "{name} {side:?}: total");
+        }
     }
 }
 
