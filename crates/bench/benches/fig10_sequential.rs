@@ -7,6 +7,7 @@
 
 use bfly_bench::{load_datasets, scale_from_env};
 use bfly_core::{count, count_priority, count_ranked, Invariant};
+use bfly_graph::ordering::rank_ordered;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -25,6 +26,10 @@ fn bench_fig10(c: &mut Criterion) {
                 |b, (g, inv)| b.iter(|| black_box(count(g, *inv))),
             );
         }
+        // The global-order rows count the rank-ordered graph, built once
+        // outside the timing as `bfly count` builds it, so they time the
+        // kernel and not a relabel of the input-ordered stand-in.
+        let g = &rank_ordered(g);
         group.bench_with_input(BenchmarkId::new(name, "priority"), &g, |b, g| {
             b.iter(|| black_box(count_priority(g)))
         });

@@ -51,7 +51,8 @@ use bfly_core::{
     profile_and_plan_segmented_recorded, run_plan_segmented, BflyError, CheckpointConfig,
     Invariant, Partial, ResourceBudget,
 };
-use bfly_graph::io::{read_text_file, write_edge_list, IoError};
+use bfly_graph::io::{read_text_file, read_text_rank_ordered, write_edge_list, IoError};
+use bfly_graph::ordering::{is_rank_ordered, rank_ordered_from_edges};
 use bfly_graph::{
     convert_to_bfly, is_bfly_file, read_bfly_file, write_bfly_file, BipartiteGraph, GraphStats,
     SegmentedGraph, Side, StandIn,
@@ -1054,6 +1055,30 @@ pub fn load_graph(path: &str, format: Option<Format>) -> Result<BipartiteGraph, 
     read_text_file(path, fmt).map_err(|e| io_error(format!("failed to load {path}"), e))
 }
 
+/// Load a graph for `count`, rank-ordered
+/// ([`rank_ordered_from_edges`]): both sides renumbered so ids rise
+/// with the global degree rank, which lets the priority and ranked
+/// kernels scan only their wedges. A text file's parsed edges are
+/// renumbered before the one CSR build; a `.bfly` graph is consumed
+/// into its edge list first. Either way the input labelling and the rank
+/// order are never resident as two graphs. The butterfly count is the
+/// same under any labelling.
+fn load_rank_ordered(path: &str, format: Option<Format>) -> Result<BipartiteGraph, CliError> {
+    let failed = |e| io_error(format!("failed to load {path}"), e);
+    if format.is_none() && is_bfly_file(path) {
+        let g = read_bfly_file(path).map_err(failed)?;
+        if is_rank_ordered(&g) {
+            return Ok(g);
+        }
+        let (nv1, nv2) = (g.nv1(), g.nv2());
+        return Ok(rank_ordered_from_edges(nv1, nv2, g.into_edges())
+            .expect("a graph's own edges are in range"));
+    }
+    let fmt = format.map_or_else(|| sniff_format(path), Ok)?;
+    let file = std::fs::File::open(path).map_err(|e| failed(e.into()))?;
+    read_text_rank_ordered(file, fmt).map_err(failed)
+}
+
 /// A graph I/O failure as a CLI error: parse class (exit 3) for
 /// malformed input, runtime class (exit 1) for the I/O itself.
 fn io_error(what: String, e: IoError) -> CliError {
@@ -1545,7 +1570,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 });
                 CountInput::OnDisk(sg, ckpt)
             } else {
-                CountInput::Resident(load_graph(&file, format)?)
+                CountInput::Resident(load_rank_ordered(&file, format)?)
             };
             let mut telem = Telem::new(telemetry, "count")?;
             let (pool, workers) = (pinned_pool(threads)?, workers(threads));
@@ -1721,12 +1746,10 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
         } => {
             let g = load_graph(&file, format)?;
             let pm = bfly_core::PairMatrix::build(&g, side);
+            let total = pm.try_total()?;
             w(
                 out,
-                format!(
-                    "top {top} {side:?} pairs by butterflies (total {}):",
-                    pm.total()
-                ),
+                format!("top {top} {side:?} pairs by butterflies (total {total}):"),
             )?;
             for (i, j, b) in pm.top_pairs(top) {
                 w(out, format!("  ({i}, {j})\t{b}"))?;

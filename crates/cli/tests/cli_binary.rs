@@ -704,7 +704,7 @@ fn budgeted_counts_record_the_same_kernel_work_as_adaptive() {
     for (path, extra, engine) in [
         (&uniform, &["--parallel", "--threads", "2"][..], "Inv. 5"),
         (&skew, &[][..], "priority"),
-        (&skew, &["--parallel", "--threads", "2"][..], "ranked"),
+        (&skew, &["--parallel", "--threads", "2"][..], "priority"),
     ] {
         let tag = format!("{engine}-{}", extra.len());
         let (want, _) = kernel_work(path, extra, &["--adaptive"], &format!("{tag}-adaptive"));

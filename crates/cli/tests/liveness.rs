@@ -49,7 +49,9 @@ fn progress_plus_stream_heartbeats_reach_fraction_one() {
     // budgeted route run different plans: every heartbeat that carries a
     // `total` must carry the executed plan's wedge work (the planner's
     // priority pick on the default route, 179,928 wedges; the byte cap's
-    // Inv. 1 fallback when budgeted, which partitions V2, 1,110,128).
+    // Inv. 1 fallback when budgeted, which partitions V2, 1,110,128: the
+    // cap holds the resident graph and Inv. 1's accumulator but not the
+    // priority member's larger one).
     let skew = dir.join("hb-skew.tsv");
     let skew_s = skew.to_str().unwrap();
     let out = bfly()
@@ -58,7 +60,7 @@ fn progress_plus_stream_heartbeats_reach_fraction_one() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    let budgeted = ["--parallel", "--threads", "2", "--max-bytes", "1200000"];
+    let budgeted = ["--parallel", "--threads", "2", "--max-bytes", "900000"];
     for (input, extra, total) in [
         (gpath_s, &[][..], None),
         (skew_s, &[][..], Some(179_928)),

@@ -39,7 +39,9 @@ use crate::family::priority::run_priority;
 use crate::family::ranked::run_ranked;
 use crate::family::sharded::drive_shards;
 use crate::family::{priority_wedge_work, Invariant, RANKED_BUCKET_WEDGES};
-use bfly_graph::ordering::{degree_descending, relabel};
+use bfly_graph::ordering::{
+    degree_descending, degree_sorted, is_rank_ordered, rank_ordered, relabel,
+};
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::choose2;
 use bfly_telemetry::{timed_span, Counter, Json, NoopRecorder, Recorder, WorkForecast};
@@ -47,8 +49,9 @@ use std::time::Instant;
 
 /// Structural profile of a bipartite graph — everything the cost model
 /// reads. Cheap: one pass over the two degree arrays for the side terms,
-/// plus one degree sort and one edge pass for the exact vertex-priority
-/// work term (still far below the counting work it predicts).
+/// plus one degree sort and one row cut per vertex for the exact
+/// vertex-priority work term on a rank-ordered graph (still far below
+/// the counting work it predicts).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphProfile {
     /// `|V1|` (rows of `A`).
@@ -101,7 +104,8 @@ pub fn graph_resident_bytes(nv1: usize, nv2: usize, nedges: usize) -> u64 {
 impl GraphProfile {
     /// Profile `g`: the degree terms (one pass over each side's degree
     /// array) plus the exact vertex-priority work
-    /// ([`priority_wedge_work`]: one degree sort and one edge pass).
+    /// ([`priority_wedge_work`]: one degree sort and one row cut per
+    /// vertex, after a transient rank-ordered copy when `g` is input-ordered).
     pub fn compute(g: &BipartiteGraph) -> GraphProfile {
         GraphProfile {
             wedges_priority: priority_wedge_work(g),
@@ -558,9 +562,9 @@ pub const PRIORITY_ADVANTAGE: f64 = 0.9;
 /// * **member** — when the exact priority wedge total
 ///   ([`GraphProfile::wedges_priority`]) undercuts the best fixed side by
 ///   [`PRIORITY_ADVANTAGE`] and that side clears [`PRIORITY_MIN_WORK`],
-///   the plan runs a global-order kernel instead of the fixed invariant:
-///   [`Member::Ranked`] when parallel, [`Member::Priority`] otherwise.
-///   `est_work` then becomes the priority total (keeping
+///   the plan runs the global-order [`Member::Priority`] kernel instead
+///   of the fixed invariant, flat or parallel ([`Member::Ranked`] runs
+///   only when forced). `est_work` then becomes the priority total (keeping
 ///   [`Plan::forecast`] exact) and `est_work_alt` the fixed side it beat.
 pub fn select_plan(profile: &GraphProfile, parallel: bool, workers: usize) -> Plan {
     let side = profile.cheaper_side();
@@ -582,18 +586,15 @@ pub fn select_plan(profile: &GraphProfile, parallel: bool, workers: usize) -> Pl
     // Global-order members: selected only when the *measured* priority
     // wedge total undercuts the best fixed side by the advantage margin
     // (the relation is regime-dependent — near-uniform graphs invert it,
-    // so the gate compares, never assumes). Ranked is the parallel shape
-    // (bucketed batches feed `balanced_chunk_bounds`), priority the
-    // sequential one; degree ordering is superseded by the global rank.
+    // so the gate compares, never assumes). On rank-ordered rows the
+    // priority member scans only its wedges, flat or in weight-balanced
+    // chunks, and beats ranked's materialise-then-replay in both modes;
+    // degree ordering is superseded by the global rank.
     let advantage = (profile.wedges_priority as u128) * 10 < (est_work as u128) * 9;
     debug_assert_eq!(PRIORITY_ADVANTAGE, 0.9, "gate arithmetic hard-codes 9/10");
     if advantage && est_work >= PRIORITY_MIN_WORK {
         return Plan {
-            member: if parallel {
-                Member::Ranked
-            } else {
-                Member::Priority
-            },
+            member: Member::Priority,
             invariant,
             degree_ordered: false,
             mode,
@@ -701,14 +702,15 @@ pub fn select_peel_plan(profile: &GraphProfile, workers: usize) -> PeelPlan {
 
 /// Profile `g` and select a peel plan, recording the decision inside a
 /// `select` span with `peel.*` gauges (the peeling counterpart of
-/// [`profile_and_plan_recorded`]).
+/// [`profile_and_plan_recorded`]). Peel plans read only the degree
+/// terms, so the priority term is left unmeasured.
 pub fn profile_and_peel_plan_recorded<R: Recorder>(
     g: &BipartiteGraph,
     workers: usize,
     rec: &mut R,
 ) -> (GraphProfile, PeelPlan) {
     timed_span(rec, "select", |rec| {
-        let profile = GraphProfile::compute(g);
+        let profile = GraphProfile::of_degrees(g);
         let plan = select_peel_plan(&profile, workers);
         plan.record(rec);
         (profile, plan)
@@ -762,9 +764,13 @@ pub(crate) fn run_to_end<R: Recorder>(
 /// memory ([`record_memory`]). The only error is a total past `u64`
 /// ([`BflyError::CountOverflow`](crate::error::BflyError::CountOverflow)).
 ///
-/// Degree-ordered plans count an isomorphic renumbering of `g`; the
-/// total is unchanged (counting is permutation-invariant — pinned by the
-/// differential tests), so no inverse mapping is needed here.
+/// Degree-ordered plans count an isomorphic renumbering of `g` (none
+/// when the partitioned side is already numbered by degree descending,
+/// as on a rank-ordered graph); the priority and ranked members count a
+/// rank-ordered one, relabelled under a `rank_relabel` span when `g` is
+/// not rank-ordered. The total is unchanged (counting is
+/// permutation-invariant — pinned by the differential tests), so no
+/// inverse mapping is needed here.
 pub fn run_plan<R: Recorder>(
     g: &BipartiteGraph,
     plan: &Plan,
@@ -777,14 +783,27 @@ pub fn run_plan<R: Recorder>(
         ExecMode::Flat => None,
     };
     // Global-order members ignore partition side and degree ordering —
-    // the global rank *is* their ordering heuristic.
+    // the global rank *is* their ordering heuristic — and run on
+    // rank-ordered ids: an input-ordered graph is relabelled into a
+    // transient copy first.
     let (acc, complete) = timed_span(rec, "count", |rec| match plan.member {
-        Member::Priority => Ok(run_priority(g, chunks, deadline, rec)),
-        Member::Ranked => Ok(run_ranked(g, chunks, deadline, rec)),
+        Member::Priority | Member::Ranked => {
+            let relabelled;
+            let g = if is_rank_ordered(g) {
+                g
+            } else {
+                relabelled = timed_span(rec, "rank_relabel", |_| rank_ordered(g));
+                &relabelled
+            };
+            Ok(match plan.member {
+                Member::Priority => run_priority(g, chunks, deadline, rec),
+                _ => run_ranked(g, chunks, deadline, rec),
+            })
+        }
         Member::Fixed(_) => {
             let side = plan.partition_side();
             let ordered;
-            let g_exec: &BipartiteGraph = if plan.degree_ordered {
+            let g_exec: &BipartiteGraph = if plan.degree_ordered && !degree_sorted(g, side) {
                 ordered = timed_span(rec, "degree_order", |_| {
                     relabel(g, side, &degree_descending(g, side))
                 });
@@ -1478,7 +1497,7 @@ mod tests {
         assert_eq!(seq.est_work_alt, best_fixed);
         assert_eq!(execute_plan(&g, &seq), want);
         let par = select_plan(&p, true, 4);
-        assert_eq!(par.member, Member::Ranked);
+        assert_eq!(par.member, Member::Priority);
         assert!(matches!(par.mode, ExecMode::Parallel { chunks: 4 }));
         assert_eq!(execute_plan(&g, &par), want);
         // The executor reports completion alongside the count.
@@ -1505,7 +1524,7 @@ mod tests {
     }
 
     #[test]
-    fn global_order_forecast_is_exact_for_both_members() {
+    fn global_order_forecast_is_exact_for_both_modes() {
         use bfly_telemetry::InMemoryRecorder;
         let g = skewed_standin();
         let mut rec = InMemoryRecorder::new();
@@ -1515,13 +1534,14 @@ mod tests {
         assert_eq!(rec.counter(Counter::WedgesExpanded), plan.forecast().total);
         let mut rec_par = InMemoryRecorder::new();
         let (_, plan_par) = count_adaptive_parallel_recorded(&g, &mut rec_par);
-        assert_eq!(plan_par.member, Member::Ranked);
+        assert_eq!(plan_par.member, Member::Priority);
+        assert!(matches!(plan_par.mode, ExecMode::Parallel { .. }));
         assert_eq!(
             rec_par.counter(Counter::WedgesExpanded),
             plan_par.forecast().total
         );
         assert_eq!(rec.gauge_value("plan.member"), Some(1.0));
-        assert_eq!(rec_par.gauge_value("plan.member"), Some(2.0));
+        assert_eq!(rec_par.gauge_value("plan.member"), Some(1.0));
     }
 
     #[test]

@@ -48,9 +48,7 @@ use bfly_telemetry::{NoopRecorder, Recorder};
 pub use engine::{PartFilter, Traversal};
 pub use literal::count_literal;
 pub use parallel::{balanced_chunk_bounds, tuned_chunk_count, wedge_weights, weight_p90};
-pub use priority::{
-    priority_start_weights, priority_wedge_work, priority_wedge_work_with, PriorityRanks,
-};
+pub use priority::priority_wedge_work;
 pub use ranked::RANKED_BUCKET_WEDGES;
 pub use sharded::{
     count_segmented, count_segmented_checkpointed_recorded, profile_and_plan_segmented_recorded,

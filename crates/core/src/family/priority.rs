@@ -12,6 +12,18 @@
 //! minimum-rank vertex, and high-degree hubs are never wedge-expanded
 //! from below.
 //!
+//! The kernel runs on a rank-ordered graph ([`is_rank_ordered`]): both
+//! sides numbered so ids rise with rank, as BFC-VP++ renumbers. There
+//! both rank tests are slice cuts. The centres that out-rank `u` are a
+//! suffix of its sorted row, from the first id past
+//! the other side's vertices ranked before `u` (`RankCuts`); and a far
+//! endpoint on `u`'s own side out-ranks `u` iff its id exceeds `u`. So
+//! start `u` is the fixed engine's look-ahead update over the suffix,
+//! `update_vertex(row(u)[cut..], other rows, (u + 1, u32::MAX))`, and the
+//! entries it scans are exactly the wedges it expands. `run_plan`
+//! relabels an input-ordered graph into a transient rank-ordered copy
+//! first; `bfly count` builds its graph rank-ordered.
+//!
 //! The exact work is known up front, which is what makes the adaptive
 //! cost model and the `--progress` forecast exact
 //! ([`priority_wedge_work`]): a wedge with centre `j` is expanded iff its
@@ -23,155 +35,104 @@
 //!
 //! wedges, where `g_j` is the number of neighbours of `j` that out-rank
 //! `j` (the `C(g_j, 2)` endpoint pairs that both out-rank the centre are
-//! the wedges nobody expands). One pass over the edges computes every
-//! `g_j`; the property suite pins the formula against the
-//! `wedges_expanded` counter and against the best fixed invariant.
+//! the wedges nobody expands). On a rank-ordered graph `g_j` is the
+//! length of `j`'s row past its cut; the property suite pins the formula
+//! against the `wedges_expanded` counter and against the best fixed
+//! invariant.
 
-use super::engine::{drain_pairs, record_update};
+use super::engine::{record_update, update_vertex};
 use super::parallel::{balanced_ranges, drive_chunks, run_inline, Kernel};
-use bfly_graph::ordering::global_degree_ranks;
+use bfly_graph::ordering::{global_degree_ranks, is_rank_ordered, rank_ordered};
 use bfly_graph::BipartiteGraph;
 use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
 use bfly_telemetry::{timed_span, Recorder};
 use std::time::Instant;
 
-/// The global priority order: `rank_v1[u]` / `rank_v2[v]` is the position
-/// of the vertex in the degree-descending total order over `V1 ∪ V2`
-/// (rank 0 = highest degree = highest priority; all ranks distinct).
-#[derive(Debug, Clone)]
-pub struct PriorityRanks {
-    /// Rank of every V1 vertex.
-    pub rank_v1: Vec<u32>,
-    /// Rank of every V2 vertex.
-    pub rank_v2: Vec<u32>,
+/// The global priority order of a rank-ordered graph, as one cut per
+/// vertex: the V2 vertices ranked before V1 vertex `u` are exactly ids
+/// `0..v1[u]`, and the V1 vertices ranked before V2 vertex `v` exactly
+/// `0..v2[v]`. A vertex's rank is its id plus its cut.
+pub(crate) struct RankCuts {
+    v1: Vec<u32>,
+    v2: Vec<u32>,
 }
 
-impl PriorityRanks {
-    /// Counting-sort both degree arrays into the total order
-    /// (`O(V + max degree)`).
-    pub fn compute(g: &BipartiteGraph) -> PriorityRanks {
-        let (rank_v1, rank_v2) = global_degree_ranks(g);
-        PriorityRanks { rank_v1, rank_v2 }
+impl RankCuts {
+    /// The cuts of rank-ordered `g`, from [`global_degree_ranks`] (one
+    /// counting sort over degrees).
+    pub(crate) fn compute(g: &BipartiteGraph) -> RankCuts {
+        debug_assert!(
+            is_rank_ordered(g),
+            "the priority order needs rank-ordered ids"
+        );
+        let (mut v1, mut v2) = global_degree_ranks(g);
+        for (u, r) in v1.iter_mut().enumerate() {
+            *r -= u as u32;
+        }
+        for (v, r) in v2.iter_mut().enumerate() {
+            *r -= v as u32;
+        }
+        RankCuts { v1, v2 }
+    }
+
+    /// Rank of start `s` of the combined index space (`s < nv1` is V1
+    /// vertex `s`, else V2 vertex `s − nv1`).
+    pub(crate) fn rank(&self, s: usize) -> usize {
+        match s.checked_sub(self.v1.len()) {
+            None => s + self.v1[s] as usize,
+            Some(v) => v + self.v2[v] as usize,
+        }
+    }
+
+    /// Start `s` seen from its own side: `(row, cut, other rows, id)`,
+    /// where `row[cut..]` are the centres that out-rank the start and the
+    /// far endpoints that out-rank it are the ids above `id` in each
+    /// centre's row of `other rows`.
+    #[inline]
+    pub(crate) fn start<'g>(
+        &self,
+        g: &'g BipartiteGraph,
+        s: usize,
+    ) -> (&'g [u32], usize, &'g Pattern, u32) {
+        let (rows, other, first, u) = match s.checked_sub(g.nv1()) {
+            None => (g.biadjacency(), g.biadjacency_t(), self.v1[s], s),
+            Some(v) => (g.biadjacency_t(), g.biadjacency(), self.v2[v], v),
+        };
+        let row = rows.row(u);
+        (row, row.partition_point(|&j| j < first), other, u as u32)
     }
 }
 
 /// Exact number of wedges the priority kernel expands on `g`: the
 /// closed form `Σ_j [C(deg(j), 2) − C(g_j, 2)]` over both sides, with
-/// `g_j` = neighbours of `j` out-ranking `j`. `O(E + V + max degree)`; equals
-/// the kernel's `wedges_expanded` counter on every graph, which is what
-/// lets [`Plan::forecast`](crate::adaptive::Plan::forecast) stay exact
-/// for the priority and ranked members.
+/// `g_j` = neighbours of `j` out-ranking `j`, the length of `j`'s row
+/// past its cut. `O(V log max degree + max degree)` on a rank-ordered
+/// graph; an input-ordered one is relabelled into a transient copy
+/// first. Equals the kernel's `wedges_expanded` counter on every graph,
+/// which is what lets [`Plan::forecast`](crate::adaptive::Plan::forecast)
+/// stay exact for the priority and ranked members.
 pub fn priority_wedge_work(g: &BipartiteGraph) -> u64 {
-    let ranks = PriorityRanks::compute(g);
-    priority_wedge_work_with(g, &ranks)
+    if !is_rank_ordered(g) {
+        return priority_wedge_work(&rank_ordered(g));
+    }
+    let cuts = RankCuts::compute(g);
+    (0..g.nv1() + g.nv2()).fold(0u64, |total, s| {
+        let (row, cut, _, _) = cuts.start(g, s);
+        let up = (row.len() - cut) as u64;
+        total.saturating_add(choose2(row.len() as u64) - choose2(up))
+    })
 }
 
-/// [`priority_wedge_work`] reusing already-computed ranks.
-pub fn priority_wedge_work_with(g: &BipartiteGraph, ranks: &PriorityRanks) -> u64 {
-    let a = g.biadjacency();
-    // g_j per vertex in one edge pass: ranks are a total order, so for
-    // every edge (u, v) exactly one endpoint out-ranks the other. A
-    // count never exceeds its vertex's degree, so `u32` holds it.
-    let mut up_v1 = vec![0u32; g.nv1()];
-    let mut up_v2 = vec![0u32; g.nv2()];
-    for u in 0..g.nv1() {
-        let ru = ranks.rank_v1[u];
-        for &v in a.row(u) {
-            if ranks.rank_v2[v as usize] > ru {
-                up_v1[u] += 1;
-            } else {
-                up_v2[v as usize] += 1;
-            }
-        }
-    }
-    let mut total = 0u64;
-    for u in 0..g.nv1() {
-        total = total.saturating_add(choose2(g.deg_v1(u) as u64) - choose2(up_v1[u].into()));
-    }
-    for v in 0..g.nv2() {
-        total = total.saturating_add(choose2(g.deg_v2(v) as u64) - choose2(up_v2[v].into()));
-    }
-    total
-}
-
-/// Start `s` of the combined index space (`s < nv1` is V1 vertex `s`,
-/// else V2 vertex `s − nv1`) seen from its own side:
-/// `(start rows, centre rows, start-side ranks, centre-side ranks, id)`.
-#[inline]
-fn oriented<'g>(
-    g: &'g BipartiteGraph,
-    ranks: &'g PriorityRanks,
-    s: usize,
-) -> (&'g Pattern, &'g Pattern, &'g [u32], &'g [u32], usize) {
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
-    if s < g.nv1() {
-        (a, at, &ranks.rank_v1, &ranks.rank_v2, s)
-    } else {
-        (at, a, &ranks.rank_v2, &ranks.rank_v1, s - g.nv1())
-    }
-}
-
-/// One start's entry of [`priority_start_weights`] (combined index `s`),
-/// for callers that visit the starts in another order.
-pub(crate) fn priority_start_weight(g: &BipartiteGraph, ranks: &PriorityRanks, s: usize) -> u64 {
-    let (adj_start, adj_mid, rank_start, rank_mid, u) = oriented(g, ranks, s);
-    let ru = rank_start[u];
-    adj_start
-        .row(u)
+/// Cheap upper bound on the wedges start `s` expands —
+/// `Σ_{centres j} (deg(j) − 1)`, skipping the far-endpoint cut — used to
+/// place work-balanced chunk and bucket boundaries over the starts.
+/// Proportional enough to balance; exactness is not required.
+pub(crate) fn priority_start_weight(g: &BipartiteGraph, cuts: &RankCuts, s: usize) -> u64 {
+    let (row, cut, other, _) = cuts.start(g, s);
+    row[cut..]
         .iter()
-        .filter(|&&j| rank_mid[j as usize] > ru)
-        .map(|&j| (adj_mid.row(j as usize).len() as u64).saturating_sub(1))
+        .map(|&j| (other.row_nnz(j as usize) as u64).saturating_sub(1))
         .sum()
-}
-
-/// Cheap per-start upper bound on the wedges each start vertex expands —
-/// `Σ_{j ∈ N(s), rank(j) > rank(s)} (deg(j) − 1)` — used to place
-/// work-balanced chunk boundaries over the combined start space
-/// (`0..nv1` = V1 starts, `nv1..nv1+nv2` = V2 starts). An upper bound
-/// (it skips the far-endpoint rank filter) but proportional enough to
-/// balance chunks; exactness is not required for correctness.
-pub fn priority_start_weights(g: &BipartiteGraph, ranks: &PriorityRanks) -> Vec<u64> {
-    (0..g.nv1() + g.nv2())
-        .map(|s| priority_start_weight(g, ranks, s))
-        .collect()
-}
-
-/// Visit the priority wedges of start `s` (combined index: `s < nv1` is
-/// V1 vertex `s`, else V2 vertex `s − nv1`): calls `f(w)` for every
-/// wedge `u – j – w` whose strict minimum-rank vertex is the start `u`,
-/// with the far endpoint `w` as an id on its own side. The one wedge enumeration
-/// behind the count and the ranked batches.
-#[inline]
-pub(crate) fn for_each_wedge(
-    g: &BipartiteGraph,
-    ranks: &PriorityRanks,
-    s: usize,
-    mut f: impl FnMut(u32),
-) {
-    let (adj_start, adj_mid, rank_start, rank_mid, u) = oriented(g, ranks, s);
-    let ru = rank_start[u];
-    for &j in adj_start.row(u) {
-        if rank_mid[j as usize] <= ru {
-            continue;
-        }
-        for &w in adj_mid.row(j as usize) {
-            if w as usize != u && rank_start[w as usize] > ru {
-                f(w);
-            }
-        }
-    }
-}
-
-/// Scatter the priority wedges of start `s` into `spa` by far endpoint —
-/// the only place the priority member scatters. Returns the wedges.
-#[inline]
-fn scatter_start(g: &BipartiteGraph, ranks: &PriorityRanks, s: usize, spa: &mut Spa<u64>) -> u64 {
-    let mut wedges = 0u64;
-    for_each_wedge(g, ranks, s, |w| {
-        wedges += 1;
-        spa.scatter(w, 1);
-    });
-    wedges
 }
 
 /// The priority member's kernel: item `s` expands start `s` of the
@@ -180,7 +141,7 @@ fn scatter_start(g: &BipartiteGraph, ranks: &PriorityRanks, s: usize, spa: &mut 
 /// `spa_scatters`, `accum_entries`, `vertex_wedges`).
 struct PriorityKernel<'g> {
     g: &'g BipartiteGraph,
-    ranks: &'g PriorityRanks,
+    cuts: &'g RankCuts,
 }
 
 impl Kernel for PriorityKernel<'_> {
@@ -198,18 +159,20 @@ impl Kernel for PriorityKernel<'_> {
         acc: &mut CheckedAccum,
         rec: &mut R,
     ) -> u64 {
-        let wedges = scatter_start(self.g, self.ranks, s, spa);
-        record_update(rec, wedges, drain_pairs(spa, acc));
+        let (row, cut, mut other, u) = self.cuts.start(self.g, s);
+        let Ok((wedges, touched)) =
+            update_vertex(&row[cut..], &mut other, (u + 1, u32::MAX), spa, acc);
+        record_update(rec, wedges, touched);
         wedges
     }
 }
 
 /// The priority member ([`Member::Priority`](crate::adaptive::Member)
-/// in a plan), overflow-checked, polling `deadline` every
-/// [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) starts. The rank
-/// sort records as a `priority_rank` span. `chunks = None` runs the
+/// in a plan) on rank-ordered `g`, overflow-checked, polling `deadline`
+/// every [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) starts. The
+/// cuts record as a `priority_rank` span. `chunks = None` runs the
 /// starts in order; `Some(n)` runs `n` contiguous ranges balanced by
-/// [`priority_start_weights`] through the chunk driver. Returns the
+/// [`priority_start_weight`] through the chunk driver. Returns the
 /// exact total (over the processed starts when cut) and whether every
 /// start ran.
 pub(crate) fn run_priority<R: Recorder>(
@@ -218,18 +181,16 @@ pub(crate) fn run_priority<R: Recorder>(
     deadline: Option<Instant>,
     rec: &mut R,
 ) -> (CheckedAccum, bool) {
-    let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let kernel = PriorityKernel { g, ranks: &ranks };
+    let cuts = timed_span(rec, "priority_rank", |_| RankCuts::compute(g));
+    let kernel = PriorityKernel { g, cuts: &cuts };
+    let nstarts = g.nv1() + g.nv2();
     match chunks {
-        None => run_inline(
-            &kernel,
-            std::iter::once(0..g.nv1() + g.nv2()),
-            deadline,
-            rec,
-        ),
+        None => run_inline(&kernel, std::iter::once(0..nstarts), deadline, rec),
         Some(n) => {
-            let ranges = balanced_ranges(&priority_start_weights(g, &ranks), n.max(1));
-            drive_chunks(&kernel, ranges, deadline, rec)
+            let weights: Vec<u64> = (0..nstarts)
+                .map(|s| priority_start_weight(g, &cuts, s))
+                .collect();
+            drive_chunks(&kernel, balanced_ranges(&weights, n.max(1)), deadline, rec)
         }
     }
 }
@@ -338,6 +299,51 @@ mod tests {
                 "trial {trial}: priority {got} ≥ best fixed {best_fixed}"
             );
         }
+    }
+
+    #[test]
+    fn input_order_and_rank_order_run_the_same_kernel() {
+        use bfly_graph::ordering::rank_ordered_from_edges;
+        let mut graphs = sample_graphs();
+        // Isolated vertices on both sides, and an edgeless side.
+        graphs.push(BipartiteGraph::from_edges(6, 7, &[(5, 0), (5, 6), (2, 6), (2, 0)]).unwrap());
+        graphs.push(BipartiteGraph::empty(0, 4));
+        let counters = [
+            Counter::WedgesExpanded,
+            Counter::SpaScatters,
+            Counter::AccumEntries,
+            Counter::VerticesExposed,
+        ];
+        let mut reordered = 0;
+        for g in &graphs {
+            let built = rank_ordered_from_edges(g.nv1(), g.nv2(), g.edges().collect()).unwrap();
+            reordered += usize::from(!is_rank_ordered(g));
+            for member in [Member::Priority, Member::Ranked] {
+                for mode in [
+                    ExecMode::Flat,
+                    ExecMode::Parallel { chunks: 2 },
+                    ExecMode::Parallel { chunks: 4 },
+                ] {
+                    let run = |h: &BipartiteGraph| {
+                        let mut rec = InMemoryRecorder::new();
+                        let xi = run_forced(h, member, mode, &mut rec);
+                        let spans = |name| rec.spans().iter().filter(|s| s.name == name).count();
+                        let work = counters.map(|c| rec.counter(c));
+                        (xi, work, spans("rank_relabel"), spans("priority_rank"))
+                    };
+                    let (xi, work, relabels, ranks) = run(g);
+                    let (xi_built, work_built, relabels_built, ranks_built) = run(&built);
+                    let what = format!("{member:?} {mode:?} on {} x {}", g.nv1(), g.nv2());
+                    assert_eq!(xi, count_brute_force(g), "{what}");
+                    assert_eq!(xi_built, xi, "{what}");
+                    assert_eq!(work_built, work, "{what}");
+                    assert_eq!(relabels, usize::from(!is_rank_ordered(g)), "{what}");
+                    assert_eq!(relabels_built, 0, "{what}");
+                    assert_eq!((ranks, ranks_built), (1, 1), "{what}");
+                }
+            }
+        }
+        assert!(reordered >= 3, "the sample barely needs relabelling");
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! and it trades the priority kernel's per-start cache churn for
 //! streaming writes into a batch that fits in L2.
 //!
+//! Like the priority kernel it runs on a rank-ordered graph, where
+//! materialising start `u` copies, for each centre past `u`'s cut
+//! (`RankCuts`), that centre's row from the first id above `u`: the
+//! same slices the priority member scatters, whole.
+//!
 //! Counters: `wedges_expanded` advances during materialisation and
 //! `spa_scatters` during replay; both total exactly
 //! [`priority_wedge_work`](super::priority::priority_wedge_work), so the
@@ -24,7 +29,7 @@
 
 use super::engine::drain_pairs;
 use super::parallel::{balanced_chunk_bounds, drive_chunks, run_inline, Kernel};
-use super::priority::{for_each_wedge, priority_start_weight, PriorityRanks};
+use super::priority::{priority_start_weight, RankCuts};
 use bfly_graph::BipartiteGraph;
 use bfly_sparse::{CheckedAccum, Spa};
 use bfly_telemetry::{timed_span, Counter, Recorder};
@@ -41,14 +46,10 @@ pub const RANKED_BUCKET_WEDGES: u64 = 1 << 14;
 /// aggregation), as combined indices (`s < nv1` → V1 vertex `s`, else V2
 /// vertex `s − nv1`). Ranks are `u32` over every vertex, so the combined
 /// indices are too.
-fn starts_by_rank(g: &BipartiteGraph, ranks: &PriorityRanks) -> Vec<u32> {
-    let nstarts = g.nv1() + g.nv2();
+fn starts_by_rank(cuts: &RankCuts, nstarts: usize) -> Vec<u32> {
     let mut order = vec![0u32; nstarts];
-    for (u, &r) in ranks.rank_v1.iter().enumerate() {
-        order[r as usize] = u as u32;
-    }
-    for (v, &r) in ranks.rank_v2.iter().enumerate() {
-        order[r as usize] = (g.nv1() + v) as u32;
+    for s in 0..nstarts {
+        order[cuts.rank(s)] = s as u32;
     }
     order
 }
@@ -81,7 +82,7 @@ struct RankedScratch {
 /// segment by segment (`spa_scatters`, `accum_entries`).
 struct RankedKernel<'g> {
     g: &'g BipartiteGraph,
-    ranks: &'g PriorityRanks,
+    cuts: &'g RankCuts,
     order: Vec<u32>,
 }
 
@@ -105,9 +106,13 @@ impl Kernel for RankedKernel<'_> {
         rec: &mut R,
     ) -> u64 {
         let before = scratch.batch.len();
-        for_each_wedge(self.g, self.ranks, self.order[i] as usize, |w| {
-            scratch.batch.push(w)
-        });
+        let (row, cut, other, u) = self.cuts.start(self.g, self.order[i] as usize);
+        for &j in &row[cut..] {
+            let far = other.row(j as usize);
+            scratch
+                .batch
+                .extend_from_slice(&far[far.partition_point(|&w| w <= u)..]);
+        }
         scratch.segs.push(scratch.batch.len());
         let wedges = (scratch.batch.len() - before) as u64;
         if R::ENABLED {
@@ -149,7 +154,7 @@ fn replay_segment<R: Recorder>(
 }
 
 /// The ranked member ([`Member::Ranked`](crate::adaptive::Member) in a
-/// plan), overflow-checked. Ranks record as a
+/// plan) on rank-ordered `g`, overflow-checked. The cuts record as a
 /// `priority_rank` span and the bucket count as the `ranked_buckets`
 /// gauge. `chunks = None` processes the buckets in rank order;
 /// `Some(n)` makes at least `n` buckets and runs them as chunks through
@@ -163,13 +168,13 @@ pub(crate) fn run_ranked<R: Recorder>(
     deadline: Option<Instant>,
     rec: &mut R,
 ) -> (CheckedAccum, bool) {
-    let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let order = starts_by_rank(g, &ranks);
+    let cuts = timed_span(rec, "priority_rank", |_| RankCuts::compute(g));
+    let order = starts_by_rank(&cuts, g.nv1() + g.nv2());
     // The weights live only until the bucket bounds are placed.
     let bounds = {
         let weights: Vec<u64> = order
             .iter()
-            .map(|&s| priority_start_weight(g, &ranks, s as usize))
+            .map(|&s| priority_start_weight(g, &cuts, s as usize))
             .collect();
         bucket_bounds(&weights, chunks.unwrap_or(1).max(1))
     };
@@ -182,7 +187,7 @@ pub(crate) fn run_ranked<R: Recorder>(
         .filter(|b| !b.is_empty());
     let kernel = RankedKernel {
         g,
-        ranks: &ranks,
+        cuts: &cuts,
         order,
     };
     match chunks {

@@ -10,6 +10,8 @@
 
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::{choose2, CheckedAccum, CsrMatrix, Spa};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Symmetric per-pair butterfly counts on one side of the bipartition.
 #[derive(Debug, Clone)]
@@ -98,21 +100,30 @@ impl PairMatrix {
         })
     }
 
-    /// The `k` heaviest pairs `(i, j, butterflies)` with `i < j`, sorted
-    /// descending.
+    /// The `k` heaviest pairs `(i, j, butterflies)` with `i < j`, by
+    /// count descending, then `i`, then `j`. The scan keeps at most `k`
+    /// candidates in a heap whose top is the one to evict next.
     pub fn top_pairs(&self, k: usize) -> Vec<(u32, u32, u64)> {
-        let mut pairs = Vec::new();
+        let mut heap = BinaryHeap::new();
         for i in 0..self.c.nrows() {
             let (cols, vals) = self.c.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
-                if (i as u32) < j {
-                    pairs.push((i as u32, j, v));
+                if (i as u32) >= j {
+                    continue;
+                }
+                let key = (Reverse(v), i as u32, j);
+                if heap.len() < k {
+                    heap.push(key);
+                } else if heap.peek().is_some_and(|top| key < *top) {
+                    heap.pop();
+                    heap.push(key);
                 }
             }
         }
-        pairs.sort_by_key(|&(i, j, v)| (std::cmp::Reverse(v), i, j));
-        pairs.truncate(k);
-        pairs
+        heap.into_sorted_vec()
+            .into_iter()
+            .map(|(Reverse(v), i, j)| (i, j, v))
+            .collect()
     }
 
     /// Number of stored (ordered) pairs.

@@ -155,6 +155,14 @@ impl BipartiteGraph {
         self.a.iter_entries()
     }
 
+    /// The edge list in row-major order, consuming the graph: `Aᵀ` is
+    /// freed first, so the list is only ever resident beside `A`.
+    pub fn into_edges(self) -> Vec<(u32, u32)> {
+        let BipartiteGraph { a, at } = self;
+        drop(at);
+        a.iter_entries().collect()
+    }
+
     /// The graph with the two vertex sets swapped (`A ↦ Aᵀ`). Butterfly
     /// counts are invariant under this; the eight invariants' *costs* are
     /// not — which is exactly the paper's partition-size finding.

@@ -31,6 +31,7 @@
 //! every error exactly as the fast path would where both apply.
 
 use crate::bipartite::BipartiteGraph;
+use crate::ordering::rank_ordered_from_edges;
 use bfly_sparse::Pattern;
 use std::io::{ErrorKind, Read, Write};
 use std::path::Path;
@@ -515,15 +516,38 @@ fn stream_matrix_market<R: Read>(
 /// not a silently misshapen graph. The edge list is freed once `A` is
 /// built, before the transpose, so it is never resident beside `Aᵀ`.
 pub fn read_text<R: Read>(reader: R, format: TextFormat) -> Result<BipartiteGraph, IoError> {
+    let (info, edges) = parse_edges(reader, format)?;
+    let a = Pattern::from_edges(info.nv1, info.nv2, &edges).expect(IN_RANGE);
+    drop(edges);
+    Ok(BipartiteGraph::from_biadjacency(a))
+}
+
+/// [`read_text`] into the rank-ordered graph: the parsed edge list is
+/// renumbered in place before the one CSR build
+/// ([`rank_ordered_from_edges`]), so the file's labelling never becomes
+/// a graph of its own. `bfly count` loads text this way.
+pub fn read_text_rank_ordered<R: Read>(
+    reader: R,
+    format: TextFormat,
+) -> Result<BipartiteGraph, IoError> {
+    let (info, edges) = parse_edges(reader, format)?;
+    Ok(rank_ordered_from_edges(info.nv1, info.nv2, edges).expect(IN_RANGE))
+}
+
+const IN_RANGE: &str = "the parser keeps every edge inside the dimensions it reports";
+
+/// The edges of a text graph as parsed, duplicates kept, with what the
+/// parse saw (the dimensions the graph takes).
+fn parse_edges<R: Read>(
+    reader: R,
+    format: TextFormat,
+) -> Result<(StreamInfo, Vec<(u32, u32)>), IoError> {
     let mut edges = Vec::new();
     let info = stream_edges(reader, format, |u, v| {
         edges.push((u, v));
         Ok(())
     })?;
-    let a = Pattern::from_edges(info.nv1, info.nv2, &edges)
-        .expect("the parser keeps every edge inside the dimensions it reports");
-    drop(edges);
-    Ok(BipartiteGraph::from_biadjacency(a))
+    Ok((info, edges))
 }
 
 /// Load a text graph in any [`TextFormat`] from disk.

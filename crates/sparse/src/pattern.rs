@@ -57,27 +57,27 @@ impl Pattern {
                 });
             }
         }
-        // Counting sort by row, then per-row sort + dedup.
-        let mut counts = vec![0usize; nrows + 1];
+        // Counting sort by row, then per-row sort + dedup, all through one
+        // row-offset array: `ptr[r]` starts as row r's start, is its fill
+        // cursor (ending at its end), and finally its compacted start.
+        let mut ptr = vec![0usize; nrows + 1];
         for &(r, _) in edges {
-            counts[r as usize + 1] += 1;
+            ptr[r as usize + 1] += 1;
         }
         for i in 0..nrows {
-            counts[i + 1] += counts[i];
+            ptr[i + 1] += ptr[i];
         }
         let mut idx = vec![0u32; edges.len()];
-        let mut cursor = counts.clone();
         for &(r, c) in edges {
-            let p = &mut cursor[r as usize];
+            let p = &mut ptr[r as usize];
             idx[*p] = c;
             *p += 1;
         }
         // Sort and dedup each row in place, compacting leftwards as we go
         // (the write cursor never overtakes the read cursor).
-        let mut ptr = vec![0usize; nrows + 1];
-        let mut write = 0usize;
+        let (mut start, mut write) = (0usize, 0usize);
         for r in 0..nrows {
-            let (start, end) = (counts[r], counts[r + 1]);
+            let end = ptr[r];
             idx[start..end].sort_unstable();
             let mut prev: Option<u32> = None;
             ptr[r] = write;
@@ -89,6 +89,7 @@ impl Pattern {
                     prev = Some(c);
                 }
             }
+            start = end;
         }
         ptr[nrows] = write;
         idx.truncate(write);

@@ -115,7 +115,7 @@ fn progress_fraction_reaches_exactly_one_for_global_order_kernels() {
 
     let g = skewed_graph(160, 120, 1600, 1.0, 42);
     let p = GraphProfile::compute(&g);
-    for (parallel, want_member) in [(false, Member::Priority), (true, Member::Ranked)] {
+    for (parallel, want_member) in [(false, Member::Priority), (true, Member::Priority)] {
         let plan = select_plan(&p, parallel, 4);
         assert_eq!(plan.member, want_member, "stand-in must select the kernel");
         let forecast = plan.forecast();
