@@ -3,8 +3,8 @@
 //! below the resident graph — all against the in-memory adaptive count,
 //! which every configuration must reproduce exactly.
 //!
-//! Emits `BENCH_outofcore.json` (one [`RunReport`] per configuration)
-//! via [`write_bench_report`] for the perf-history tooling.
+//! Emits `BENCH_outofcore.json`, a JSON array of one [`RunReport`] per
+//! configuration, via [`write_bench_report`].
 //!
 //! [`RunReport`]: bfly_core::telemetry::RunReport
 

@@ -1,30 +1,6 @@
-//! Implementation of the `bfly` command-line tool.
-//!
-//! Subcommands:
-//!
-//! ```text
-//! bfly stats    <file> [--format konect|edgelist|mtx]
-//! bfly count    <file> [--algorithm auto|adaptive|inv1..inv8|spgemm|hash|vp|enum|priority|ranked]
-//!                      [--member priority|ranked]
-//!                      [--adaptive] [--explain] [--parallel] [--threads N]
-//! bfly tip      <file> --k K [--side v1|v2]
-//! bfly wing     <file> --k K
-//! bfly tip-numbers <file> [--side v1|v2] [--top N]
-//! bfly enumerate   <file> [--limit N]
-//! bfly generate --kind uniform|chunglu|standin --m M --n N --edges E
-//!               [--exp1 X --exp2 Y] [--name <standin>] [--scale S]
-//!               [--seed S] --out FILE
-//! bfly metrics     <file>
-//! bfly pairs       <file> [--side v1|v2] [--top N]
-//! bfly components  <file>
-//! bfly core        <file> --k K --l L
-//! bfly convert     <file> --out FILE
-//! bfly report show    RUN.json
-//! bfly report diff    BASE.json NEW.json [--threshold PCT] [--hist]
-//! bfly report flame   RUN.json -o FILE
-//! bfly report export  RUN.json [--format openmetrics] [-o FILE]
-//! bfly report history DIR... [--out FILE] [--gate] [--threshold PCT]
-//! ```
+//! Implementation of the `bfly` command-line tool: [`parse`] turns an
+//! argv into a [`Command`] and [`run`] executes it. [`USAGE`] (what
+//! `bfly help` prints) lists every subcommand and flag.
 //!
 //! The file format is inferred from content/extension and can be forced
 //! with `--format`. By default (`--algorithm auto`) a count runs the
@@ -42,9 +18,9 @@ use bfly_core::peel::{
     wing_numbers_budgeted_recorded,
 };
 use bfly_core::telemetry::{
-    diff_reports, install_panic_hook, timed_span, to_openmetrics, Counter, FlightRecorder, History,
-    InMemoryRecorder, Json, LiveBoard, Monitor, MonitorConfig, NdjsonSink, NoopRecorder, Recorder,
-    ReportError, RunReport, WorkForecast, DEFAULT_FLIGHT_CAPACITY,
+    diff_reports, install_panic_hook, timed_span, Counter, FlightRecorder, InMemoryRecorder, Json,
+    LiveBoard, Monitor, MonitorConfig, NdjsonSink, NoopRecorder, Recorder, ReportError, RunReport,
+    WorkForecast, DEFAULT_FLIGHT_CAPACITY,
 };
 use bfly_core::{
     count_by_enumeration, count_via_spgemm, enumerate_butterflies,
@@ -57,6 +33,7 @@ use bfly_graph::{
     convert_to_bfly, is_bfly_file, read_bfly_file, write_bfly_file, BipartiteGraph, GraphStats,
     SegmentedGraph, Side, StandIn,
 };
+use std::cell::RefCell;
 use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
@@ -226,15 +203,12 @@ pub enum Command {
 }
 
 /// The telemetry flags `count`, `tip` and `wing` share. With none given
-/// the command runs against [`NoopRecorder`].
+/// the command runs against [`NoopRecorder`]. The run's one final output
+/// is its `--report`; `bfly report` renders it (`show`, `trace`, `flame`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryFlags {
-    /// `--stats`: print the report table after the run.
-    pub stats: bool,
     /// `--report FILE`: write a machine-readable [`RunReport`].
     pub report: Option<String>,
-    /// `--trace FILE`: write a Chrome Trace Event JSON file.
-    pub trace: Option<String>,
     /// `--stream FILE|-`: stream NDJSON telemetry events live; `-`
     /// streams to stdout (human output moves to stderr).
     pub stream: Option<String>,
@@ -251,9 +225,7 @@ impl TelemetryFlags {
     fn parse(args: &Args) -> Self {
         let path = |name: &str| args.flag(name).map(str::to_string);
         TelemetryFlags {
-            stats: args.has("stats"),
             report: path("report"),
-            trace: path("trace"),
             stream: path("stream"),
             progress: args.has("progress"),
             flight_recorder: path("flight-recorder"),
@@ -299,26 +271,13 @@ pub enum ReportAction {
         /// Output HTML path.
         out: String,
     },
-    /// Convert a report to a scrape format
-    /// (`bfly report export RUN.json [--format openmetrics] [-o FILE]`).
-    Export {
+    /// Write the span timeline as Chrome Trace Event JSON, one track per
+    /// worker (`bfly report trace RUN.json -o FILE`).
+    Trace {
         /// Report path.
         file: String,
-        /// Output path; stdout when absent.
-        out: Option<String>,
-    },
-    /// Fold per-run reports into a cross-run history with trend lines
-    /// (`bfly report history DIR... [--out FILE] [--gate] [--threshold PCT]`).
-    History {
-        /// Directories to scan for `*.json` run reports.
-        dirs: Vec<String>,
-        /// History output path (default: `<first dir>/history.json`).
-        out: Option<String>,
-        /// `--gate`: exit nonzero when the newest run of any series
-        /// regressed a counter past the threshold vs its predecessor.
-        gate: bool,
-        /// Maximum tolerated counter growth for `--gate`, in percent.
-        threshold: f64,
+        /// Output JSON path.
+        out: String,
     },
 }
 
@@ -562,22 +521,19 @@ USAGE:
                           [--max-bytes B] [--max-work W] [--deadline-ms MS]
                           [--shards N] [--shard-bytes B]
                           [--checkpoint DIR] [--resume]
-                          [--format ...]
-                          [--stats] [--report FILE] [--trace FILE]
-                          [--stream FILE|-] [--progress] [--flight-recorder FILE]
+                          [--format ...] [--report FILE] [--stream FILE|-]
+                          [--progress] [--flight-recorder FILE]
   bfly tip         <file> (--k K | --decompose) [--side v1|v2] [--threads N]
-                          [--format ...]
-                          [--stats] [--report FILE] [--trace FILE]
-                          [--stream FILE|-] [--progress] [--flight-recorder FILE]
+                          [--format ...] [--report FILE] [--stream FILE|-]
+                          [--progress] [--flight-recorder FILE]
   bfly wing        <file> (--k K | --decompose) [--threads N]
-                          [--format ...]
-                          [--stats] [--report FILE] [--trace FILE]
-                          [--stream FILE|-] [--progress] [--flight-recorder FILE]
+                          [--format ...] [--report FILE] [--stream FILE|-]
+                          [--progress] [--flight-recorder FILE]
   bfly tip-numbers <file> [--side v1|v2] [--top N] [--format ...]
   bfly enumerate   <file> [--limit N] [--format ...]
   bfly generate    --kind uniform|chunglu|standin --out FILE
-                   [--m M --n N --edges E] [--exp1 X --exp2 Y]
-                   [--name NAME --scale S] [--seed S]
+                   uniform, chunglu: [--m M --n N --edges E --seed S]
+                   chunglu: [--exp1 X --exp2 Y]; standin: --name NAME [--scale S]
   bfly metrics     <file> [--format ...]
   bfly pairs       <file> [--side v1|v2] [--top N] [--format ...]
   bfly components  <file> [--format ...]
@@ -588,8 +544,7 @@ USAGE:
                       [--hist] [--hist-tolerance PCT]
                       [--gauges] [--gauge-tolerance PCT]
   bfly report flame   RUN.json -o FILE
-  bfly report export  RUN.json [--format openmetrics] [-o FILE]
-  bfly report history DIR... [--out FILE] [--gate] [--threshold PCT]
+  bfly report trace   RUN.json -o FILE
   bfly help
 
 Budget flags route `count` through the adaptive planner, degrading the
@@ -610,6 +565,13 @@ merges their saved partials bitwise-exactly. A fingerprint mismatch
 sharded tier (`.bfly` input with --shards / --shard-bytes /
 --max-bytes).
 
+--report FILE writes the run's report: counters, gauges, spans and
+histograms as JSON. `bfly report` renders a saved report: `show` prints
+its table, `trace` writes Chrome Trace Event JSON (chrome://tracing,
+Perfetto) with one track per worker, `flame` a self-contained HTML
+flame view, and `diff` compares two reports, failing (exit 1) when a
+counter drifts past the threshold.
+
 --stream emits one NDJSON telemetry event per line as the run
 progresses (flushed per line); `--stream -` uses stdout and moves the
 human summary to stderr. --progress renders a live progress/ETA line
@@ -618,69 +580,79 @@ warning when no work counter advances; the run is never killed);
 --flight-recorder FILE keeps a ring of recent events and dumps it with
 a final metrics snapshot on panic or deadline truncation. Monitor
 knobs: BFLY_MONITOR_INTERVAL_MS (default 200) and BFLY_STALL_INTERVALS
-(default 5). `report history` folds every run report found
-in DIR into a schema-versioned history.json with per-series trend
-lines; --gate fails (exit 1) when the newest run regressed a counter
-past the threshold against its predecessor.
+(default 5).
 
+A flag the subcommand does not take is a usage error (exit 2).
 Global: --json-errors replaces the human stderr message with one
 machine-readable JSON line {\"class\", \"exit_code\", \"message\"}.
 
 Exit codes: 0 ok, 1 runtime, 2 usage, 3 parse, 4 budget, 5 overflow.
 ";
 
+/// A subcommand's argv: positionals and `--name [value]` flags. The
+/// parser records every flag name it asks for, so [`Args::finish`] can
+/// refuse the flags it never reads.
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
+    asked: RefCell<Vec<String>>,
+    /// The first missing flag value or positional, reported after the
+    /// unknown-flag check: a stray flag that took the next token as its
+    /// value is the likelier fault.
+    missing: RefCell<Option<String>>,
 }
 
-fn split_args(args: &[String]) -> Result<Args, CliError> {
-    let mut positional = Vec::new();
-    let mut flags = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            // Boolean flags take no value; everything else consumes one.
-            if matches!(
-                name,
-                "parallel"
-                    | "help"
-                    | "stats"
-                    | "adaptive"
-                    | "explain"
-                    | "decompose"
-                    | "json-errors"
-                    | "hist"
-                    | "gate"
-                    | "progress"
-                    | "gauges"
-                    | "resume"
-            ) {
-                flags.push((name.to_string(), None));
-            } else {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err(format!("flag --{name} needs a value")))?;
-                flags.push((name.to_string(), Some(v.clone())));
+fn split_args(args: &[String]) -> Args {
+    let mut a = Args {
+        positional: Vec::new(),
+        flags: Vec::new(),
+        asked: RefCell::default(),
+        missing: RefCell::default(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let name = match arg.strip_prefix("--") {
+            // The binary handles --json-errors before parsing.
+            Some("json-errors") => continue,
+            Some(name) => name,
+            None if arg == "-o" => "out",
+            None => {
+                a.positional.push(arg.clone());
+                continue;
             }
-        } else if a == "-o" {
-            let v = it.next().ok_or_else(|| err("flag -o needs a value"))?;
-            flags.push(("out".to_string(), Some(v.clone())));
-        } else {
-            positional.push(a.clone());
+        };
+        // Boolean flags take no value; everything else consumes one.
+        let boolean = matches!(
+            name,
+            "parallel"
+                | "help"
+                | "adaptive"
+                | "explain"
+                | "decompose"
+                | "hist"
+                | "progress"
+                | "gauges"
+                | "resume"
+        );
+        let value = if boolean { None } else { it.next().cloned() };
+        if !boolean && value.is_none() {
+            a.miss(format!("flag {arg} needs a value"));
         }
+        a.flags.push((name.to_string(), value));
     }
-    Ok(Args { positional, flags })
+    a
 }
 
 impl Args {
     fn flag(&self, name: &str) -> Option<&str> {
+        self.asked.borrow_mut().push(name.to_string());
         self.flags
             .iter()
             .find(|(n, _)| n == name)
             .and_then(|(_, v)| v.as_deref())
     }
     fn has(&self, name: &str) -> bool {
+        self.asked.borrow_mut().push(name.to_string());
         self.flags.iter().any(|(n, _)| n == name)
     }
     fn parse_flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
@@ -689,6 +661,32 @@ impl Args {
             Some(v) => v
                 .parse()
                 .map_err(|_| err(format!("bad value for --{name}: {v:?}"))),
+        }
+    }
+    /// The `i`th positional; when absent, `""`, with `missing` kept for
+    /// [`Args::finish`].
+    fn pos(&self, i: usize, missing: &str) -> String {
+        self.positional.get(i).cloned().unwrap_or_else(|| {
+            self.miss(missing.to_string());
+            String::new()
+        })
+    }
+    fn miss(&self, msg: String) {
+        self.missing.borrow_mut().get_or_insert(msg);
+    }
+    /// Settle a parsed subcommand. The parse asked for every flag it
+    /// reads, so any other flag fails it, by name; then a missing value
+    /// or positional does.
+    fn finish(&self, sub: &str, cmd: Command) -> Result<Command, CliError> {
+        let asked = self.asked.borrow();
+        if let Some((name, _)) = self.flags.iter().find(|(n, _)| !asked.contains(n)) {
+            return Err(err(format!(
+                "unknown flag --{name} for `bfly {sub}` (see `bfly help`)"
+            )));
+        }
+        match self.missing.take() {
+            Some(msg) => Err(err(msg)),
+            None => Ok(cmd),
         }
     }
 }
@@ -744,31 +742,20 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
 }
 
 fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
-    if argv.is_empty() {
+    let Some(sub) = argv.first().map(String::as_str) else {
         return Ok(Command::Help);
-    }
-    let sub = argv[0].as_str();
-    let rest = split_args(&argv[1..])?;
+    };
+    let rest = split_args(&argv[1..]);
     if rest.has("help") {
         return Ok(Command::Help);
     }
-    // `report export` reuses --format for the *output* format, so the
-    // graph-format parse must not see it.
-    let format = match rest.flag("format") {
-        Some(f) if sub != "report" => Some(parse_format(f)?),
-        _ => None,
-    };
-    let file = || -> Result<String, CliError> {
-        rest.positional
-            .first()
-            .cloned()
-            .ok_or_else(|| err("missing <file> argument"))
-    };
-    match sub {
-        "help" | "--help" | "-h" => Ok(Command::Help),
+    let format = || rest.flag("format").map(parse_format).transpose();
+    let file = || rest.pos(0, "missing <file> argument");
+    let cmd = match sub {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
         "stats" => Ok(Command::Stats {
-            file: file()?,
-            format,
+            file: file(),
+            format: format()?,
         }),
         "count" => {
             let opt_u64 = |name: &str| -> Result<Option<u64>, CliError> {
@@ -792,13 +779,11 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
                 s => s,
             };
             let budgeted = max_bytes.is_some() || max_work.is_some() || deadline_ms.is_some();
-            let algorithm = if rest.has("adaptive") {
-                Algorithm::Adaptive
-            } else {
-                match rest.flag("algorithm") {
-                    Some(a) => parse_algorithm(a)?,
-                    None => Algorithm::Auto,
-                }
+            let named = rest.flag("algorithm");
+            let algorithm = match (rest.has("adaptive"), named) {
+                (true, _) => Algorithm::Adaptive,
+                (false, Some(a)) => parse_algorithm(a)?,
+                (false, None) => Algorithm::Auto,
             };
             // --member is the engine-kernel spelling from the adaptive
             // vocabulary: sugar for --algorithm priority|ranked, rejected
@@ -806,7 +791,7 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
             let algorithm = match rest.flag("member") {
                 None => algorithm,
                 Some(m) => {
-                    if rest.flag("algorithm").is_some() || rest.has("adaptive") {
+                    if named.is_some() || rest.has("adaptive") {
                         return Err(err(
                             "--member conflicts with --algorithm/--adaptive; pick one spelling",
                         ));
@@ -849,8 +834,8 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
                 ));
             }
             Ok(Command::Count {
-                file: file()?,
-                format,
+                file: file(),
+                format: format()?,
                 algorithm,
                 parallel: rest.has("parallel"),
                 threads: rest.parse_flag("threads", 0usize)?,
@@ -868,8 +853,8 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
         "tip" => {
             let decompose = rest.has("decompose");
             Ok(Command::Tip {
-                file: file()?,
-                format,
+                file: file(),
+                format: format()?,
                 k: match rest.flag("k") {
                     Some(v) => Some(v.parse().map_err(|_| err("bad --k"))?),
                     None if decompose => None,
@@ -887,8 +872,8 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
         "wing" => {
             let decompose = rest.has("decompose");
             Ok(Command::Wing {
-                file: file()?,
-                format,
+                file: file(),
+                format: format()?,
                 k: match rest.flag("k") {
                     Some(v) => Some(v.parse().map_err(|_| err("bad --k"))?),
                     None if decompose => None,
@@ -900,8 +885,8 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
             })
         }
         "tip-numbers" => Ok(Command::TipNumbers {
-            file: file()?,
-            format,
+            file: file(),
+            format: format()?,
             side: match rest.flag("side") {
                 Some(s) => parse_side(s)?,
                 None => Side::V1,
@@ -909,8 +894,8 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
             top: rest.parse_flag("top", 10usize)?,
         }),
         "enumerate" => Ok(Command::Enumerate {
-            file: file()?,
-            format,
+            file: file(),
+            format: format()?,
             limit: rest.parse_flag("limit", 100usize)?,
         }),
         "generate" => {
@@ -946,12 +931,12 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
             Ok(Command::Generate { kind, out })
         }
         "metrics" => Ok(Command::Metrics {
-            file: file()?,
-            format,
+            file: file(),
+            format: format()?,
         }),
         "pairs" => Ok(Command::Pairs {
-            file: file()?,
-            format,
+            file: file(),
+            format: format()?,
             side: match rest.flag("side") {
                 Some(s) => parse_side(s)?,
                 None => Side::V1,
@@ -959,38 +944,40 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
             top: rest.parse_flag("top", 10usize)?,
         }),
         "components" => Ok(Command::Components {
-            file: file()?,
-            format,
+            file: file(),
+            format: format()?,
         }),
         "core" => Ok(Command::Core {
-            file: file()?,
-            format,
+            file: file(),
+            format: format()?,
             k: rest.parse_flag("k", 2usize)?,
             l: rest.parse_flag("l", 2usize)?,
         }),
         "convert" => Ok(Command::Convert {
-            file: file()?,
-            format,
+            file: file(),
+            format: format()?,
             out: rest
                 .flag("out")
                 .ok_or_else(|| err("convert requires --out"))?
                 .to_string(),
         }),
         "report" => {
-            let pos = |i: usize, what: &str| -> Result<String, CliError> {
-                rest.positional
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| err(format!("report {what}")))
+            let pos = |i: usize, what: &str| rest.pos(i, &format!("report {what}"));
+            let verb = rest
+                .positional
+                .first()
+                .ok_or_else(|| err("report requires a verb: show, diff, flame, or trace"))?;
+            let out = || match rest.flag("out") {
+                Some(path) => Ok(path.to_string()),
+                None => Err(err(format!("report {verb} requires -o/--out FILE"))),
             };
-            let verb = pos(0, "requires a verb: show, diff, flame, export, or history")?;
             let action = match verb.as_str() {
                 "show" => ReportAction::Show {
-                    file: pos(1, "show requires a report file")?,
+                    file: pos(1, "show requires a report file"),
                 },
                 "diff" => ReportAction::Diff {
-                    base: pos(1, "diff requires BASE.json and NEW.json")?,
-                    new: pos(2, "diff requires BASE.json and NEW.json")?,
+                    base: pos(1, "diff requires BASE.json and NEW.json"),
+                    new: pos(2, "diff requires BASE.json and NEW.json"),
                     threshold: rest.parse_flag("threshold", 10.0f64)?,
                     hist: rest.has("hist"),
                     hist_tolerance: rest.parse_flag("hist-tolerance", 25.0f64)?,
@@ -998,48 +985,24 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
                     gauge_tolerance: rest.parse_flag("gauge-tolerance", 25.0f64)?,
                 },
                 "flame" => ReportAction::Flame {
-                    file: pos(1, "flame requires a report file")?,
-                    out: rest
-                        .flag("out")
-                        .ok_or_else(|| err("report flame requires -o/--out FILE"))?
-                        .to_string(),
+                    file: pos(1, "flame requires a report file"),
+                    out: out()?,
                 },
-                "export" => {
-                    match rest.flag("format") {
-                        None | Some("openmetrics") => {}
-                        Some(other) => {
-                            return Err(err(format!(
-                                "unknown export format {other:?} (only openmetrics)"
-                            )))
-                        }
-                    }
-                    ReportAction::Export {
-                        file: pos(1, "export requires a report file")?,
-                        out: rest.flag("out").map(str::to_string),
-                    }
-                }
-                "history" => {
-                    let dirs: Vec<String> = rest.positional[1..].to_vec();
-                    if dirs.is_empty() {
-                        return Err(err("report history requires at least one DIR"));
-                    }
-                    ReportAction::History {
-                        dirs,
-                        out: rest.flag("out").map(str::to_string),
-                        gate: rest.has("gate"),
-                        threshold: rest.parse_flag("threshold", 10.0f64)?,
-                    }
-                }
+                "trace" => ReportAction::Trace {
+                    file: pos(1, "trace requires a report file"),
+                    out: out()?,
+                },
                 other => {
                     return Err(err(format!(
-                        "unknown report verb {other:?} (use show, diff, flame, export, or history)"
+                        "unknown report verb {other:?} (use show, diff, flame, or trace)"
                     )))
                 }
             };
             Ok(Command::Report { action })
         }
         other => Err(err(format!("unknown subcommand {other:?}\n\n{USAGE}"))),
-    }
+    }?;
+    rest.finish(sub, cmd)
 }
 
 /// Load a graph, sniffing the format when not forced. `.bfly` files
@@ -1145,12 +1108,10 @@ fn fault_injection() {
 /// attaches its NDJSON sink. `--progress` and `--flight-recorder` attach
 /// a [`LiveBoard`], which a background [`Monitor`] samples for
 /// heartbeats, the stall watchdog and the progress line, and which the
-/// panic hook dumps. Every requested output comes from the one
-/// [`RunReport`] the recorder builds at the end.
+/// panic hook dumps. The `--report` file is the one [`RunReport`] the
+/// recorder builds at the end.
 struct Telem {
-    stats: bool,
     report: Option<String>,
-    trace: Option<String>,
     /// Whether any telemetry flag was given. When false, commands run
     /// against [`NoopRecorder`] (see [`with_recorder!`]).
     enabled: bool,
@@ -1167,9 +1128,7 @@ impl Telem {
     /// thread and no panic hook.
     fn new(flags: TelemetryFlags, label: &str) -> Result<Self, CliError> {
         let TelemetryFlags {
-            stats,
             report,
-            trace,
             stream,
             progress,
             flight_recorder,
@@ -1212,12 +1171,9 @@ impl Telem {
             };
             monitor = Some(Monitor::spawn(board, sink, cfg));
         }
-        let enabled =
-            stats || report.is_some() || trace.is_some() || stream.is_some() || monitor.is_some();
+        let enabled = report.is_some() || stream.is_some() || monitor.is_some();
         Ok(Self {
-            stats,
             report,
-            trace,
             enabled,
             rec,
             monitor,
@@ -1280,23 +1236,11 @@ impl Telem {
         Some(fraction)
     }
 
-    /// Build the report and write every requested output: the `--stats`
-    /// table to `out`, the `--report` JSON file, and the `--trace`
-    /// Chrome Trace file. No-op when telemetry is off.
-    fn emit(self, meta: Vec<(String, Json)>, out: &mut dyn std::io::Write) -> Result<(), CliError> {
-        self.emit_with(meta, out, true)
-    }
-
-    /// [`Telem::emit`] with an explicit completion flag: finishes the
-    /// monitor first (final heartbeat at exactly 1.0 when `complete`),
-    /// and on an incomplete run dumps the flight ring with reason
-    /// `"deadline"` and the run's report.
-    fn emit_with(
-        mut self,
-        meta: Vec<(String, Json)>,
-        out: &mut dyn std::io::Write,
-        complete: bool,
-    ) -> Result<(), CliError> {
+    /// Build the report and write the `--report` file, after finishing
+    /// the monitor (final heartbeat at exactly 1.0 when `complete`). An
+    /// incomplete run also dumps the flight ring with reason `"deadline"`
+    /// and the run's report. No-op when telemetry is off.
+    fn emit(mut self, meta: Vec<(String, Json)>, complete: bool) -> Result<(), CliError> {
         if !self.enabled {
             return Ok(());
         }
@@ -1307,17 +1251,9 @@ impl Telem {
                 let _ = ring.dump_to_file(path, Some(&rep), "deadline");
             }
         }
-        if self.stats {
-            writeln!(out, "{}", rep.render_table())
-                .map_err(|e| err(format!("write error: {e}")))?;
-        }
         if let Some(p) = &self.report {
             std::fs::write(p, rep.to_json_string())
                 .map_err(|e| err(format!("write report {p}: {e}")))?;
-        }
-        if let Some(p) = &self.trace {
-            std::fs::write(p, rep.to_chrome_trace_string())
-                .map_err(|e| err(format!("write trace {p}: {e}")))?;
         }
         Ok(())
     }
@@ -1460,7 +1396,7 @@ fn run_decompose(
     if let Some(k) = k {
         meta.push(("k".to_string(), Json::UInt(k)));
     }
-    telem.emit(meta, out)
+    telem.emit(meta, true)
 }
 
 /// Read and parse a saved [`RunReport`] from `path`.
@@ -1638,7 +1574,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                         Json::UInt(r.subgraph.nedges() as u64),
                     ),
                 ],
-                out,
+                true,
             )
         }
         Command::Wing {
@@ -1679,7 +1615,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                         Json::UInt(r.subgraph.nedges() as u64),
                     ),
                 ],
-                out,
+                true,
             )
         }
         Command::TipNumbers {
@@ -1869,27 +1805,12 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                     .map_err(|e| err(format!("write flame {path}: {e}")))?;
                 w(out, format!("wrote flame view to {path}"))
             }
-            ReportAction::Export { file, out: path } => {
+            ReportAction::Trace { file, out: path } => {
                 let rep = load_report(&file)?;
-                let text = to_openmetrics(&rep);
-                match path {
-                    Some(p) => {
-                        std::fs::write(&p, text)
-                            .map_err(|e| err(format!("write exposition {p}: {e}")))?;
-                        w(out, format!("wrote OpenMetrics exposition to {p}"))
-                    }
-                    None => {
-                        write!(out, "{text}").map_err(|e| err(format!("write error: {e}")))?;
-                        Ok(())
-                    }
-                }
+                std::fs::write(&path, rep.to_chrome_trace_string())
+                    .map_err(|e| err(format!("write trace {path}: {e}")))?;
+                w(out, format!("wrote Chrome trace to {path}"))
             }
-            ReportAction::History {
-                dirs,
-                out: path,
-                gate,
-                threshold,
-            } => run_report_history(&dirs, path, gate, threshold, out),
         },
         Command::Generate { kind, out: path } => {
             use bfly_graph::generators::{chung_lu, uniform_exact};
@@ -2218,98 +2139,7 @@ fn emit_count(
     if c.plan.is_some() {
         meta.push(("plan".to_string(), plan));
     }
-    telem.emit_with(meta, out, c.complete)
-}
-
-/// `bfly report history`: fold every `*.json` run report under the given
-/// directories into a schema-versioned cross-run history, render trend
-/// lines, and optionally gate on the newest run. An existing history at
-/// the output path is extended, and folding is idempotent per source
-/// path (re-running over the same directory replaces, never duplicates).
-fn run_report_history(
-    dirs: &[String],
-    out_path: Option<String>,
-    gate: bool,
-    threshold: f64,
-    out: &mut dyn std::io::Write,
-) -> Result<(), CliError> {
-    let w = |out: &mut dyn std::io::Write, s: String| -> Result<(), CliError> {
-        writeln!(out, "{s}").map_err(|e| err(format!("write error: {e}")))
-    };
-    let out_path = out_path.unwrap_or_else(|| {
-        Path::new(&dirs[0])
-            .join("history.json")
-            .to_string_lossy()
-            .into_owned()
-    });
-    let mut hist = match std::fs::read_to_string(&out_path) {
-        Ok(text) => History::parse(&text).map_err(|e| {
-            classified(
-                ErrorClass::Parse,
-                format!("existing history {out_path}: {e}"),
-            )
-        })?,
-        Err(_) => History::new(),
-    };
-    let out_abs = std::fs::canonicalize(&out_path).ok();
-    let mut folded = 0usize;
-    let mut skipped = 0usize;
-    for dir in dirs {
-        let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-            .map_err(|e| err(format!("read dir {dir}: {e}")))?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().and_then(|x| x.to_str()) == Some("json"))
-            .collect();
-        files.sort();
-        for f in files {
-            // Never fold the history output into itself.
-            if f.file_name().and_then(|n| n.to_str()) == Some("history.json") {
-                continue;
-            }
-            if let (Some(abs), Ok(fab)) = (&out_abs, std::fs::canonicalize(&f)) {
-                if *abs == fab {
-                    continue;
-                }
-            }
-            let src = f.to_string_lossy().into_owned();
-            let text =
-                std::fs::read_to_string(&f).map_err(|e| err(format!("cannot read {src}: {e}")))?;
-            // Directories often hold other JSON (Chrome traces, configs);
-            // anything that is not a run report is skipped, and said so.
-            match hist.fold_json_text(&src, &text) {
-                Ok(n) => folded += n,
-                Err(_) => skipped += 1,
-            }
-        }
-    }
-    std::fs::write(&out_path, hist.to_json_string())
-        .map_err(|e| err(format!("write history {out_path}: {e}")))?;
-    w(out, hist.render_table())?;
-    let note = if skipped > 0 {
-        format!(" ({skipped} non-report json file(s) skipped)")
-    } else {
-        String::new()
-    };
-    w(out, format!("folded {folded} run(s) into {out_path}{note}"))?;
-    if gate {
-        let fails = hist.gate(threshold);
-        if fails.is_empty() {
-            w(
-                out,
-                format!("gate passed: no counter grew more than {threshold}% vs the previous run"),
-            )?;
-        } else {
-            for f in &fails {
-                w(out, format!("  REGRESSION {f}"))?;
-            }
-            return Err(err(format!(
-                "report history gate: {} counter regression(s) past {threshold}%",
-                fails.len()
-            )));
-        }
-    }
-    Ok(())
+    telem.emit(meta, c.complete)
 }
 
 #[cfg(test)]
@@ -2412,27 +2242,56 @@ mod tests {
     }
 
     #[test]
-    fn parses_stats_and_report_flags() {
-        let cmd = parse(&sv(&["count", "g.tsv", "--stats", "--report", "run.json"])).unwrap();
+    fn parses_report_flag_and_refuses_unknown_flags() {
+        let cmd = parse(&sv(&["count", "g.tsv", "--report", "run.json"])).unwrap();
         match cmd {
             Command::Count { telemetry, .. } => {
-                let TelemetryFlags { stats, report, .. } = telemetry;
-                assert!(stats);
-                assert_eq!(report.as_deref(), Some("run.json"));
+                assert_eq!(telemetry.report.as_deref(), Some("run.json"));
             }
             other => panic!("unexpected {other:?}"),
         }
-        // --stats is boolean: the next token stays positional.
-        let cmd = parse(&sv(&["wing", "--stats", "g.tsv", "--k", "2"])).unwrap();
-        match cmd {
-            Command::Wing {
-                file, telemetry, ..
-            } => {
-                assert_eq!(file, "g.tsv");
-                assert!(telemetry.stats);
-            }
-            other => panic!("unexpected {other:?}"),
+        // A flag the subcommand never reads is a usage error naming it
+        // (the binary tests cover count, tip and wing): a removed report
+        // flag, and a generator flag the chosen kind does not take.
+        for (args, flag) in [
+            (
+                &["report", "diff", "a.json", "b.json", "--gate"][..],
+                "--gate",
+            ),
+            (
+                &[
+                    "generate", "--kind", "standin", "--name", "github", "--seed", "3", "--out",
+                    "x.tsv",
+                ],
+                "--seed",
+            ),
+        ] {
+            let e = parse(&sv(args)).unwrap_err();
+            assert_eq!(e.exit_code(), 2, "{args:?}");
+            let want = format!("unknown flag {flag} ");
+            assert!(e.msg.contains(&want), "{args:?}: {}", e.msg);
         }
+        // A missing value or file is still reported as such.
+        let e = parse(&sv(&["count", "g.tsv", "--threads"])).unwrap_err();
+        assert!(e.msg.contains("--threads needs a value"), "{}", e.msg);
+        let e = parse(&sv(&["count", "--threads", "2"])).unwrap_err();
+        assert!(e.msg.contains("missing <file>"), "{}", e.msg);
+        // --adaptive wins over --algorithm, which still counts as read.
+        let cmd = parse(&sv(&[
+            "count",
+            "g.tsv",
+            "--adaptive",
+            "--algorithm",
+            "inv3",
+        ]))
+        .unwrap();
+        assert!(matches!(
+            cmd,
+            Command::Count {
+                algorithm: Algorithm::Adaptive,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -2817,19 +2676,16 @@ mod tests {
         )
         .unwrap();
 
-        // count --stats prints the counter table.
-        let mut sink = Vec::new();
-        run(
-            parse(&sv(&["count", gpath.to_str().unwrap(), "--stats"])).unwrap(),
-            &mut sink,
-        )
-        .unwrap();
-        let text = String::from_utf8(sink).unwrap();
-        assert!(text.contains("butterflies ="), "{text}");
-        assert!(text.contains("wedges_expanded"), "{text}");
+        // The table of a run's report, as `report show` prints it.
+        let show = |rpath: &std::path::Path| {
+            let mut sink = Vec::new();
+            let cmd = parse(&sv(&["report", "show", rpath.to_str().unwrap()])).unwrap();
+            run(cmd, &mut sink).unwrap();
+            String::from_utf8(sink).unwrap()
+        };
 
         // count --report writes a parseable RunReport whose meta matches
-        // the printed count.
+        // the printed count, and whose table shows the counters.
         let rpath = dir.join("count.json");
         let mut sink = Vec::new();
         run(
@@ -2843,8 +2699,10 @@ mod tests {
             &mut sink,
         )
         .unwrap();
-        let printed: u64 = String::from_utf8(sink)
-            .unwrap()
+        let text = String::from_utf8(sink).unwrap();
+        assert!(text.contains("butterflies ="), "{text}");
+        assert!(show(&rpath).contains("wedges_expanded"));
+        let printed: u64 = text
             .split('=')
             .nth(1)
             .unwrap()
@@ -2863,21 +2721,22 @@ mod tests {
         );
         assert!(rep.counter("wedges_expanded").unwrap() > 0);
 
-        // tip --stats reports peel rounds; wing --report round-trips.
-        let mut sink = Vec::new();
+        // tip's report shows peel rounds; wing --report round-trips.
+        let tpath = dir.join("tip.json");
         run(
             parse(&sv(&[
                 "tip",
                 gpath.to_str().unwrap(),
                 "--k",
                 "1",
-                "--stats",
+                "--report",
+                tpath.to_str().unwrap(),
             ]))
             .unwrap(),
-            &mut sink,
+            &mut Vec::new(),
         )
         .unwrap();
-        assert!(String::from_utf8(sink).unwrap().contains("peel_rounds"));
+        assert!(show(&tpath).contains("peel_rounds"));
 
         let wpath = dir.join("wing.json");
         run(
@@ -2923,14 +2782,16 @@ mod tests {
     }
 
     #[test]
-    fn parses_trace_flag_and_report_verbs() {
-        let cmd = parse(&sv(&["count", "g.tsv", "--trace", "t.json"])).unwrap();
-        match cmd {
-            Command::Count { telemetry, .. } => {
-                assert_eq!(telemetry.trace.as_deref(), Some("t.json"))
+    fn parses_report_verbs() {
+        assert_eq!(
+            parse(&sv(&["report", "trace", "run.json", "-o", "t.json"])).unwrap(),
+            Command::Report {
+                action: ReportAction::Trace {
+                    file: "run.json".into(),
+                    out: "t.json".into()
+                }
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
         assert_eq!(
             parse(&sv(&["report", "show", "run.json"])).unwrap(),
             Command::Report {
@@ -2986,11 +2847,12 @@ mod tests {
         assert!(parse(&sv(&["report", "show"])).is_err()); // missing file
         assert!(parse(&sv(&["report", "diff", "a.json"])).is_err()); // one file
         assert!(parse(&sv(&["report", "flame", "run.json"])).is_err()); // no -o
+        assert!(parse(&sv(&["report", "trace", "run.json"])).is_err()); // no -o
         assert!(parse(&sv(&["report", "frob", "x"])).is_err()); // bad verb
     }
 
     #[test]
-    fn trace_export_end_to_end() {
+    fn report_trace_end_to_end() {
         let dir = std::env::temp_dir().join("bfly-cli-test-trace");
         std::fs::create_dir_all(&dir).unwrap();
         let gpath = dir.join("g.tsv");
@@ -3014,26 +2876,23 @@ mod tests {
             &mut Vec::new(),
         )
         .unwrap();
+        // Count with `extra` flags and --report, then render the report's
+        // trace with `report trace`.
+        let traced = |extra: &[&str], name: &str| -> Json {
+            let (rpath, tpath) = (dir.join(format!("{name}.json")), dir.join(name));
+            let mut args = vec!["count", gpath.to_str().unwrap()];
+            args.extend(extra);
+            args.extend(["--report", rpath.to_str().unwrap()]);
+            run(parse(&sv(&args)).unwrap(), &mut Vec::new()).unwrap();
+            let (r, t) = (rpath.to_str().unwrap(), tpath.to_str().unwrap());
+            let cmd = parse(&sv(&["report", "trace", r, "-o", t])).unwrap();
+            run(cmd, &mut Vec::new()).unwrap();
+            Json::parse(&std::fs::read_to_string(&tpath).unwrap()).unwrap()
+        };
 
         // Parallel count with a pinned pool: the trace must carry one
         // track per worker thread (tids 1..) plus valid JSON structure.
-        let tpath = dir.join("trace.json");
-        run(
-            parse(&sv(&[
-                "count",
-                gpath.to_str().unwrap(),
-                "--parallel",
-                "--threads",
-                "2",
-                "--trace",
-                tpath.to_str().unwrap(),
-            ]))
-            .unwrap(),
-            &mut Vec::new(),
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&tpath).unwrap();
-        let doc = Json::parse(&text).unwrap();
+        let doc = traced(&["--parallel", "--threads", "2"], "trace.json");
         let events = doc
             .get("traceEvents")
             .and_then(|e| e.as_arr())
@@ -3052,20 +2911,8 @@ mod tests {
             "expected >= 2 worker tracks, got {worker_tids:?}"
         );
 
-        // --trace alone (no --stats/--report) still instruments.
-        let t2 = dir.join("trace-seq.json");
-        run(
-            parse(&sv(&[
-                "count",
-                gpath.to_str().unwrap(),
-                "--trace",
-                t2.to_str().unwrap(),
-            ]))
-            .unwrap(),
-            &mut Vec::new(),
-        )
-        .unwrap();
-        let trace = Json::parse(&std::fs::read_to_string(&t2).unwrap()).unwrap();
+        // A sequential count's trace carries its count span.
+        let trace = traced(&[], "trace-seq.json");
         let events = trace.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
         assert!(events
             .iter()

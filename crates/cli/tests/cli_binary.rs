@@ -234,8 +234,11 @@ fn report_diff_exit_codes() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("threshold"));
 }
 
+/// `bfly report trace` renders a saved report as Chrome Trace Event
+/// JSON: one track per worker of a parallel count, and the `count` span
+/// of the saved schema-2 baseline.
 #[test]
-fn trace_flag_writes_chrome_trace_with_worker_tracks() {
+fn report_trace_writes_chrome_trace_with_worker_tracks() {
     let dir = tempdir();
     let gpath = dir.join("trace.tsv");
     let gpath_s = gpath.to_str().unwrap();
@@ -246,25 +249,74 @@ fn trace_flag_writes_chrome_trace_with_worker_tracks() {
         ])
         .output()
         .unwrap();
-    let tpath = dir.join("trace.json");
+    let rpath = dir.join("trace-run.json");
     let out = bfly()
-        .args([
-            "count",
-            gpath_s,
-            "--parallel",
-            "--threads",
-            "2",
-            "--trace",
-            tpath.to_str().unwrap(),
-        ])
+        .args(["count", gpath_s, "--parallel", "--threads", "2", "--report"])
+        .arg(&rpath)
         .output()
         .unwrap();
     assert!(out.status.success());
-    let text = std::fs::read_to_string(&tpath).unwrap();
-    assert!(text.contains("\"traceEvents\""), "{text}");
-    // One metadata track per worker thread beyond the main track.
-    assert!(text.contains("worker-1"), "missing worker-1 track: {text}");
-    assert!(text.contains("worker-2"), "missing worker-2 track: {text}");
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/perf-baseline.json");
+    for (i, report) in [rpath.to_str().unwrap(), baseline].into_iter().enumerate() {
+        let tpath = dir.join(format!("trace-{i}.json"));
+        let out = bfly()
+            .args(["report", "trace", report, "-o", tpath.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{report}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&tpath).unwrap();
+        assert!(text.contains("\"traceEvents\""), "{text}");
+        assert!(text.contains("\"name\": \"count\""), "{report}: {text}");
+        if i == 0 {
+            // One metadata track per worker thread beyond the main track.
+            assert!(text.contains("worker-1"), "missing worker-1 track: {text}");
+            assert!(text.contains("worker-2"), "missing worker-2 track: {text}");
+        }
+    }
+}
+
+/// A flag the subcommand never reads is a usage error (exit 2) that
+/// names the flag, and the run writes nothing: a misspelt `--report` or
+/// `--threads`, the removed `--stats` and `--trace`, and a flag that
+/// belongs to another subcommand.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let dir = tempdir();
+    let gpath = dir.join("unknown-flags.tsv");
+    let gpath_s = gpath.to_str().unwrap();
+    let out = bfly()
+        .args(["generate", "--kind", "uniform", "--m", "40", "--n", "40"])
+        .args(["--edges", "200", "--seed", "5", "--out", gpath_s])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let written = dir.join("unknown-flags-out.json");
+    let written_s = written.to_str().unwrap();
+    for (args, flag) in [
+        (&["count", gpath_s, "--repor", written_s][..], "--repor"),
+        (&["count", gpath_s, "--thread", "2"], "--thread"),
+        (&["count", gpath_s, "--stats"], "--stats"),
+        (&["count", gpath_s, "--trace", written_s], "--trace"),
+        (&["wing", "--stats", gpath_s, "--k", "2"], "--stats"),
+        (
+            &["tip", gpath_s, "--k", "2", "--algorithm", "inv9"],
+            "--algorithm",
+        ),
+    ] {
+        let out = bfly().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} ")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+        assert!(!written.exists(), "{args:?} wrote {written_s}");
+    }
 }
 
 #[test]
@@ -444,112 +496,6 @@ fn stream_stdout_emits_valid_ndjson_and_moves_summary_to_stderr() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("butterflies ="));
     let streamed = std::fs::read_to_string(&spath).unwrap();
     assert!(streamed.lines().count() >= 3, "{streamed}");
-}
-
-#[test]
-fn report_export_emits_openmetrics_exposition() {
-    let dir = tempdir();
-    let gpath = dir.join("export.tsv");
-    let gpath_s = gpath.to_str().unwrap();
-    bfly()
-        .args([
-            "generate", "--kind", "uniform", "--m", "60", "--n", "60", "--edges", "350", "--seed",
-            "43", "--out", gpath_s,
-        ])
-        .output()
-        .unwrap();
-    let rpath = dir.join("export-run.json");
-    bfly()
-        .args(["count", gpath_s, "--report", rpath.to_str().unwrap()])
-        .output()
-        .unwrap();
-    let out = bfly()
-        .args(["report", "export", rpath.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        text.contains("# TYPE bfly_wedges_expanded counter"),
-        "{text}"
-    );
-    assert!(text.ends_with("# EOF\n"), "must end with the EOF marker");
-    bfly_core::telemetry::validate_exposition(&text).expect("exposition passes the syntax check");
-}
-
-#[test]
-fn report_history_folds_and_gates() {
-    let dir = tempdir().join("history-runs");
-    std::fs::create_dir_all(&dir).unwrap();
-    let dir_s = dir.to_str().unwrap();
-    let gpath = dir.join("hist.tsv");
-    let gpath_s = gpath.to_str().unwrap();
-    bfly()
-        .args([
-            "generate", "--kind", "uniform", "--m", "70", "--n", "70", "--edges", "420", "--seed",
-            "47", "--out", gpath_s,
-        ])
-        .output()
-        .unwrap();
-    // Two identical deterministic runs into the same directory.
-    for name in ["r1.json", "r2.json"] {
-        let out = bfly()
-            .args([
-                "count",
-                gpath_s,
-                "--algorithm",
-                "inv2",
-                "--report",
-                dir.join(name).to_str().unwrap(),
-            ])
-            .output()
-            .unwrap();
-        assert!(out.status.success());
-    }
-    let out = bfly()
-        .args(["report", "history", dir_s, "--gate"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "identical runs must gate clean: {}\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("gate passed"), "{stdout}");
-    let hpath = dir.join("history.json");
-    assert!(hpath.exists(), "history.json must be written");
-    let hist =
-        bfly_core::telemetry::History::parse(&std::fs::read_to_string(&hpath).unwrap()).unwrap();
-    assert!(!hist.trend_rows().is_empty());
-
-    // Synthetically inflate a counter >10% in a third run: the gate must
-    // fail with exit 1 and name the regression.
-    let mut rep = bfly_core::telemetry::RunReport::parse(
-        &std::fs::read_to_string(dir.join("r2.json")).unwrap(),
-    )
-    .unwrap();
-    for (_, v) in rep.counters.iter_mut() {
-        *v = *v * 2 + 1;
-    }
-    std::fs::write(dir.join("r3.json"), rep.to_json_string()).unwrap();
-    let out = bfly()
-        .args(["report", "history", dir_s, "--gate"])
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "inflated counters must fail the gate: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSION"));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("regression"));
 }
 
 #[test]
@@ -1089,9 +1035,9 @@ fn span_cap_keeps_top_level_spans() {
 /// `--progress` and `--flight-recorder` watch the run's own recorder
 /// rather than replacing it: on the skewed occupations stand-in,
 /// `wing --decompose` writes the same report spans, counters (all but the
-/// monitor's `stalls_detected`), histograms and trace events with either
-/// liveness flag as without one, and every stream carries one `span`
-/// event per report span.
+/// monitor's `stalls_detected`), histograms and `report trace` events
+/// with either liveness flag as without one, and every stream carries
+/// one `span` event per report span.
 #[test]
 fn liveness_flags_keep_report_trace_and_stream() {
     let dir = tempdir();
@@ -1115,8 +1061,6 @@ fn liveness_flags_keep_report_trace_and_stream() {
             .args(["--decompose", "--threads", "2"])
             .arg("--report")
             .arg(&report)
-            .arg("--trace")
-            .arg(&trace)
             .arg("--stream")
             .arg(&stream)
             .args(extra)
@@ -1127,6 +1071,14 @@ fn liveness_flags_keep_report_trace_and_stream() {
             "{extra:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
+        let out = bfly()
+            .args(["report", "trace"])
+            .arg(&report)
+            .arg("-o")
+            .arg(&trace)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{extra:?}: report trace");
         let rep =
             bfly_core::telemetry::RunReport::parse(&std::fs::read_to_string(&report).unwrap())
                 .unwrap();

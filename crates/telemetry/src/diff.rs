@@ -163,7 +163,7 @@ fn trim_num(v: f64) -> String {
 
 /// Relative change in percent. Equal values (including 0 → 0) are 0;
 /// appearing from zero is `INFINITY` (always past any threshold).
-pub(crate) fn delta_pct(base: f64, new: f64) -> f64 {
+fn delta_pct(base: f64, new: f64) -> f64 {
     if base == new {
         0.0
     } else if base == 0.0 {

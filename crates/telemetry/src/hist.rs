@@ -52,7 +52,7 @@ impl Histogram {
     }
 
     /// Inclusive value range covered by bucket `b`.
-    pub fn bucket_bounds(b: usize) -> (u64, u64) {
+    fn bucket_bounds(b: usize) -> (u64, u64) {
         match b {
             0 => (0, 0),
             64 => (1u64 << 63, u64::MAX),
@@ -137,11 +137,6 @@ impl Histogram {
     /// 99th-percentile estimate.
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
-    }
-
-    /// Raw per-bucket counts, indexed by [`Histogram::bucket_bounds`].
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
     }
 
     /// Fold another histogram into this one.

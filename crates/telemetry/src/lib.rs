@@ -13,8 +13,8 @@
 //! series, collects hierarchical [`SpanRow`]s with attached counter
 //! deltas, buckets values into [`Histogram`]s, and renders everything as
 //! a [`RunReport`] — a schema-versioned (v3; v1 and v2 still parse),
-//! JSON-serializable record of one run that the CLI (`--stats` /
-//! `--report` / `--trace`) and the bench binaries (`BENCH_*.json`) emit.
+//! JSON-serializable record of one run that the CLI (`--report`) and
+//! the bench binaries (`BENCH_*.json`) emit.
 //! Spans are the one timing primitive: every timed region is a span, and
 //! [`RunReport::span_totals`] folds them by name. With a [`SharedSink`]
 //! attached the recorder also streams its events as NDJSON
@@ -30,10 +30,12 @@
 //! carrying the recorder's board) and joins it onto its own span track;
 //! [`NoopRecorder`] forks itself and compiles away.
 //!
-//! Reports export further as Chrome Trace Event JSON
-//! ([`RunReport::to_chrome_trace`], for `chrome://tracing` / Perfetto)
-//! and a self-contained HTML flame view ([`RunReport::to_flame_html`]);
-//! two reports compare via [`diff_reports`] — the CI perf gate.
+//! Every other view is a rendering of a saved report (`bfly report`): the
+//! table ([`RunReport::render_table`], `report show`), Chrome Trace
+//! Event JSON ([`RunReport::to_chrome_trace`], `report trace`, for
+//! `chrome://tracing` / Perfetto) and a self-contained HTML flame view
+//! ([`RunReport::to_flame_html`], `report flame`); two reports compare
+//! via [`diff_reports`] (`report diff`), the CI perf gate.
 //!
 //! JSON is hand-rolled ([`Json`]) because the build environment has no
 //! serde; the emitter and the recursive-descent parser round-trip every
@@ -46,10 +48,8 @@ mod board;
 mod diff;
 pub mod flight;
 mod hist;
-pub mod history;
 mod json;
 pub mod mem;
-mod openmetrics;
 pub mod progress;
 mod report;
 mod span;
@@ -61,9 +61,7 @@ pub use board::LiveBoard;
 pub use diff::{diff_reports, DiffRow, ReportDiff};
 pub use flight::{install_panic_hook, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use hist::Histogram;
-pub use history::{History, HistoryError, TrendRow};
 pub use json::Json;
-pub use openmetrics::{parse_exposition, to_openmetrics, validate_exposition, Exposition};
 pub use progress::{
     GateWriter, Monitor, MonitorConfig, MonitorStats, ProgressModel, StderrGate, WorkForecast,
 };
@@ -352,10 +350,10 @@ impl<R: Recorder> Recorder for &mut R {
     }
 }
 
-/// The recorder behind every telemetry flag (`--stats`, `--report`,
-/// `--trace`, `--stream`, `--progress`, `--flight-recorder`). Spans
-/// recorded directly on it land on track 0 (the main thread); forked
-/// worker traces keep their own tracks via [`Recorder::join`]. An
+/// The recorder behind every telemetry flag (`--report`, `--stream`,
+/// `--progress`, `--flight-recorder`). Spans recorded directly on it
+/// land on track 0 (the main thread); forked worker traces keep their
+/// own tracks via [`Recorder::join`]. An
 /// attached [`SharedSink`] streams its events as they happen, and an
 /// attached [`LiveBoard`] sees its counters and gauges — and its
 /// workers' counters — while the run is in flight.

@@ -358,7 +358,7 @@ impl RunReport {
         RunReport::from_json(&Json::parse(text).map_err(ReportError::Json)?)
     }
 
-    /// Human-oriented table for `--stats` / `report show`: all meta,
+    /// Human-oriented table for `bfly report show`: all meta,
     /// non-zero counters, every gauge, span aggregate, histogram summary,
     /// and series.
     pub fn render_table(&self) -> String {

@@ -20,7 +20,7 @@
 //! Every line is flushed immediately; write errors are counted and
 //! reported on `run_end` (`"write_errors"`), never allowed to kill the
 //! run. The full report is still produced at the end, so `--stream`
-//! composes with `--stats`/`--report`/`--trace`.
+//! composes with `--report`.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};

@@ -13,8 +13,7 @@
 //! the per-chunk span streams cover every chunk exactly once.
 
 use bfly::core::telemetry::{
-    parse_exposition, to_openmetrics, validate_exposition, Counter, InMemoryRecorder, Json,
-    LiveBoard, NoopRecorder, Recorder,
+    Counter, InMemoryRecorder, Json, LiveBoard, NoopRecorder, Recorder, RunReport,
 };
 use bfly::core::{
     count_recorded, count_via_spgemm, run_plan, select_plan, ExecMode, GraphProfile, Invariant,
@@ -260,11 +259,10 @@ fn board_hammered_from_threads_matches_single_threaded_sums() {
 }
 
 /// A live recorder's report (a parallel run with a board attached)
-/// exports to OpenMetrics text that passes the structural validator and
-/// round-trips through the parser with the counter totals intact — the
-/// board's and the recorder's alike.
+/// round-trips through its JSON text with the counter totals intact —
+/// the board's and the recorder's alike.
 #[test]
-fn live_report_openmetrics_round_trip() {
+fn live_report_json_round_trip() {
     let mut rng = StdRng::seed_from_u64(4096);
     let g = uniform_exact(100, 80, 700, &mut rng);
     let board = Arc::new(LiveBoard::new());
@@ -278,15 +276,13 @@ fn live_report_openmetrics_round_trip() {
         "command".to_string(),
         Json::Str("count".to_string()),
     )]);
-    let text = to_openmetrics(&rep);
-    validate_exposition(&text).expect("valid OpenMetrics exposition");
-    let exp = parse_exposition(&text).expect("parseable exposition");
+    let back = RunReport::parse(&rep.to_json_string()).expect("parseable report");
     let wedges = rec.counter(Counter::WedgesExpanded);
     assert!(wedges > 0);
     assert_eq!(board.counter(Counter::WedgesExpanded), wedges);
     assert_eq!(
-        exp.value("bfly_wedges_expanded_total"),
-        Some(wedges as f64),
+        back.counter("wedges_expanded"),
+        Some(wedges),
         "counter survives the text round-trip"
     );
 }
