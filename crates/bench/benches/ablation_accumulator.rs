@@ -1,7 +1,9 @@
-//! Ablation: sparse accumulator (SPA, dense array + generation stamps) vs
-//! hash-map aggregation for the per-vertex wedge counts. The family uses
-//! the SPA; the Wang-et-al.-style baseline uses hashing to minimise work
-//! space — this bench quantifies the trade on skewed and uniform inputs.
+//! Ablation: the family's dense pair accumulator (`PairAccum`, one
+//! packed generation-and-count slot per vertex, each wedge adding its
+//! slot's previous count) vs hash-map aggregation for the per-vertex
+//! wedge counts. The family runs `PairAccum`; the Wang-et-al.-style
+//! baseline hashes to minimise work space — this bench quantifies the
+//! trade on skewed and uniform inputs.
 
 use bfly_core::baseline::count_hash_aggregation;
 use bfly_core::{count, Invariant};
@@ -20,7 +22,7 @@ fn bench_accumulator(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_millis(1200));
     for (label, g) in [("uniform", &uniform), ("skewed", &skewed)] {
-        group.bench_with_input(BenchmarkId::new("spa_inv2", label), g, |b, g| {
+        group.bench_with_input(BenchmarkId::new("pair_accum_inv2", label), g, |b, g| {
             b.iter(|| black_box(count(g, Invariant::Inv2)))
         });
         group.bench_with_input(BenchmarkId::new("hashmap", label), g, |b, g| {

@@ -33,7 +33,7 @@ use bfly_graph::{
     convert_to_bfly, is_bfly_file, read_bfly_file, write_bfly_file, BipartiteGraph, GraphStats,
     SegmentedGraph, Side, StandIn,
 };
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
@@ -590,12 +590,14 @@ Exit codes: 0 ok, 1 runtime, 2 usage, 3 parse, 4 budget, 5 overflow.
 ";
 
 /// A subcommand's argv: positionals and `--name [value]` flags. The
-/// parser records every flag name it asks for, so [`Args::finish`] can
-/// refuse the flags it never reads.
+/// parser records every flag name and how many positionals it asks for,
+/// so [`Args::finish`] can refuse the arguments it never reads.
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
     asked: RefCell<Vec<String>>,
+    /// One past the highest positional index asked for.
+    asked_pos: Cell<usize>,
     /// The first missing flag value or positional, reported after the
     /// unknown-flag check: a stray flag that took the next token as its
     /// value is the likelier fault.
@@ -607,6 +609,7 @@ fn split_args(args: &[String]) -> Args {
         positional: Vec::new(),
         flags: Vec::new(),
         asked: RefCell::default(),
+        asked_pos: Cell::default(),
         missing: RefCell::default(),
     };
     let mut it = args.iter();
@@ -663,10 +666,15 @@ impl Args {
                 .map_err(|_| err(format!("bad value for --{name}: {v:?}"))),
         }
     }
+    /// The `i`th positional, if given.
+    fn pos_opt(&self, i: usize) -> Option<&str> {
+        self.asked_pos.set(self.asked_pos.get().max(i + 1));
+        self.positional.get(i).map(String::as_str)
+    }
     /// The `i`th positional; when absent, `""`, with `missing` kept for
     /// [`Args::finish`].
     fn pos(&self, i: usize, missing: &str) -> String {
-        self.positional.get(i).cloned().unwrap_or_else(|| {
+        self.pos_opt(i).map(str::to_string).unwrap_or_else(|| {
             self.miss(missing.to_string());
             String::new()
         })
@@ -674,14 +682,20 @@ impl Args {
     fn miss(&self, msg: String) {
         self.missing.borrow_mut().get_or_insert(msg);
     }
-    /// Settle a parsed subcommand. The parse asked for every flag it
-    /// reads, so any other flag fails it, by name; then a missing value
-    /// or positional does.
+    /// Settle a parsed subcommand. The parse asked for every flag and
+    /// positional it reads, so any other flag fails it, by name; then a
+    /// positional past the last one asked for; then a missing value or
+    /// positional.
     fn finish(&self, sub: &str, cmd: Command) -> Result<Command, CliError> {
         let asked = self.asked.borrow();
         if let Some((name, _)) = self.flags.iter().find(|(n, _)| !asked.contains(n)) {
             return Err(err(format!(
                 "unknown flag --{name} for `bfly {sub}` (see `bfly help`)"
+            )));
+        }
+        if let Some(extra) = self.positional.get(self.asked_pos.get()) {
+            return Err(err(format!(
+                "unexpected argument {extra:?} for `bfly {sub}` (see `bfly help`)"
             )));
         }
         match self.missing.take() {
@@ -964,14 +978,13 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
         "report" => {
             let pos = |i: usize, what: &str| rest.pos(i, &format!("report {what}"));
             let verb = rest
-                .positional
-                .first()
+                .pos_opt(0)
                 .ok_or_else(|| err("report requires a verb: show, diff, flame, or trace"))?;
             let out = || match rest.flag("out") {
                 Some(path) => Ok(path.to_string()),
                 None => Err(err(format!("report {verb} requires -o/--out FILE"))),
             };
-            let action = match verb.as_str() {
+            let action = match verb {
                 "show" => ReportAction::Show {
                     file: pos(1, "show requires a report file"),
                 },

@@ -320,6 +320,47 @@ fn unknown_flags_are_usage_errors() {
 }
 
 #[test]
+fn extra_positionals_are_usage_errors() {
+    let dir = tempdir();
+    let gpath = dir.join("extra-positionals.tsv");
+    let gpath_s = gpath.to_str().unwrap();
+    let out = bfly()
+        .args(["generate", "--kind", "uniform", "--m", "40", "--n", "40"])
+        .args(["--edges", "200", "--seed", "6", "--out", gpath_s])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let rpath = dir.join("extra-positionals.json");
+    let rpath_s = rpath.to_str().unwrap();
+    let out = bfly()
+        .args(["count", gpath_s, "--report", rpath_s])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for (args, extra) in [
+        (&["count", gpath_s, "skew.tsv"][..], "skew.tsv"),
+        (&["stats", gpath_s, gpath_s], gpath_s),
+        (&["report", "show", rpath_s, "extra.json"], "extra.json"),
+    ] {
+        let out = bfly().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unexpected argument {extra:?} ")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+    }
+    // An unknown flag is the likelier fault, so it is named first.
+    let out = bfly()
+        .args(["count", gpath_s, "extra", "--bogus"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --bogus "));
+}
+
+#[test]
 fn exit_codes_follow_error_classes() {
     let dir = tempdir();
     // Usage errors exit 2.

@@ -917,8 +917,13 @@ pub fn try_count_adaptive(g: &BipartiteGraph) -> crate::error::Result<(u64, Plan
     Ok((run_plan(g, &plan, None, &mut NoopRecorder)?.value, plan))
 }
 
-/// Estimated bytes of one [`Spa`](bfly_sparse::Spa) accumulator over `n`
-/// slots (values, stamps, and the touched list — three word-sized arrays).
+/// Estimated bytes of one wedge accumulator over `n` slots: 24 B per
+/// slot, the footprint of a [`Spa`](bfly_sparse::Spa) (values, stamps
+/// and a touched list). The counting kernels'
+/// [`PairAccum`](bfly_sparse::PairAccum) takes 8 B per slot, so this is
+/// an upper bound. It is kept because a smaller charge re-plans
+/// the sharded tier: the benchmark's 440,237-edge GitHub-shaped graph,
+/// capped at ¾ of its resident bytes, would fit 4 shards instead of 8.
 fn spa_bytes(n: usize) -> u64 {
     24 * n as u64
 }

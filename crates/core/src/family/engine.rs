@@ -8,22 +8,30 @@
 //! The update of eq. 18, `½a₁ᵀAₚAₚᵀa₁ − ½Γ(a₁a₁ᵀ ∘ AₚAₚᵀ)`, is evaluated
 //! as a wedge expansion: walk every length-2 path from the exposed vertex
 //! `k` through an opposite-side vertex `j` to a same-side vertex `c` in the
-//! chosen part, accumulate multiplicities `cnt[c] = |N(k) ∩ N(c)|` in a
-//! sparse accumulator, and add `Σ_c C(cnt[c], 2)`. Because `C(x, 2)`
-//! already excludes the repeated-wedge paths, the subtraction term of
-//! eq. 18 never needs to be formed — the "careful implementation" remark
+//! chosen part; with `cnt[c] = |N(k) ∩ N(c)|` such paths ending at `c`,
+//! the update is `Σ_c C(cnt[c], 2)` (eq. 7). Because `C(x, 2)` already
+//! excludes the repeated-wedge paths, the subtraction term of eq. 18
+//! never needs to be formed — the "careful implementation" remark
 //! closing §III-C.
 //!
+//! The sum is taken in one touch per wedge. Since `C(n, 2) = 0 + 1 + … +
+//! (n − 1)`, the `i`-th wedge to reach `c` adds `i − 1`, the count `c`
+//! held before it: a [`PairAccum`] hit returns exactly that, and the
+//! exposed vertex's update is complete when its last wedge lands. There
+//! is no list of touched vertices and no second pass over them; clearing
+//! for the next vertex is a generation bump.
+//!
 //! `update_vertex` is that update, written once. The flat loop here,
-//! the parallel chunks ([`super::parallel`]) and the shard loop
-//! ([`super::sharded`]) all call it; out of core, the shard loop streams
-//! the opposite rows through a `RowSource` instead of holding them.
+//! the parallel chunks ([`super::parallel`]), the shard loop
+//! ([`super::sharded`]) and the priority member ([`super::priority`])
+//! all call it; out of core, the shard loop streams the opposite rows
+//! through a `RowSource` instead of holding them.
 
 use super::parallel::{run_inline, Kernel};
 use super::Invariant;
 use crate::error::BflyError;
 use bfly_graph::{BipartiteGraph, Side};
-use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
+use bfly_sparse::{CheckedAccum, PairAccum, Pattern};
 use bfly_telemetry::{Counter, Recorder};
 use std::convert::Infallible;
 use std::time::Instant;
@@ -113,20 +121,22 @@ impl RowSource for bfly_graph::RowReader<'_> {
 }
 
 /// The eq. 18 update of one exposed vertex — the only place a fixed
-/// member scatters its wedges. Walks every wedge `k – j – c` with
-/// `j ∈ nbrs = N(k)` and `c` in the window `[lo, hi)` of `rows.row(j)`
-/// (sorted rows make the window a slice), accumulates the
-/// multiplicities in `spa`, and drains `Σ_c C(cnt[c], 2)` into `acc`.
-/// Returns `(wedges expanded, accumulator entries drained)`.
+/// member or a priority start expands its wedges. Walks every wedge
+/// `k – j – c` with `j ∈ nbrs = N(k)` and `c` in the window `[lo, hi)` of
+/// `rows.row(j)` (sorted rows make the window a slice) and hits `c` in
+/// `pairs`. Each hit adds the count `c` held before it to `acc`, so once
+/// every wedge has landed `acc` has grown by `Σ_c C(cnt[c], 2)`; `pairs`
+/// is then cleared for the next vertex. Returns `(wedges expanded, first
+/// touches)`, a first touch being a hit that found `c` at 0.
 #[inline]
 pub(crate) fn update_vertex<S: RowSource>(
     nbrs: &[u32],
     rows: &mut S,
     (lo, hi): (u32, u32),
-    spa: &mut Spa<u64>,
+    pairs: &mut PairAccum,
     acc: &mut CheckedAccum,
 ) -> Result<(u64, u64), S::Error> {
-    let mut wedges = 0u64;
+    let (mut wedges, mut fresh) = (0u64, 0u64);
     for &j in nbrs {
         let row = rows.row(j as usize)?;
         let start = if lo == 0 {
@@ -141,34 +151,34 @@ pub(crate) fn update_vertex<S: RowSource>(
         };
         let slice = &row[start..end];
         wedges += slice.len() as u64;
-        for &c in slice {
-            spa.scatter(c, 1);
-        }
+        fresh += add_hits(slice, pairs, acc);
     }
-    Ok((wedges, drain_pairs(spa, acc)))
+    pairs.clear();
+    Ok((wedges, fresh))
 }
 
-/// Drain an accumulator of wedge multiplicities into `acc` as
-/// `Σ C(cnt, 2)` and clear it; returns the entries drained.
+/// Hit each of `far` in `pairs`, adding the count each slot held before
+/// its hit to `acc`; returns the first touches (hits that found 0).
 #[inline]
-pub(crate) fn drain_pairs(spa: &mut Spa<u64>, acc: &mut CheckedAccum) -> u64 {
-    let touched = spa.touched_len() as u64;
-    for (_, cnt) in spa.entries() {
-        acc.add(choose2(cnt));
+pub(crate) fn add_hits(far: &[u32], pairs: &mut PairAccum, acc: &mut CheckedAccum) -> u64 {
+    let mut fresh = 0u64;
+    for &c in far {
+        let before = pairs.hit(c);
+        fresh += u64::from(before == 0);
+        acc.add(before);
     }
-    spa.clear();
-    touched
+    fresh
 }
 
 /// Record one exposed vertex's update: the vertex, its wedges (each one
-/// scatter), the entries drained, and the `vertex_wedges` sample.
+/// accumulator hit), its first touches, and the `vertex_wedges` sample.
 #[inline]
-pub(crate) fn record_update<R: Recorder>(rec: &mut R, wedges: u64, touched: u64) {
+pub(crate) fn record_update<R: Recorder>(rec: &mut R, wedges: u64, fresh: u64) {
     if R::ENABLED {
         rec.incr(Counter::VerticesExposed, 1);
         rec.incr(Counter::WedgesExpanded, wedges);
         rec.incr(Counter::SpaScatters, wedges);
-        rec.incr(Counter::AccumEntries, touched);
+        rec.incr(Counter::AccumEntries, fresh);
         rec.hist_record("vertex_wedges", wedges);
     }
 }
@@ -234,17 +244,17 @@ impl<'g> FixedKernel<'g> {
 }
 
 impl Kernel for FixedKernel<'_> {
-    type Scratch = Spa<u64>;
+    type Scratch = PairAccum;
 
-    fn scratch(&self) -> Spa<u64> {
-        Spa::new(self.len())
+    fn scratch(&self) -> PairAccum {
+        PairAccum::new(self.len())
     }
 
     #[inline]
     fn item<R: Recorder>(
         &self,
         i: usize,
-        spa: &mut Spa<u64>,
+        pairs: &mut PairAccum,
         acc: &mut CheckedAccum,
         rec: &mut R,
     ) -> u64 {
@@ -253,14 +263,14 @@ impl Kernel for FixedKernel<'_> {
             Traversal::Backward => self.len() - 1 - i,
         };
         let mut rows = self.other_adj;
-        let Ok((wedges, touched)) = update_vertex(
+        let Ok((wedges, fresh)) = update_vertex(
             self.part_adj.row(k),
             &mut rows,
             self.filter.window(k),
-            spa,
+            pairs,
             acc,
         );
-        record_update(rec, wedges, touched);
+        record_update(rec, wedges, fresh);
         wedges
     }
 }
@@ -302,7 +312,7 @@ mod tests {
     }
 
     fn update(at: &Pattern, a: &Pattern, filter: PartFilter, k: usize) -> u64 {
-        let mut spa = Spa::<u64>::new(at.nrows());
+        let mut spa = PairAccum::new(at.nrows());
         let mut acc = CheckedAccum::new();
         let mut rows = a;
         let Ok(_) = update_vertex(at.row(k), &mut rows, filter.window(k), &mut spa, &mut acc);

@@ -11,7 +11,7 @@
 //!
 //! where `a₁` is the exposed column (invariants 1–4) or row (5–8) and `Aₚ`
 //! is either the already-processed part `A₀` or the look-ahead part `A₂`.
-//! Implemented as a wedge expansion into a sparse accumulator, the
+//! Implemented as a wedge expansion into a pair accumulator, the
 //! subtraction term vanishes (the paper's closing remark of §III-C): the
 //! update becomes `Σ_{c ∈ part} C(|N(a₁) ∩ N(c)|, 2)`, i.e. "count the
 //! butterflies whose two wedge points are the current vertex and a vertex
@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn rectangular_asymmetry_is_handled() {
-        // Wide vs tall graphs exercise both SPA sizes.
+        // Wide vs tall graphs exercise both accumulator sizes.
         let wide = BipartiteGraph::complete(2, 10);
         let tall = BipartiteGraph::complete(10, 2);
         let want = 45; // C(2,2)·C(10,2)

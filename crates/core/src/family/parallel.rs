@@ -4,10 +4,10 @@
 //! Each loop iteration of a derived algorithm touches a disjoint slice of
 //! the output (one exposed vertex's butterfly contribution), so the loop
 //! parallelises directly: the items are cut into contiguous chunks, each
-//! worker owns private scratch (an SPA, allocated once per worker rather
-//! than once per chunk), and the per-chunk [`CheckedAccum`] partials merge
-//! in chunk order — bitwise-identical totals at any thread count. The
-//! paper used 6 OpenMP threads; running
+//! worker owns private scratch (a pair accumulator, allocated once per
+//! worker rather than once per chunk), and the per-chunk [`CheckedAccum`]
+//! partials merge in chunk order — bitwise-identical totals at any thread
+//! count. The paper used 6 OpenMP threads; running
 //! [`count_parallel`](super::count_parallel) inside a 6-thread rayon pool
 //! reproduces that configuration exactly.
 //!

@@ -44,7 +44,7 @@ use super::engine::{record_update, update_vertex};
 use super::parallel::{balanced_ranges, drive_chunks, run_inline, Kernel};
 use bfly_graph::ordering::{global_degree_ranks, is_rank_ordered, rank_ordered};
 use bfly_graph::BipartiteGraph;
-use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
+use bfly_sparse::{choose2, CheckedAccum, PairAccum, Pattern};
 use bfly_telemetry::{timed_span, Recorder};
 use std::time::Instant;
 
@@ -136,7 +136,7 @@ pub(crate) fn priority_start_weight(g: &BipartiteGraph, cuts: &RankCuts, s: usiz
 }
 
 /// The priority member's kernel: item `s` expands start `s` of the
-/// combined index space and drains its butterflies. Records the family
+/// combined index space and adds its butterflies. Records the family
 /// engine's counter vocabulary (`vertices_exposed`, `wedges_expanded`,
 /// `spa_scatters`, `accum_entries`, `vertex_wedges`).
 struct PriorityKernel<'g> {
@@ -145,24 +145,24 @@ struct PriorityKernel<'g> {
 }
 
 impl Kernel for PriorityKernel<'_> {
-    type Scratch = Spa<u64>;
+    type Scratch = PairAccum;
 
-    fn scratch(&self) -> Spa<u64> {
-        Spa::new(self.g.nv1().max(self.g.nv2()))
+    fn scratch(&self) -> PairAccum {
+        PairAccum::new(self.g.nv1().max(self.g.nv2()))
     }
 
     #[inline]
     fn item<R: Recorder>(
         &self,
         s: usize,
-        spa: &mut Spa<u64>,
+        pairs: &mut PairAccum,
         acc: &mut CheckedAccum,
         rec: &mut R,
     ) -> u64 {
         let (row, cut, mut other, u) = self.cuts.start(self.g, s);
-        let Ok((wedges, touched)) =
-            update_vertex(&row[cut..], &mut other, (u + 1, u32::MAX), spa, acc);
-        record_update(rec, wedges, touched);
+        let Ok((wedges, fresh)) =
+            update_vertex(&row[cut..], &mut other, (u + 1, u32::MAX), pairs, acc);
+        record_update(rec, wedges, fresh);
         wedges
     }
 }

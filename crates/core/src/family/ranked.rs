@@ -4,18 +4,18 @@
 //! Same wedge set as the vertex-priority kernel
 //! ([`super::priority`]): a wedge `u – j – w` belongs to its strict
 //! minimum-rank endpoint under the global degree-descending order. Where
-//! the priority kernel drains its accumulator after every start vertex,
+//! the priority kernel hits its accumulator as it expands each start,
 //! the ranked kernel processes starts **in rank order**, grouped into
 //! buckets of bounded wedge work: each bucket first *materialises* its
 //! wedges into one flat batch (far endpoint per wedge, with per-start
-//! segment boundaries), then *replays* the batch through a single SPA,
-//! draining at segment boundaries. Splitting expansion from aggregation
-//! is what makes the parallel path deterministic for free — buckets are
-//! placed with [`balanced_chunk_bounds`] over the per-start wedge
-//! weights, processed independently, and the per-bucket partials merge
-//! in bucket order (via [`CheckedAccum::merge`]) —
-//! and it trades the priority kernel's per-start cache churn for
-//! streaming writes into a batch that fits in L2.
+//! segment boundaries), then *replays* the batch through a single
+//! [`PairAccum`], clearing it at segment boundaries. Splitting expansion
+//! from aggregation is what makes the parallel path deterministic for
+//! free — buckets are placed with [`balanced_chunk_bounds`] over the
+//! per-start wedge weights, processed independently, and the per-bucket
+//! partials merge in bucket order (via [`CheckedAccum::merge`]) — and it
+//! trades the priority kernel's per-start cache churn for streaming
+//! writes into a batch that fits in L2.
 //!
 //! Like the priority kernel it runs on a rank-ordered graph, where
 //! materialising start `u` copies, for each centre past `u`'s cut
@@ -27,11 +27,11 @@
 //! [`priority_wedge_work`](super::priority::priority_wedge_work), so the
 //! adaptive forecast is exact for this member too.
 
-use super::engine::drain_pairs;
+use super::engine::add_hits;
 use super::parallel::{balanced_chunk_bounds, drive_chunks, run_inline, Kernel};
 use super::priority::{priority_start_weight, RankCuts};
 use bfly_graph::BipartiteGraph;
-use bfly_sparse::{CheckedAccum, Spa};
+use bfly_sparse::{CheckedAccum, PairAccum};
 use bfly_telemetry::{timed_span, Counter, Recorder};
 use std::time::Instant;
 
@@ -67,11 +67,11 @@ fn bucket_bounds(weights_in_order: &[u64], min_buckets: usize) -> Vec<usize> {
     balanced_chunk_bounds(weights_in_order, nbuckets)
 }
 
-/// Per-worker scratch of the ranked kernel: the SPA the replay drains,
-/// the flat wedge batch (far endpoint per wedge), and the per-start
-/// segment ends within it.
+/// Per-worker scratch of the ranked kernel: the accumulator the replay
+/// hits, the flat wedge batch (far endpoint per wedge), and the
+/// per-start segment ends within it.
 struct RankedScratch {
-    spa: Spa<u64>,
+    pairs: PairAccum,
     batch: Vec<u32>,
     segs: Vec<usize>,
 }
@@ -91,7 +91,7 @@ impl Kernel for RankedKernel<'_> {
 
     fn scratch(&self) -> RankedScratch {
         RankedScratch {
-            spa: Spa::new(self.g.nv1().max(self.g.nv2())),
+            pairs: PairAccum::new(self.g.nv1().max(self.g.nv2())),
             batch: Vec::new(),
             segs: Vec::new(),
         }
@@ -126,7 +126,7 @@ impl Kernel for RankedKernel<'_> {
     fn flush<R: Recorder>(&self, scratch: &mut RankedScratch, acc: &mut CheckedAccum, rec: &mut R) {
         let mut lo = 0usize;
         for &hi in &scratch.segs {
-            replay_segment(&scratch.batch[lo..hi], &mut scratch.spa, acc, rec);
+            replay_segment(&scratch.batch[lo..hi], &mut scratch.pairs, acc, rec);
             lo = hi;
         }
         scratch.batch.clear();
@@ -134,22 +134,23 @@ impl Kernel for RankedKernel<'_> {
     }
 }
 
-/// Replay one start's batch segment through the SPA into `acc` — the
-/// only place the ranked member scatters.
+/// Replay one start's batch segment through `pairs` into `acc` — the
+/// only place the ranked member hits its accumulator. Each hit adds the
+/// far endpoint's count before it, which sums to the start's
+/// `Σ_w C(cnt[w], 2)` (see [`super::engine`]); a hit that found 0 is a
+/// first touch.
 #[inline]
 fn replay_segment<R: Recorder>(
     segment: &[u32],
-    spa: &mut Spa<u64>,
+    pairs: &mut PairAccum,
     acc: &mut CheckedAccum,
     rec: &mut R,
 ) {
-    for &w in segment {
-        spa.scatter(w, 1);
-    }
-    let touched = drain_pairs(spa, acc);
+    let fresh = add_hits(segment, pairs, acc);
+    pairs.clear();
     if R::ENABLED {
         rec.incr(Counter::SpaScatters, segment.len() as u64);
-        rec.incr(Counter::AccumEntries, touched);
+        rec.incr(Counter::AccumEntries, fresh);
     }
 }
 

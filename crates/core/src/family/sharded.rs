@@ -16,12 +16,13 @@
 //! ([`count_segmented_checkpointed_recorded`]), so one planner,
 //! [`Plan::sharded`], sizes every sharded fixed-member plan and one loop,
 //! `drive_shards`, runs it over either input. Out of core, peak memory is
-//! the reader's metadata, one shard's partitioned rows, one SPA, and the
-//! heaviest opposite rows a [`RowReader`] pins in the slack the plan
-//! leaves. Shards are balanced by *work* ([`balanced_chunk_bounds`] over
-//! the wedge weights); a shard the deadline cuts merges its exact prefix
-//! but is not processed, pushes no forecast and persists no checkpoint.
-//! The global-order members shard through the chunk driver instead.
+//! the reader's metadata, one shard's partitioned rows, one pair
+//! accumulator, and the heaviest opposite rows a [`RowReader`] pins in
+//! the slack the plan leaves. Shards are balanced by *work*
+//! ([`balanced_chunk_bounds`] over the wedge weights); a shard the
+//! deadline cuts merges its exact prefix but is not processed, pushes no
+//! forecast and persists no checkpoint. The global-order members shard
+//! through the chunk driver instead.
 
 use super::engine::{record_update, update_vertex, FixedKernel, RowSource};
 use super::parallel::{balanced_chunk_bounds, wedge_weights, Poll};
@@ -33,7 +34,7 @@ use crate::budget::{Partial, ResourceBudget};
 use crate::checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore};
 use crate::error::{BflyError, Result};
 use bfly_graph::{GraphSegment, RowReader, SegmentedGraph, Side};
-use bfly_sparse::{CheckedAccum, Pattern, Spa};
+use bfly_sparse::{CheckedAccum, PairAccum, Pattern};
 use bfly_telemetry::{timed_span, Counter, NoopRecorder, Recorder};
 use std::time::Instant;
 
@@ -123,8 +124,8 @@ pub(crate) fn drive_shards<S: ShardInput, R: Recorder>(
         .filter(|w| w[1] > w[0])
         .map(|w| ((w[0], w[1]), weights[w[0]..w[1]].iter().sum()))
         .collect();
-    // Dead once the shards are priced: free them before the SPA and the
-    // pin take their place.
+    // Dead once the shards are priced: free them before the accumulator
+    // and the pin take their place.
     drop(weights);
     if shards.is_empty() {
         // A zero-vertex side still runs one (empty) shard so the span
@@ -144,7 +145,7 @@ pub(crate) fn drive_shards<S: ShardInput, R: Recorder>(
         shards.reverse();
     }
     let filter = inv.update_part();
-    let mut spa = Spa::<u64>::new(part_len);
+    let mut pairs = PairAccum::new(part_len);
     let (mut total, mut poll, mut complete) = (CheckedAccum::new(), Poll::new(deadline), true);
     for (done, ((lo, hi), wedges)) in (1..).zip(shards) {
         let saved = input.saved(lo, hi)?;
@@ -159,10 +160,10 @@ pub(crate) fn drive_shards<S: ShardInput, R: Recorder>(
                             return Ok(false);
                         }
                         let nbrs = part.row(k).map_err(Into::into)?;
-                        let (wedges, touched) =
-                            update_vertex(nbrs, &mut other, filter.window(k), &mut spa, &mut acc)
+                        let (wedges, fresh) =
+                            update_vertex(nbrs, &mut other, filter.window(k), &mut pairs, &mut acc)
                                 .map_err(Into::into)?;
-                        record_update(rec, wedges, touched);
+                        record_update(rec, wedges, fresh);
                     }
                     Ok(true)
                 })?;

@@ -199,7 +199,7 @@ mod tests {
         // says Ξ of an empty prefix pair set.
         let at = g.biadjacency_t();
         let mut a = g.biadjacency();
-        let mut spa = bfly_sparse::Spa::<u64>::new(g.nv2());
+        let mut spa = bfly_sparse::PairAccum::new(g.nv2());
         let mut acc = CheckedAccum::new();
         let window = PartFilter::After.window(0);
         let Ok(_) = update_vertex(at.row(0), &mut a, window, &mut spa, &mut acc);

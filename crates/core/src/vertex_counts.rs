@@ -19,11 +19,10 @@
 //!   of eq. 19 (validation; also exercises the sparse substrate).
 
 use crate::error::{checked_total, expect_ok, validate_graph, Result};
-use crate::family::engine::drain_pairs;
 use crate::family::parallel::fill_balanced;
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::ops::spgemm;
-use bfly_sparse::{choose2, CheckedAccum, CsrMatrix, Pattern, Spa};
+use bfly_sparse::{choose2, CheckedAccum, CsrMatrix, PairAccum, Pattern};
 use std::ops::Range;
 
 /// `(part_adj, other_adj)` of `side`: row `u` of the first lists the
@@ -36,25 +35,27 @@ pub(crate) fn side_adj(g: &BipartiteGraph, side: Side) -> (&Pattern, &Pattern) {
 }
 
 /// The one wedge-expansion body: `b_u = Σ_{w≠u} C(|N(u)∩N(w)|, 2)` for
-/// each vertex `u` of `items`, written to `out` in order. Each wedge is
-/// scattered once and drained into a [`CheckedAccum`] seeded with `base`.
+/// each vertex `u` of `items`, written to `out` in order. Each wedge hits
+/// `pairs` once and adds `w`'s count before the hit to a
+/// [`CheckedAccum`] seeded with `base`, which sums to `b_u`
+/// (`C(n, 2) = 0 + 1 + … + (n − 1)`).
 fn counts_in(
     (part_adj, other_adj): (&Pattern, &Pattern),
     items: Range<usize>,
     base: u64,
-    spa: &mut Spa<u64>,
+    pairs: &mut PairAccum,
     out: &mut [u64],
 ) -> Result<()> {
     for (u, slot) in items.zip(out) {
+        let mut acc = CheckedAccum::with_base(base);
         for &j in part_adj.row(u) {
             for &w in other_adj.row(j as usize) {
                 if w as usize != u {
-                    spa.scatter(w, 1);
+                    acc.add(pairs.hit(w));
                 }
             }
         }
-        let mut acc = CheckedAccum::with_base(base);
-        drain_pairs(spa, &mut acc);
+        pairs.clear();
         *slot = checked_total(acc, "butterflies_per_vertex")?;
     }
     Ok(())
@@ -79,8 +80,8 @@ pub(crate) fn checked_vertex_counts(
         adj,
         chunks,
         |u| u,
-        || Spa::new(n),
-        |spa, items, out| counts_in(adj, items, base, spa, out),
+        || PairAccum::new(n),
+        |pairs, items, out| counts_in(adj, items, base, pairs, out),
     )?;
     Ok(out)
 }

@@ -21,8 +21,12 @@
 //!   sequential, rayon-parallel and masked), Hadamard products and the
 //!   Frobenius inner product (`Γ(XYᵀ) = Σᵢⱼ (X∘Y)ᵢⱼ`, paper eq. 3), row and
 //!   column slices, and threshold masks.
-//! * [`Spa`] — the dense-accumulator-with-touched-list workhorse shared by
-//!   SpGEMM and the wedge-expansion counters in `bfly-core`.
+//! * [`Spa`] — the dense-accumulator-with-touched-list workhorse of
+//!   SpGEMM and of the `bfly-core` code that needs each final pair count
+//!   (per-edge supports, pair matrices, peeling, the reference counters).
+//! * [`PairAccum`] — the counting kernels' accumulator: one packed slot
+//!   per vertex whose hits return the slot's previous count, so their sum
+//!   is `Σ C(cnt, 2)` with no drain.
 //! * [`CheckedAccum`] — the overflow-checked `u64` total every counter
 //!   accumulates into.
 //!
@@ -59,4 +63,4 @@ pub use dense::DenseMatrix;
 pub use error::{ShapeError, SparseError};
 pub use pattern::Pattern;
 pub use scalar::{choose2, Scalar};
-pub use spa::Spa;
+pub use spa::{PairAccum, Spa};

@@ -1,16 +1,26 @@
-//! Sparse accumulator (SPA).
+//! Sparse accumulators.
 //!
-//! The classic Gustavson sparse accumulator: a dense value array indexed by
-//! column, a list of touched positions, and a *generation stamp* per slot so
-//! that both membership tests and resets are O(1) — `clear` just bumps the
-//! generation. This single structure powers both SpGEMM and the
-//! wedge-expansion butterfly counters in `bfly-core` (where the "value" is a
-//! wedge multiplicity). It follows the perf-book "workhorse collection"
-//! pattern: allocate once, reuse across rows/vertices.
+//! [`Spa`] is the classic Gustavson sparse accumulator: a dense value
+//! array indexed by column, a list of touched positions, and a
+//! *generation stamp* per slot so that both membership tests and resets
+//! are O(1) — `clear` just bumps the generation. It serves the callers
+//! that need each slot's final value: SpGEMM, per-edge supports, pair
+//! matrices, peeling and the reference counters. It follows the perf-book
+//! "workhorse collection" pattern: allocate once, reuse across
+//! rows/vertices.
+//!
+//! [`PairAccum`] is the counting kernels' accumulator. They need only
+//! `Σ_c C(cnt[c], 2)` over one exposed vertex's wedges (paper eq. 7), and
+//! `C(n, 2) = 0 + 1 + … + (n − 1)`: adding each slot's count *before*
+//! every hit sums the same total as it goes. So a slot is one packed
+//! `u64` (generation and count), with no stamp array, no touched list and
+//! no drain.
 
 use crate::scalar::Scalar;
 
-/// Dense accumulator with O(1) scatter, membership, and reset.
+/// Dense accumulator with O(1) scatter, membership, and reset. For the
+/// callers that read each slot's final value; the counting kernels use
+/// [`PairAccum`].
 #[derive(Debug, Clone)]
 pub struct Spa<T: Scalar> {
     values: Vec<T>,
@@ -108,6 +118,62 @@ impl<T: Scalar> Spa<T> {
     }
 }
 
+/// Counting accumulator for `Σ_c C(cnt[c], 2)`: one packed `u64` slot
+/// per index, `generation << 32 | count`.
+///
+/// [`Self::hit`] returns the slot's count before the hit, so summing the
+/// returns over a generation gives `Σ_c C(cnt[c], 2)` exactly (`C(n, 2) =
+/// 0 + 1 + … + (n − 1)`), and a return of 0 marks a first touch. A slot
+/// written in an older generation reads as count 0: generations only grow
+/// between wraps, so a stale slot is always below the current
+/// generation's base. A count must stay below 2³² within one generation;
+/// in the kernels it is a wedge multiplicity, at most a degree.
+#[derive(Debug, Clone)]
+pub struct PairAccum {
+    slots: Vec<u64>,
+    /// `generation << 32`; the generation is never 0, so the zeroed
+    /// slots of [`Self::new`] and of a wrap read as stale.
+    base: u64,
+}
+
+impl PairAccum {
+    /// New accumulator over the index range `0..n`.
+    pub fn new(n: usize) -> Self {
+        Self {
+            slots: vec![0; n],
+            base: 1 << 32,
+        }
+    }
+
+    /// Count one more hit at index `i`; returns the count before it (0 on
+    /// the first hit this generation).
+    #[inline]
+    pub fn hit(&mut self, i: u32) -> u64 {
+        let slot = &mut self.slots[i as usize];
+        let cur = (*slot).max(self.base);
+        debug_assert_ne!(
+            cur as u32,
+            u32::MAX,
+            "count would carry into the generation"
+        );
+        *slot = cur + 1;
+        cur - self.base
+    }
+
+    /// Reset: O(1) via generation bump. When the generation wraps, every
+    /// slot is zeroed so that no slot from 2³² generations ago aliases
+    /// the new one.
+    pub fn clear(&mut self) {
+        match self.base.checked_add(1 << 32) {
+            Some(base) => self.base = base,
+            None => {
+                self.slots.fill(0);
+                self.base = 1 << 32;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,5 +240,62 @@ mod tests {
             assert_eq!(spa.get(1), 0);
             spa.clear();
         }
+    }
+
+    /// A fresh accumulator whose generation starts at `generation`.
+    fn pairs_at(n: usize, generation: u32) -> PairAccum {
+        assert_ne!(generation, 0);
+        PairAccum {
+            slots: vec![0; n],
+            base: (generation as u64) << 32,
+        }
+    }
+
+    #[test]
+    fn hit_returns_the_count_before_it() {
+        let mut pairs = PairAccum::new(4);
+        assert_eq!(pairs.hit(2), 0);
+        assert_eq!(pairs.hit(2), 1);
+        assert_eq!(pairs.hit(0), 0);
+        assert_eq!(pairs.hit(2), 2);
+        // Three hits on one slot sum to C(3, 2).
+        assert_eq!((0..3).map(|_| pairs.hit(3)).sum::<u64>(), 3);
+    }
+
+    #[test]
+    fn clear_makes_every_slot_fresh() {
+        let mut pairs = PairAccum::new(3);
+        for i in 0..3 {
+            pairs.hit(i);
+            pairs.hit(i);
+        }
+        pairs.clear();
+        for i in 0..3 {
+            assert_eq!(pairs.hit(i), 0, "slot {i} leaked across a clear");
+        }
+        for _ in 0..1000 {
+            pairs.clear();
+            assert_eq!(pairs.hit(1), 0);
+            assert_eq!(pairs.hit(1), 1);
+        }
+    }
+
+    #[test]
+    fn generation_wrap_reads_old_slots_as_fresh() {
+        let mut pairs = pairs_at(3, u32::MAX);
+        assert_eq!(pairs.hit(0), 0);
+        assert_eq!(pairs.hit(0), 1);
+        assert_eq!(pairs.hit(2), 0);
+        // Generation u32::MAX wraps to 1. Without the zeroing, slot 0
+        // (written in generation u32::MAX) would sit above every later
+        // generation and read as current.
+        pairs.clear();
+        assert_eq!(pairs.hit(0), 0);
+        assert_eq!(pairs.hit(2), 0);
+        assert_eq!(pairs.hit(2), 1);
+        // An ordinary bump after the wrap.
+        pairs.clear();
+        assert_eq!(pairs.hit(0), 0);
+        assert_eq!(pairs.hit(1), 0);
     }
 }

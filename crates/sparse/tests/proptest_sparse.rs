@@ -2,7 +2,7 @@
 //! butterfly derivation relies on, checked on arbitrary matrices.
 
 use bfly_sparse::ops::{frobenius_inner, hadamard, spgemm, spgemm_masked, spgemm_parallel};
-use bfly_sparse::{CsrMatrix, Pattern};
+use bfly_sparse::{choose2, CsrMatrix, PairAccum, Pattern, Spa};
 use proptest::prelude::*;
 
 const DIM: usize = 12;
@@ -86,5 +86,33 @@ proptest! {
             prop_assert!(t.contains(c as usize, r));
         }
         prop_assert_eq!(p.nnz(), t.nnz());
+    }
+
+    /// The one-touch accumulator against the SPA drain it replaces: per
+    /// generation, the hits' returns sum to `Σ C(cnt, 2)` and the zero
+    /// returns count the touched slots.
+    #[test]
+    fn pair_accum_matches_spa_drain(
+        rounds in proptest::collection::vec(
+            proptest::collection::vec(0..DIM as u32, 0..4 * DIM),
+            1..8,
+        ),
+    ) {
+        let mut pairs = PairAccum::new(DIM);
+        let mut spa = Spa::<u64>::new(DIM);
+        for hits in rounds {
+            let (mut sum, mut fresh) = (0u64, 0usize);
+            for &i in &hits {
+                let before = pairs.hit(i);
+                sum += before;
+                fresh += usize::from(before == 0);
+                spa.scatter(i, 1);
+            }
+            let want: u64 = spa.entries().map(|(_, cnt)| choose2(cnt)).sum();
+            prop_assert_eq!(sum, want);
+            prop_assert_eq!(fresh, spa.touched_len());
+            pairs.clear();
+            spa.clear();
+        }
     }
 }

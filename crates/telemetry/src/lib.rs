@@ -79,9 +79,10 @@ pub use watchdog::StallWatchdog;
 pub enum Counter {
     /// Wedges expanded through partitioned-side vertices (engine inner loop).
     WedgesExpanded,
-    /// Scatter operations into the sparse accumulator.
+    /// Hits on the counting kernels' pair accumulator, one per wedge.
     SpaScatters,
-    /// Touched SPA entries drained as `C(n,2)` accumulations.
+    /// First touches: accumulator hits that found their slot at 0 (one
+    /// per distinct far endpoint of an exposed vertex).
     AccumEntries,
     /// Vertices of the partitioned side exposed (outer-loop iterations).
     VerticesExposed,
