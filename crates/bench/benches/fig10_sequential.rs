@@ -6,7 +6,7 @@
 //! rows are the measured headline win.
 
 use bfly_bench::{load_datasets, scale_from_env};
-use bfly_core::{count, count_priority, count_ranked, Invariant};
+use bfly_core::{count, execute_plan, ExecMode, Invariant, Member, Plan};
 use bfly_graph::ordering::rank_ordered;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -30,12 +30,12 @@ fn bench_fig10(c: &mut Criterion) {
         // outside the timing as `bfly count` builds it, so they time the
         // kernel and not a relabel of the input-ordered stand-in.
         let g = &rank_ordered(g);
-        group.bench_with_input(BenchmarkId::new(name, "priority"), &g, |b, g| {
-            b.iter(|| black_box(count_priority(g)))
-        });
-        group.bench_with_input(BenchmarkId::new(name, "ranked"), &g, |b, g| {
-            b.iter(|| black_box(count_ranked(g)))
-        });
+        for (label, member) in [("priority", Member::Priority), ("ranked", Member::Ranked)] {
+            let plan = Plan::forced(g, member, ExecMode::Flat, None);
+            group.bench_with_input(BenchmarkId::new(name, label), &g, |b, g| {
+                b.iter(|| black_box(execute_plan(g, &plan)))
+            });
+        }
     }
     group.finish();
 }

@@ -8,7 +8,7 @@
 
 use bfly_bench::{load_datasets, scale_from_env, threads_from_env};
 use bfly_core::adaptive::execute_plan;
-use bfly_core::{count_parallel, ExecMode, Invariant, Member, Plan};
+use bfly_core::{ExecMode, Invariant, Member, Plan};
 use bfly_graph::ordering::rank_ordered;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -23,18 +23,17 @@ fn bench_fig11(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_millis(1200));
+    let mode = ExecMode::Parallel {
+        chunks: pool.current_num_threads().max(1),
+    };
     for (d, g) in &datasets {
         let name = d.spec().name;
         for inv in Invariant::ALL {
-            group.bench_with_input(
-                BenchmarkId::new(name, inv.number()),
-                &(g, inv),
-                |b, (g, inv)| b.iter(|| pool.install(|| black_box(count_parallel(g, *inv)))),
-            );
+            let plan = Plan::forced(g, Member::Fixed(inv), mode, None);
+            group.bench_with_input(BenchmarkId::new(name, inv.number()), &g, |b, g| {
+                b.iter(|| pool.install(|| black_box(execute_plan(g, &plan))))
+            });
         }
-        let mode = ExecMode::Parallel {
-            chunks: pool.current_num_threads().max(1),
-        };
         // The global-order rows count the rank-ordered graph, built once
         // outside the timing as `bfly count` builds it.
         let g = &rank_ordered(g);

@@ -1,11 +1,11 @@
 //! Smoke bench guarding the zero-overhead claim: counting through
-//! `count_recorded` with [`NoopRecorder`] must run at the speed of the
+//! `run_plan` with [`NoopRecorder`] must run at the speed of the
 //! plain `count` (the recorder monomorphizes away), while the live
 //! [`InMemoryRecorder`] pays only for what it measures. Compare the three
 //! `inv2/*` rows — `plain` and `noop` should be indistinguishable.
 
 use bfly_core::telemetry::{InMemoryRecorder, NoopRecorder};
-use bfly_core::{count, count_recorded, Invariant};
+use bfly_core::{count, run_plan, ExecMode, Invariant, Member, Plan};
 use bfly_graph::generators::uniform_exact;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -22,13 +22,14 @@ fn bench_noop_overhead(c: &mut Criterion) {
     group.bench_function("inv2/plain", |b| {
         b.iter(|| black_box(count(&g, Invariant::Inv2)))
     });
+    let plan = Plan::forced(&g, Member::Fixed(Invariant::Inv2), ExecMode::Flat, None);
     group.bench_function("inv2/noop", |b| {
-        b.iter(|| black_box(count_recorded(&g, Invariant::Inv2, &mut NoopRecorder)))
+        b.iter(|| black_box(run_plan(&g, &plan, None, &mut NoopRecorder).unwrap().value))
     });
     group.bench_function("inv2/inmemory", |b| {
         b.iter(|| {
             let mut rec = InMemoryRecorder::new();
-            black_box(count_recorded(&g, Invariant::Inv2, &mut rec))
+            black_box(run_plan(&g, &plan, None, &mut rec).unwrap().value)
         })
     });
     group.finish();

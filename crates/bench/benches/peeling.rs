@@ -4,9 +4,10 @@
 
 use bfly_core::peel::{
     k_tip, k_tip_lookahead, k_tip_matrix, k_wing, k_wing_matrix, tip_numbers,
-    tip_numbers_with_chunks, wing_numbers, wing_numbers_with_chunks,
+    tip_numbers_budgeted_recorded, wing_numbers, wing_numbers_with_chunks,
 };
 use bfly_core::telemetry::NoopRecorder;
+use bfly_core::ResourceBudget;
 use bfly_graph::generators::{uniform_exact, with_planted_biclique};
 use bfly_graph::Side;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -58,15 +59,18 @@ fn bench_peel_throughput(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_millis(1500));
+    let unlimited = ResourceBudget::unlimited();
     for chunks in [1usize, 2, 4] {
         group.bench_function(format!("tip/chunks={chunks}"), |b| {
             b.iter(|| {
-                black_box(tip_numbers_with_chunks(
+                let r = tip_numbers_budgeted_recorded(
                     &g,
                     Side::V1,
                     chunks,
+                    &unlimited,
                     &mut NoopRecorder,
-                ))
+                );
+                black_box(r.unwrap().value)
             })
         });
         group.bench_function(format!("wing/chunks={chunks}"), |b| {

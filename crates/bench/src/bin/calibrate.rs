@@ -3,7 +3,7 @@
 //! resulting butterfly count, to pick the exponents baked into
 //! `bfly_graph::konect`. Usage: `calibrate <dataset-index 0..4> <exp1> <exp2>`.
 
-use bfly_core::{count_parallel, Invariant};
+use bfly_core::{execute_plan, ExecMode, Invariant, Member, Plan};
 use bfly_graph::generators::chung_lu;
 use bfly_graph::StandIn;
 use rand::rngs::StdRng;
@@ -18,7 +18,13 @@ fn main() {
     let spec = d.spec();
     let mut rng = StdRng::seed_from_u64(1);
     let g = chung_lu(spec.v1, spec.v2, spec.edges, e1, e2, &mut rng);
-    let xi = count_parallel(&g, Invariant::Inv2);
+    let mode = ExecMode::Parallel {
+        chunks: rayon::current_num_threads().max(1),
+    };
+    let xi = execute_plan(
+        &g,
+        &Plan::forced(&g, Member::Fixed(Invariant::Inv2), mode, None),
+    );
     println!(
         "{} exp=({e1},{e2}) -> butterflies {xi} (paper {})",
         spec.name, spec.paper_butterflies

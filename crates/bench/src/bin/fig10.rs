@@ -16,7 +16,7 @@ use bfly_bench::{
 };
 use bfly_core::adaptive::{profile_and_plan_recorded, run_plan};
 use bfly_core::telemetry::{InMemoryRecorder, Json};
-use bfly_core::{count, count_adaptive, count_recorded, Invariant};
+use bfly_core::{count, count_adaptive, ExecMode, Invariant, Member, Plan};
 use bfly_graph::Side;
 
 fn main() {
@@ -39,7 +39,8 @@ fn main() {
             // One instrumented pass collects the work counters (they are
             // deterministic, so timing and counting runs can be separate).
             let mut rec = InMemoryRecorder::new();
-            let xi_rec = count_recorded(g, inv, &mut rec);
+            let plan = Plan::forced(g, Member::Fixed(inv), ExecMode::Flat, None);
+            let xi_rec = run_plan(g, &plan, None, &mut rec).unwrap().value;
             assert_eq!(xi_rec, xi, "instrumented run diverged");
             if inv == Invariant::Inv1 {
                 if let Some(h) = rec.histogram("vertex_wedges") {

@@ -7,10 +7,8 @@ use bfly_bench::{
     write_bench_report,
 };
 use bfly_core::adaptive::count_adaptive_parallel_recorded;
-use bfly_core::telemetry::{InMemoryRecorder, Json};
-use bfly_core::{
-    count, count_adaptive_parallel, count_parallel, run_plan, ExecMode, Invariant, Member, Plan,
-};
+use bfly_core::telemetry::{InMemoryRecorder, Json, NoopRecorder};
+use bfly_core::{count, execute_plan, run_plan, ExecMode, Invariant, Member, Plan};
 
 fn main() {
     let scale = scale_from_env();
@@ -35,14 +33,14 @@ fn main() {
         let mut counts = [0u64; 8];
         let mut seq_best = f64::INFINITY;
         for (i, inv) in Invariant::ALL.into_iter().enumerate() {
-            let (t, xi) = best_of(2, || pool.install(|| count_parallel(g, inv)));
+            let mode = ExecMode::Parallel { chunks: threads };
+            let plan = Plan::forced(g, Member::Fixed(inv), mode, None);
+            let (t, xi) = best_of(2, || pool.install(|| execute_plan(g, &plan)));
             times[i] = t;
             counts[i] = xi;
             // Instrumented pass: per-chunk work series and the imbalance
             // gauge come from the recorded parallel path.
             let mut rec = InMemoryRecorder::new();
-            let mode = ExecMode::Parallel { chunks: threads };
-            let plan = Plan::forced(g, Member::Fixed(inv), mode, None);
             let r = pool.install(|| run_plan(g, &plan, None, &mut rec));
             assert_eq!(r.unwrap().value, xi, "instrumented run diverged");
             if inv == Invariant::Inv2 {
@@ -65,8 +63,9 @@ fn main() {
         // tuned from the measured weights; the imbalance gauge of this run
         // is directly comparable to the fixed-invariant rows above (one
         // wedge-balanced chunk per worker).
-        let (t_adaptive, (xi_adaptive, plan)) =
-            best_of(2, || pool.install(|| count_adaptive_parallel(g)));
+        let (t_adaptive, (xi_adaptive, plan)) = best_of(2, || {
+            pool.install(|| count_adaptive_parallel_recorded(g, &mut NoopRecorder))
+        });
         assert_eq!(xi_adaptive, counts[0], "adaptive diverged");
         let mut rec = InMemoryRecorder::new();
         let (xi_rec, _) = pool.install(|| count_adaptive_parallel_recorded(g, &mut rec));

@@ -5,7 +5,7 @@
 //! Run with `BFLY_SCALE=1.0` for the paper's full sizes (default 0.1).
 
 use bfly_bench::{load_datasets, scale_from_env};
-use bfly_core::{count, count_parallel, Invariant};
+use bfly_core::{count, execute_plan, ExecMode, Invariant, Member, Plan};
 
 fn main() {
     let scale = scale_from_env();
@@ -14,13 +14,18 @@ fn main() {
         "{:<16}{:>10}{:>10}{:>10}{:>14}{:>14}",
         "Dataset", "|V1|", "|V2|", "|E|", "Ξ (stand-in)", "Ξ (paper)"
     );
+    let per_worker = ExecMode::Parallel {
+        chunks: rayon::current_num_threads().max(1),
+    };
     for (d, g) in load_datasets(scale) {
         let spec = d.spec();
-        let xi = count_parallel(&g, Invariant::Inv2);
+        let parallel =
+            |inv| execute_plan(&g, &Plan::forced(&g, Member::Fixed(inv), per_worker, None));
+        let xi = parallel(Invariant::Inv2);
         // Cross-check the whole family on the real workload.
         for inv in Invariant::ALL {
             let c = if g.nedges() > 200_000 {
-                count_parallel(&g, inv)
+                parallel(inv)
             } else {
                 count(&g, inv)
             };

@@ -9,13 +9,22 @@
 use bfly_bench::{scale_from_env, time_one, write_bench_report};
 use bfly_core::peel::{
     k_tip, k_tip_lookahead, k_tip_matrix, k_tip_recorded, k_wing, k_wing_matrix, k_wing_recorded,
-    tip_numbers, tip_numbers_with_chunks, wing_numbers, wing_numbers_with_chunks,
+    tip_numbers, tip_numbers_budgeted_recorded, wing_numbers, wing_numbers_with_chunks,
 };
-use bfly_core::telemetry::{InMemoryRecorder, Json, NoopRecorder};
+use bfly_core::telemetry::{InMemoryRecorder, Json, NoopRecorder, Recorder};
+use bfly_core::ResourceBudget;
 use bfly_graph::generators::{uniform_exact, with_planted_biclique};
 use bfly_graph::{BipartiteGraph, Side, StandIn};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// V1 tip numbers over `chunks` chunks, unlimited budget.
+fn tips_over<R: Recorder>(g: &BipartiteGraph, chunks: usize, rec: &mut R) -> Vec<u64> {
+    let unlimited = ResourceBudget::unlimited();
+    tip_numbers_budgeted_recorded(g, Side::V1, chunks, &unlimited, rec)
+        .expect("unlimited budget")
+        .value
+}
 
 fn main() {
     let scale = scale_from_env();
@@ -136,9 +145,7 @@ fn main() {
                 .build()
                 .expect("thread pool");
             let chunks = threads;
-            let (tt, tips) = time_one(|| {
-                pool.install(|| tip_numbers_with_chunks(d, Side::V1, chunks, &mut NoopRecorder))
-            });
+            let (tt, tips) = time_one(|| pool.install(|| tips_over(d, chunks, &mut NoopRecorder)));
             assert_eq!(tips, tip_base, "{name}: tip diverged at {threads} threads");
             let (tw, wings) = time_one(|| {
                 pool.install(|| wing_numbers_with_chunks(d, chunks, &mut NoopRecorder))
@@ -160,7 +167,7 @@ fn main() {
             // engine's round/bucket/repair counters alongside the times.
             let mut rec = InMemoryRecorder::new();
             pool.install(|| {
-                tip_numbers_with_chunks(d, Side::V1, chunks, &mut rec);
+                tips_over(d, chunks, &mut rec);
                 wing_numbers_with_chunks(d, chunks, &mut rec);
             });
             reports.push(rec.report(vec![

@@ -9,7 +9,7 @@
 use bfly_bench::{best_of, load_datasets, scale_from_env, threads_from_env};
 use bfly_core::baseline::{count_hash_aggregation, count_vertex_priority};
 use bfly_core::spec::count_via_spgemm;
-use bfly_core::{count, count_parallel, Invariant};
+use bfly_core::{count, execute_plan, ExecMode, Invariant, Member, Plan};
 use bfly_graph::GraphStats;
 
 fn main() {
@@ -85,7 +85,9 @@ fn main() {
         print!("| {} |", d.spec().name);
         let mut best = f64::INFINITY;
         for inv in Invariant::ALL {
-            let (t, c) = best_of(2, || pool.install(|| count_parallel(g, inv)));
+            let mode = ExecMode::Parallel { chunks: threads };
+            let plan = Plan::forced(g, Member::Fixed(inv), mode, None);
+            let (t, c) = best_of(2, || pool.install(|| execute_plan(g, &plan)));
             assert_eq!(c, xi);
             best = best.min(t);
             print!(" {t:.3} |");

@@ -4,7 +4,7 @@
 //! scaling of the parallel family member on the largest size.
 
 use bfly_bench::{best_of, time_one};
-use bfly_core::{count, count_parallel, Invariant};
+use bfly_core::{count, execute_plan, ExecMode, Invariant, Member, Plan};
 use bfly_graph::StandIn;
 
 fn main() {
@@ -39,7 +39,9 @@ fn main() {
             .num_threads(threads)
             .build()
             .expect("thread pool");
-        let (t, xi) = time_one(|| pool.install(|| count_parallel(&g, Invariant::Inv2)));
+        let mode = ExecMode::Parallel { chunks: threads };
+        let plan = Plan::forced(&g, Member::Fixed(Invariant::Inv2), mode, None);
+        let (t, xi) = time_one(|| pool.install(|| execute_plan(&g, &plan)));
         if let Some(r) = reference {
             assert_eq!(xi, r, "thread count changed the answer");
         } else {

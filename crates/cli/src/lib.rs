@@ -290,8 +290,9 @@ pub enum Algorithm {
     /// The default: the same planner as [`Algorithm::Adaptive`], labelled
     /// `auto`.
     Auto,
-    /// Profile-driven cost model ([`bfly_core::adaptive`]): partition side
-    /// by wedge-work estimate, degree ordering, balanced parallel chunks.
+    /// `--adaptive`: the profile-driven cost model
+    /// ([`bfly_core::adaptive`]) — partition side by wedge-work estimate,
+    /// degree ordering, balanced parallel chunks.
     Adaptive,
     /// A specific family member.
     Family(Invariant),
@@ -301,13 +302,13 @@ pub enum Algorithm {
     Hash,
     /// Vertex-priority baseline.
     VertexPriority,
-    /// Vertex-priority engine kernel ([`bfly_core::count_priority`]):
-    /// global degree-descending order, each wedge expanded once from its
-    /// highest-priority endpoint.
+    /// Vertex-priority engine kernel (`--algorithm priority`,
+    /// [`Member::Priority`]): global degree-descending order, each wedge
+    /// expanded once from its highest-priority endpoint.
     Priority,
-    /// Ranked wedge-aggregation engine kernel
-    /// ([`bfly_core::count_ranked`]): the priority wedge set in rank
-    /// order through weight-balanced flat SPA buckets.
+    /// Ranked wedge-aggregation engine kernel (`--algorithm ranked`,
+    /// [`Member::Ranked`]): the priority wedge set in rank order through
+    /// weight-balanced flat SPA buckets.
     Ranked,
     /// Full enumeration (small graphs!).
     Enumerate,
@@ -515,8 +516,7 @@ bfly — butterfly counting and peeling for bipartite graphs
 
 USAGE:
   bfly stats       <file> [--format konect|edgelist|mtx]
-  bfly count       <file> [--algorithm auto|adaptive|inv1..inv8|spgemm|hash|vp|enum|priority|ranked]
-                          [--member priority|ranked]
+  bfly count       <file> [--algorithm auto|inv1..inv8|spgemm|hash|vp|enum|priority|ranked]
                           [--adaptive] [--explain] [--parallel] [--threads N]
                           [--max-bytes B] [--max-work W] [--deadline-ms MS]
                           [--shards N] [--shard-bytes B]
@@ -725,7 +725,6 @@ fn parse_side(s: &str) -> Result<Side, CliError> {
 fn parse_algorithm(s: &str) -> Result<Algorithm, CliError> {
     match s {
         "auto" => Ok(Algorithm::Auto),
-        "adaptive" => Ok(Algorithm::Adaptive),
         "spgemm" => Ok(Algorithm::Spgemm),
         "hash" => Ok(Algorithm::Hash),
         "vp" | "vertex-priority" => Ok(Algorithm::VertexPriority),
@@ -793,33 +792,10 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
                 s => s,
             };
             let budgeted = max_bytes.is_some() || max_work.is_some() || deadline_ms.is_some();
-            let named = rest.flag("algorithm");
-            let algorithm = match (rest.has("adaptive"), named) {
+            let algorithm = match (rest.has("adaptive"), rest.flag("algorithm")) {
                 (true, _) => Algorithm::Adaptive,
                 (false, Some(a)) => parse_algorithm(a)?,
                 (false, None) => Algorithm::Auto,
-            };
-            // --member is the engine-kernel spelling from the adaptive
-            // vocabulary: sugar for --algorithm priority|ranked, rejected
-            // when an algorithm was also named explicitly.
-            let algorithm = match rest.flag("member") {
-                None => algorithm,
-                Some(m) => {
-                    if named.is_some() || rest.has("adaptive") {
-                        return Err(err(
-                            "--member conflicts with --algorithm/--adaptive; pick one spelling",
-                        ));
-                    }
-                    match m {
-                        "priority" => Algorithm::Priority,
-                        "ranked" => Algorithm::Ranked,
-                        other => {
-                            return Err(err(format!(
-                                "unknown member {other:?} (use priority or ranked)"
-                            )))
-                        }
-                    }
-                }
             };
             // Budgets and sharding run through the adaptive planner, so
             // they imply --adaptive; a fixed algorithm has nothing to
@@ -831,7 +807,7 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
                     return Err(err(format!(
                         "--max-bytes/--max-work/--deadline-ms/--shards/--shard-bytes run \
                          through the adaptive planner; drop --algorithm {other:?} or use \
-                         --algorithm adaptive"
+                         --adaptive"
                     )))
                 }
                 (false, a) => a,
@@ -1694,13 +1670,12 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             top,
         } => {
             let g = load_graph(&file, format)?;
-            let pm = bfly_core::PairMatrix::build(&g, side);
-            let total = pm.try_total()?;
+            let (total, pairs) = bfly_core::pair_matrix::top_pairs(&g, side, top)?;
             w(
                 out,
                 format!("top {top} {side:?} pairs by butterflies (total {total}):"),
             )?;
-            for (i, j, b) in pm.top_pairs(top) {
+            for (i, j, b) in pairs {
                 w(out, format!("  ({i}, {j})\t{b}"))?;
             }
             Ok(())
@@ -2236,8 +2211,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // --algorithm adaptive spells the same thing.
-        assert_eq!(parse_algorithm("adaptive").unwrap(), Algorithm::Adaptive);
+        // --adaptive is its only spelling: no `adaptive` algorithm name.
+        assert!(parse_algorithm("adaptive").is_err());
         // --explain alone keeps the requested algorithm.
         let cmd = parse(&sv(&["count", "g.tsv", "--algorithm", "inv4", "--explain"])).unwrap();
         match cmd {
@@ -2323,59 +2298,6 @@ mod tests {
         }
         assert!(parse_algorithm("inv9").is_err());
         assert!(parse_algorithm("magic").is_err());
-    }
-
-    #[test]
-    fn member_flag_selects_global_order_kernels() {
-        for (m, want) in [
-            ("priority", Algorithm::Priority),
-            ("ranked", Algorithm::Ranked),
-        ] {
-            let cmd = parse(&sv(&["count", "g.tsv", "--member", m])).unwrap();
-            assert!(
-                matches!(cmd, Command::Count { algorithm, .. } if algorithm == want),
-                "--member {m}"
-            );
-        }
-        // The long spelling means the same thing.
-        let cmd = parse(&sv(&["count", "g.tsv", "--algorithm", "ranked"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Count {
-                algorithm: Algorithm::Ranked,
-                ..
-            }
-        ));
-        // Conflicting spellings and unknown members are usage errors.
-        assert!(parse(&sv(&[
-            "count",
-            "g.tsv",
-            "--member",
-            "priority",
-            "--algorithm",
-            "inv1"
-        ]))
-        .is_err());
-        assert!(parse(&sv(&[
-            "count",
-            "g.tsv",
-            "--member",
-            "priority",
-            "--adaptive"
-        ]))
-        .is_err());
-        assert!(parse(&sv(&["count", "g.tsv", "--member", "nope"])).is_err());
-        // Budget flags imply the adaptive planner, which a forced kernel
-        // cannot degrade through.
-        assert!(parse(&sv(&[
-            "count",
-            "g.tsv",
-            "--member",
-            "ranked",
-            "--max-bytes",
-            "1000"
-        ]))
-        .is_err());
     }
 
     #[test]
@@ -3235,6 +3157,7 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!(e.class, ErrorClass::Usage);
+        assert!(e.msg.contains("or use --adaptive"), "{}", e.msg);
         // Every parse failure is usage-class (exit 2).
         assert_eq!(parse(&sv(&["frobnicate"])).unwrap_err().exit_code(), 2);
         assert_eq!(
@@ -3347,13 +3270,13 @@ mod tests {
                 .unwrap()
         };
         let want = count_of(&["count", gp, "--algorithm", "inv1"]);
-        assert_eq!(count_of(&["count", gp, "--member", "priority"]), want);
-        assert_eq!(count_of(&["count", gp, "--member", "ranked"]), want);
+        assert_eq!(count_of(&["count", gp, "--algorithm", "priority"]), want);
+        assert_eq!(count_of(&["count", gp, "--algorithm", "ranked"]), want);
         assert_eq!(
             count_of(&[
                 "count",
                 gp,
-                "--member",
+                "--algorithm",
                 "priority",
                 "--parallel",
                 "--threads",
@@ -3365,7 +3288,7 @@ mod tests {
             count_of(&[
                 "count",
                 gp,
-                "--member",
+                "--algorithm",
                 "ranked",
                 "--parallel",
                 "--threads",

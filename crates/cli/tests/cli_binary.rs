@@ -319,6 +319,42 @@ fn unknown_flags_are_usage_errors() {
     }
 }
 
+/// `bfly count` spells each choice once: `--member` is an unknown flag
+/// and `adaptive` is no `--algorithm` value (`--adaptive` is the flag),
+/// while `--algorithm ranked` prints the line `--member ranked` printed.
+#[test]
+fn removed_count_spellings_are_usage_errors() {
+    let dir = tempdir();
+    let gpath = dir.join("spellings.tsv");
+    let gpath_s = gpath.to_str().unwrap();
+    let out = bfly()
+        .args(["generate", "--kind", "uniform", "--m", "40", "--n", "40"])
+        .args(["--edges", "200", "--seed", "6", "--out", gpath_s])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for (args, why) in [
+        (&["--member", "priority"][..], "unknown flag --member "),
+        (
+            &["--algorithm", "adaptive"],
+            "unknown algorithm \"adaptive\"",
+        ),
+    ] {
+        let out = bfly().args(["count", gpath_s]).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+    }
+    let out = bfly()
+        .args(["count", gpath_s, "--algorithm", "ranked"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(stdout.lines().next(), Some("butterflies = 135  [ranked]"));
+}
+
 #[test]
 fn extra_positionals_are_usage_errors() {
     let dir = tempdir();
@@ -840,7 +876,7 @@ fn every_count_route_reports_the_plan_it_ran() {
         routes.push(vec!["--algorithm".into(), format!("inv{i}")]);
     }
     for m in ["priority", "ranked"] {
-        routes.push(vec!["--member".into(), m.into()]);
+        routes.push(vec!["--algorithm".into(), m.into()]);
     }
     for r in routes.clone() {
         routes.push([r, vec!["--parallel".into(), "--threads".into(), "2".into()]].concat());

@@ -251,11 +251,11 @@ pub enum Member {
     /// A fixed invariant of the paper's family (partition one side,
     /// expand every wedge through the other).
     Fixed(Invariant),
-    /// The vertex-priority kernel ([`crate::family::count_priority`]):
+    /// The vertex-priority kernel ([`crate::family::priority`]):
     /// global degree-descending order over `V1 ∪ V2`, each wedge expanded
     /// only from its strictly-highest-priority endpoint.
     Priority,
-    /// Ranked wedge aggregation ([`crate::family::count_ranked`]): the
+    /// Ranked wedge aggregation ([`crate::family::ranked`]): the
     /// priority wedge set processed in rank order through weight-balanced
     /// buckets of flat SPA batches.
     Ranked,
@@ -734,22 +734,19 @@ pub fn profile_and_plan_recorded<R: Recorder>(
     })
 }
 
-/// Execute a previously selected plan on `g`. A total past `u64` panics
-/// naming [`try_count_adaptive`].
+/// Execute a plan on `g` to completion: a forced member or mode is
+/// `execute_plan(&g, &Plan::forced(&g, member, mode, None))`. A total
+/// past `u64` panics naming [`run_plan`], which returns it as a typed
+/// error. The benchmark's `bfly-replica` imports this name too.
 pub fn execute_plan(g: &BipartiteGraph, plan: &Plan) -> u64 {
-    run_to_end(g, plan, &mut NoopRecorder, "try_count_adaptive")
+    run_to_end(g, plan, &mut NoopRecorder)
 }
 
 /// [`run_plan`] without a deadline for an infallible entry point: a total
-/// past `u64` panics naming `twin`, the call that reports it as a typed
-/// error instead.
-pub(crate) fn run_to_end<R: Recorder>(
-    g: &BipartiteGraph,
-    plan: &Plan,
-    rec: &mut R,
-    twin: &'static str,
-) -> u64 {
-    crate::error::expect_ok(run_plan(g, plan, None, rec), twin).value
+/// past `u64` panics naming [`run_plan`], the call that reports it as a
+/// typed error instead.
+pub(crate) fn run_to_end<R: Recorder>(g: &BipartiteGraph, plan: &Plan, rec: &mut R) -> u64 {
+    crate::error::expect_ok(run_plan(g, plan, None, rec), "run_plan").value
 }
 
 /// The plan executor, and the only one: every in-memory count — fixed,
@@ -888,14 +885,10 @@ pub fn count_adaptive(g: &BipartiteGraph) -> (u64, Plan) {
     (execute_plan(g, &plan), plan)
 }
 
-/// Count with the adaptively selected plan on rayon's current pool, using
-/// degree-balanced chunk boundaries (one chunk per worker).
-pub fn count_adaptive_parallel(g: &BipartiteGraph) -> (u64, Plan) {
-    count_adaptive_parallel_recorded(g, &mut NoopRecorder)
-}
-
-/// [`count_adaptive_parallel`] reporting the selection, the chunk tuning
-/// and the work through `rec`.
+/// Count with the adaptively selected plan on rayon's current pool,
+/// reporting the selection, the chunk tuning and the work through `rec`.
+/// Kept for the benchmark's `bfly-replica`, which imports it; it goes
+/// with the replica.
 pub fn count_adaptive_parallel_recorded<R: Recorder>(
     g: &BipartiteGraph,
     rec: &mut R,
@@ -903,18 +896,7 @@ pub fn count_adaptive_parallel_recorded<R: Recorder>(
     let workers = rayon::current_num_threads().max(1);
     let (_, mut plan) = profile_and_plan_recorded(g, true, workers, rec);
     tune_plan_chunks(g, &mut plan, rec);
-    (run_to_end(g, &plan, rec, "try_count_adaptive"), plan)
-}
-
-/// Fallible [`count_adaptive`]: validates the graph up front and reports
-/// a total past `u64` as a typed
-/// [`BflyError`](crate::error::BflyError), so hostile input fails
-/// without panicking. Any other plan gets the same guarantee from
-/// [`validate_graph`](crate::error::validate_graph) then [`run_plan`].
-pub fn try_count_adaptive(g: &BipartiteGraph) -> crate::error::Result<(u64, Plan)> {
-    crate::error::validate_graph(g)?;
-    let (_, plan) = profile_and_plan_recorded(g, false, 0, &mut NoopRecorder);
-    Ok((run_plan(g, &plan, None, &mut NoopRecorder)?.value, plan))
+    (run_to_end(g, &plan, rec), plan)
 }
 
 /// Estimated bytes of one wedge accumulator over `n` slots: 24 B per
@@ -1117,28 +1099,6 @@ pub fn profile_and_plan_budgeted_recorded<R: Recorder>(
     })
 }
 
-/// Resource-budgeted adaptive count: [`profile_and_plan_budgeted_recorded`]
-/// (degrading per [`select_plan_budgeted`]) then [`run_plan`] with the
-/// budget's deadline, on one chunk per worker of rayon's current pool
-/// when `parallel`. A deadline that expires mid-count yields
-/// `complete = false` with the exact count over the processed prefix
-/// (and a `budget.degraded = 3` gauge) rather than an error; only a
-/// budget with no viable shape at all fails.
-pub fn count_adaptive_budgeted_recorded<R: Recorder>(
-    g: &BipartiteGraph,
-    parallel: bool,
-    budget: &ResourceBudget,
-    rec: &mut R,
-) -> crate::error::Result<Partial<(u64, Plan)>> {
-    let workers = if parallel {
-        rayon::current_num_threads().max(1)
-    } else {
-        0
-    };
-    let (_, plan) = profile_and_plan_budgeted_recorded(g, parallel, workers, budget, rec)?;
-    Ok(run_plan(g, &plan, budget.deadline, rec)?.map(|count| (count, plan)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1231,7 +1191,7 @@ mod tests {
             let want = count_brute_force(&g);
             let (xi, _) = count_adaptive(&g);
             assert_eq!(xi, want);
-            let (xi_par, plan_par) = count_adaptive_parallel(&g);
+            let (xi_par, plan_par) = count_adaptive_parallel_recorded(&g, &mut NoopRecorder);
             assert_eq!(xi_par, want);
             assert!(matches!(plan_par.mode, ExecMode::Parallel { .. }));
         }
@@ -1262,7 +1222,7 @@ mod tests {
                 };
                 assert_eq!(execute_plan(&g, &plan), want, "{plan:?}");
                 let mut rec = InMemoryRecorder::new();
-                assert_eq!(run_to_end(&g, &plan, &mut rec, "run_plan"), want);
+                assert_eq!(run_to_end(&g, &plan, &mut rec), want);
                 let counts: Vec<(u32, u32)> = rec
                     .spans()
                     .iter()
@@ -1281,7 +1241,7 @@ mod tests {
         let g = uniform_exact(50, 20, 180, &mut rng);
         let mut rec = InMemoryRecorder::new();
         let (_, plan) = profile_and_plan_recorded(&g, false, 0, &mut rec);
-        let xi = run_to_end(&g, &plan, &mut rec, "try_count_adaptive");
+        let xi = run_to_end(&g, &plan, &mut rec);
         assert_eq!(xi, count_brute_force(&g));
         assert_eq!(
             rec.gauge_value("plan.invariant"),
@@ -1353,8 +1313,26 @@ mod tests {
         }
     }
 
+    /// The CLI's two budgeted steps: plan under `budget` (one chunk per
+    /// worker of rayon's current pool when `parallel`), then run the plan
+    /// with the budget's deadline.
+    fn count_budgeted<R: Recorder>(
+        g: &BipartiteGraph,
+        parallel: bool,
+        budget: &ResourceBudget,
+        rec: &mut R,
+    ) -> crate::error::Result<Partial<(u64, Plan)>> {
+        let workers = if parallel {
+            rayon::current_num_threads().max(1)
+        } else {
+            0
+        };
+        let (_, plan) = profile_and_plan_budgeted_recorded(g, parallel, workers, budget, rec)?;
+        Ok(run_plan(g, &plan, budget.deadline, rec)?.map(|count| (count, plan)))
+    }
+
     #[test]
-    fn try_variants_agree_with_infallible_counts() {
+    fn typed_path_agrees_with_infallible_counts() {
         let mut rng = StdRng::seed_from_u64(91);
         for g in [
             uniform_exact(35, 45, 240, &mut rng),
@@ -1362,10 +1340,11 @@ mod tests {
             BipartiteGraph::complete(6, 6),
             BipartiteGraph::empty(5, 8),
         ] {
-            let want = count_adaptive(&g).0;
-            assert_eq!(try_count_adaptive(&g).unwrap().0, want);
-            let (_, par) = profile_and_plan_recorded(&g, true, 4, &mut NoopRecorder);
+            let (want, seq) = count_adaptive(&g);
             crate::error::validate_graph(&g).unwrap();
+            let r = run_plan(&g, &seq, None, &mut NoopRecorder).unwrap();
+            assert_eq!(r.value, want);
+            let (_, par) = profile_and_plan_recorded(&g, true, 4, &mut NoopRecorder);
             let r = run_plan(&g, &par, None, &mut NoopRecorder).unwrap();
             assert_eq!(r.value, want);
         }
@@ -1377,7 +1356,7 @@ mod tests {
         let g = uniform_exact(40, 40, 300, &mut rng);
         let want = count_brute_force(&g);
         for parallel in [false, true] {
-            let r = count_adaptive_budgeted_recorded(
+            let r = count_budgeted(
                 &g,
                 parallel,
                 &ResourceBudget::unlimited(),
@@ -1402,7 +1381,7 @@ mod tests {
             profile.resident_bytes + plan_scratch_bytes(&profile, &select_plan(&profile, false, 0));
         let budget = ResourceBudget::unlimited().with_max_bytes(flat_floor);
         let mut rec = InMemoryRecorder::new();
-        let r = count_adaptive_budgeted_recorded(&g, true, &budget, &mut rec).unwrap();
+        let r = count_budgeted(&g, true, &budget, &mut rec).unwrap();
         assert!(r.complete);
         assert_eq!(r.value.0, count_brute_force(&g));
         assert!(!matches!(r.value.1.mode, ExecMode::Parallel { chunks } if chunks > 1));
@@ -1413,7 +1392,7 @@ mod tests {
         // because sharded scratch replaces the resident graph.
         let ooc = ResourceBudget::unlimited().with_max_bytes(flat_floor - 1);
         let mut rec_ooc = InMemoryRecorder::new();
-        let r_ooc = count_adaptive_budgeted_recorded(&g, true, &ooc, &mut rec_ooc).unwrap();
+        let r_ooc = count_budgeted(&g, true, &ooc, &mut rec_ooc).unwrap();
         assert!(r_ooc.complete);
         assert_eq!(r_ooc.value.0, count_brute_force(&g));
         assert!(matches!(r_ooc.value.1.mode, ExecMode::Sharded { .. }));
@@ -1421,8 +1400,7 @@ mod tests {
         assert!(rec_ooc.gauge_value("plan.shards").unwrap_or(0.0) >= 1.0);
         // A cap below even the sharded tier's metadata has no viable shape.
         let starved = ResourceBudget::unlimited().with_max_bytes(64);
-        let err =
-            count_adaptive_budgeted_recorded(&g, true, &starved, &mut NoopRecorder).unwrap_err();
+        let err = count_budgeted(&g, true, &starved, &mut NoopRecorder).unwrap_err();
         assert!(matches!(
             err,
             crate::error::BflyError::BudgetExceeded {
@@ -1436,8 +1414,7 @@ mod tests {
     fn work_cap_below_minimum_side_is_a_hard_error() {
         let g = BipartiteGraph::complete(8, 8);
         let budget = ResourceBudget::unlimited().with_max_wedge_work(1);
-        let err =
-            count_adaptive_budgeted_recorded(&g, false, &budget, &mut NoopRecorder).unwrap_err();
+        let err = count_budgeted(&g, false, &budget, &mut NoopRecorder).unwrap_err();
         assert!(matches!(
             err,
             crate::error::BflyError::BudgetExceeded {
@@ -1458,7 +1435,7 @@ mod tests {
         let g = BipartiteGraph::from_edges(n as usize, n as usize, &edges).unwrap();
         let budget = ResourceBudget::unlimited().with_deadline_in(Duration::ZERO);
         let mut rec = InMemoryRecorder::new();
-        let r = count_adaptive_budgeted_recorded(&g, false, &budget, &mut rec).unwrap();
+        let r = count_budgeted(&g, false, &budget, &mut rec).unwrap();
         assert!(!r.complete);
         assert_eq!(rec.gauge_value("budget.degraded"), Some(3.0));
         // The partial value is a lower bound on the true count (here 0 ≤ n).
@@ -1466,13 +1443,14 @@ mod tests {
     }
 
     #[test]
-    fn invalid_graph_fails_upfront_in_try_paths() {
+    fn valid_graph_passes_the_typed_path() {
         let g = BipartiteGraph::complete(2, 2);
-        // try paths validate; the infallible path does not. Build a bad
-        // graph through the unchecked constructor if one exists — absent
-        // that, validation of a good graph must pass.
+        // The typed path validates first (`validate_graph`, then
+        // `run_plan`); the infallible path does not. A good graph must
+        // pass both steps.
         assert!(crate::error::validate_graph(&g).is_ok());
-        assert!(try_count_adaptive(&g).is_ok());
+        let (_, plan) = profile_and_plan_recorded(&g, false, 0, &mut NoopRecorder);
+        assert!(run_plan(&g, &plan, None, &mut NoopRecorder).is_ok());
     }
 
     /// A strongly-skewed stand-in that clears both member-gate terms:
@@ -1534,7 +1512,7 @@ mod tests {
         let g = skewed_standin();
         let mut rec = InMemoryRecorder::new();
         let (_, plan) = profile_and_plan_recorded(&g, false, 0, &mut rec);
-        run_to_end(&g, &plan, &mut rec, "try_count_adaptive");
+        run_to_end(&g, &plan, &mut rec);
         assert_eq!(plan.member, Member::Priority);
         assert_eq!(rec.counter(Counter::WedgesExpanded), plan.forecast().total);
         let mut rec_par = InMemoryRecorder::new();
@@ -1564,7 +1542,7 @@ mod tests {
         assert!(plan_scratch_bytes(&p, &fixed) < plan_scratch_bytes(&p, &chosen));
         let budget = ResourceBudget::unlimited().with_max_bytes(floor);
         let mut rec = InMemoryRecorder::new();
-        let r = count_adaptive_budgeted_recorded(&g, false, &budget, &mut rec).unwrap();
+        let r = count_budgeted(&g, false, &budget, &mut rec).unwrap();
         assert!(r.complete);
         assert_eq!(r.value.0, count_brute_force(&g));
         assert!(matches!(r.value.1.member, Member::Fixed(_)));
@@ -1585,7 +1563,7 @@ mod tests {
                 let plan = Plan::forced(&g, member, mode, Some(&p));
                 assert_eq!((plan.member, plan.mode), (member, mode));
                 let mut rec = InMemoryRecorder::new();
-                let xi = run_to_end(&g, &plan, &mut rec, "run_plan");
+                let xi = run_to_end(&g, &plan, &mut rec);
                 assert_eq!(xi, count_brute_force(&g), "{member:?} {mode:?}");
                 assert_eq!(rec.counter(Counter::WedgesExpanded), plan.est_work);
                 let unprofiled = Plan::forced(&g, member, mode, None);

@@ -109,12 +109,6 @@ impl ResourceBudget {
         }
     }
 
-    /// Whether the deadline (if any) has passed. Phase boundaries poll
-    /// this; kernels never do.
-    pub fn deadline_exceeded(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
     /// Enforce the byte cap against *measured* live bytes from the
     /// tracking allocator (feature `alloc-track`, installed by the
     /// binary). Complements [`ResourceBudget::check_bytes`], which
@@ -226,16 +220,6 @@ impl<T> Partial<T> {
         }
     }
 
-    /// A result cut short with a known completed fraction (clamped to
-    /// `[0, 1]`).
-    pub fn truncated_at(value: T, fraction: f64) -> Self {
-        Partial {
-            value,
-            complete: false,
-            fraction: Some(fraction.clamp(0.0, 1.0)),
-        }
-    }
-
     /// Annotate the completed fraction after the fact (e.g. the CLI
     /// measuring hub counters against the plan forecast); clamped to
     /// `[0, 1]`. Complete results keep their exact 1.0.
@@ -259,7 +243,6 @@ mod tests {
         assert!(b.bytes_fit(u64::MAX));
         b.check_bytes(u64::MAX).unwrap();
         b.check_wedge_work(u64::MAX).unwrap();
-        assert!(!b.deadline_exceeded());
     }
 
     #[test]
@@ -293,14 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn elapsed_deadline_trips() {
-        let b = ResourceBudget::unlimited().with_deadline_in(Duration::ZERO);
-        assert!(b.deadline_exceeded());
-        let far = ResourceBudget::unlimited().with_deadline_in(Duration::from_secs(3600));
-        assert!(!far.deadline_exceeded());
-    }
-
-    #[test]
     fn limits_and_degradations_are_recorded() {
         let mut rec = InMemoryRecorder::new();
         ResourceBudget::unlimited()
@@ -324,9 +299,6 @@ mod tests {
         let cut = Partial::truncated(7u64);
         assert!(!cut.complete);
         assert_eq!(cut.fraction, None);
-        let at = Partial::truncated_at(7u64, 0.42);
-        assert_eq!(at.fraction, Some(0.42));
-        assert_eq!(Partial::truncated_at(7u64, 7.0).fraction, Some(1.0));
         // with_fraction annotates truncated results but never rewrites a
         // complete one.
         assert_eq!(cut.with_fraction(0.6).fraction, Some(0.6));

@@ -14,10 +14,10 @@
 //! literal SpGEMM evaluation of eq. 25 (validation). Supports are returned
 //! in the row-major edge order of [`BipartiteGraph::edges`], plus a helper
 //! shaping them as a CSR matrix aligned with `A`. The sweep is one
-//! overflow-checked body that [`try_edge_supports`], the wing
-//! decomposition's initial scores and [`crate::peel::k_wing`] also run.
+//! overflow-checked body that the wing decomposition's initial scores
+//! and [`crate::peel::k_wing`] also run.
 
-use crate::error::{expect_ok, validate_graph, BflyError, Result};
+use crate::error::{expect_ok, BflyError, Result};
 use crate::family::parallel::fill_balanced;
 use bfly_graph::BipartiteGraph;
 use bfly_sparse::ops::{spgemm, spgemm_masked};
@@ -92,17 +92,15 @@ pub(crate) fn checked_edge_supports(g: &BipartiteGraph, chunks: usize) -> Result
 }
 
 /// Support of every edge, in row-major edge order. A support past `u64`
-/// panics naming [`try_edge_supports`].
+/// panics naming
+/// [`wing_numbers_budgeted_recorded`](crate::peel::wing_numbers_budgeted_recorded),
+/// whose initial supports run this body and return the overflow as a
+/// typed error.
 pub fn edge_supports(g: &BipartiteGraph) -> Vec<u64> {
-    expect_ok(checked_edge_supports(g, 1), "try_edge_supports")
-}
-
-/// Fallible [`edge_supports`]: validates the graph first, so a malformed
-/// graph or a support exceeding `u64` fails with a [`BflyError`] instead
-/// of panicking.
-pub fn try_edge_supports(g: &BipartiteGraph) -> Result<Vec<u64>> {
-    validate_graph(g)?;
-    checked_edge_supports(g, 1)
+    expect_ok(
+        checked_edge_supports(g, 1),
+        "wing_numbers_budgeted_recorded",
+    )
 }
 
 /// Literal eq. 25 evaluation: `S_w = (AAᵀA − deg₁·1ᵀ − 1·deg₂ᵀ + J) ∘ A`,

@@ -1,4 +1,5 @@
-//! Unified error taxonomy for the fallible (`try_*`) API surface.
+//! Unified error taxonomy for the fallible executors (`run_plan`,
+//! `count_segmented_checkpointed_recorded`, the budgeted decompositions).
 //!
 //! The infallible entry points (`count`, `tip_numbers`, …) keep their
 //! original panicking contracts for trusted inputs; everything reachable
@@ -60,9 +61,9 @@ pub(crate) fn checked_total(acc: bfly_sparse::CheckedAccum, context: &'static st
 }
 
 /// Unwrap a fallible result for an infallible entry point: on error,
-/// panic with it and the `try_` twin that returns it as a typed error.
-pub(crate) fn expect_ok<T>(r: Result<T>, twin: &'static str) -> T {
-    r.unwrap_or_else(|e| panic!("{e}; call {twin} for a typed error"))
+/// panic with it and the executor that returns it as a typed error.
+pub(crate) fn expect_ok<T>(r: Result<T>, executor: &'static str) -> T {
+    r.unwrap_or_else(|e| panic!("{e}; call {executor} for a typed error"))
 }
 
 impl std::fmt::Display for BflyError {
@@ -135,8 +136,8 @@ impl From<std::io::Error> for BflyError {
     }
 }
 
-/// Validate the structural invariants every kernel assumes, so `try_*`
-/// entry points fail with [`BflyError::InvalidGraph`] up front instead of
+/// Validate the structural invariants every kernel assumes, so a typed
+/// run (this, then the executor) fails with [`BflyError::InvalidGraph`] up front instead of
 /// panicking (or reading out of bounds) mid-kernel. Checks both the
 /// forward and transposed biadjacency views: column indices in range,
 /// rows strictly sorted (sorted merge and binary-search kernels rely on

@@ -380,12 +380,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "try_count")]
-    fn infallible_wrappers_name_the_try_twin_past_u64() {
+    #[should_panic(expected = "call run_plan for a typed error")]
+    fn infallible_wrappers_name_the_executor_past_u64() {
         let mut acc = CheckedAccum::with_base(u64::MAX);
         acc.add(1);
         let total = crate::error::checked_total(acc, "count_adaptive");
-        crate::error::expect_ok(total, "try_count");
+        crate::error::expect_ok(total, "run_plan");
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod ranked;
 pub mod sharded;
 pub mod verify;
 
-use crate::adaptive::{run_plan, run_to_end, ExecMode, Member, Plan};
+use crate::adaptive::{run_to_end, ExecMode, Member, Plan};
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_telemetry::{NoopRecorder, Recorder};
 pub use engine::{PartFilter, Traversal};
@@ -51,8 +51,8 @@ pub use parallel::{balanced_chunk_bounds, tuned_chunk_count, wedge_weights, weig
 pub use priority::priority_wedge_work;
 pub use ranked::RANKED_BUCKET_WEDGES;
 pub use sharded::{
-    count_segmented, count_segmented_checkpointed_recorded, profile_and_plan_segmented_recorded,
-    run_plan_segmented, segmented_profile,
+    count_segmented_checkpointed_recorded, profile_and_plan_segmented_recorded, run_plan_segmented,
+    segmented_profile,
 };
 pub use verify::{invariant_specified_value, verify_loop_invariant};
 
@@ -152,44 +152,16 @@ impl std::fmt::Display for Invariant {
 }
 
 // The in-memory entry points below are one line each: the plan a caller
-// forces ([`Plan::forced`]), run by the one executor ([`run_plan`]).
-
-/// Run the forced plan `member` × `mode` on `g` to completion; a total
-/// past `u64` panics naming [`run_plan`], which returns it as a typed
-/// error.
-pub(crate) fn run_forced<R: Recorder>(
-    g: &BipartiteGraph,
-    member: Member,
-    mode: ExecMode,
-    rec: &mut R,
-) -> u64 {
-    run_to_end(g, &Plan::forced(g, member, mode, None), rec, "run_plan")
-}
+// forces (`Plan::forced`), run by the one executor (`run_plan`). Any
+// other member, mode, recorder or deadline is the same two steps.
 
 /// Count the butterflies of `g` with the algorithm derived from the given
-/// loop invariant (sequential).
+/// loop invariant (sequential). A total past `u64` panics naming
+/// [`run_plan`](crate::adaptive::run_plan), which returns it as a typed
+/// error.
 pub fn count(g: &BipartiteGraph, inv: Invariant) -> u64 {
-    count_recorded(g, inv, &mut NoopRecorder)
-}
-
-/// [`count`] reporting work counters and a `count` span through `rec`.
-/// Overflow-checked like every counting path: a total past `u64` panics
-/// naming [`try_count`].
-pub fn count_recorded<R: Recorder>(g: &BipartiteGraph, inv: Invariant, rec: &mut R) -> u64 {
     let plan = Plan::forced(g, Member::Fixed(inv), ExecMode::Flat, None);
-    run_to_end(g, &plan, rec, "try_count")
-}
-
-/// Fallible [`count`]: validates the graph's structural invariants up
-/// front and reports a total past `u64` as a typed
-/// [`BflyError`](crate::error::BflyError), so hostile or hand-built
-/// inputs fail without panicking mid-kernel. Every other plan gets the
-/// same guarantee from [`validate_graph`](crate::error::validate_graph)
-/// then [`run_plan`].
-pub fn try_count(g: &BipartiteGraph, inv: Invariant) -> crate::error::Result<u64> {
-    crate::error::validate_graph(g)?;
-    let plan = Plan::forced(g, Member::Fixed(inv), ExecMode::Flat, None);
-    Ok(run_plan(g, &plan, None, &mut NoopRecorder)?.value)
+    run_to_end(g, &plan, &mut NoopRecorder)
 }
 
 /// The family member the paper's §V guidance prescribes: partition the
@@ -205,38 +177,14 @@ pub fn auto_invariant(g: &BipartiteGraph) -> Invariant {
     }
 }
 
-/// Count with [`auto_invariant`], reporting work counters through `rec`.
-/// Returns the count and the invariant chosen.
+/// Count with [`auto_invariant`], reporting work counters and a `count`
+/// span through `rec`. Returns the count and the invariant chosen. Kept
+/// for the benchmark's `bfly-replica`, which imports it; it goes with
+/// the replica.
 pub fn count_auto_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> (u64, Invariant) {
     let inv = auto_invariant(g);
-    (count_recorded(g, inv, rec), inv)
-}
-
-/// Count with the given invariant on rayon's current pool: one
-/// wedge-balanced chunk per worker, partials merged in chunk order.
-pub fn count_parallel(g: &BipartiteGraph, inv: Invariant) -> u64 {
-    let mode = ExecMode::Parallel {
-        chunks: rayon::current_num_threads().max(1),
-    };
-    run_forced(g, Member::Fixed(inv), mode, &mut NoopRecorder)
-}
-
-/// Count with invariant `inv` over `nshards` wedge-balanced vertex-range
-/// shards of the partitioned side, merging per-shard partials exactly
-/// (see [`sharded`]). Identical to [`count`] for every shard count.
-pub fn count_sharded(g: &BipartiteGraph, inv: Invariant, nshards: usize) -> u64 {
-    let mode = ExecMode::Sharded { shards: nshards };
-    run_forced(g, Member::Fixed(inv), mode, &mut NoopRecorder)
-}
-
-/// Count with the vertex-priority kernel, sequentially (see [`priority`]).
-pub fn count_priority(g: &BipartiteGraph) -> u64 {
-    run_forced(g, Member::Priority, ExecMode::Flat, &mut NoopRecorder)
-}
-
-/// Count by ranked wedge aggregation, sequentially (see [`ranked`]).
-pub fn count_ranked(g: &BipartiteGraph) -> u64 {
-    run_forced(g, Member::Ranked, ExecMode::Flat, &mut NoopRecorder)
+    let plan = Plan::forced(g, Member::Fixed(inv), ExecMode::Flat, None);
+    (run_to_end(g, &plan, rec), inv)
 }
 
 #[cfg(test)]

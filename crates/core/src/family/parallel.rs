@@ -7,8 +7,8 @@
 //! worker owns private scratch (a pair accumulator, allocated once per
 //! worker rather than once per chunk), and the per-chunk [`CheckedAccum`]
 //! partials merge in chunk order — bitwise-identical totals at any thread
-//! count. The paper used 6 OpenMP threads; running
-//! [`count_parallel`](super::count_parallel) inside a 6-thread rayon pool
+//! count. The paper used 6 OpenMP threads; running a member's
+//! `ExecMode::Parallel { chunks: 6 }` plan inside a 6-thread rayon pool
 //! reproduces that configuration exactly.
 //!
 //! Every member (fixed, priority, ranked) implements `Kernel` once.
@@ -346,13 +346,22 @@ pub fn tuned_chunk_count(weights: &[u64], workers: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::{execute_plan, ExecMode, Member, Plan};
     use crate::family::engine::FixedKernel;
-    use crate::family::{count, count_parallel, Invariant};
+    use crate::family::{count, Invariant};
     use crate::spec::count_via_spgemm;
     use bfly_graph::generators::{chung_lu, uniform_exact};
     use bfly_graph::BipartiteGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `inv` over one chunk per worker of rayon's current pool, through
+    /// the one executor.
+    fn per_worker(g: &BipartiteGraph, inv: Invariant) -> u64 {
+        let chunks = rayon::current_num_threads().max(1);
+        let plan = Plan::forced(g, Member::Fixed(inv), ExecMode::Parallel { chunks }, None);
+        execute_plan(g, &plan)
+    }
 
     /// The adaptive plan's parallel shape: `nchunks` wedge-balanced chunks.
     fn balanced<R: Recorder>(kernel: &FixedKernel<'_>, nchunks: usize, rec: &mut R) -> u64 {
@@ -417,7 +426,7 @@ mod tests {
             let g = uniform_exact(60, 40, 300, &mut rng);
             let want = count_via_spgemm(&g);
             for inv in Invariant::ALL {
-                assert_eq!(count_parallel(&g, inv), want, "{inv}");
+                assert_eq!(per_worker(&g, inv), want, "{inv}");
                 assert_eq!(count(&g, inv), want, "{inv}");
             }
         }
@@ -429,7 +438,7 @@ mod tests {
         let g = chung_lu(150, 100, 900, 0.8, 0.8, &mut rng);
         let want = count_via_spgemm(&g);
         for inv in Invariant::ALL {
-            assert_eq!(count_parallel(&g, inv), want, "{inv}");
+            assert_eq!(per_worker(&g, inv), want, "{inv}");
         }
     }
 
@@ -443,8 +452,8 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            assert_eq!(pool.install(|| count_parallel(&g, Invariant::Inv2)), want);
-            assert_eq!(pool.install(|| count_parallel(&g, Invariant::Inv7)), want);
+            assert_eq!(pool.install(|| per_worker(&g, Invariant::Inv2)), want);
+            assert_eq!(pool.install(|| per_worker(&g, Invariant::Inv7)), want);
         }
     }
 
@@ -512,8 +521,8 @@ mod tests {
         let empty = BipartiteGraph::empty(10, 10);
         let single = BipartiteGraph::from_edges(1, 1, &[(0, 0)]).unwrap();
         for inv in Invariant::ALL {
-            assert_eq!(count_parallel(&empty, inv), 0);
-            assert_eq!(count_parallel(&single, inv), 0);
+            assert_eq!(per_worker(&empty, inv), 0);
+            assert_eq!(per_worker(&single, inv), 0);
         }
     }
 }

@@ -198,8 +198,7 @@ pub(crate) fn run_priority<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::{ExecMode, Member};
-    use crate::family::{count_priority, run_forced};
+    use crate::adaptive::{execute_plan, run_to_end, ExecMode, Member, Plan};
     use crate::spec::{count_brute_force, count_via_spgemm};
     use bfly_graph::generators::{chung_lu, uniform_exact};
     use bfly_telemetry::{Counter, InMemoryRecorder, NoopRecorder};
@@ -222,7 +221,8 @@ mod tests {
     #[test]
     fn priority_count_matches_spec() {
         for g in sample_graphs() {
-            assert_eq!(count_priority(&g), count_via_spgemm(&g));
+            let plan = Plan::forced(&g, Member::Priority, ExecMode::Flat, None);
+            assert_eq!(execute_plan(&g, &plan), count_via_spgemm(&g));
         }
     }
 
@@ -230,7 +230,8 @@ mod tests {
     fn wedge_work_formula_matches_recorded_counter() {
         for g in sample_graphs() {
             let mut rec = InMemoryRecorder::new();
-            let xi = run_forced(&g, Member::Priority, ExecMode::Flat, &mut rec);
+            let plan = Plan::forced(&g, Member::Priority, ExecMode::Flat, None);
+            let xi = run_to_end(&g, &plan, &mut rec);
             assert_eq!(xi, count_brute_force(&g));
             assert_eq!(
                 rec.counter(Counter::WedgesExpanded),
@@ -245,14 +246,14 @@ mod tests {
     #[test]
     fn parallel_and_checked_paths_agree() {
         for g in sample_graphs() {
-            let want = count_priority(&g);
+            let plan = Plan::forced(&g, Member::Priority, ExecMode::Flat, None);
+            let want = execute_plan(&g, &plan);
             for nchunks in [1, 2, 4, 7] {
                 let mode = ExecMode::Parallel { chunks: nchunks };
-                let got = run_forced(&g, Member::Priority, mode, &mut NoopRecorder);
+                let got = execute_plan(&g, &Plan::forced(&g, Member::Priority, mode, None));
                 assert_eq!(got, want);
             }
             crate::error::validate_graph(&g).unwrap();
-            let plan = crate::adaptive::Plan::forced(&g, Member::Priority, ExecMode::Flat, None);
             let r = crate::adaptive::run_plan(&g, &plan, None, &mut NoopRecorder).unwrap();
             assert_eq!(r.value, want);
         }
@@ -264,7 +265,11 @@ mod tests {
         let g = chung_lu(80, 40, 400, 0.9, 0.5, &mut rng);
         let mut rec = InMemoryRecorder::new();
         let mode = ExecMode::Parallel { chunks: 4 };
-        let got = run_forced(&g, Member::Priority, mode, &mut rec);
+        let got = run_to_end(
+            &g,
+            &Plan::forced(&g, Member::Priority, mode, None),
+            &mut rec,
+        );
         assert_eq!(got, count_via_spgemm(&g));
         assert_eq!(
             rec.counter(Counter::WedgesExpanded),
@@ -326,7 +331,7 @@ mod tests {
                 ] {
                     let run = |h: &BipartiteGraph| {
                         let mut rec = InMemoryRecorder::new();
-                        let xi = run_forced(h, member, mode, &mut rec);
+                        let xi = run_to_end(h, &Plan::forced(h, member, mode, None), &mut rec);
                         let spans = |name| rec.spans().iter().filter(|s| s.name == name).count();
                         let work = counters.map(|c| rec.counter(c));
                         (xi, work, spans("rank_relabel"), spans("priority_rank"))
@@ -349,7 +354,10 @@ mod tests {
     #[test]
     fn seeded_overflow_promotes_exactly() {
         let g = BipartiteGraph::complete(3, 3);
-        let want = count_priority(&g);
+        let want = execute_plan(
+            &g,
+            &Plan::forced(&g, Member::Priority, ExecMode::Flat, None),
+        );
         let (mut acc, complete) = run_priority(&g, None, None, &mut NoopRecorder);
         assert!(complete);
         acc.merge(CheckedAccum::with_base(u64::MAX - 1));

@@ -200,9 +200,8 @@ pub(crate) fn run_ranked<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::{ExecMode, Member};
+    use crate::adaptive::{execute_plan, run_to_end, ExecMode, Member, Plan};
     use crate::family::priority::priority_wedge_work;
-    use crate::family::{count_priority, count_ranked, run_forced};
     use crate::spec::count_via_spgemm;
     use bfly_graph::generators::{chung_lu, uniform_exact};
     use bfly_telemetry::{InMemoryRecorder, NoopRecorder};
@@ -224,8 +223,9 @@ mod tests {
     fn ranked_matches_spec_and_priority() {
         for g in sample_graphs() {
             let want = count_via_spgemm(&g);
-            assert_eq!(count_ranked(&g), want);
-            assert_eq!(count_ranked(&g), count_priority(&g));
+            let flat = |member| execute_plan(&g, &Plan::forced(&g, member, ExecMode::Flat, None));
+            assert_eq!(flat(Member::Ranked), want);
+            assert_eq!(flat(Member::Ranked), flat(Member::Priority));
         }
     }
 
@@ -233,7 +233,8 @@ mod tests {
     fn ranked_wedge_work_equals_priority_forecast() {
         for g in sample_graphs() {
             let mut rec = InMemoryRecorder::new();
-            run_forced(&g, Member::Ranked, ExecMode::Flat, &mut rec);
+            let plan = Plan::forced(&g, Member::Ranked, ExecMode::Flat, None);
+            run_to_end(&g, &plan, &mut rec);
             let want = priority_wedge_work(&g);
             assert_eq!(rec.counter(Counter::WedgesExpanded), want);
             // Replay scatters exactly what materialisation expanded.
@@ -244,14 +245,14 @@ mod tests {
     #[test]
     fn parallel_and_checked_paths_agree() {
         for g in sample_graphs() {
-            let want = count_ranked(&g);
+            let plan = Plan::forced(&g, Member::Ranked, ExecMode::Flat, None);
+            let want = execute_plan(&g, &plan);
             for nchunks in [1, 2, 4, 5] {
                 let mode = ExecMode::Parallel { chunks: nchunks };
-                let got = run_forced(&g, Member::Ranked, mode, &mut NoopRecorder);
+                let got = execute_plan(&g, &Plan::forced(&g, Member::Ranked, mode, None));
                 assert_eq!(got, want, "nchunks={nchunks}");
             }
             crate::error::validate_graph(&g).unwrap();
-            let plan = crate::adaptive::Plan::forced(&g, Member::Ranked, ExecMode::Flat, None);
             let r = crate::adaptive::run_plan(&g, &plan, None, &mut NoopRecorder).unwrap();
             assert_eq!(r.value, want);
         }
@@ -275,7 +276,7 @@ mod tests {
         let g = chung_lu(90, 30, 420, 0.9, 0.5, &mut rng);
         let mut rec = InMemoryRecorder::new();
         let mode = ExecMode::Parallel { chunks: 4 };
-        let got = run_forced(&g, Member::Ranked, mode, &mut rec);
+        let got = run_to_end(&g, &Plan::forced(&g, Member::Ranked, mode, None), &mut rec);
         assert_eq!(got, count_via_spgemm(&g));
         assert!(rec.gauge_value("ranked_buckets").unwrap_or(0.0) >= 1.0);
         assert!(rec.counter(Counter::ParChunks) >= 1);

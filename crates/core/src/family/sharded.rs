@@ -35,7 +35,7 @@ use crate::checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore
 use crate::error::{BflyError, Result};
 use bfly_graph::{GraphSegment, RowReader, SegmentedGraph, Side};
 use bfly_sparse::{CheckedAccum, PairAccum, Pattern};
-use bfly_telemetry::{timed_span, Counter, NoopRecorder, Recorder};
+use bfly_telemetry::{timed_span, Counter, Recorder};
 use std::time::Instant;
 
 /// Ceiling of a streamed window over the on-disk graph (encoded bytes
@@ -295,14 +295,6 @@ fn wedge_weights_windowed(sg: &SegmentedGraph, side: Side, window_bytes: u64) ->
     Ok(weights)
 }
 
-/// Count an on-disk graph exactly, without budget or telemetry —
-/// [`count_segmented_checkpointed_recorded`] with one shard and no limits.
-pub fn count_segmented(sg: &SegmentedGraph) -> Result<u64> {
-    let (budget, rec) = (ResourceBudget::unlimited(), &mut NoopRecorder);
-    let r = count_segmented_checkpointed_recorded(sg, Some(1), None, &budget, None, rec)?;
-    Ok(r.value.0)
-}
-
 /// The first half of a `.bfly` count: record the budget's limits, check
 /// measured allocation, then profile and plan ([`Plan::sharded`]) inside
 /// one `select` span with the `plan.*` gauges. Sizing: `shards`, else
@@ -391,13 +383,15 @@ pub(crate) fn run_on_disk<R: Recorder>(
     rec.incr(Counter::IoRetries, retries1.saturating_sub(retries0));
     rec.incr(Counter::IoGiveups, giveups1.saturating_sub(giveups0));
     let (acc, complete) = counted?;
-    finish_count(acc, complete, "count_segmented", rec)
+    finish_count(acc, complete, "run_plan_segmented", rec)
 }
 
 /// The out-of-core counter: [`profile_and_plan_segmented_recorded`] then
 /// [`run_plan_segmented`], never holding the full graph. A byte cap no
 /// shard count satisfies fails with [`BflyError::BudgetExceeded`]
-/// carrying the exact estimate.
+/// carrying the exact estimate. Kept for the benchmark's `bfly-replica`,
+/// which imports it; library callers without a plan to inspect use it
+/// too.
 pub fn count_segmented_checkpointed_recorded<R: Recorder>(
     sg: &SegmentedGraph,
     shards: Option<usize>,
@@ -415,12 +409,12 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::{run_plan, select_plan, Member};
-    use crate::family::{count, count_sharded, run_forced, Invariant};
+    use crate::adaptive::{execute_plan, run_plan, select_plan, Member};
+    use crate::family::{count, Invariant};
     use crate::spec::count_brute_force;
     use bfly_graph::generators::{chung_lu, uniform_exact};
     use bfly_graph::{write_bfly_file, BipartiteGraph};
-    use bfly_telemetry::InMemoryRecorder;
+    use bfly_telemetry::{InMemoryRecorder, NoopRecorder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -440,14 +434,10 @@ mod tests {
             let want = count_brute_force(&g);
             for inv in Invariant::ALL {
                 for shards in [1, 2, 4, 9] {
-                    assert_eq!(
-                        count_sharded(&g, inv, shards),
-                        want,
-                        "inv {inv:?} shards {shards}"
-                    );
-                    crate::error::validate_graph(&g).unwrap();
                     let mode = ExecMode::Sharded { shards };
                     let plan = Plan::forced(&g, Member::Fixed(inv), mode, None);
+                    assert_eq!(execute_plan(&g, &plan), want, "inv {inv:?} shards {shards}");
+                    crate::error::validate_graph(&g).unwrap();
                     let r = run_plan(&g, &plan, None, &mut NoopRecorder).unwrap();
                     assert_eq!(r.value, want);
                 }
@@ -461,7 +451,8 @@ mod tests {
         let g = uniform_exact(30, 30, 180, &mut rng);
         let mut rec = InMemoryRecorder::new();
         let mode = ExecMode::Sharded { shards: 4 };
-        let got = run_forced(&g, Member::Fixed(Invariant::Inv1), mode, &mut rec);
+        let plan = Plan::forced(&g, Member::Fixed(Invariant::Inv1), mode, None);
+        let got = run_plan(&g, &plan, None, &mut rec).unwrap().value;
         assert_eq!(got, count(&g, Invariant::Inv1));
         assert_eq!(rec.gauge_value("shards_planned"), Some(4.0));
         assert!(rec.gauge_value("shard_bytes").unwrap_or(0.0) > 0.0);
@@ -469,7 +460,8 @@ mod tests {
         assert_eq!(rec.spans().iter().filter(|s| s.name == "shard").count(), 4);
         // Work counters match the unsharded engine exactly.
         let mut flat = InMemoryRecorder::new();
-        crate::family::count_recorded(&g, Invariant::Inv1, &mut flat);
+        let plan = Plan::forced(&g, Member::Fixed(Invariant::Inv1), ExecMode::Flat, None);
+        run_plan(&g, &plan, None, &mut flat).unwrap();
         assert_eq!(
             rec.counter(Counter::WedgesExpanded),
             flat.counter(Counter::WedgesExpanded)
@@ -505,8 +497,7 @@ mod tests {
             write_bfly_file(&g, &path).unwrap();
             let sg = SegmentedGraph::open(&path).unwrap();
             let want = count_brute_force(&g);
-            assert_eq!(count_segmented(&sg).unwrap(), want);
-            for shards in [2, 4] {
+            for shards in [1, 2, 4] {
                 let mut rec = InMemoryRecorder::new();
                 let unlimited = ResourceBudget::unlimited();
                 let r = count_segmented_checkpointed_recorded(

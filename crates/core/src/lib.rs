@@ -17,13 +17,17 @@
 //! * [`spec`] — specification-level counters (dense eq. 7 transliteration,
 //!   SpGEMM-based counter, brute-force pair enumeration). Everything else
 //!   is validated against these.
-//! * [`family`] — the eight derived algorithms ([`Invariant`]), sequential
-//!   ([`count`]), rayon-parallel ([`count_parallel`]), and sharded
-//!   ([`count_sharded`]).
+//! * [`family`] — the eight derived algorithms ([`Invariant`]) and the
+//!   priority and ranked kernels; [`count`] runs one member sequentially.
 //! * [`adaptive`] — profile-driven selection among the family members
 //!   ([`count_adaptive`]): partition side by exact wedge-work estimate,
 //!   degree-ordered execution, degree-balanced parallel chunking — and
 //!   [`run_plan`], the one executor every in-memory count runs through.
+//!   A member, mode, recorder or deadline is a parameter of that call:
+//!   [`Plan::forced`] states the plan, [`validate_graph`] then
+//!   [`run_plan`] returns a typed error, and [`execute_plan`] panics
+//!   instead. A `.bfly` file counts through
+//!   [`count_segmented_checkpointed_recorded`].
 //! * [`vertex_counts`] / [`edge_support`] — per-vertex butterfly counts
 //!   (paper eq. 19) and per-edge support `S_w` (eq. 25), each in both
 //!   wedge-expansion and literal-algebra form.
@@ -72,22 +76,20 @@ pub mod testkit;
 pub mod vertex_counts;
 
 pub use adaptive::{
-    count_adaptive, count_adaptive_budgeted_recorded, count_adaptive_parallel,
-    count_adaptive_parallel_recorded, graph_resident_bytes, plan_scratch_bytes, run_plan,
-    select_plan, select_plan_budgeted, try_count_adaptive, tune_plan_chunks, ExecMode,
-    GraphProfile, Member, Plan, ShardSizing, PRIORITY_ADVANTAGE, PRIORITY_MIN_WORK,
+    count_adaptive, count_adaptive_parallel_recorded, execute_plan, graph_resident_bytes,
+    plan_scratch_bytes, profile_and_plan_budgeted_recorded, run_plan, select_plan,
+    select_plan_budgeted, tune_plan_chunks, ExecMode, GraphProfile, Member, Plan, ShardSizing,
+    PRIORITY_ADVANTAGE, PRIORITY_MIN_WORK,
 };
 pub use budget::{record_memory, Partial, ResourceBudget};
 pub use checkpoint::{fingerprint_segmented, CheckpointConfig, CheckpointStore};
 pub use enumerate::{count_by_enumeration, enumerate_butterflies, for_each_butterfly, Butterfly};
 pub use error::{validate_graph, BflyError};
 pub use family::{
-    auto_invariant, count, count_auto_recorded, count_parallel, count_priority, count_ranked,
-    count_recorded, count_segmented, count_segmented_checkpointed_recorded, count_sharded,
+    auto_invariant, count, count_auto_recorded, count_segmented_checkpointed_recorded,
     priority_wedge_work, profile_and_plan_segmented_recorded, run_plan_segmented,
-    segmented_profile, try_count, tuned_chunk_count, weight_p90, Invariant,
+    segmented_profile, tuned_chunk_count, weight_p90, Invariant,
 };
-pub use pair_matrix::PairMatrix;
 pub use spec::{count_brute_force, count_dense_formula, count_via_spgemm};
 
 /// Instrumentation layer re-export: recorders, counters, and run reports

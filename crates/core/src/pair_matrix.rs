@@ -1,135 +1,71 @@
-//! The per-pair butterfly matrix `C` (paper §II-A).
+//! The per-pair butterfly counts `C` (paper §II-A).
 //!
 //! `C = ½·B ∘ (B − J)` with `B = A·Aᵀ`: entry `(i, j)` is the number of
 //! butterflies whose V1 wedge-endpoint pair is `{i, j}` (i.e. `C(B_ij, 2)`
 //! — the ½ and the `−J` implement the binomial). The strictly-upper part
-//! sums to `Ξ_G` (eq. 1). Beyond re-deriving the total, `C` is directly
-//! useful: `butterflies_between(i, j)` answers pairwise similarity
-//! queries, and the top-k heaviest pairs locate the strongest 2×2
-//! co-engagement in the network.
+//! sums to `Ξ_G` (eq. 1), and its heaviest entries locate the strongest
+//! 2×2 co-engagement in the network. [`top_pairs`] computes both in one
+//! pass without storing `C`.
 
+use crate::error::{checked_total, Result};
 use bfly_graph::{BipartiteGraph, Side};
-use bfly_sparse::{choose2, CheckedAccum, CsrMatrix, Spa};
+use bfly_sparse::{choose2, CheckedAccum, Spa};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Symmetric per-pair butterfly counts on one side of the bipartition.
-#[derive(Debug, Clone)]
-pub struct PairMatrix {
-    side: Side,
-    /// `C(B_ij, 2)` stored sparsely; diagonal omitted.
-    c: CsrMatrix<u64>,
-}
+/// One pair `(i, j, butterflies)` with `i < j`.
+pub type PairCount = (u32, u32, u64);
 
-impl PairMatrix {
-    /// Build `C` for the given side (`Side::V1` pairs vertices of V1 with
-    /// wedge points in V2, and vice versa), one row at a time: row `i`'s
-    /// wedges `i – v – j` aggregate `B_ij` in a sparse accumulator over
-    /// the pair side (the per-start wedge aggregation of Wang et al.),
-    /// and the row keeps `C(B_ij, 2)` for `j ≠ i`, sorted by `j`. `B`
-    /// itself is never materialised: beyond `C`, scratch is one
-    /// accumulator over the pair side plus one row's sort buffer.
-    pub fn build(g: &BipartiteGraph, side: Side) -> Self {
-        let (part, other) = match side {
-            Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-            Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-        };
-        let n = part.nrows();
-        let mut spa = Spa::<u64>::new(n);
-        let mut rowptr = Vec::with_capacity(n + 1);
-        let mut colind = Vec::new();
-        let mut values = Vec::new();
-        let mut row: Vec<(u32, u64)> = Vec::new();
-        rowptr.push(0usize);
-        for i in 0..n {
-            for &v in part.row(i) {
-                for &j in other.row(v as usize) {
-                    spa.scatter(j, 1);
-                }
-            }
-            row.extend(
-                spa.entries()
-                    .filter(|&(j, cnt)| j as usize != i && cnt >= 2)
-                    .map(|(j, cnt)| (j, choose2(cnt))),
-            );
-            row.sort_unstable_by_key(|&(j, _)| j);
-            for (j, pairs) in row.drain(..) {
-                colind.push(j);
-                values.push(pairs);
-            }
-            rowptr.push(colind.len());
-            spa.clear();
-        }
-        let c = CsrMatrix::try_from_raw_parts(n, n, rowptr, colind, values)
-            .expect("sorted rows are structurally valid");
-        Self { side, c }
-    }
-
-    /// Which side the pairs live on.
-    pub fn side(&self) -> Side {
-        self.side
-    }
-
-    /// Butterflies whose endpoint pair is `{i, j}`.
-    pub fn butterflies_between(&self, i: u32, j: u32) -> u64 {
-        self.c.get(i as usize, j)
-    }
-
-    /// Total butterflies: half the sum (the matrix is symmetric and the
-    /// diagonal is dropped) — eq. 1/eq. 2 of the paper.
-    pub fn total(&self) -> u64 {
-        self.c.sum() / 2
-    }
-
-    /// Overflow-checked [`PairMatrix::total`]: the eq. 1 sum runs through
-    /// a [`CheckedAccum`], failing with
-    /// [`BflyError::CountOverflow`](crate::error::BflyError) (carrying
-    /// the exact promoted total) instead of wrapping in release builds.
-    pub fn try_total(&self) -> crate::error::Result<u64> {
-        let mut acc = CheckedAccum::new();
-        for i in 0..self.c.nrows() {
-            let (_, vals) = self.c.row(i);
-            for &v in vals {
-                acc.add(v);
+/// The exact total `Ξ_G` and the `k` heaviest pairs `(i, j, butterflies)`
+/// with `i < j` on `side` (`Side::V1` pairs vertices of V1 with wedge
+/// points in V2, and vice versa), by count descending, then `i`, then `j`.
+///
+/// One row of the upper triangle at a time: row `i`'s wedges `i – v – j`
+/// run only over the suffix `j > i` of `v`'s sorted row (the cut the
+/// priority kernel makes) and aggregate `B_ij` in a sparse accumulator
+/// over the pair side (the per-start wedge aggregation of Wang et al.).
+/// Each `C(B_ij, 2)` adds to a checked total and competes for a heap of at
+/// most `k` candidates whose top is the one to evict next. `C` is never
+/// stored: scratch is the accumulator plus the heap. A total past `u64`
+/// fails with [`BflyError::CountOverflow`](crate::error::BflyError)
+/// carrying the exact value.
+pub fn top_pairs(g: &BipartiteGraph, side: Side, k: usize) -> Result<(u64, Vec<PairCount>)> {
+    let (part, other) = match side {
+        Side::V1 => (g.biadjacency(), g.biadjacency_t()),
+        Side::V2 => (g.biadjacency_t(), g.biadjacency()),
+    };
+    let n = part.nrows();
+    let mut spa = Spa::<u64>::new(n);
+    let mut total = CheckedAccum::new();
+    let mut heap = BinaryHeap::new();
+    for i in 0..n {
+        for &v in part.row(i) {
+            let partners = other.row(v as usize);
+            let after = partners.partition_point(|&j| j as usize <= i);
+            for &j in &partners[after..] {
+                spa.scatter(j, 1);
             }
         }
-        let total = acc.value() / 2;
-        u64::try_from(total).map_err(|_| crate::error::BflyError::CountOverflow {
-            partial: total,
-            context: "pair_matrix_total",
-        })
-    }
-
-    /// The `k` heaviest pairs `(i, j, butterflies)` with `i < j`, by
-    /// count descending, then `i`, then `j`. The scan keeps at most `k`
-    /// candidates in a heap whose top is the one to evict next.
-    pub fn top_pairs(&self, k: usize) -> Vec<(u32, u32, u64)> {
-        let mut heap = BinaryHeap::new();
-        for i in 0..self.c.nrows() {
-            let (cols, vals) = self.c.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                if (i as u32) >= j {
-                    continue;
-                }
-                let key = (Reverse(v), i as u32, j);
-                if heap.len() < k {
-                    heap.push(key);
-                } else if heap.peek().is_some_and(|top| key < *top) {
-                    heap.pop();
-                    heap.push(key);
-                }
+        for (j, cnt) in spa.entries().filter(|&(_, cnt)| cnt >= 2) {
+            let pairs = choose2(cnt);
+            total.add(pairs);
+            let key = (Reverse(pairs), i as u32, j);
+            if heap.len() < k {
+                heap.push(key);
+            } else if heap.peek().is_some_and(|top| key < *top) {
+                heap.pop();
+                heap.push(key);
             }
         }
-        heap.into_sorted_vec()
-            .into_iter()
-            .map(|(Reverse(v), i, j)| (i, j, v))
-            .collect()
+        spa.clear();
     }
-
-    /// Number of stored (ordered) pairs.
-    pub fn nnz(&self) -> usize {
-        self.c.nnz()
-    }
+    let total = checked_total(total, "pair_matrix_total")?;
+    let top = heap
+        .into_sorted_vec()
+        .into_iter()
+        .map(|(Reverse(b), i, j)| (i, j, b))
+        .collect();
+    Ok((total, top))
 }
 
 #[cfg(test)]
@@ -154,19 +90,17 @@ mod tests {
         )
         .unwrap();
         let want = crate::spec::count_brute_force(&g);
-        assert_eq!(PairMatrix::build(&g, Side::V1).total(), want);
-        assert_eq!(PairMatrix::build(&g, Side::V2).total(), want);
+        assert_eq!(top_pairs(&g, Side::V1, 0).unwrap().0, want);
+        assert_eq!(top_pairs(&g, Side::V2, 0).unwrap().0, want);
     }
 
     #[test]
-    fn pairwise_queries() {
-        let g = BipartiteGraph::complete(3, 3);
-        let pm = PairMatrix::build(&g, Side::V1);
+    fn every_pair_of_a_biclique_is_listed_once() {
         // Every V1 pair shares 3 wedges → C(3,2) = 3 butterflies.
-        assert_eq!(pm.butterflies_between(0, 1), 3);
-        assert_eq!(pm.butterflies_between(2, 0), 3);
-        assert_eq!(pm.butterflies_between(1, 1), 0); // diagonal dropped
-        assert_eq!(pm.total(), 9);
+        let g = BipartiteGraph::complete(3, 3);
+        let (total, pairs) = top_pairs(&g, Side::V1, usize::MAX).unwrap();
+        assert_eq!(total, 9);
+        assert_eq!(pairs, vec![(0, 1, 3), (0, 2, 3), (1, 2, 3)]);
     }
 
     #[test]
@@ -189,28 +123,16 @@ mod tests {
             ],
         )
         .unwrap();
-        let pm = PairMatrix::build(&g, Side::V1);
-        let top = pm.top_pairs(2);
+        let (_, top) = top_pairs(&g, Side::V1, 2).unwrap();
         assert_eq!(top[0], (0, 1, 3));
         assert_eq!(top[1], (2, 3, 1));
         // Asking for more pairs than exist just returns all.
-        assert_eq!(pm.top_pairs(100).len(), 2);
+        assert_eq!(top_pairs(&g, Side::V1, 100).unwrap().1.len(), 2);
     }
 
     #[test]
-    fn checked_total_matches_infallible_total() {
-        let g = BipartiteGraph::complete(4, 5);
-        let pm = PairMatrix::build(&g, Side::V1);
-        assert_eq!(pm.try_total().unwrap(), pm.total());
-    }
-
-    #[test]
-    fn butterfly_free_graph_is_empty() {
+    fn butterfly_free_graph_has_no_pairs() {
         let g = BipartiteGraph::from_edges(3, 3, &[(0, 0), (1, 1), (2, 2)]).unwrap();
-        let pm = PairMatrix::build(&g, Side::V1);
-        assert_eq!(pm.nnz(), 0);
-        assert_eq!(pm.total(), 0);
-        assert!(pm.top_pairs(5).is_empty());
-        assert_eq!(pm.side(), Side::V1);
+        assert_eq!(top_pairs(&g, Side::V1, 5).unwrap(), (0, vec![]));
     }
 }

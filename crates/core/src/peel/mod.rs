@@ -14,8 +14,8 @@ pub mod wing;
 
 pub use bucket::{BucketQueue, StampSet};
 pub use parallel::{
-    tip_numbers_budgeted_recorded, tip_numbers_with_chunks, try_tip_numbers, try_wing_numbers,
-    wing_numbers_budgeted_recorded, wing_numbers_with_chunks, PAR_FRONTIER_MIN,
+    tip_numbers_budgeted_recorded, wing_numbers_budgeted_recorded, wing_numbers_with_chunks,
+    PAR_FRONTIER_MIN,
 };
 
 pub use tip::{k_tip, k_tip_lookahead, k_tip_matrix, k_tip_recorded, tip_numbers, TipResult};

@@ -46,7 +46,7 @@ use crate::family::parallel::fork_join;
 use crate::vertex_counts::{checked_vertex_counts, side_adj};
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::{choose2, Pattern, Spa};
-use bfly_telemetry::{Counter, NoopRecorder, Recorder};
+use bfly_telemetry::{Counter, Recorder};
 
 /// Smallest frontier worth chunking across workers: below this the
 /// per-round join (and the thread handoff of the vendored rayon shim)
@@ -459,29 +459,12 @@ pub fn wing_numbers_budgeted_recorded<R: Recorder>(
     decompose(g, Target::Wing, chunks, budget, rec)
 }
 
-/// [`super::tip::tip_numbers`] with an explicit chunk count (`1` =
-/// sequential; tests, benches and the CLI pin exact fan-outs with this):
-/// the executor with an unlimited budget. Output is identical for every
-/// chunk count; an initial count past `u64` panics naming
-/// [`try_tip_numbers`].
-pub fn tip_numbers_with_chunks<R: Recorder>(
-    g: &BipartiteGraph,
-    side: Side,
-    chunks: usize,
-    rec: &mut R,
-) -> Vec<u64> {
-    let unlimited = ResourceBudget::unlimited();
-    expect_ok(
-        decompose(g, Target::Tip(side), chunks, &unlimited, rec),
-        "try_tip_numbers",
-    )
-    .value
-}
-
 /// [`super::wing::wing_numbers`] with an explicit chunk count: the
 /// executor with an unlimited budget. Output is identical for every
 /// chunk count; an initial support past `u64` panics naming
-/// [`try_wing_numbers`].
+/// [`wing_numbers_budgeted_recorded`], which returns it as a typed error.
+/// Kept for the benchmark's `bfly-replica`, which imports it; it goes
+/// with the replica.
 pub fn wing_numbers_with_chunks<R: Recorder>(
     g: &BipartiteGraph,
     chunks: usize,
@@ -490,24 +473,9 @@ pub fn wing_numbers_with_chunks<R: Recorder>(
     let unlimited = ResourceBudget::unlimited();
     expect_ok(
         decompose(g, Target::Wing, chunks, &unlimited, rec),
-        "try_wing_numbers",
+        "wing_numbers_budgeted_recorded",
     )
     .value
-}
-
-/// Fallible [`super::tip::tip_numbers`]: validates the graph and runs
-/// the overflow-checked initial counts before peeling. Never panics on
-/// structurally invalid input.
-pub fn try_tip_numbers(g: &BipartiteGraph, side: Side) -> Result<Vec<u64>> {
-    let unlimited = ResourceBudget::unlimited();
-    Ok(decompose(g, Target::Tip(side), 1, &unlimited, &mut NoopRecorder)?.value)
-}
-
-/// Fallible [`super::wing::wing_numbers`]: validates the graph and runs
-/// the overflow-checked initial supports before peeling.
-pub fn try_wing_numbers(g: &BipartiteGraph) -> Result<Vec<u64>> {
-    let unlimited = ResourceBudget::unlimited();
-    Ok(decompose(g, Target::Wing, 1, &unlimited, &mut NoopRecorder)?.value)
 }
 
 /// Wedge work of the tip initial-count pass: `Σ_j deg(j)²` over the
@@ -538,7 +506,7 @@ fn wing_init_work(g: &BipartiteGraph) -> u64 {
 mod tests {
     use super::*;
     use bfly_graph::generators::{uniform_exact, with_planted_biclique};
-    use bfly_telemetry::InMemoryRecorder;
+    use bfly_telemetry::{InMemoryRecorder, NoopRecorder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -551,15 +519,23 @@ mod tests {
         )
     }
 
+    /// Tip numbers of `side` over `chunks` chunks, unlimited budget.
+    fn tips<R: Recorder>(g: &BipartiteGraph, side: Side, chunks: usize, rec: &mut R) -> Vec<u64> {
+        let unlimited = ResourceBudget::unlimited();
+        tip_numbers_budgeted_recorded(g, side, chunks, &unlimited, rec)
+            .unwrap()
+            .value
+    }
+
     #[test]
     fn chunk_count_never_changes_tip_numbers() {
         for seed in [1u64, 2, 3] {
             let g = sample(seed);
             for side in [Side::V1, Side::V2] {
-                let want = tip_numbers_with_chunks(&g, side, 1, &mut NoopRecorder);
+                let want = tips(&g, side, 1, &mut NoopRecorder);
                 for chunks in [2usize, 4, 6] {
                     assert_eq!(
-                        tip_numbers_with_chunks(&g, side, chunks, &mut NoopRecorder),
+                        tips(&g, side, chunks, &mut NoopRecorder),
                         want,
                         "seed {seed} side {side:?} chunks {chunks}"
                     );
@@ -587,7 +563,7 @@ mod tests {
     fn engine_records_rounds_buckets_and_repairs() {
         let g = sample(7);
         let mut rec = InMemoryRecorder::new();
-        let tn = tip_numbers_with_chunks(&g, Side::V1, 1, &mut rec);
+        let tn = tips(&g, Side::V1, 1, &mut rec);
         let rounds = rec.counter(Counter::PeelRounds);
         assert!(rounds >= 1);
         assert_eq!(rec.counter(Counter::PeeledVertices), tn.len() as u64);
@@ -626,7 +602,7 @@ mod tests {
             BipartiteGraph::from_edges(2, 2, &[(0, 0), (1, 1)]).unwrap(),
         ] {
             for side in [Side::V1, Side::V2] {
-                let tn = tip_numbers_with_chunks(&g, side, 4, &mut NoopRecorder);
+                let tn = tips(&g, side, 4, &mut NoopRecorder);
                 assert!(tn.iter().all(|&t| t == 0));
             }
             let wn = wing_numbers_with_chunks(&g, 4, &mut NoopRecorder);

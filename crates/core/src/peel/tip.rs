@@ -18,8 +18,8 @@
 //! largest `k` such that it survives in the k-tip — whole-bucket peeling
 //! with incremental score repair through the executor in
 //! [`super::parallel`] (sequential by default;
-//! [`super::parallel::tip_numbers_with_chunks`] chunks the initial counts
-//! and each large frontier over rayon workers). The original
+//! [`super::parallel::tip_numbers_budgeted_recorded`] chunks the initial
+//! counts and each large frontier over rayon workers). The original
 //! lazy-min-heap formulation survives as `tip_numbers_oracle`, a
 //! `testkit`-gated witness for the differential tests.
 
@@ -207,11 +207,16 @@ pub fn k_tip_lookahead(g: &BipartiteGraph, side: Side, k: u64) -> TipResult {
 
 /// Tip number of every vertex on `side`: the largest `k` for which the
 /// vertex is contained in the k-tip. Runs the flat bucket-queue engine
-/// ([`super::parallel::tip_numbers_with_chunks`]) sequentially: each
-/// round removes the whole minimum bucket and repairs survivors by a
-/// wedge expansion from the removed frontier over the *remaining* graph.
+/// ([`super::parallel::tip_numbers_budgeted_recorded`]) sequentially
+/// with an unlimited budget: each round removes the whole minimum bucket
+/// and repairs survivors by a wedge expansion from the removed frontier
+/// over the *remaining* graph. An initial count past `u64` panics naming
+/// that executor, which returns it as a typed error.
 pub fn tip_numbers(g: &BipartiteGraph, side: Side) -> Vec<u64> {
-    super::parallel::tip_numbers_with_chunks(g, side, 1, &mut NoopRecorder)
+    let unlimited = crate::budget::ResourceBudget::unlimited();
+    let r =
+        super::parallel::tip_numbers_budgeted_recorded(g, side, 1, &unlimited, &mut NoopRecorder);
+    crate::error::expect_ok(r, "tip_numbers_budgeted_recorded").value
 }
 
 /// The original one-vertex-at-a-time formulation: a lazy binary min-heap
@@ -387,8 +392,16 @@ mod tests {
             for side in [Side::V1, Side::V2] {
                 let want = tip_numbers_oracle(&g, side);
                 assert_eq!(tip_numbers(&g, side), want, "trial {trial} side {side:?}");
+                let unlimited = crate::budget::ResourceBudget::unlimited();
+                let chunked = super::super::parallel::tip_numbers_budgeted_recorded(
+                    &g,
+                    side,
+                    2,
+                    &unlimited,
+                    &mut NoopRecorder,
+                );
                 assert_eq!(
-                    super::super::parallel::tip_numbers_with_chunks(&g, side, 2, &mut NoopRecorder),
+                    chunked.unwrap().value,
                     want,
                     "trial {trial} side {side:?} chunked"
                 );

@@ -12,13 +12,12 @@
 //!
 //! Two implementations:
 //! * [`butterflies_per_vertex`] — wedge expansion per vertex (production):
-//!   one overflow-checked body that [`try_butterflies_per_vertex`], the
-//!   tip decomposition's initial scores and [`crate::peel::k_tip`] also
-//!   run.
+//!   one overflow-checked body that the tip decomposition's initial
+//!   scores and [`crate::peel::k_tip`] also run.
 //! * [`butterflies_per_vertex_algebraic`] — via SpGEMM, a transliteration
 //!   of eq. 19 (validation; also exercises the sparse substrate).
 
-use crate::error::{checked_total, expect_ok, validate_graph, Result};
+use crate::error::{checked_total, expect_ok, Result};
 use crate::family::parallel::fill_balanced;
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::ops::spgemm;
@@ -87,21 +86,15 @@ pub(crate) fn checked_vertex_counts(
 }
 
 /// `b_u` for every vertex on `side`, by wedge expansion. A count past
-/// `u64` panics naming [`try_butterflies_per_vertex`].
+/// `u64` panics naming
+/// [`tip_numbers_budgeted_recorded`](crate::peel::tip_numbers_budgeted_recorded),
+/// whose initial scores run this body and return the overflow as a typed
+/// error.
 pub fn butterflies_per_vertex(g: &BipartiteGraph, side: Side) -> Vec<u64> {
     expect_ok(
         checked_vertex_counts(g, side, 1, 0),
-        "try_butterflies_per_vertex",
+        "tip_numbers_budgeted_recorded",
     )
-}
-
-/// Fallible [`butterflies_per_vertex`]: validates the graph first, so a
-/// malformed graph or a per-vertex count exceeding `u64` surfaces as a
-/// [`BflyError`](crate::error::BflyError) (an overflow carrying the
-/// exact promoted value) rather than a panic.
-pub fn try_butterflies_per_vertex(g: &BipartiteGraph, side: Side) -> Result<Vec<u64>> {
-    validate_graph(g)?;
-    checked_vertex_counts(g, side, 1, 0)
 }
 
 /// `b` via sparse algebra: `b_i = Σ_{j≠i} (B_ij² − B_ij)/2`, i.e. twice the
@@ -226,11 +219,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "try_butterflies_per_vertex")]
-    fn infallible_counts_name_the_try_twin_past_u64() {
+    #[should_panic(expected = "call tip_numbers_budgeted_recorded for a typed error")]
+    fn infallible_counts_name_the_executor_past_u64() {
         expect_ok(
             checked_vertex_counts(&k33(), Side::V1, 1, u64::MAX),
-            "try_butterflies_per_vertex",
+            "tip_numbers_budgeted_recorded",
         );
     }
 

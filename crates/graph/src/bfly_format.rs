@@ -1372,7 +1372,7 @@ fn convert_inner(
 mod tests {
     use super::*;
     use crate::generators::uniform_exact;
-    use crate::io::{read_edge_list_file, write_edge_list};
+    use crate::io::{read_text_file, write_edge_list};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1624,7 +1624,7 @@ mod tests {
         let mut f = File::create(&txt).unwrap();
         write_edge_list(&g, &mut f).unwrap();
         drop(f);
-        let expect = read_edge_list_file(&txt).unwrap();
+        let expect = read_text_file(&txt, TextFormat::EdgeList).unwrap();
         let in_memory = dir.join("in-memory.bfly");
         write_bfly_file(&expect, &in_memory).unwrap();
 

@@ -193,21 +193,6 @@ impl BipartiteGraph {
         BipartiteGraph { a, at }
     }
 
-    /// Subgraph with a subset of edges removed (peeling k-wings removes
-    /// edges, not vertices). `remove` flags edges in the row-major order of
-    /// [`Self::edges`].
-    pub fn without_edges(&self, remove: &[bool]) -> BipartiteGraph {
-        assert_eq!(remove.len(), self.nedges());
-        let kept: Vec<(u32, u32)> = self
-            .edges()
-            .zip(remove)
-            .filter(|(_, &r)| !r)
-            .map(|(e, _)| e)
-            .collect();
-        BipartiteGraph::from_edges(self.nv1(), self.nv2(), &kept)
-            .expect("subset of existing edges is in range")
-    }
-
     /// Disjoint union: vertices of `other` are appended after `self`'s on
     /// both sides. Butterfly counts add under this operation (used by the
     /// property tests).
@@ -305,16 +290,6 @@ mod tests {
         assert_eq!(h.nv2(), 2);
         assert_eq!(h.nedges(), 2);
         assert_eq!(h.deg_v1(1), 0);
-    }
-
-    #[test]
-    fn without_edges_removes_flagged() {
-        let g = butterfly();
-        // Edges in row-major order: (0,0), (0,1), (1,0), (1,1).
-        let h = g.without_edges(&[false, true, false, false]);
-        assert_eq!(h.nedges(), 3);
-        assert!(!h.has_edge(0, 1));
-        assert!(h.has_edge(1, 1));
     }
 
     #[test]

@@ -575,11 +575,6 @@ pub fn read_konect_file<P: AsRef<Path>>(path: P) -> Result<BipartiteGraph, IoErr
     read_text_file(path, TextFormat::Konect)
 }
 
-/// Load a 0-based edge list from disk.
-pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<BipartiteGraph, IoError> {
-    read_text_file(path, TextFormat::EdgeList)
-}
-
 /// Write a graph as a 0-based edge list.
 pub fn write_edge_list<W: Write>(g: &BipartiteGraph, mut w: W) -> Result<(), IoError> {
     writeln!(w, "% bip unweighted")?;

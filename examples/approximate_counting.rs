@@ -7,7 +7,7 @@
 //! ```
 
 use bfly::core::baseline::{approx_count_edge_sampling, approx_count_vertex_sampling};
-use bfly::core::{count_parallel, Invariant};
+use bfly::core::{execute_plan, ExecMode, Invariant, Member, Plan};
 use bfly::graph::StandIn;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +24,13 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let exact = count_parallel(&g, Invariant::Inv2);
+    let mode = ExecMode::Parallel {
+        chunks: rayon::current_num_threads().max(1),
+    };
+    let exact = execute_plan(
+        &g,
+        &Plan::forced(&g, Member::Fixed(Invariant::Inv2), mode, None),
+    );
     let t_exact = t0.elapsed().as_secs_f64();
     println!("exact count: {exact}  ({t_exact:.3}s)");
 

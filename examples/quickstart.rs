@@ -6,7 +6,9 @@
 //! ```
 
 use bfly::core::metrics::metrics;
-use bfly::core::{count, count_brute_force, count_parallel, count_via_spgemm, Invariant};
+use bfly::core::{
+    count, count_brute_force, count_via_spgemm, execute_plan, ExecMode, Invariant, Member, Plan,
+};
 use bfly::graph::BipartiteGraph;
 
 fn main() {
@@ -57,10 +59,11 @@ fn main() {
     // Reference counters agree.
     assert_eq!(count(&g, Invariant::Inv2), count_brute_force(&g));
     assert_eq!(count(&g, Invariant::Inv2), count_via_spgemm(&g));
-    assert_eq!(
-        count(&g, Invariant::Inv2),
-        count_parallel(&g, Invariant::Inv7)
-    );
+    // Any member in any mode is a plan for the one executor: here Inv. 7
+    // over two parallel chunks.
+    let mode = ExecMode::Parallel { chunks: 2 };
+    let plan = Plan::forced(&g, Member::Fixed(Invariant::Inv7), mode, None);
+    assert_eq!(count(&g, Invariant::Inv2), execute_plan(&g, &plan));
 
     // Derived metrics.
     let m = metrics(&g);

@@ -8,15 +8,20 @@
 //! pins it.
 
 use bfly::core::adaptive::{
-    count_adaptive, count_adaptive_parallel, execute_plan, select_plan, ExecMode, GraphProfile,
-    Member, Plan,
+    count_adaptive, count_adaptive_parallel_recorded, execute_plan, select_plan, ExecMode,
+    GraphProfile, Member, Plan,
 };
 use bfly::core::baseline::{count_hash_aggregation, count_vertex_priority};
-use bfly::core::family::{count_priority, count_ranked};
+use bfly::core::telemetry::NoopRecorder;
 use bfly::core::testkit::{arb_family_graph, fixture_battery};
 use bfly::core::{count, count_brute_force, count_via_spgemm, Invariant};
 use bfly::graph::BipartiteGraph;
 use proptest::prelude::*;
+
+/// `member` run sequentially through the one executor.
+fn flat(g: &BipartiteGraph, member: Member) -> u64 {
+    execute_plan(g, &Plan::forced(g, member, ExecMode::Flat, None))
+}
 
 /// The full differential battery on one graph: spec counters, baselines,
 /// all eight fixed invariants, and the adaptive plan in sequential,
@@ -26,14 +31,14 @@ fn assert_adaptive_agrees(g: &BipartiteGraph, label: &str) {
     assert_eq!(count_via_spgemm(g), want, "{label}: spgemm");
     assert_eq!(count_hash_aggregation(g), want, "{label}: hash baseline");
     assert_eq!(count_vertex_priority(g), want, "{label}: vertex priority");
-    assert_eq!(count_priority(g), want, "{label}: priority kernel");
-    assert_eq!(count_ranked(g), want, "{label}: ranked kernel");
+    assert_eq!(flat(g, Member::Priority), want, "{label}: priority kernel");
+    assert_eq!(flat(g, Member::Ranked), want, "{label}: ranked kernel");
     for inv in Invariant::ALL {
         assert_eq!(count(g, inv), want, "{label}: {inv}");
     }
     let (xi, plan) = count_adaptive(g);
     assert_eq!(xi, want, "{label}: adaptive (plan {plan:?})");
-    let (xi_par, plan_par) = count_adaptive_parallel(g);
+    let (xi_par, plan_par) = count_adaptive_parallel_recorded(g, &mut NoopRecorder);
     assert_eq!(
         xi_par, want,
         "{label}: adaptive parallel (plan {plan_par:?})"
@@ -99,13 +104,13 @@ proptest! {
         let want = count_brute_force(&g);
         let (xi, _) = count_adaptive(&g);
         prop_assert_eq!(xi, want);
-        let (xi_par, _) = count_adaptive_parallel(&g);
+        let (xi_par, _) = count_adaptive_parallel_recorded(&g, &mut NoopRecorder);
         prop_assert_eq!(xi_par, want);
         for inv in Invariant::ALL {
             prop_assert_eq!(count(&g, inv), want);
         }
-        prop_assert_eq!(count_priority(&g), want);
-        prop_assert_eq!(count_ranked(&g), want);
+        prop_assert_eq!(flat(&g, Member::Priority), want);
+        prop_assert_eq!(flat(&g, Member::Ranked), want);
         for chunks in [2usize, 4] {
             for member in [Member::Priority, Member::Ranked] {
                 let plan = Plan::forced(&g, member, ExecMode::Parallel { chunks }, None);

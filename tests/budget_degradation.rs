@@ -7,14 +7,37 @@ use bfly::core::adaptive::plan_scratch_bytes;
 use bfly::core::peel::{
     tip_numbers, tip_numbers_budgeted_recorded, wing_numbers, wing_numbers_budgeted_recorded,
 };
-use bfly::core::telemetry::{InMemoryRecorder, NoopRecorder};
+use bfly::core::telemetry::{InMemoryRecorder, NoopRecorder, Recorder};
 use bfly::core::testkit::fixture_battery;
 use bfly::core::{
-    count_adaptive, count_adaptive_budgeted_recorded, BflyError, GraphProfile, Partial,
-    ResourceBudget,
+    count_adaptive, profile_and_plan_budgeted_recorded, run_plan, BflyError, GraphProfile, Partial,
+    Plan, ResourceBudget,
 };
 use bfly::graph::{BipartiteGraph, Side};
 use std::time::{Duration, Instant};
+
+/// `bfly count`'s two budgeted steps: plan under `budget` (one chunk per
+/// worker of rayon's current pool when `parallel`), then run the plan
+/// with the budget's deadline. The count comes back with its plan.
+fn count_budgeted<R: Recorder>(
+    g: &BipartiteGraph,
+    parallel: bool,
+    budget: &ResourceBudget,
+    rec: &mut R,
+) -> Result<Partial<(u64, Plan)>, BflyError> {
+    let workers = if parallel {
+        rayon::current_num_threads().max(1)
+    } else {
+        0
+    };
+    let (_, plan) = profile_and_plan_budgeted_recorded(g, parallel, workers, budget, rec)?;
+    let r = run_plan(g, &plan, budget.deadline, rec)?;
+    Ok(Partial {
+        value: (r.value, plan),
+        complete: r.complete,
+        fraction: r.fraction,
+    })
+}
 
 #[test]
 fn unlimited_budget_reproduces_every_fixture_count() {
@@ -22,8 +45,7 @@ fn unlimited_budget_reproduces_every_fixture_count() {
     for (name, g) in fixture_battery() {
         let want = count_adaptive(&g).0;
         for parallel in [false, true] {
-            let r =
-                count_adaptive_budgeted_recorded(&g, parallel, &budget, &mut NoopRecorder).unwrap();
+            let r = count_budgeted(&g, parallel, &budget, &mut NoopRecorder).unwrap();
             assert!(r.complete, "{name} parallel={parallel}");
             assert_eq!(r.value.0, want, "{name} parallel={parallel}");
         }
@@ -47,14 +69,14 @@ fn byte_caps_degrade_the_plan_but_not_the_count() {
         flat.mode = bfly::core::ExecMode::Flat;
         let floor = profile.resident_bytes + plan_scratch_bytes(&profile, &flat);
         let budget = ResourceBudget::unlimited().with_max_bytes(floor);
-        let r = count_adaptive_budgeted_recorded(&g, true, &budget, &mut NoopRecorder).unwrap();
+        let r = count_budgeted(&g, true, &budget, &mut NoopRecorder).unwrap();
         assert!(r.complete, "{name}");
         assert_eq!(r.value.0, want, "{name}: degraded count must stay exact");
         // Below the in-memory floor the planner switches to the sharded
         // tier — a *planned* mode, still exact — and only a cap no shard
         // count can satisfy is a typed refusal naming the axis.
         let budget = ResourceBudget::unlimited().with_max_bytes(floor - 1);
-        match count_adaptive_budgeted_recorded(&g, true, &budget, &mut NoopRecorder) {
+        match count_budgeted(&g, true, &budget, &mut NoopRecorder) {
             Ok(r) => {
                 assert!(r.complete, "{name}");
                 assert!(
@@ -70,7 +92,7 @@ fn byte_caps_degrade_the_plan_but_not_the_count() {
             other => panic!("{name}: expected sharded plan or bytes refusal, got {other:?}"),
         }
         let starved = ResourceBudget::unlimited().with_max_bytes(16);
-        match count_adaptive_budgeted_recorded(&g, true, &starved, &mut NoopRecorder) {
+        match count_budgeted(&g, true, &starved, &mut NoopRecorder) {
             Err(BflyError::BudgetExceeded { resource, .. }) => {
                 assert_eq!(resource, "bytes", "{name}")
             }
@@ -84,7 +106,7 @@ fn work_caps_are_typed_refusals_with_telemetry() {
     let g = BipartiteGraph::complete(12, 12);
     let budget = ResourceBudget::unlimited().with_max_wedge_work(1);
     let mut rec = InMemoryRecorder::new();
-    match count_adaptive_budgeted_recorded(&g, false, &budget, &mut rec) {
+    match count_budgeted(&g, false, &budget, &mut rec) {
         Err(BflyError::BudgetExceeded {
             resource,
             limit,
@@ -115,7 +137,7 @@ fn expired_deadline_yields_flagged_partial_count() {
     let budget = ResourceBudget::unlimited().with_deadline_in(std::time::Duration::from_millis(0));
     std::thread::sleep(std::time::Duration::from_millis(2));
     let mut rec = InMemoryRecorder::new();
-    let r = count_adaptive_budgeted_recorded(&g, false, &budget, &mut rec).unwrap();
+    let r = count_budgeted(&g, false, &budget, &mut rec).unwrap();
     assert!(!r.complete, "deadline in the past must truncate");
     // Truncated counts are exact lower bounds over the processed prefix.
     assert!(r.value.0 <= count_adaptive(&g).0);

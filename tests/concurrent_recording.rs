@@ -16,8 +16,7 @@ use bfly::core::telemetry::{
     Counter, InMemoryRecorder, Json, LiveBoard, NoopRecorder, Recorder, RunReport,
 };
 use bfly::core::{
-    count_recorded, count_via_spgemm, run_plan, select_plan, ExecMode, GraphProfile, Invariant,
-    Member, Plan,
+    count_via_spgemm, run_plan, select_plan, ExecMode, GraphProfile, Invariant, Member, Plan,
 };
 use bfly::graph::generators::{chung_lu, uniform_exact};
 use bfly::graph::BipartiteGraph;
@@ -51,7 +50,8 @@ fn parallel_recorded<R: Recorder>(g: &BipartiteGraph, inv: Invariant, rec: &mut 
 
 fn sequential_tally(g: &BipartiteGraph, inv: Invariant) -> (u64, Vec<(Counter, u64)>) {
     let mut rec = InMemoryRecorder::new();
-    let xi = count_recorded(g, inv, &mut rec);
+    let plan = Plan::forced(g, Member::Fixed(inv), ExecMode::Flat, None);
+    let xi = run_plan(g, &plan, None, &mut rec).unwrap().value;
     let tally = Counter::ALL
         .into_iter()
         .map(|c| (c, rec.counter(c)))

@@ -3,18 +3,16 @@
 //! kernels (vertex-priority and ranked aggregation), the three
 //! specification counters, and the two exact baselines — must agree on
 //! the same graph, across a spread of generator regimes and edge cases.
-//! The per-pair matrix `C` is checked entry by entry against its
+//! The per-pair counts `C` are checked pair by pair against their
 //! definition.
 
-use bfly::core::adaptive::{count_adaptive, count_adaptive_parallel};
+use bfly::core::adaptive::{count_adaptive, count_adaptive_parallel_recorded};
 use bfly::core::adaptive::{execute_plan, ExecMode, Member, Plan};
 use bfly::core::baseline::{count_hash_aggregation, count_vertex_priority};
-use bfly::core::family::{count_priority, count_ranked};
+use bfly::core::pair_matrix::top_pairs;
+use bfly::core::telemetry::NoopRecorder;
 use bfly::core::testkit::fixture_battery;
-use bfly::core::{
-    count, count_brute_force, count_dense_formula, count_parallel, count_via_spgemm, Invariant,
-    PairMatrix,
-};
+use bfly::core::{count, count_brute_force, count_dense_formula, count_via_spgemm, Invariant};
 use bfly::graph::generators::{chung_lu, gnp, uniform_exact, with_planted_biclique};
 use bfly::graph::{BipartiteGraph, Side};
 use bfly::sparse::choose2;
@@ -26,15 +24,25 @@ fn assert_all_agree(g: &BipartiteGraph, label: &str) {
     let want = count_via_spgemm(g);
     assert_eq!(count_dense_formula(g), want, "{label}: dense formula");
     assert_eq!(count_brute_force(g), want, "{label}: brute force");
+    let workers = ExecMode::Parallel {
+        chunks: rayon::current_num_threads().max(1),
+    };
     for inv in Invariant::ALL {
         assert_eq!(count(g, inv), want, "{label}: {inv} sequential");
-        assert_eq!(count_parallel(g, inv), want, "{label}: {inv} parallel");
+        let plan = Plan::forced(g, Member::Fixed(inv), workers, None);
+        assert_eq!(execute_plan(g, &plan), want, "{label}: {inv} parallel");
     }
     assert_eq!(count_hash_aggregation(g), want, "{label}: hash baseline");
     assert_eq!(count_vertex_priority(g), want, "{label}: vertex priority");
     // Global-order kernels: totals sequential and at 1/2/4 chunks.
-    assert_eq!(count_priority(g), want, "{label}: priority sequential");
-    assert_eq!(count_ranked(g), want, "{label}: ranked sequential");
+    for member in [Member::Priority, Member::Ranked] {
+        let plan = Plan::forced(g, member, ExecMode::Flat, None);
+        assert_eq!(
+            execute_plan(g, &plan),
+            want,
+            "{label}: {member:?} sequential"
+        );
+    }
     for chunks in [1usize, 2, 4] {
         let mode = ExecMode::Parallel { chunks };
         assert_eq!(
@@ -50,7 +58,7 @@ fn assert_all_agree(g: &BipartiteGraph, label: &str) {
     }
     let (xi, plan) = count_adaptive(g);
     assert_eq!(xi, want, "{label}: adaptive (plan {plan:?})");
-    let (xi_par, plan_par) = count_adaptive_parallel(g);
+    let (xi_par, plan_par) = count_adaptive_parallel_recorded(g, &mut NoopRecorder);
     assert_eq!(
         xi_par, want,
         "{label}: adaptive parallel (plan {plan_par:?})"
@@ -66,9 +74,10 @@ fn agreement_on_testkit_fixture_battery() {
     }
 }
 
-/// Every stored entry of `C` is `C(|N(i) ∩ N(j)|, 2)` for its pair, the
-/// stored entries are exactly the ordered pairs `i ≠ j` sharing at least
-/// two neighbours, and the total is the brute-force count — on both
+/// With `k` past the number of pairs, [`top_pairs`] lists every pair:
+/// each listed `(i, j)` has `i < j` and `C(|N(i) ∩ N(j)|, 2)`
+/// butterflies, the listed pairs are exactly the pairs `i < j` sharing at
+/// least two neighbours, and the total is the brute-force count — on both
 /// sides of every fixture.
 #[test]
 fn pair_matrix_entries_match_the_intersection_oracle() {
@@ -79,22 +88,28 @@ fn pair_matrix_entries_match_the_intersection_oracle() {
                 Side::V1 => g.biadjacency(),
                 Side::V2 => g.biadjacency_t(),
             };
-            let pm = PairMatrix::build(&g, side);
+            let (total, listed) = top_pairs(&g, side, usize::MAX).unwrap();
+            for &(i, j, b) in &listed {
+                let shared = adj.row_intersection_size(i as usize, j as usize) as u64;
+                assert!(i < j, "{name} {side:?}: pair ({i}, {j}) out of order");
+                assert_eq!(b, choose2(shared), "{name} {side:?}: entry ({i}, {j})");
+            }
+            let mut ids: Vec<(u32, u32)> = listed.iter().map(|&(i, j, _)| (i, j)).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(
+                ids.len(),
+                listed.len(),
+                "{name} {side:?}: a pair listed twice"
+            );
             let mut pairs = 0;
             for i in 0..adj.nrows() {
-                for j in (0..adj.nrows()).filter(|&j| j != i) {
-                    let shared = adj.row_intersection_size(i, j) as u64;
-                    assert_eq!(
-                        pm.butterflies_between(i as u32, j as u32),
-                        choose2(shared),
-                        "{name} {side:?}: entry ({i}, {j})"
-                    );
-                    pairs += usize::from(shared >= 2);
+                for j in i + 1..adj.nrows() {
+                    pairs += usize::from(adj.row_intersection_size(i, j) >= 2);
                 }
-                assert_eq!(pm.butterflies_between(i as u32, i as u32), 0);
             }
-            assert_eq!(pm.nnz(), pairs, "{name} {side:?}: stored pairs");
-            assert_eq!(pm.total(), want, "{name} {side:?}: total");
+            assert_eq!(listed.len(), pairs, "{name} {side:?}: listed pairs");
+            assert_eq!(total, want, "{name} {side:?}: total");
         }
     }
 }

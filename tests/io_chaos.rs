@@ -11,13 +11,29 @@
 
 use std::sync::Mutex;
 
-use bfly::core::telemetry::InMemoryRecorder;
+use bfly::core::telemetry::{InMemoryRecorder, NoopRecorder};
 use bfly::core::testkit::fixture_battery;
-use bfly::core::{count_adaptive, count_segmented, ResourceBudget};
+use bfly::core::{
+    count_adaptive, count_segmented_checkpointed_recorded, BflyError, ResourceBudget,
+};
 use bfly::graph::io::IoError;
 use bfly::graph::{
     convert_to_bfly, is_bfly_file, read_bfly_file, write_bfly_file, SegmentedGraph, TextFormat,
 };
+
+/// The out-of-core count of a `.bfly` file: one shard, no limits.
+fn count_file(sg: &SegmentedGraph) -> Result<u64, BflyError> {
+    let unlimited = ResourceBudget::unlimited();
+    let r = count_segmented_checkpointed_recorded(
+        sg,
+        Some(1),
+        None,
+        &unlimited,
+        None,
+        &mut NoopRecorder,
+    )?;
+    Ok(r.value.0)
+}
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -135,7 +151,7 @@ fn transient_read_faults_are_retried_to_an_exact_count() {
     std::env::set_var("BFLY_FAULT_READ_TRANSIENT", "3");
     let sg = SegmentedGraph::open(&path).unwrap();
     std::env::remove_var("BFLY_FAULT_READ_TRANSIENT");
-    assert_eq!(count_segmented(&sg).unwrap(), want);
+    assert_eq!(count_file(&sg).unwrap(), want);
     let (retries, giveups) = sg.retry_stats();
     assert_eq!(retries, 3);
     assert_eq!(giveups, 0);
@@ -155,7 +171,7 @@ fn retry_exhaustion_names_the_attempt_count_and_keeps_the_error_kind() {
     std::env::set_var("BFLY_FAULT_READ_TRANSIENT", "1000");
     let sg = SegmentedGraph::open(&path).unwrap();
     std::env::remove_var("BFLY_FAULT_READ_TRANSIENT");
-    let err = count_segmented(&sg).unwrap_err();
+    let err = count_file(&sg).unwrap_err();
     match &err {
         bfly::core::BflyError::Io(IoError::Io(e)) => {
             assert_eq!(e.kind(), std::io::ErrorKind::Interrupted);
@@ -182,7 +198,7 @@ fn hard_read_faults_fail_fast_without_retries() {
     std::env::set_var("BFLY_FAULT_READ_ERROR_AT", "1");
     let sg = SegmentedGraph::open(&path).unwrap();
     std::env::remove_var("BFLY_FAULT_READ_ERROR_AT");
-    let err = count_segmented(&sg).unwrap_err();
+    let err = count_file(&sg).unwrap_err();
     match &err {
         bfly::core::BflyError::Io(IoError::Io(e)) => {
             assert!(e.to_string().contains("injected hard fault"), "got: {e}");

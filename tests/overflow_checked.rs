@@ -2,17 +2,45 @@
 //! `u128` reference in every build profile (CI runs this file in debug,
 //! release, and release with `-C overflow-checks=on`; wrapped arithmetic
 //! in any of them diverges from the reference and fails here), and the
-//! `try_*` entry points must agree with the infallible counters on
-//! graphs that fit comfortably in `u64`.
+//! typed path (`validate_graph`, then `run_plan`) must agree with the
+//! infallible counters for every member in every mode on graphs that fit
+//! comfortably in `u64`.
 
+use bfly::core::adaptive::profile_and_plan_recorded;
 use bfly::core::telemetry::NoopRecorder;
 use bfly::core::testkit::{arb_family_graph, fixture_battery};
 use bfly::core::{
-    count_auto_recorded, run_plan, try_count, try_count_adaptive, validate_graph, BflyError,
-    ExecMode, Invariant, Member, Plan,
+    count_auto_recorded, run_plan, validate_graph, BflyError, ExecMode, Invariant, Member, Plan,
 };
+use bfly::graph::BipartiteGraph;
 use bfly::sparse::CheckedAccum;
 use proptest::prelude::*;
+
+/// Every forced plan the typed path must cover: the eight invariants and
+/// the priority and ranked members, flat, parallel at 2 chunks and
+/// sharded at 3, then the adaptive planner's own plan.
+fn typed_plans(g: &BipartiteGraph) -> Vec<Plan> {
+    let members = Invariant::ALL
+        .map(Member::Fixed)
+        .into_iter()
+        .chain([Member::Priority, Member::Ranked]);
+    let modes = [
+        ExecMode::Flat,
+        ExecMode::Parallel { chunks: 2 },
+        ExecMode::Sharded { shards: 3 },
+    ];
+    let mut plans: Vec<Plan> = members
+        .flat_map(|member| modes.map(|mode| Plan::forced(g, member, mode, None)))
+        .collect();
+    plans.push(profile_and_plan_recorded(g, false, 0, &mut NoopRecorder).1);
+    plans
+}
+
+/// The typed path: validate the graph, then run the plan.
+fn typed_count(g: &BipartiteGraph, plan: &Plan) -> Result<u64, BflyError> {
+    validate_graph(g)?;
+    Ok(run_plan(g, plan, None, &mut NoopRecorder)?.value)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -74,38 +102,24 @@ proptest! {
         prop_assert_eq!(left.value(), whole.value());
     }
 
-    /// On ordinary graphs the fallible counters return exactly what the
-    /// infallible ones do, for every invariant.
+    /// On ordinary graphs the typed path returns exactly what the
+    /// infallible counter does, for every member in every mode.
     #[test]
-    fn try_count_agrees_with_count(g in arb_family_graph()) {
+    fn typed_path_agrees_with_count(g in arb_family_graph()) {
         let want = count_auto_recorded(&g, &mut NoopRecorder).0;
-        for inv in Invariant::ALL {
-            prop_assert_eq!(try_count(&g, inv).unwrap(), want, "{}", inv);
+        for plan in typed_plans(&g) {
+            prop_assert_eq!(typed_count(&g, &plan).unwrap(), want, "{:?}", plan);
         }
-        prop_assert_eq!(try_count_adaptive(&g).unwrap().0, want);
     }
 }
 
 #[test]
-fn try_count_agrees_on_fixture_battery() {
+fn typed_path_agrees_on_fixture_battery() {
     for (name, g) in fixture_battery() {
         let want = count_auto_recorded(&g, &mut NoopRecorder).0;
-        for inv in Invariant::ALL {
-            assert_eq!(try_count(&g, inv).unwrap(), want, "{name}: {inv}");
+        for plan in typed_plans(&g) {
+            assert_eq!(typed_count(&g, &plan).unwrap(), want, "{name}: {plan:?}");
         }
-        assert_eq!(try_count_adaptive(&g).unwrap().0, want, "{name}");
-        assert_eq!(
-            validate_graph(&g)
-                .and_then(|()| {
-                    let plan =
-                        Plan::forced(&g, Member::Fixed(Invariant::Inv2), ExecMode::Flat, None);
-                    run_plan(&g, &plan, None, &mut NoopRecorder)
-                })
-                .unwrap()
-                .value,
-            want,
-            "{name}"
-        );
     }
 }
 

@@ -1,19 +1,27 @@
 //! Stress: the parallel family must be deterministic and thread-count
 //! independent — the property Fig. 11's measurements rest on.
 
-use bfly::core::{count, count_parallel, Invariant};
+use bfly::core::{count, execute_plan, ExecMode, Invariant, Member, Plan};
 use bfly::graph::generators::chung_lu;
-use bfly::graph::StandIn;
+use bfly::graph::{BipartiteGraph, StandIn};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// [`count_parallel`] inside a dedicated pool of `threads` workers.
-fn parallel_with_threads(g: &bfly::graph::BipartiteGraph, inv: Invariant, threads: usize) -> u64 {
+/// `inv` over one chunk per worker of the pool it runs in.
+fn per_worker(g: &BipartiteGraph, inv: Invariant) -> u64 {
+    let mode = ExecMode::Parallel {
+        chunks: rayon::current_num_threads().max(1),
+    };
+    execute_plan(g, &Plan::forced(g, Member::Fixed(inv), mode, None))
+}
+
+/// [`per_worker`] inside a dedicated pool of `threads` workers.
+fn parallel_with_threads(g: &BipartiteGraph, inv: Invariant, threads: usize) -> u64 {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("thread pool construction");
-    pool.install(|| count_parallel(g, inv))
+    pool.install(|| per_worker(g, inv))
 }
 
 #[test]
@@ -56,6 +64,6 @@ fn nested_pools_do_not_deadlock_or_diverge() {
         .num_threads(2)
         .build()
         .unwrap();
-    let got = pool.install(|| bfly::core::count_parallel(&g, Invariant::Inv5));
+    let got = pool.install(|| per_worker(&g, Invariant::Inv5));
     assert_eq!(got, want);
 }

@@ -8,16 +8,25 @@
 //! whole peeling stack stays pinned to one definition.
 
 use bfly::core::peel::{
-    k_wing, k_wing_masked_spgemm, k_wing_matrix, tip_numbers, tip_numbers_oracle,
-    tip_numbers_with_chunks, wing_numbers, wing_numbers_oracle, wing_numbers_with_chunks,
+    k_wing, k_wing_masked_spgemm, k_wing_matrix, tip_numbers, tip_numbers_budgeted_recorded,
+    tip_numbers_oracle, wing_numbers, wing_numbers_budgeted_recorded, wing_numbers_oracle,
+    wing_numbers_with_chunks,
 };
 use bfly::core::telemetry::NoopRecorder;
 use bfly::core::testkit::{arb_family_graph, arb_graph, fixture_battery};
-use bfly::graph::Side;
+use bfly::core::{BflyError, ResourceBudget};
+use bfly::graph::{BipartiteGraph, Side};
 use proptest::prelude::*;
 
 /// Chunk widths / pool sizes the acceptance gate pins.
 const WIDTHS: [usize; 4] = [1, 2, 4, 6];
+
+/// Tip numbers of `side` from the executor at `chunks`, unlimited
+/// budget, errors typed.
+fn tips(g: &BipartiteGraph, side: Side, chunks: usize) -> Result<Vec<u64>, BflyError> {
+    let unlimited = ResourceBudget::unlimited();
+    Ok(tip_numbers_budgeted_recorded(g, side, chunks, &unlimited, &mut NoopRecorder)?.value)
+}
 
 #[test]
 fn tip_paths_agree_on_fixture_battery() {
@@ -31,7 +40,7 @@ fn tip_paths_agree_on_fixture_battery() {
             );
             for chunks in WIDTHS {
                 assert_eq!(
-                    tip_numbers_with_chunks(&g, side, chunks, &mut NoopRecorder),
+                    tips(&g, side, chunks).unwrap(),
                     oracle,
                     "{name} {side:?}: chunks={chunks}"
                 );
@@ -75,7 +84,7 @@ fn pinned_pools_never_change_numbers() {
                 (
                     [Side::V1, Side::V2]
                         .iter()
-                        .map(|&s| tip_numbers_with_chunks(&g, s, threads, &mut NoopRecorder))
+                        .map(|&s| tips(&g, s, threads).unwrap())
                         .collect::<Vec<_>>(),
                     wing_numbers_with_chunks(&g, threads, &mut NoopRecorder),
                 )
@@ -92,8 +101,7 @@ fn pinned_pools_never_change_numbers() {
 /// fallible paths must agree bitwise and nothing may panic.
 #[test]
 fn degenerate_inputs_battery() {
-    use bfly::core::peel::{k_tip, k_wing, try_tip_numbers, try_wing_numbers};
-    use bfly::graph::BipartiteGraph;
+    use bfly::core::peel::{k_tip, k_wing};
     let cases: Vec<(&str, BipartiteGraph)> = vec![
         ("empty", BipartiteGraph::from_edges(0, 0, &[]).unwrap()),
         (
@@ -121,13 +129,13 @@ fn degenerate_inputs_battery() {
             );
             for chunks in WIDTHS {
                 assert_eq!(
-                    tip_numbers_with_chunks(g, side, chunks, &mut NoopRecorder),
+                    tips(g, side, chunks).unwrap(),
                     seq,
                     "{name} {side:?}: chunks={chunks}"
                 );
             }
             assert_eq!(
-                try_tip_numbers(g, side).unwrap(),
+                tips(g, side, 1).unwrap(),
                 seq,
                 "{name} {side:?}: fallible path"
             );
@@ -146,7 +154,9 @@ fn degenerate_inputs_battery() {
                 "{name}: chunks={chunks}"
             );
         }
-        assert_eq!(try_wing_numbers(g).unwrap(), seq, "{name}: fallible path");
+        let unlimited = ResourceBudget::unlimited();
+        let wings = wing_numbers_budgeted_recorded(g, 1, &unlimited, &mut NoopRecorder);
+        assert_eq!(wings.unwrap().value, seq, "{name}: fallible path");
         assert_eq!(k_wing(g, u64::MAX).subgraph.nedges(), 0, "{name}");
     }
     // On a graph that does have butterflies, a threshold one past the
@@ -172,7 +182,7 @@ proptest! {
         for side in [Side::V1, Side::V2] {
             let seq = tip_numbers(&g, side);
             prop_assert_eq!(
-                tip_numbers_with_chunks(&g, side, chunks, &mut NoopRecorder),
+                tips(&g, side, chunks).unwrap(),
                 seq
             );
         }

@@ -18,8 +18,10 @@
 //!   generators), and the pin there is that `select_plan` never chooses
 //!   a global-order member at a work regression.
 
-use bfly::core::adaptive::{run_plan, select_plan, ExecMode, GraphProfile, Member, Plan};
-use bfly::core::family::{count_priority, count_ranked, priority_wedge_work};
+use bfly::core::adaptive::{
+    execute_plan, run_plan, select_plan, ExecMode, GraphProfile, Member, Plan,
+};
+use bfly::core::family::priority_wedge_work;
 use bfly::core::telemetry::{Counter, InMemoryRecorder};
 use bfly::core::testkit::{arb_family_graph, fixture_battery};
 use bfly::core::{count_brute_force, PRIORITY_MIN_WORK};
@@ -29,13 +31,18 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Fisher–Yates permutation of `0..n` (the vendored rand has no shuffle).
 /// Run a global-order member sequentially through the one executor.
-fn run_forced(g: &BipartiteGraph, member: Member, rec: &mut InMemoryRecorder) -> u64 {
+fn run_flat(g: &BipartiteGraph, member: Member, rec: &mut InMemoryRecorder) -> u64 {
     let plan = Plan::forced(g, member, ExecMode::Flat, None);
     run_plan(g, &plan, None, rec).unwrap().value
 }
 
+/// [`run_flat`] without a recorder.
+fn flat(g: &BipartiteGraph, member: Member) -> u64 {
+    execute_plan(g, &Plan::forced(g, member, ExecMode::Flat, None))
+}
+
+/// Fisher–Yates permutation of `0..n` (the vendored rand has no shuffle).
 fn random_permutation(n: usize, rng: &mut StdRng) -> Vec<u32> {
     let mut perm: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
@@ -49,8 +56,8 @@ fn random_permutation(n: usize, rng: &mut StdRng) -> Vec<u32> {
 fn assert_priority_invariant(g: &BipartiteGraph, side: Side, perm: &[u32], label: &str) {
     let h = relabel(g, side, perm);
     let want = count_brute_force(g);
-    assert_eq!(count_priority(&h), want, "{label}: priority total");
-    assert_eq!(count_ranked(&h), want, "{label}: ranked total");
+    assert_eq!(flat(&h, Member::Priority), want, "{label}: priority total");
+    assert_eq!(flat(&h, Member::Ranked), want, "{label}: ranked total");
 }
 
 #[test]
@@ -78,14 +85,14 @@ fn wedge_work_counter_is_exact_on_every_fixture() {
     for (name, g) in fixture_battery() {
         let want = priority_wedge_work(&g);
         let mut rec = InMemoryRecorder::new();
-        run_forced(&g, Member::Priority, &mut rec);
+        run_flat(&g, Member::Priority, &mut rec);
         assert_eq!(
             rec.counter(Counter::WedgesExpanded),
             want,
             "{name}: priority wedges_expanded"
         );
         let mut rec = InMemoryRecorder::new();
-        run_forced(&g, Member::Ranked, &mut rec);
+        run_flat(&g, Member::Ranked, &mut rec);
         assert_eq!(
             rec.counter(Counter::WedgesExpanded),
             want,
@@ -144,12 +151,12 @@ proptest! {
             let n = match side { Side::V1 => g.nv1(), Side::V2 => g.nv2() };
             let perm = random_permutation(n, &mut rng);
             let h = relabel(&g, side, &perm);
-            prop_assert_eq!(count_priority(&h), want);
-            prop_assert_eq!(count_ranked(&h), want);
+            prop_assert_eq!(flat(&h, Member::Priority), want);
+            prop_assert_eq!(flat(&h, Member::Ranked), want);
         }
         // The exact-work identity holds on every generated graph too.
         let mut rec = InMemoryRecorder::new();
-        run_forced(&g, Member::Priority, &mut rec);
+        run_flat(&g, Member::Priority, &mut rec);
         prop_assert_eq!(rec.counter(Counter::WedgesExpanded), priority_wedge_work(&g));
     }
 }

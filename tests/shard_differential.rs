@@ -11,10 +11,9 @@ use bfly::core::telemetry::NoopRecorder;
 use bfly::core::telemetry::{Counter, InMemoryRecorder};
 use bfly::core::testkit::{count_segmented_pinned, fixture_battery};
 use bfly::core::{
-    count_adaptive, count_adaptive_budgeted_recorded, count_segmented,
-    count_segmented_checkpointed_recorded, count_sharded, plan_scratch_bytes, run_plan,
-    segmented_profile, select_plan, validate_graph, CheckpointConfig, ExecMode, Invariant, Member,
-    Plan, ResourceBudget,
+    count_adaptive, count_segmented_checkpointed_recorded, execute_plan, plan_scratch_bytes,
+    profile_and_plan_budgeted_recorded, run_plan, segmented_profile, select_plan, validate_graph,
+    CheckpointConfig, ExecMode, Invariant, Member, Plan, ResourceBudget,
 };
 use bfly::graph::{write_bfly_file, RowReader, SegmentedGraph};
 
@@ -26,14 +25,16 @@ fn every_invariant_and_shard_count_matches_adaptive() {
     for (name, g) in fixture_battery() {
         let want = count_adaptive(&g).0;
         for inv in Invariant::ALL {
+            let sharded =
+                |shards| Plan::forced(&g, Member::Fixed(inv), ExecMode::Sharded { shards }, None);
             for shards in SHARDS {
+                let plan = sharded(shards);
                 assert_eq!(
-                    count_sharded(&g, inv, shards),
+                    execute_plan(&g, &plan),
                     want,
                     "{name} {inv} shards={shards}"
                 );
                 validate_graph(&g).unwrap();
-                let plan = Plan::forced(&g, Member::Fixed(inv), ExecMode::Sharded { shards }, None);
                 assert_eq!(
                     run_plan(&g, &plan, None, &mut NoopRecorder).unwrap().value,
                     want,
@@ -42,7 +43,7 @@ fn every_invariant_and_shard_count_matches_adaptive() {
             }
             // More shards than vertices degrades to one vertex per shard.
             assert_eq!(
-                count_sharded(&g, inv, 10_000),
+                execute_plan(&g, &sharded(10_000)),
                 want,
                 "{name} {inv} oversharded"
             );
@@ -98,7 +99,16 @@ fn out_of_core_counts_match_in_memory_on_the_battery() {
         let path = dir.join("g.bfly");
         write_bfly_file(&g, &path).unwrap();
         let sg = SegmentedGraph::open(&path).unwrap();
-        assert_eq!(count_segmented(&sg).unwrap(), want, "{name}");
+        let unlimited = ResourceBudget::unlimited();
+        let r = count_segmented_checkpointed_recorded(
+            &sg,
+            Some(1),
+            None,
+            &unlimited,
+            None,
+            &mut NoopRecorder,
+        );
+        assert_eq!(r.unwrap().value.0, want, "{name}");
         for shards in SHARDS {
             let unlimited = ResourceBudget::unlimited();
             let mut rec = InMemoryRecorder::new();
@@ -138,14 +148,18 @@ fn budgeted_sharded_tier_agrees_with_unbudgeted_planner() {
     // Whatever tier the byte budget lands on — degraded in-memory or the
     // sharded out-of-core plan — the count is the same. Sweep caps from
     // generous to absurd and require every successful run to be exact.
+    let workers = rayon::current_num_threads().max(1);
     for (name, g) in fixture_battery() {
         let want = count_adaptive(&g).0;
         for cap in [1u64 << 30, 1 << 20, 1 << 14, 1 << 10] {
             let budget = ResourceBudget::unlimited().with_max_bytes(cap);
-            match count_adaptive_budgeted_recorded(&g, true, &budget, &mut NoopRecorder) {
+            let rec = &mut NoopRecorder;
+            let counted = profile_and_plan_budgeted_recorded(&g, true, workers, &budget, rec)
+                .and_then(|(_, plan)| run_plan(&g, &plan, budget.deadline, rec));
+            match counted {
                 Ok(r) => {
                     assert!(r.complete, "{name} cap={cap}");
-                    assert_eq!(r.value.0, want, "{name} cap={cap}");
+                    assert_eq!(r.value, want, "{name} cap={cap}");
                 }
                 Err(bfly::core::BflyError::BudgetExceeded { resource, .. }) => {
                     assert_eq!(resource, "bytes", "{name} cap={cap}")

@@ -5,9 +5,15 @@
 use bfly::core::peel::{k_tip_recorded, k_wing_recorded};
 use bfly::core::telemetry::Recorder;
 use bfly::core::telemetry::{Counter, InMemoryRecorder, Json, RunReport};
-use bfly::core::{count, count_recorded, run_plan, ExecMode, Invariant, Member, Plan};
+use bfly::core::{count, run_plan, ExecMode, Invariant, Member, Plan};
 use bfly::graph::{BipartiteGraph, Side};
 use proptest::prelude::*;
+
+/// `inv` run sequentially through the one executor, recording into `rec`.
+fn recorded_count(g: &BipartiteGraph, inv: Invariant, rec: &mut InMemoryRecorder) -> u64 {
+    let plan = Plan::forced(g, Member::Fixed(inv), ExecMode::Flat, None);
+    run_plan(g, &plan, None, rec).unwrap().value
+}
 
 const MAX_SIDE: u32 = 24;
 
@@ -67,7 +73,7 @@ proptest! {
             };
             let want = analytic_wedges(&g, center);
             let mut rec = InMemoryRecorder::new();
-            let xi = count_recorded(&g, inv, &mut rec);
+            let xi = recorded_count(&g, inv, &mut rec);
             prop_assert_eq!(xi, count(&g, inv), "{} count drifted", inv);
             prop_assert_eq!(
                 rec.counter(Counter::WedgesExpanded),
@@ -142,7 +148,7 @@ fn run_report_round_trips_through_json() {
     // Exercise counters, gauges, spans, and series in one report.
     let g = BipartiteGraph::complete(6, 5);
     let mut rec = InMemoryRecorder::new();
-    let xi = count_recorded(&g, Invariant::Inv1, &mut rec);
+    let xi = recorded_count(&g, Invariant::Inv1, &mut rec);
     let tip = k_tip_recorded(&g, Side::V1, 1, &mut rec);
     let wing = k_wing_recorded(&g, 1, &mut rec);
     assert!(tip.keep.iter().all(|&b| b));
@@ -178,7 +184,7 @@ fn noop_and_recorded_paths_agree() {
     let g = BipartiteGraph::complete(5, 4);
     for inv in Invariant::ALL {
         let mut rec = InMemoryRecorder::new();
-        assert_eq!(count_recorded(&g, inv, &mut rec), count(&g, inv));
+        assert_eq!(recorded_count(&g, inv, &mut rec), count(&g, inv));
     }
 }
 
