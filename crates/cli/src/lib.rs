@@ -792,9 +792,12 @@ fn parse_inner(argv: &[String]) -> Result<Command, CliError> {
                 s => s,
             };
             let budgeted = max_bytes.is_some() || max_work.is_some() || deadline_ms.is_some();
-            let algorithm = match (rest.has("adaptive"), rest.flag("algorithm")) {
+            // A given `--algorithm` is always parsed, so an unknown name
+            // is a usage error even when `--adaptive` overrides it.
+            let named = rest.flag("algorithm").map(parse_algorithm).transpose()?;
+            let algorithm = match (rest.has("adaptive"), named) {
                 (true, _) => Algorithm::Adaptive,
-                (false, Some(a)) => parse_algorithm(a)?,
+                (false, Some(a)) => a,
                 (false, None) => Algorithm::Auto,
             };
             // Budgets and sharding run through the adaptive planner, so

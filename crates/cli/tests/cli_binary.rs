@@ -339,6 +339,11 @@ fn removed_count_spellings_are_usage_errors() {
             &["--algorithm", "adaptive"],
             "unknown algorithm \"adaptive\"",
         ),
+        // `--adaptive` overrides a valid name, never an unknown one.
+        (
+            &["--adaptive", "--algorithm", "bogus"],
+            "unknown algorithm \"bogus\"",
+        ),
     ] {
         let out = bfly().args(["count", gpath_s]).args(args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -613,9 +613,9 @@ pub fn select_plan(profile: &GraphProfile, parallel: bool, workers: usize) -> Pl
 }
 
 /// Wedge-work floor below which a peel decomposition stays sequential:
-/// the frontier-parallel engine pays a join (delta merge plus, with the
-/// vendored rayon shim, a thread handoff) per large round, which only
-/// amortises once the repair kernels have real work to split.
+/// the frontier-parallel engine starts a worker pool and pays a wake-up
+/// and a delta merge per large round, which only amortise once the
+/// repair kernels have real work to split.
 pub const PEEL_PARALLEL_MIN_WORK: u64 = 1 << 14;
 
 /// The cost model's decision for one peeling run — which side to tip-peel
@@ -625,7 +625,7 @@ pub struct PeelPlan {
     /// The side whose decomposition does less wedge work (tip peeling
     /// wedge-expands removed vertices through the *other* side).
     pub side: Side,
-    /// Chunk each large frontier over rayon workers.
+    /// Split each large frontier over a pool of workers.
     pub parallel: bool,
     /// Number of frontier chunks when parallel (normally the worker
     /// count; `1` otherwise).
@@ -639,7 +639,8 @@ pub struct PeelPlan {
 impl PeelPlan {
     /// The plan that peels `side`: its wedge work against the other
     /// side's, going parallel when `workers > 1` and the wedge work clears
-    /// [`PEEL_PARALLEL_MIN_WORK`] (below it the per-round join dominates).
+    /// [`PEEL_PARALLEL_MIN_WORK`] (below it the per-round wake-up and
+    /// merge dominate).
     pub fn for_side(profile: &GraphProfile, side: Side, workers: usize) -> PeelPlan {
         let est_work = profile.partition_cost(side);
         let parallel = workers > 1 && est_work >= PEEL_PARALLEL_MIN_WORK;

@@ -4,8 +4,9 @@
 //! The decompositions run on the shared bucket-peeling engine in
 //! [`parallel`]: a flat [`bucket::BucketQueue`] (O(1) push, lazy
 //! re-insertion on score decrease) drained a whole minimum bucket per
-//! round, with the score repair either inline or chunked over the peeled
-//! frontier across rayon workers. See `docs/PEELING.md`.
+//! round, with the score repair either inline or in blocks of the peeled
+//! frontier across workers started once per decomposition. See
+//! `docs/PEELING.md`.
 
 pub mod bucket;
 pub mod parallel;

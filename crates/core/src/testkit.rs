@@ -95,6 +95,48 @@ pub fn fixture_battery() -> Vec<(String, BipartiteGraph)> {
     out
 }
 
+/// Star of bicliques: disjoint `K_{k,k+1}` for `k` in `sizes`, plus a
+/// V1 centre adjacent to every biclique's V2 vertices and a V2 centre
+/// adjacent to every biclique's V1 vertices. Each centre's row dies one
+/// biclique at a time, at that biclique's level.
+pub fn star_of_bicliques(sizes: &[usize]) -> BipartiteGraph {
+    let (m, n) = sizes.iter().fold((1, 1), |(m, n), &k| (m + k, n + k + 1));
+    let mut edges = Vec::new();
+    let (mut u0, mut v0) = (1u32, 1u32);
+    for &k in sizes {
+        let (us, vs) = (u0..u0 + k as u32, v0..v0 + k as u32 + 1);
+        for u in us.clone() {
+            edges.push((u, 0));
+            edges.extend(vs.clone().map(|v| (u, v)));
+        }
+        edges.extend(vs.map(|v| (0, v)));
+        u0 += k as u32;
+        v0 += k as u32 + 1;
+    }
+    BipartiteGraph::from_edges(m, n, &edges).expect("generated edges in range")
+}
+
+/// Inputs whose hub rows die a little at a time over many peel rounds,
+/// so the wing engine compacts them repeatedly and its repairs take both
+/// of their sides: a planted `K_{6,10}` over uniform background whose
+/// hub rows run on in nested tails (hub `h` also reaches leaves
+/// `10..10 + 8h`), so each hub row loses most of its entries, tail
+/// first, before the biclique peels; and a [`star_of_bicliques`].
+pub fn hub_death_fixtures() -> Vec<(String, BipartiteGraph)> {
+    let mut hub_biclique = uniform_graph(60, 60, 240, 1006);
+    for h in 0..6u32 {
+        let leaves: Vec<u32> = (0..10 + 8 * h).collect();
+        hub_biclique = with_planted_biclique(&hub_biclique, &[h], &leaves);
+    }
+    vec![
+        ("hub-biclique".into(), hub_biclique),
+        (
+            "star-of-bicliques".into(),
+            star_of_bicliques(&[2, 3, 4, 5, 6, 7]),
+        ),
+    ]
+}
+
 /// Strategy: arbitrary simple bipartite graph with up to [`MAX_SIDE`]
 /// vertices per side and up to 80 (pre-dedup) edges. This is the bounded
 /// edge-list generator previously copy-pasted into each proptest file.

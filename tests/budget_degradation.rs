@@ -7,7 +7,7 @@ use bfly::core::adaptive::plan_scratch_bytes;
 use bfly::core::peel::{
     tip_numbers, tip_numbers_budgeted_recorded, wing_numbers, wing_numbers_budgeted_recorded,
 };
-use bfly::core::telemetry::{InMemoryRecorder, NoopRecorder, Recorder};
+use bfly::core::telemetry::{Counter, InMemoryRecorder, NoopRecorder, Recorder};
 use bfly::core::testkit::fixture_battery;
 use bfly::core::{
     count_adaptive, profile_and_plan_budgeted_recorded, run_plan, BflyError, GraphProfile, Partial,
@@ -197,27 +197,46 @@ fn expired_deadline_truncates_decompositions_to_upper_bounds() {
         for (i, (&got, &want)) in r.value.iter().zip(exact).enumerate() {
             assert!(got >= want, "{at}: item {i} got {got} below exact {want}");
         }
+        // The one round peeled is the minimum bucket: its items hold the
+        // lowest number returned, and that number is exact.
+        let floor = r.value.iter().copied().min().expect("at least one item");
+        for (i, (&got, &want)) in r.value.iter().zip(exact).enumerate() {
+            if got == floor {
+                assert_eq!(got, want, "{at}: peeled item {i} not exact");
+            }
+        }
+        // Every worker the run started came back with its trace.
+        let chunk_spans = rec.spans().iter().filter(|s| s.name == "chunk").count();
+        assert_eq!(chunk_spans as u64, rec.counter(Counter::ParChunks), "{at}");
         assert_eq!(rec.gauge_value("budget.degraded"), Some(3.0), "{at}");
     };
     for (name, g) in fixture_battery() {
-        for side in [Side::V1, Side::V2] {
-            if g.nvertices(side) == 0 {
+        for chunks in [2, 4] {
+            for side in [Side::V1, Side::V2] {
+                if g.nvertices(side) == 0 {
+                    continue;
+                }
+                let mut rec = InMemoryRecorder::new();
+                let r =
+                    tip_numbers_budgeted_recorded(&g, side, chunks, &expired, &mut rec).unwrap();
+                check(
+                    r,
+                    &tip_numbers(&g, side),
+                    &rec,
+                    &format!("{name} tip {side:?} chunks {chunks}"),
+                );
+            }
+            if g.nedges() == 0 {
                 continue;
             }
             let mut rec = InMemoryRecorder::new();
-            let r = tip_numbers_budgeted_recorded(&g, side, 2, &expired, &mut rec).unwrap();
+            let r = wing_numbers_budgeted_recorded(&g, chunks, &expired, &mut rec).unwrap();
             check(
                 r,
-                &tip_numbers(&g, side),
+                &wing_numbers(&g),
                 &rec,
-                &format!("{name} tip {side:?}"),
+                &format!("{name} wing chunks {chunks}"),
             );
         }
-        if g.nedges() == 0 {
-            continue;
-        }
-        let mut rec = InMemoryRecorder::new();
-        let r = wing_numbers_budgeted_recorded(&g, 2, &expired, &mut rec).unwrap();
-        check(r, &wing_numbers(&g), &rec, &format!("{name} wing"));
     }
 }

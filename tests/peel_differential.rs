@@ -13,7 +13,7 @@ use bfly::core::peel::{
     wing_numbers_with_chunks,
 };
 use bfly::core::telemetry::NoopRecorder;
-use bfly::core::testkit::{arb_family_graph, arb_graph, fixture_battery};
+use bfly::core::testkit::{arb_family_graph, arb_graph, fixture_battery, hub_death_fixtures};
 use bfly::core::{BflyError, ResourceBudget};
 use bfly::graph::{BipartiteGraph, Side};
 use proptest::prelude::*;
@@ -60,6 +60,32 @@ fn wing_paths_agree_on_fixture_battery() {
                 oracle,
                 "{name}: chunks={chunks}"
             );
+        }
+    }
+}
+
+/// Hub-death inputs: hub rows and columns that lose most of their
+/// entries over many rounds, so the wing engine compacts them again and
+/// again and its repairs take both sides. Every width must match the
+/// heap oracles.
+#[test]
+fn hub_death_fixtures_agree_with_oracles() {
+    for (name, g) in hub_death_fixtures() {
+        let wing_oracle = wing_numbers_oracle(&g);
+        let tip_oracles = [Side::V1, Side::V2].map(|side| (side, tip_numbers_oracle(&g, side)));
+        for chunks in WIDTHS {
+            assert_eq!(
+                wing_numbers_with_chunks(&g, chunks, &mut NoopRecorder),
+                wing_oracle,
+                "{name}: wing chunks={chunks}"
+            );
+            for (side, oracle) in &tip_oracles {
+                assert_eq!(
+                    &tips(&g, *side, chunks).unwrap(),
+                    oracle,
+                    "{name} {side:?}: tip chunks={chunks}"
+                );
+            }
         }
     }
 }
